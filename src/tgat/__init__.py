@@ -34,7 +34,6 @@ from .temporal_graph import (
     load_graph,
     load_graph_csv,
     mask_unseen,
-    sample_negative,
     save_graph,
     temporal_neighborhood,
 )

@@ -192,14 +192,13 @@ class AttentionCollector:
 
     def __init__(self):
         # (layer_index, query_time, peers, timespans, weights averaged over heads)
-        self.records: list[tuple[int, float, tuple[int, ...], np.ndarray, np.ndarray]] = []
+        self.records: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add(self, layer_index: int, sample: NeighborhoodSample,
             head_weights: list[np.ndarray]) -> None:
-        timespans = np.array([sample.query_time - ts for _, ts, _ in sample.entries])
-        peers = tuple(peer for peer, _, _ in sample.entries)
         mean_w = np.mean(np.stack(head_weights), axis=0)
-        self.records.append((layer_index, sample.query_time, peers, timespans, mean_w))
+        self.records.append((layer_index, sample.query_time, sample.peers,
+                             sample.query_time - sample.times, mean_w))
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +222,14 @@ def build_entity_matrix(
     """
     if sample.query_time != t:
         raise ContractError(f"sample was taken at {sample.query_time}, not at {t}")
-    n = len(sample.entries)
+    n = len(sample)
     if n == 0:
         raise ContractError("entity matrix needs at least one neighbor row")
     if target_hidden.data.shape[0] != 1:
         raise ContractError("target hidden state must be a single row")
 
-    hiddens = [hidden_of(peer, ts) for peer, ts, _ in sample.entries]
+    hiddens = [hidden_of(peer, ts)
+               for peer, ts in zip(sample.peers.tolist(), sample.times.tolist())]
     width = target_hidden.data.shape[1]
     for h in hiddens:
         if h.data.shape != (1, width):
@@ -243,14 +243,13 @@ def build_entity_matrix(
         time_block = ad.concat_rows([positional.lookup(r) for r in range(n)])
     else:
         time_target = enc.encode(0.0)
-        time_block = enc.encode_many([t - ts for _, ts, _ in sample.entries])
+        time_block = enc.encode_many(t - sample.times)
 
     if edge_dim > 0:
-        edge_rows = np.stack([feats for _, _, feats in sample.entries])
         target_row = ad.concat_cols(
             [target_hidden, ad.constant(np.zeros((1, edge_dim))), time_target])
         neighbor_rows = ad.concat_cols(
-            [neighbor_hidden, ad.constant(edge_rows), time_block])
+            [neighbor_hidden, ad.constant(sample.edge_features), time_block])
     else:
         target_row = ad.concat_cols([target_hidden, time_target])
         neighbor_rows = ad.concat_cols([neighbor_hidden, time_block])
@@ -303,7 +302,7 @@ def _hidden_state(
     sample = temporal_neighborhood(graph, node, t, max_size, sampling.strategy, rng)
     x0 = ad.constant(graph.node_features[node][None, :])
 
-    if len(sample.entries) == 0:
+    if len(sample) == 0:
         # no prior interactions: the neighborhood representation is zero and
         # the FFN still runs, which keeps inductive inference total
         nbr_repr = ad.constant(np.zeros((1, layer.head_count * layer.head_dim)))

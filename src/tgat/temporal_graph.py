@@ -9,8 +9,9 @@ concurrent reads stay deterministic.
 
 from __future__ import annotations
 
+import zipfile
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,16 +38,19 @@ class TemporalEvent:
     label: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborhoodSample:
-    """Interactions of one node strictly before ``query_time``, oldest first."""
+    """Interactions of one node strictly before ``query_time``, oldest first;
+    row i of every array describes the same interaction."""
 
-    entries: tuple[tuple[int, float, np.ndarray], ...]
+    peers: np.ndarray
+    times: np.ndarray
+    event_indices: np.ndarray
+    edge_features: np.ndarray
     query_time: float
-    event_indices: tuple[int, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.peers.size
 
 
 @dataclass(frozen=True)
@@ -65,56 +69,69 @@ class SplitSpec:
         return "test"
 
 
-class _Adjacency:
-    __slots__ = ("peers", "times", "event_idx")
-
-    def __init__(self, peers, times, event_idx):
-        self.peers = np.asarray(peers, dtype=np.int64)
-        self.times = np.asarray(times, dtype=np.float64)
-        self.event_idx = np.asarray(event_idx, dtype=np.int64)
-
-
 class TemporalGraph:
-    """Immutable store of timestamped interactions with per-node chronological adjacency."""
+    """Immutable columnar store of timestamped interactions.
 
-    def __init__(self, events: Sequence[TemporalEvent], node_features: np.ndarray):
-        # copy so freezing the store never makes a caller's array read-only
+    Events are sorted by timestamp, ties kept in input order, and held as
+    read-only columns: ``sources``, ``destinations`` (int64), ``timestamps``
+    (float64), ``edge_features`` (n_events x d_e) and ``labels`` (int64, -1
+    where absent). Beside them sits one CSR adjacency: the interactions of
+    node v, oldest first, are rows ``indptr[v]:indptr[v + 1]`` of ``peers``,
+    ``times`` and ``event_idx``. Every non-loop event is listed under both
+    endpoints; self-loops never enter temporal neighborhoods.
+    """
+
+    def __init__(self, sources, destinations, timestamps, edge_features, labels,
+                 node_features):
+        sources = np.asarray(sources, dtype=np.int64)
+        destinations = np.asarray(destinations, dtype=np.int64)
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        edge_features = np.asarray(edge_features, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        # a copy, so freezing the store never makes a caller's array read-only;
+        # the event columns are copied by the sort below
         node_features = np.array(node_features, dtype=np.float64)
         if node_features.ndim != 2:
             raise ValidationError(f"node features must be 2-D, got shape {node_features.shape}")
-        order = sorted(range(len(events)), key=lambda i: (events[i].timestamp, i))
-        ordered = []
-        d_e = None
-        for i in order:
-            ev = events[i]
-            if ev.timestamp < 0:
-                raise ValidationError(f"negative timestamp {ev.timestamp} in event {i}")
-            feats = np.asarray(ev.edge_features, dtype=np.float64).reshape(-1)
-            if d_e is None:
-                d_e = feats.size
-            elif feats.size != d_e:
-                raise ValidationError(
-                    f"edge feature length {feats.size} differs from declared {d_e}")
-            for node in (ev.source, ev.destination):
-                if not 0 <= node < node_features.shape[0]:
-                    raise ValidationError(f"event references node {node} without features")
-            ordered.append(replace(ev, edge_features=feats))
-        self.events: tuple[TemporalEvent, ...] = tuple(ordered)
-        self.node_features = node_features
-        self.node_features.setflags(write=False)
-        self.edge_feature_dim = 0 if d_e is None else d_e
-        self.t_max = max((ev.timestamp for ev in self.events), default=0.0)
+        n = timestamps.size
+        if not (sources.shape == destinations.shape == timestamps.shape == labels.shape == (n,)):
+            raise ValidationError(
+                "sources, destinations, timestamps and labels must be 1-D and of equal length")
+        if edge_features.ndim != 2 or edge_features.shape[0] != n:
+            raise ValidationError(
+                f"edge features must have one row per event ({n}), got shape {edge_features.shape}")
+        bad = np.flatnonzero(~np.isfinite(timestamps) | (timestamps < 0))
+        if bad.size:
+            raise ValidationError(
+                f"timestamp {timestamps[bad[0]]} in event {bad[0]} is negative or not finite")
+        ends = np.concatenate([sources, destinations])
+        bad = np.flatnonzero((ends < 0) | (ends >= node_features.shape[0]))
+        if bad.size:
+            raise ValidationError(f"event references node {ends[bad[0]]} without features")
 
-        buckets: list[list[tuple[int, float, int]]] = [[] for _ in range(node_features.shape[0])]
-        for idx, ev in enumerate(self.events):
-            if ev.source == ev.destination:
-                continue  # self-loops never enter temporal neighborhoods
-            buckets[ev.source].append((ev.destination, ev.timestamp, idx))
-            buckets[ev.destination].append((ev.source, ev.timestamp, idx))
-        self._adj = [
-            _Adjacency([b[0] for b in bucket], [b[1] for b in bucket], [b[2] for b in bucket])
-            for bucket in buckets
-        ]
+        order = np.argsort(timestamps, kind="stable")
+        self.sources = sources[order]
+        self.destinations = destinations[order]
+        self.timestamps = timestamps[order]
+        self.edge_features = edge_features[order]
+        self.labels = labels[order]
+        self.node_features = node_features
+        self.edge_feature_dim = edge_features.shape[1]
+        self.t_max = float(self.timestamps[-1]) if n else 0.0
+
+        kept = np.flatnonzero(self.sources != self.destinations)
+        owners = np.concatenate([self.sources[kept], self.destinations[kept]])
+        event_idx = np.concatenate([kept, kept]).astype(np.int64)
+        rows = np.lexsort((event_idx, owners))
+        self.indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=self.num_nodes), out=self.indptr[1:])
+        self.peers = np.concatenate([self.destinations[kept], self.sources[kept]])[rows]
+        self.event_idx = event_idx[rows]
+        self.times = self.timestamps[self.event_idx]
+        for column in (self.sources, self.destinations, self.timestamps, self.edge_features,
+                       self.labels, self.node_features, self.indptr, self.peers,
+                       self.event_idx, self.times):
+            column.setflags(write=False)
 
     @property
     def num_nodes(self) -> int:
@@ -122,17 +139,36 @@ class TemporalGraph:
 
     @property
     def num_events(self) -> int:
-        return len(self.events)
+        return self.timestamps.size
 
     @property
     def node_feature_dim(self) -> int:
         return self.node_features.shape[1]
 
+    @property
+    def events(self) -> "_EventView":
+        return _EventView(self)
+
     def has_node(self, node: int) -> bool:
         return 0 <= node < self.num_nodes
 
-    def degree(self, node: int) -> int:
-        return self._adj[node].peers.size
+
+class _EventView(Sequence):
+    """Read-only sequence over a graph's events; builds a TemporalEvent per access."""
+
+    def __init__(self, graph: TemporalGraph):
+        self._g = graph
+
+    def __len__(self) -> int:
+        return self._g.num_events
+
+    def __getitem__(self, i) -> TemporalEvent:
+        g = self._g
+        label = int(g.labels[i])
+        return TemporalEvent(source=int(g.sources[i]), destination=int(g.destinations[i]),
+                             timestamp=float(g.timestamps[i]),
+                             edge_features=g.edge_features[i],
+                             label=None if label < 0 else label)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +203,8 @@ class AccessMonitor:
         return False
 
     def violations(self) -> list[AccessRecord]:
-        return [r for r in self.records if r.event_timestamp >= r.query_time]
+        # written so that a NaN on either side counts as a violation
+        return [r for r in self.records if not r.event_timestamp < r.query_time]
 
     def max_event_timestamp(self) -> float:
         return max((r.event_timestamp for r in self.records), default=float("-inf"))
@@ -179,12 +216,6 @@ _MONITORS: list[AccessMonitor] = []
 # ---------------------------------------------------------------------------
 # queries
 # ---------------------------------------------------------------------------
-
-
-def _as_rng(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
 
 
 def temporal_neighborhood(
@@ -200,7 +231,7 @@ def temporal_neighborhood(
 
     ``uniform`` subsamples without replacement, ``inverse-timespan`` weights
     candidates by 1/(t - t_i + jitter), and ``most-recent`` keeps the latest
-    interactions deterministically. Entries come back sorted by timestamp
+    interactions deterministically. Rows come back sorted by timestamp
     (ties by event order); recurring interactions with the same peer stay
     distinct. A node with no prior interactions yields an empty sample.
     """
@@ -208,40 +239,38 @@ def temporal_neighborhood(
         raise ValidationError(f"node {node} not in graph with {g.num_nodes} nodes")
     if max_size < 1:
         raise ValidationError(f"max_size must be >= 1, got {max_size}")
-    if t < 0:
-        raise ValidationError(f"query time must be non-negative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValidationError(f"query time must be finite and non-negative, got {t}")
     if strategy not in STRATEGIES:
         raise ValidationError(f"unknown sampling strategy {strategy!r}")
 
-    adj = g._adj[node]
-    cut = int(np.searchsorted(adj.times, t, side="left"))
-    if cut == 0:
-        return NeighborhoodSample(entries=(), query_time=float(t))
-
+    lo = g.indptr[node]
+    times = g.times[lo:g.indptr[node + 1]]
+    cut = int(np.searchsorted(times, t, side="left"))
     if cut <= max_size:
         chosen = np.arange(cut)
     elif strategy == "most-recent":
         chosen = np.arange(cut - max_size, cut)
     elif strategy == "uniform":
-        rng = _as_rng(rng_seed)
+        rng = np.random.default_rng(rng_seed)
         chosen = np.sort(rng.choice(cut, size=max_size, replace=False))
     else:  # inverse-timespan
-        rng = _as_rng(rng_seed)
-        weights = 1.0 / (t - adj.times[:cut] + jitter)
+        rng = np.random.default_rng(rng_seed)
+        weights = 1.0 / (t - times[:cut] + jitter)
         chosen = np.sort(rng.choice(cut, size=max_size, replace=False, p=weights / weights.sum()))
 
-    entries = []
-    event_indices = []
-    for i in chosen:
-        ev_idx = int(adj.event_idx[i])
-        entries.append((int(adj.peers[i]), float(adj.times[i]), g.events[ev_idx].edge_features))
-        event_indices.append(ev_idx)
+    rows = lo + chosen
+    event_indices = g.event_idx[rows]
+    sample = NeighborhoodSample(peers=g.peers[rows], times=g.times[rows],
+                                event_indices=event_indices,
+                                edge_features=g.edge_features[event_indices],
+                                query_time=float(t))
+    if _MONITORS:
+        records = [AccessRecord(node=node, query_time=float(t), event_timestamp=ts, event_index=e)
+                   for ts, e in zip(sample.times.tolist(), event_indices.tolist())]
         for monitor in _MONITORS:
-            monitor.records.append(
-                AccessRecord(node=node, query_time=float(t),
-                             event_timestamp=float(adj.times[i]), event_index=ev_idx))
-    return NeighborhoodSample(entries=tuple(entries), query_time=float(t),
-                              event_indices=tuple(event_indices))
+            monitor.records.extend(records)
+    return sample
 
 
 def chronological_split(g: TemporalGraph, train_frac: float, val_frac: float) -> SplitSpec:
@@ -252,7 +281,7 @@ def chronological_split(g: TemporalGraph, train_frac: float, val_frac: float) ->
             f"invalid split fractions train={train_frac} val={val_frac}")
     if g.num_events < 3:
         raise SplitError(f"need at least 3 events to split, got {g.num_events}")
-    ts = np.array([ev.timestamp for ev in g.events])
+    ts = g.timestamps
     n = ts.size
 
     def quantile_ts(frac: float) -> float:
@@ -273,7 +302,7 @@ def mask_unseen(g: TemporalGraph, split: SplitSpec, fraction: float, rng_seed: i
     """
     if not 0 < fraction < 1:
         raise ValidationError(f"unseen fraction must lie in (0, 1), got {fraction}")
-    rng = _as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     count = int(round(fraction * g.num_nodes))
     unseen = frozenset(int(v) for v in rng.choice(g.num_nodes, size=count, replace=False))
     masked = replace(split, unseen_nodes=unseen)
@@ -283,15 +312,14 @@ def mask_unseen(g: TemporalGraph, split: SplitSpec, fraction: float, rng_seed: i
     return masked
 
 
+def _touches_unseen(g: TemporalGraph, split: SplitSpec) -> np.ndarray:
+    unseen = np.fromiter(split.unseen_nodes, dtype=np.int64, count=len(split.unseen_nodes))
+    return np.isin(g.sources, unseen) | np.isin(g.destinations, unseen)
+
+
 def training_event_indices(g: TemporalGraph, split: SplitSpec) -> np.ndarray:
     """Indices of training-period events untouched by unseen nodes (chronological)."""
-    keep = [
-        i for i, ev in enumerate(g.events)
-        if ev.timestamp <= split.train_end
-        and ev.source not in split.unseen_nodes
-        and ev.destination not in split.unseen_nodes
-    ]
-    return np.asarray(keep, dtype=np.int64)
+    return np.flatnonzero((g.timestamps <= split.train_end) & ~_touches_unseen(g, split))
 
 
 def evaluation_event_indices(
@@ -306,24 +334,10 @@ def evaluation_event_indices(
         raise ValidationError(f"evaluation period must be 'val' or 'test', got {period!r}")
     if mode not in ("transductive", "inductive"):
         raise ValidationError(f"evaluation mode must be transductive or inductive, got {mode!r}")
-    keep = []
-    for i, ev in enumerate(g.events):
-        if split.period_of(ev.timestamp) != period:
-            continue
-        touches_unseen = ev.source in split.unseen_nodes or ev.destination in split.unseen_nodes
-        if (mode == "inductive") == touches_unseen:
-            keep.append(i)
-    return np.asarray(keep, dtype=np.int64)
-
-
-def sample_negative(g: TemporalGraph, rng_seed, count: int) -> list[int]:
-    """``count`` node ids drawn uniformly with replacement from the node space."""
-    if g.num_nodes == 0:
-        raise ValidationError("cannot sample negatives from an empty graph")
-    if count == 0:
-        return []
-    rng = _as_rng(rng_seed)
-    return [int(v) for v in rng.integers(0, g.num_nodes, size=count)]
+    ts = g.timestamps  # periods as in SplitSpec.period_of
+    in_period = ((ts > split.train_end) & (ts <= split.val_end) if period == "val"
+                 else ts > split.val_end)
+    return np.flatnonzero(in_period & (_touches_unseen(g, split) == (mode == "inductive")))
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +355,23 @@ def build_graph(
     num_nodes: int | None = None,
     node_feature_dim: int = 1,
 ) -> TemporalGraph:
-    """Assemble a graph from parallel arrays; convenience for fixtures and tests."""
-    sources = np.asarray(sources, dtype=np.int64)
-    destinations = np.asarray(destinations, dtype=np.int64)
-    timestamps = np.asarray(timestamps, dtype=np.float64)
-    n_events = sources.size
-    if edge_features is None or n_events == 0:
+    """Assemble a graph from parallel arrays.
+
+    Missing edge features give d_e = 0, missing labels read -1 (none), and
+    missing node features are zero vectors for ``num_nodes`` nodes (default:
+    one past the largest node id).
+    """
+    n_events = np.size(timestamps)
+    if edge_features is None:
         edge_features = np.zeros((n_events, 0))
-    else:
-        edge_features = np.asarray(edge_features, dtype=np.float64).reshape(n_events, -1)
+    if labels is None:
+        labels = np.full(n_events, -1)
     if node_features is None:
         if num_nodes is None:
-            num_nodes = int(max(sources.max(initial=-1), destinations.max(initial=-1))) + 1
+            num_nodes = int(max(np.max(sources, initial=-1), np.max(destinations, initial=-1))) + 1
         node_features = np.zeros((num_nodes, node_feature_dim))
-    events = [
-        TemporalEvent(
-            source=int(sources[i]),
-            destination=int(destinations[i]),
-            timestamp=float(timestamps[i]),
-            edge_features=edge_features[i],
-            label=None if labels is None else int(labels[i]),
-        )
-        for i in range(n_events)
-    ]
-    return TemporalGraph(events, node_features)
+    return TemporalGraph(sources, destinations, timestamps, edge_features, labels,
+                         node_features)
 
 
 def ingest(
@@ -382,18 +389,15 @@ def ingest(
     poor cos/sin arguments); line numbers in errors assume a single header line
     unless ``first_line`` says otherwise.
     """
-    if time_divisor <= 0:
-        raise ValidationError(f"time divisor must be positive, got {time_divisor}")
+    if not 0 < time_divisor < np.inf:
+        raise ValidationError(f"time divisor must be positive and finite, got {time_divisor}")
     expected_cols = 4 + feature_dim
     node_ids: dict[tuple[str, str], int] = {}
 
     def node_of(kind: str, raw: str) -> int:
-        key = (kind, raw)
-        if key not in node_ids:
-            node_ids[key] = len(node_ids)
-        return node_ids[key]
+        return node_ids.setdefault((kind, raw), len(node_ids))
 
-    events = []
+    sources, destinations, timestamps, labels, feats = [], [], [], [], []
     for offset, row in enumerate(rows):
         line = first_line + offset
         if len(row) != expected_cols:
@@ -401,27 +405,22 @@ def ingest(
                 f"line {line}: expected {expected_cols} columns, got {len(row)}")
         try:
             timestamp = float(row[2])
-            label = int(float(row[3]))
-            feats = np.array([float(v) for v in row[4:]], dtype=np.float64)
+            labels.append(int(float(row[3])))
+            feats.append([float(v) for v in row[4:]])
         except ValueError as exc:
             raise IngestionError(f"line {line}: {exc}") from None
-        if timestamp < 0:
-            raise ValidationError(f"line {line}: negative timestamp {timestamp}")
-        events.append(
-            TemporalEvent(
-                source=node_of("u", row[0]),
-                destination=node_of("i", row[1]),
-                timestamp=timestamp / time_divisor,
-                edge_features=feats,
-                label=label,
-            )
-        )
+        if not 0 <= timestamp < np.inf:
+            raise ValidationError(
+                f"line {line}: timestamp must be finite and non-negative, got {timestamp}")
+        sources.append(node_of("u", row[0]))
+        destinations.append(node_of("i", row[1]))
+        timestamps.append(timestamp / time_divisor)
     if node_feature_dim is None:
         node_feature_dim = feature_dim if feature_dim > 0 else 1
-    node_features = np.zeros((len(node_ids), node_feature_dim))
-    return TemporalGraph(events, node_features)
-
-
+    return build_graph(sources, destinations, timestamps,
+                       edge_features=np.array(feats).reshape(len(feats), feature_dim),
+                       labels=labels,
+                       node_features=np.zeros((len(node_ids), node_feature_dim)))
 def load_graph_csv(
     path,
     feature_dim: int | None = None,
@@ -449,36 +448,35 @@ def load_graph_csv(
 GRAPH_FORMAT_VERSION = 1
 
 
+# archive member order is part of the byte-deterministic file layout
+_GRAPH_MEMBERS = ("sources", "destinations", "timestamps", "labels", "edge_features",
+                  "node_features")
+
+
 def save_graph(g: TemporalGraph, path) -> None:
     """Serialize to an .npz archive (schema documented in the README)."""
-    labels = np.array([-1 if ev.label is None else ev.label for ev in g.events], dtype=np.int64)
-    np.savez(
-        path,
-        format_version=np.array([GRAPH_FORMAT_VERSION]),
-        sources=np.array([ev.source for ev in g.events], dtype=np.int64),
-        destinations=np.array([ev.destination for ev in g.events], dtype=np.int64),
-        timestamps=np.array([ev.timestamp for ev in g.events], dtype=np.float64),
-        labels=labels,
-        edge_features=np.stack([ev.edge_features for ev in g.events])
-        if g.num_events else np.zeros((0, g.edge_feature_dim)),
-        node_features=g.node_features,
-    )
+    np.savez(path, format_version=np.array([GRAPH_FORMAT_VERSION]),
+             **{name: getattr(g, name) for name in _GRAPH_MEMBERS})
 
 
 def load_graph(path) -> TemporalGraph:
-    with np.load(path) as data:
-        version = int(data["format_version"][0])
-        if version != GRAPH_FORMAT_VERSION:
-            raise ValidationError(f"unsupported graph format version {version}")
-        labels = data["labels"]
-        events = [
-            TemporalEvent(
-                source=int(data["sources"][i]),
-                destination=int(data["destinations"][i]),
-                timestamp=float(data["timestamps"][i]),
-                edge_features=data["edge_features"][i],
-                label=None if labels[i] < 0 else int(labels[i]),
-            )
-            for i in range(data["sources"].size)
-        ]
-        return TemporalGraph(events, data["node_features"])
+    """Read a graph written by ``save_graph``. A file that is not such an archive
+    raises ValidationError; one that cannot be opened raises OSError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ValidationError(f"{path}: not an npz graph archive") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValidationError(f"{path}: not an npz graph archive")
+    with data:
+        try:
+            version = int(data["format_version"][0])
+            columns = {name: data[name] for name in _GRAPH_MEMBERS}
+        except (KeyError, IndexError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{path}: malformed graph archive ({exc})") from None
+    if version != GRAPH_FORMAT_VERSION:
+        raise ValidationError(f"{path}: unsupported graph format version {version}")
+    try:
+        return TemporalGraph(**columns)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

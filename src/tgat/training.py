@@ -121,6 +121,13 @@ def build_model(graph: TemporalGraph, config: TrainConfig) -> TgatModel:
 # ---------------------------------------------------------------------------
 
 
+def _endpoints(graph: TemporalGraph, event_indices) -> zip:
+    """(source, destination, timestamp) of each listed event, as Python scalars."""
+    idx = np.asarray(event_indices, dtype=np.int64)
+    return zip(graph.sources[idx].tolist(), graph.destinations[idx].tolist(),
+               graph.timestamps[idx].tolist())
+
+
 def _draw_negative(rng: np.random.Generator, num_nodes: int, forbidden: int) -> int:
     """Uniform node id, resampling on collision with the positive destination."""
     v = int(rng.integers(0, num_nodes))
@@ -146,17 +153,16 @@ def link_loss(
     """
     if len(batch_events) == 0:
         raise ContractError("link loss needs a non-empty batch")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator passes through unchanged
     terms: list[Tensor] = []
-    for idx in batch_events:
-        ev = graph.events[idx]
-        h_i = embed_tensor(model, ev.source, ev.timestamp, graph, sampling, rng)
-        h_j = embed_tensor(model, ev.destination, ev.timestamp, graph, sampling, rng)
+    for src, dst, t in _endpoints(graph, batch_events):
+        h_i = embed_tensor(model, src, t, graph, sampling, rng)
+        h_j = embed_tensor(model, dst, t, graph, sampling, rng)
         s_pos = ad.matmul(h_i, ad.transpose(h_j))
         terms.append(ad.scale(ad.log_sigmoid(s_pos), -1.0))
         for _ in range(negatives_per_positive):
-            q = _draw_negative(rng, graph.num_nodes, ev.destination)
-            h_q = embed_tensor(model, q, ev.timestamp, graph, sampling, rng)
+            q = _draw_negative(rng, graph.num_nodes, dst)
+            h_q = embed_tensor(model, q, t, graph, sampling, rng)
             s_neg = ad.matmul(h_i, ad.transpose(h_q))
             terms.append(ad.scale(ad.log_sigmoid(ad.scale(s_neg, -1.0)), -1.0))
     return ad.sum_all(ad.concat_rows(terms))
@@ -331,12 +337,11 @@ def evaluate_links(
 
     labels = []
     scores = []
-    for idx in event_indices:
-        ev = graph.events[int(idx)]
-        h_i = embed(model, ev.source, ev.timestamp, graph, sampling, rng)
-        h_j = embed(model, ev.destination, ev.timestamp, graph, sampling, rng)
-        q = _draw_negative(rng, graph.num_nodes, ev.destination)
-        h_q = embed(model, q, ev.timestamp, graph, sampling, rng)
+    for src, dst, t in _endpoints(graph, event_indices):
+        h_i = embed(model, src, t, graph, sampling, rng)
+        h_j = embed(model, dst, t, graph, sampling, rng)
+        q = _draw_negative(rng, graph.num_nodes, dst)
+        h_q = embed(model, q, t, graph, sampling, rng)
         scores.append(float(ad.sigmoid_values(np.array([h_i @ h_j]))[0]))
         labels.append(1)
         scores.append(float(ad.sigmoid_values(np.array([h_i @ h_q]))[0]))
@@ -413,12 +418,11 @@ def node_classify(
 
     pools: dict[str, tuple[list[np.ndarray], list[int]]] = {
         "train": ([], []), "val": ([], []), "test": ([], [])}
-    for ev in graph.events:
-        if ev.label is None:
-            continue
-        feats, labels = pools[split.period_of(ev.timestamp)]
-        feats.append(embed(model, ev.source, ev.timestamp, graph, sampling, rng))
-        labels.append(int(ev.label))
+    labeled = np.flatnonzero(graph.labels >= 0)
+    for (src, _, t), label in zip(_endpoints(graph, labeled), graph.labels[labeled].tolist()):
+        feats, labels = pools[split.period_of(t)]
+        feats.append(embed(model, src, t, graph, sampling, rng))
+        labels.append(label)
 
     def as_arrays(period: str) -> tuple[np.ndarray, np.ndarray]:
         feats, labels = pools[period]
@@ -499,24 +503,22 @@ def attention_report(
     rows: list[AttentionRow] = []
     rng = np.random.default_rng([rng_seed, 4004])
     top = model.layer_count
-    for idx in event_indices:
-        ev = graph.events[int(idx)]
+    for src, dst, t_event in _endpoints(graph, event_indices):
         for offset in target_time_offsets:
-            t = ev.timestamp + offset
-            for node in (ev.source, ev.destination):
+            t = t_event + offset
+            for node in (src, dst):
                 collector = AttentionCollector()
                 embed_tensor(model, node, t, graph, sampling, rng, collector)
                 for layer_index, q_time, peers, timespans, weights in collector.records:
                     if layer_index != top:
                         continue
-                    counts: dict[int, int] = {}
-                    for p in peers:
-                        counts[p] = counts.get(p, 0) + 1
-                    for p, span, w in zip(peers, timespans, weights):
+                    _, which, counts = np.unique(peers, return_inverse=True, return_counts=True)
+                    for span, w, count in zip(timespans.tolist(), weights.tolist(),
+                                              counts[which].tolist()):
                         rows.append(AttentionRow(
-                            timespan=float(span),
-                            attention_weight=float(w),
-                            occurrence_count=counts[p],
+                            timespan=span,
+                            attention_weight=w,
+                            occurrence_count=count,
                             target_time_offset=float(offset),
                         ))
     return rows

@@ -74,6 +74,14 @@ class TestIngest:
         assert main(["ingest", str(data), str(tmp_path / "g.npz")]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_timestamp_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("user_id,item_id,timestamp,state_label\n1,2,1.0,0\n1,3,nan,0\n")
+        out = tmp_path / "g.npz"
+        assert main(["ingest", str(data), str(out)]) == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outputs_byte_identical(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text(CSV_TEXT)
@@ -110,6 +118,22 @@ class TestTrain:
         bad.write_text("rng_seed = 1\nwibble = 4\n")
         assert main(["train", str(graph), str(bad), str(tmp_path / "out")]) == 1
         assert "wibble" in capsys.readouterr().err
+
+    def test_non_npz_graph_exit_1(self, workspace, capsys):
+        tmp_path, _, config, _ = workspace
+        bad = tmp_path / "bad.npz"
+        bad.write_text("user_id,item_id\n")
+        assert main(["train", str(bad), str(config), str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "bad.npz" in err and err.count("\n") == 1
+
+    def test_graph_missing_member_exit_1(self, workspace, capsys):
+        tmp_path, _, config, _ = workspace
+        bad = tmp_path / "partial.npz"
+        np.savez(bad, format_version=np.array([1]), sources=np.array([0]))
+        assert main(["train", str(bad), str(config), str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "partial.npz" in err and "destinations" in err and err.count("\n") == 1
 
     def test_missing_graph_exit_2(self, workspace, capsys):
         tmp_path, _, config, _ = workspace

@@ -280,10 +280,15 @@ class TestEmbedProperties:
         g = tiny_fixture_graph()
         dims = Dims(d0=3, d=4, d_t=4, d_h=3, d_f=5, d_e=2)
         model = TgatModel.create(dims, layer_count=2, head_count=2, rng_seed=0)
+        # 7.0 and 8.0 equal event times; those events must stay unread
         with AccessMonitor() as mon:
-            embed(model, 5, 7.5, g, MOST_RECENT)
+            for t in (7.5, 7.0, 8.0):
+                embed(model, 5, t, g, MOST_RECENT)
         assert len(mon.records) > 0
         assert mon.violations() == []
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                embed(model, 5, t, g, MOST_RECENT)
 
     def test_full_model_gradients(self):
         g = tiny_fixture_graph()

@@ -1,5 +1,6 @@
-"""Event store tests: ingestion, causality-respecting sampling, splits,
-masking, negative sampling, instrumentation, and serialization."""
+"""Event store tests: ingestion, the columnar layout and its CSR adjacency,
+causality-respecting sampling, splits, masking, negative sampling,
+instrumentation, and serialization."""
 
 import os
 
@@ -12,10 +13,11 @@ from tgat.errors import (
     SplitError,
     ValidationError,
 )
+from tgat.synthetic import recency_planted_graph
 from tgat.temporal_graph import (
     AccessMonitor,
+    AccessRecord,
     SplitSpec,
-    TemporalGraph,
     build_graph,
     chronological_split,
     evaluation_event_indices,
@@ -23,11 +25,97 @@ from tgat.temporal_graph import (
     load_graph,
     load_graph_csv,
     mask_unseen,
-    sample_negative,
     save_graph,
     temporal_neighborhood,
     training_event_indices,
 )
+from tgat.training import _draw_negative
+
+
+def pairs(sample):
+    """(peer, timestamp) per sampled interaction."""
+    return list(zip(sample.peers.tolist(), sample.times.tolist()))
+
+
+# Event indices sampled by the store before it became columnar, for
+# (node, t, rng seed) queries with max_size 8 on
+# recency_planted_graph(200, 4000, seed=0); rows follow GOLDEN_QUERIES.
+GOLDEN_QUERIES = [
+    (0, 1.0, 100), (3, 2.3, 101), (7, 3.6, 102), (11, 4.9, 103),
+    (19, 6.2, 104), (23, 7.5, 105), (42, 8.8, 106), (57, 10.1, 107),
+    (64, 11.4, 108), (77, 12.7, 109), (88, 14.0, 110), (99, 15.3, 111),
+    (101, 16.6, 112), (123, 17.9, 113), (137, 19.2, 114), (150, 20.5, 115),
+    (161, 21.8, 116), (177, 23.1, 117), (188, 24.4, 118), (199, 25.7, 119),
+]
+GOLDEN_SAMPLES = {
+    "uniform": [
+        [],
+        [62, 134, 137, 178, 235],
+        [290, 302, 315, 412],
+        [121, 281, 338, 385, 527, 529, 597, 658],
+        [108, 131, 328, 425, 543, 544, 644, 825],
+        [233, 240, 674, 738, 809, 813, 857, 889],
+        [47, 76, 450, 493, 496, 739],
+        [256, 476, 478, 637, 656, 861, 949, 1009],
+        [53, 249, 745, 842, 1385, 1452, 1638, 1655],
+        [261, 360, 1056, 1555, 1616, 1672, 1855, 1860],
+        [201, 401, 424, 692, 697, 1195, 1585, 1740],
+        [216, 342, 629, 784, 1060, 1248, 1308, 1361],
+        [68, 314, 430, 1356, 1361, 1732, 2150, 2158],
+        [52, 276, 299, 1080, 1412, 1564, 1800, 2323],
+        [398, 465, 1226, 1454, 1834, 2134, 2619, 2684],
+        [714, 785, 1205, 1280, 1366, 2716, 2890, 2941],
+        [282, 650, 704, 1403, 2677, 2690, 3063, 3169],
+        [250, 472, 525, 657, 1170, 1739, 2136, 2349],
+        [477, 798, 808, 932, 1974, 2409, 2773, 3517],
+        [515, 1651, 2145, 2247, 2546, 2740, 3042, 3445],
+    ],
+    "inverse-timespan": [
+        [],
+        [62, 134, 137, 178, 235],
+        [290, 302, 315, 412],
+        [281, 320, 338, 385, 527, 529, 597, 658],
+        [27, 328, 402, 543, 544, 644, 825, 854],
+        [379, 670, 674, 813, 857, 889, 981, 1019],
+        [47, 76, 450, 493, 496, 739],
+        [406, 459, 684, 861, 1009, 1016, 1097, 1130],
+        [249, 384, 842, 1385, 1437, 1452, 1638, 1655],
+        [1256, 1477, 1555, 1616, 1672, 1852, 1855, 1860],
+        [172, 201, 692, 913, 1195, 1401, 1585, 1783],
+        [606, 629, 784, 982, 1953, 2173, 2174, 2185],
+        [98, 430, 608, 1173, 1219, 1732, 2150, 2158],
+        [265, 299, 693, 1080, 1936, 2110, 2323, 2373],
+        [563, 829, 2133, 2134, 2338, 2477, 2619, 2684],
+        [154, 906, 909, 1205, 2031, 2428, 2890, 2941],
+        [1403, 1959, 2356, 2723, 2847, 2901, 3242, 3254],
+        [1087, 1739, 1936, 2029, 2349, 2935, 2971, 3273],
+        [352, 1974, 2145, 2199, 3410, 3483, 3517, 3529],
+        [140, 163, 1879, 3471, 3602, 3620, 3621, 3867],
+    ],
+    "most-recent": [
+        [],
+        [62, 134, 137, 178, 235],
+        [290, 302, 315, 412],
+        [281, 320, 338, 385, 527, 529, 597, 658],
+        [402, 425, 517, 543, 544, 644, 825, 854],
+        [809, 813, 857, 889, 904, 981, 1015, 1019],
+        [47, 76, 450, 493, 496, 739],
+        [681, 684, 861, 949, 1009, 1016, 1097, 1130],
+        [384, 745, 842, 1385, 1437, 1452, 1638, 1655],
+        [1256, 1477, 1555, 1616, 1672, 1852, 1855, 1860],
+        [913, 1195, 1372, 1401, 1420, 1585, 1740, 1783],
+        [1361, 1392, 1529, 1730, 1953, 2173, 2174, 2185],
+        [1732, 1749, 1893, 1960, 2050, 2150, 2158, 2288],
+        [1564, 1800, 1936, 1973, 2110, 2323, 2348, 2373],
+        [1696, 1834, 2133, 2134, 2338, 2477, 2619, 2684],
+        [2031, 2263, 2367, 2428, 2716, 2890, 2941, 2946],
+        [2938, 2979, 3063, 3125, 3169, 3183, 3242, 3254],
+        [2248, 2349, 2419, 2519, 2935, 2971, 3175, 3273],
+        [2409, 2470, 2773, 2931, 3410, 3483, 3517, 3529],
+        [3471, 3528, 3535, 3599, 3602, 3620, 3621, 3867],
+    ],
+}
+GOLDEN_SPLIT = (18.869773968796327, 22.666075311267456)  # chronological_split(g, 0.7, 0.15)
 
 
 def three_row_rows():
@@ -51,10 +139,10 @@ class TestIngest:
         assert (g.events[2].source, g.events[2].destination) == (0, 1)
         # adjacency by hand: node 0 sees the item at t=1 and t=3
         s = temporal_neighborhood(g, 0, 10.0, max_size=10)
-        assert [(p, t) for p, t, _ in s.entries] == [(1, 1.0), (1, 3.0)]
+        assert pairs(s) == [(1, 1.0), (1, 3.0)]
         # the item sees all three events
         s = temporal_neighborhood(g, 1, 10.0, max_size=10)
-        assert [(p, t) for p, t, _ in s.entries] == [(0, 1.0), (2, 2.0), (0, 3.0)]
+        assert pairs(s) == [(0, 1.0), (2, 2.0), (0, 3.0)]
 
     def test_empty_stream(self):
         g = ingest([], feature_dim=2)
@@ -77,6 +165,13 @@ class TestIngest:
         rows = three_row_rows()
         rows[0][2] = "-1.0"
         with pytest.raises(ValidationError, match="line 2"):
+            ingest(rows, feature_dim=2)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected(self, raw):
+        rows = three_row_rows()
+        rows[1][2] = raw
+        with pytest.raises(ValidationError, match="line 3"):
             ingest(rows, feature_dim=2)
 
     def test_user_and_item_id_spaces_distinct(self):
@@ -108,30 +203,60 @@ class TestGraphInvariants:
         feats = np.zeros((2, 3))
         g = build_graph(events_src, events_dst, [1.0, 2.0], edge_features=feats)
         assert g.edge_feature_dim == 3
-        from tgat.temporal_graph import TemporalEvent
-        bad = [
-            TemporalEvent(0, 1, 1.0, np.zeros(3)),
-            TemporalEvent(1, 0, 2.0, np.zeros(2)),
-        ]
+        # the edge feature block needs exactly one row per event
         with pytest.raises(ValidationError):
-            TemporalGraph(bad, np.zeros((2, 1)))
+            build_graph(events_src, events_dst, [1.0, 2.0], edge_features=np.zeros((3, 2)))
 
     def test_event_node_needs_features(self):
-        from tgat.temporal_graph import TemporalEvent
         with pytest.raises(ValidationError):
-            TemporalGraph([TemporalEvent(0, 5, 1.0, np.zeros(0))], np.zeros((2, 1)))
+            build_graph([0], [5], [1.0], node_features=np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_timestamp_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            build_graph([0, 1], [1, 0], [bad, 1.0])
+
+    def test_columns_read_only(self):
+        g = build_graph([0, 1], [1, 0], [2.0, 1.0])
+        for column in (g.sources, g.timestamps, g.labels, g.peers, g.indptr):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_adjacency_symmetry(self):
         g = build_graph([0, 2], [1, 0], [1.0, 4.0], num_nodes=3)
         a = temporal_neighborhood(g, 0, 10.0, 10)
         b = temporal_neighborhood(g, 1, 10.0, 10)
-        assert (1, 1.0) in [(p, t) for p, t, _ in a.entries]
-        assert (0, 1.0) in [(p, t) for p, t, _ in b.entries]
+        assert (1, 1.0) in pairs(a)
+        assert (0, 1.0) in pairs(b)
 
     def test_self_loops_do_not_enter_neighborhoods(self):
         g = build_graph([0, 0], [0, 1], [1.0, 2.0], num_nodes=2)
         s = temporal_neighborhood(g, 0, 5.0, 10)
-        assert [(p, t) for p, t, _ in s.entries] == [(1, 2.0)]
+        assert pairs(s) == [(1, 2.0)]
+
+    def test_csr_matches_brute_force_scan(self):
+        # unsorted input with timestamp ties and self-loops
+        rng = np.random.default_rng(4)
+        n, n_nodes = 400, 30
+        src = rng.integers(0, n_nodes, n)
+        dst = rng.integers(0, n_nodes, n)
+        ts = np.round(rng.uniform(0, 20, n))
+        g = build_graph(src, dst, ts, num_nodes=n_nodes)
+        # reference order: by timestamp, ties in input order
+        order = sorted(range(n), key=lambda i: (ts[i], i))
+        np.testing.assert_array_equal(g.sources, src[order])
+        np.testing.assert_array_equal(g.destinations, dst[order])
+        np.testing.assert_array_equal(g.timestamps, ts[order])
+        for graph in (g, recency_planted_graph(200, 4000, seed=0)):
+            for v in range(graph.num_nodes):
+                rows = [(int(d) if s == v else int(s), float(t), i)
+                        for i, (s, d, t) in enumerate(zip(graph.sources, graph.destinations,
+                                                          graph.timestamps))
+                        if s != d and v in (s, d)]
+                lo, hi = graph.indptr[v], graph.indptr[v + 1]
+                got = list(zip(graph.peers[lo:hi].tolist(), graph.times[lo:hi].tolist(),
+                               graph.event_idx[lo:hi].tolist()))
+                assert got == rows
 
 
 class TestTemporalNeighborhood:
@@ -142,18 +267,18 @@ class TestTemporalNeighborhood:
     def test_most_recent_returns_all_when_small(self):
         g = self.fixture()
         s = temporal_neighborhood(g, 0, 20.0, max_size=20, strategy="most-recent")
-        assert [t for _, t, _ in s.entries] == [1.0, 2.0, 3.0, 9.0]
+        assert s.times.tolist() == [1.0, 2.0, 3.0, 9.0]
 
     def test_strict_causality_cut(self):
         g = self.fixture()
         s = temporal_neighborhood(g, 0, 5.0, max_size=20)
-        assert all(t < 5.0 for _, t, _ in s.entries)
-        assert {t for _, t, _ in s.entries} == {1.0, 2.0, 3.0}
+        assert all(s.times < 5.0)
+        assert set(s.times.tolist()) == {1.0, 2.0, 3.0}
 
     def test_event_at_query_time_excluded(self):
         g = self.fixture()
         s = temporal_neighborhood(g, 0, 9.0, max_size=20)
-        assert all(t < 9.0 for _, t, _ in s.entries)
+        assert all(s.times < 9.0)
 
     def test_most_recent_is_true_top_k(self):
         # oracle: full sort by timestamp
@@ -162,20 +287,21 @@ class TestTemporalNeighborhood:
         g = build_graph(np.zeros(30, dtype=int), np.arange(1, 31), times)
         s = temporal_neighborhood(g, 0, 80.0, max_size=5, strategy="most-recent")
         prior = sorted(t for t in times if t < 80.0)
-        assert [t for _, t, _ in s.entries] == prior[-5:]
+        assert s.times.tolist() == prior[-5:]
 
     def test_uniform_without_replacement(self):
         g = self.fixture()
         s = temporal_neighborhood(g, 0, 20.0, max_size=3, strategy="uniform", rng_seed=1)
-        assert len(s.entries) == 3
-        assert len(set(s.event_indices)) == 3
+        assert len(s) == 3
+        assert len(set(s.event_indices.tolist())) == 3
 
     def test_determinism(self):
         g = self.fixture()
         for strategy in ("uniform", "inverse-timespan", "most-recent"):
             a = temporal_neighborhood(g, 0, 20.0, 2, strategy, rng_seed=7)
             b = temporal_neighborhood(g, 0, 20.0, 2, strategy, rng_seed=7)
-            assert a.entries == tuple(b.entries)
+            assert pairs(a) == pairs(b)
+            np.testing.assert_array_equal(a.event_indices, b.event_indices)
 
     def test_inverse_timespan_rates_default_jitter(self):
         # events at t=1 and t=9, query at 10: weights 1/(9+1) and 1/(1+1);
@@ -186,7 +312,7 @@ class TestTemporalNeighborhood:
         n = 10_000
         for _ in range(n):
             s = temporal_neighborhood(g, 0, 10.0, 1, "inverse-timespan", rng)
-            picks += s.entries[0][1] == 9.0
+            picks += s.times[0] == 9.0
         np.testing.assert_allclose(picks / n, 5.0 / 6.0, atol=0.02)
 
     def test_inverse_timespan_rates_zero_jitter(self):
@@ -197,40 +323,70 @@ class TestTemporalNeighborhood:
         n = 10_000
         for _ in range(n):
             s = temporal_neighborhood(g, 0, 10.0, 1, "inverse-timespan", rng, jitter=0.0)
-            picks += s.entries[0][1] == 9.0
+            picks += s.times[0] == 9.0
         np.testing.assert_allclose(picks / n, 0.9, atol=0.02)
 
     def test_empty_history_yields_empty_sample(self):
         g = self.fixture()
         s = temporal_neighborhood(g, 2, 1.5, 10)
-        assert len(s.entries) == 0
+        assert len(s) == 0
+        assert s.edge_features.shape == (0, 0)
 
     def test_recurring_peer_kept_distinct(self):
         g = build_graph([0, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0])
         s = temporal_neighborhood(g, 0, 5.0, 10)
-        assert len(s.entries) == 3
+        assert len(s) == 3
 
     def test_causality_property_random_queries(self):
         rng = np.random.default_rng(5)
         g = build_graph(rng.integers(0, 20, 200),
                         (rng.integers(0, 19, 200) + 1 + rng.integers(0, 20, 200)) % 20,
                         np.sort(rng.uniform(0, 50, 200)), num_nodes=20)
-        for trial in range(200):
+        # random times, plus times equal to an event time
+        times = np.concatenate([rng.uniform(0, 60, 200), g.timestamps[::2]])
+        for trial, t in enumerate(times.tolist()):
             node = int(rng.integers(0, 20))
-            t = float(rng.uniform(0, 60))
             strategy = ("uniform", "inverse-timespan", "most-recent")[trial % 3]
             s = temporal_neighborhood(g, node, t, 5, strategy, rng_seed=trial)
-            assert all(ts < t for _, ts, _ in s.entries)
-            assert len(s.entries) <= 5
+            assert all(s.times < t)
+            assert len(s) <= 5
+        # NaN compares false with everything, so an unchecked NaN query
+        # would return the node's whole history
+        for t in (np.nan, np.inf, -np.inf):
+            for strategy in ("uniform", "inverse-timespan", "most-recent"):
+                with pytest.raises(ValidationError):
+                    temporal_neighborhood(g, 0, t, 5, strategy)
+
+    def test_edge_features_follow_event_indices(self):
+        g = build_graph([0, 0, 1], [1, 2, 0], [3.0, 1.0, 2.0],
+                        edge_features=[[3.0, 0.3], [1.0, 0.1], [2.0, 0.2]])
+        s = temporal_neighborhood(g, 0, 5.0, 10)
+        np.testing.assert_array_equal(s.edge_features, [[1.0, 0.1], [2.0, 0.2], [3.0, 0.3]])
+        np.testing.assert_array_equal(s.edge_features, g.edge_features[s.event_indices])
 
     def test_bad_arguments(self):
         g = self.fixture()
         with pytest.raises(ValidationError):
             temporal_neighborhood(g, 99, 1.0, 5)
         with pytest.raises(ValidationError):
+            temporal_neighborhood(g, 0, -1.0, 5)
+        with pytest.raises(ValidationError):
             temporal_neighborhood(g, 0, 1.0, 0)
         with pytest.raises(ValidationError):
             temporal_neighborhood(g, 0, 1.0, 5, strategy="nope")
+
+
+class TestGoldenSamples:
+    """Samples and split cut points stay bit-identical to the recorded ones."""
+
+    def test_samples_and_split(self):
+        g = recency_planted_graph(200, 4000, seed=0)
+        for strategy, expected in GOLDEN_SAMPLES.items():
+            got = [temporal_neighborhood(g, v, t, 8, strategy, rng_seed=seed)
+                   .event_indices.tolist() for v, t, seed in GOLDEN_QUERIES]
+            assert got == expected, strategy
+        split = chronological_split(g, 0.7, 0.15)
+        assert (split.train_end, split.val_end) == GOLDEN_SPLIT
 
 
 class TestMonitor:
@@ -241,6 +397,16 @@ class TestMonitor:
         assert len(mon.records) == 2
         assert mon.violations() == []
         assert mon.max_event_timestamp() == 2.0
+
+    def test_nan_query_time_is_a_violation(self):
+        mon = AccessMonitor()
+        mon.records = [
+            AccessRecord(node=0, query_time=float("nan"), event_timestamp=1.0, event_index=0),
+            AccessRecord(node=0, query_time=2.0, event_timestamp=float("nan"), event_index=1),
+            AccessRecord(node=0, query_time=2.0, event_timestamp=2.0, event_index=2),
+            AccessRecord(node=0, query_time=2.0, event_timestamp=1.0, event_index=3),
+        ]
+        assert [r.event_index for r in mon.violations()] == [0, 1, 2]
 
     def test_inactive_after_exit(self):
         g = build_graph([0], [1], [1.0])
@@ -351,24 +517,20 @@ class TestMaskUnseen:
 
 
 class TestSampleNegative:
-    def test_count_zero(self):
-        g = build_graph([0], [1], [1.0])
-        assert sample_negative(g, 0, 0) == []
+    """The one negative sampler, ``training._draw_negative``."""
 
     def test_single_node_forced(self):
-        g = build_graph([], [], [], num_nodes=1)
-        assert sample_negative(g, 0, 3) == [0, 0, 0]
+        # a lone node is returned even though it is the forbidden one
+        rng = np.random.default_rng(0)
+        assert [_draw_negative(rng, 1, 0) for _ in range(3)] == [0, 0, 0]
 
     def test_uniform_frequencies(self):
-        g = build_graph([0, 1, 2, 3], [1, 2, 3, 0], [1.0, 2.0, 3.0, 4.0])
-        draws = sample_negative(g, 7, 10_000)
+        # uniform over the nodes other than the forbidden destination
+        rng = np.random.default_rng(7)
+        draws = [_draw_negative(rng, 4, 3) for _ in range(10_000)]
         freqs = np.bincount(draws, minlength=4) / 10_000
-        np.testing.assert_allclose(freqs, 0.25, atol=0.03)
-
-    def test_empty_graph_rejected(self):
-        g = build_graph([], [], [], num_nodes=0, node_features=np.zeros((0, 1)))
-        with pytest.raises(ValidationError):
-            sample_negative(g, 0, 1)
+        np.testing.assert_allclose(freqs[:3], 1 / 3, atol=0.03)
+        assert freqs[3] == 0.0
 
 
 class TestSerialization:
@@ -384,6 +546,8 @@ class TestSerialization:
                    (b.source, b.destination, b.timestamp, b.label)
             np.testing.assert_array_equal(a.edge_features, b.edge_features)
         np.testing.assert_array_equal(g.node_features, g2.node_features)
+        for name in ("labels", "indptr", "peers", "times", "event_idx"):
+            np.testing.assert_array_equal(getattr(g2, name), getattr(g, name))
 
     def test_bytes_deterministic(self, tmp_path):
         g = ingest(three_row_rows(), feature_dim=2)
@@ -391,6 +555,30 @@ class TestSerialization:
         save_graph(g, p1)
         save_graph(g, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("content", [b"", b"not a graph", b"PK\x03\x04broken"])
+    def test_non_archive_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match="bad.npz"):
+            load_graph(path)
+
+    def test_missing_member_rejected(self, tmp_path):
+        path = tmp_path / "partial.npz"
+        np.savez(path, format_version=np.array([1]), sources=np.array([0]))
+        with pytest.raises(ValidationError, match="destinations"):
+            load_graph(path)
+
+    def test_non_finite_timestamp_in_archive_rejected(self, tmp_path):
+        g = build_graph([0, 1], [1, 0], [1.0, 2.0])
+        path = tmp_path / "g.npz"
+        save_graph(g, path)
+        with np.load(path) as data:
+            members = dict(data)
+        members["timestamps"] = np.array([1.0, np.nan])
+        np.savez(path, **members)
+        with pytest.raises(ValidationError, match="g.npz"):
+            load_graph(path)
 
     def test_csv_loader_infers_feature_dim(self, tmp_path):
         path = tmp_path / "d.csv"
