@@ -17,7 +17,6 @@ from .layer import (
     embed,
     embed_tensor,
     head_parameter_formula,
-    layer_forward,
     load_checkpoint,
     save_checkpoint,
 )

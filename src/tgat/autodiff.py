@@ -90,7 +90,9 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], pull: GradFn) -> Te
     ``pull`` receives the upstream gradient of the output and must accumulate
     into the inputs via ``Tensor._accumulate``. This is the extension point
     every operator below goes through; test fixtures use it to inject
-    deliberately wrong rules when exercising ``grad_check``.
+    deliberately wrong rules when exercising ``grad_check``. A rule is
+    recorded only when some input requires a gradient, so the rule of a
+    one-input operator may accumulate into its input unconditionally.
     """
     out = Tensor(out_data)
     if any(t.requires_grad for t in inputs):
@@ -180,8 +182,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(c * g)
+        a._accumulate(c * g)
 
     return apply_op(c * a.data, (a,), pull)
 
@@ -200,74 +201,80 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(a_data * b_data, (a, b), pull)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+def _concat(parts: Sequence[Tensor], axis: int, name: str) -> Tensor:
     if not parts:
-        raise ContractError("concat_rows of an empty sequence")
+        raise ContractError(f"{name} of an empty sequence")
     _require_2d(*parts)
-    cols = parts[0].data.shape[1]
     for p in parts[1:]:
-        if p.data.shape[1] != cols:
-            raise DimensionError(
-                f"concat_rows column mismatch: {parts[0].data.shape} vs {p.data.shape}")
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+        if p.data.shape[1 - axis] != parts[0].data.shape[1 - axis]:
+            raise DimensionError(f"{name} {('column', 'row')[axis]} mismatch: "
+                                 f"{parts[0].data.shape} vs {p.data.shape}")
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
     def pull(g: np.ndarray) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p._accumulate(g[lo:hi])
+                p._accumulate(g[lo:hi] if axis == 0 else g[:, lo:hi])
 
-    return apply_op(np.concatenate([p.data for p in parts], axis=0), tuple(parts), pull)
+    return apply_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), pull)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    return _concat(parts, 0, "concat_rows")
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols of an empty sequence")
-    _require_2d(*parts)
-    rows = parts[0].data.shape[0]
-    for p in parts[1:]:
-        if p.data.shape[0] != rows:
-            raise DimensionError(
-                f"concat_cols row mismatch: {parts[0].data.shape} vs {p.data.shape}")
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def pull(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[:, lo:hi])
-
-    return apply_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), pull)
+    return _concat(parts, 1, "concat_cols")
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+def gather_rows(a: Tensor, index) -> Tensor:
+    """Rows of ``a`` picked by an integer index array (repeats allowed); the
+    backward pass scatter-adds each output row's gradient into its source row."""
     _require_2d(a)
-    if not (0 <= start < stop <= a.data.shape[0]):
-        raise DimensionError(f"row slice [{start}:{stop}] outside shape {a.data.shape}")
+    index = np.asarray(index, dtype=np.intp)
+    n_rows = a.data.shape[0]
+    if index.ndim != 1 or (index.size and not 0 <= index.min() <= index.max() < n_rows):
+        raise DimensionError(f"row index outside shape {a.data.shape}")
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            a._accumulate(full)
+        full = np.zeros_like(a.data)
+        np.add.at(full, index, g)
+        a._accumulate(full)
 
-    return apply_op(a.data[start:stop].copy(), (a,), pull)
+    return apply_op(a.data[index], (a,), pull)
 
 
-def transpose(a: Tensor) -> Tensor:
+def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
+    """Row-major reshape to (rows, cols)."""
     _require_2d(a)
+    if rows * cols != a.data.size:
+        raise DimensionError(f"cannot reshape {a.data.shape} to ({rows}, {cols})")
+    shape = a.data.shape
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g.T)
+        a._accumulate(g.reshape(shape))
 
-    return apply_op(a.data.T.copy(), (a,), pull)
+    return apply_op(a.data.reshape(rows, cols), (a,), pull)
+
+
+def sum_segments(a: Tensor, size: int) -> Tensor:
+    """Sum of every ``size`` consecutive rows: (B * size, d) -> (B, d)."""
+    _require_2d(a)
+    n_rows, n_cols = a.data.shape
+    if size < 1 or n_rows % size != 0:
+        raise DimensionError(f"{n_rows} rows do not split into segments of {size}")
+
+    def pull(g: np.ndarray) -> None:
+        a._accumulate(np.repeat(g, size, axis=0))
+
+    return apply_op(a.data.reshape(n_rows // size, size, n_cols).sum(axis=1), (a,), pull)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # derivative at exactly 0 is 0
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * mask)
+        a._accumulate(g * mask)
 
     return apply_op(np.where(mask, a.data, 0.0), (a,), pull)
 
@@ -282,60 +289,38 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = sigmoid_values(a.data)
-
-    def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * y * (1.0 - y))
-
-    return apply_op(y, (a,), pull)
-
-
 def log_sigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)) computed without overflow; backward is sigmoid(-x)."""
     y = -np.logaddexp(0.0, -a.data)
     s = sigmoid_values(a.data)
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - s))
+        a._accumulate(g * (1.0 - s))
 
     return apply_op(y, (a,), pull)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
+def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Row-wise softmax. Entries where ``mask`` is False get weight 0 and no
+    gradient; every row needs at least one entry left in."""
     _require_2d(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    data = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    shifted = data - data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            inner = (g * y).sum(axis=1, keepdims=True)
-            a._accumulate(y * (g - inner))
+        inner = (g * y).sum(axis=1, keepdims=True)
+        a._accumulate(y * (g - inner))
 
     return apply_op(y, (a,), pull)
-
-
-def sum_rows(a: Tensor) -> Tensor:
-    """Sum over rows, producing a single row vector."""
-    _require_2d(a)
-    n_rows = a.data.shape[0]
-
-    def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.repeat(g, n_rows, axis=0))
-
-    return apply_op(a.data.sum(axis=0, keepdims=True), (a,), pull)
 
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.full(shape, g.flat[0]))
+        a._accumulate(np.full(shape, g.flat[0]))
 
     return apply_op(np.array([[a.data.sum()]]), (a,), pull)
 
@@ -344,8 +329,7 @@ def cos(a: Tensor) -> Tensor:
     x = a.data
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(-g * np.sin(x))
+        a._accumulate(-g * np.sin(x))
 
     return apply_op(np.cos(x), (a,), pull)
 
@@ -354,8 +338,7 @@ def sin(a: Tensor) -> Tensor:
     x = a.data
 
     def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * np.cos(x))
+        a._accumulate(g * np.cos(x))
 
     return apply_op(np.sin(x), (a,), pull)
 

@@ -18,7 +18,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, TgatError
+from .errors import CheckpointError, ConfigError, TgatError, ValidationError
 from .layer import SamplingConfig, embed, load_checkpoint, save_checkpoint
 from .synthetic import tiny_fixture_graph
 from .temporal_graph import (
@@ -64,13 +64,29 @@ class RunManifest:
         path.write_text("\n".join(lines) + "\n")
 
 
+_CONFIG_FIELDS = {f.name: get_type_hints(TrainConfig)[f.name] for f in fields(TrainConfig)}
+
+
+def _config_value(key: str, text: str, where: str, error: type[TgatError]):
+    """Parse the text of config key ``key`` as that field's type."""
+    if key not in _CONFIG_FIELDS:
+        raise error(f"{where}: unknown config key {key!r}")
+    target = _CONFIG_FIELDS[key]
+    try:
+        if target is bool:
+            if text.lower() not in ("true", "false"):
+                raise ValueError(f"expected true/false, got {text!r}")
+            return text.lower() == "true"
+        return target(text)
+    except ValueError as exc:
+        raise error(f"{where}: bad value for {key!r}: {exc}") from None
+
+
 def parse_train_config(path) -> TrainConfig:
     """Parse line-oriented ``key = value`` text into a TrainConfig.
 
     Blank lines and ``#`` comments are skipped; unknown keys are hard errors.
     """
-    hints = get_type_hints(TrainConfig)
-    known = {f.name: hints[f.name] for f in fields(TrainConfig)}
     values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -81,21 +97,25 @@ def parse_train_config(path) -> TrainConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            target = known[key]
-            try:
-                if target is bool:
-                    if value.lower() not in ("true", "false"):
-                        raise ValueError(f"expected true/false, got {value!r}")
-                    values[key] = value.lower() == "true"
-                else:
-                    values[key] = target(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+            values[key] = _config_value(key, value.strip(), f"{path}:{lineno}", ConfigError)
     config = TrainConfig(**values)
     config.validate()
+    return config
+
+
+def _checkpoint_config(path, extra: dict) -> TrainConfig:
+    """The TrainConfig stored with a checkpoint, each value checked as the
+    same value written in a config file would be."""
+    stored = extra.get("train_config", {})
+    where = f"{path}: train_config"
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{where} is not a key-value table")
+    config = TrainConfig(**{key: _config_value(key, str(value), where, CheckpointError)
+                            for key, value in stored.items()})
+    try:
+        config.validate()
+    except ValidationError as exc:
+        raise CheckpointError(f"{where}: {exc}") from None
     return config
 
 
@@ -143,8 +163,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, extra = load_checkpoint(args.checkpoint)
+    config = _checkpoint_config(args.checkpoint, extra)
     graph = load_graph(args.graph)
-    config = TrainConfig(**extra["train_config"]) if "train_config" in extra else TrainConfig()
     split = _resolve_split(graph, config)
     node_filter = "observed" if args.split == "transductive" else "unseen"
     if args.task == "link":
@@ -160,22 +180,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, kind: type) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad {what} list {text!r}: {exc}") from None
 
 
 def cmd_embed(args) -> int:
     model, extra = load_checkpoint(args.checkpoint)
+    config = _checkpoint_config(args.checkpoint, extra)
     graph = load_graph(args.graph)
-    config = TrainConfig(**extra["train_config"]) if "train_config" in extra else TrainConfig()
-    try:
-        nodes = [int(v) for v in args.nodes.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad node list {args.nodes!r}: {exc}") from None
-    times = _parse_float_list(args.times, "time")
+    nodes = _parse_list(args.nodes, "node", int)
+    times = _parse_list(args.times, "time", float)
     if len(times) == 1:
         times = times * len(nodes)
     if len(nodes) == 1:
@@ -219,16 +236,19 @@ def _grad_check_suite() -> bool:
     graph = tiny_fixture_graph()
     dims = Dims(d0=3, d=4, d_t=4, d_h=3, d_f=5, d_e=2)
     sampling = SamplingConfig(max_neighbors=4, strategy="most-recent")
-    batch = [4, 5]
+    batch = [0, 4, 5]  # event 0 comes first, so both its endpoints have no neighbors
     ok = True
-    for heads, layer_count in ((1, 2), (2, 2)):
-        model = TgatModel.create(dims, layer_count=layer_count, head_count=heads,
-                                 rng_seed=7, t_max=graph.t_max)
+    for mode, heads, learnable in (("learned", 1, False), ("learned", 2, False),
+                                   ("constant", 2, False), ("positional", 2, True)):
+        model = TgatModel.create(dims, layer_count=2, head_count=heads, attention_mode=mode,
+                                 rng_seed=7, t_max=graph.t_max,
+                                 positional_learnable=learnable, max_positions=8)
         params = model.parameters()
         report = ad.grad_check(
             lambda: link_loss(model, graph, batch, sampling, 1, rng_seed=3),
             params, tolerance=1e-4, rng_seed=1, max_coords_per_param=6)
-        print(f"gradient check ({heads} head(s), {layer_count} layers): "
+        label = "learnable positional" if learnable else mode
+        print(f"gradient check ({label}, {heads} head(s), 2 layers): "
               f"max rel error {report.max_rel_error:.2e} "
               f"over {report.checked_coords} coords -> "
               f"{'ok' if report.passed else 'FAILED'}")

@@ -41,6 +41,10 @@ class PositionLookupError(TgatError):
     """A positional-encoding rank is outside [0, max_positions)."""
 
 
+class TrainingError(TgatError):
+    """Training diverged: a batch loss or a parameter became non-finite."""
+
+
 class EvaluationError(TgatError):
     """An evaluation set is empty or single-class after filtering."""
 

@@ -8,14 +8,16 @@ dot-product attention per head over the neighbor rows, and (4) combining the
 concatenated head outputs with the target's raw features through a two-layer
 ReLU FFN. Stacking L layers extends aggregation to L hops; neighbor hidden
 states at layer l-1 are evaluated at their own interaction times, which keeps
-every read strictly in the consumer's past.
+every read strictly in the consumer's past. The forward pass runs one hop at
+a time over arrays of (node, time) queries: all targets of a hop form one
+padded, masked block of entity-temporal matrices.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -194,11 +196,12 @@ class AttentionCollector:
         # (layer_index, query_time, peers, timespans, weights averaged over heads)
         self.records: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def add(self, layer_index: int, sample: NeighborhoodSample,
+    def add(self, layer_index: int, samples: Sequence[NeighborhoodSample],
             head_weights: list[np.ndarray]) -> None:
+        """One record per sample; row i of each head's (B, N) weights is sample i's."""
         mean_w = np.mean(np.stack(head_weights), axis=0)
-        self.records.append((layer_index, sample.query_time, sample.peers,
-                             sample.query_time - sample.times, mean_w))
+        self.records.extend((layer_index, s.query_time, s.peers, s.query_time - s.times,
+                             mean_w[i, :len(s)]) for i, s in enumerate(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -207,164 +210,157 @@ class AttentionCollector:
 
 
 def build_entity_matrix(
-    target_hidden: Tensor,
-    t: float,
-    sample: NeighborhoodSample,
-    hidden_of: Callable[[int, float], Tensor],
+    hidden: Tensor,
+    samples: Sequence[NeighborhoodSample],
     enc: TimeEncoder,
     edge_dim: int = 0,
     positional: PositionalEncoder | None = None,
 ) -> Tensor:
-    """Entity-temporal feature matrix: row 0 is the target (zero-padded edge
-    block, zero-timespan time block), row i >= 1 a sampled interaction with
-    concatenation order (hidden, edge, time). In positional mode the time
-    block is a rank lookup instead (rank 0 = oldest neighbor, target = rank N).
+    """Entity-temporal matrices of B targets, stacked as B blocks of N + 1 rows,
+    N the largest sample.
+
+    ``hidden`` holds the B target states followed by the neighbor states of
+    every sample in order. Row 0 of a block is the target (zero edge block,
+    zero-timespan time block); row i >= 1 is the block's i-th sampled
+    interaction, concatenated as (hidden, edge, time). Rows past the end of a
+    sample copy row 0 and are left to the attention mask. In positional mode
+    the time block is a rank lookup instead (rank 0 = oldest neighbor, target
+    = rank n).
     """
-    if sample.query_time != t:
-        raise ContractError(f"sample was taken at {sample.query_time}, not at {t}")
-    n = len(sample)
-    if n == 0:
-        raise ContractError("entity matrix needs at least one neighbor row")
-    if target_hidden.data.shape[0] != 1:
-        raise ContractError("target hidden state must be a single row")
-
-    hiddens = [hidden_of(peer, ts)
-               for peer, ts in zip(sample.peers.tolist(), sample.times.tolist())]
-    width = target_hidden.data.shape[1]
-    for h in hiddens:
-        if h.data.shape != (1, width):
-            raise ContractError(
-                f"hidden width mismatch: target {target_hidden.data.shape}, "
-                f"neighbor {h.data.shape}")
-    neighbor_hidden = ad.concat_rows(hiddens)
-
-    if positional is not None:
-        time_target = positional.lookup(n)
-        time_block = ad.concat_rows([positional.lookup(r) for r in range(n)])
-    else:
-        time_target = enc.encode(0.0)
-        time_block = enc.encode_many(t - sample.times)
-
+    b = len(samples)
+    sizes = np.array([len(s) for s in samples], dtype=np.int64)
+    if b == 0 or sizes.min() == 0 or hidden.data.shape[0] != b + sizes.sum():
+        raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
+                            f"{sizes.tolist()}: need B + sum(sizes) rows and no empty sample")
+    n = int(sizes.max())
+    # z row of every sampled interaction, in sample order
+    col = np.arange(n + 1)
+    nbr_rows = np.flatnonzero((col > 0) & (col <= sizes[:, None]))
+    source_row = np.repeat(np.arange(b), n + 1)
+    source_row[nbr_rows] = b + np.arange(nbr_rows.size)
+    parts = [ad.gather_rows(hidden, source_row)]
     if edge_dim > 0:
-        target_row = ad.concat_cols(
-            [target_hidden, ad.constant(np.zeros((1, edge_dim))), time_target])
-        neighbor_rows = ad.concat_cols(
-            [neighbor_hidden, ad.constant(sample.edge_features), time_block])
+        edges = np.zeros((b * (n + 1), edge_dim))
+        edges[nbr_rows] = np.concatenate([s.edge_features for s in samples])
+        parts.append(ad.constant(edges))
+    if positional is not None:
+        ranks = np.repeat(sizes, n + 1)
+        ranks[nbr_rows] = np.concatenate([np.arange(len(s)) for s in samples])
+        parts.append(positional.lookup(ranks))
     else:
-        target_row = ad.concat_cols([target_hidden, time_target])
-        neighbor_rows = ad.concat_cols([neighbor_hidden, time_block])
-    return ad.concat_rows([target_row, neighbor_rows])
+        deltas = np.zeros(b * (n + 1))
+        deltas[nbr_rows] = np.concatenate([s.query_time - s.times for s in samples])
+        parts.append(enc.encode_many(deltas))
+    return ad.concat_cols(parts)
 
 
 def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor,
-                mode: str = "learned") -> tuple[Tensor, Tensor]:
-    """One attention head over an entity-temporal matrix.
+                mode: str = "learned", mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """One attention head over B stacked entity-temporal blocks of N + 1 rows.
 
-    Returns the aggregated neighborhood value and the attention weights. In
-    constant mode the weights are uniform (mean pooling over values); the
-    learned mode scales query-key products by sqrt(d_h).
+    ``mask`` (B, N) marks each block's real neighbor rows; left at None, ``z``
+    is one block whose rows after the first are all neighbors. Returns the
+    (B, d_h) aggregated neighborhood values and the (B, N) attention weights,
+    zero on masked rows. In constant mode the weights are uniform over the
+    real rows (mean pooling over values); the learned mode scales query-key
+    products by sqrt(d_h).
     """
     n_rows = z.data.shape[0]
-    if n_rows < 2:
+    if mask is None:
+        mask = np.ones((1, max(n_rows - 1, 0)), dtype=bool)
+    b, n = mask.shape
+    if n < 1 or n_rows != b * (n + 1) or not mask.any(axis=1).all():
         raise ContractError("attention needs the target row plus at least one neighbor")
-    n = n_rows - 1
-    neighbors = ad.slice_rows(z, 1, n_rows)
+    is_target = np.arange(n_rows) % (n + 1) == 0
+    neighbors = ad.gather_rows(z, np.flatnonzero(~is_target))
     values = ad.matmul(neighbors, w_v)
     if mode == "constant":
-        alpha = ad.constant(np.full((1, n), 1.0 / n))
+        alpha = ad.constant(mask / mask.sum(axis=1, keepdims=True))
     else:
-        query = ad.matmul(ad.slice_rows(z, 0, 1), w_q)
-        keys = ad.matmul(neighbors, w_k)
         d_h = w_q.data.shape[1]
-        scores = ad.scale(ad.matmul(query, ad.transpose(keys)), 1.0 / np.sqrt(d_h))
-        alpha = ad.softmax_rows(scores)
-    return ad.matmul(alpha, values), alpha
+        query = ad.matmul(ad.gather_rows(z, np.flatnonzero(is_target)), w_q)
+        keys = ad.matmul(neighbors, w_k)
+        products = ad.mul(ad.gather_rows(query, np.repeat(np.arange(b), n)), keys)
+        dots = ad.matmul(products, ad.constant(np.ones((d_h, 1))))
+        alpha = ad.softmax_rows(ad.scale(ad.reshape(dots, b, n), 1.0 / np.sqrt(d_h)), mask)
+    weighted = ad.mul(ad.reshape(alpha, b * n, 1), values)
+    return ad.sum_segments(weighted, n), alpha
 
 
-def _hidden_state(
-    model: TgatModel,
-    layer_index: int,
-    node: int,
-    t: float,
-    graph: TemporalGraph,
-    sampling: SamplingConfig,
-    rng: np.random.Generator,
-    collector: AttentionCollector | None,
-) -> Tensor:
-    if layer_index == 0:
-        return ad.constant(graph.node_features[node][None, :])
+def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
+                   graph: TemporalGraph, sampling: SamplingConfig, rng: np.random.Generator,
+                   collector: AttentionCollector | None) -> Tensor:
+    """(B, d) states of ``nodes`` at ``times`` after ``level`` layers.
 
-    layer = model.layers[layer_index - 1]
+    One hop at a time: every target's neighborhood is sampled, then one
+    recursive call evaluates the targets that have neighbors and all of their
+    sampled (peer, time) rows at the level below, each neighbor at its own
+    interaction time, and the hop attends all of those targets at once.
+    """
+    x0 = ad.constant(graph.node_features[nodes])
+    if level == 0:
+        return x0
+
+    layer = model.layers[level - 1]
+    positional = model.positional_encoder if model.attention_mode == "positional" else None
     max_size = sampling.max_neighbors
-    if model.attention_mode == "positional":
+    if positional is not None:
         # target row occupies rank N, so the sample must fit under the table
-        max_size = min(max_size, model.positional_encoder.max_positions - 1)
-    sample = temporal_neighborhood(graph, node, t, max_size, sampling.strategy, rng)
-    x0 = ad.constant(graph.node_features[node][None, :])
+        max_size = min(max_size, positional.max_positions - 1)
+    samples = [temporal_neighborhood(graph, v, t, max_size, sampling.strategy, rng)
+               for v, t in zip(nodes.tolist(), times.tolist())]
+    sizes = np.array([len(s) for s in samples], dtype=np.int64)
+    has = np.flatnonzero(sizes > 0)
 
-    if len(sample) == 0:
-        # no prior interactions: the neighborhood representation is zero and
-        # the FFN still runs, which keeps inductive inference total
-        nbr_repr = ad.constant(np.zeros((1, layer.head_count * layer.head_dim)))
-    else:
-        target_hidden = _hidden_state(model, layer_index - 1, node, t, graph,
-                                      sampling, rng, collector)
-        z = build_entity_matrix(
-            target_hidden, t, sample,
-            hidden_of=lambda peer, ts: _hidden_state(
-                model, layer_index - 1, peer, ts, graph, sampling, rng, collector),
-            enc=model.time_encoder,
-            edge_dim=model.dims.d_e,
-            positional=model.positional_encoder if model.attention_mode == "positional" else None,
-        )
+    # a target with no prior interactions takes the zero row appended last: its
+    # FFN still runs, which keeps inductive inference total
+    rows = [ad.constant(np.zeros((1, layer.head_count * layer.head_dim)))]
+    if has.size:
+        kept = [samples[i] for i in has]
+        hidden = _hidden_states(
+            model, level - 1,
+            np.concatenate([nodes[has]] + [s.peers for s in kept]),
+            np.concatenate([times[has]] + [s.times for s in kept]),
+            graph, sampling, rng, collector)
+        z = build_entity_matrix(hidden, kept, model.time_encoder, model.dims.d_e, positional)
+        mask = np.arange(sizes.max()) < sizes[has, None]
         mode = "constant" if model.attention_mode == "constant" else "learned"
-        heads = []
-        weights = []
-        for i in range(layer.head_count):
-            h, alpha = attend_head(z, layer.w_q[i], layer.w_k[i], layer.w_v[i], mode)
-            heads.append(h)
-            weights.append(alpha.data[0].copy())
+        heads = [attend_head(z, layer.w_q[i], layer.w_k[i], layer.w_v[i], mode, mask)
+                 for i in range(layer.head_count)]
         if collector is not None:
-            collector.add(layer_index, sample, weights)
-        nbr_repr = heads[0] if len(heads) == 1 else ad.concat_cols(heads)
+            collector.add(level, kept, [alpha.data for _, alpha in heads])
+        rows.insert(0, ad.concat_cols([h for h, _ in heads]))
+    row_of = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, has.size)
+    nbr_repr = ad.gather_rows(ad.concat_rows(rows), row_of)
 
     ffn_in = ad.concat_cols([nbr_repr, x0])
     pre = ad.relu(ad.add(ad.matmul(ffn_in, layer.w0), layer.b0))
     return ad.add(ad.matmul(pre, layer.w1), layer.b1)
 
 
-def layer_forward(
-    model: TgatModel,
-    layer_index: int,
-    target: int,
-    t: float,
-    graph: TemporalGraph,
-    sampling: SamplingConfig,
-    rng_seed=0,
-    collector: AttentionCollector | None = None,
-) -> Tensor:
-    """Hidden state of ``target`` at time ``t`` after ``layer_index`` layers."""
-    if not 1 <= layer_index <= model.layer_count:
-        raise ValidationError(
-            f"layer index {layer_index} outside [1, {model.layer_count}]")
-    if not graph.has_node(target):
-        raise InferenceError(f"node {target} has no features in this graph")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return _hidden_state(model, layer_index, target, t, graph, sampling, rng, collector)
-
-
-def embed_tensor(model: TgatModel, node: int, t: float, graph: TemporalGraph,
+def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
                  sampling: SamplingConfig, rng_seed=0,
                  collector: AttentionCollector | None = None) -> Tensor:
-    """Differentiable time-aware embedding (full L-layer forward pass)."""
-    return layer_forward(model, model.layer_count, node, t, graph, sampling,
-                         rng_seed, collector)
+    """Differentiable time-aware embeddings (full L-layer forward pass): (1, d)
+    for a scalar node and time, (B, d) for equal-length sequences of them."""
+    nodes = np.atleast_1d(np.asarray(node, dtype=np.int64))
+    times = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if nodes.ndim != 1 or nodes.shape != times.shape:
+        raise ValidationError(
+            f"nodes and times must align, got shapes {nodes.shape} and {times.shape}")
+    unknown = nodes[(nodes < 0) | (nodes >= graph.num_nodes)]
+    if unknown.size:
+        raise InferenceError(f"node {unknown[0]} has no features in this graph")
+    return _hidden_states(model, model.layer_count, nodes, times, graph, sampling,
+                          np.random.default_rng(rng_seed), collector)
 
 
-def embed(model: TgatModel, node: int, t: float, graph: TemporalGraph,
+def embed(model: TgatModel, node, t, graph: TemporalGraph,
           sampling: SamplingConfig, rng_seed=0) -> np.ndarray:
-    """Inference-only embedding; works for nodes absent from training events."""
-    return embed_tensor(model, node, t, graph, sampling, rng_seed).data[0].copy()
+    """Inference-only embeddings, (d,) for a scalar node and time or (B, d) for
+    sequences; works for nodes absent from training events."""
+    out = embed_tensor(model, node, t, graph, sampling, rng_seed).data
+    return out[0].copy() if np.ndim(node) == 0 else out.copy()
 
 
 # ---------------------------------------------------------------------------

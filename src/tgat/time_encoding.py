@@ -20,15 +20,6 @@ from .autodiff import Tensor
 from .errors import PositionLookupError, ValidationError
 
 
-def _interleave_permutation(k: int) -> np.ndarray:
-    """Permutation matrix mapping [cos block | sin block] to interleaved order."""
-    perm = np.zeros((2 * k, 2 * k))
-    for i in range(k):
-        perm[i, 2 * i] = 1.0
-        perm[k + i, 2 * i + 1] = 1.0
-    return perm
-
-
 class TimeEncoder:
     """Learnable cos/sin map from a timespan to a unit-norm feature vector."""
 
@@ -37,7 +28,6 @@ class TimeEncoder:
         if freq.size == 0:
             raise ValidationError("time encoder needs at least one frequency")
         self.frequencies = ad.parameter(freq)
-        self._perm = ad.constant(_interleave_permutation(freq.size))
 
     @classmethod
     def create(cls, output_dim: int, t_max: float = 1.0) -> "TimeEncoder":
@@ -70,11 +60,11 @@ class TimeEncoder:
         """Differentiable encodings for a batch of timespans, one per row."""
         dt = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
         phase = ad.matmul(ad.constant(dt), self.frequencies)
-        blocks = ad.concat_cols([ad.cos(phase), ad.sin(phase)])
-        return ad.scale(ad.matmul(blocks, self._perm), self.scale)
-
-    def encode(self, delta_t: float) -> Tensor:
-        return self.encode_many([delta_t])
+        n, k = phase.data.shape
+        # interleave to cos(w_1 t), sin(w_1 t), cos(w_2 t), ... via (n k, 2) pairs
+        pairs = ad.concat_cols([ad.reshape(ad.cos(phase), n * k, 1),
+                                ad.reshape(ad.sin(phase), n * k, 1)])
+        return ad.scale(ad.reshape(pairs, n, 2 * k), self.scale)
 
     def encode_values(self, deltas) -> np.ndarray:
         """Plain-numpy encodings (no tape), one row per timespan."""
@@ -125,12 +115,15 @@ class PositionalEncoder:
     def parameters(self) -> list[Tensor]:
         return [self.table] if self.learnable else []
 
-    def lookup(self, rank: int) -> Tensor:
-        if not 0 <= rank < self.max_positions:
-            raise PositionLookupError(f"rank {rank} outside [0, {self.max_positions})")
+    def lookup(self, ranks) -> Tensor:
+        """Position vectors of a rank or an array of ranks, one row each."""
+        ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
+        bad = ranks[(ranks < 0) | (ranks >= self.max_positions)]
+        if bad.size:
+            raise PositionLookupError(f"rank {bad[0]} outside [0, {self.max_positions})")
         if self.learnable:
-            return ad.slice_rows(self.table, rank, rank + 1)
-        return ad.constant(self.table.data[rank : rank + 1])
+            return ad.gather_rows(self.table, ranks)
+        return ad.constant(self.table.data[ranks])
 
 
 # ---------------------------------------------------------------------------

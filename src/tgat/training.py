@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
-from .errors import ContractError, EvaluationError, ValidationError
+from .errors import ContractError, EvaluationError, TrainingError, ValidationError
 from .layer import (
     AttentionCollector,
     Dims,
@@ -121,19 +121,40 @@ def build_model(graph: TemporalGraph, config: TrainConfig) -> TgatModel:
 # ---------------------------------------------------------------------------
 
 
-def _endpoints(graph: TemporalGraph, event_indices) -> zip:
-    """(source, destination, timestamp) of each listed event, as Python scalars."""
-    idx = np.asarray(event_indices, dtype=np.int64)
-    return zip(graph.sources[idx].tolist(), graph.destinations[idx].tolist(),
-               graph.timestamps[idx].tolist())
-
-
 def _draw_negative(rng: np.random.Generator, num_nodes: int, forbidden: int) -> int:
     """Uniform node id, resampling on collision with the positive destination."""
     v = int(rng.integers(0, num_nodes))
     while v == forbidden and num_nodes > 1:
         v = int(rng.integers(0, num_nodes))
     return v
+
+
+def _chunks(indices: np.ndarray, size: int):
+    for start in range(0, indices.size, size):
+        yield indices[start : start + size]
+
+
+def _link_scores(model: TgatModel, graph: TemporalGraph, events: np.ndarray,
+                 sampling: SamplingConfig, negatives_per_positive: int,
+                 rng: np.random.Generator) -> Tensor:
+    """Inner products h_i . h_j of each positive event (i, j, t), then
+    h_i . h_q for each of its Q negatives q != j, as one (P + P*Q, 1) column.
+
+    Negatives are drawn first, positive by positive; then one forward pass
+    embeds sources, destinations and negatives at the event times.
+    """
+    src, dst, ts = graph.sources[events], graph.destinations[events], graph.timestamps[events]
+    q = negatives_per_positive
+    neg = np.array([_draw_negative(rng, graph.num_nodes, d)
+                    for d in dst.tolist() for _ in range(q)], dtype=np.int64)
+    h = embed_tensor(model, np.concatenate([src, dst, neg]),
+                     np.concatenate([ts, ts, np.repeat(ts, q)]), graph, sampling, rng)
+    # rows of h: sources [0, p), destinations [p, 2p), negatives of positive i
+    # at 2p + i*q + k; pair each source with its destination and negatives
+    p = events.size
+    left = ad.gather_rows(h, np.concatenate([np.arange(p), np.repeat(np.arange(p), q)]))
+    right = ad.gather_rows(h, np.arange(p, h.data.shape[0]))
+    return ad.matmul(ad.mul(left, right), ad.constant(np.ones((h.data.shape[1], 1))))
 
 
 def link_loss(
@@ -151,21 +172,13 @@ def link_loss(
     embeddings are evaluated at the interaction time and the loss is
     differentiable through both sides of every inner product.
     """
-    if len(batch_events) == 0:
+    idx = np.asarray(batch_events, dtype=np.int64)
+    if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
     rng = np.random.default_rng(rng_seed)  # a Generator passes through unchanged
-    terms: list[Tensor] = []
-    for src, dst, t in _endpoints(graph, batch_events):
-        h_i = embed_tensor(model, src, t, graph, sampling, rng)
-        h_j = embed_tensor(model, dst, t, graph, sampling, rng)
-        s_pos = ad.matmul(h_i, ad.transpose(h_j))
-        terms.append(ad.scale(ad.log_sigmoid(s_pos), -1.0))
-        for _ in range(negatives_per_positive):
-            q = _draw_negative(rng, graph.num_nodes, dst)
-            h_q = embed_tensor(model, q, t, graph, sampling, rng)
-            s_neg = ad.matmul(h_i, ad.transpose(h_q))
-            terms.append(ad.scale(ad.log_sigmoid(ad.scale(s_neg, -1.0)), -1.0))
-    return ad.sum_all(ad.concat_rows(terms))
+    scores = _link_scores(model, graph, idx, sampling, negatives_per_positive, rng)
+    sign = np.concatenate([np.ones(idx.size), -np.ones(idx.size * negatives_per_positive)])
+    return ad.scale(ad.sum_all(ad.log_sigmoid(ad.mul(scores, ad.constant(sign[:, None])))), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +241,8 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
 
     Returns the best-validation model and the per-epoch metric history.
     Fully deterministic given the config seed; with no validation events the
-    final epoch's parameters are kept.
+    final epoch's parameters are kept. A non-finite batch loss or parameter
+    raises TrainingError rather than returning a diverged model.
     """
     config.validate()
     train_idx = training_event_indices(graph, split)
@@ -263,6 +277,9 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
             ad.backward(tape, loss)
             adam_step(params, [p.grad for p in params], state, config.learning_rate)
             total_loss += float(loss.data[0, 0])
+            if not (np.isfinite(total_loss) and all(np.isfinite(p.data).all() for p in params)):
+                raise TrainingError(f"non-finite loss or parameters at epoch {epoch}, "
+                                    f"batch starting at {b_start}")
             n_pos += batch.size
 
         train_loss = total_loss / max(n_pos, 1)
@@ -330,22 +347,19 @@ def evaluate_links(
         if max_events:
             event_indices = _chronological_subsample(
                 event_indices, max_events, np.random.default_rng([rng_seed, 555]))
+    event_indices = np.asarray(event_indices, dtype=np.int64)
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
-    sampling = (config or TrainConfig()).sampling(training=False)
+    config = config or TrainConfig()
+    sampling = config.sampling(training=False)
     rng = np.random.default_rng([rng_seed, 1001])
 
-    labels = []
     scores = []
-    for src, dst, t in _endpoints(graph, event_indices):
-        h_i = embed(model, src, t, graph, sampling, rng)
-        h_j = embed(model, dst, t, graph, sampling, rng)
-        q = _draw_negative(rng, graph.num_nodes, dst)
-        h_q = embed(model, q, t, graph, sampling, rng)
-        scores.append(float(ad.sigmoid_values(np.array([h_i @ h_j]))[0]))
-        labels.append(1)
-        scores.append(float(ad.sigmoid_values(np.array([h_i @ h_q]))[0]))
-        labels.append(0)
+    for chunk in _chunks(event_indices, config.batch_size):
+        s = _link_scores(model, graph, chunk, sampling, 1, rng).data[:, 0]
+        scores.append(np.column_stack([s[: chunk.size], s[chunk.size :]]).ravel())
+    scores = ad.sigmoid_values(np.concatenate(scores))  # positive, negative per event
+    labels = np.tile([1, 0], event_indices.size)
     return EvalMetrics(
         accuracy=metrics.accuracy(labels, scores),
         average_precision=metrics.average_precision(labels, scores),
@@ -374,24 +388,17 @@ class _Mlp:
     def __init__(self, d: int, rng: np.random.Generator):
         from .layer import glorot
 
-        d2 = max(1, d // 2)
-        self.w1 = ad.parameter(glorot(rng, d, d))
-        self.b1 = ad.parameter(np.zeros((1, d)))
-        self.w2 = ad.parameter(glorot(rng, d, d2))
-        self.b2 = ad.parameter(np.zeros((1, d2)))
-        self.w3 = ad.parameter(glorot(rng, d2, 1))
-        self.b3 = ad.parameter(np.zeros((1, 1)))
+        widths = (d, d, max(1, d // 2), 1)
+        self.weights = [ad.parameter(glorot(rng, a, b)) for a, b in zip(widths, widths[1:])]
+        self.biases = [ad.parameter(np.zeros((1, b))) for b in widths[1:]]
 
     def parameters(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
-
-    def weight_matrices(self) -> list[Tensor]:
-        return [self.w1, self.w2, self.w3]
+        return [t for pair in zip(self.weights, self.biases) for t in pair]
 
     def logits(self, x: Tensor) -> Tensor:
-        h1 = ad.relu(ad.add(ad.matmul(x, self.w1), self.b1))
-        h2 = ad.relu(ad.add(ad.matmul(h1, self.w2), self.b2))
-        return ad.add(ad.matmul(h2, self.w3), self.b3)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            x = ad.add(ad.matmul(x if i == 0 else ad.relu(x), w), b)
+        return x
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return ad.sigmoid_values(self.logits(ad.constant(x)).data[:, 0])
@@ -413,21 +420,19 @@ def node_classify(
     because state labels are heavily imbalanced.
     """
     mlp_config = mlp_config or MlpConfig()
-    sampling = (config or TrainConfig()).sampling(training=False)
+    config = config or TrainConfig()
+    sampling = config.sampling(training=False)
     rng = np.random.default_rng([rng_seed, 2002])
 
-    pools: dict[str, tuple[list[np.ndarray], list[int]]] = {
-        "train": ([], []), "val": ([], []), "test": ([], [])}
     labeled = np.flatnonzero(graph.labels >= 0)
-    for (src, _, t), label in zip(_endpoints(graph, labeled), graph.labels[labeled].tolist()):
-        feats, labels = pools[split.period_of(t)]
-        feats.append(embed(model, src, t, graph, sampling, rng))
-        labels.append(label)
+    feats = [embed(model, graph.sources[chunk], graph.timestamps[chunk], graph, sampling, rng)
+             for chunk in _chunks(labeled, config.batch_size)]
+    feats = np.concatenate(feats) if feats else np.zeros((0, model.dims.d))
+    periods = np.array([split.period_of(t) for t in graph.timestamps[labeled].tolist()],
+                       dtype=str)
 
     def as_arrays(period: str) -> tuple[np.ndarray, np.ndarray]:
-        feats, labels = pools[period]
-        return (np.stack(feats) if feats else np.zeros((0, model.dims.d)),
-                np.asarray(labels, dtype=np.int64))
+        return feats[periods == period], graph.labels[labeled][periods == period]
 
     x_train, y_train = as_arrays("train")
     x_test, y_test = as_arrays("test")
@@ -459,7 +464,7 @@ def node_classify(
         ad.backward(tape, loss)
         grads = [p.grad for p in params]
         if mlp_config.l2 > 0:
-            weights = set(id(w) for w in mlp.weight_matrices())
+            weights = set(id(w) for w in mlp.weights)
             grads = [
                 (np.zeros_like(p.data) if g is None else g)
                 + (2.0 * mlp_config.l2 * p.data if id(p) in weights else 0.0)
@@ -499,28 +504,23 @@ def attention_report(
 ) -> list[AttentionRow]:
     """Collect top-layer attention weights as functions of timespan and of
     neighbor recurrence, for a sample of predictions."""
-    sampling = (config or TrainConfig()).sampling(training=False)
+    config = config or TrainConfig()
+    sampling = config.sampling(training=False)
     rows: list[AttentionRow] = []
     rng = np.random.default_rng([rng_seed, 4004])
     top = model.layer_count
-    for src, dst, t_event in _endpoints(graph, event_indices):
+    for chunk in _chunks(np.asarray(event_indices, dtype=np.int64), config.batch_size):
+        nodes = np.column_stack([graph.sources[chunk], graph.destinations[chunk]]).ravel()
         for offset in target_time_offsets:
-            t = t_event + offset
-            for node in (src, dst):
-                collector = AttentionCollector()
-                embed_tensor(model, node, t, graph, sampling, rng, collector)
-                for layer_index, q_time, peers, timespans, weights in collector.records:
-                    if layer_index != top:
-                        continue
-                    _, which, counts = np.unique(peers, return_inverse=True, return_counts=True)
-                    for span, w, count in zip(timespans.tolist(), weights.tolist(),
-                                              counts[which].tolist()):
-                        rows.append(AttentionRow(
-                            timespan=span,
-                            attention_weight=w,
-                            occurrence_count=count,
-                            target_time_offset=float(offset),
-                        ))
+            collector = AttentionCollector()
+            embed_tensor(model, nodes, np.repeat(graph.timestamps[chunk] + offset, 2), graph,
+                         sampling, rng, collector)
+            for layer_index, q_time, peers, timespans, weights in collector.records:
+                if layer_index != top:
+                    continue
+                _, which, counts = np.unique(peers, return_inverse=True, return_counts=True)
+                rows.extend(AttentionRow(span, w, count, float(offset)) for span, w, count
+                            in zip(timespans.tolist(), weights.tolist(), counts[which].tolist()))
     return rows
 
 

@@ -45,8 +45,8 @@ def _rand(rng, *shape):
 
 OPS = [
     "matmul", "add", "mul", "scale", "concat_rows", "concat_cols",
-    "slice_rows", "transpose", "relu", "sigmoid", "log_sigmoid",
-    "softmax_rows", "sum_rows", "sum_all", "cos", "sin",
+    "gather_rows", "reshape", "sum_segments", "relu", "log_sigmoid",
+    "softmax_rows", "softmax_rows_masked", "sum_all", "cos", "sin",
 ]
 
 
@@ -71,28 +71,35 @@ def build_op_case(name: str, rng):
     if name == "concat_cols":
         a, b = ad.parameter(_rand(rng, m, n)), ad.parameter(_rand(rng, m, k))
         return lambda: ad.concat_cols([a, b]), [a, b]
-    if name == "slice_rows":
-        rows = max(int(m), 2)
-        a = ad.parameter(_rand(rng, rows, n))
-        return lambda: ad.slice_rows(a, 1, rows), [a]
-    if name == "transpose":
+    if name == "gather_rows":
         a = ad.parameter(_rand(rng, m, n))
-        return lambda: ad.transpose(a), [a]
+        index = rng.integers(0, m, size=k + m)  # repeats exercise the scatter-add
+        weights = _rand(rng, k + m, n)
+        return lambda: ad.mul(ad.gather_rows(a, index), ad.constant(weights)), [a]
+    if name == "reshape":
+        a = ad.parameter(_rand(rng, m, 2 * n))
+        weights = _rand(rng, 2 * m, n)
+        return lambda: ad.mul(ad.reshape(a, 2 * m, n), ad.constant(weights)), [a]
+    if name == "sum_segments":
+        a = ad.parameter(_rand(rng, m * k, n))
+        weights = _rand(rng, m, n)
+        return lambda: ad.mul(ad.sum_segments(a, k), ad.constant(weights)), [a]
     if name == "relu":
         a = ad.parameter(_rand(rng, m, n) + 0.05)  # keep away from the kink
         return lambda: ad.relu(a), [a]
-    if name == "sigmoid":
-        a = ad.parameter(_rand(rng, m, n))
-        return lambda: ad.sigmoid(a), [a]
     if name == "log_sigmoid":
         a = ad.parameter(_rand(rng, m, n))
         return lambda: ad.log_sigmoid(a), [a]
     if name == "softmax_rows":
         a = ad.parameter(_rand(rng, m, n))
-        return lambda: ad.softmax_rows(a), [a]
-    if name == "sum_rows":
+        weights = _rand(rng, m, n)
+        return lambda: ad.mul(ad.softmax_rows(a), ad.constant(weights)), [a]
+    if name == "softmax_rows_masked":
         a = ad.parameter(_rand(rng, m, n))
-        return lambda: ad.sum_rows(a), [a]
+        weights = _rand(rng, m, n)
+        mask = rng.random((m, n)) < 0.6
+        mask[np.arange(m), rng.integers(0, n, size=m)] = True  # one entry per row
+        return lambda: ad.mul(ad.softmax_rows(a, mask), ad.constant(weights)), [a]
     if name == "sum_all":
         a = ad.parameter(_rand(rng, m, n))
         return lambda: ad.sum_all(a), [a]
@@ -130,6 +137,22 @@ class TestForwardValues:
         assert (out.data >= 0).all()
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_masked_softmax_zero_outside_mask(self):
+        scores = np.array([[1.0, 50.0, -2.0], [0.3, 0.3, 900.0]])
+        mask = np.array([[True, False, True], [True, True, False]])
+        out = ad.softmax_rows(ad.constant(scores), mask)
+        np.testing.assert_array_equal(out.data[~mask], 0.0)
+        np.testing.assert_allclose(out.data[0, [0, 2]],
+                                   ad.softmax_rows(ad.constant(scores[:1, [0, 2]])).data[0])
+        np.testing.assert_allclose(out.data[1, :2], 0.5)
+
+    def test_gather_rows_scatter_adds_repeats(self):
+        a = ad.parameter(np.arange(6.0).reshape(3, 2))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.gather_rows(a, [2, 0, 2, 2]))
+        ad.backward(tape, loss)
+        np.testing.assert_array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
+
     def test_relu_backward_subgradient(self):
         x = ad.parameter(np.array([[-1.0, 2.0]]))
         with ad.Tape() as tape:
@@ -159,14 +182,14 @@ class TestBackwardSemantics:
         ad.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
 
-    def test_sigmoid_of_dot_at_zero_weight(self):
-        # d/dw sigmoid(w.x) at w=0 is 0.25 * x
+    def test_log_sigmoid_of_dot_at_zero_weight(self):
+        # d/dw log sigmoid(w.x) at w=0 is sigmoid(0) * x = 0.5 * x
         x_val = np.array([[1.5], [-2.0], [0.5]])
         w = ad.parameter(np.zeros((1, 3)))
         with ad.Tape() as tape:
-            loss = ad.sigmoid(ad.matmul(w, ad.constant(x_val)))
+            loss = ad.log_sigmoid(ad.matmul(w, ad.constant(x_val)))
         ad.backward(tape, loss)
-        np.testing.assert_allclose(w.grad, 0.25 * x_val.T)
+        np.testing.assert_allclose(w.grad, 0.5 * x_val.T)
 
     def test_two_path_gradient_accumulates(self):
         # y = sum(x @ a) + sum(x @ b): grad x = a.1 + b.1 (two-path linearity)
@@ -189,7 +212,7 @@ class TestBackwardSemantics:
         x = ad.constant(rng.standard_normal((2, 4)))
 
         def build():
-            return ad.sigmoid(ad.matmul(ad.relu(ad.matmul(x, w1)), w2))
+            return ad.log_sigmoid(ad.matmul(ad.relu(ad.matmul(x, w1)), w2))
 
         assert_matches_fd(build, [w1, w2], 0, atol=1e-6, rtol=1e-4)
 
@@ -225,9 +248,18 @@ class TestShapeErrors:
         with pytest.raises(DimensionError):
             ad.concat_rows([ad.constant(np.ones((1, 2))), ad.constant(np.ones((1, 3)))])
 
-    def test_slice_rows_bounds(self):
+    def test_gather_rows_bounds(self):
+        for index in ([0, 2], [-1], [[0]]):
+            with pytest.raises(DimensionError):
+                ad.gather_rows(ad.constant(np.ones((2, 2))), index)
+
+    def test_reshape_size_mismatch(self):
         with pytest.raises(DimensionError):
-            ad.slice_rows(ad.constant(np.ones((2, 2))), 1, 4)
+            ad.reshape(ad.constant(np.ones((2, 3))), 4, 2)
+
+    def test_sum_segments_uneven_rows(self):
+        with pytest.raises(DimensionError):
+            ad.sum_segments(ad.constant(np.ones((5, 2))), 2)
 
 
 class TestGradCheck:

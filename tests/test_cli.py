@@ -1,6 +1,8 @@
 """Command-line tests: exit codes, artifacts, determinism, and the
 library/CLI embedding round trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "partial.npz" in err and "destinations" in err and err.count("\n") == 1
 
+    def test_non_finite_loss_exit_1(self, workspace, capsys, monkeypatch):
+        import tgat.training as training
+        from tgat import autodiff as ad
+
+        tmp_path, _, config, graph = workspace
+        monkeypatch.setattr(training, "link_loss",
+                            lambda *args, **kwargs: ad.constant(np.array([[np.nan]])))
+        outdir = tmp_path / "diverged"
+        assert main(["train", str(graph), str(config), str(outdir)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "epoch 1, batch starting at 0" in err[0]
+        assert not (outdir / "checkpoint.json").exists()
+
     def test_missing_graph_exit_2(self, workspace, capsys):
         tmp_path, _, config, _ = workspace
         code = main(["train", str(tmp_path / "no.npz"), str(config), str(tmp_path / "o")])
@@ -192,6 +207,30 @@ class TestEvalAndEmbed:
         _, graph, ckpt = trained
         assert main(["embed", str(ckpt), str(graph),
                      "--nodes", "0", "--times", "soon"]) == 1
+
+    @staticmethod
+    def _tamper(ckpt, **changes):
+        payload = json.loads(ckpt.read_text())
+        payload["extra"]["train_config"].update(changes)
+        ckpt.write_text(json.dumps(payload))
+
+    def test_checkpoint_config_unknown_key_exit_1(self, trained, capsys):
+        _, graph, ckpt = trained
+        self._tamper(ckpt, bogus_key=1)
+        assert main(["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"]) == 1
+        err = capsys.readouterr().err
+        assert "bogus_key" in err and len(err.strip().splitlines()) == 1
+        assert main(["eval", str(ckpt), str(graph)]) == 1
+
+    def test_checkpoint_config_bad_type_exit_1(self, trained, capsys):
+        _, graph, ckpt = trained
+        self._tamper(ckpt, layers="two")
+        assert main(["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"]) == 1
+        err = capsys.readouterr().err
+        assert "'layers'" in err and len(err.strip().splitlines()) == 1
+        self._tamper(ckpt, layers=2, neighborhood_dropout=1.5)
+        assert main(["eval", str(ckpt), str(graph)]) == 1
+        assert "neighborhood_dropout" in capsys.readouterr().err
 
     def test_embed_mismatched_lists_exit_1(self, trained):
         _, graph, ckpt = trained

@@ -1,6 +1,7 @@
 """TGAT layer tests: entity-temporal matrix assembly, per-head attention,
 multi-hop forward passes against an independent straight-line reimplementation,
-parameter accounting, and checkpointing."""
+batched against one-at-a-time queries, parameter accounting, and
+checkpointing."""
 
 import numpy as np
 import pytest
@@ -22,13 +23,12 @@ from tgat.layer import (
     embed,
     embed_tensor,
     head_parameter_formula,
-    layer_forward,
     load_checkpoint,
     save_checkpoint,
 )
-from tgat.synthetic import tiny_fixture_graph
+from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
 from tgat.temporal_graph import AccessMonitor, build_graph, temporal_neighborhood
-from tgat.time_encoding import TimeEncoder
+from tgat.time_encoding import PositionalEncoder, TimeEncoder
 
 MOST_RECENT = SamplingConfig(max_neighbors=16, strategy="most-recent")
 
@@ -40,25 +40,24 @@ def simple_graph():
                        node_features=feats)
 
 
+def raw_hidden(g, target, sample):
+    """Level-0 states of a target followed by its sampled neighbors."""
+    return ad.constant(g.node_features[[target] + sample.peers.tolist()])
+
+
 class TestBuildEntityMatrix:
     def test_shape_without_edge_features(self):
         g = simple_graph()
         enc = TimeEncoder.create(6)
         sample = temporal_neighborhood(g, 0, 2.0, 5)  # one event before t=2
-        z = build_entity_matrix(
-            ad.constant(g.node_features[0][None, :]), 2.0, sample,
-            hidden_of=lambda peer, ts: ad.constant(g.node_features[peer][None, :]),
-            enc=enc)
+        z = build_entity_matrix(raw_hidden(g, 0, sample), [sample], enc)
         assert z.data.shape == (2, 2 + 6)
 
     def test_target_time_block_is_phi_zero(self):
         g = simple_graph()
         enc = TimeEncoder.create(4)
         sample = temporal_neighborhood(g, 0, 2.0, 5)
-        z = build_entity_matrix(
-            ad.constant(g.node_features[0][None, :]), 2.0, sample,
-            hidden_of=lambda peer, ts: ad.constant(g.node_features[peer][None, :]),
-            enc=enc)
+        z = build_entity_matrix(raw_hidden(g, 0, sample), [sample], enc)
         np.testing.assert_array_equal(z.data[0, 2:], enc.encode_values([0.0])[0])
 
     def test_neighbor_time_blocks_cross_checked(self):
@@ -67,10 +66,7 @@ class TestBuildEntityMatrix:
                         node_features=np.eye(4))
         enc = TimeEncoder.create(8, t_max=5.0)
         sample = temporal_neighborhood(g, 0, 5.0, 10)
-        z = build_entity_matrix(
-            ad.constant(g.node_features[0][None, :]), 5.0, sample,
-            hidden_of=lambda peer, ts: ad.constant(g.node_features[peer][None, :]),
-            enc=enc)
+        z = build_entity_matrix(raw_hidden(g, 0, sample), [sample], enc)
         for row, offset in zip(range(1, 4), [4.0, 3.0, 1.0]):
             np.testing.assert_array_equal(z.data[row, 4:], enc.encode_values([offset])[0])
 
@@ -78,21 +74,50 @@ class TestBuildEntityMatrix:
         g = tiny_fixture_graph()  # d_e = 2
         enc = TimeEncoder.create(4)
         sample = temporal_neighborhood(g, 0, 5.0, 5)
-        z = build_entity_matrix(
-            ad.constant(g.node_features[0][None, :]), 5.0, sample,
-            hidden_of=lambda peer, ts: ad.constant(g.node_features[peer][None, :]),
-            enc=enc, edge_dim=2)
+        z = build_entity_matrix(raw_hidden(g, 0, sample), [sample], enc, edge_dim=2)
         np.testing.assert_array_equal(z.data[0, 3:5], [0.0, 0.0])
         np.testing.assert_array_equal(z.data[1, 3:5], g.events[0].edge_features)
 
-    def test_hidden_width_mismatch_rejected(self):
+    def test_blocks_padded_to_the_largest_sample(self):
+        g = tiny_fixture_graph()
+        enc = TimeEncoder.create(4)
+        small = temporal_neighborhood(g, 0, 2.0, 5)  # 1 neighbor
+        large = temporal_neighborhood(g, 2, 8.0, 5)  # 3 neighbors
+        hidden = ad.constant(g.node_features[[0, 2] + small.peers.tolist()
+                                             + large.peers.tolist()])
+        z = build_entity_matrix(hidden, [small, large], enc, edge_dim=2)
+        assert z.data.shape == (2 * 4, 3 + 2 + 4)
+        for block, (target, sample) in enumerate([(0, small), (2, large)]):
+            rows = z.data[4 * block : 4 * block + 4]
+            alone = build_entity_matrix(raw_hidden(g, target, sample), [sample], enc,
+                                        edge_dim=2).data
+            np.testing.assert_array_equal(rows[: len(sample) + 1], alone)
+            # rows past the sample copy the target row
+            for pad in rows[len(sample) + 1 :]:
+                np.testing.assert_array_equal(pad, rows[0])
+
+    def test_positional_ranks_per_block(self):
+        g = tiny_fixture_graph()
+        pos = PositionalEncoder.fixed_sinusoidal(8, 4)
+        small = temporal_neighborhood(g, 0, 2.0, 5)
+        large = temporal_neighborhood(g, 2, 8.0, 5)
+        hidden = ad.constant(g.node_features[[0, 2] + small.peers.tolist()
+                                             + large.peers.tolist()])
+        z = build_entity_matrix(hidden, [small, large], TimeEncoder.create(4),
+                                positional=pos)
+        # target rank n, neighbor ranks 0..n-1 oldest first
+        np.testing.assert_array_equal(z.data[[0, 1], 3:], pos.table.data[[1, 0]])
+        np.testing.assert_array_equal(z.data[4:, 3:], pos.table.data[[3, 0, 1, 2]])
+
+    def test_hidden_row_count_checked(self):
         g = simple_graph()
         enc = TimeEncoder.create(4)
         sample = temporal_neighborhood(g, 0, 2.0, 5)
         with pytest.raises(ContractError):
-            build_entity_matrix(
-                ad.constant(np.zeros((1, 2))), 2.0, sample,
-                hidden_of=lambda peer, ts: ad.constant(np.zeros((1, 3))), enc=enc)
+            build_entity_matrix(ad.constant(np.zeros((3, 2))), [sample], enc)
+        empty = temporal_neighborhood(g, 0, 0.5, 5)
+        with pytest.raises(ContractError):
+            build_entity_matrix(ad.constant(np.zeros((1, 2))), [empty], enc)
 
 
 class TestAttendHead:
@@ -134,6 +159,23 @@ class TestAttendHead:
             assert (alpha.data >= 0).all()
             np.testing.assert_allclose(alpha.data.sum(), 1.0, atol=1e-9)
 
+    def test_masked_blocks_match_blocks_alone(self):
+        rng = np.random.default_rng(5)
+        w_q, w_k, w_v = self._params(rng, 4, 3)
+        sizes = [3, 1, 2]
+        blocks = [rng.standard_normal((n + 1, 4)) for n in sizes]
+        padded = [np.vstack([b] + [b[:1]] * (3 - n)) for b, n in zip(blocks, sizes)]
+        mask = np.arange(3) < np.array(sizes)[:, None]
+        for mode in ("learned", "constant"):
+            h, alpha = attend_head(ad.constant(np.vstack(padded)), w_q, w_k, w_v, mode, mask)
+            assert h.data.shape == (3, 3) and alpha.data.shape == (3, 3)
+            np.testing.assert_array_equal(alpha.data[~mask], 0.0)
+            for i, block in enumerate(blocks):
+                h1, alpha1 = attend_head(ad.constant(block), w_q, w_k, w_v, mode)
+                np.testing.assert_allclose(h.data[i], h1.data[0], rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(alpha.data[i, : sizes[i]], alpha1.data[0],
+                                           rtol=1e-12, atol=1e-12)
+
     def test_needs_a_neighbor_row(self):
         rng = np.random.default_rng(4)
         w_q, w_k, w_v = self._params(rng, 4, 3)
@@ -159,7 +201,7 @@ class TestLayerForward:
         model = TgatModel.create(dims, layer_count=1, head_count=1, rng_seed=0)
         for p in model.layers[0].parameters():
             p.data = np.zeros_like(p.data)
-        out = layer_forward(model, 1, 0, 3.0, g, MOST_RECENT)
+        out = embed_tensor(model, 0, 3.0, g, MOST_RECENT)
         np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
 
     def test_empty_neighborhood_runs_ffn_on_zero(self):
@@ -178,14 +220,9 @@ class TestLayerForward:
         dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
         model = TgatModel.create(dims, layer_count=1, head_count=1, rng_seed=0)
         with pytest.raises(InferenceError):
-            layer_forward(model, 1, 17, 1.0, g, MOST_RECENT)
-
-    def test_layer_index_bounds(self):
-        g = simple_graph()
-        dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
-        model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=0)
-        with pytest.raises(ValidationError):
-            layer_forward(model, 3, 0, 1.0, g, MOST_RECENT)
+            embed_tensor(model, 17, 1.0, g, MOST_RECENT)
+        with pytest.raises(InferenceError):
+            embed_tensor(model, [0, 17], [1.0, 1.0], g, MOST_RECENT)
 
     def test_two_layer_forward_matches_hand_unrolled(self):
         """Independent straight-line reimplementation of the same equations."""
@@ -246,6 +283,32 @@ class TestLayerForward:
 
 
 class TestEmbedProperties:
+    def test_batched_queries_equal_queries_alone(self):
+        g = recency_planted_graph(200, 4000, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
+        # node 0 at t=1.0 and every node at t=0.001 have no earlier event;
+        # node 3 repeats at one time
+        nodes = [0, 3, 7, 11, 3, 42, 150, 199, 5]
+        times = [1.0, 2.3, 3.6, 0.001, 2.3, 8.8, 20.5, 25.7, 0.001]
+        for mode in ("learned", "constant", "positional"):
+            model = TgatModel.create(dims, layer_count=2, head_count=2, attention_mode=mode,
+                                     rng_seed=1, t_max=g.t_max)
+            batched = embed_tensor(model, nodes, times, g, MOST_RECENT).data
+            assert batched.shape == (len(nodes), dims.d)
+            alone = np.stack([embed(model, v, t, g, MOST_RECENT) for v, t in zip(nodes, times)])
+            np.testing.assert_allclose(batched, alone, rtol=1e-12, atol=1e-12)
+
+    def test_scalar_and_sequence_shapes(self):
+        g = simple_graph()
+        dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=5)
+        assert embed_tensor(model, 3, 4.5, g, MOST_RECENT).data.shape == (1, 3)
+        assert embed_tensor(model, [3], [4.5], g, MOST_RECENT).data.shape == (1, 3)
+        assert embed(model, 3, 4.5, g, MOST_RECENT).shape == (3,)
+        assert embed(model, np.array([3, 0]), np.array([4.5, 2.0]), g, MOST_RECENT).shape == (2, 3)
+        with pytest.raises(ValidationError):
+            embed(model, [3, 0], [4.5], g, MOST_RECENT)
+
     def test_unseen_node_embeds_via_zero_path(self):
         g = simple_graph()
         dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)

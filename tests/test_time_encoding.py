@@ -55,7 +55,7 @@ class TestEncode:
         dt = 1.37
         mix = ad.constant(rng.standard_normal((1, 8)))
         report = ad.grad_check(
-            lambda: ad.sum_all(ad.mul(enc.encode(dt), mix)),
+            lambda: ad.sum_all(ad.mul(enc.encode_many([dt]), mix)),
             enc.parameters(), tolerance=1e-5, rng_seed=0)
         # relative error < 1e-5 at random (w, dt)
         assert report.passed, report

@@ -7,10 +7,15 @@ import pytest
 
 import tgat.training as training
 from tgat import autodiff as ad
-from tgat.errors import ContractError, EvaluationError
+from tgat.errors import ContractError, EvaluationError, TrainingError
 from tgat.layer import AttentionCollector, Dims, SamplingConfig, TgatModel, embed_tensor
 from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
-from tgat.temporal_graph import AccessMonitor, build_graph, chronological_split
+from tgat.temporal_graph import (
+    AccessMonitor,
+    build_graph,
+    chronological_split,
+    evaluation_event_indices,
+)
 from tgat.training import (
     AdamState,
     EvalMetrics,
@@ -58,8 +63,8 @@ class TestLinkLoss:
 
         monkeypatch.setattr(
             training, "embed_tensor",
-            lambda m, node, t, graph, sampling, rng, collector=None:
-                ad.constant(np.array([vectors[node]])))
+            lambda m, nodes, times, graph, sampling, rng, collector=None:
+                ad.constant(np.array([vectors[v] for v in nodes])))
         monkeypatch.setattr(training, "_draw_negative", lambda rng, n, forbidden: 2)
         loss = link_loss(model, g, [0], SAMPLING, 1, rng_seed=0)
         expected = 2 * np.log(1 + np.exp(-3.0))
@@ -226,6 +231,32 @@ class TestTrainLoop:
         assert all(r.event_timestamp < r.query_time for r in records)
         assert all(r.event_timestamp <= split.train_end for r in records)
 
+    def test_non_finite_loss_stops_training(self, monkeypatch):
+        g, split, cfg = training_fixture()
+        original = training.link_loss
+        calls = {"n": 0}
+
+        def nan_on_third_batch(*args, **kwargs):
+            loss = original(*args, **kwargs)
+            calls["n"] += 1
+            if calls["n"] == 3:
+                return ad.scale(loss, float("nan"))
+            return loss
+
+        monkeypatch.setattr(training, "link_loss", nan_on_third_batch)
+        with pytest.raises(TrainingError, match="epoch 1, batch starting at 40"):
+            train(g, split, cfg)
+
+    def test_non_finite_parameter_stops_training(self, monkeypatch):
+        g, split, cfg = training_fixture()
+
+        def poisoned_step(params, grads, state, lr):
+            params[0].data = np.full_like(params[0].data, np.inf)
+
+        monkeypatch.setattr(training, "adam_step", poisoned_step)
+        with pytest.raises(TrainingError, match="epoch 1, batch starting at 0"):
+            train(g, split, cfg)
+
     def test_history_csv_roundtrip(self, tmp_path):
         g, split, cfg = training_fixture()
         _, history = train(g, split, cfg)
@@ -246,16 +277,37 @@ class TestEvaluateLinks:
         split = chronological_split(g, 0.4, 0.2)
         model = small_model(g)
 
-        def fake_embed(model, node, t, graph, sampling, rng_seed=0):
-            return np.array([2.0]) if node in (0, 1) else np.array([-2.0])
+        def fake_embed(model, nodes, times, graph, sampling, rng, collector=None):
+            return ad.constant(np.where(np.isin(nodes, [0, 1]), 2.0, -2.0)[:, None])
 
-        monkeypatch.setattr(training, "embed", fake_embed)
+        monkeypatch.setattr(training, "embed_tensor", fake_embed)
         res = evaluate_links(model, g, split, period="test", node_filter="observed",
                              rng_seed=0)
         assert res.average_precision == 1.0
         assert res.accuracy == 1.0
         assert res.auc == 1.0
         assert res.split_tag == "transductive"
+
+    def test_event_index_list_accepted(self):
+        g, split, cfg = training_fixture()
+        model = training.build_model(g, cfg)
+        idx = evaluation_event_indices(g, split, "test", "transductive")[:6]
+        from_list = evaluate_links(model, g, split, config=cfg, event_indices=idx.tolist())
+        from_array = evaluate_links(model, g, split, config=cfg, event_indices=idx)
+        assert from_list == from_array
+
+    def test_batches_give_the_same_scores(self):
+        # batch_size only sets how many events share a forward pass
+        g, split, cfg = training_fixture()
+        model = training.build_model(g, cfg)
+        idx = evaluation_event_indices(g, split, "test", "transductive")[:30]
+        results = []
+        for batch_size in (1, 7, 64):
+            cfg.batch_size = batch_size
+            results.append(evaluate_links(model, g, split, config=cfg, event_indices=idx))
+        for r in results[1:]:
+            assert r.average_precision == pytest.approx(results[0].average_precision, abs=1e-12)
+            assert r.accuracy == results[0].accuracy
 
     def test_empty_period_rejected(self):
         g = build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
@@ -296,7 +348,7 @@ class TestNodeClassify:
         # embeddings = raw features makes the task exactly separable
         monkeypatch.setattr(
             training, "embed",
-            lambda model, node, t, graph, sampling, rng_seed=0: graph.node_features[node])
+            lambda model, nodes, times, graph, sampling, rng_seed=0: graph.node_features[nodes])
         res = node_classify(model, g, split, MlpConfig(epochs=120, rng_seed=0),
                             rng_seed=0)
         assert res.auc == 1.0
