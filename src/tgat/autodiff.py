@@ -201,30 +201,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(a_data * b_data, (a, b), pull)
 
 
-def _concat(parts: Sequence[Tensor], axis: int, name: str) -> Tensor:
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
-        raise ContractError(f"{name} of an empty sequence")
+        raise ContractError("concat_cols of an empty sequence")
     _require_2d(*parts)
     for p in parts[1:]:
-        if p.data.shape[1 - axis] != parts[0].data.shape[1 - axis]:
-            raise DimensionError(f"{name} {('column', 'row')[axis]} mismatch: "
-                                 f"{parts[0].data.shape} vs {p.data.shape}")
-    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+        if p.data.shape[0] != parts[0].data.shape[0]:
+            raise DimensionError(f"concat_cols row mismatch: {parts[0].data.shape} vs {p.data.shape}")
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
 
     def pull(g: np.ndarray) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p._accumulate(g[lo:hi] if axis == 0 else g[:, lo:hi])
+                p._accumulate(g[:, lo:hi])
 
-    return apply_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), pull)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    return _concat(parts, 0, "concat_rows")
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    return _concat(parts, 1, "concat_cols")
+    return apply_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), pull)
 
 
 def gather_rows(a: Tensor, index) -> Tensor:
@@ -302,12 +293,13 @@ def log_sigmoid(a: Tensor) -> Tensor:
 
 def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Row-wise softmax. Entries where ``mask`` is False get weight 0 and no
-    gradient; every row needs at least one entry left in."""
+    gradient; a row with no entry left in is all zeros."""
     _require_2d(a)
     data = a.data if mask is None else np.where(mask, a.data, -np.inf)
-    shifted = data - data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    top = data.max(axis=1, keepdims=True)
+    e = np.exp(data - np.where(top == -np.inf, 0.0, top))
+    total = e.sum(axis=1, keepdims=True)
+    y = e / np.where(total > 0, total, 1.0)
 
     def pull(g: np.ndarray) -> None:
         inner = (g * y).sum(axis=1, keepdims=True)
@@ -323,24 +315,6 @@ def sum_all(a: Tensor) -> Tensor:
         a._accumulate(np.full(shape, g.flat[0]))
 
     return apply_op(np.array([[a.data.sum()]]), (a,), pull)
-
-
-def cos(a: Tensor) -> Tensor:
-    x = a.data
-
-    def pull(g: np.ndarray) -> None:
-        a._accumulate(-g * np.sin(x))
-
-    return apply_op(np.cos(x), (a,), pull)
-
-
-def sin(a: Tensor) -> Tensor:
-    x = a.data
-
-    def pull(g: np.ndarray) -> None:
-        a._accumulate(g * np.cos(x))
-
-    return apply_op(np.sin(x), (a,), pull)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ ReLU FFN. Stacking L layers extends aggregation to L hops; neighbor hidden
 states at layer l-1 are evaluated at their own interaction times, which keeps
 every read strictly in the consumer's past. The forward pass runs one hop at
 a time over arrays of (node, time) queries: all targets of a hop form one
-padded, masked block of entity-temporal matrices.
+padded, masked block of entity-temporal matrices. A target with no earlier
+interaction is a block with every neighbor row masked, so its neighborhood
+representation is zero and the FFN sees only its raw features.
 """
 
 from __future__ import annotations
@@ -198,10 +200,11 @@ class AttentionCollector:
 
     def add(self, layer_index: int, samples: Sequence[NeighborhoodSample],
             head_weights: list[np.ndarray]) -> None:
-        """One record per sample; row i of each head's (B, N) weights is sample i's."""
+        """One record per non-empty sample; row i of each head's (B, N) weights
+        is sample i's."""
         mean_w = np.mean(np.stack(head_weights), axis=0)
         self.records.extend((layer_index, s.query_time, s.peers, s.query_time - s.times,
-                             mean_w[i, :len(s)]) for i, s in enumerate(samples))
+                             mean_w[i, :len(s)]) for i, s in enumerate(samples) if len(s))
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +220,23 @@ def build_entity_matrix(
     positional: PositionalEncoder | None = None,
 ) -> Tensor:
     """Entity-temporal matrices of B targets, stacked as B blocks of N + 1 rows,
-    N the largest sample.
+    N the largest sample size and at least 1.
 
     ``hidden`` holds the B target states followed by the neighbor states of
     every sample in order. Row 0 of a block is the target (zero edge block,
     zero-timespan time block); row i >= 1 is the block's i-th sampled
     interaction, concatenated as (hidden, edge, time). Rows past the end of a
-    sample copy row 0 and are left to the attention mask. In positional mode
+    sample copy row 0 and are left to the attention mask, so every row of an
+    empty sample's block is a copy of row 0. In positional mode
     the time block is a rank lookup instead (rank 0 = oldest neighbor, target
     = rank n).
     """
     b = len(samples)
     sizes = np.array([len(s) for s in samples], dtype=np.int64)
-    if b == 0 or sizes.min() == 0 or hidden.data.shape[0] != b + sizes.sum():
+    if b == 0 or hidden.data.shape[0] != b + sizes.sum():
         raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
-                            f"{sizes.tolist()}: need B + sum(sizes) rows and no empty sample")
-    n = int(sizes.max())
+                            f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
+    n = max(int(sizes.max()), 1)
     # z row of every sampled interaction, in sample order
     col = np.arange(n + 1)
     nbr_rows = np.flatnonzero((col > 0) & (col <= sizes[:, None]))
@@ -261,7 +265,8 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor,
     ``mask`` (B, N) marks each block's real neighbor rows; left at None, ``z``
     is one block whose rows after the first are all neighbors. Returns the
     (B, d_h) aggregated neighborhood values and the (B, N) attention weights,
-    zero on masked rows. In constant mode the weights are uniform over the
+    zero on masked rows; a block with every row masked gets zero weights and a
+    zero output row. In constant mode the weights are uniform over the
     real rows (mean pooling over values); the learned mode scales query-key
     products by sqrt(d_h).
     """
@@ -269,13 +274,13 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor,
     if mask is None:
         mask = np.ones((1, max(n_rows - 1, 0)), dtype=bool)
     b, n = mask.shape
-    if n < 1 or n_rows != b * (n + 1) or not mask.any(axis=1).all():
-        raise ContractError("attention needs the target row plus at least one neighbor")
+    if n < 1 or n_rows != b * (n + 1):
+        raise ContractError("attention needs the target row plus at least one neighbor slot")
     is_target = np.arange(n_rows) % (n + 1) == 0
     neighbors = ad.gather_rows(z, np.flatnonzero(~is_target))
     values = ad.matmul(neighbors, w_v)
     if mode == "constant":
-        alpha = ad.constant(mask / mask.sum(axis=1, keepdims=True))
+        alpha = ad.constant(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1))
     else:
         d_h = w_q.data.shape[1]
         query = ad.matmul(ad.gather_rows(z, np.flatnonzero(is_target)), w_q)
@@ -293,9 +298,11 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
     """(B, d) states of ``nodes`` at ``times`` after ``level`` layers.
 
     One hop at a time: every target's neighborhood is sampled, then one
-    recursive call evaluates the targets that have neighbors and all of their
-    sampled (peer, time) rows at the level below, each neighbor at its own
-    interaction time, and the hop attends all of those targets at once.
+    recursive call evaluates all targets and all of their sampled (peer, time)
+    rows at the level below, each neighbor at its own interaction time, and the
+    hop attends every target at once. A target with no prior interaction
+    attends an all-masked block: its neighborhood representation is zero and
+    its FFN still runs, which keeps inductive inference total.
     """
     x0 = ad.constant(graph.node_features[nodes])
     if level == 0:
@@ -310,30 +317,20 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
     samples = [temporal_neighborhood(graph, v, t, max_size, sampling.strategy, rng)
                for v, t in zip(nodes.tolist(), times.tolist())]
     sizes = np.array([len(s) for s in samples], dtype=np.int64)
-    has = np.flatnonzero(sizes > 0)
+    hidden = _hidden_states(
+        model, level - 1,
+        np.concatenate([nodes] + [s.peers for s in samples]),
+        np.concatenate([times] + [s.times for s in samples]),
+        graph, sampling, rng, collector)
+    z = build_entity_matrix(hidden, samples, model.time_encoder, model.dims.d_e, positional)
+    mask = np.arange(max(sizes.max(), 1)) < sizes[:, None]
+    mode = "constant" if model.attention_mode == "constant" else "learned"
+    heads = [attend_head(z, layer.w_q[i], layer.w_k[i], layer.w_v[i], mode, mask)
+             for i in range(layer.head_count)]
+    if collector is not None:
+        collector.add(level, samples, [alpha.data for _, alpha in heads])
 
-    # a target with no prior interactions takes the zero row appended last: its
-    # FFN still runs, which keeps inductive inference total
-    rows = [ad.constant(np.zeros((1, layer.head_count * layer.head_dim)))]
-    if has.size:
-        kept = [samples[i] for i in has]
-        hidden = _hidden_states(
-            model, level - 1,
-            np.concatenate([nodes[has]] + [s.peers for s in kept]),
-            np.concatenate([times[has]] + [s.times for s in kept]),
-            graph, sampling, rng, collector)
-        z = build_entity_matrix(hidden, kept, model.time_encoder, model.dims.d_e, positional)
-        mask = np.arange(sizes.max()) < sizes[has, None]
-        mode = "constant" if model.attention_mode == "constant" else "learned"
-        heads = [attend_head(z, layer.w_q[i], layer.w_k[i], layer.w_v[i], mode, mask)
-                 for i in range(layer.head_count)]
-        if collector is not None:
-            collector.add(level, kept, [alpha.data for _, alpha in heads])
-        rows.insert(0, ad.concat_cols([h for h, _ in heads]))
-    row_of = np.where(sizes > 0, np.cumsum(sizes > 0) - 1, has.size)
-    nbr_repr = ad.gather_rows(ad.concat_rows(rows), row_of)
-
-    ffn_in = ad.concat_cols([nbr_repr, x0])
+    ffn_in = ad.concat_cols([h for h, _ in heads] + [x0])
     pre = ad.relu(ad.add(ad.matmul(ffn_in, layer.w0), layer.b0))
     return ad.add(ad.matmul(pre, layer.w1), layer.b1)
 

@@ -42,17 +42,9 @@ def average_precision(labels, scores) -> float:
 
 
 def _midranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, each tie group sharing the mean of its ranks."""
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def roc_auc(labels, scores) -> float:

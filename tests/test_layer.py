@@ -115,9 +115,27 @@ class TestBuildEntityMatrix:
         sample = temporal_neighborhood(g, 0, 2.0, 5)
         with pytest.raises(ContractError):
             build_entity_matrix(ad.constant(np.zeros((3, 2))), [sample], enc)
-        empty = temporal_neighborhood(g, 0, 0.5, 5)
         with pytest.raises(ContractError):
-            build_entity_matrix(ad.constant(np.zeros((1, 2))), [empty], enc)
+            build_entity_matrix(ad.constant(np.zeros((0, 2))), [], enc)
+
+    def test_empty_sample_block_copies_target_row(self):
+        g = tiny_fixture_graph()
+        enc = TimeEncoder.create(4)
+        empty = temporal_neighborhood(g, 0, 0.5, 5)
+        assert len(empty) == 0
+        alone = build_entity_matrix(ad.constant(g.node_features[[0]]), [empty], enc,
+                                    edge_dim=2).data
+        # one neighbor slot: N is at least 1
+        assert alone.shape == (2, 3 + 2 + 4)
+        np.testing.assert_array_equal(alone[0], np.concatenate(
+            [g.node_features[0], [0.0, 0.0], enc.encode_values([0.0])[0]]))
+        np.testing.assert_array_equal(alone[1], alone[0])
+        large = temporal_neighborhood(g, 2, 8.0, 5)  # 3 neighbors
+        hidden = ad.constant(g.node_features[[0, 2] + large.peers.tolist()])
+        z = build_entity_matrix(hidden, [empty, large], enc, edge_dim=2).data
+        assert z.shape == (2 * 4, 3 + 2 + 4)
+        for pad in z[1:4]:
+            np.testing.assert_array_equal(pad, alone[0])
 
 
 class TestAttendHead:
@@ -162,15 +180,19 @@ class TestAttendHead:
     def test_masked_blocks_match_blocks_alone(self):
         rng = np.random.default_rng(5)
         w_q, w_k, w_v = self._params(rng, 4, 3)
-        sizes = [3, 1, 2]
+        sizes = [3, 1, 0, 2]  # the size-0 block is an empty neighborhood
         blocks = [rng.standard_normal((n + 1, 4)) for n in sizes]
         padded = [np.vstack([b] + [b[:1]] * (3 - n)) for b, n in zip(blocks, sizes)]
         mask = np.arange(3) < np.array(sizes)[:, None]
         for mode in ("learned", "constant"):
             h, alpha = attend_head(ad.constant(np.vstack(padded)), w_q, w_k, w_v, mode, mask)
-            assert h.data.shape == (3, 3) and alpha.data.shape == (3, 3)
+            assert h.data.shape == (4, 3) and alpha.data.shape == (4, 3)
+            assert np.isfinite(h.data).all() and np.isfinite(alpha.data).all()
             np.testing.assert_array_equal(alpha.data[~mask], 0.0)
+            np.testing.assert_array_equal(h.data[2], 0.0)
             for i, block in enumerate(blocks):
+                if sizes[i] == 0:
+                    continue
                 h1, alpha1 = attend_head(ad.constant(block), w_q, w_k, w_v, mode)
                 np.testing.assert_allclose(h.data[i], h1.data[0], rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(alpha.data[i, : sizes[i]], alpha1.data[0],

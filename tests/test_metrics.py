@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tgat.errors import EvaluationError
-from tgat.metrics import accuracy, average_precision, roc_auc, spearman
+from tgat.metrics import _midranks, accuracy, average_precision, roc_auc, spearman
 
 
 def ap_oracle(labels, scores):
@@ -165,3 +165,16 @@ class TestSpearman:
         rx, ry = midrank(x), midrank(y)
         expected = np.corrcoef(rx, ry)[0, 1]
         np.testing.assert_allclose(spearman(x, y), expected, atol=1e-12)
+
+    def test_midranks_exact_on_every_small_pattern(self):
+        # oracle: count of smaller scores plus the mean position within the tie group
+        def oracle(v):
+            below = (v[:, None] > v[None, :]).sum(axis=1)
+            tied = (v[:, None] == v[None, :]).sum(axis=1)
+            return below + (tied + 1) / 2
+        for n in range(1, 7):
+            for pattern in itertools.product(range(3), repeat=n):
+                v = np.array(pattern, dtype=np.float64)
+                np.testing.assert_array_equal(_midranks(v), oracle(v))
+        v = np.random.default_rng(4).integers(0, 300, size=2_000).astype(np.float64)
+        np.testing.assert_array_equal(_midranks(v), oracle(v))

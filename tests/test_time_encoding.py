@@ -52,10 +52,11 @@ class TestEncode:
     def test_encode_gradient_wrt_frequencies(self):
         rng = np.random.default_rng(9)
         enc = TimeEncoder(rng.uniform(0.1, 1.5, size=4))
-        dt = 1.37
-        mix = ad.constant(rng.standard_normal((1, 8)))
+        # several rows, so the gradient's sum over timespans is checked too
+        deltas = [0.0, 0.4, 1.37, 6.0, 25.0]
+        mix = ad.constant(rng.standard_normal((len(deltas), 8)))
         report = ad.grad_check(
-            lambda: ad.sum_all(ad.mul(enc.encode_many([dt]), mix)),
+            lambda: ad.sum_all(ad.mul(enc.encode_many(deltas), mix)),
             enc.parameters(), tolerance=1e-5, rng_seed=0)
         # relative error < 1e-5 at random (w, dt)
         assert report.passed, report
@@ -105,8 +106,6 @@ class TestConvergenceCheck:
         assert reports[1].sup_error < reports[0].sup_error
         for r in reports:
             assert r.sup_error >= r.mean_error >= 0.0
-            assert r.oracle_second_moment == 1.0
-            assert r.grid.shape == (1600, 2)
 
     def test_k_one_bounded_by_two(self):
         reports = kernel_convergence_check(k_values=[1], t_max=5.0,
@@ -121,10 +120,6 @@ class TestConvergenceCheck:
         for ra, rb in zip(a, b):
             assert ra.sup_error == rb.sup_error
             np.testing.assert_array_equal(ra.trial_sup_errors, rb.trial_sup_errors)
-
-    def test_rejects_unknown_distribution(self):
-        with pytest.raises(ValidationError):
-            kernel_convergence_check(distribution="cauchy", k_values=[4])
 
     def test_rejects_descending_k(self):
         with pytest.raises(ValidationError):

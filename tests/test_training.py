@@ -369,7 +369,9 @@ class TestAttentionReport:
         model = TgatModel.create(dims, layer_count=1, head_count=2,
                                  attention_mode="constant", rng_seed=0)
         collector = AttentionCollector()
-        embed_tensor(model, 2, 8.5, g, SAMPLING, 0, collector)
+        # node 0 has no event before 0.5: an empty neighborhood leaves no record
+        embed_tensor(model, [2, 0], [8.5, 0.5], g, SAMPLING, 0, collector)
+        assert [q_time for _, q_time, _, _, _ in collector.records] == [8.5]
         for _, _, peers, _, weights in collector.records:
             np.testing.assert_allclose(weights, 1.0 / len(peers), atol=1e-12)
 
