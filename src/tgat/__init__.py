@@ -23,6 +23,7 @@ from .layer import (
 from .metrics import accuracy, average_precision, roc_auc, spearman
 from .temporal_graph import (
     AccessMonitor,
+    NeighborhoodBatch,
     NeighborhoodSample,
     SplitSpec,
     TemporalEvent,
@@ -33,6 +34,7 @@ from .temporal_graph import (
     load_graph,
     load_graph_csv,
     mask_unseen,
+    sample_neighborhoods,
     save_graph,
     temporal_neighborhood,
 )

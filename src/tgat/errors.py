@@ -46,7 +46,8 @@ class TrainingError(TgatError):
 
 
 class EvaluationError(TgatError):
-    """An evaluation set is empty or single-class after filtering."""
+    """An evaluation set is empty or single-class after filtering, or its
+    scores contain NaN."""
 
 
 class ConfigError(TgatError):

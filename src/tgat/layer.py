@@ -9,24 +9,26 @@ concatenated head outputs with the target's raw features through a two-layer
 ReLU FFN. Stacking L layers extends aggregation to L hops; neighbor hidden
 states at layer l-1 are evaluated at their own interaction times, which keeps
 every read strictly in the consumer's past. The forward pass runs one hop at
-a time over arrays of (node, time) queries: all targets of a hop form one
-padded, masked block of entity-temporal matrices. A target with no earlier
-interaction is a block with every neighbor row masked, so its neighborhood
-representation is zero and the FFN sees only its raw features.
+a time over arrays of (node, time) queries: one sampler call returns the
+padded neighborhoods of all targets of a hop, which form one padded, masked
+block of entity-temporal matrices. A target with no earlier interaction is a
+block with every neighbor row masked, so its neighborhood representation is
+zero and the FFN sees only its raw features.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, InferenceError, ValidationError
-from .temporal_graph import NeighborhoodSample, TemporalGraph, temporal_neighborhood
+from .temporal_graph import NeighborhoodBatch, TemporalGraph, sample_neighborhoods
+# not called here: perfbench/spans.py times the sampler by wrapping this name
+from .temporal_graph import temporal_neighborhood  # noqa: F401
 from .time_encoding import PositionalEncoder, TimeEncoder
 
 ATTENTION_MODES = ("learned", "constant", "positional")
@@ -198,13 +200,16 @@ class AttentionCollector:
         # (layer_index, query_time, peers, timespans, weights averaged over heads)
         self.records: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def add(self, layer_index: int, samples: Sequence[NeighborhoodSample],
+    def add(self, layer_index: int, batch: NeighborhoodBatch,
             head_weights: list[np.ndarray]) -> None:
-        """One record per non-empty sample; row i of each head's (B, N) weights
-        is sample i's."""
+        """One record per non-empty row of ``batch``; row i of each head's
+        (B, N) weights is that row's."""
         mean_w = np.mean(np.stack(head_weights), axis=0)
-        self.records.extend((layer_index, s.query_time, s.peers, s.query_time - s.times,
-                             mean_w[i, :len(s)]) for i, s in enumerate(samples) if len(s))
+        spans = batch.query_times[:, None] - batch.times
+        self.records.extend(
+            (layer_index, t, batch.peers[i, :n], spans[i, :n], mean_w[i, :n])
+            for i, (t, n) in enumerate(zip(batch.query_times.tolist(), batch.sizes.tolist()))
+            if n)
 
 
 # ---------------------------------------------------------------------------
@@ -214,47 +219,43 @@ class AttentionCollector:
 
 def build_entity_matrix(
     hidden: Tensor,
-    samples: Sequence[NeighborhoodSample],
+    batch: NeighborhoodBatch,
     enc: TimeEncoder,
     edge_dim: int = 0,
     positional: PositionalEncoder | None = None,
 ) -> Tensor:
-    """Entity-temporal matrices of B targets, stacked as B blocks of N + 1 rows,
-    N the largest sample size and at least 1.
+    """Entity-temporal matrices of the B targets of ``batch``, stacked as B
+    blocks of N + 1 rows.
 
-    ``hidden`` holds the B target states followed by the neighbor states of
-    every sample in order. Row 0 of a block is the target (zero edge block,
-    zero-timespan time block); row i >= 1 is the block's i-th sampled
-    interaction, concatenated as (hidden, edge, time). Rows past the end of a
-    sample copy row 0 and are left to the attention mask, so every row of an
-    empty sample's block is a copy of row 0. In positional mode
-    the time block is a rank lookup instead (rank 0 = oldest neighbor, target
-    = rank n).
+    ``hidden`` holds the B target states followed by the states of every
+    sampled interaction, row by row of the batch. Row 0 of a block is the
+    target (zero edge block, zero-timespan time block); row i >= 1 is the
+    block's i-th sampled interaction, concatenated as (hidden, edge, time).
+    Rows past the end of a sample copy row 0 and are left to the attention
+    mask, so every row of an empty sample's block is a copy of row 0. In
+    positional mode the time block is a rank lookup instead (rank 0 = oldest
+    neighbor, target = rank n).
     """
-    b = len(samples)
-    sizes = np.array([len(s) for s in samples], dtype=np.int64)
+    b, n = batch.mask.shape
+    sizes = batch.sizes
     if b == 0 or hidden.data.shape[0] != b + sizes.sum():
         raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
                             f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
-    n = max(int(sizes.max()), 1)
-    # z row of every sampled interaction, in sample order
-    col = np.arange(n + 1)
-    nbr_rows = np.flatnonzero((col > 0) & (col <= sizes[:, None]))
-    source_row = np.repeat(np.arange(b), n + 1)
-    source_row[nbr_rows] = b + np.arange(nbr_rows.size)
-    parts = [ad.gather_rows(hidden, source_row)]
+    source_row = np.repeat(np.arange(b)[:, None], n + 1, axis=1)
+    source_row[:, 1:][batch.mask] = b + np.arange(hidden.data.shape[0] - b)
+    parts = [ad.gather_rows(hidden, source_row.ravel())]
     if edge_dim > 0:
-        edges = np.zeros((b * (n + 1), edge_dim))
-        edges[nbr_rows] = np.concatenate([s.edge_features for s in samples])
-        parts.append(ad.constant(edges))
+        edges = np.zeros((b, n + 1, edge_dim))
+        edges[:, 1:] = batch.edge_features
+        parts.append(ad.constant(edges.reshape(b * (n + 1), edge_dim)))
     if positional is not None:
-        ranks = np.repeat(sizes, n + 1)
-        ranks[nbr_rows] = np.concatenate([np.arange(len(s)) for s in samples])
-        parts.append(positional.lookup(ranks))
+        ranks = np.repeat(sizes[:, None], n + 1, axis=1)
+        ranks[:, 1:] = np.where(batch.mask, np.arange(n), sizes[:, None])
+        parts.append(positional.lookup(ranks.ravel()))
     else:
-        deltas = np.zeros(b * (n + 1))
-        deltas[nbr_rows] = np.concatenate([s.query_time - s.times for s in samples])
-        parts.append(enc.encode_many(deltas))
+        deltas = np.zeros((b, n + 1))
+        deltas[:, 1:] = batch.query_times[:, None] - batch.times
+        parts.append(enc.encode_many(deltas.ravel()))
     return ad.concat_cols(parts)
 
 
@@ -297,12 +298,13 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
                    collector: AttentionCollector | None) -> Tensor:
     """(B, d) states of ``nodes`` at ``times`` after ``level`` layers.
 
-    One hop at a time: every target's neighborhood is sampled, then one
-    recursive call evaluates all targets and all of their sampled (peer, time)
-    rows at the level below, each neighbor at its own interaction time, and the
-    hop attends every target at once. A target with no prior interaction
-    attends an all-masked block: its neighborhood representation is zero and
-    its FFN still runs, which keeps inductive inference total.
+    One hop at a time: one sampler call draws every target's neighborhood,
+    then one recursive call evaluates all targets and all of their sampled
+    (peer, time) rows at the level below, each neighbor at its own
+    interaction time, and the hop attends every target at once. A target with
+    no prior interaction attends an all-masked block: its neighborhood
+    representation is zero and its FFN still runs, which keeps inductive
+    inference total.
     """
     x0 = ad.constant(graph.node_features[nodes])
     if level == 0:
@@ -314,21 +316,18 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
     if positional is not None:
         # target row occupies rank N, so the sample must fit under the table
         max_size = min(max_size, positional.max_positions - 1)
-    samples = [temporal_neighborhood(graph, v, t, max_size, sampling.strategy, rng)
-               for v, t in zip(nodes.tolist(), times.tolist())]
-    sizes = np.array([len(s) for s in samples], dtype=np.int64)
+    batch = sample_neighborhoods(graph, nodes, times, max_size, sampling.strategy, rng)
     hidden = _hidden_states(
         model, level - 1,
-        np.concatenate([nodes] + [s.peers for s in samples]),
-        np.concatenate([times] + [s.times for s in samples]),
+        np.concatenate([nodes, batch.peers[batch.mask]]),
+        np.concatenate([times, batch.times[batch.mask]]),
         graph, sampling, rng, collector)
-    z = build_entity_matrix(hidden, samples, model.time_encoder, model.dims.d_e, positional)
-    mask = np.arange(max(sizes.max(), 1)) < sizes[:, None]
+    z = build_entity_matrix(hidden, batch, model.time_encoder, model.dims.d_e, positional)
     mode = "constant" if model.attention_mode == "constant" else "learned"
-    heads = [attend_head(z, layer.w_q[i], layer.w_k[i], layer.w_v[i], mode, mask)
+    heads = [attend_head(z, layer.w_q[i], layer.w_k[i], layer.w_v[i], mode, batch.mask)
              for i in range(layer.head_count)]
     if collector is not None:
-        collector.add(level, samples, [alpha.data for _, alpha in heads])
+        collector.add(level, batch, [alpha.data for _, alpha in heads])
 
     ffn_in = ad.concat_cols([h for h, _ in heads] + [x0])
     pre = ad.relu(ad.add(ad.matmul(ffn_in, layer.w0), layer.b0))

@@ -21,6 +21,8 @@ def _check_inputs(labels, scores) -> tuple[np.ndarray, np.ndarray]:
             f"labels and scores must be matching 1-D arrays, got {labels.shape} and {scores.shape}")
     if labels.size == 0:
         raise EvaluationError("cannot score an empty set")
+    if np.isnan(scores).any():
+        raise EvaluationError("scores contain NaN")
     return labels.astype(np.int64), scores
 
 
@@ -63,6 +65,8 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise EvaluationError(f"need two matching 1-D samples, got {x.shape} and {y.shape}")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise EvaluationError("samples contain NaN")
     rx = _midranks(x)
     ry = _midranks(y)
     rx = rx - rx.mean()

@@ -53,6 +53,26 @@ class NeighborhoodSample:
         return self.peers.size
 
 
+@dataclass(frozen=True, eq=False)
+class NeighborhoodBatch:
+    """Padded neighborhoods of B queries, one row per query.
+
+    Row b holds ``sizes[b]`` interactions of its node strictly before
+    ``query_times[b]``, oldest first, in the columns where ``mask`` is True;
+    the (B, N) arrays have N = max(largest size, 1). Padding entries hold
+    peer and event index -1, the query time (a zero timespan) and zero edge
+    features.
+    """
+
+    peers: np.ndarray
+    times: np.ndarray
+    event_indices: np.ndarray
+    edge_features: np.ndarray  # (B, N, d_e)
+    sizes: np.ndarray
+    mask: np.ndarray
+    query_times: np.ndarray
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Chronological cut points plus the nodes withheld for inductive evaluation."""
@@ -77,7 +97,8 @@ class TemporalGraph:
     (float64), ``edge_features`` (n_events x d_e) and ``labels`` (int64, -1
     where absent). Beside them sits one CSR adjacency: the interactions of
     node v, oldest first, are rows ``indptr[v]:indptr[v + 1]`` of ``peers``,
-    ``times`` and ``event_idx``. Every non-loop event is listed under both
+    ``times`` and ``event_idx``, and ``row_key`` (owner * n_events + event
+    index) increases along all rows. Every non-loop event is listed under both
     endpoints; self-loops never enter temporal neighborhoods.
     """
 
@@ -128,9 +149,10 @@ class TemporalGraph:
         self.peers = np.concatenate([self.destinations[kept], self.sources[kept]])[rows]
         self.event_idx = event_idx[rows]
         self.times = self.timestamps[self.event_idx]
+        self.row_key = owners[rows] * n + self.event_idx
         for column in (self.sources, self.destinations, self.timestamps, self.edge_features,
                        self.labels, self.node_features, self.indptr, self.peers,
-                       self.event_idx, self.times):
+                       self.event_idx, self.times, self.row_key):
             column.setflags(write=False)
 
     @property
@@ -148,9 +170,6 @@ class TemporalGraph:
     @property
     def events(self) -> "_EventView":
         return _EventView(self)
-
-    def has_node(self, node: int) -> bool:
-        return 0 <= node < self.num_nodes
 
 
 class _EventView(Sequence):
@@ -218,6 +237,91 @@ _MONITORS: list[AccessMonitor] = []
 # ---------------------------------------------------------------------------
 
 
+def sample_neighborhoods(
+    g: TemporalGraph,
+    nodes,
+    times,
+    max_size: int,
+    strategy: str = "most-recent",
+    rng_seed=0,
+    jitter: float = INVERSE_TIMESPAN_JITTER,
+) -> NeighborhoodBatch:
+    """Up to ``max_size`` interactions of each ``nodes[b]`` strictly before ``times[b]``.
+
+    ``uniform`` subsamples without replacement, ``inverse-timespan`` weights
+    candidates by 1/(t - t_i + jitter), and ``most-recent`` keeps the latest
+    interactions deterministically. Rows come back sorted by timestamp
+    (ties by event order); recurring interactions with the same peer stay
+    distinct. A node with no prior interactions yields an empty row.
+
+    Every query is answered by array operations over the whole batch. Both
+    random strategies draw one exponential key per candidate of the queries
+    that have more than ``max_size`` candidates, divide it by the weight and
+    keep each query's ``max_size`` smallest keys (Efraimidis & Spirakis,
+    2006): the same distribution as successive draws without replacement.
+    A batch that needs no draw consumes no random numbers.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    if nodes.ndim != 1 or nodes.shape != times.shape:
+        raise ValidationError(
+            f"nodes and times must align, got shapes {nodes.shape} and {times.shape}")
+    bad = np.flatnonzero((nodes < 0) | (nodes >= g.num_nodes))
+    if bad.size:
+        raise ValidationError(f"node {nodes[bad[0]]} not in graph with {g.num_nodes} nodes")
+    if max_size < 1:
+        raise ValidationError(f"max_size must be >= 1, got {max_size}")
+    bad = np.flatnonzero(~((times >= 0) & (times < np.inf)))
+    if bad.size:
+        raise ValidationError(
+            f"query time must be finite and non-negative, got {times[bad[0]]}")
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown sampling strategy {strategy!r}")
+
+    # rows of v before t are those whose event index precedes the first event at t
+    lo = g.indptr[nodes]
+    first = np.searchsorted(g.timestamps, times, side="left")
+    cut = np.searchsorted(g.row_key, nodes * g.num_events + first) - lo
+    sizes = np.minimum(cut, max_size)
+    n = max(int(sizes.max(initial=0)), 1)
+    col = np.arange(n)
+    rows = (lo + cut - sizes)[:, None] + col
+    drawn = np.flatnonzero((cut > max_size) & (strategy != "most-recent"))
+    if drawn.size:
+        counts = cut[drawn]
+        starts = np.cumsum(counts) - counts
+        seg = np.repeat(np.arange(drawn.size), counts)
+        cand = lo[drawn][seg] + np.arange(seg.size) - starts[seg]
+        keys = np.random.default_rng(rng_seed).standard_exponential(seg.size)
+        if strategy == "inverse-timespan":
+            keys *= times[drawn][seg] - g.times[cand] + jitter
+        order = np.lexsort((keys, seg))
+        kept = np.sort(order[np.arange(seg.size) - starts[seg] < max_size])
+        rows[drawn, :max_size] = cand[kept].reshape(drawn.size, max_size)
+
+    mask = col < sizes[:, None]
+    real = rows[mask]
+    events = g.event_idx[real]
+    event_indices = np.full(mask.shape, -1, dtype=np.int64)
+    event_indices[mask] = events
+    peers = np.full(mask.shape, -1, dtype=np.int64)
+    peers[mask] = g.peers[real]
+    sampled_times = np.repeat(times[:, None], n, axis=1)
+    sampled_times[mask] = g.times[real]
+    edge_features = np.zeros(mask.shape + (g.edge_feature_dim,))
+    edge_features[mask] = g.edge_features[events]
+    if _MONITORS:
+        records = [AccessRecord(node=v, query_time=t, event_timestamp=ts, event_index=e)
+                   for v, t, ts, e in zip(np.repeat(nodes, sizes).tolist(),
+                                          np.repeat(times, sizes).tolist(),
+                                          g.times[real].tolist(), events.tolist())]
+        for monitor in _MONITORS:
+            monitor.records.extend(records)
+    return NeighborhoodBatch(peers=peers, times=sampled_times, event_indices=event_indices,
+                             edge_features=edge_features, sizes=sizes, mask=mask,
+                             query_times=times)
+
+
 def temporal_neighborhood(
     g: TemporalGraph,
     node: int,
@@ -227,50 +331,13 @@ def temporal_neighborhood(
     rng_seed=0,
     jitter: float = INVERSE_TIMESPAN_JITTER,
 ) -> NeighborhoodSample:
-    """Up to ``max_size`` interactions of ``node`` strictly before ``t``.
-
-    ``uniform`` subsamples without replacement, ``inverse-timespan`` weights
-    candidates by 1/(t - t_i + jitter), and ``most-recent`` keeps the latest
-    interactions deterministically. Rows come back sorted by timestamp
-    (ties by event order); recurring interactions with the same peer stay
-    distinct. A node with no prior interactions yields an empty sample.
-    """
-    if not g.has_node(node):
-        raise ValidationError(f"node {node} not in graph with {g.num_nodes} nodes")
-    if max_size < 1:
-        raise ValidationError(f"max_size must be >= 1, got {max_size}")
-    if not 0 <= t < np.inf:
-        raise ValidationError(f"query time must be finite and non-negative, got {t}")
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown sampling strategy {strategy!r}")
-
-    lo = g.indptr[node]
-    times = g.times[lo:g.indptr[node + 1]]
-    cut = int(np.searchsorted(times, t, side="left"))
-    if cut <= max_size:
-        chosen = np.arange(cut)
-    elif strategy == "most-recent":
-        chosen = np.arange(cut - max_size, cut)
-    elif strategy == "uniform":
-        rng = np.random.default_rng(rng_seed)
-        chosen = np.sort(rng.choice(cut, size=max_size, replace=False))
-    else:  # inverse-timespan
-        rng = np.random.default_rng(rng_seed)
-        weights = 1.0 / (t - times[:cut] + jitter)
-        chosen = np.sort(rng.choice(cut, size=max_size, replace=False, p=weights / weights.sum()))
-
-    rows = lo + chosen
-    event_indices = g.event_idx[rows]
-    sample = NeighborhoodSample(peers=g.peers[rows], times=g.times[rows],
-                                event_indices=event_indices,
-                                edge_features=g.edge_features[event_indices],
-                                query_time=float(t))
-    if _MONITORS:
-        records = [AccessRecord(node=node, query_time=float(t), event_timestamp=ts, event_index=e)
-                   for ts, e in zip(sample.times.tolist(), event_indices.tolist())]
-        for monitor in _MONITORS:
-            monitor.records.extend(records)
-    return sample
+    """The neighborhood of one (node, t) query: row 0 of ``sample_neighborhoods``."""
+    batch = sample_neighborhoods(g, [node], [t], max_size, strategy, rng_seed, jitter)
+    size = int(batch.sizes[0])
+    return NeighborhoodSample(peers=batch.peers[0, :size], times=batch.times[0, :size],
+                              event_indices=batch.event_indices[0, :size],
+                              edge_features=batch.edge_features[0, :size],
+                              query_time=float(t))
 
 
 def chronological_split(g: TemporalGraph, train_frac: float, val_frac: float) -> SplitSpec:
@@ -421,6 +488,8 @@ def ingest(
                        edge_features=np.array(feats).reshape(len(feats), feature_dim),
                        labels=labels,
                        node_features=np.zeros((len(node_ids), node_feature_dim)))
+
+
 def load_graph_csv(
     path,
     feature_dim: int | None = None,

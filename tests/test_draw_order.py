@@ -1,11 +1,12 @@
 """Golden order of neighbourhood draws.
 
 ``golden_draw_order.json`` holds the ``AccessMonitor`` record sequence
-(node, query time, event index) of one L=2 uniform ``link_loss`` batch and
-one L=2 inverse-timespan ``embed_tensor`` call on
-``recency_planted_graph(200, 4000, seed=0)``. Both strategies draw from one
-RNG stream hop by hop, so the sequence pins which neighbours every query
-picks and the order of the draws. The batch and the queries include
+(node, query time, event index) of one L=2 uniform ``link_loss`` batch, the
+same batch with the most-recent sampler, and one L=2 inverse-timespan
+``embed_tensor`` call on ``recency_planted_graph(200, 4000, seed=0)``. Both
+random strategies draw from one RNG stream hop by hop, so the sequence pins
+which neighbours every query picks and the order of the draws; the
+most-recent case draws nothing and pins the deterministic cut. The batch and the queries include
 targets with no earlier event, whose empty samples draw nothing. Regenerate
 the file with ``PYTHONPATH=src python tests/test_draw_order.py`` (only when a
 change of draw order is intended and recorded in CHANGES.md).
@@ -48,10 +49,14 @@ def record() -> dict:
     with ad.Tape(), AccessMonitor() as loss_mon:
         link_loss(model, graph, LOSS_EVENTS, SamplingConfig(4, "uniform"),
                   negatives_per_positive=2, rng_seed=3)
+    with ad.Tape(), AccessMonitor() as recent_mon:
+        link_loss(model, graph, LOSS_EVENTS, SamplingConfig(4, "most-recent"),
+                  negatives_per_positive=2, rng_seed=3)
     with AccessMonitor() as embed_mon:
         embed_tensor(model, EMBED_NODES, EMBED_TIMES, graph,
                      SamplingConfig(4, "inverse-timespan"), rng_seed=5)
     return {"link_loss_uniform": _records(loss_mon),
+            "link_loss_most_recent": _records(recent_mon),
             "embed_inverse_timespan": _records(embed_mon)}
 
 
@@ -60,7 +65,8 @@ def draws():
     return record()
 
 
-@pytest.mark.parametrize("case", ["link_loss_uniform", "embed_inverse_timespan"])
+@pytest.mark.parametrize("case", ["link_loss_uniform", "link_loss_most_recent",
+                                  "embed_inverse_timespan"])
 def test_draw_order_matches_golden(draws, case):
     expected = json.loads(GOLDEN_PATH.read_text())[case]
     got = draws[case]

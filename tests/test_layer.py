@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tgat import autodiff as ad
+from tgat import layer as layer_module
 from tgat.errors import (
     CheckpointError,
     ContractError,
@@ -27,7 +28,7 @@ from tgat.layer import (
     save_checkpoint,
 )
 from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
-from tgat.temporal_graph import AccessMonitor, build_graph, temporal_neighborhood
+from tgat.temporal_graph import AccessMonitor, build_graph, sample_neighborhoods
 from tgat.time_encoding import PositionalEncoder, TimeEncoder
 
 MOST_RECENT = SamplingConfig(max_neighbors=16, strategy="most-recent")
@@ -40,24 +41,27 @@ def simple_graph():
                        node_features=feats)
 
 
-def raw_hidden(g, target, sample):
-    """Level-0 states of a target followed by its sampled neighbors."""
-    return ad.constant(g.node_features[[target] + sample.peers.tolist()])
+def raw_hidden(g, batch, nodes):
+    """Level-0 states of a batch's targets followed by its sampled neighbors."""
+    return ad.constant(g.node_features[np.concatenate([nodes, batch.peers[batch.mask]])])
+
+
+def entity_matrix(g, nodes, times, enc, **kwargs):
+    batch = sample_neighborhoods(g, nodes, times, 5)
+    return batch, build_entity_matrix(raw_hidden(g, batch, nodes), batch, enc, **kwargs)
 
 
 class TestBuildEntityMatrix:
     def test_shape_without_edge_features(self):
         g = simple_graph()
         enc = TimeEncoder.create(6)
-        sample = temporal_neighborhood(g, 0, 2.0, 5)  # one event before t=2
-        z = build_entity_matrix(raw_hidden(g, 0, sample), [sample], enc)
+        _, z = entity_matrix(g, [0], [2.0], enc)  # one event before t=2
         assert z.data.shape == (2, 2 + 6)
 
     def test_target_time_block_is_phi_zero(self):
         g = simple_graph()
         enc = TimeEncoder.create(4)
-        sample = temporal_neighborhood(g, 0, 2.0, 5)
-        z = build_entity_matrix(raw_hidden(g, 0, sample), [sample], enc)
+        _, z = entity_matrix(g, [0], [2.0], enc)
         np.testing.assert_array_equal(z.data[0, 2:], enc.encode_values([0.0])[0])
 
     def test_neighbor_time_blocks_cross_checked(self):
@@ -65,46 +69,37 @@ class TestBuildEntityMatrix:
         g = build_graph([0, 0, 0], [1, 2, 3], [1.0, 2.0, 4.0],
                         node_features=np.eye(4))
         enc = TimeEncoder.create(8, t_max=5.0)
-        sample = temporal_neighborhood(g, 0, 5.0, 10)
-        z = build_entity_matrix(raw_hidden(g, 0, sample), [sample], enc)
+        _, z = entity_matrix(g, [0], [5.0], enc)
         for row, offset in zip(range(1, 4), [4.0, 3.0, 1.0]):
             np.testing.assert_array_equal(z.data[row, 4:], enc.encode_values([offset])[0])
 
     def test_edge_block_zero_padded_on_target(self):
         g = tiny_fixture_graph()  # d_e = 2
         enc = TimeEncoder.create(4)
-        sample = temporal_neighborhood(g, 0, 5.0, 5)
-        z = build_entity_matrix(raw_hidden(g, 0, sample), [sample], enc, edge_dim=2)
+        _, z = entity_matrix(g, [0], [5.0], enc, edge_dim=2)
         np.testing.assert_array_equal(z.data[0, 3:5], [0.0, 0.0])
         np.testing.assert_array_equal(z.data[1, 3:5], g.events[0].edge_features)
 
     def test_blocks_padded_to_the_largest_sample(self):
         g = tiny_fixture_graph()
         enc = TimeEncoder.create(4)
-        small = temporal_neighborhood(g, 0, 2.0, 5)  # 1 neighbor
-        large = temporal_neighborhood(g, 2, 8.0, 5)  # 3 neighbors
-        hidden = ad.constant(g.node_features[[0, 2] + small.peers.tolist()
-                                             + large.peers.tolist()])
-        z = build_entity_matrix(hidden, [small, large], enc, edge_dim=2)
+        # node 0 has 1 neighbor before t=2, node 2 has 3 before t=8
+        batch, z = entity_matrix(g, [0, 2], [2.0, 8.0], enc, edge_dim=2)
+        assert batch.sizes.tolist() == [1, 3]
         assert z.data.shape == (2 * 4, 3 + 2 + 4)
-        for block, (target, sample) in enumerate([(0, small), (2, large)]):
+        for block, (target, t) in enumerate([(0, 2.0), (2, 8.0)]):
             rows = z.data[4 * block : 4 * block + 4]
-            alone = build_entity_matrix(raw_hidden(g, target, sample), [sample], enc,
-                                        edge_dim=2).data
-            np.testing.assert_array_equal(rows[: len(sample) + 1], alone)
+            size = batch.sizes[block]
+            _, alone = entity_matrix(g, [target], [t], enc, edge_dim=2)
+            np.testing.assert_array_equal(rows[: size + 1], alone.data)
             # rows past the sample copy the target row
-            for pad in rows[len(sample) + 1 :]:
+            for pad in rows[size + 1 :]:
                 np.testing.assert_array_equal(pad, rows[0])
 
     def test_positional_ranks_per_block(self):
         g = tiny_fixture_graph()
         pos = PositionalEncoder.fixed_sinusoidal(8, 4)
-        small = temporal_neighborhood(g, 0, 2.0, 5)
-        large = temporal_neighborhood(g, 2, 8.0, 5)
-        hidden = ad.constant(g.node_features[[0, 2] + small.peers.tolist()
-                                             + large.peers.tolist()])
-        z = build_entity_matrix(hidden, [small, large], TimeEncoder.create(4),
-                                positional=pos)
+        _, z = entity_matrix(g, [0, 2], [2.0, 8.0], TimeEncoder.create(4), positional=pos)
         # target rank n, neighbor ranks 0..n-1 oldest first
         np.testing.assert_array_equal(z.data[[0, 1], 3:], pos.table.data[[1, 0]])
         np.testing.assert_array_equal(z.data[4:, 3:], pos.table.data[[3, 0, 1, 2]])
@@ -112,27 +107,27 @@ class TestBuildEntityMatrix:
     def test_hidden_row_count_checked(self):
         g = simple_graph()
         enc = TimeEncoder.create(4)
-        sample = temporal_neighborhood(g, 0, 2.0, 5)
+        batch = sample_neighborhoods(g, [0], [2.0], 5)
         with pytest.raises(ContractError):
-            build_entity_matrix(ad.constant(np.zeros((3, 2))), [sample], enc)
+            build_entity_matrix(ad.constant(np.zeros((3, 2))), batch, enc)
         with pytest.raises(ContractError):
-            build_entity_matrix(ad.constant(np.zeros((0, 2))), [], enc)
+            build_entity_matrix(ad.constant(np.zeros((0, 2))),
+                                sample_neighborhoods(g, [], [], 5), enc)
 
     def test_empty_sample_block_copies_target_row(self):
         g = tiny_fixture_graph()
         enc = TimeEncoder.create(4)
-        empty = temporal_neighborhood(g, 0, 0.5, 5)
-        assert len(empty) == 0
-        alone = build_entity_matrix(ad.constant(g.node_features[[0]]), [empty], enc,
-                                    edge_dim=2).data
+        empty, alone = entity_matrix(g, [0], [0.5], enc, edge_dim=2)
+        assert empty.sizes.tolist() == [0]
+        alone = alone.data
         # one neighbor slot: N is at least 1
         assert alone.shape == (2, 3 + 2 + 4)
         np.testing.assert_array_equal(alone[0], np.concatenate(
             [g.node_features[0], [0.0, 0.0], enc.encode_values([0.0])[0]]))
         np.testing.assert_array_equal(alone[1], alone[0])
-        large = temporal_neighborhood(g, 2, 8.0, 5)  # 3 neighbors
-        hidden = ad.constant(g.node_features[[0, 2] + large.peers.tolist()])
-        z = build_entity_matrix(hidden, [empty, large], enc, edge_dim=2).data
+        batch, z = entity_matrix(g, [0, 2], [0.5, 8.0], enc, edge_dim=2)
+        assert batch.sizes.tolist() == [0, 3]
+        z = z.data
         assert z.shape == (2 * 4, 3 + 2 + 4)
         for pad in z[1:4]:
             np.testing.assert_array_equal(pad, alone[0])
@@ -319,6 +314,21 @@ class TestEmbedProperties:
             assert batched.shape == (len(nodes), dims.d)
             alone = np.stack([embed(model, v, t, g, MOST_RECENT) for v, t in zip(nodes, times)])
             np.testing.assert_allclose(batched, alone, rtol=1e-12, atol=1e-12)
+
+    def test_one_sampler_call_per_hop(self, monkeypatch):
+        g = recency_planted_graph(200, 4000, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=1, t_max=g.t_max)
+        batch_sizes = []
+
+        def counting(graph, nodes, *args):
+            batch_sizes.append(len(nodes))
+            return sample_neighborhoods(graph, nodes, *args)
+
+        monkeypatch.setattr(layer_module, "sample_neighborhoods", counting)
+        embed_tensor(model, [3, 7, 42], [2.3, 3.6, 8.8], g, SamplingConfig(4, "uniform"))
+        # the top hop samples the 3 targets, the hop below the targets plus their samples
+        assert len(batch_sizes) == 2 and batch_sizes[0] == 3 and batch_sizes[1] > 3
 
     def test_scalar_and_sequence_shapes(self):
         g = simple_graph()

@@ -75,6 +75,23 @@ class TestHandCases:
         with pytest.raises(EvaluationError):
             average_precision([], [])
 
+    # a sort places NaN above every finite score, so an unchecked NaN would
+    # score as a perfect positive: this example used to give an AUC of 1.0
+    NAN_LABELS, NAN_SCORES = [1, 0, 1, 0], [np.nan, 0.5, np.nan, 0.2]
+
+    def test_auc_rejects_nan(self):
+        with pytest.raises(EvaluationError, match="NaN"):
+            roc_auc(self.NAN_LABELS, self.NAN_SCORES)
+
+    def test_ap_rejects_nan(self):
+        with pytest.raises(EvaluationError, match="NaN"):
+            average_precision(self.NAN_LABELS, self.NAN_SCORES)
+
+    def test_accuracy_rejects_nan(self):
+        # an unchecked NaN fails every threshold and counts as a negative
+        with pytest.raises(EvaluationError, match="NaN"):
+            accuracy(self.NAN_LABELS, self.NAN_SCORES)
+
 
 class TestExhaustiveSmallCases:
     """Implementations match the brute-force oracles on every configuration of
@@ -144,6 +161,13 @@ class TestSpearman:
 
     def test_constant_input_is_zero(self):
         assert spearman(np.ones(5), np.arange(5.0)) == 0.0
+
+    def test_rejects_nan_in_either_sample(self):
+        x = np.arange(4.0)
+        with_nan = np.array([0.0, np.nan, 2.0, 3.0])
+        for a, b in ((with_nan, x), (x, with_nan)):
+            with pytest.raises(EvaluationError, match="NaN"):
+                spearman(a, b)
 
     def test_midranks_against_rank_pearson(self):
         rng = np.random.default_rng(3)

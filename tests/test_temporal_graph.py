@@ -25,6 +25,7 @@ from tgat.temporal_graph import (
     load_graph,
     load_graph_csv,
     mask_unseen,
+    sample_neighborhoods,
     save_graph,
     temporal_neighborhood,
     training_event_indices,
@@ -37,9 +38,10 @@ def pairs(sample):
     return list(zip(sample.peers.tolist(), sample.times.tolist()))
 
 
-# Event indices sampled by the store before it became columnar, for
-# (node, t, rng seed) queries with max_size 8 on
-# recency_planted_graph(200, 4000, seed=0); rows follow GOLDEN_QUERIES.
+# Event indices sampled for (node, t, rng seed) queries with max_size 8 on
+# recency_planted_graph(200, 4000, seed=0); rows follow GOLDEN_QUERIES. The
+# most-recent rows were recorded before the store became columnar; the
+# uniform and inverse-timespan rows with the exponential-key sampler.
 GOLDEN_QUERIES = [
     (0, 1.0, 100), (3, 2.3, 101), (7, 3.6, 102), (11, 4.9, 103),
     (19, 6.2, 104), (23, 7.5, 105), (42, 8.8, 106), (57, 10.1, 107),
@@ -52,45 +54,45 @@ GOLDEN_SAMPLES = {
         [],
         [62, 134, 137, 178, 235],
         [290, 302, 315, 412],
-        [121, 281, 338, 385, 527, 529, 597, 658],
-        [108, 131, 328, 425, 543, 544, 644, 825],
-        [233, 240, 674, 738, 809, 813, 857, 889],
+        [121, 281, 320, 338, 385, 527, 529, 597],
+        [27, 108, 131, 328, 425, 517, 543, 544],
+        [251, 379, 809, 813, 857, 889, 981, 1015],
         [47, 76, 450, 493, 496, 739],
-        [256, 476, 478, 637, 656, 861, 949, 1009],
-        [53, 249, 745, 842, 1385, 1452, 1638, 1655],
-        [261, 360, 1056, 1555, 1616, 1672, 1855, 1860],
-        [201, 401, 424, 692, 697, 1195, 1585, 1740],
-        [216, 342, 629, 784, 1060, 1248, 1308, 1361],
-        [68, 314, 430, 1356, 1361, 1732, 2150, 2158],
-        [52, 276, 299, 1080, 1412, 1564, 1800, 2323],
-        [398, 465, 1226, 1454, 1834, 2134, 2619, 2684],
-        [714, 785, 1205, 1280, 1366, 2716, 2890, 2941],
-        [282, 650, 704, 1403, 2677, 2690, 3063, 3169],
-        [250, 472, 525, 657, 1170, 1739, 2136, 2349],
-        [477, 798, 808, 932, 1974, 2409, 2773, 3517],
-        [515, 1651, 2145, 2247, 2546, 2740, 3042, 3445],
+        [476, 478, 637, 684, 861, 949, 1009, 1130],
+        [249, 384, 745, 842, 1385, 1437, 1638, 1655],
+        [85, 143, 360, 1064, 1256, 1616, 1672, 1860],
+        [112, 172, 201, 401, 424, 692, 1372, 1420],
+        [216, 360, 606, 1233, 1392, 1529, 1953, 2174],
+        [68, 395, 430, 670, 859, 1361, 1749, 1893],
+        [52, 265, 276, 653, 693, 1318, 1564, 2110],
+        [398, 465, 715, 1551, 1586, 1696, 2133, 2477],
+        [155, 714, 785, 1169, 1280, 1366, 2263, 2716],
+        [321, 1071, 1687, 2257, 2536, 2575, 2587, 3242],
+        [472, 867, 1038, 1410, 1905, 2519, 2971, 3273],
+        [109, 386, 808, 903, 2199, 2251, 2470, 2773],
+        [317, 515, 1879, 1982, 2247, 2908, 3620, 3621],
     ],
     "inverse-timespan": [
         [],
         [62, 134, 137, 178, 235],
         [290, 302, 315, 412],
-        [281, 320, 338, 385, 527, 529, 597, 658],
-        [27, 328, 402, 543, 544, 644, 825, 854],
-        [379, 670, 674, 813, 857, 889, 981, 1019],
+        [121, 281, 320, 338, 527, 529, 597, 658],
+        [27, 108, 131, 425, 517, 543, 544, 854],
+        [379, 809, 813, 857, 889, 981, 1015, 1019],
         [47, 76, 450, 493, 496, 739],
-        [406, 459, 684, 861, 1009, 1016, 1097, 1130],
-        [249, 384, 842, 1385, 1437, 1452, 1638, 1655],
-        [1256, 1477, 1555, 1616, 1672, 1852, 1855, 1860],
-        [172, 201, 692, 913, 1195, 1401, 1585, 1783],
-        [606, 629, 784, 982, 1953, 2173, 2174, 2185],
-        [98, 430, 608, 1173, 1219, 1732, 2150, 2158],
-        [265, 299, 693, 1080, 1936, 2110, 2323, 2373],
-        [563, 829, 2133, 2134, 2338, 2477, 2619, 2684],
-        [154, 906, 909, 1205, 2031, 2428, 2890, 2941],
-        [1403, 1959, 2356, 2723, 2847, 2901, 3242, 3254],
-        [1087, 1739, 1936, 2029, 2349, 2935, 2971, 3273],
-        [352, 1974, 2145, 2199, 3410, 3483, 3517, 3529],
-        [140, 163, 1879, 3471, 3602, 3620, 3621, 3867],
+        [478, 637, 684, 861, 949, 1009, 1016, 1130],
+        [384, 745, 842, 1385, 1437, 1452, 1638, 1655],
+        [85, 1064, 1256, 1616, 1672, 1852, 1855, 1860],
+        [172, 201, 401, 424, 692, 1372, 1420, 1740],
+        [360, 606, 1233, 1308, 1392, 1529, 1953, 2174],
+        [68, 395, 430, 859, 1361, 1749, 1893, 2050],
+        [52, 653, 693, 1318, 1412, 1564, 2110, 2373],
+        [715, 1551, 1586, 1696, 1834, 2133, 2477, 2684],
+        [714, 1280, 1366, 2263, 2716, 2890, 2941, 2946],
+        [1687, 2257, 2536, 2575, 2587, 2723, 3242, 3254],
+        [472, 867, 1410, 1905, 2029, 2519, 2971, 3273],
+        [109, 386, 903, 2199, 2251, 2470, 2773, 3517],
+        [1879, 2247, 2908, 3445, 3528, 3620, 3621, 3867],
     ],
     "most-recent": [
         [],
@@ -218,7 +220,7 @@ class TestGraphInvariants:
 
     def test_columns_read_only(self):
         g = build_graph([0, 1], [1, 0], [2.0, 1.0])
-        for column in (g.sources, g.timestamps, g.labels, g.peers, g.indptr):
+        for column in (g.sources, g.timestamps, g.labels, g.peers, g.indptr, g.row_key):
             with pytest.raises(ValueError):
                 column[0] = 0
 
@@ -374,6 +376,163 @@ class TestTemporalNeighborhood:
             temporal_neighborhood(g, 0, 1.0, 0)
         with pytest.raises(ValidationError):
             temporal_neighborhood(g, 0, 1.0, 5, strategy="nope")
+
+
+def reference_neighborhood(g, node, t, max_size, strategy, rng_seed=0, jitter=1.0):
+    """Event indices of the per-query sampler the batch sampler replaced:
+    a binary search in the node's CSR slice, then numpy's successive draws."""
+    lo = g.indptr[node]
+    times = g.times[lo:g.indptr[node + 1]]
+    cut = int(np.searchsorted(times, t, side="left"))
+    if cut <= max_size:
+        chosen = np.arange(cut)
+    elif strategy == "most-recent":
+        chosen = np.arange(cut - max_size, cut)
+    elif strategy == "uniform":
+        rng = np.random.default_rng(rng_seed)
+        chosen = np.sort(rng.choice(cut, size=max_size, replace=False))
+    else:
+        rng = np.random.default_rng(rng_seed)
+        weights = 1.0 / (t - times[:cut] + jitter)
+        chosen = np.sort(rng.choice(cut, size=max_size, replace=False, p=weights / weights.sum()))
+    return g.event_idx[lo + chosen]
+
+
+def batch_rows(batch):
+    """Event indices of every row of a batch, oldest first."""
+    return [row[:n].tolist() for row, n in zip(batch.event_indices, batch.sizes)]
+
+
+class TestSampleNeighborhoods:
+    def random_graph(self, seed, tied=False):
+        rng = np.random.default_rng(seed)
+        n, n_nodes = 300, 15
+        ts = rng.uniform(0, 50, n)
+        if tied:
+            ts = np.round(ts / 5) * 5  # about ten events per timestamp
+        return build_graph(rng.integers(0, n_nodes, n), rng.integers(0, n_nodes, n), ts,
+                           edge_features=rng.standard_normal((n, 2)), num_nodes=n_nodes)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_most_recent_matches_reference(self, tied):
+        g = self.random_graph(11, tied)
+        rng = np.random.default_rng(12)
+        # random times, times equal to an event time, and times past the end
+        times = np.concatenate([rng.uniform(0, 60, 300), g.timestamps[::3], [0.0, 80.0]])
+        nodes = rng.integers(0, g.num_nodes, times.size)
+        for max_size in (1, 4, 50):
+            batch = sample_neighborhoods(g, nodes, times, max_size)
+            expected = [reference_neighborhood(g, v, t, max_size, "most-recent").tolist()
+                        for v, t in zip(nodes, times)]
+            assert batch_rows(batch) == expected
+            mask = batch.mask
+            events = batch.event_indices[mask]
+            owners = np.repeat(nodes, batch.sizes)
+            np.testing.assert_array_equal(batch.peers[mask], np.where(
+                g.sources[events] == owners, g.destinations[events], g.sources[events]))
+            np.testing.assert_array_equal(batch.times[mask], g.timestamps[batch.event_indices[mask]])
+            np.testing.assert_array_equal(batch.edge_features[mask],
+                                          g.edge_features[batch.event_indices[mask]])
+            # padding: no peer or event, a zero timespan and zero edge features
+            assert (batch.peers[~mask] == -1).all() and (batch.event_indices[~mask] == -1).all()
+            np.testing.assert_array_equal(batch.times, np.where(mask, batch.times, times[:, None]))
+            assert (batch.edge_features[~mask] == 0).all()
+
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan"])
+    def test_pair_frequencies_match_successive_sampling(self, strategy):
+        # five prior events at t = 1, 2, 4, 7, 9.5, query at 10, keep two:
+        # numpy's successive draws pick the pair {i, j} with probability
+        # p_i p_j / (1 - p_i) + p_j p_i / (1 - p_j)
+        event_times = np.array([1.0, 2.0, 4.0, 7.0, 9.5])
+        g = build_graph(np.zeros(5, dtype=int), np.arange(1, 6), event_times)
+        weights = (1.0 / (10.0 - event_times + 1.0) if strategy == "inverse-timespan"
+                   else np.ones(5))
+        p = weights / weights.sum()
+        n = 40_000
+        batch = sample_neighborhoods(g, np.zeros(n, dtype=int), np.full(n, 10.0), 2,
+                                     strategy, rng_seed=2024)
+        assert (batch.sizes == 2).all()
+        picked = batch.event_indices
+        assert (picked[:, 0] < picked[:, 1]).all()  # distinct and in time order
+        counts = np.bincount(picked[:, 0] * 5 + picked[:, 1], minlength=25).reshape(5, 5)
+        for i in range(5):
+            for j in range(i + 1, 5):
+                expected = p[i] * p[j] / (1 - p[i]) + p[j] * p[i] / (1 - p[j])
+                z = (counts[i, j] / n - expected) / np.sqrt(expected * (1 - expected) / n)
+                assert abs(z) < 4.5, (i, j, z)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan", "most-recent"])
+    def test_mixed_batch(self, strategy):
+        # node 0: 6 events at t = 1..6; node 1: 2 events; node 5: none
+        g = build_graph([0, 0, 0, 0, 0, 0, 1, 1], [2, 3, 4, 2, 3, 4, 4, 2],
+                        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 2.5, 3.5], num_nodes=6)
+        nodes = [5, 0, 1, 0, 0, 1, 0]
+        times = [9.0, 10.0, 9.0, 0.5, 3.0, 3.5, 6.0]
+        batch = sample_neighborhoods(g, nodes, times, 3, strategy, rng_seed=1)
+        # empty, drawing, non-drawing, empty, non-drawing (cut 2), cut 1 for a
+        # query at the node's own event time, drawing
+        assert batch.sizes.tolist() == [0, 3, 2, 0, 2, 1, 3]
+        assert batch.mask.shape == (7, 3)
+        np.testing.assert_array_equal(batch.mask, np.arange(3) < batch.sizes[:, None])
+        for b, (v, t) in enumerate(zip(nodes, times)):
+            row = batch.event_indices[b, : batch.sizes[b]]
+            assert (g.timestamps[row] < t).all()
+            assert len(set(row.tolist())) == row.size
+            assert ((g.sources[row] == v) | (g.destinations[row] == v)).all()
+            np.testing.assert_array_equal(np.sort(g.timestamps[row]), g.timestamps[row])
+        if strategy == "most-recent":
+            # node 0's events at t = 3, 4, 5 sit at indices 3, 5, 6 of the time order
+            assert batch_rows(batch)[6] == [3, 5, 6]
+
+    def test_batch_without_draws_consumes_no_random_numbers(self):
+        g = self.random_graph(3)
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        batch = sample_neighborhoods(g, np.arange(g.num_nodes), np.full(g.num_nodes, 0.5), 50,
+                                     "inverse-timespan", rng)
+        assert rng.bit_generator.state == before
+        assert batch.sizes.max() < 50
+
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan", "most-recent"])
+    def test_self_loops_only_graph(self, strategy):
+        # no event enters the CSR, so every row is padding
+        g = build_graph([0, 1, 1], [0, 1, 1], [1.0, 2.0, 3.0], edge_features=np.ones((3, 2)))
+        assert g.peers.size == 0
+        batch = sample_neighborhoods(g, [0, 1, 1], [5.0, 5.0, 0.0], 2, strategy)
+        assert batch.sizes.tolist() == [0, 0, 0]
+        assert batch.peers.shape == batch.mask.shape == (3, 1)
+        assert batch.edge_features.shape == (3, 1, 2)
+        assert not batch.mask.any()
+
+    def test_empty_batch(self):
+        g = self.random_graph(3)
+        batch = sample_neighborhoods(g, [], [], 4, "uniform")
+        assert batch.sizes.size == 0 and batch.mask.shape == (0, 1)
+
+    def test_monitor_records_target_by_target(self):
+        g = self.random_graph(5)
+        nodes, times = [3, 7, 3, 1], [40.0, 25.0, 12.0, 0.0]
+        with AccessMonitor() as mon:
+            batch = sample_neighborhoods(g, nodes, times, 4, "uniform", rng_seed=2)
+        assert batch.sizes.tolist() == [4, 4, 4, 0]
+        got = [(r.node, r.query_time, r.event_index) for r in mon.records]
+        assert got == [(v, t, e) for v, t, row in zip(nodes, times, batch_rows(batch))
+                       for e in row]
+        assert mon.violations() == []
+
+    def test_bad_arguments(self):
+        g = self.random_graph(3)
+        cases = [([0, 99], [1.0, 1.0], 5, "uniform", "node 99"),
+                 ([0, -1], [1.0, 1.0], 5, "uniform", "node -1"),
+                 ([0, 1], [1.0, np.nan], 5, "uniform", "nan"),
+                 ([0, 1], [np.inf, 1.0], 5, "uniform", "inf"),
+                 ([0, 1], [1.0, -2.0], 5, "uniform", "-2.0"),
+                 ([0, 1], [1.0, 1.0], 0, "uniform", "max_size"),
+                 ([0, 1], [1.0, 1.0], 5, "nope", "nope"),
+                 ([0, 1], [1.0], 5, "uniform", "align")]
+        for nodes, times, max_size, strategy, match in cases:
+            with pytest.raises(ValidationError, match=match):
+                sample_neighborhoods(g, nodes, times, max_size, strategy)
 
 
 class TestGoldenSamples:
@@ -546,7 +705,7 @@ class TestSerialization:
                    (b.source, b.destination, b.timestamp, b.label)
             np.testing.assert_array_equal(a.edge_features, b.edge_features)
         np.testing.assert_array_equal(g.node_features, g2.node_features)
-        for name in ("labels", "indptr", "peers", "times", "event_idx"):
+        for name in ("labels", "indptr", "peers", "times", "event_idx", "row_key"):
             np.testing.assert_array_equal(getattr(g2, name), getattr(g, name))
 
     def test_bytes_deterministic(self, tmp_path):
