@@ -200,11 +200,10 @@ def cmd_embed(args) -> int:
     if len(nodes) != len(times) or not nodes:
         raise ConfigError(
             f"node and time lists must align (got {len(nodes)} nodes, {len(times)} times)")
-    sampling = config.sampling(training=False)
-    lines = []
-    for node, t in zip(nodes, times):
-        vec = embed(model, node, t, graph, sampling, rng_seed=config.rng_seed)
-        lines.append(",".join([str(node), repr(t)] + [repr(float(v)) for v in vec]))
+    vecs = embed(model, nodes, times, graph, config.sampling(training=False),
+                 rng_seed=config.rng_seed)
+    lines = [",".join([str(node), repr(t)] + [repr(v) for v in vec.tolist()])
+             for node, t, vec in zip(nodes, times, vecs)]
     output = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(output)

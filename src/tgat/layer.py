@@ -13,20 +13,29 @@ a time over arrays of (node, time) queries: one sampler call returns the
 padded neighborhoods of all targets of a hop, which form one padded, masked
 block of entity-temporal matrices. A target with no earlier interaction is a
 block with every neighbor row masked, so its neighborhood representation is
-zero and the FFN sees only its raw features.
+zero and the FFN sees only its raw features. Every hop samples with one key
+that the public call derives from its seed, and a query's sample is a
+function of that key, its node and its time: an embedding does not depend
+on the other queries of its call.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, InferenceError, ValidationError
-from .temporal_graph import NeighborhoodBatch, TemporalGraph, sample_neighborhoods
+from .temporal_graph import (
+    NeighborhoodBatch,
+    TemporalGraph,
+    check_queries,
+    hop_neighborhoods,
+    sampling_key,
+)
 # not called here: perfbench/spans.py times the sampler by wrapping this name
 from .temporal_graph import temporal_neighborhood  # noqa: F401
 from .time_encoding import PositionalEncoder, TimeEncoder
@@ -294,11 +303,12 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor,
 
 
 def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
-                   graph: TemporalGraph, sampling: SamplingConfig, rng: np.random.Generator,
+                   graph: TemporalGraph, sampling: SamplingConfig, key: np.uint64,
                    collector: AttentionCollector | None) -> Tensor:
     """(B, d) states of ``nodes`` at ``times`` after ``level`` layers.
 
-    One hop at a time: one sampler call draws every target's neighborhood,
+    One hop at a time: one sampler call draws every target's neighborhood
+    from the call's ``key`` (a target's sample depends on no other target),
     then one recursive call evaluates all targets and all of their sampled
     (peer, time) rows at the level below, each neighbor at its own
     interaction time, and the hop attends every target at once. A target with
@@ -312,16 +322,13 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
 
     layer = model.layers[level - 1]
     positional = model.positional_encoder if model.attention_mode == "positional" else None
-    max_size = sampling.max_neighbors
-    if positional is not None:
-        # target row occupies rank N, so the sample must fit under the table
-        max_size = min(max_size, positional.max_positions - 1)
-    batch = sample_neighborhoods(graph, nodes, times, max_size, sampling.strategy, rng)
+    batch = hop_neighborhoods(graph, nodes, times, sampling.max_neighbors, sampling.strategy,
+                              key)
     hidden = _hidden_states(
         model, level - 1,
         np.concatenate([nodes, batch.peers[batch.mask]]),
         np.concatenate([times, batch.times[batch.mask]]),
-        graph, sampling, rng, collector)
+        graph, sampling, key, collector)
     z = build_entity_matrix(hidden, batch, model.time_encoder, model.dims.d_e, positional)
     mode = "constant" if model.attention_mode == "constant" else "learned"
     heads = [attend_head(z, layer.w_q[i], layer.w_k[i], layer.w_v[i], mode, batch.mask)
@@ -338,17 +345,27 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
                  sampling: SamplingConfig, rng_seed=0,
                  collector: AttentionCollector | None = None) -> Tensor:
     """Differentiable time-aware embeddings (full L-layer forward pass): (1, d)
-    for a scalar node and time, (B, d) for equal-length sequences of them."""
+    for a scalar node and time, (B, d) for equal-length sequences of them.
+
+    Each query's embedding depends only on (``rng_seed``, node, time), so B
+    queries in one call equal each query embedded alone, up to float
+    summation order. The queries are validated here, once for all hops;
+    no queries give a (0, d) result.
+    """
     nodes = np.atleast_1d(np.asarray(node, dtype=np.int64))
-    times = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if nodes.ndim != 1 or nodes.shape != times.shape:
-        raise ValidationError(
-            f"nodes and times must align, got shapes {nodes.shape} and {times.shape}")
     unknown = nodes[(nodes < 0) | (nodes >= graph.num_nodes)]
     if unknown.size:
         raise InferenceError(f"node {unknown[0]} has no features in this graph")
+    if model.attention_mode == "positional":
+        # target row occupies rank N, so the sample must fit under the table
+        sampling = replace(sampling, max_neighbors=min(
+            sampling.max_neighbors, model.positional_encoder.max_positions - 1))
+    nodes, times = check_queries(graph, nodes, np.atleast_1d(t), sampling.max_neighbors,
+                                 sampling.strategy)
+    if nodes.size == 0:
+        return ad.constant(np.zeros((0, model.dims.d)))
     return _hidden_states(model, model.layer_count, nodes, times, graph, sampling,
-                          np.random.default_rng(rng_seed), collector)
+                          sampling_key(rng_seed), collector)
 
 
 def embed(model: TgatModel, node, t, graph: TemporalGraph,

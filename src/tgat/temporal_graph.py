@@ -3,8 +3,9 @@
 A TemporalGraph is immutable after construction: events are kept sorted by
 timestamp (ties broken by ingestion order), every non-loop event is indexed
 under both endpoints, and neighborhood queries only ever return interactions
-strictly before the query time. Samplers take their seed explicitly, so
-concurrent reads stay deterministic.
+strictly before the query time. A sampled neighborhood is a pure function
+of the seed, the node and the query time, so it does not depend on the
+other queries of a call and concurrent reads stay deterministic.
 """
 
 from __future__ import annotations
@@ -237,6 +238,48 @@ _MONITORS: list[AccessMonitor] = []
 # ---------------------------------------------------------------------------
 
 
+def sampling_key(rng_seed) -> np.uint64:
+    """The 64-bit key of one sampling call: an int or a list of ints goes
+    through ``SeedSequence``, a ``Generator`` gives one draw."""
+    if isinstance(rng_seed, np.random.Generator):
+        return rng_seed.integers(0, 2**64, dtype=np.uint64)
+    return np.random.SeedSequence(rng_seed).generate_state(1, np.uint64)[0]
+
+
+def check_queries(g: TemporalGraph, nodes, times, max_size: int,
+                  strategy: str) -> tuple[np.ndarray, np.ndarray]:
+    """The node and time arrays of B neighborhood queries, or ValidationError."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    times = np.asarray(times, dtype=np.float64)
+    if nodes.ndim != 1 or nodes.shape != times.shape:
+        raise ValidationError(
+            f"nodes and times must align, got shapes {nodes.shape} and {times.shape}")
+    bad = np.flatnonzero((nodes < 0) | (nodes >= g.num_nodes))
+    if bad.size:
+        raise ValidationError(f"node {nodes[bad[0]]} not in graph with {g.num_nodes} nodes")
+    if max_size < 1:
+        raise ValidationError(f"max_size must be >= 1, got {max_size}")
+    bad = np.flatnonzero(~((times >= 0) & (times < np.inf)))
+    if bad.size:
+        raise ValidationError(
+            f"query time must be finite and non-negative, got {times[bad[0]]}")
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown sampling strategy {strategy!r}")
+    return nodes, times
+
+
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser on a uint64 array: a bijection whose outputs
+    for distinct inputs look independent (Steele et al., 2014)."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX_1
+    z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    return z ^ (z >> np.uint64(31))
+
+
 def sample_neighborhoods(
     g: TemporalGraph,
     nodes,
@@ -254,30 +297,37 @@ def sample_neighborhoods(
     (ties by event order); recurring interactions with the same peer stay
     distinct. A node with no prior interactions yields an empty row.
 
-    Every query is answered by array operations over the whole batch. Both
-    random strategies draw one exponential key per candidate of the queries
-    that have more than ``max_size`` candidates, divide it by the weight and
-    keep each query's ``max_size`` smallest keys (Efraimidis & Spirakis,
-    2006): the same distribution as successive draws without replacement.
-    A batch that needs no draw consumes no random numbers.
+    A query's sample depends only on (``rng_seed``, node, time, ``max_size``,
+    strategy), never on the other queries of the call: see
+    ``hop_neighborhoods``. ``rng_seed`` becomes one key through
+    ``sampling_key``, so a ``Generator`` gives one draw per call.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    times = np.asarray(times, dtype=np.float64)
-    if nodes.ndim != 1 or nodes.shape != times.shape:
-        raise ValidationError(
-            f"nodes and times must align, got shapes {nodes.shape} and {times.shape}")
-    bad = np.flatnonzero((nodes < 0) | (nodes >= g.num_nodes))
-    if bad.size:
-        raise ValidationError(f"node {nodes[bad[0]]} not in graph with {g.num_nodes} nodes")
-    if max_size < 1:
-        raise ValidationError(f"max_size must be >= 1, got {max_size}")
-    bad = np.flatnonzero(~((times >= 0) & (times < np.inf)))
-    if bad.size:
-        raise ValidationError(
-            f"query time must be finite and non-negative, got {times[bad[0]]}")
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown sampling strategy {strategy!r}")
+    nodes, times = check_queries(g, nodes, times, max_size, strategy)
+    return hop_neighborhoods(g, nodes, times, max_size, strategy, sampling_key(rng_seed),
+                             jitter)
 
+
+def hop_neighborhoods(
+    g: TemporalGraph,
+    nodes: np.ndarray,
+    times: np.ndarray,
+    max_size: int,
+    strategy: str,
+    key: np.uint64,
+    jitter: float = INVERSE_TIMESPAN_JITTER,
+) -> NeighborhoodBatch:
+    """``sample_neighborhoods`` for arrays that passed ``check_queries`` and a
+    key from ``sampling_key``; the forward pass calls it once per hop.
+
+    Every query is answered by array operations over the whole batch. Both
+    random strategies give each candidate of a query with more than
+    ``max_size`` candidates an exponential key, divide it by the weight and
+    keep the query's ``max_size`` smallest keys (Efraimidis & Spirakis,
+    2006): the same distribution as successive draws without replacement.
+    The exponential is a counter-based hash (Salmon et al., 2011) of the
+    call's key, the node, the bits of the query time and the candidate's
+    event index, so equal queries get equal samples in any batch.
+    """
     # rows of v before t are those whose event index precedes the first event at t
     lo = g.indptr[nodes]
     first = np.searchsorted(g.timestamps, times, side="left")
@@ -292,7 +342,11 @@ def sample_neighborhoods(
         starts = np.cumsum(counts) - counts
         seg = np.repeat(np.arange(drawn.size), counts)
         cand = lo[drawn][seg] + np.arange(seg.size) - starts[seg]
-        keys = np.random.default_rng(rng_seed).standard_exponential(seg.size)
+        # node ids and event indices are non-negative: their bits are the uint64's
+        query = _mix(_mix(key ^ nodes[drawn].view(np.uint64)) ^ times[drawn].view(np.uint64))
+        bits = _mix(query[seg] ^ g.event_idx[cand].view(np.uint64))
+        # 53 random bits as a uniform in (0, 1), then its exponential
+        keys = -np.log(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
         if strategy == "inverse-timespan":
             keys *= times[drawn][seg] - g.times[cand] + jitter
         order = np.lexsort((keys, seg))

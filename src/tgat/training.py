@@ -136,19 +136,21 @@ def _chunks(indices: np.ndarray, size: int):
 
 def _link_scores(model: TgatModel, graph: TemporalGraph, events: np.ndarray,
                  sampling: SamplingConfig, negatives_per_positive: int,
-                 rng: np.random.Generator) -> Tensor:
+                 rng: np.random.Generator, sampling_seed) -> Tensor:
     """Inner products h_i . h_j of each positive event (i, j, t), then
     h_i . h_q for each of its Q negatives q != j, as one (P + P*Q, 1) column.
 
-    Negatives are drawn first, positive by positive; then one forward pass
-    embeds sources, destinations and negatives at the event times.
+    Negatives are drawn from ``rng`` first, positive by positive; then one
+    forward pass, sampling with ``sampling_seed``, embeds sources,
+    destinations and negatives at the event times.
     """
     src, dst, ts = graph.sources[events], graph.destinations[events], graph.timestamps[events]
     q = negatives_per_positive
     neg = np.array([_draw_negative(rng, graph.num_nodes, d)
                     for d in dst.tolist() for _ in range(q)], dtype=np.int64)
     h = embed_tensor(model, np.concatenate([src, dst, neg]),
-                     np.concatenate([ts, ts, np.repeat(ts, q)]), graph, sampling, rng)
+                     np.concatenate([ts, ts, np.repeat(ts, q)]), graph, sampling,
+                     sampling_seed)
     # rows of h: sources [0, p), destinations [p, 2p), negatives of positive i
     # at 2p + i*q + k; pair each source with its destination and negatives
     p = events.size
@@ -171,12 +173,16 @@ def link_loss(
     uniformly drawn negatives q != j, -log sigmoid(-h_i . h_q). All
     embeddings are evaluated at the interaction time and the loss is
     differentiable through both sides of every inner product.
+
+    ``rng_seed`` seeds the negatives and, as in ``embed_tensor``, the
+    neighborhood samples; a ``Generator`` draws the negatives first and
+    then the one sampling key.
     """
     idx = np.asarray(batch_events, dtype=np.int64)
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
     rng = np.random.default_rng(rng_seed)  # a Generator passes through unchanged
-    scores = _link_scores(model, graph, idx, sampling, negatives_per_positive, rng)
+    scores = _link_scores(model, graph, idx, sampling, negatives_per_positive, rng, rng_seed)
     sign = np.concatenate([np.ones(idx.size), -np.ones(idx.size * negatives_per_positive)])
     return ad.scale(ad.sum_all(ad.log_sigmoid(ad.mul(scores, ad.constant(sign[:, None])))), -1.0)
 
@@ -269,11 +275,11 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
         n_pos = 0
         for b_start in range(0, epoch_idx.size, config.batch_size):
             batch = epoch_idx[b_start : b_start + config.batch_size]
-            batch_rng = np.random.default_rng([config.rng_seed, epoch, int(b_start)])
             ad.zero_grads(params)
             with ad.Tape() as tape:
                 loss = link_loss(model, graph, batch, train_sampling,
-                                 config.negatives_per_positive, batch_rng)
+                                 config.negatives_per_positive,
+                                 [config.rng_seed, epoch, int(b_start)])
             ad.backward(tape, loss)
             adam_step(params, [p.grad for p in params], state, config.learning_rate)
             total_loss += float(loss.data[0, 0])
@@ -352,11 +358,13 @@ def evaluate_links(
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
     config = config or TrainConfig()
     sampling = config.sampling(training=False)
-    rng = np.random.default_rng([rng_seed, 1001])
+    # the negatives' stream runs through every chunk; the samples need only the seed
+    seed = [rng_seed, 1001]
+    rng = np.random.default_rng(seed)
 
     scores = []
     for chunk in _chunks(event_indices, config.batch_size):
-        s = _link_scores(model, graph, chunk, sampling, 1, rng).data[:, 0]
+        s = _link_scores(model, graph, chunk, sampling, 1, rng, seed).data[:, 0]
         scores.append(np.column_stack([s[: chunk.size], s[chunk.size :]]).ravel())
     scores = ad.sigmoid_values(np.concatenate(scores))  # positive, negative per event
     labels = np.tile([1, 0], event_indices.size)
@@ -422,10 +430,10 @@ def node_classify(
     mlp_config = mlp_config or MlpConfig()
     config = config or TrainConfig()
     sampling = config.sampling(training=False)
-    rng = np.random.default_rng([rng_seed, 2002])
 
     labeled = np.flatnonzero(graph.labels >= 0)
-    feats = [embed(model, graph.sources[chunk], graph.timestamps[chunk], graph, sampling, rng)
+    feats = [embed(model, graph.sources[chunk], graph.timestamps[chunk], graph, sampling,
+                   [rng_seed, 2002])
              for chunk in _chunks(labeled, config.batch_size)]
     feats = np.concatenate(feats) if feats else np.zeros((0, model.dims.d))
     periods = np.array([split.period_of(t) for t in graph.timestamps[labeled].tolist()],
@@ -507,14 +515,13 @@ def attention_report(
     config = config or TrainConfig()
     sampling = config.sampling(training=False)
     rows: list[AttentionRow] = []
-    rng = np.random.default_rng([rng_seed, 4004])
     top = model.layer_count
     for chunk in _chunks(np.asarray(event_indices, dtype=np.int64), config.batch_size):
         nodes = np.column_stack([graph.sources[chunk], graph.destinations[chunk]]).ravel()
         for offset in target_time_offsets:
             collector = AttentionCollector()
             embed_tensor(model, nodes, np.repeat(graph.timestamps[chunk] + offset, 2), graph,
-                         sampling, rng, collector)
+                         sampling, [rng_seed, 4004], collector)
             for layer_index, q_time, peers, timespans, weights in collector.records:
                 if layer_index != top:
                     continue

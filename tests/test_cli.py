@@ -195,6 +195,36 @@ class TestEvalAndEmbed:
                         rng_seed=config.rng_seed)
         np.testing.assert_array_equal(cli_vec, lib_vec)
 
+    def test_embed_rows_equal_batched_library_call(self, workspace, capsys):
+        tmp_path, _, _, graph_path = workspace
+        config = tmp_path / "uniform.txt"
+        config.write_text(CONFIG_TEXT.replace("layers = 1", "layers = 2")
+                          .replace("max_neighbors = 5", "max_neighbors = 2")
+                          .replace("most-recent", "uniform"))
+        assert main(["train", str(graph_path), str(config), str(tmp_path / "run")]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.json"
+        # node 1 (item 0) has five events before t = 11, so its sample is drawn
+        nodes, times = [1, 0, 3, 1, 4, 2], [11.0, 9.5, 11.0, 11.0, 6.0, 0.5]
+        capsys.readouterr()
+        assert main(["embed", str(ckpt), str(graph_path),
+                     "--nodes", ",".join(map(str, nodes)),
+                     "--times", ",".join(map(str, times))]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert [(int(r[0]), float(r[1])) for r in rows] == list(zip(nodes, times))
+        cli = np.array([[float(v) for v in r[2:]] for r in rows])
+
+        from tgat.layer import embed
+        model, extra = load_checkpoint(ckpt)
+        graph = load_graph(graph_path)
+        config = TrainConfig(**extra["train_config"])
+        assert config.sampling().strategy == "uniform"
+        batched = embed(model, nodes, times, graph, config.sampling(),
+                        rng_seed=config.rng_seed)
+        np.testing.assert_array_equal(cli, batched)
+        per_row = np.stack([embed(model, v, t, graph, config.sampling(),
+                                  rng_seed=config.rng_seed) for v, t in zip(nodes, times)])
+        np.testing.assert_allclose(cli, per_row, rtol=1e-12, atol=1e-12)
+
     def test_embed_writes_file(self, trained):
         tmp_path, graph, ckpt = trained
         out = tmp_path / "emb.csv"

@@ -1,15 +1,17 @@
-"""Golden order of neighbourhood draws.
+"""Golden neighbourhood draws, query by query.
 
-``golden_draw_order.json`` holds the ``AccessMonitor`` record sequence
-(node, query time, event index) of one L=2 uniform ``link_loss`` batch, the
-same batch with the most-recent sampler, and one L=2 inverse-timespan
-``embed_tensor`` call on ``recency_planted_graph(200, 4000, seed=0)``. Both
-random strategies draw from one RNG stream hop by hop, so the sequence pins
-which neighbours every query picks and the order of the draws; the
-most-recent case draws nothing and pins the deterministic cut. The batch and the queries include
-targets with no earlier event, whose empty samples draw nothing. Regenerate
-the file with ``PYTHONPATH=src python tests/test_draw_order.py`` (only when a
-change of draw order is intended and recorded in CHANGES.md).
+``golden_query_samples.json`` holds, per case, the sample of every distinct
+(node, query time) query of one forward pass, in the order the pass first
+issues it: the ``AccessMonitor`` records of one L=2 uniform ``link_loss``
+batch, the same batch with the most-recent sampler, and one L=2
+inverse-timespan ``embed_tensor`` call on ``recency_planted_graph(200, 4000,
+seed=0)``. A query's sample is a function of the seed, its node and its
+time, so a query that recurs within a pass must recur with the same sample,
+and the golden pins which neighbours every query picks. The most-recent case
+draws nothing and pins the deterministic cut. The batch and the queries
+include targets with no earlier event, whose empty samples leave no record.
+Regenerate the file with ``PYTHONPATH=src python tests/test_draw_order.py``
+(only when a change of samples is intended and recorded in CHANGES.md).
 """
 
 import json
@@ -24,7 +26,7 @@ from tgat.synthetic import recency_planted_graph
 from tgat.temporal_graph import AccessMonitor
 from tgat.training import link_loss
 
-GOLDEN_PATH = Path(__file__).with_name("golden_draw_order.json")
+GOLDEN_PATH = Path(__file__).with_name("golden_query_samples.json")
 
 # events 0 and 1 have endpoints with no earlier event
 LOSS_EVENTS = [0, 1, 500, 1500, 2500, 3000, 3500, 3999]
@@ -39,8 +41,20 @@ def _model(graph):
                             t_max=graph.t_max)
 
 
-def _records(mon: AccessMonitor) -> list[list]:
-    return [[r.node, r.query_time, r.event_index] for r in mon.records]
+def per_query(mon: AccessMonitor) -> list[list]:
+    """[node, query time, event indices] per distinct query, in order of first
+    appearance. Records come target by target with rising event indices, so a
+    new target starts where the query changes or the index stops rising."""
+    runs: list[list] = []
+    for r in mon.records:
+        if runs and runs[-1][:2] == [r.node, r.query_time] and runs[-1][2][-1] < r.event_index:
+            runs[-1][2].append(r.event_index)
+        else:
+            runs.append([r.node, r.query_time, [r.event_index]])
+    samples: dict[tuple, list[int]] = {}
+    for node, t, events in runs:
+        assert samples.setdefault((node, t), events) == events, (node, t)
+    return [[node, t, events] for (node, t), events in samples.items()]
 
 
 def record() -> dict:
@@ -55,9 +69,9 @@ def record() -> dict:
     with AccessMonitor() as embed_mon:
         embed_tensor(model, EMBED_NODES, EMBED_TIMES, graph,
                      SamplingConfig(4, "inverse-timespan"), rng_seed=5)
-    return {"link_loss_uniform": _records(loss_mon),
-            "link_loss_most_recent": _records(recent_mon),
-            "embed_inverse_timespan": _records(embed_mon)}
+    return {"link_loss_uniform": per_query(loss_mon),
+            "link_loss_most_recent": per_query(recent_mon),
+            "embed_inverse_timespan": per_query(embed_mon)}
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +92,11 @@ def test_golden_cases_draw_and_include_empty_samples(draws):
     graph = recency_planted_graph(200, 4000, seed=0)
     # a query node that keeps fewer events than it has before t was subsampled
     for case in draws.values():
-        nodes = np.array([r[0] for r in case])
-        times = np.array([r[1] for r in case])
-        keys, counts = np.unique(np.column_stack([nodes, times]), axis=0, return_counts=True)
         prior = [int(np.searchsorted(graph.times[graph.indptr[v]:graph.indptr[v + 1]], t))
-                 for v, t in zip(keys[:, 0].astype(int), keys[:, 1])]
-        assert (counts < np.array(prior)).any()
+                 for v, t, _ in case]
+        assert any(len(events) < n for (_, _, events), n in zip(case, prior))
     # the targets below have no earlier event, so they leave no record
-    recorded = {(r[0], r[1]) for r in draws["embed_inverse_timespan"]}
+    recorded = {(v, t) for v, t, _ in draws["embed_inverse_timespan"]}
     assert (0, 1.0) not in recorded and (11, 0.001) not in recorded
 
 

@@ -3,6 +3,8 @@ multi-hop forward passes against an independent straight-line reimplementation,
 batched against one-at-a-time queries, parameter accounting, and
 checkpointing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,12 @@ from tgat.layer import (
     save_checkpoint,
 )
 from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
-from tgat.temporal_graph import AccessMonitor, build_graph, sample_neighborhoods
+from tgat.temporal_graph import (
+    AccessMonitor,
+    build_graph,
+    hop_neighborhoods,
+    sample_neighborhoods,
+)
 from tgat.time_encoding import PositionalEncoder, TimeEncoder
 
 MOST_RECENT = SamplingConfig(max_neighbors=16, strategy="most-recent")
@@ -299,6 +306,14 @@ class TestLayerForward:
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
+def samples_by_query(monitor):
+    """Event indices read per (node, query time), over all of a monitor's records."""
+    out = {}
+    for r in monitor.records:
+        out.setdefault((r.node, r.query_time), set()).add(r.event_index)
+    return out
+
+
 class TestEmbedProperties:
     def test_batched_queries_equal_queries_alone(self):
         g = recency_planted_graph(200, 4000, seed=0)
@@ -307,13 +322,47 @@ class TestEmbedProperties:
         # node 3 repeats at one time
         nodes = [0, 3, 7, 11, 3, 42, 150, 199, 5]
         times = [1.0, 2.3, 3.6, 0.001, 2.3, 8.8, 20.5, 25.7, 0.001]
-        for mode in ("learned", "constant", "positional"):
+        for mode, strategy in itertools.product(
+                ("learned", "constant", "positional"),
+                ("most-recent", "uniform", "inverse-timespan")):
+            sampling = SamplingConfig(max_neighbors=4, strategy=strategy)
             model = TgatModel.create(dims, layer_count=2, head_count=2, attention_mode=mode,
                                      rng_seed=1, t_max=g.t_max)
-            batched = embed_tensor(model, nodes, times, g, MOST_RECENT).data
+            with AccessMonitor() as together:
+                batched = embed_tensor(model, nodes, times, g, sampling, rng_seed=5).data
             assert batched.shape == (len(nodes), dims.d)
-            alone = np.stack([embed(model, v, t, g, MOST_RECENT) for v, t in zip(nodes, times)])
+            with AccessMonitor() as one_by_one:
+                alone = np.stack([embed(model, v, t, g, sampling, rng_seed=5)
+                                  for v, t in zip(nodes, times)])
+            assert samples_by_query(together) == samples_by_query(one_by_one)
             np.testing.assert_allclose(batched, alone, rtol=1e-12, atol=1e-12)
+
+    def test_no_queries_give_an_empty_result(self):
+        g = simple_graph()
+        dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=5)
+        assert embed(model, [], [], g, MOST_RECENT).shape == (0, 3)
+        assert embed_tensor(model, np.array([], dtype=int), [], g, MOST_RECENT).data.shape == (0, 3)
+        with pytest.raises(ValidationError):
+            embed(model, [], [1.0], g, MOST_RECENT)
+
+    def test_query_times_checked_once_per_call(self, monkeypatch):
+        g = simple_graph()
+        dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=5)
+        checks = []
+        original = layer_module.check_queries
+
+        def counting(*args):
+            checks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(layer_module, "check_queries", counting)
+        embed(model, [3, 2], [4.5, 3.5], g, MOST_RECENT)
+        assert len(checks) == 1  # not once per hop
+        for t in (float("nan"), -1.0, float("inf"), -float("inf")):
+            with pytest.raises(ValidationError):
+                embed_tensor(model, [3, 2], [4.5, t], g, MOST_RECENT)
 
     def test_one_sampler_call_per_hop(self, monkeypatch):
         g = recency_planted_graph(200, 4000, seed=0)
@@ -323,9 +372,9 @@ class TestEmbedProperties:
 
         def counting(graph, nodes, *args):
             batch_sizes.append(len(nodes))
-            return sample_neighborhoods(graph, nodes, *args)
+            return hop_neighborhoods(graph, nodes, *args)
 
-        monkeypatch.setattr(layer_module, "sample_neighborhoods", counting)
+        monkeypatch.setattr(layer_module, "hop_neighborhoods", counting)
         embed_tensor(model, [3, 7, 42], [2.3, 3.6, 8.8], g, SamplingConfig(4, "uniform"))
         # the top hop samples the 3 targets, the hop below the targets plus their samples
         assert len(batch_sizes) == 2 and batch_sizes[0] == 3 and batch_sizes[1] > 3

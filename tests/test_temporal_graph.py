@@ -41,7 +41,7 @@ def pairs(sample):
 # Event indices sampled for (node, t, rng seed) queries with max_size 8 on
 # recency_planted_graph(200, 4000, seed=0); rows follow GOLDEN_QUERIES. The
 # most-recent rows were recorded before the store became columnar; the
-# uniform and inverse-timespan rows with the exponential-key sampler.
+# uniform and inverse-timespan rows with the query-keyed exponential sampler.
 GOLDEN_QUERIES = [
     (0, 1.0, 100), (3, 2.3, 101), (7, 3.6, 102), (11, 4.9, 103),
     (19, 6.2, 104), (23, 7.5, 105), (42, 8.8, 106), (57, 10.1, 107),
@@ -54,45 +54,45 @@ GOLDEN_SAMPLES = {
         [],
         [62, 134, 137, 178, 235],
         [290, 302, 315, 412],
-        [121, 281, 320, 338, 385, 527, 529, 597],
-        [27, 108, 131, 328, 425, 517, 543, 544],
-        [251, 379, 809, 813, 857, 889, 981, 1015],
+        [121, 281, 320, 385, 527, 529, 597, 658],
+        [27, 131, 402, 425, 517, 543, 544, 854],
+        [463, 738, 809, 813, 857, 889, 1015, 1019],
         [47, 76, 450, 493, 496, 739],
-        [476, 478, 637, 684, 861, 949, 1009, 1130],
-        [249, 384, 745, 842, 1385, 1437, 1638, 1655],
-        [85, 143, 360, 1064, 1256, 1616, 1672, 1860],
-        [112, 172, 201, 401, 424, 692, 1372, 1420],
-        [216, 360, 606, 1233, 1392, 1529, 1953, 2174],
-        [68, 395, 430, 670, 859, 1361, 1749, 1893],
-        [52, 265, 276, 653, 693, 1318, 1564, 2110],
-        [398, 465, 715, 1551, 1586, 1696, 2133, 2477],
-        [155, 714, 785, 1169, 1280, 1366, 2263, 2716],
-        [321, 1071, 1687, 2257, 2536, 2575, 2587, 3242],
-        [472, 867, 1038, 1410, 1905, 2519, 2971, 3273],
-        [109, 386, 808, 903, 2199, 2251, 2470, 2773],
-        [317, 515, 1879, 1982, 2247, 2908, 3620, 3621],
+        [256, 311, 476, 681, 684, 861, 949, 1009],
+        [53, 249, 745, 842, 1385, 1452, 1638, 1655],
+        [85, 143, 261, 1056, 1477, 1555, 1855, 1860],
+        [55, 334, 401, 424, 1372, 1401, 1740, 1783],
+        [784, 1060, 1308, 1529, 1730, 1953, 2173, 2174],
+        [68, 98, 608, 794, 859, 1151, 1356, 1893],
+        [52, 693, 1080, 1153, 1318, 1412, 1564, 2110],
+        [25, 398, 563, 829, 1120, 1551, 1696, 2134],
+        [714, 909, 1280, 1861, 2367, 2890, 2941, 2946],
+        [16, 321, 704, 1250, 1632, 1753, 2575, 3183],
+        [250, 525, 657, 867, 1170, 1660, 2971, 3175],
+        [427, 1222, 2145, 2251, 2273, 2470, 3410, 3529],
+        [317, 326, 2044, 2130, 2546, 3222, 3445, 3599],
     ],
     "inverse-timespan": [
         [],
         [62, 134, 137, 178, 235],
         [290, 302, 315, 412],
-        [121, 281, 320, 338, 527, 529, 597, 658],
-        [27, 108, 131, 425, 517, 543, 544, 854],
-        [379, 809, 813, 857, 889, 981, 1015, 1019],
+        [121, 281, 320, 385, 527, 529, 597, 658],
+        [131, 402, 425, 517, 543, 544, 825, 854],
+        [738, 809, 813, 857, 889, 904, 1015, 1019],
         [47, 76, 450, 493, 496, 739],
-        [478, 637, 684, 861, 949, 1009, 1016, 1130],
-        [384, 745, 842, 1385, 1437, 1452, 1638, 1655],
-        [85, 1064, 1256, 1616, 1672, 1852, 1855, 1860],
-        [172, 201, 401, 424, 692, 1372, 1420, 1740],
-        [360, 606, 1233, 1308, 1392, 1529, 1953, 2174],
-        [68, 395, 430, 859, 1361, 1749, 1893, 2050],
-        [52, 653, 693, 1318, 1412, 1564, 2110, 2373],
-        [715, 1551, 1586, 1696, 1834, 2133, 2477, 2684],
-        [714, 1280, 1366, 2263, 2716, 2890, 2941, 2946],
-        [1687, 2257, 2536, 2575, 2587, 2723, 3242, 3254],
-        [472, 867, 1410, 1905, 2029, 2519, 2971, 3273],
-        [109, 386, 903, 2199, 2251, 2470, 2773, 3517],
-        [1879, 2247, 2908, 3445, 3528, 3620, 3621, 3867],
+        [256, 311, 476, 681, 684, 861, 949, 1130],
+        [53, 249, 745, 1385, 1437, 1452, 1638, 1655],
+        [85, 1056, 1477, 1555, 1672, 1852, 1855, 1860],
+        [334, 401, 424, 1372, 1401, 1420, 1740, 1783],
+        [1060, 1248, 1308, 1529, 1730, 1953, 2173, 2174],
+        [608, 794, 1151, 1348, 1356, 1893, 2158, 2288],
+        [693, 1153, 1318, 1412, 1564, 2110, 2323, 2373],
+        [563, 1120, 1551, 1696, 2133, 2134, 2619, 2684],
+        [714, 1280, 1861, 2367, 2716, 2890, 2941, 2946],
+        [321, 1632, 2575, 2677, 2690, 3063, 3183, 3242],
+        [657, 867, 1170, 1660, 2248, 2971, 3175, 3273],
+        [427, 2251, 2273, 2470, 3410, 3483, 3517, 3529],
+        [2044, 2130, 2546, 3222, 3445, 3471, 3528, 3599],
     ],
     "most-recent": [
         [],
@@ -438,28 +438,77 @@ class TestSampleNeighborhoods:
             np.testing.assert_array_equal(batch.times, np.where(mask, batch.times, times[:, None]))
             assert (batch.edge_features[~mask] == 0).all()
 
-    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan"])
-    def test_pair_frequencies_match_successive_sampling(self, strategy):
-        # five prior events at t = 1, 2, 4, 7, 9.5, query at 10, keep two:
-        # numpy's successive draws pick the pair {i, j} with probability
-        # p_i p_j / (1 - p_i) + p_j p_i / (1 - p_j)
-        event_times = np.array([1.0, 2.0, 4.0, 7.0, 9.5])
-        g = build_graph(np.zeros(5, dtype=int), np.arange(1, 6), event_times)
-        weights = (1.0 / (10.0 - event_times + 1.0) if strategy == "inverse-timespan"
+    # five prior events at t = 1, 2, 4, 7, 9.5, query at 10, keep two:
+    # numpy's successive draws pick the pair {i, j} with probability
+    # p_i p_j / (1 - p_i) + p_j p_i / (1 - p_j)
+    FIVE_TIMES = np.array([1.0, 2.0, 4.0, 7.0, 9.5])
+
+    @classmethod
+    def assert_pair_frequencies(cls, picked, strategy):
+        """Pairs picked from the five events, as (n, 2) time-order positions,
+        lie within |z| < 4.5 of the successive-draw probabilities."""
+        n = picked.shape[0]
+        assert (picked[:, 0] < picked[:, 1]).all()  # distinct and in time order
+        weights = (1.0 / (10.0 - cls.FIVE_TIMES + 1.0) if strategy == "inverse-timespan"
                    else np.ones(5))
         p = weights / weights.sum()
-        n = 40_000
-        batch = sample_neighborhoods(g, np.zeros(n, dtype=int), np.full(n, 10.0), 2,
-                                     strategy, rng_seed=2024)
-        assert (batch.sizes == 2).all()
-        picked = batch.event_indices
-        assert (picked[:, 0] < picked[:, 1]).all()  # distinct and in time order
         counts = np.bincount(picked[:, 0] * 5 + picked[:, 1], minlength=25).reshape(5, 5)
         for i in range(5):
             for j in range(i + 1, 5):
                 expected = p[i] * p[j] / (1 - p[i]) + p[j] * p[i] / (1 - p[j])
                 z = (counts[i, j] / n - expected) / np.sqrt(expected * (1 - expected) / n)
                 assert abs(z) < 4.5, (i, j, z)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan"])
+    def test_pair_frequencies_match_successive_sampling(self, strategy):
+        # 40,000 nodes, each with its own five events to one hub, queried in
+        # one call: equal queries share a sample, so the queries are distinct
+        n = 40_000
+        g = build_graph(np.repeat(np.arange(n), 5), np.full(5 * n, n),
+                        np.tile(self.FIVE_TIMES, n), num_nodes=n + 1)
+        batch = sample_neighborhoods(g, np.arange(n), np.full(n, 10.0), 2,
+                                     strategy, rng_seed=2024)
+        assert (batch.sizes == 2).all()
+        assert (g.sources[batch.event_indices] == np.arange(n)[:, None]).all()
+        picked = np.searchsorted(self.FIVE_TIMES, g.timestamps[batch.event_indices])
+        self.assert_pair_frequencies(picked, strategy)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan"])
+    def test_pair_frequencies_across_seeds(self, strategy):
+        # one query, one call per seed
+        g = build_graph(np.zeros(5, dtype=int), np.arange(1, 6), self.FIVE_TIMES)
+        picked = np.array([sample_neighborhoods(g, [0], [10.0], 2, strategy, rng_seed=seed)
+                           .event_indices[0] for seed in range(10_000)])
+        self.assert_pair_frequencies(picked, strategy)
+
+    def test_picks_independent_across_queries(self):
+        # nodes 0 and 1 share all five events; each keeps one at 20,000
+        # query times past them, and the pair of picks (a, b) is uniform
+        # over the 25 cells, the product of the 1/5 marginals
+        g = build_graph(np.zeros(5, dtype=int), np.ones(5, dtype=int), self.FIVE_TIMES)
+        n = 20_000
+        times = 10.0 + np.arange(n) * 1e-3
+        batch = sample_neighborhoods(g, np.repeat([0, 1], n), np.tile(times, 2), 1,
+                                     "uniform", rng_seed=7)
+        a, b = batch.event_indices[:n, 0], batch.event_indices[n:, 0]
+        counts = np.bincount(a * 5 + b, minlength=25)
+        z = (counts / n - 1 / 25) / np.sqrt((1 / 25) * (24 / 25) / n)
+        assert np.abs(z).max() < 4.5, z.reshape(5, 5)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan"])
+    def test_identical_queries_get_identical_samples(self, strategy):
+        g = self.random_graph(11)
+        nodes = np.array([3, 7, 3, 9, 3, 7])
+        times = np.array([40.0, 25.0, 40.0, 45.0, 40.0, 25.0])
+        batch = sample_neighborhoods(g, nodes, times, 2, strategy, rng_seed=4)
+        rows = batch_rows(batch)
+        assert rows[0] == rows[2] == rows[4] and rows[1] == rows[5]
+        # node 3 has more than two events before t = 40, so its sample is drawn
+        assert (g.times[g.indptr[3]:g.indptr[4]] < 40.0).sum() > 2
+        # and each query alone, at the same seed, gets the same sample
+        for v, t, row in zip(nodes, times, rows):
+            alone = sample_neighborhoods(g, [v], [t], 2, strategy, rng_seed=4)
+            assert batch_rows(alone) == [row]
 
     @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan", "most-recent"])
     def test_mixed_batch(self, strategy):
@@ -484,14 +533,16 @@ class TestSampleNeighborhoods:
             # node 0's events at t = 3, 4, 5 sit at indices 3, 5, 6 of the time order
             assert batch_rows(batch)[6] == [3, 5, 6]
 
-    def test_batch_without_draws_consumes_no_random_numbers(self):
+    def test_generator_seed_takes_one_draw_per_call(self):
         g = self.random_graph(3)
-        rng = np.random.default_rng(9)
-        before = rng.bit_generator.state
-        batch = sample_neighborhoods(g, np.arange(g.num_nodes), np.full(g.num_nodes, 0.5), 50,
-                                     "inverse-timespan", rng)
-        assert rng.bit_generator.state == before
-        assert batch.sizes.max() < 50
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        # a batch that needs no draw and one that does
+        for t, max_size in ((0.5, 50), (45.0, 2)):
+            batch = sample_neighborhoods(g, np.arange(g.num_nodes), np.full(g.num_nodes, t),
+                                         max_size, "inverse-timespan", rng)
+            twin.integers(0, 2**64, dtype=np.uint64)
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert batch.sizes.max() == 2
 
     @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan", "most-recent"])
     def test_self_loops_only_graph(self, strategy):

@@ -297,17 +297,22 @@ class TestEvaluateLinks:
         assert from_list == from_array
 
     def test_batches_give_the_same_scores(self):
-        # batch_size only sets how many events share a forward pass
+        # batch_size only sets how many events share a forward pass, with
+        # drawn samples as with the most-recent ones
         g, split, cfg = training_fixture()
         model = training.build_model(g, cfg)
         idx = evaluation_event_indices(g, split, "test", "transductive")[:30]
-        results = []
-        for batch_size in (1, 7, 64):
-            cfg.batch_size = batch_size
-            results.append(evaluate_links(model, g, split, config=cfg, event_indices=idx))
-        for r in results[1:]:
-            assert r.average_precision == pytest.approx(results[0].average_precision, abs=1e-12)
-            assert r.accuracy == results[0].accuracy
+        for strategy in ("most-recent", "uniform"):
+            cfg.sampling_strategy = strategy
+            cfg.max_neighbors = 5 if strategy == "most-recent" else 2
+            results = []
+            for batch_size in (1, 7, 64):
+                cfg.batch_size = batch_size
+                results.append(evaluate_links(model, g, split, config=cfg, event_indices=idx))
+            for r in results[1:]:
+                assert r.average_precision == pytest.approx(results[0].average_precision,
+                                                            abs=1e-12)
+                assert r.accuracy == results[0].accuracy
 
     def test_empty_period_rejected(self):
         g = build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
@@ -354,6 +359,17 @@ class TestNodeClassify:
         assert res.auc == 1.0
         assert res.average_precision == 1.0
 
+    def test_batches_give_the_same_result(self):
+        g = self._labeled_graph()
+        split = chronological_split(g, 0.70, 0.15)
+        model = small_model(g, layers=2, heads=1, seed=4)
+        results = [node_classify(model, g, split, MlpConfig(epochs=20),
+                                 TrainConfig(batch_size=batch_size, max_neighbors=3,
+                                             sampling_strategy="uniform"), rng_seed=3)
+                   for batch_size in (5, 64)]
+        assert results[1].auc == pytest.approx(results[0].auc, abs=1e-12)
+        assert results[1].accuracy == results[0].accuracy
+
     def test_single_class_split_rejected(self):
         g = build_graph([0, 1, 2, 0], [1, 2, 0, 2], [1.0, 2.0, 3.0, 4.0],
                         labels=[1, 1, 1, 1])
@@ -391,6 +407,19 @@ class TestAttentionReport:
         write_attention_csv(rows, path)
         header = path.read_text().splitlines()[0]
         assert header == "timespan,attention_weight,occurrence_count,target_time_offset"
+
+    def test_batches_give_the_same_rows(self):
+        g = recency_planted_graph(n_nodes=40, n_events=600, seed=2)
+        model = small_model(g, layers=2, heads=2, seed=5)
+        reports = [attention_report(model, g, range(500, 540),
+                                    config=TrainConfig(batch_size=batch_size, max_neighbors=3,
+                                                       sampling_strategy="inverse-timespan"),
+                                    rng_seed=1)
+                   for batch_size in (3, 64)]
+        key = [(r.timespan, r.occurrence_count) for r in reports[0]]
+        assert key == [(r.timespan, r.occurrence_count) for r in reports[1]]
+        np.testing.assert_allclose([r.attention_weight for r in reports[1]],
+                                   [r.attention_weight for r in reports[0]], atol=1e-12)
 
     def test_recurring_neighbor_counted(self):
         g = build_graph([0, 0, 0], [1, 1, 2], [1.0, 2.0, 3.0],
