@@ -47,9 +47,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, delta: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += delta
+        # never in place: a rule may hand one array to several inputs
+        self.grad = delta if self.grad is None else self.grad + delta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -235,32 +234,6 @@ def gather_rows(a: Tensor, index) -> Tensor:
     return apply_op(a.data[index], (a,), pull)
 
 
-def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
-    """Row-major reshape to (rows, cols)."""
-    _require_2d(a)
-    if rows * cols != a.data.size:
-        raise DimensionError(f"cannot reshape {a.data.shape} to ({rows}, {cols})")
-    shape = a.data.shape
-
-    def pull(g: np.ndarray) -> None:
-        a._accumulate(g.reshape(shape))
-
-    return apply_op(a.data.reshape(rows, cols), (a,), pull)
-
-
-def sum_segments(a: Tensor, size: int) -> Tensor:
-    """Sum of every ``size`` consecutive rows: (B * size, d) -> (B, d)."""
-    _require_2d(a)
-    n_rows, n_cols = a.data.shape
-    if size < 1 or n_rows % size != 0:
-        raise DimensionError(f"{n_rows} rows do not split into segments of {size}")
-
-    def pull(g: np.ndarray) -> None:
-        a._accumulate(np.repeat(g, size, axis=0))
-
-    return apply_op(a.data.reshape(n_rows // size, size, n_cols).sum(axis=1), (a,), pull)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # derivative at exactly 0 is 0
 
@@ -287,23 +260,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
 
     def pull(g: np.ndarray) -> None:
         a._accumulate(g * (1.0 - s))
-
-    return apply_op(y, (a,), pull)
-
-
-def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax. Entries where ``mask`` is False get weight 0 and no
-    gradient; a row with no entry left in is all zeros."""
-    _require_2d(a)
-    data = a.data if mask is None else np.where(mask, a.data, -np.inf)
-    top = data.max(axis=1, keepdims=True)
-    e = np.exp(data - np.where(top == -np.inf, 0.0, top))
-    total = e.sum(axis=1, keepdims=True)
-    y = e / np.where(total > 0, total, 1.0)
-
-    def pull(g: np.ndarray) -> None:
-        inner = (g * y).sum(axis=1, keepdims=True)
-        a._accumulate(y * (g - inner))
 
     return apply_op(y, (a,), pull)
 

@@ -10,13 +10,8 @@ ReLU FFN. Stacking L layers extends aggregation to L hops; neighbor hidden
 states at layer l-1 are evaluated at their own interaction times, which keeps
 every read strictly in the consumer's past. The forward pass runs one hop at
 a time over arrays of (node, time) queries: one sampler call returns the
-padded neighborhoods of all targets of a hop, which form one padded, masked
-block of entity-temporal matrices. A target with no earlier interaction is a
-block with every neighbor row masked, so its neighborhood representation is
-zero and the FFN sees only its raw features. Every hop samples with one key
-that the public call derives from its seed, and a query's sample is a
-function of that key, its node and its time: an embedding does not depend
-on the other queries of its call.
+padded neighborhoods of all targets of a hop, and one attention operator
+attends them all as one padded, masked block of entity-temporal matrices.
 """
 
 from __future__ import annotations
@@ -34,6 +29,7 @@ from .temporal_graph import (
     TemporalGraph,
     check_queries,
     hop_neighborhoods,
+    node_ids,
     sampling_key,
 )
 # not called here: perfbench/spans.py times the sampler by wrapping this name
@@ -103,9 +99,8 @@ class LayerParams:
     def create(cls, dims: Dims, head_count: int, input_dim: int,
                rng: np.random.Generator) -> "LayerParams":
         proj_in = input_dim + dims.d_e + dims.d_t
-        w_q = [ad.parameter(glorot(rng, proj_in, dims.d_h)) for _ in range(head_count)]
-        w_k = [ad.parameter(glorot(rng, proj_in, dims.d_h)) for _ in range(head_count)]
-        w_v = [ad.parameter(glorot(rng, proj_in, dims.d_h)) for _ in range(head_count)]
+        w_q, w_k, w_v = ([ad.parameter(glorot(rng, proj_in, dims.d_h)) for _ in range(head_count)]
+                         for _ in range(3))
         ffn_in = head_count * dims.d_h + dims.d0
         w0 = ad.parameter(glorot(rng, ffn_in, dims.d_f))
         b0 = ad.parameter(np.zeros((1, dims.d_f)))
@@ -117,23 +112,16 @@ class LayerParams:
     def head_count(self) -> int:
         return len(self.w_q)
 
-    @property
-    def head_dim(self) -> int:
-        return self.w_q[0].data.shape[1]
-
     def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for i in range(self.head_count):
-            out.extend((self.w_q[i], self.w_k[i], self.w_v[i]))
-        out.extend((self.w0, self.b0, self.w1, self.b1))
-        return out
+        heads = [w for qkv in zip(self.w_q, self.w_k, self.w_v) for w in qkv]
+        return heads + [self.w0, self.b0, self.w1, self.b1]
 
     def head_param_count(self) -> int:
         """Parameter budget of one attention head in the sense of the scaling
         formula: the shape of one projection (Q, K and V share it), this
         head's FFN input block plus the raw-feature block, and the FFN output
         matrix; biases excluded. Computed from the constructed array shapes."""
-        d_h = self.head_dim
+        d_h = self.w_q[0].data.shape[1]
         d_f = self.w1.data.shape[0]
         x0_rows = self.w0.data.shape[0] - self.head_count * d_h
         return self.w_q[0].data.size + (d_h + x0_rows) * d_f + self.w1.data.size
@@ -210,10 +198,10 @@ class AttentionCollector:
         self.records: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def add(self, layer_index: int, batch: NeighborhoodBatch,
-            head_weights: list[np.ndarray]) -> None:
+            head_weights: np.ndarray) -> None:
         """One record per non-empty row of ``batch``; row i of each head's
-        (B, N) weights is that row's."""
-        mean_w = np.mean(np.stack(head_weights), axis=0)
+        (B, N) weights in the (H, B, N) ``head_weights`` is that row's."""
+        mean_w = np.mean(head_weights, axis=0)
         spans = batch.query_times[:, None] - batch.times
         self.records.extend(
             (layer_index, t, batch.peers[i, :n], spans[i, :n], mean_w[i, :n])
@@ -252,7 +240,13 @@ def build_entity_matrix(
                             f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
     source_row = np.repeat(np.arange(b)[:, None], n + 1, axis=1)
     source_row[:, 1:][batch.mask] = b + np.arange(hidden.data.shape[0] - b)
-    parts = [ad.gather_rows(hidden, source_row.ravel())]
+
+    def pull(g: np.ndarray) -> None:
+        # a padded row has weight 0 and is no query, so its gradient is 0
+        blocks = g.reshape(b, n + 1, g.shape[1])
+        hidden._accumulate(np.concatenate([blocks[:, 0], blocks[:, 1:][batch.mask]]))
+
+    parts = [ad.apply_op(hidden.data[source_row.ravel()], (hidden,), pull)]
     if edge_dim > 0:
         edges = np.zeros((b, n + 1, edge_dim))
         edges[:, 1:] = batch.edge_features
@@ -268,38 +262,74 @@ def build_entity_matrix(
     return ad.concat_cols(parts)
 
 
-def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor,
-                mode: str = "learned", mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """One attention head over B stacked entity-temporal blocks of N + 1 rows.
+def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tensor],
+                mode: str = "learned", mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """All heads of one hop over B stacked entity-temporal blocks of N + 1
+    rows, as one operator; ``w_q``, ``w_k``, ``w_v`` hold one projection per head.
 
-    ``mask`` (B, N) marks each block's real neighbor rows; left at None, ``z``
-    is one block whose rows after the first are all neighbors. Returns the
-    (B, d_h) aggregated neighborhood values and the (B, N) attention weights,
-    zero on masked rows; a block with every row masked gets zero weights and a
-    zero output row. In constant mode the weights are uniform over the
-    real rows (mean pooling over values); the learned mode scales query-key
-    products by sqrt(d_h).
+    ``mask`` (B, N) marks each block's real neighbor rows (None: ``z`` is one
+    block, every row after the first a neighbor). Returns the (B, H * d_h)
+    head outputs and the (H, B, N) weights, zero on masked rows. Constant mode
+    weighs real rows uniformly (mean pooling); the other modes scale query-key
+    products by sqrt(d_h). The backward sums in the order of a chain of
+    elementary operators (heads last to first, query terms neighbor by
+    neighbor), so fusing them changes no float result.
     """
-    n_rows = z.data.shape[0]
+    n_rows, d_in = z.data.shape
     if mask is None:
         mask = np.ones((1, max(n_rows - 1, 0)), dtype=bool)
     b, n = mask.shape
     if n < 1 or n_rows != b * (n + 1):
         raise ContractError("attention needs the target row plus at least one neighbor slot")
-    is_target = np.arange(n_rows) % (n + 1) == 0
-    neighbors = ad.gather_rows(z, np.flatnonzero(~is_target))
-    values = ad.matmul(neighbors, w_v)
-    if mode == "constant":
-        alpha = ad.constant(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1))
-    else:
-        d_h = w_q.data.shape[1]
-        query = ad.matmul(ad.gather_rows(z, np.flatnonzero(is_target)), w_q)
-        keys = ad.matmul(neighbors, w_k)
-        products = ad.mul(ad.gather_rows(query, np.repeat(np.arange(b), n)), keys)
-        dots = ad.matmul(products, ad.constant(np.ones((d_h, 1))))
-        alpha = ad.softmax_rows(ad.scale(ad.reshape(dots, b, n), 1.0 / np.sqrt(d_h)), mask)
-    weighted = ad.mul(ad.reshape(alpha, b * n, 1), values)
-    return ad.sum_segments(weighted, n), alpha
+    learned = mode != "constant"
+    blocks = z.data.reshape(b, n + 1, d_in)
+    targets = blocks[:, 0].copy()
+    neighbors = blocks[:, 1:].reshape(b * n, d_in)
+    d_h = w_v[0].data.shape[1]
+    scale = float(1.0 / np.sqrt(d_h))
+    uniform = mask / np.maximum(mask.sum(axis=1, keepdims=True), 1)
+    saved = []
+    for i in range(len(w_v)):
+        query, keys, alpha = None, None, uniform
+        if learned:
+            query = targets @ w_q[i].data
+            keys = (neighbors @ w_k[i].data).reshape(b, n, d_h)
+            dots = (keys * query[:, None]).reshape(b * n, d_h) @ np.ones((d_h, 1))
+            scores = np.where(mask, scale * dots.reshape(b, n), -np.inf)
+            top = np.where(mask.any(axis=1, keepdims=True), scores.max(axis=1, keepdims=True), 0.0)
+            e = np.exp(scores - top)  # a live row sums to >= 1, an all-masked one to 0
+            alpha = e / np.maximum(e.sum(axis=1, keepdims=True), 1.0)
+        saved.append((query, keys, (neighbors @ w_v[i].data).reshape(b, n, d_h), alpha))
+
+    def pull(g: np.ndarray) -> None:
+        grad_z = np.zeros((b, n + 1, d_in))
+        for i in reversed(range(len(w_v))):
+            query, keys, values, alpha = saved[i]
+            g_out = g[:, None, i * d_h:(i + 1) * d_h]
+            g_values = (g_out * alpha[:, :, None]).reshape(b * n, d_h)
+            w_v[i]._accumulate(neighbors.T @ g_values)
+            if learned:
+                g_alpha = (g_out * values).reshape(b * n, d_h).sum(axis=1).reshape(b, n)
+                inner = (g_alpha * alpha).sum(axis=1, keepdims=True)
+                g_dots = (scale * (alpha * (g_alpha - inner)))[:, :, None]
+                g_keys = (g_dots * query[:, None]).reshape(b * n, d_h)
+                g_products = g_dots * keys
+                g_query = sum(g_products[:, j] for j in range(n))
+                w_q[i]._accumulate(targets.T @ g_query)
+                w_k[i]._accumulate(neighbors.T @ g_keys)
+            if z.requires_grad:
+                g_rows = g_values @ w_v[i].data.T
+                if learned:
+                    grad_z[:, 0] += g_query @ w_q[i].data.T
+                    g_rows = g_keys @ w_k[i].data.T + g_rows
+                grad_z[:, 1:] += g_rows.reshape(b, n, d_in)
+        if z.requires_grad:
+            z._accumulate(grad_z.reshape(n_rows, d_in))
+
+    inputs = (z, *w_q, *w_k, *w_v) if learned else (z, *w_v)
+    out = np.concatenate([(alpha[:, :, None] * values).sum(axis=1)
+                          for _, _, values, alpha in saved], axis=1)
+    return ad.apply_op(out, inputs, pull), np.stack([alpha for *_, alpha in saved])
 
 
 def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
@@ -330,13 +360,12 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
         np.concatenate([times, batch.times[batch.mask]]),
         graph, sampling, key, collector)
     z = build_entity_matrix(hidden, batch, model.time_encoder, model.dims.d_e, positional)
-    mode = "constant" if model.attention_mode == "constant" else "learned"
-    heads = [attend_head(z, layer.w_q[i], layer.w_k[i], layer.w_v[i], mode, batch.mask)
-             for i in range(layer.head_count)]
+    heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, model.attention_mode,
+                                 batch.mask)
     if collector is not None:
-        collector.add(level, batch, [alpha.data for _, alpha in heads])
+        collector.add(level, batch, weights)
 
-    ffn_in = ad.concat_cols([h for h, _ in heads] + [x0])
+    ffn_in = ad.concat_cols([heads, x0])
     pre = ad.relu(ad.add(ad.matmul(ffn_in, layer.w0), layer.b0))
     return ad.add(ad.matmul(pre, layer.w1), layer.b1)
 
@@ -352,7 +381,7 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
     summation order. The queries are validated here, once for all hops;
     no queries give a (0, d) result.
     """
-    nodes = np.atleast_1d(np.asarray(node, dtype=np.int64))
+    nodes = np.atleast_1d(node_ids(node))
     unknown = nodes[(nodes < 0) | (nodes >= graph.num_nodes)]
     if unknown.size:
         raise InferenceError(f"node {unknown[0]} has no features in this graph")

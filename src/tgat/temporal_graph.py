@@ -74,6 +74,18 @@ class NeighborhoodBatch:
     query_times: np.ndarray
 
 
+def node_ids(values) -> np.ndarray:
+    """``values`` as int64 node ids; a value that is not a whole number
+    raises ValidationError instead of being truncated to another node."""
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iu":
+        whole = ids.astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(whole) | (whole != np.trunc(whole)))
+        if bad.size:
+            raise ValidationError(f"node id {ids.flat[bad[0]]} is not an integer")
+    return ids.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Chronological cut points plus the nodes withheld for inductive evaluation."""
@@ -105,8 +117,8 @@ class TemporalGraph:
 
     def __init__(self, sources, destinations, timestamps, edge_features, labels,
                  node_features):
-        sources = np.asarray(sources, dtype=np.int64)
-        destinations = np.asarray(destinations, dtype=np.int64)
+        sources = node_ids(sources)
+        destinations = node_ids(destinations)
         timestamps = np.asarray(timestamps, dtype=np.float64)
         edge_features = np.asarray(edge_features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -249,7 +261,7 @@ def sampling_key(rng_seed) -> np.uint64:
 def check_queries(g: TemporalGraph, nodes, times, max_size: int,
                   strategy: str) -> tuple[np.ndarray, np.ndarray]:
     """The node and time arrays of B neighborhood queries, or ValidationError."""
-    nodes = np.asarray(nodes, dtype=np.int64)
+    nodes = node_ids(nodes)
     times = np.asarray(times, dtype=np.float64)
     if nodes.ndim != 1 or nodes.shape != times.shape:
         raise ValidationError(

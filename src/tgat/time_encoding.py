@@ -60,22 +60,25 @@ class TimeEncoder:
         """Differentiable encodings for a batch of timespans, one per row: the
         values of ``encode_values``, with a gradient for the frequencies."""
         dt = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
-        phase = dt * self.frequencies.data
+        trig = self._cos_sin(dt)
 
         def pull(g: np.ndarray) -> None:
-            d_phase = g[:, 1::2] * np.cos(phase) - g[:, 0::2] * np.sin(phase)
+            d_phase = g[:, 1::2] * trig[:, 0::2] - g[:, 0::2] * trig[:, 1::2]
             self.frequencies._accumulate(self.scale * (dt * d_phase).sum(axis=0, keepdims=True))
 
-        return ad.apply_op(self.encode_values(dt), (self.frequencies,), pull)
+        return ad.apply_op(trig * self.scale, (self.frequencies,), pull)
 
     def encode_values(self, deltas) -> np.ndarray:
         """Plain-numpy encodings (no tape), one row per timespan."""
-        dt = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
+        return self._cos_sin(np.asarray(deltas, dtype=np.float64).reshape(-1, 1)) * self.scale
+
+    def _cos_sin(self, dt: np.ndarray) -> np.ndarray:
+        """The unscaled encodings: cos and sin of each phase, interleaved."""
         phase = dt * self.frequencies.data
         out = np.empty((dt.shape[0], self.output_dim))
         out[:, 0::2] = np.cos(phase)
         out[:, 1::2] = np.sin(phase)
-        return out * self.scale
+        return out
 
     def kernel_estimate(self, t1: float, t2: float) -> float:
         """Inner product of the two encodings; algebraically equal to

@@ -1,5 +1,6 @@
-"""Engine tests: every operator against central finite differences, plus
-tape semantics (accumulation, linearity) and the gradient checker itself."""
+"""Engine tests: every operator, and the fused attention operator of a hop,
+against central finite differences, plus tape semantics (accumulation,
+linearity) and the gradient checker itself."""
 
 import inspect
 
@@ -8,6 +9,7 @@ import pytest
 
 from tgat import autodiff as ad
 from tgat.errors import ContractError, DimensionError
+from tgat.layer import attend_head
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -46,10 +48,26 @@ def _rand(rng, *shape):
 
 
 OPS = [
-    "matmul", "add", "mul", "scale", "concat_cols", "gather_rows", "reshape",
-    "sum_segments", "relu", "log_sigmoid", "softmax_rows", "softmax_rows_masked",
-    "softmax_rows_empty_row", "sum_all",
+    "matmul", "add", "mul", "scale", "concat_cols", "gather_rows", "relu", "log_sigmoid",
+    "sum_all", "attend_head", "attend_head_masked", "attend_head_constant",
 ]
+
+
+def attention_case(rng, mode: str, masked: bool):
+    """Two heads over B blocks; with ``masked`` some rows are masked out and
+    one block is masked entirely. ``z`` is a parameter too, so the gradient of
+    every row, padded ones included, is checked."""
+    b, n, d_in, d_h = int(rng.integers(2, 5)), int(rng.integers(1, 5)), 3, 2
+    mask = np.ones((b, n), dtype=bool)
+    if masked:
+        mask = rng.random((b, n)) < 0.6
+        mask[rng.integers(0, b)] = False  # an empty neighborhood
+    z = ad.parameter(_rand(rng, b * (n + 1), d_in))
+    w = [[ad.parameter(_rand(rng, d_in, d_h)) for _ in range(2)] for _ in range(3)]
+    weights = _rand(rng, b, 2 * d_h)
+    params = [z] + w[2] if mode == "constant" else [z] + w[0] + w[1] + w[2]
+    return (lambda: ad.mul(attend_head(z, *w, mode, mask)[0], ad.constant(weights)),
+            params)
 
 
 def build_op_case(name: str, rng):
@@ -75,39 +93,18 @@ def build_op_case(name: str, rng):
         index = rng.integers(0, m, size=k + m)  # repeats exercise the scatter-add
         weights = _rand(rng, k + m, n)
         return lambda: ad.mul(ad.gather_rows(a, index), ad.constant(weights)), [a]
-    if name == "reshape":
-        a = ad.parameter(_rand(rng, m, 2 * n))
-        weights = _rand(rng, 2 * m, n)
-        return lambda: ad.mul(ad.reshape(a, 2 * m, n), ad.constant(weights)), [a]
-    if name == "sum_segments":
-        a = ad.parameter(_rand(rng, m * k, n))
-        weights = _rand(rng, m, n)
-        return lambda: ad.mul(ad.sum_segments(a, k), ad.constant(weights)), [a]
     if name == "relu":
         a = ad.parameter(_rand(rng, m, n) + 0.05)  # keep away from the kink
         return lambda: ad.relu(a), [a]
     if name == "log_sigmoid":
         a = ad.parameter(_rand(rng, m, n))
         return lambda: ad.log_sigmoid(a), [a]
-    if name == "softmax_rows":
-        a = ad.parameter(_rand(rng, m, n))
-        weights = _rand(rng, m, n)
-        return lambda: ad.mul(ad.softmax_rows(a), ad.constant(weights)), [a]
-    if name == "softmax_rows_masked":
-        a = ad.parameter(_rand(rng, m, n))
-        weights = _rand(rng, m, n)
-        mask = rng.random((m, n)) < 0.6
-        mask[np.arange(m), rng.integers(0, n, size=m)] = True  # one entry per row
-        return lambda: ad.mul(ad.softmax_rows(a, mask), ad.constant(weights)), [a]
-    if name == "softmax_rows_empty_row":
-        a = ad.parameter(_rand(rng, m + 1, n))
-        weights = _rand(rng, m + 1, n)
-        mask = rng.random((m + 1, n)) < 0.6
-        mask[rng.integers(0, m + 1)] = False  # one row with no entry left in
-        return lambda: ad.mul(ad.softmax_rows(a, mask), ad.constant(weights)), [a]
     if name == "sum_all":
         a = ad.parameter(_rand(rng, m, n))
         return lambda: ad.sum_all(a), [a]
+    if name.startswith("attend_head"):
+        return attention_case(rng, "constant" if name.endswith("constant") else "learned",
+                              masked=name != "attend_head")
     raise AssertionError(name)
 
 
@@ -129,6 +126,18 @@ def test_every_operator_is_grad_checked():
     assert recorded <= set(OPS), sorted(recorded - set(OPS))
 
 
+def attention_weights(scores: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """The masked row softmax inside the attention operator, applied to
+    ``scores`` (B, N): with d_h = 1 and unit projections, each score is one
+    query-key product."""
+    b, n = scores.shape
+    z = np.ones((b, n + 1, 1))
+    z[:, 1:, 0] = scores
+    unit = [ad.constant(np.ones((1, 1)))]
+    mask = np.ones((b, n), dtype=bool) if mask is None else mask
+    return attend_head(ad.constant(z.reshape(-1, 1)), unit, unit, unit, "learned", mask)[1][0]
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         x = np.arange(12.0).reshape(3, 4)
@@ -136,23 +145,21 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, x)
 
     def test_softmax_uniform_on_equal_values(self):
-        out = ad.softmax_rows(ad.constant(np.full((2, 5), 3.3)))
-        np.testing.assert_allclose(out.data, 0.2)
+        np.testing.assert_allclose(attention_weights(np.full((2, 5), 3.3)), 0.2)
 
     def test_softmax_rows_normalized_and_nonnegative(self):
         rng = np.random.default_rng(0)
-        out = ad.softmax_rows(ad.constant(rng.standard_normal((50, 7)) * 20))
-        assert (out.data >= 0).all()
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
+        out = attention_weights(rng.standard_normal((50, 7)) * 20)
+        assert (out >= 0).all()
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
     def test_masked_softmax_zero_outside_mask(self):
         scores = np.array([[1.0, 50.0, -2.0], [0.3, 0.3, 900.0], [4.0, -1.0, 2.0]])
         mask = np.array([[True, False, True], [True, True, False], [False, False, False]])
-        out = ad.softmax_rows(ad.constant(scores), mask)
-        np.testing.assert_array_equal(out.data[~mask], 0.0)  # the all-masked row too
-        np.testing.assert_allclose(out.data[0, [0, 2]],
-                                   ad.softmax_rows(ad.constant(scores[:1, [0, 2]])).data[0])
-        np.testing.assert_allclose(out.data[1, :2], 0.5)
+        out = attention_weights(scores, mask)
+        np.testing.assert_array_equal(out[~mask], 0.0)  # the all-masked row too
+        np.testing.assert_allclose(out[0, [0, 2]], attention_weights(scores[:1, [0, 2]])[0])
+        np.testing.assert_allclose(out[1, :2], 0.5)
 
     def test_gather_rows_scatter_adds_repeats(self):
         a = ad.parameter(np.arange(6.0).reshape(3, 2))
@@ -213,6 +220,17 @@ class TestBackwardSemantics:
         expected = np.tile(a_val.sum(axis=1) + b_val.sum(axis=1), (2, 1))
         np.testing.assert_allclose(x.grad, expected)
 
+    def test_shared_gradient_array_is_not_updated_in_place(self):
+        # add hands one array to both inputs; accumulating into it in place
+        # would also change the gradient of b
+        a = ad.parameter(np.ones((2, 3)))
+        b = ad.parameter(np.ones((2, 3)))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.add(ad.add(a, b), a))
+        ad.backward(tape, loss)
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+
     def test_random_two_layer_composition_matches_fd(self):
         rng = np.random.default_rng(11)
         w1 = ad.parameter(rng.standard_normal((4, 5)))
@@ -260,14 +278,6 @@ class TestShapeErrors:
         for index in ([0, 2], [-1], [[0]]):
             with pytest.raises(DimensionError):
                 ad.gather_rows(ad.constant(np.ones((2, 2))), index)
-
-    def test_reshape_size_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.reshape(ad.constant(np.ones((2, 3))), 4, 2)
-
-    def test_sum_segments_uneven_rows(self):
-        with pytest.raises(DimensionError):
-            ad.sum_segments(ad.constant(np.ones((5, 2))), 2)
 
 
 class TestGradCheck:

@@ -142,25 +142,25 @@ class TestBuildEntityMatrix:
 
 class TestAttendHead:
     def _params(self, rng, d_in, d_h):
-        return (ad.parameter(rng.standard_normal((d_in, d_h))),
-                ad.parameter(rng.standard_normal((d_in, d_h))),
-                ad.parameter(rng.standard_normal((d_in, d_h))))
+        return ([ad.parameter(rng.standard_normal((d_in, d_h)))],
+                [ad.parameter(rng.standard_normal((d_in, d_h)))],
+                [ad.parameter(rng.standard_normal((d_in, d_h)))])
 
     def test_constant_mode_is_exact_mean(self):
         rng = np.random.default_rng(0)
         w_q, w_k, w_v = self._params(rng, 4, 3)
         z = ad.constant(rng.standard_normal((6, 4)))
         h, alpha = attend_head(z, w_q, w_k, w_v, mode="constant")
-        values = z.data[1:] @ w_v.data
+        values = z.data[1:] @ w_v[0].data
         np.testing.assert_allclose(h.data[0], values.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(alpha.data, 0.2)
+        np.testing.assert_allclose(alpha[0], 0.2)
 
     def test_single_neighbor_softmax_is_one(self):
         rng = np.random.default_rng(1)
         w_q, w_k, w_v = self._params(rng, 4, 3)
         z = ad.constant(rng.standard_normal((2, 4)))
         _, alpha = attend_head(z, w_q, w_k, w_v)
-        np.testing.assert_array_equal(alpha.data, [[1.0]])
+        np.testing.assert_array_equal(alpha[0], [[1.0]])
 
     def test_identical_neighbors_split_evenly(self):
         rng = np.random.default_rng(2)
@@ -168,7 +168,7 @@ class TestAttendHead:
         row = rng.standard_normal(4)
         z = ad.constant(np.vstack([rng.standard_normal(4), row, row]))
         _, alpha = attend_head(z, w_q, w_k, w_v)
-        np.testing.assert_allclose(alpha.data, 0.5, atol=1e-12)
+        np.testing.assert_allclose(alpha[0], 0.5, atol=1e-12)
 
     def test_weights_normalized(self):
         rng = np.random.default_rng(3)
@@ -176,8 +176,8 @@ class TestAttendHead:
         for _ in range(25):
             z = ad.constant(rng.standard_normal((int(rng.integers(2, 9)), 5)) * 3)
             _, alpha = attend_head(z, w_q, w_k, w_v)
-            assert (alpha.data >= 0).all()
-            np.testing.assert_allclose(alpha.data.sum(), 1.0, atol=1e-9)
+            assert (alpha[0] >= 0).all()
+            np.testing.assert_allclose(alpha[0].sum(), 1.0, atol=1e-9)
 
     def test_masked_blocks_match_blocks_alone(self):
         rng = np.random.default_rng(5)
@@ -188,17 +188,52 @@ class TestAttendHead:
         mask = np.arange(3) < np.array(sizes)[:, None]
         for mode in ("learned", "constant"):
             h, alpha = attend_head(ad.constant(np.vstack(padded)), w_q, w_k, w_v, mode, mask)
-            assert h.data.shape == (4, 3) and alpha.data.shape == (4, 3)
-            assert np.isfinite(h.data).all() and np.isfinite(alpha.data).all()
-            np.testing.assert_array_equal(alpha.data[~mask], 0.0)
+            alpha = alpha[0]
+            assert h.data.shape == (4, 3) and alpha.shape == (4, 3)
+            assert np.isfinite(h.data).all() and np.isfinite(alpha).all()
+            np.testing.assert_array_equal(alpha[~mask], 0.0)
             np.testing.assert_array_equal(h.data[2], 0.0)
             for i, block in enumerate(blocks):
                 if sizes[i] == 0:
                     continue
                 h1, alpha1 = attend_head(ad.constant(block), w_q, w_k, w_v, mode)
                 np.testing.assert_allclose(h.data[i], h1.data[0], rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(alpha.data[i, : sizes[i]], alpha1.data[0],
+                np.testing.assert_allclose(alpha[i, : sizes[i]], alpha1[0][0],
                                            rtol=1e-12, atol=1e-12)
+
+    def _hop_gradients(self, mode):
+        """Two heads over one hop whose blocks have 0, 2, 1 and 2 of N = 2
+        neighbors, differentiated into a parameter ``hidden``."""
+        g = simple_graph()
+        batch = sample_neighborhoods(g, [0, 3, 1, 2], [0.5, 4.5, 1.5, 4.5], 5)
+        rng = np.random.default_rng(6)
+        hidden = ad.parameter(rng.standard_normal((4 + batch.sizes.sum(), 3)))
+        w = [[ad.parameter(rng.standard_normal((3 + 4, 2))) for _ in range(2)] for _ in range(3)]
+        with ad.Tape() as tape:
+            z = build_entity_matrix(hidden, batch, TimeEncoder.create(4))
+            out, _ = attend_head(z, *w, mode, batch.mask)
+            loss = ad.sum_all(ad.mul(out, ad.constant(rng.standard_normal(out.data.shape))))
+        ad.backward(tape, loss)
+        return batch, hidden, z
+
+    @pytest.mark.parametrize("mode", ["learned", "constant"])
+    def test_padded_rows_get_exactly_zero_gradient(self, mode):
+        batch, _, z = self._hop_gradients(mode)
+        assert batch.sizes.tolist() == [0, 2, 1, 2]
+        rows = z.grad.reshape(4, 3, -1)[:, 1:]
+        assert (rows[~batch.mask] == 0.0).all()
+        assert (rows[batch.mask] != 0.0).all()
+
+    @pytest.mark.parametrize("mode", ["learned", "constant"])
+    def test_hidden_gradient_equals_scatter_add(self, mode):
+        # the entity matrix writes each z row's gradient to its source row;
+        # that equals scatter-adding every row, padded copies of row 0 included
+        batch, hidden, z = self._hop_gradients(mode)
+        source = np.repeat(np.arange(4)[:, None], 3, axis=1)
+        source[:, 1:][batch.mask] = 4 + np.arange(batch.sizes.sum())
+        expected = np.zeros_like(hidden.data)
+        np.add.at(expected, source.ravel(), z.grad[:, : hidden.data.shape[1]])
+        np.testing.assert_array_equal(hidden.grad, expected)
 
     def test_needs_a_neighbor_row(self):
         rng = np.random.default_rng(4)
@@ -315,6 +350,17 @@ def samples_by_query(monitor):
 
 
 class TestEmbedProperties:
+    def test_fractional_node_rejected(self):
+        g = simple_graph()
+        model = TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), layer_count=1,
+                                 head_count=1, rng_seed=5)
+        with pytest.raises(ValidationError, match="1.7"):
+            embed(model, 1.7, 5.0, g, MOST_RECENT)
+        with pytest.raises(ValidationError):
+            embed_tensor(model, [3, 1.7], [4.5, 5.0], g, MOST_RECENT)
+        np.testing.assert_array_equal(embed(model, 1.0, 5.0, g, MOST_RECENT),
+                                      embed(model, 1, 5.0, g, MOST_RECENT))
+
     def test_batched_queries_equal_queries_alone(self):
         g = recency_planted_graph(200, 4000, seed=0)
         dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
@@ -378,6 +424,21 @@ class TestEmbedProperties:
         embed_tensor(model, [3, 7, 42], [2.3, 3.6, 8.8], g, SamplingConfig(4, "uniform"))
         # the top hop samples the 3 targets, the hop below the targets plus their samples
         assert len(batch_sizes) == 2 and batch_sizes[0] == 3 and batch_sizes[1] > 3
+
+    def test_one_attention_call_per_hop(self, monkeypatch):
+        g = recency_planted_graph(200, 4000, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=2, rng_seed=1, t_max=g.t_max)
+        head_counts = []
+
+        def counting(z, w_q, *args):
+            head_counts.append(len(w_q))
+            return attend_head(z, w_q, *args)
+
+        monkeypatch.setattr(layer_module, "attend_head", counting)
+        embed_tensor(model, [3, 7, 42], [2.3, 3.6, 8.8], g, SamplingConfig(4, "uniform"))
+        # one call per hop attends with every head of that hop's layer
+        assert head_counts == [2, 2]
 
     def test_scalar_and_sequence_shapes(self):
         g = simple_graph()

@@ -213,6 +213,15 @@ class TestGraphInvariants:
         with pytest.raises(ValidationError):
             build_graph([0], [5], [1.0], node_features=np.zeros((2, 1)))
 
+    def test_fractional_node_id_rejected(self):
+        # 0.5 would otherwise be stored as node 0
+        with pytest.raises(ValidationError, match="0.5"):
+            build_graph([0.5], [1], [1.0])
+        with pytest.raises(ValidationError):
+            build_graph([0], [np.nan], [1.0], num_nodes=2)
+        g = build_graph(np.array([0.0, 2.0]), [1, 1], [1.0, 2.0])
+        assert g.sources.tolist() == [0, 2] and g.sources.dtype == np.int64
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_bad_timestamp_rejected(self, bad):
         with pytest.raises(ValidationError):
@@ -404,6 +413,14 @@ def batch_rows(batch):
 
 
 class TestSampleNeighborhoods:
+    def test_fractional_query_node_rejected(self):
+        # 1.7 would otherwise be answered as node 1
+        g = build_graph([0, 1], [1, 2], [1.0, 2.0])
+        with pytest.raises(ValidationError, match="1.7"):
+            sample_neighborhoods(g, [1.7], [5.0], 3)
+        whole = sample_neighborhoods(g, [1.0], [5.0], 3)
+        assert whole.sizes.tolist() == [2]
+
     def random_graph(self, seed, tied=False):
         rng = np.random.default_rng(seed)
         n, n_nodes = 300, 15
