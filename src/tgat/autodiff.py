@@ -83,6 +83,13 @@ class Tape:
 _ACTIVE: list[Tape] = []
 
 
+def recorded(inputs: Sequence[Tensor]) -> bool:
+    """Whether an operation on ``inputs`` records its backward rule: a tape
+    is active and some input requires a gradient. An operator may skip
+    keeping what only its rule reads when this is False."""
+    return bool(_ACTIVE) and any(t.requires_grad for t in inputs)
+
+
 def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], pull: GradFn) -> Tensor:
     """Create the output tensor of an operation and record its backward rule.
 
@@ -90,14 +97,12 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], pull: GradFn) -> Te
     into the inputs via ``Tensor._accumulate``. This is the extension point
     every operator below goes through; test fixtures use it to inject
     deliberately wrong rules when exercising ``grad_check``. A rule is
-    recorded only when some input requires a gradient, so the rule of a
-    one-input operator may accumulate into its input unconditionally.
+    recorded only when ``recorded(inputs)``, so the rule of a one-input
+    operator may accumulate into its input unconditionally.
     """
-    out = Tensor(out_data)
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        if _ACTIVE:
-            _ACTIVE[-1]._nodes.append((out, pull))
+    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    if recorded(inputs):
+        _ACTIVE[-1]._nodes.append((out, pull))
     return out
 
 
@@ -284,7 +289,6 @@ class GradCheckReport:
     tolerance: float
     passed: bool
     checked_coords: int
-    worst_param: int = -1
 
 
 def grad_check(
@@ -314,7 +318,6 @@ def grad_check(
         return float(f().data.sum())
 
     max_rel = 0.0
-    worst = -1
     checked = 0
     for pi, p in enumerate(params):
         n_coords = p.data.size
@@ -334,13 +337,10 @@ def grad_check(
             a = analytic[pi].reshape(-1)[c]
             rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
             checked += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = pi
+            max_rel = max(max_rel, rel)
     return GradCheckReport(
         max_rel_error=max_rel,
         tolerance=tolerance,
         passed=max_rel < tolerance,
         checked_coords=checked,
-        worst_param=worst,
     )

@@ -29,8 +29,8 @@ from .temporal_graph import (
     TemporalGraph,
     check_queries,
     hop_neighborhoods,
-    node_ids,
     sampling_key,
+    whole_numbers,
 )
 # not called here: perfbench/spans.py times the sampler by wrapping this name
 from .temporal_graph import temporal_neighborhood  # noqa: F401
@@ -190,25 +190,6 @@ class TgatModel:
         return out
 
 
-class AttentionCollector:
-    """Gathers per-head attention weights emitted during forward passes."""
-
-    def __init__(self):
-        # (layer_index, query_time, peers, timespans, weights averaged over heads)
-        self.records: list[tuple[int, float, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def add(self, layer_index: int, batch: NeighborhoodBatch,
-            head_weights: np.ndarray) -> None:
-        """One record per non-empty row of ``batch``; row i of each head's
-        (B, N) weights in the (H, B, N) ``head_weights`` is that row's."""
-        mean_w = np.mean(head_weights, axis=0)
-        spans = batch.query_times[:, None] - batch.times
-        self.records.extend(
-            (layer_index, t, batch.peers[i, :n], spans[i, :n], mean_w[i, :n])
-            for i, (t, n) in enumerate(zip(batch.query_times.tolist(), batch.sizes.tolist()))
-            if n)
-
-
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
@@ -218,7 +199,6 @@ def build_entity_matrix(
     hidden: Tensor,
     batch: NeighborhoodBatch,
     enc: TimeEncoder,
-    edge_dim: int = 0,
     positional: PositionalEncoder | None = None,
 ) -> Tensor:
     """Entity-temporal matrices of the B targets of ``batch``, stacked as B
@@ -228,6 +208,7 @@ def build_entity_matrix(
     sampled interaction, row by row of the batch. Row 0 of a block is the
     target (zero edge block, zero-timespan time block); row i >= 1 is the
     block's i-th sampled interaction, concatenated as (hidden, edge, time).
+    The edge block is as wide as the batch's edge features, absent for d_e = 0.
     Rows past the end of a sample copy row 0 and are left to the attention
     mask, so every row of an empty sample's block is a copy of row 0. In
     positional mode the time block is a rank lookup instead (rank 0 = oldest
@@ -247,6 +228,7 @@ def build_entity_matrix(
         hidden._accumulate(np.concatenate([blocks[:, 0], blocks[:, 1:][batch.mask]]))
 
     parts = [ad.apply_op(hidden.data[source_row.ravel()], (hidden,), pull)]
+    edge_dim = batch.edge_features.shape[2]
     if edge_dim > 0:
         edges = np.zeros((b, n + 1, edge_dim))
         edges[:, 1:] = batch.edge_features
@@ -263,32 +245,32 @@ def build_entity_matrix(
 
 
 def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tensor],
-                mode: str = "learned", mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                mode: str, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """All heads of one hop over B stacked entity-temporal blocks of N + 1
     rows, as one operator; ``w_q``, ``w_k``, ``w_v`` hold one projection per head.
 
-    ``mask`` (B, N) marks each block's real neighbor rows (None: ``z`` is one
-    block, every row after the first a neighbor). Returns the (B, H * d_h)
-    head outputs and the (H, B, N) weights, zero on masked rows. Constant mode
-    weighs real rows uniformly (mean pooling); the other modes scale query-key
-    products by sqrt(d_h). The backward sums in the order of a chain of
-    elementary operators (heads last to first, query terms neighbor by
-    neighbor), so fusing them changes no float result.
+    ``mask`` (B, N) marks each block's real neighbor rows. Returns the
+    (B, H * d_h) head outputs and the (H, B, N) weights, zero on masked rows.
+    Constant mode weighs real rows uniformly (mean pooling); the other modes
+    scale query-key products by sqrt(d_h). The backward sums in the order of
+    a chain of elementary operators (heads last to first, query terms
+    neighbor by neighbor), so fusing them changes no float result. A head's
+    keys and values outlive its loop step only when a tape records the call.
     """
     n_rows, d_in = z.data.shape
-    if mask is None:
-        mask = np.ones((1, max(n_rows - 1, 0)), dtype=bool)
     b, n = mask.shape
     if n < 1 or n_rows != b * (n + 1):
         raise ContractError("attention needs the target row plus at least one neighbor slot")
     learned = mode != "constant"
+    inputs = (z, *w_q, *w_k, *w_v) if learned else (z, *w_v)
+    keep = ad.recorded(inputs)
     blocks = z.data.reshape(b, n + 1, d_in)
     targets = blocks[:, 0].copy()
     neighbors = blocks[:, 1:].reshape(b * n, d_in)
     d_h = w_v[0].data.shape[1]
     scale = float(1.0 / np.sqrt(d_h))
     uniform = mask / np.maximum(mask.sum(axis=1, keepdims=True), 1)
-    saved = []
+    heads, alphas, saved = [], [], []
     for i in range(len(w_v)):
         query, keys, alpha = None, None, uniform
         if learned:
@@ -299,7 +281,11 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
             top = np.where(mask.any(axis=1, keepdims=True), scores.max(axis=1, keepdims=True), 0.0)
             e = np.exp(scores - top)  # a live row sums to >= 1, an all-masked one to 0
             alpha = e / np.maximum(e.sum(axis=1, keepdims=True), 1.0)
-        saved.append((query, keys, (neighbors @ w_v[i].data).reshape(b, n, d_h), alpha))
+        values = (neighbors @ w_v[i].data).reshape(b, n, d_h)
+        heads.append((alpha[:, :, None] * values).sum(axis=1))
+        alphas.append(alpha)
+        if keep:
+            saved.append((query, keys, values, alpha))
 
     def pull(g: np.ndarray) -> None:
         grad_z = np.zeros((b, n + 1, d_in))
@@ -326,15 +312,12 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
         if z.requires_grad:
             z._accumulate(grad_z.reshape(n_rows, d_in))
 
-    inputs = (z, *w_q, *w_k, *w_v) if learned else (z, *w_v)
-    out = np.concatenate([(alpha[:, :, None] * values).sum(axis=1)
-                          for _, _, values, alpha in saved], axis=1)
-    return ad.apply_op(out, inputs, pull), np.stack([alpha for *_, alpha in saved])
+    return ad.apply_op(np.concatenate(heads, axis=1), inputs, pull), np.stack(alphas)
 
 
 def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
                    graph: TemporalGraph, sampling: SamplingConfig, key: np.uint64,
-                   collector: AttentionCollector | None) -> Tensor:
+                   attention: list | None) -> Tensor:
     """(B, d) states of ``nodes`` at ``times`` after ``level`` layers.
 
     One hop at a time: one sampler call draws every target's neighborhood
@@ -344,7 +327,8 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
     interaction time, and the hop attends every target at once. A target with
     no prior interaction attends an all-masked block: its neighborhood
     representation is zero and its FFN still runs, which keeps inductive
-    inference total.
+    inference total. Each hop appends ``(level, batch, head weights)`` to
+    ``attention`` after the hops below it, so the top hop comes last.
     """
     x0 = ad.constant(graph.node_features[nodes])
     if level == 0:
@@ -358,12 +342,12 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
         model, level - 1,
         np.concatenate([nodes, batch.peers[batch.mask]]),
         np.concatenate([times, batch.times[batch.mask]]),
-        graph, sampling, key, collector)
-    z = build_entity_matrix(hidden, batch, model.time_encoder, model.dims.d_e, positional)
+        graph, sampling, key, attention)
+    z = build_entity_matrix(hidden, batch, model.time_encoder, positional)
     heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, model.attention_mode,
                                  batch.mask)
-    if collector is not None:
-        collector.add(level, batch, weights)
+    if attention is not None:
+        attention.append((level, batch, weights))
 
     ffn_in = ad.concat_cols([heads, x0])
     pre = ad.relu(ad.add(ad.matmul(ffn_in, layer.w0), layer.b0))
@@ -371,17 +355,23 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
 
 
 def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
-                 sampling: SamplingConfig, rng_seed=0,
-                 collector: AttentionCollector | None = None) -> Tensor:
+                 sampling: SamplingConfig, rng_seed=0, attention: list | None = None) -> Tensor:
     """Differentiable time-aware embeddings (full L-layer forward pass): (1, d)
     for a scalar node and time, (B, d) for equal-length sequences of them.
 
     Each query's embedding depends only on (``rng_seed``, node, time), so B
     queries in one call equal each query embedded alone, up to float
-    summation order. The queries are validated here, once for all hops;
-    no queries give a (0, d) result.
+    summation order. The model's raw node and edge feature widths must be
+    the graph's, and the queries are validated here, once for all hops; no
+    queries give a (0, d) result. A list passed as ``attention`` receives
+    each hop's ``(level, NeighborhoodBatch, (H, B, N) weights)``.
     """
-    nodes = np.atleast_1d(node_ids(node))
+    dims = model.dims
+    if (dims.d0, dims.d_e) != (graph.node_feature_dim, graph.edge_feature_dim):
+        raise InferenceError(
+            f"model expects {dims.d0} node and {dims.d_e} edge features, graph has "
+            f"{graph.node_feature_dim} node and {graph.edge_feature_dim} edge features")
+    nodes = np.atleast_1d(whole_numbers(node, "node id"))
     unknown = nodes[(nodes < 0) | (nodes >= graph.num_nodes)]
     if unknown.size:
         raise InferenceError(f"node {unknown[0]} has no features in this graph")
@@ -392,9 +382,9 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
     nodes, times = check_queries(graph, nodes, np.atleast_1d(t), sampling.max_neighbors,
                                  sampling.strategy)
     if nodes.size == 0:
-        return ad.constant(np.zeros((0, model.dims.d)))
+        return ad.constant(np.zeros((0, dims.d)))
     return _hidden_states(model, model.layer_count, nodes, times, graph, sampling,
-                          sampling_key(rng_seed), collector)
+                          sampling_key(rng_seed), attention)
 
 
 def embed(model: TgatModel, node, t, graph: TemporalGraph,

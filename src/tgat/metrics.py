@@ -26,9 +26,13 @@ def _check_inputs(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     return labels.astype(np.int64), scores
 
 
-def accuracy(labels, scores, threshold: float = 0.5) -> float:
+# a score above this counts as a positive prediction
+ACCURACY_THRESHOLD = 0.5
+
+
+def accuracy(labels, scores) -> float:
     labels, scores = _check_inputs(labels, scores)
-    return float(np.mean((scores > threshold).astype(np.int64) == labels))
+    return float(np.mean((scores > ACCURACY_THRESHOLD).astype(np.int64) == labels))
 
 
 def average_precision(labels, scores) -> float:

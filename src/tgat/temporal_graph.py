@@ -74,16 +74,17 @@ class NeighborhoodBatch:
     query_times: np.ndarray
 
 
-def node_ids(values) -> np.ndarray:
-    """``values`` as int64 node ids; a value that is not a whole number
-    raises ValidationError instead of being truncated to another node."""
-    ids = np.asarray(values)
-    if ids.dtype.kind not in "iu":
-        whole = ids.astype(np.float64)
+def whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` (node ids or labels, named by ``what``) as int64; a value
+    that is not a whole number raises ValidationError instead of being
+    truncated to another id or class."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        whole = arr.astype(np.float64)
         bad = np.flatnonzero(~np.isfinite(whole) | (whole != np.trunc(whole)))
         if bad.size:
-            raise ValidationError(f"node id {ids.flat[bad[0]]} is not an integer")
-    return ids.astype(np.int64, copy=False)
+            raise ValidationError(f"{what} {arr.flat[bad[0]]} is not an integer")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,11 @@ class TemporalGraph:
 
     def __init__(self, sources, destinations, timestamps, edge_features, labels,
                  node_features):
-        sources = node_ids(sources)
-        destinations = node_ids(destinations)
+        sources = whole_numbers(sources, "node id")
+        destinations = whole_numbers(destinations, "node id")
         timestamps = np.asarray(timestamps, dtype=np.float64)
         edge_features = np.asarray(edge_features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = whole_numbers(labels, "label")
         # a copy, so freezing the store never makes a caller's array read-only;
         # the event columns are copied by the sort below
         node_features = np.array(node_features, dtype=np.float64)
@@ -261,7 +262,7 @@ def sampling_key(rng_seed) -> np.uint64:
 def check_queries(g: TemporalGraph, nodes, times, max_size: int,
                   strategy: str) -> tuple[np.ndarray, np.ndarray]:
     """The node and time arrays of B neighborhood queries, or ValidationError."""
-    nodes = node_ids(nodes)
+    nodes = whole_numbers(nodes, "node id")
     times = np.asarray(times, dtype=np.float64)
     if nodes.ndim != 1 or nodes.shape != times.shape:
         raise ValidationError(
@@ -299,15 +300,14 @@ def sample_neighborhoods(
     max_size: int,
     strategy: str = "most-recent",
     rng_seed=0,
-    jitter: float = INVERSE_TIMESPAN_JITTER,
 ) -> NeighborhoodBatch:
     """Up to ``max_size`` interactions of each ``nodes[b]`` strictly before ``times[b]``.
 
     ``uniform`` subsamples without replacement, ``inverse-timespan`` weights
-    candidates by 1/(t - t_i + jitter), and ``most-recent`` keeps the latest
-    interactions deterministically. Rows come back sorted by timestamp
-    (ties by event order); recurring interactions with the same peer stay
-    distinct. A node with no prior interactions yields an empty row.
+    candidates by 1/(t - t_i + INVERSE_TIMESPAN_JITTER), and ``most-recent``
+    keeps the latest interactions deterministically. Rows come back sorted by
+    timestamp (ties by event order); recurring interactions with the same
+    peer stay distinct. A node with no prior interactions yields an empty row.
 
     A query's sample depends only on (``rng_seed``, node, time, ``max_size``,
     strategy), never on the other queries of the call: see
@@ -315,8 +315,7 @@ def sample_neighborhoods(
     ``sampling_key``, so a ``Generator`` gives one draw per call.
     """
     nodes, times = check_queries(g, nodes, times, max_size, strategy)
-    return hop_neighborhoods(g, nodes, times, max_size, strategy, sampling_key(rng_seed),
-                             jitter)
+    return hop_neighborhoods(g, nodes, times, max_size, strategy, sampling_key(rng_seed))
 
 
 def hop_neighborhoods(
@@ -326,7 +325,6 @@ def hop_neighborhoods(
     max_size: int,
     strategy: str,
     key: np.uint64,
-    jitter: float = INVERSE_TIMESPAN_JITTER,
 ) -> NeighborhoodBatch:
     """``sample_neighborhoods`` for arrays that passed ``check_queries`` and a
     key from ``sampling_key``; the forward pass calls it once per hop.
@@ -360,7 +358,7 @@ def hop_neighborhoods(
         # 53 random bits as a uniform in (0, 1), then its exponential
         keys = -np.log(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
         if strategy == "inverse-timespan":
-            keys *= times[drawn][seg] - g.times[cand] + jitter
+            keys *= times[drawn][seg] - g.times[cand] + INVERSE_TIMESPAN_JITTER
         order = np.lexsort((keys, seg))
         kept = np.sort(order[np.arange(seg.size) - starts[seg] < max_size])
         rows[drawn, :max_size] = cand[kept].reshape(drawn.size, max_size)
@@ -395,10 +393,9 @@ def temporal_neighborhood(
     max_size: int,
     strategy: str = "most-recent",
     rng_seed=0,
-    jitter: float = INVERSE_TIMESPAN_JITTER,
 ) -> NeighborhoodSample:
     """The neighborhood of one (node, t) query: row 0 of ``sample_neighborhoods``."""
-    batch = sample_neighborhoods(g, [node], [t], max_size, strategy, rng_seed, jitter)
+    batch = sample_neighborhoods(g, [node], [t], max_size, strategy, rng_seed)
     size = int(batch.sizes[0])
     return NeighborhoodSample(peers=batch.peers[0, :size], times=batch.times[0, :size],
                               event_indices=batch.event_indices[0, :size],
@@ -512,36 +509,38 @@ def ingest(
     feature_dim: int,
     node_feature_dim: int | None = None,
     time_divisor: float = 1.0,
-    first_line: int = 2,
 ) -> TemporalGraph:
     """Build a graph from parsed CSV rows ``user, item, timestamp, label, f_1..f_de``.
 
     User and item id spaces are distinct; both are remapped to contiguous node
     ids in first-appearance order. Node features default to all-zero vectors.
+    A state label must be a whole number (``1`` or ``1.0``).
     ``time_divisor`` rescales raw timestamps (raw epoch-second magnitudes make
-    poor cos/sin arguments); line numbers in errors assume a single header line
-    unless ``first_line`` says otherwise.
+    poor cos/sin arguments). Line numbers in errors count the one header line
+    that ``load_graph_csv`` reads before the rows.
     """
     if not 0 < time_divisor < np.inf:
         raise ValidationError(f"time divisor must be positive and finite, got {time_divisor}")
     expected_cols = 4 + feature_dim
-    node_ids: dict[tuple[str, str], int] = {}
+    node_of_key: dict[tuple[str, str], int] = {}
 
     def node_of(kind: str, raw: str) -> int:
-        return node_ids.setdefault((kind, raw), len(node_ids))
+        return node_of_key.setdefault((kind, raw), len(node_of_key))
 
     sources, destinations, timestamps, labels, feats = [], [], [], [], []
-    for offset, row in enumerate(rows):
-        line = first_line + offset
+    for line, row in enumerate(rows, start=2):
         if len(row) != expected_cols:
             raise IngestionError(
                 f"line {line}: expected {expected_cols} columns, got {len(row)}")
         try:
             timestamp = float(row[2])
-            labels.append(int(float(row[3])))
+            label = float(row[3])
             feats.append([float(v) for v in row[4:]])
         except ValueError as exc:
             raise IngestionError(f"line {line}: {exc}") from None
+        if not label.is_integer():
+            raise IngestionError(f"line {line}: state label {row[3]!r} is not a whole number")
+        labels.append(int(label))
         if not 0 <= timestamp < np.inf:
             raise ValidationError(
                 f"line {line}: timestamp must be finite and non-negative, got {timestamp}")
@@ -553,7 +552,7 @@ def ingest(
     return build_graph(sources, destinations, timestamps,
                        edge_features=np.array(feats).reshape(len(feats), feature_dim),
                        labels=labels,
-                       node_features=np.zeros((len(node_ids), node_feature_dim)))
+                       node_features=np.zeros((len(node_of_key), node_feature_dim)))
 
 
 def load_graph_csv(

@@ -113,10 +113,6 @@ class PositionalEncoder:
     def max_positions(self) -> int:
         return self.table.data.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.table.data.shape[1]
-
     def parameters(self) -> list[Tensor]:
         return [self.table] if self.learnable else []
 

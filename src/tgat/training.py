@@ -20,7 +20,6 @@ from . import metrics
 from .autodiff import Tensor
 from .errors import ContractError, EvaluationError, TrainingError, ValidationError
 from .layer import (
-    AttentionCollector,
     Dims,
     SamplingConfig,
     TgatModel,
@@ -204,18 +203,20 @@ class AdamState:
                    v=[np.zeros_like(p.data) for p in params])
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 def adam_step(
     params: Sequence[Tensor],
     grads: Sequence[np.ndarray | None],
     state: AdamState,
     lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
 ) -> None:
     """Standard Adam update with bias correction."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ContractError("params, grads and optimizer state must align")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     for i, (p, g) in enumerate(zip(params, grads)):
@@ -228,7 +229,7 @@ def adam_step(
         state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
         m_hat = state.m[i] / (1 - b1 ** t)
         v_hat = state.v[i] / (1 - b2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -511,23 +512,26 @@ def attention_report(
     rng_seed: int = 0,
 ) -> list[AttentionRow]:
     """Collect top-layer attention weights as functions of timespan and of
-    neighbor recurrence, for a sample of predictions."""
+    neighbor recurrence, for a sample of predictions: one row per sampled
+    neighbor, its weight averaged over heads, its count the number of times
+    its peer occurs in the same neighborhood."""
     config = config or TrainConfig()
     sampling = config.sampling(training=False)
     rows: list[AttentionRow] = []
-    top = model.layer_count
     for chunk in _chunks(np.asarray(event_indices, dtype=np.int64), config.batch_size):
         nodes = np.column_stack([graph.sources[chunk], graph.destinations[chunk]]).ravel()
         for offset in target_time_offsets:
-            collector = AttentionCollector()
+            hops = []
             embed_tensor(model, nodes, np.repeat(graph.timestamps[chunk] + offset, 2), graph,
-                         sampling, [rng_seed, 4004], collector)
-            for layer_index, q_time, peers, timespans, weights in collector.records:
-                if layer_index != top:
-                    continue
-                _, which, counts = np.unique(peers, return_inverse=True, return_counts=True)
-                rows.extend(AttentionRow(span, w, count, float(offset)) for span, w, count
-                            in zip(timespans.tolist(), weights.tolist(), counts[which].tolist()))
+                         sampling, [rng_seed, 4004], hops)
+            _, batch, weights = hops[-1]  # the top hop
+            mask = batch.mask
+            spans = (batch.query_times[:, None] - batch.times)[mask]
+            pairs = np.nonzero(mask)[0] * graph.num_nodes + batch.peers[mask]
+            _, which, counts = np.unique(pairs, return_inverse=True, return_counts=True)
+            rows.extend(AttentionRow(span, w, count, float(offset)) for span, w, count
+                        in zip(spans.tolist(), np.mean(weights, axis=0)[mask].tolist(),
+                               counts[which].tolist()))
     return rows
 
 

@@ -157,7 +157,7 @@ def test_criterion_4_attention_normalization():
         w_k = [ad.parameter(rng.standard_normal((d_in, d_h)))]
         w_v = [ad.parameter(rng.standard_normal((d_in, d_h)))]
         for mode in ("learned", "constant"):
-            h, alpha = attend_head(z, w_q, w_k, w_v, mode)
+            h, alpha = attend_head(z, w_q, w_k, w_v, mode, np.ones((1, n), bool))
             assert (alpha >= 0).all()
             worst_sum = max(worst_sum, abs(alpha.sum() - 1.0))
             if mode == "constant":

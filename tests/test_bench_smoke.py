@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark harness: one short traced run per workload.
+
+The harness reads the package through names such as ``graph.events``,
+``layer.temporal_neighborhood``, ``link_loss`` with a ``Generator`` seed and
+``SamplingConfig``; a change that removes one of them fails here instead of
+in the next benchmark run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_passes_every_check(workload):
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    failed = [line for line in run.stdout.splitlines() if line.startswith("check FAIL")]
+    assert run.returncode == 0 and not failed, (failed, run.stderr[-2000:])

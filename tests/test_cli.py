@@ -262,6 +262,22 @@ class TestEvalAndEmbed:
         assert main(["eval", str(ckpt), str(graph)]) == 1
         assert "neighborhood_dropout" in capsys.readouterr().err
 
+    def test_graph_without_the_models_edge_features_exit_1(self, trained, capsys):
+        # the same events as the training graph, without its two feature columns
+        tmp_path, _, ckpt = trained
+        data = tmp_path / "bare.csv"
+        data.write_text("\n".join(",".join(line.split(",")[:4])
+                                  for line in CSV_TEXT.splitlines()) + "\n")
+        bare = tmp_path / "bare.npz"
+        assert main(["ingest", str(data), str(bare)]) == 0
+        capsys.readouterr()
+        for argv in (["embed", str(ckpt), str(bare), "--nodes", "0", "--times", "5.0"],
+                     ["eval", str(ckpt), str(bare)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: model expects")
+            assert "2 edge features, graph has" in err[0] and "Traceback" not in err[0]
+
     def test_embed_mismatched_lists_exit_1(self, trained):
         _, graph, ckpt = trained
         assert main(["embed", str(ckpt), str(graph),

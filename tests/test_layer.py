@@ -83,7 +83,7 @@ class TestBuildEntityMatrix:
     def test_edge_block_zero_padded_on_target(self):
         g = tiny_fixture_graph()  # d_e = 2
         enc = TimeEncoder.create(4)
-        _, z = entity_matrix(g, [0], [5.0], enc, edge_dim=2)
+        _, z = entity_matrix(g, [0], [5.0], enc)
         np.testing.assert_array_equal(z.data[0, 3:5], [0.0, 0.0])
         np.testing.assert_array_equal(z.data[1, 3:5], g.events[0].edge_features)
 
@@ -91,13 +91,13 @@ class TestBuildEntityMatrix:
         g = tiny_fixture_graph()
         enc = TimeEncoder.create(4)
         # node 0 has 1 neighbor before t=2, node 2 has 3 before t=8
-        batch, z = entity_matrix(g, [0, 2], [2.0, 8.0], enc, edge_dim=2)
+        batch, z = entity_matrix(g, [0, 2], [2.0, 8.0], enc)
         assert batch.sizes.tolist() == [1, 3]
         assert z.data.shape == (2 * 4, 3 + 2 + 4)
         for block, (target, t) in enumerate([(0, 2.0), (2, 8.0)]):
             rows = z.data[4 * block : 4 * block + 4]
             size = batch.sizes[block]
-            _, alone = entity_matrix(g, [target], [t], enc, edge_dim=2)
+            _, alone = entity_matrix(g, [target], [t], enc)
             np.testing.assert_array_equal(rows[: size + 1], alone.data)
             # rows past the sample copy the target row
             for pad in rows[size + 1 :]:
@@ -108,8 +108,8 @@ class TestBuildEntityMatrix:
         pos = PositionalEncoder.fixed_sinusoidal(8, 4)
         _, z = entity_matrix(g, [0, 2], [2.0, 8.0], TimeEncoder.create(4), positional=pos)
         # target rank n, neighbor ranks 0..n-1 oldest first
-        np.testing.assert_array_equal(z.data[[0, 1], 3:], pos.table.data[[1, 0]])
-        np.testing.assert_array_equal(z.data[4:, 3:], pos.table.data[[3, 0, 1, 2]])
+        np.testing.assert_array_equal(z.data[[0, 1], 5:], pos.table.data[[1, 0]])
+        np.testing.assert_array_equal(z.data[4:, 5:], pos.table.data[[3, 0, 1, 2]])
 
     def test_hidden_row_count_checked(self):
         g = simple_graph()
@@ -124,7 +124,7 @@ class TestBuildEntityMatrix:
     def test_empty_sample_block_copies_target_row(self):
         g = tiny_fixture_graph()
         enc = TimeEncoder.create(4)
-        empty, alone = entity_matrix(g, [0], [0.5], enc, edge_dim=2)
+        empty, alone = entity_matrix(g, [0], [0.5], enc)
         assert empty.sizes.tolist() == [0]
         alone = alone.data
         # one neighbor slot: N is at least 1
@@ -132,7 +132,7 @@ class TestBuildEntityMatrix:
         np.testing.assert_array_equal(alone[0], np.concatenate(
             [g.node_features[0], [0.0, 0.0], enc.encode_values([0.0])[0]]))
         np.testing.assert_array_equal(alone[1], alone[0])
-        batch, z = entity_matrix(g, [0, 2], [0.5, 8.0], enc, edge_dim=2)
+        batch, z = entity_matrix(g, [0, 2], [0.5, 8.0], enc)
         assert batch.sizes.tolist() == [0, 3]
         z = z.data
         assert z.shape == (2 * 4, 3 + 2 + 4)
@@ -150,7 +150,7 @@ class TestAttendHead:
         rng = np.random.default_rng(0)
         w_q, w_k, w_v = self._params(rng, 4, 3)
         z = ad.constant(rng.standard_normal((6, 4)))
-        h, alpha = attend_head(z, w_q, w_k, w_v, mode="constant")
+        h, alpha = attend_head(z, w_q, w_k, w_v, "constant", np.ones((1, 5), bool))
         values = z.data[1:] @ w_v[0].data
         np.testing.assert_allclose(h.data[0], values.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(alpha[0], 0.2)
@@ -159,7 +159,7 @@ class TestAttendHead:
         rng = np.random.default_rng(1)
         w_q, w_k, w_v = self._params(rng, 4, 3)
         z = ad.constant(rng.standard_normal((2, 4)))
-        _, alpha = attend_head(z, w_q, w_k, w_v)
+        _, alpha = attend_head(z, w_q, w_k, w_v, "learned", np.ones((1, 1), bool))
         np.testing.assert_array_equal(alpha[0], [[1.0]])
 
     def test_identical_neighbors_split_evenly(self):
@@ -167,7 +167,7 @@ class TestAttendHead:
         w_q, w_k, w_v = self._params(rng, 4, 3)
         row = rng.standard_normal(4)
         z = ad.constant(np.vstack([rng.standard_normal(4), row, row]))
-        _, alpha = attend_head(z, w_q, w_k, w_v)
+        _, alpha = attend_head(z, w_q, w_k, w_v, "learned", np.ones((1, 2), bool))
         np.testing.assert_allclose(alpha[0], 0.5, atol=1e-12)
 
     def test_weights_normalized(self):
@@ -175,7 +175,8 @@ class TestAttendHead:
         w_q, w_k, w_v = self._params(rng, 5, 4)
         for _ in range(25):
             z = ad.constant(rng.standard_normal((int(rng.integers(2, 9)), 5)) * 3)
-            _, alpha = attend_head(z, w_q, w_k, w_v)
+            mask = np.ones((1, z.data.shape[0] - 1), bool)
+            _, alpha = attend_head(z, w_q, w_k, w_v, "learned", mask)
             assert (alpha[0] >= 0).all()
             np.testing.assert_allclose(alpha[0].sum(), 1.0, atol=1e-9)
 
@@ -196,7 +197,8 @@ class TestAttendHead:
             for i, block in enumerate(blocks):
                 if sizes[i] == 0:
                     continue
-                h1, alpha1 = attend_head(ad.constant(block), w_q, w_k, w_v, mode)
+                h1, alpha1 = attend_head(ad.constant(block), w_q, w_k, w_v, mode,
+                                         np.ones((1, sizes[i]), bool))
                 np.testing.assert_allclose(h.data[i], h1.data[0], rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(alpha[i, : sizes[i]], alpha1[0][0],
                                            rtol=1e-12, atol=1e-12)
@@ -239,7 +241,8 @@ class TestAttendHead:
         rng = np.random.default_rng(4)
         w_q, w_k, w_v = self._params(rng, 4, 3)
         with pytest.raises(ContractError):
-            attend_head(ad.constant(rng.standard_normal((1, 4))), w_q, w_k, w_v)
+            attend_head(ad.constant(rng.standard_normal((1, 4))), w_q, w_k, w_v, "learned",
+                        np.ones((1, 0), bool))
 
 
 class TestParameterAccounting:
@@ -282,6 +285,15 @@ class TestLayerForward:
             embed_tensor(model, 17, 1.0, g, MOST_RECENT)
         with pytest.raises(InferenceError):
             embed_tensor(model, [0, 17], [1.0, 1.0], g, MOST_RECENT)
+
+    def test_feature_widths_must_match_the_graph(self):
+        g = tiny_fixture_graph()  # d0 = 3, d_e = 2
+        for d0, d_e in ((2, 2), (3, 0), (3, 3)):
+            model = TgatModel.create(Dims(d0=d0, d=4, d_t=4, d_h=3, d_f=5, d_e=d_e),
+                                     layer_count=1, head_count=1, rng_seed=0)
+            with pytest.raises(InferenceError, match=f"model expects {d0} node and {d_e} edge"
+                                                     " features, graph has 3 node and 2 edge"):
+                embed(model, 5, 7.5, g, MOST_RECENT)
 
     def test_two_layer_forward_matches_hand_unrolled(self):
         """Independent straight-line reimplementation of the same equations."""

@@ -8,7 +8,7 @@ import pytest
 import tgat.training as training
 from tgat import autodiff as ad
 from tgat.errors import ContractError, EvaluationError, TrainingError
-from tgat.layer import AttentionCollector, Dims, SamplingConfig, TgatModel, embed_tensor
+from tgat.layer import Dims, SamplingConfig, TgatModel, embed_tensor
 from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
 from tgat.temporal_graph import (
     AccessMonitor,
@@ -384,12 +384,13 @@ class TestAttentionReport:
         dims = Dims(d0=3, d=4, d_t=4, d_h=3, d_f=5, d_e=2)
         model = TgatModel.create(dims, layer_count=1, head_count=2,
                                  attention_mode="constant", rng_seed=0)
-        collector = AttentionCollector()
-        # node 0 has no event before 0.5: an empty neighborhood leaves no record
-        embed_tensor(model, [2, 0], [8.5, 0.5], g, SAMPLING, 0, collector)
-        assert [q_time for _, q_time, _, _, _ in collector.records] == [8.5]
-        for _, _, peers, _, weights in collector.records:
-            np.testing.assert_allclose(weights, 1.0 / len(peers), atol=1e-12)
+        hops = []
+        # node 0 has no event before 0.5: its row of weights is all zero
+        embed_tensor(model, [2, 0], [8.5, 0.5], g, SAMPLING, 0, hops)
+        (_, batch, weights), = hops
+        assert batch.query_times.tolist() == [8.5, 0.5] and batch.sizes[1] == 0
+        uniform = batch.mask / np.maximum(batch.sizes, 1)[:, None]
+        np.testing.assert_allclose(weights, np.broadcast_to(uniform, weights.shape), atol=1e-12)
 
     def test_report_schema_and_csv(self, tmp_path):
         g = tiny_fixture_graph()
@@ -447,9 +448,11 @@ class TestAttentionReport:
         feats = np.zeros((3, 3))
         feats[:, 0] = 1.0
         probe = build_graph([0, 0], [1, 2], [1.0, 100.9], node_features=feats)
-        collector = AttentionCollector()
-        embed_tensor(model, 0, 101.0, probe, cfg.sampling(), 0, collector)
-        (_, _, _, spans, weights), = collector.records
+        hops = []
+        embed_tensor(model, 0, 101.0, probe, cfg.sampling(), 0, hops)
+        (_, batch, head_weights), = hops
+        spans = (batch.query_times[:, None] - batch.times)[batch.mask]
+        weights = head_weights.mean(axis=0)[batch.mask]
         recent = int(np.argmin(spans))
         stale = int(np.argmax(spans))
         assert weights[recent] > weights[stale]
