@@ -147,7 +147,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(a_data @ b_data, (a, b), pull)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of a ``shape`` operand broadcast into ``g``'s shape: ``g``
+    summed over the broadcast axes, or ``g`` itself when the shapes agree."""
     if g.shape == shape:
         return g
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
@@ -175,9 +177,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            a._accumulate(unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(unbroadcast(g, b.data.shape))
 
     return apply_op(a.data + b.data, (a, b), pull)
 
@@ -198,28 +200,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b_data, a_data.shape))
+            a._accumulate(unbroadcast(g * b_data, a_data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a_data, b_data.shape))
+            b._accumulate(unbroadcast(g * a_data, b_data.shape))
 
     return apply_op(a_data * b_data, (a, b), pull)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols of an empty sequence")
-    _require_2d(*parts)
-    for p in parts[1:]:
-        if p.data.shape[0] != parts[0].data.shape[0]:
-            raise DimensionError(f"concat_cols row mismatch: {parts[0].data.shape} vs {p.data.shape}")
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def pull(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[:, lo:hi])
-
-    return apply_op(np.concatenate([p.data for p in parts], axis=1), tuple(parts), pull)
 
 
 def gather_rows(a: Tensor, index) -> Tensor:

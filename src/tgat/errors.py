@@ -46,8 +46,8 @@ class TrainingError(TgatError):
 
 
 class EvaluationError(TgatError):
-    """An evaluation set is empty or single-class after filtering, or its
-    scores contain NaN."""
+    """An evaluation set is empty or single-class after filtering, its labels
+    are not 0 or 1, or its scores contain NaN."""
 
 
 class ConfigError(TgatError):

@@ -2,16 +2,17 @@
 
 A layer embeds a target node at time t by (1) sampling its temporal
 neighborhood, (2) building a matrix whose rows concatenate entity hidden
-state, edge features and the time encoding of the timespan to t (row 0 is
-the target itself with a zero timespan), (3) running masked scaled
+state, edge features and the time encoding of the timespan to t (the
+target's own row has a zero timespan), (3) running masked scaled
 dot-product attention per head over the neighbor rows, and (4) combining the
 concatenated head outputs with the target's raw features through a two-layer
 ReLU FFN. Stacking L layers extends aggregation to L hops; neighbor hidden
 states at layer l-1 are evaluated at their own interaction times, which keeps
 every read strictly in the consumer's past. The forward pass runs one hop at
 a time over arrays of (node, time) queries: one sampler call returns the
-padded neighborhoods of all targets of a hop, and one attention operator
-attends them all as one padded, masked block of entity-temporal matrices.
+padded neighborhoods of all targets of a hop, and three operators (entity
+matrix, attention, FFN) process all of its targets at once, their rows laid
+out targets first, then every target's padded neighbor rows.
 """
 
 from __future__ import annotations
@@ -201,61 +202,74 @@ def build_entity_matrix(
     enc: TimeEncoder,
     positional: PositionalEncoder | None = None,
 ) -> Tensor:
-    """Entity-temporal matrices of the B targets of ``batch``, stacked as B
-    blocks of N + 1 rows.
+    """Entity-temporal matrices of the B targets of ``batch`` as one operator:
+    B target rows, then N neighbor rows per target.
 
     ``hidden`` holds the B target states followed by the states of every
-    sampled interaction, row by row of the batch. Row 0 of a block is the
-    target (zero edge block, zero-timespan time block); row i >= 1 is the
-    block's i-th sampled interaction, concatenated as (hidden, edge, time).
-    The edge block is as wide as the batch's edge features, absent for d_e = 0.
-    Rows past the end of a sample copy row 0 and are left to the attention
-    mask, so every row of an empty sample's block is a copy of row 0. In
-    positional mode the time block is a rank lookup instead (rank 0 = oldest
-    neighbor, target = rank n).
+    sampled interaction, row by row of the batch. Target row b is (hidden,
+    zero edge block, phi(0)); row B + b * N + i is target b's i-th neighbor
+    slot, (hidden, edge, phi(t - t_i)). The edge block is as wide as the
+    batch's edge features. A slot past the end of a sample copies its target
+    row and is left to the attention mask. phi is encoded for the sampled
+    timespans only; the other rows take ``encode_values([0.0])``, phi(0) bit
+    for bit (cos 0 = 1, sin 0 = 0). In positional mode the time block is a
+    rank lookup instead (rank 0 = oldest neighbor, target = rank n), made in
+    (B, N + 1) block order so that a learnable table sums its gradient rows
+    in that order.
     """
     b, n = batch.mask.shape
     sizes = batch.sizes
     if b == 0 or hidden.data.shape[0] != b + sizes.sum():
         raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
                             f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
-    source_row = np.repeat(np.arange(b)[:, None], n + 1, axis=1)
-    source_row[:, 1:][batch.mask] = b + np.arange(hidden.data.shape[0] - b)
+    targets = np.arange(b)
+    sampled = b + np.flatnonzero(batch.mask)  # z rows of the sampled interactions
+    own_rows = np.concatenate([targets, sampled])  # the z row of each hidden row
+    source = np.concatenate([targets, np.repeat(targets, n)])
+    source[sampled] = np.arange(b, hidden.data.shape[0])
+    if positional is None:
+        time = enc.encode_many((batch.query_times[:, None] - batch.times)[batch.mask])
+        time_rows = sampled
+    else:
+        ranks = np.repeat(sizes[:, None], n + 1, axis=1)
+        ranks[:, 1:] = np.where(batch.mask, np.arange(n), sizes[:, None])
+        time = positional.lookup(ranks.ravel())
+        time_rows = np.column_stack([targets, b + np.arange(b * n).reshape(b, n)]).ravel()
+    width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[2]
+    t0 = width + edge_dim
+    z = np.empty((b * (n + 1), t0 + time.data.shape[1]))
+    z[:, :width] = hidden.data[source]
+    z[:b, width:t0] = 0.0
+    z[b:, width:t0] = batch.edge_features.reshape(b * n, edge_dim)
+    if positional is None:
+        zero_span = np.concatenate([targets, b + np.flatnonzero(~batch.mask)])
+        z[zero_span, t0:] = enc.encode_values([0.0])
+    z[time_rows, t0:] = time.data
 
     def pull(g: np.ndarray) -> None:
         # a padded row has weight 0 and is no query, so its gradient is 0
-        blocks = g.reshape(b, n + 1, g.shape[1])
-        hidden._accumulate(np.concatenate([blocks[:, 0], blocks[:, 1:][batch.mask]]))
+        if hidden.requires_grad:
+            hidden._accumulate(g[own_rows, :width])
+        if time.requires_grad:
+            time._accumulate(g[time_rows, t0:])
 
-    parts = [ad.apply_op(hidden.data[source_row.ravel()], (hidden,), pull)]
-    edge_dim = batch.edge_features.shape[2]
-    if edge_dim > 0:
-        edges = np.zeros((b, n + 1, edge_dim))
-        edges[:, 1:] = batch.edge_features
-        parts.append(ad.constant(edges.reshape(b * (n + 1), edge_dim)))
-    if positional is not None:
-        ranks = np.repeat(sizes[:, None], n + 1, axis=1)
-        ranks[:, 1:] = np.where(batch.mask, np.arange(n), sizes[:, None])
-        parts.append(positional.lookup(ranks.ravel()))
-    else:
-        deltas = np.zeros((b, n + 1))
-        deltas[:, 1:] = batch.query_times[:, None] - batch.times
-        parts.append(enc.encode_many(deltas.ravel()))
-    return ad.concat_cols(parts)
+    return ad.apply_op(z, (hidden, time), pull)
 
 
 def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tensor],
                 mode: str, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """All heads of one hop over B stacked entity-temporal blocks of N + 1
-    rows, as one operator; ``w_q``, ``w_k``, ``w_v`` hold one projection per head.
+    """All heads of one hop over the entity-temporal matrices of B targets,
+    as one operator; ``w_q``, ``w_k``, ``w_v`` hold one projection per head.
 
-    ``mask`` (B, N) marks each block's real neighbor rows. Returns the
-    (B, H * d_h) head outputs and the (H, B, N) weights, zero on masked rows.
-    Constant mode weighs real rows uniformly (mean pooling); the other modes
-    scale query-key products by sqrt(d_h). The backward sums in the order of
-    a chain of elementary operators (heads last to first, query terms
-    neighbor by neighbor), so fusing them changes no float result. A head's
-    keys and values outlive its loop step only when a tape records the call.
+    ``z`` holds the B target rows followed by N neighbor rows per target,
+    the layout of ``build_entity_matrix``, and ``mask`` (B, N) marks the real
+    neighbor rows. Returns the (B, H * d_h) head outputs and the (H, B, N)
+    weights, zero on masked rows. Constant mode weighs real rows uniformly
+    (mean pooling); the other modes scale query-key products by sqrt(d_h).
+    The backward sums in the order of a chain of elementary operators (heads
+    last to first, query terms neighbor by neighbor), so fusing them changes
+    no float result. A head's keys and values outlive its loop step only when
+    a tape records the call.
     """
     n_rows, d_in = z.data.shape
     b, n = mask.shape
@@ -264,9 +278,7 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
     learned = mode != "constant"
     inputs = (z, *w_q, *w_k, *w_v) if learned else (z, *w_v)
     keep = ad.recorded(inputs)
-    blocks = z.data.reshape(b, n + 1, d_in)
-    targets = blocks[:, 0].copy()
-    neighbors = blocks[:, 1:].reshape(b * n, d_in)
+    targets, neighbors = z.data[:b], z.data[b:]
     d_h = w_v[0].data.shape[1]
     scale = float(1.0 / np.sqrt(d_h))
     uniform = mask / np.maximum(mask.sum(axis=1, keepdims=True), 1)
@@ -288,8 +300,8 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
             saved.append((query, keys, values, alpha))
 
     def pull(g: np.ndarray) -> None:
-        grad_z = np.zeros((b, n + 1, d_in))
-        for i in reversed(range(len(w_v))):
+        grad_z = np.empty((n_rows, d_in)) if z.requires_grad else None
+        for step, i in enumerate(reversed(range(len(w_v)))):
             query, keys, values, alpha = saved[i]
             g_out = g[:, None, i * d_h:(i + 1) * d_h]
             g_values = (g_out * alpha[:, :, None]).reshape(b * n, d_h)
@@ -299,20 +311,47 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
                 inner = (g_alpha * alpha).sum(axis=1, keepdims=True)
                 g_dots = (scale * (alpha * (g_alpha - inner)))[:, :, None]
                 g_keys = (g_dots * query[:, None]).reshape(b * n, d_h)
-                g_products = g_dots * keys
-                g_query = sum(g_products[:, j] for j in range(n))
+                g_query = (g_dots * keys).sum(axis=1)
                 w_q[i]._accumulate(targets.T @ g_query)
                 w_k[i]._accumulate(neighbors.T @ g_keys)
-            if z.requires_grad:
-                g_rows = g_values @ w_v[i].data.T
-                if learned:
-                    grad_z[:, 0] += g_query @ w_q[i].data.T
-                    g_rows = g_keys @ w_k[i].data.T + g_rows
-                grad_z[:, 1:] += g_rows.reshape(b, n, d_in)
-        if z.requires_grad:
-            z._accumulate(grad_z.reshape(n_rows, d_in))
+            if grad_z is None:
+                continue
+            g_rows = g_values @ w_v[i].data.T
+            g_targets = 0.0  # in constant mode the target rows feed no query
+            if learned:
+                g_targets = g_query @ w_q[i].data.T
+                g_rows = g_keys @ w_k[i].data.T + g_rows
+            if step == 0:
+                grad_z[:b], grad_z[b:] = g_targets, g_rows
+            else:
+                grad_z[:b] += g_targets
+                grad_z[b:] += g_rows
+        if grad_z is not None:
+            z._accumulate(grad_z)
 
     return ad.apply_op(np.concatenate(heads, axis=1), inputs, pull), np.stack(alphas)
+
+
+def feed_forward(heads: Tensor, x0: np.ndarray, w0: Tensor, b0: Tensor, w1: Tensor,
+                 b1: Tensor) -> Tensor:
+    """relu([heads, x0] @ w0 + b0) @ w1 + b1 over the targets' head outputs and
+    raw features ``x0``, as one operator whose forward and backward repeat
+    the float operations of the elementary-operator chain."""
+    ffn_in = np.concatenate([heads.data, x0], axis=1)
+    pre = ffn_in @ w0.data + b0.data
+    live = pre > 0  # derivative at exactly 0 is 0
+    act = np.where(live, pre, 0.0)
+
+    def pull(g: np.ndarray) -> None:
+        b1._accumulate(ad.unbroadcast(g, b1.data.shape))
+        w1._accumulate(act.T @ g)
+        g_pre = (g @ w1.data.T) * live
+        b0._accumulate(ad.unbroadcast(g_pre, b0.data.shape))
+        w0._accumulate(ffn_in.T @ g_pre)
+        if heads.requires_grad:
+            heads._accumulate((g_pre @ w0.data.T)[:, :heads.data.shape[1]])
+
+    return ad.apply_op(act @ w1.data + b1.data, (heads, w0, b0, w1, b1), pull)
 
 
 def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
@@ -330,9 +369,9 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
     inference total. Each hop appends ``(level, batch, head weights)`` to
     ``attention`` after the hops below it, so the top hop comes last.
     """
-    x0 = ad.constant(graph.node_features[nodes])
+    x0 = graph.node_features[nodes]
     if level == 0:
-        return x0
+        return ad.constant(x0)
 
     layer = model.layers[level - 1]
     positional = model.positional_encoder if model.attention_mode == "positional" else None
@@ -349,9 +388,7 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
     if attention is not None:
         attention.append((level, batch, weights))
 
-    ffn_in = ad.concat_cols([heads, x0])
-    pre = ad.relu(ad.add(ad.matmul(ffn_in, layer.w0), layer.b0))
-    return ad.add(ad.matmul(pre, layer.w1), layer.b1)
+    return feed_forward(heads, x0, layer.w0, layer.b0, layer.w1, layer.b1)
 
 
 def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
@@ -476,10 +513,14 @@ def load_checkpoint(path) -> tuple[TgatModel, dict]:
             max_positions=pos_info["max_positions"] if pos_info else 64,
         )
         if pos_info and not pos_info["learnable"]:
-            model.positional_encoder = PositionalEncoder(
-                np.asarray(pos_info["table"]), learnable=False)
+            table = np.asarray(pos_info["table"], dtype=np.float64)
+            if not np.isfinite(table).all():
+                raise CheckpointError(f"{path}: positional table holds a non-finite value")
+            model.positional_encoder = PositionalEncoder(table, learnable=False)
         for name, tensor in _named_params(model).items():
             stored = np.asarray(params[name], dtype=np.float64).reshape(tensor.data.shape)
+            if not np.isfinite(stored).all():
+                raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
             tensor.data = stored
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from None

@@ -13,6 +13,16 @@ import numpy as np
 from .errors import EvaluationError
 
 
+def binary_labels(labels) -> np.ndarray:
+    """``labels`` as int64 classes; a label other than 0 and 1 raises
+    EvaluationError instead of being scored as another class."""
+    labels = np.asarray(labels)
+    other = labels[~np.isin(labels, (0, 1))]
+    if other.size:
+        raise EvaluationError(f"labels must be 0 or 1, got {other[0].item()!r}")
+    return labels.astype(np.int64)
+
+
 def _check_inputs(labels, scores) -> tuple[np.ndarray, np.ndarray]:
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
@@ -23,7 +33,7 @@ def _check_inputs(labels, scores) -> tuple[np.ndarray, np.ndarray]:
         raise EvaluationError("cannot score an empty set")
     if np.isnan(scores).any():
         raise EvaluationError("scores contain NaN")
-    return labels.astype(np.int64), scores
+    return binary_labels(labels), scores
 
 
 # a score above this counts as a positive prediction

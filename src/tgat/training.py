@@ -10,6 +10,7 @@ the configured seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,6 +75,11 @@ class TrainConfig:
             raise ValidationError("layers and heads must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValidationError("batch_size must be >= 1 and max_epochs >= 0")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}")
 
     def sampling(self, training: bool = False) -> SamplingConfig:
         """Evaluation uses the full neighborhood cap; training shrinks it by
@@ -433,6 +439,7 @@ def node_classify(
     sampling = config.sampling(training=False)
 
     labeled = np.flatnonzero(graph.labels >= 0)
+    labels = metrics.binary_labels(graph.labels[labeled])
     feats = [embed(model, graph.sources[chunk], graph.timestamps[chunk], graph, sampling,
                    [rng_seed, 2002])
              for chunk in _chunks(labeled, config.batch_size)]
@@ -441,7 +448,7 @@ def node_classify(
                        dtype=str)
 
     def as_arrays(period: str) -> tuple[np.ndarray, np.ndarray]:
-        return feats[periods == period], graph.labels[labeled][periods == period]
+        return feats[periods == period], labels[periods == period]
 
     x_train, y_train = as_arrays("train")
     x_test, y_test = as_arrays("test")

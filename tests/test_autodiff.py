@@ -1,5 +1,5 @@
-"""Engine tests: every operator, and the fused attention operator of a hop,
-against central finite differences, plus tape semantics (accumulation,
+"""Engine tests: every operator, and the fused attention and FFN operators of a
+hop, against central finite differences, plus tape semantics (accumulation,
 linearity) and the gradient checker itself."""
 
 import inspect
@@ -9,7 +9,7 @@ import pytest
 
 from tgat import autodiff as ad
 from tgat.errors import ContractError, DimensionError
-from tgat.layer import attend_head
+from tgat.layer import attend_head, feed_forward
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -48,8 +48,8 @@ def _rand(rng, *shape):
 
 
 OPS = [
-    "matmul", "add", "mul", "scale", "concat_cols", "gather_rows", "relu", "log_sigmoid",
-    "sum_all", "attend_head", "attend_head_masked", "attend_head_constant",
+    "matmul", "add", "mul", "scale", "gather_rows", "relu", "log_sigmoid", "sum_all",
+    "attend_head", "attend_head_masked", "attend_head_constant", "feed_forward",
 ]
 
 
@@ -85,9 +85,6 @@ def build_op_case(name: str, rng):
     if name == "scale":
         a = ad.parameter(_rand(rng, m, n))
         return lambda: ad.scale(a, -1.7), [a]
-    if name == "concat_cols":
-        a, b = ad.parameter(_rand(rng, m, n)), ad.parameter(_rand(rng, m, k))
-        return lambda: ad.concat_cols([a, b]), [a, b]
     if name == "gather_rows":
         a = ad.parameter(_rand(rng, m, n))
         index = rng.integers(0, m, size=k + m)  # repeats exercise the scatter-add
@@ -102,6 +99,12 @@ def build_op_case(name: str, rng):
     if name == "sum_all":
         a = ad.parameter(_rand(rng, m, n))
         return lambda: ad.sum_all(a), [a]
+    if name == "feed_forward":
+        # m targets, n head columns, k raw features; one-row b0 and b1 broadcast
+        heads, x0 = ad.parameter(_rand(rng, m, n)), _rand(rng, m, k)
+        w0, b0 = ad.parameter(_rand(rng, n + k, 5)), ad.parameter(_rand(rng, 1, 5))
+        w1, b1 = ad.parameter(_rand(rng, 5, 3)), ad.parameter(_rand(rng, 1, 3))
+        return lambda: feed_forward(heads, x0, w0, b0, w1, b1), [heads, w0, b0, w1, b1]
     if name.startswith("attend_head"):
         return attention_case(rng, "constant" if name.endswith("constant") else "learned",
                               masked=name != "attend_head")
@@ -131,11 +134,10 @@ def attention_weights(scores: np.ndarray, mask: np.ndarray | None = None) -> np.
     ``scores`` (B, N): with d_h = 1 and unit projections, each score is one
     query-key product."""
     b, n = scores.shape
-    z = np.ones((b, n + 1, 1))
-    z[:, 1:, 0] = scores
+    z = np.concatenate([np.ones(b), scores.ravel()])[:, None]  # B target rows, then B * N
     unit = [ad.constant(np.ones((1, 1)))]
     mask = np.ones((b, n), dtype=bool) if mask is None else mask
-    return attend_head(ad.constant(z.reshape(-1, 1)), unit, unit, unit, "learned", mask)[1][0]
+    return attend_head(ad.constant(z), unit, unit, unit, "learned", mask)[1][0]
 
 
 class TestForwardValues:
@@ -269,10 +271,6 @@ class TestShapeErrors:
     def test_rank_3_rejected(self):
         with pytest.raises(DimensionError):
             ad.Tensor(np.ones((2, 2, 2)))
-
-    def test_concat_cols_row_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.concat_cols([ad.constant(np.ones((1, 2))), ad.constant(np.ones((2, 2)))])
 
     def test_gather_rows_bounds(self):
         for index in ([0, 2], [-1], [[0]]):

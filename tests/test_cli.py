@@ -150,6 +150,18 @@ class TestTrain:
         assert len(err) == 1 and "epoch 1, batch starting at 0" in err[0]
         assert not (outdir / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("line", ["rng_seed = -1", "learning_rate = 0",
+                                      "learning_rate = -0.01"])
+    def test_invalid_seed_or_learning_rate_exit_1(self, workspace, capsys, line):
+        tmp_path, _, config, graph = workspace
+        bad = tmp_path / "bad.txt"
+        bad.write_text(config.read_text() + line + "\n")
+        outdir = tmp_path / "o"
+        assert main(["train", str(graph), str(bad), str(outdir)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and line.split()[0] in err[0]
+        assert not outdir.exists()
+
     def test_missing_graph_exit_2(self, workspace, capsys):
         tmp_path, _, config, _ = workspace
         code = main(["train", str(tmp_path / "no.npz"), str(config), str(tmp_path / "o")])
@@ -261,6 +273,42 @@ class TestEvalAndEmbed:
         self._tamper(ckpt, layers=2, neighborhood_dropout=1.5)
         assert main(["eval", str(ckpt), str(graph)]) == 1
         assert "neighborhood_dropout" in capsys.readouterr().err
+
+    def test_checkpoint_config_negative_seed_exit_1(self, trained, capsys):
+        _, graph, ckpt = trained
+        self._tamper(ckpt, rng_seed=-1)
+        assert main(["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "rng_seed" in err[0]
+
+    # a NaN in b1 printed NaN in every row; one in b0 is zeroed by the ReLU,
+    # so the embeddings looked finite
+    @pytest.mark.parametrize("name, value", [("layers.0.ffn.b1", float("nan")),
+                                             ("layers.0.ffn.b0", float("nan")),
+                                             ("time_encoder.frequencies", float("inf"))])
+    def test_non_finite_parameter_exit_1(self, trained, capsys, name, value):
+        _, graph, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        payload["params"][name][0][0] = value
+        ckpt.write_text(json.dumps(payload))
+        for argv in (["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"],
+                     ["eval", str(ckpt), str(graph)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
+    def test_node_task_label_other_than_zero_and_one_exit_1(self, trained, capsys):
+        tmp_path, _, ckpt = trained
+        rows = [line.split(",") for line in CSV_TEXT.splitlines()]
+        rows[3][3] = "2"  # the state label of the third event
+        data = tmp_path / "labels.csv"
+        data.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        labelled = tmp_path / "labels.npz"
+        assert main(["ingest", str(data), str(labelled)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(labelled), "--task", "node"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0] == "error: labels must be 0 or 1, got 2"
 
     def test_graph_without_the_models_edge_features_exit_1(self, trained, capsys):
         # the same events as the training graph, without its two feature columns

@@ -4,6 +4,7 @@ batched against one-at-a-time queries, parameter accounting, and
 checkpointing."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ def entity_matrix(g, nodes, times, enc, **kwargs):
     return batch, build_entity_matrix(raw_hidden(g, batch, nodes), batch, enc, **kwargs)
 
 
+def block(z, batch, i):
+    """Target i's N + 1 rows of an entity matrix: its target row, then its
+    N neighbor rows from the block of all neighbor rows."""
+    b, n = batch.mask.shape
+    return np.vstack([z[i], z[b + i * n : b + (i + 1) * n]])
+
+
 class TestBuildEntityMatrix:
     def test_shape_without_edge_features(self):
         g = simple_graph()
@@ -94,9 +102,9 @@ class TestBuildEntityMatrix:
         batch, z = entity_matrix(g, [0, 2], [2.0, 8.0], enc)
         assert batch.sizes.tolist() == [1, 3]
         assert z.data.shape == (2 * 4, 3 + 2 + 4)
-        for block, (target, t) in enumerate([(0, 2.0), (2, 8.0)]):
-            rows = z.data[4 * block : 4 * block + 4]
-            size = batch.sizes[block]
+        for i, (target, t) in enumerate([(0, 2.0), (2, 8.0)]):
+            rows = block(z.data, batch, i)
+            size = batch.sizes[i]
             _, alone = entity_matrix(g, [target], [t], enc)
             np.testing.assert_array_equal(rows[: size + 1], alone.data)
             # rows past the sample copy the target row
@@ -106,10 +114,10 @@ class TestBuildEntityMatrix:
     def test_positional_ranks_per_block(self):
         g = tiny_fixture_graph()
         pos = PositionalEncoder.fixed_sinusoidal(8, 4)
-        _, z = entity_matrix(g, [0, 2], [2.0, 8.0], TimeEncoder.create(4), positional=pos)
+        batch, z = entity_matrix(g, [0, 2], [2.0, 8.0], TimeEncoder.create(4), positional=pos)
         # target rank n, neighbor ranks 0..n-1 oldest first
-        np.testing.assert_array_equal(z.data[[0, 1], 5:], pos.table.data[[1, 0]])
-        np.testing.assert_array_equal(z.data[4:, 5:], pos.table.data[[3, 0, 1, 2]])
+        np.testing.assert_array_equal(block(z.data, batch, 0)[:2, 5:], pos.table.data[[1, 0]])
+        np.testing.assert_array_equal(block(z.data, batch, 1)[:, 5:], pos.table.data[[3, 0, 1, 2]])
 
     def test_hidden_row_count_checked(self):
         g = simple_graph()
@@ -136,8 +144,23 @@ class TestBuildEntityMatrix:
         assert batch.sizes.tolist() == [0, 3]
         z = z.data
         assert z.shape == (2 * 4, 3 + 2 + 4)
-        for pad in z[1:4]:
-            np.testing.assert_array_equal(pad, alone[0])
+        for row in block(z, batch, 0):
+            np.testing.assert_array_equal(row, alone[0])
+
+    def test_zero_timespan_rows_hold_phi_zero(self):
+        # target rows and padded neighbor rows take phi(0) with the bits that
+        # encoding a zero timespan gives, whatever the frequencies' signs
+        g = tiny_fixture_graph()
+        enc = TimeEncoder(np.random.default_rng(0).normal(0.0, 2.0, size=3))
+        batch, z = entity_matrix(g, [0, 2, 5, 3], [0.5, 8.0, 7.5, 6.0], enc)
+        assert batch.sizes.tolist() == [0, 3, 1, 2]
+        t0 = 3 + 2
+        zero_rows = np.concatenate([np.arange(4), 4 + np.flatnonzero(~batch.mask)])
+        phi_zero = enc.encode_many(np.zeros(zero_rows.size)).data
+        assert z.data[zero_rows, t0:].tobytes() == phi_zero.tobytes()
+        real = 4 + np.flatnonzero(batch.mask)
+        spans = (batch.query_times[:, None] - batch.times)[batch.mask]
+        assert z.data[real, t0:].tobytes() == enc.encode_many(spans).data.tobytes()
 
 
 class TestAttendHead:
@@ -185,10 +208,12 @@ class TestAttendHead:
         w_q, w_k, w_v = self._params(rng, 4, 3)
         sizes = [3, 1, 0, 2]  # the size-0 block is an empty neighborhood
         blocks = [rng.standard_normal((n + 1, 4)) for n in sizes]
-        padded = [np.vstack([b] + [b[:1]] * (3 - n)) for b, n in zip(blocks, sizes)]
+        # the target rows, then each block's neighbor rows padded to N = 3
+        z = np.vstack([b[:1] for b in blocks]
+                      + [np.vstack([b[1:]] + [b[:1]] * (3 - n)) for b, n in zip(blocks, sizes)])
         mask = np.arange(3) < np.array(sizes)[:, None]
         for mode in ("learned", "constant"):
-            h, alpha = attend_head(ad.constant(np.vstack(padded)), w_q, w_k, w_v, mode, mask)
+            h, alpha = attend_head(ad.constant(z), w_q, w_k, w_v, mode, mask)
             alpha = alpha[0]
             assert h.data.shape == (4, 3) and alpha.shape == (4, 3)
             assert np.isfinite(h.data).all() and np.isfinite(alpha).all()
@@ -222,7 +247,7 @@ class TestAttendHead:
     def test_padded_rows_get_exactly_zero_gradient(self, mode):
         batch, _, z = self._hop_gradients(mode)
         assert batch.sizes.tolist() == [0, 2, 1, 2]
-        rows = z.grad.reshape(4, 3, -1)[:, 1:]
+        rows = z.grad[4:].reshape(4, 2, -1)
         assert (rows[~batch.mask] == 0.0).all()
         assert (rows[batch.mask] != 0.0).all()
 
@@ -231,10 +256,11 @@ class TestAttendHead:
         # the entity matrix writes each z row's gradient to its source row;
         # that equals scatter-adding every row, padded copies of row 0 included
         batch, hidden, z = self._hop_gradients(mode)
-        source = np.repeat(np.arange(4)[:, None], 3, axis=1)
-        source[:, 1:][batch.mask] = 4 + np.arange(batch.sizes.sum())
+        neighbor_source = np.repeat(np.arange(4)[:, None], 2, axis=1)
+        neighbor_source[batch.mask] = 4 + np.arange(batch.sizes.sum())
+        source = np.concatenate([np.arange(4), neighbor_source.ravel()])
         expected = np.zeros_like(hidden.data)
-        np.add.at(expected, source.ravel(), z.grad[:, : hidden.data.shape[1]])
+        np.add.at(expected, source, z.grad[:, : hidden.data.shape[1]])
         np.testing.assert_array_equal(hidden.grad, expected)
 
     def test_needs_a_neighbor_row(self):
@@ -452,6 +478,25 @@ class TestEmbedProperties:
         # one call per hop attends with every head of that hop's layer
         assert head_counts == [2, 2]
 
+    def test_time_encoding_only_for_sampled_interactions(self, monkeypatch):
+        g = recency_planted_graph(200, 4000, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=1, t_max=g.t_max)
+        encoded = []
+        original = TimeEncoder.encode_many
+
+        def counting(self, deltas):
+            encoded.append(len(deltas))
+            return original(self, deltas)
+
+        monkeypatch.setattr(TimeEncoder, "encode_many", counting)
+        hops = []
+        # node 0 at t=1.0 has no earlier event
+        embed_tensor(model, [0, 3, 7, 42], [1.0, 2.3, 3.6, 8.8], g, SamplingConfig(4, "uniform"),
+                     attention=hops)
+        # one call per hop, bottom hop first, with one row per sampled interaction
+        assert encoded == [int(batch.sizes.sum()) for _, batch, _ in hops]
+
     def test_scalar_and_sequence_shapes(self):
         g = simple_graph()
         dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
@@ -584,6 +629,16 @@ class TestCheckpoint:
             loaded, _ = load_checkpoint(path)
             np.testing.assert_array_equal(model.positional_encoder.table.data,
                                           loaded.positional_encoder.table.data)
+
+    def test_non_finite_fixed_positional_table_rejected(self, tmp_path):
+        # a NaN rank row used to load, and the ReLU turned the embeddings into zeros
+        path = tmp_path / "p.json"
+        save_checkpoint(self._model("positional"), path)
+        payload = json.loads(path.read_text())
+        payload["positional"]["table"][0][0] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="positional table holds a non-finite value"):
+            load_checkpoint(path)
 
     def test_malformed_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

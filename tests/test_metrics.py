@@ -92,6 +92,13 @@ class TestHandCases:
         with pytest.raises(EvaluationError, match="NaN"):
             accuracy(self.NAN_LABELS, self.NAN_SCORES)
 
+    # a label of 2 used to be scored: this example gave an AUC of -1.0 and an AP of 0.5
+    @pytest.mark.parametrize("metric", [roc_auc, average_precision, accuracy])
+    @pytest.mark.parametrize("labels", [[2, 0, 1, 0], [1, 0, -1, 0], [1, 0, 0.5, 0]])
+    def test_rejects_labels_other_than_zero_and_one(self, metric, labels):
+        with pytest.raises(EvaluationError, match="0 or 1"):
+            metric(labels, [0.9, 0.1, 0.8, 0.2])
+
 
 class TestExhaustiveSmallCases:
     """Implementations match the brute-force oracles on every configuration of

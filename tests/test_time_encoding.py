@@ -61,6 +61,29 @@ class TestEncode:
         # relative error < 1e-5 at random (w, dt)
         assert report.passed, report
 
+    @pytest.mark.parametrize("k", [2, 4, 12])
+    def test_gradient_unchanged_by_zero_timespan_rows(self, k):
+        # the entity matrix encodes only real timespans; dropping the rows of
+        # zero timespan must leave the frequency gradient's bits as they were.
+        # Two or more frequencies sum each column row by row; one frequency
+        # makes a single column, which numpy sums pairwise.
+        rng = np.random.default_rng(k)
+        for _ in range(50):
+            rows = int(rng.integers(1, 200))
+            enc = TimeEncoder(rng.normal(0.0, 2.0, size=k))
+            deltas = np.where(rng.random(rows) < 0.3, 0.0, rng.exponential(5.0, size=rows))
+            g = rng.standard_normal((rows, 2 * k))
+            real = deltas != 0.0
+            grads = []
+            for keep in (np.ones(rows, bool), real):
+                enc.frequencies.zero_grad()
+                with ad.Tape() as tape:
+                    loss = ad.sum_all(ad.mul(enc.encode_many(deltas[keep]),
+                                             ad.constant(g[keep])))
+                ad.backward(tape, loss)
+                grads.append(enc.frequencies.grad)
+            np.testing.assert_array_equal(grads[0], grads[1])
+
     def test_even_dimension_required(self):
         with pytest.raises(ValidationError):
             TimeEncoder.create(7)

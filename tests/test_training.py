@@ -7,7 +7,7 @@ import pytest
 
 import tgat.training as training
 from tgat import autodiff as ad
-from tgat.errors import ContractError, EvaluationError, TrainingError
+from tgat.errors import ContractError, EvaluationError, TrainingError, ValidationError
 from tgat.layer import Dims, SamplingConfig, TgatModel, embed_tensor
 from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
 from tgat.temporal_graph import (
@@ -147,6 +147,13 @@ def training_fixture():
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("field, value", [
+        ("rng_seed", -1), ("learning_rate", 0.0), ("learning_rate", -0.01),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf"))])
+    def test_config_value_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value}).validate()
+
     def test_zero_epochs_returns_initial_model(self):
         g, split, cfg = training_fixture()
         cfg.max_epochs = 0
@@ -369,6 +376,14 @@ class TestNodeClassify:
                    for batch_size in (5, 64)]
         assert results[1].auc == pytest.approx(results[0].auc, abs=1e-12)
         assert results[1].accuracy == results[0].accuracy
+
+    def test_label_other_than_zero_and_one_rejected(self):
+        # a training-period label of 2 used to be trained on as a negative
+        g = build_graph([0, 1, 2, 0, 1, 2], [1, 2, 0, 2, 0, 1], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                        labels=[0, 2, 1, 0, 1, 0])
+        split = chronological_split(g, 0.5, 0.25)
+        with pytest.raises(EvaluationError, match="0 or 1, got 2"):
+            node_classify(small_model(g), g, split)
 
     def test_single_class_split_rejected(self):
         g = build_graph([0, 1, 2, 0], [1, 2, 0, 2], [1.0, 2.0, 3.0, 4.0],
