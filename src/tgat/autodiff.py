@@ -8,8 +8,9 @@ accumulates gradients additively, so a tensor used twice receives the sum
 of both path gradients.
 
 Design choices: double precision everywhere (finite-difference checks need
-the headroom), ReLU derivative at exactly 0 is 0, and broadcasting is
-limited to row/column vectors against matrices.
+the headroom). The engine holds only the operators the losses and the
+learnable positional table need; the model's fused operators record their
+own rules through ``apply_op``.
 """
 
 from __future__ import annotations
@@ -132,21 +133,6 @@ def _require_2d(*tensors: Tensor) -> None:
             raise DimensionError(f"expected a matrix, got shape {t.data.shape}")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d(a, b)
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul shapes {a.data.shape} x {b.data.shape} do not chain")
-    a_data, b_data = a.data, b.data
-
-    def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g @ b_data.T)
-        if b.requires_grad:
-            b._accumulate(a_data.T @ g)
-
-    return apply_op(a_data @ b_data, (a, b), pull)
-
-
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The gradient of a ``shape`` operand broadcast into ``g``'s shape: ``g``
     summed over the broadcast axes, or ``g`` itself when the shapes agree."""
@@ -156,65 +142,19 @@ def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes, keepdims=True)
 
 
-def _broadcast_pair(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
-    if a.data.shape == b.data.shape:
-        return a.data.shape
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"{op} shapes {a.data.shape} and {b.data.shape} do not match")
-    try:
-        out_shape = np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise DimensionError(f"{op} shapes {a.data.shape} and {b.data.shape} do not match") from None
-    # only row/column vector broadcasting is supported
-    for t in (a, b):
-        if t.data.shape != out_shape and 1 not in t.data.shape:
-            raise DimensionError(f"{op} shapes {a.data.shape} and {b.data.shape} do not match")
-    return out_shape
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_pair(a, b, "add")
-
-    def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g, b.data.shape))
-
-    return apply_op(a.data + b.data, (a, b), pull)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def pull(g: np.ndarray) -> None:
-        a._accumulate(c * g)
-
-    return apply_op(c * a.data, (a,), pull)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product (same broadcasting rules as add)."""
-    _broadcast_pair(a, b, "mul")
-    a_data, b_data = a.data, b.data
-
-    def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(unbroadcast(g * b_data, a_data.shape))
-        if b.requires_grad:
-            b._accumulate(unbroadcast(g * a_data, b_data.shape))
-
-    return apply_op(a_data * b_data, (a, b), pull)
+def _row_index(a: Tensor, index) -> np.ndarray:
+    index = np.asarray(index, dtype=np.intp)
+    n_rows = a.data.shape[0]
+    if index.ndim != 1 or (index.size and not 0 <= index.min() <= index.max() < n_rows):
+        raise DimensionError(f"row index outside shape {a.data.shape}")
+    return index
 
 
 def gather_rows(a: Tensor, index) -> Tensor:
     """Rows of ``a`` picked by an integer index array (repeats allowed); the
     backward pass scatter-adds each output row's gradient into its source row."""
     _require_2d(a)
-    index = np.asarray(index, dtype=np.intp)
-    n_rows = a.data.shape[0]
-    if index.ndim != 1 or (index.size and not 0 <= index.min() <= index.max() < n_rows):
-        raise DimensionError(f"row index outside shape {a.data.shape}")
+    index = _row_index(a, index)
 
     def pull(g: np.ndarray) -> None:
         full = np.zeros_like(a.data)
@@ -224,13 +164,27 @@ def gather_rows(a: Tensor, index) -> Tensor:
     return apply_op(a.data[index], (a,), pull)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # derivative at exactly 0 is 0
+def pair_scores(h: Tensor, left, right) -> Tensor:
+    """Inner products ``h[left[i]] . h[right[i]]`` as one (n, 1) column.
+
+    The forward is ``(h[left] * h[right]) @ ones``; the backward scatter-adds
+    into one gradient array, the ``right`` rows first, then the ``left``
+    rows, which for disjoint row sets gives the bits of two ``gather_rows``
+    pulls summed.
+    """
+    _require_2d(h)
+    left, right = _row_index(h, left), _row_index(h, right)
+    if left.size != right.size:
+        raise DimensionError(f"{left.size} left rows against {right.size} right rows")
+    h_left, h_right = h.data[left], h.data[right]
 
     def pull(g: np.ndarray) -> None:
-        a._accumulate(g * mask)
+        grad = np.zeros_like(h.data)
+        np.add.at(grad, right, g * h_left)
+        np.add.at(grad, left, g * h_right)
+        h._accumulate(grad)
 
-    return apply_op(np.where(mask, a.data, 0.0), (a,), pull)
+    return apply_op((h_left * h_right) @ np.ones((h.data.shape[1], 1)), (h,), pull)
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -243,15 +197,20 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_sigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(x)) computed without overflow; backward is sigmoid(-x)."""
-    y = -np.logaddexp(0.0, -a.data)
-    s = sigmoid_values(a.data)
+def logistic_loss(scores: Tensor, sign) -> Tensor:
+    """-sum log sigmoid(sign * scores) as a (1, 1) tensor, computed without
+    overflow; ``sign`` (+1 or -1 per score) has the shape of ``scores``.
+    The gradient of a score is -sign * sigmoid(-sign * score)."""
+    sign = np.asarray(sign, dtype=np.float64)
+    if sign.shape != scores.data.shape:
+        raise DimensionError(f"sign shape {sign.shape} does not match scores {scores.data.shape}")
+    signed = scores.data * sign
+    s = sigmoid_values(signed)
 
     def pull(g: np.ndarray) -> None:
-        a._accumulate(g * (1.0 - s))
+        scores._accumulate(-g.flat[0] * (1.0 - s) * sign)
 
-    return apply_op(y, (a,), pull)
+    return apply_op(np.array([[np.logaddexp(0.0, -signed).sum()]]), (scores,), pull)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -210,12 +210,12 @@ def build_entity_matrix(
     zero edge block, phi(0)); row B + b * N + i is target b's i-th neighbor
     slot, (hidden, edge, phi(t - t_i)). The edge block is as wide as the
     batch's edge features. A slot past the end of a sample copies its target
-    row and is left to the attention mask. phi is encoded for the sampled
-    timespans only; the other rows take ``encode_values([0.0])``, phi(0) bit
-    for bit (cos 0 = 1, sin 0 = 0). In positional mode the time block is a
-    rank lookup instead (rank 0 = oldest neighbor, target = rank n), made in
-    (B, N + 1) block order so that a learnable table sums its gradient rows
-    in that order.
+    row and is left to the attention mask: the backward gives it no gradient.
+    phi is encoded for the sampled timespans only; the other rows take
+    ``encode_values([0.0])``, phi(0) bit for bit (cos 0 = 1, sin 0 = 0). In
+    positional mode the time block is a rank lookup instead (rank 0 = oldest
+    neighbor, target = rank n), made in (B, N + 1) block order so that a
+    learnable table sums its gradient rows in that order.
     """
     b, n = batch.mask.shape
     sizes = batch.sizes
@@ -332,26 +332,28 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
     return ad.apply_op(np.concatenate(heads, axis=1), inputs, pull), np.stack(alphas)
 
 
-def feed_forward(heads: Tensor, x0: np.ndarray, w0: Tensor, b0: Tensor, w1: Tensor,
-                 b1: Tensor) -> Tensor:
-    """relu([heads, x0] @ w0 + b0) @ w1 + b1 over the targets' head outputs and
-    raw features ``x0``, as one operator whose forward and backward repeat
-    the float operations of the elementary-operator chain."""
-    ffn_in = np.concatenate([heads.data, x0], axis=1)
-    pre = ffn_in @ w0.data + b0.data
-    live = pre > 0  # derivative at exactly 0 is 0
-    act = np.where(live, pre, 0.0)
+def feed_forward(x: Tensor, x0: np.ndarray, weights: list[Tensor],
+                 biases: list[Tensor]) -> Tensor:
+    """ReLU MLP over the columns of ``x`` followed by the raw columns ``x0``
+    (which may be zero-width): ``a @ w + b`` per layer, with a ReLU between
+    layers and none after the last. One operator whose forward and backward
+    repeat the float operations of the concat/matmul/add/relu chain."""
+    inputs = [np.concatenate([x.data, x0], axis=1)]
+    for w, b in zip(weights[:-1], biases):
+        pre = inputs[-1] @ w.data + b.data
+        inputs.append(np.where(pre > 0, pre, 0.0))  # derivative at exactly 0 is 0
+    out = inputs[-1] @ weights[-1].data + biases[-1].data
 
     def pull(g: np.ndarray) -> None:
-        b1._accumulate(ad.unbroadcast(g, b1.data.shape))
-        w1._accumulate(act.T @ g)
-        g_pre = (g @ w1.data.T) * live
-        b0._accumulate(ad.unbroadcast(g_pre, b0.data.shape))
-        w0._accumulate(ffn_in.T @ g_pre)
-        if heads.requires_grad:
-            heads._accumulate((g_pre @ w0.data.T)[:, :heads.data.shape[1]])
+        for k in reversed(range(len(weights))):
+            biases[k]._accumulate(ad.unbroadcast(g, biases[k].data.shape))
+            weights[k]._accumulate(inputs[k].T @ g)
+            if k > 0:
+                g = (g @ weights[k].data.T) * (inputs[k] > 0)
+        if x.requires_grad:
+            x._accumulate((g @ weights[0].data.T)[:, :x.data.shape[1]])
 
-    return ad.apply_op(act @ w1.data + b1.data, (heads, w0, b0, w1, b1), pull)
+    return ad.apply_op(out, (x, *weights, *biases), pull)
 
 
 def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
@@ -388,7 +390,7 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
     if attention is not None:
         attention.append((level, batch, weights))
 
-    return feed_forward(heads, x0, layer.w0, layer.b0, layer.w1, layer.b1)
+    return feed_forward(heads, x0, [layer.w0, layer.w1], [layer.b0, layer.b1])
 
 
 def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,

@@ -139,6 +139,10 @@ class TemporalGraph:
         if bad.size:
             raise ValidationError(
                 f"timestamp {timestamps[bad[0]]} in event {bad[0]} is negative or not finite")
+        bad = np.flatnonzero(labels < -1)
+        if bad.size:
+            raise ValidationError(
+                f"label {labels[bad[0]]} in event {bad[0]} is below -1, the no-label marker")
         ends = np.concatenate([sources, destinations])
         bad = np.flatnonzero((ends < 0) | (ends >= node_features.shape[0]))
         if bad.size:
@@ -514,13 +518,17 @@ def ingest(
 
     User and item id spaces are distinct; both are remapped to contiguous node
     ids in first-appearance order. Node features default to all-zero vectors.
-    A state label must be a whole number (``1`` or ``1.0``).
+    A state label must be a whole number (``1`` or ``1.0``) of at least -1,
+    which means no label.
     ``time_divisor`` rescales raw timestamps (raw epoch-second magnitudes make
     poor cos/sin arguments). Line numbers in errors count the one header line
     that ``load_graph_csv`` reads before the rows.
     """
     if not 0 < time_divisor < np.inf:
         raise ValidationError(f"time divisor must be positive and finite, got {time_divisor}")
+    for name, dim in (("feature_dim", feature_dim), ("node_feature_dim", node_feature_dim)):
+        if dim is not None and dim < 0:
+            raise ValidationError(f"{name} must be >= 0, got {dim}")
     expected_cols = 4 + feature_dim
     node_of_key: dict[tuple[str, str], int] = {}
 
@@ -540,6 +548,9 @@ def ingest(
             raise IngestionError(f"line {line}: {exc}") from None
         if not label.is_integer():
             raise IngestionError(f"line {line}: state label {row[3]!r} is not a whole number")
+        if label < -1:
+            raise IngestionError(
+                f"line {line}: state label {row[3]!r} is below -1, the no-label marker")
         labels.append(int(label))
         if not 0 <= timestamp < np.inf:
             raise ValidationError(

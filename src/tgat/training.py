@@ -26,6 +26,8 @@ from .layer import (
     TgatModel,
     embed,
     embed_tensor,
+    feed_forward,
+    glorot,
 )
 from .temporal_graph import (
     STRATEGIES,
@@ -80,6 +82,10 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        for name in ("max_train_events_per_epoch", "max_val_events"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0 (0 = no cap), "
+                                      f"got {getattr(self, name)}")
 
     def sampling(self, training: bool = False) -> SamplingConfig:
         """Evaluation uses the full neighborhood cap; training shrinks it by
@@ -159,9 +165,8 @@ def _link_scores(model: TgatModel, graph: TemporalGraph, events: np.ndarray,
     # rows of h: sources [0, p), destinations [p, 2p), negatives of positive i
     # at 2p + i*q + k; pair each source with its destination and negatives
     p = events.size
-    left = ad.gather_rows(h, np.concatenate([np.arange(p), np.repeat(np.arange(p), q)]))
-    right = ad.gather_rows(h, np.arange(p, h.data.shape[0]))
-    return ad.matmul(ad.mul(left, right), ad.constant(np.ones((h.data.shape[1], 1))))
+    return ad.pair_scores(h, np.concatenate([np.arange(p), np.repeat(np.arange(p), q)]),
+                          np.arange(p, h.data.shape[0]))
 
 
 def link_loss(
@@ -189,7 +194,7 @@ def link_loss(
     rng = np.random.default_rng(rng_seed)  # a Generator passes through unchanged
     scores = _link_scores(model, graph, idx, sampling, negatives_per_positive, rng, rng_seed)
     sign = np.concatenate([np.ones(idx.size), -np.ones(idx.size * negatives_per_positive)])
-    return ad.scale(ad.sum_all(ad.log_sigmoid(ad.mul(scores, ad.constant(sign[:, None])))), -1.0)
+    return ad.logistic_loss(scores, sign[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +354,15 @@ def evaluate_links(
 ) -> EvalMetrics:
     """Score each positive event against one seeded negative pair.
 
+    Without ``event_indices``, the period's events are evaluated, or a
+    chronological subsample of ``max_events`` of them when that is positive.
     ``node_filter`` "observed" evaluates transductively (no unseen endpoint);
     "unseen" evaluates the inductive set (at least one unseen endpoint).
     """
     if node_filter not in ("observed", "unseen"):
         raise ValidationError(f"node filter must be 'observed' or 'unseen', got {node_filter!r}")
+    if max_events < 0:
+        raise ValidationError(f"max_events must be >= 0 (0 = all), got {max_events}")
     mode = "transductive" if node_filter == "observed" else "inductive"
     if event_indices is None:
         event_indices = evaluation_event_indices(graph, split, period, mode)
@@ -401,8 +410,6 @@ class _Mlp:
     """Three-layer ReLU MLP with widths (d, d, d/2, 1)."""
 
     def __init__(self, d: int, rng: np.random.Generator):
-        from .layer import glorot
-
         widths = (d, d, max(1, d // 2), 1)
         self.weights = [ad.parameter(glorot(rng, a, b)) for a, b in zip(widths, widths[1:])]
         self.biases = [ad.parameter(np.zeros((1, b))) for b in widths[1:]]
@@ -411,9 +418,7 @@ class _Mlp:
         return [t for pair in zip(self.weights, self.biases) for t in pair]
 
     def logits(self, x: Tensor) -> Tensor:
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = ad.add(ad.matmul(x if i == 0 else ad.relu(x), w), b)
-        return x
+        return feed_forward(x, np.zeros((x.data.shape[0], 0)), self.weights, self.biases)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return ad.sigmoid_values(self.logits(ad.constant(x)).data[:, 0])
@@ -473,10 +478,8 @@ def node_classify(
         y_sign = np.where(y_train[batch_idx] == 1, 1.0, -1.0)[:, None]
         ad.zero_grads(params)
         with ad.Tape() as tape:
-            logits = mlp.logits(ad.constant(x))
             # -log sigmoid(s) for positives, -log sigmoid(-s) for negatives
-            signed = ad.mul(logits, ad.constant(y_sign))
-            loss = ad.sum_all(ad.scale(ad.log_sigmoid(signed), -1.0))
+            loss = ad.logistic_loss(mlp.logits(ad.constant(x)), y_sign)
         ad.backward(tape, loss)
         grads = [p.grad for p in params]
         if mlp_config.l2 > 0:

@@ -84,6 +84,21 @@ class TestIngest:
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_below_minus_one_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("user_id,item_id,timestamp,state_label\n1,2,1.0,0\n1,2,2.0,-5\n")
+        assert main(["ingest", str(data), str(tmp_path / "g.npz")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "line 3" in err[0]
+
+    @pytest.mark.parametrize("flag", ["--feature-dim", "--node-feature-dim"])
+    def test_negative_feature_dim_exit_1(self, tmp_path, capsys, flag):
+        data = tmp_path / "three_col.csv"
+        data.write_text("user_id,item_id,timestamp\n1,2,1.0\n")
+        assert main(["ingest", str(data), str(tmp_path / "g.npz"), flag, "-1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "must be >= 0" in err[0]
+
     def test_outputs_byte_identical(self, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text(CSV_TEXT)
@@ -185,6 +200,12 @@ class TestEvalAndEmbed:
         assert line.startswith("split=transductive task=link acc=")
         assert " ap=" in line and " auc=" in line
 
+    def test_eval_negative_max_events_exit_1(self, trained, capsys):
+        _, graph, ckpt = trained
+        assert main(["eval", str(ckpt), str(graph), "--max-events", "-5"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "max_events" in err[0]
+
     def test_eval_missing_checkpoint_exit_2(self, trained):
         tmp_path, graph, _ = trained
         assert main(["eval", str(tmp_path / "none.json"), str(graph)]) == 2
@@ -280,6 +301,14 @@ class TestEvalAndEmbed:
         assert main(["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "rng_seed" in err[0]
+
+    @pytest.mark.parametrize("field", ["max_train_events_per_epoch", "max_val_events"])
+    def test_checkpoint_config_negative_cap_exit_1(self, trained, capsys, field):
+        _, graph, ckpt = trained
+        self._tamper(ckpt, **{field: -5})
+        assert main(["eval", str(ckpt), str(graph)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and field in err[0]
 
     # a NaN in b1 printed NaN in every row; one in b0 is zeroed by the ReLU,
     # so the embeddings looked finite

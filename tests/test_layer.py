@@ -42,6 +42,15 @@ from tgat.time_encoding import PositionalEncoder, TimeEncoder
 MOST_RECENT = SamplingConfig(max_neighbors=16, strategy="most-recent")
 
 
+def weighted_sum(a: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
+    """sum(a * weights) as one test-local operator, bit-equal to the
+    elementwise product with a constant followed by ``sum_all``."""
+    def pull(g):
+        a._accumulate(np.full(a.data.shape, g.flat[0]) * weights)
+
+    return ad.apply_op(np.array([[(a.data * weights).sum()]]), (a,), pull)
+
+
 def simple_graph():
     # 4 nodes, d_0 = 2, no edge features
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, -0.3]])
@@ -239,7 +248,7 @@ class TestAttendHead:
         with ad.Tape() as tape:
             z = build_entity_matrix(hidden, batch, TimeEncoder.create(4))
             out, _ = attend_head(z, *w, mode, batch.mask)
-            loss = ad.sum_all(ad.mul(out, ad.constant(rng.standard_normal(out.data.shape))))
+            loss = weighted_sum(out, rng.standard_normal(out.data.shape))
         ad.backward(tape, loss)
         return batch, hidden, z
 

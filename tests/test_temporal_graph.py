@@ -189,6 +189,17 @@ class TestIngest:
         rows[2][3] = "1.0"
         assert ingest(rows, feature_dim=2).labels.tolist() == [0, 0, 1]
 
+    def test_label_below_minus_one_cites_line(self, tmp_path):
+        # -1 is the no-label marker, so -5 would silently drop out of the labelled set
+        path = tmp_path / "labels.csv"
+        path.write_text("user_id,item_id,timestamp,state_label\n"
+                        "1,2,1.0,0\n1,2,2.0,-5\n1,2,3.0,2\n1,2,4.0,-1\n")
+        with pytest.raises(IngestionError, match="line 3.*'-5'"):
+            load_graph_csv(path)
+        path.write_text("user_id,item_id,timestamp,state_label\n"
+                        "1,2,1.0,0\n1,2,3.0,2\n1,2,4.0,-1\n")
+        assert load_graph_csv(path).labels.tolist() == [0, 2, -1]
+
     def test_user_and_item_id_spaces_distinct(self):
         rows = [["5", "5", "1.0", "0"]]
         g = ingest(rows, feature_dim=0)
@@ -243,6 +254,12 @@ class TestGraphInvariants:
             build_graph([0], [1], [1.0], labels=[np.nan])
         g = build_graph([0, 1], [1, 2], [1.0, 2.0], labels=[1.0, -1.0])
         assert g.labels.tolist() == [1, -1] and g.labels.dtype == np.int64
+
+    def test_label_below_minus_one_rejected(self):
+        with pytest.raises(ValidationError, match="label -5 in event 1"):
+            build_graph([0, 1, 2, 0], [1, 2, 0, 2], [1.0, 2.0, 3.0, 4.0], labels=[0, -5, 2, -1])
+        g = build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0], labels=[0, 2, -1])
+        assert g.labels.tolist() == [0, 2, -1]  # 2 is left to binary_labels
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_bad_timestamp_rejected(self, bad):

@@ -149,7 +149,8 @@ def training_fixture():
 class TestTrainLoop:
     @pytest.mark.parametrize("field, value", [
         ("rng_seed", -1), ("learning_rate", 0.0), ("learning_rate", -0.01),
-        ("learning_rate", float("nan")), ("learning_rate", float("inf"))])
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("max_train_events_per_epoch", -5), ("max_val_events", -5)])
     def test_config_value_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value}).validate()
@@ -247,7 +248,7 @@ class TestTrainLoop:
             loss = original(*args, **kwargs)
             calls["n"] += 1
             if calls["n"] == 3:
-                return ad.scale(loss, float("nan"))
+                return ad.constant(np.array([[np.nan]]))
             return loss
 
         monkeypatch.setattr(training, "link_loss", nan_on_third_batch)
@@ -329,6 +330,13 @@ class TestEvaluateLinks:
         empty = SplitSpec(train_end=10.0, val_end=10.0)
         with pytest.raises(EvaluationError):
             evaluate_links(model, g, empty, period="test")
+
+    def test_negative_max_events_rejected(self):
+        # a negative cap used to mean "no cap", like 0
+        g, split, cfg = training_fixture()
+        model = training.build_model(g, cfg)
+        with pytest.raises(ValidationError, match="max_events"):
+            evaluate_links(model, g, split, config=cfg, max_events=-5)
 
     def test_inductive_tag(self, monkeypatch):
         g = build_graph([0, 1, 0, 2], [1, 2, 3, 3], [1.0, 2.0, 5.0, 6.0])
