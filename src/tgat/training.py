@@ -75,6 +75,11 @@ class TrainConfig:
             raise ValidationError(f"unknown sampling strategy {self.sampling_strategy!r}")
         if self.layers < 1 or self.heads < 1:
             raise ValidationError("layers and heads must be >= 1")
+        if self.max_neighbors < 1:
+            raise ValidationError(f"max_neighbors must be >= 1, got {self.max_neighbors}")
+        if not 0 <= self.unseen_fraction < 1:
+            raise ValidationError(
+                f"unseen_fraction must lie in [0, 1), got {self.unseen_fraction!r}")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValidationError("batch_size must be >= 1 and max_epochs >= 0")
         if self.rng_seed < 0:

@@ -6,6 +6,7 @@ checker itself."""
 import importlib
 import inspect
 import pkgutil
+import zlib
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def build_op_case(name: str, rng):
 def test_operator_gradients_match_finite_differences(op_name):
     # 100+ seeded trials across the operator set, shapes <= 8x8
     for trial in range(8):
-        rng = np.random.default_rng([hash(op_name) % (2**32), trial])
+        rng = np.random.default_rng([zlib.crc32(op_name.encode()), trial])
         build, params = build_op_case(op_name, rng)
         assert_matches_fd(build, params, trial)
 

@@ -150,7 +150,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field, value", [
         ("rng_seed", -1), ("learning_rate", 0.0), ("learning_rate", -0.01),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-        ("max_train_events_per_epoch", -5), ("max_val_events", -5)])
+        ("max_train_events_per_epoch", -5), ("max_val_events", -5),
+        ("max_neighbors", 0), ("unseen_fraction", -0.5), ("unseen_fraction", 1.0)])
     def test_config_value_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value}).validate()
