@@ -84,13 +84,6 @@ class Tape:
 _ACTIVE: list[Tape] = []
 
 
-def recorded(inputs: Sequence[Tensor]) -> bool:
-    """Whether an operation on ``inputs`` records its backward rule: a tape
-    is active and some input requires a gradient. An operator may skip
-    keeping what only its rule reads when this is False."""
-    return bool(_ACTIVE) and any(t.requires_grad for t in inputs)
-
-
 def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], pull: GradFn) -> Tensor:
     """Create the output tensor of an operation and record its backward rule.
 
@@ -98,11 +91,12 @@ def apply_op(out_data: np.ndarray, inputs: Sequence[Tensor], pull: GradFn) -> Te
     into the inputs via ``Tensor._accumulate``. This is the extension point
     every operator below goes through; test fixtures use it to inject
     deliberately wrong rules when exercising ``grad_check``. A rule is
-    recorded only when ``recorded(inputs)``, so the rule of a one-input
-    operator may accumulate into its input unconditionally.
+    recorded only when a tape is active and some input requires a gradient,
+    so the rule of a one-input operator may accumulate into its input
+    unconditionally.
     """
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    if recorded(inputs):
+    if _ACTIVE and out.requires_grad:
         _ACTIVE[-1]._nodes.append((out, pull))
     return out
 

@@ -87,17 +87,20 @@ def parse_train_config(path) -> TrainConfig:
 
     Blank lines and ``#`` comments are skipped; unknown keys are hard errors.
     """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            values[key] = _config_value(key, value.strip(), f"{path}:{lineno}", ConfigError)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        values[key] = _config_value(key, value.strip(), f"{path}:{lineno}", ConfigError)
     config = TrainConfig(**values)
     config.validate()
     return config

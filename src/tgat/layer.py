@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -266,10 +267,10 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
     neighbor rows. Returns the (B, H * d_h) head outputs and the (H, B, N)
     weights, zero on masked rows. Constant mode weighs real rows uniformly
     (mean pooling); the other modes scale query-key products by sqrt(d_h).
-    The backward sums in the order of a chain of elementary operators (heads
-    last to first, query terms neighbor by neighbor), so fusing them changes
-    no float result. A head's keys and values outlive its loop step only when
-    a tape records the call.
+    The head is the leading axis of every array, every product a batched
+    ``np.matmul`` of one-head slices, so each head gets its one-head bits;
+    the backward sums in the order of a chain of elementary operators (heads
+    last to first, query terms neighbor by neighbor).
     """
     n_rows, d_in = z.data.shape
     b, n = mask.shape
@@ -277,59 +278,47 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
         raise ContractError("attention needs the target row plus at least one neighbor slot")
     learned = mode != "constant"
     inputs = (z, *w_q, *w_k, *w_v) if learned else (z, *w_v)
-    keep = ad.recorded(inputs)
     targets, neighbors = z.data[:b], z.data[b:]
-    d_h = w_v[0].data.shape[1]
+    h, d_h = len(w_v), w_v[0].data.shape[1]
     scale = float(1.0 / np.sqrt(d_h))
-    uniform = mask / np.maximum(mask.sum(axis=1, keepdims=True), 1)
-    heads, alphas, saved = [], [], []
-    for i in range(len(w_v)):
-        query, keys, alpha = None, None, uniform
-        if learned:
-            query = targets @ w_q[i].data
-            keys = (neighbors @ w_k[i].data).reshape(b, n, d_h)
-            dots = (keys * query[:, None]).reshape(b * n, d_h) @ np.ones((d_h, 1))
-            scores = np.where(mask, scale * dots.reshape(b, n), -np.inf)
-            top = np.where(mask.any(axis=1, keepdims=True), scores.max(axis=1, keepdims=True), 0.0)
-            e = np.exp(scores - top)  # a live row sums to >= 1, an all-masked one to 0
-            alpha = e / np.maximum(e.sum(axis=1, keepdims=True), 1.0)
-        values = (neighbors @ w_v[i].data).reshape(b, n, d_h)
-        heads.append((alpha[:, :, None] * values).sum(axis=1))
-        alphas.append(alpha)
-        if keep:
-            saved.append((query, keys, values, alpha))
+    wq, wk, wv = (np.stack([w.data for w in ws]) for ws in (w_q, w_k, w_v))  # (H, d_in, d_h)
+    values = np.matmul(neighbors, wv).reshape(h, b, n, d_h)
+    alpha = np.tile(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1), (h, 1, 1))
+    if learned:
+        query = np.matmul(targets, wq)
+        keys = np.matmul(neighbors, wk).reshape(h, b, n, d_h)
+        dots = np.matmul((keys * query[:, :, None]).reshape(h, b * n, d_h), np.ones((d_h, 1)))
+        scores = np.where(mask, scale * dots.reshape(h, b, n), -np.inf)
+        top = np.where(mask.any(axis=1, keepdims=True), scores.max(axis=2, keepdims=True), 0.0)
+        e = np.exp(scores - top)  # a live row sums to >= 1, an all-masked one to 0
+        alpha = e / np.maximum(e.sum(axis=2, keepdims=True), 1.0)
+    heads = (alpha[..., None] * values).sum(axis=2)
 
     def pull(g: np.ndarray) -> None:
-        grad_z = np.empty((n_rows, d_in)) if z.requires_grad else None
-        for step, i in enumerate(reversed(range(len(w_v)))):
-            query, keys, values, alpha = saved[i]
-            g_out = g[:, None, i * d_h:(i + 1) * d_h]
-            g_values = (g_out * alpha[:, :, None]).reshape(b * n, d_h)
-            w_v[i]._accumulate(neighbors.T @ g_values)
+        g_out = np.ascontiguousarray(g.reshape(b, h, d_h).transpose(1, 0, 2))[:, :, None]
+        g_values = (g_out * alpha[..., None]).reshape(h, b * n, d_h)
+        grads = [(w_v, np.matmul(neighbors.T, g_values))]
+        if learned:
+            g_alpha = (g_out * values).sum(axis=3)
+            inner = (g_alpha * alpha).sum(axis=2, keepdims=True)
+            g_dots = (scale * (alpha * (g_alpha - inner)))[..., None]
+            g_keys = (g_dots * query[:, :, None]).reshape(h, b * n, d_h)
+            g_query = (g_dots * keys).sum(axis=2)
+            grads += [(w_q, np.matmul(targets.T, g_query)), (w_k, np.matmul(neighbors.T, g_keys))]
+        for i in reversed(range(h)):
+            for w, g_w in grads:
+                w[i]._accumulate(g_w[i])
+        if z.requires_grad:
+            g_z = np.empty((h, n_rows, d_in))
+            np.matmul(g_values, wv.transpose(0, 2, 1), out=g_z[:, b:])
             if learned:
-                g_alpha = (g_out * values).reshape(b * n, d_h).sum(axis=1).reshape(b, n)
-                inner = (g_alpha * alpha).sum(axis=1, keepdims=True)
-                g_dots = (scale * (alpha * (g_alpha - inner)))[:, :, None]
-                g_keys = (g_dots * query[:, None]).reshape(b * n, d_h)
-                g_query = (g_dots * keys).sum(axis=1)
-                w_q[i]._accumulate(targets.T @ g_query)
-                w_k[i]._accumulate(neighbors.T @ g_keys)
-            if grad_z is None:
-                continue
-            g_rows = g_values @ w_v[i].data.T
-            g_targets = 0.0  # in constant mode the target rows feed no query
-            if learned:
-                g_targets = g_query @ w_q[i].data.T
-                g_rows = g_keys @ w_k[i].data.T + g_rows
-            if step == 0:
-                grad_z[:b], grad_z[b:] = g_targets, g_rows
+                np.matmul(g_query, wq.transpose(0, 2, 1), out=g_z[:, :b])
+                g_z[:, b:] += np.matmul(g_keys, wk.transpose(0, 2, 1))
             else:
-                grad_z[:b] += g_targets
-                grad_z[b:] += g_rows
-        if grad_z is not None:
-            z._accumulate(grad_z)
+                g_z[:, :b] = 0.0  # the target rows feed no query
+            z._accumulate(reduce(np.add, g_z[::-1]))  # heads last to first
 
-    return ad.apply_op(np.concatenate(heads, axis=1), inputs, pull), np.stack(alphas)
+    return ad.apply_op(heads.transpose(1, 0, 2).reshape(b, h * d_h), inputs, pull), alpha
 
 
 def feed_forward(x: Tensor, x0: np.ndarray, weights: list[Tensor],
@@ -494,13 +483,14 @@ def save_checkpoint(model: TgatModel, path, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[TgatModel, dict]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not a model checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    try:
+    try:  # invalid UTF-8 or JSON raises ValueError
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{path}: not a model checkpoint")
+        if payload.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported checkpoint version {payload.get('version')}")
         d = payload["dims"]
         dims = Dims(d0=d["d0"], d=d["d"], d_t=d["d_t"], d_h=d["d_h"], d_f=d["d_f"], d_e=d["d_e"])
         mode = payload["attention_mode"]

@@ -143,6 +143,10 @@ class TemporalGraph:
         if bad.size:
             raise ValidationError(
                 f"label {labels[bad[0]]} in event {bad[0]} is below -1, the no-label marker")
+        for owner, values in (("event", edge_features), ("node", node_features)):
+            if not np.isfinite(values).all():
+                row, col = np.argwhere(~np.isfinite(values))[0]
+                raise ValidationError(f"feature {col} of {owner} {row} is {values[row, col]}")
         ends = np.concatenate([sources, destinations])
         bad = np.flatnonzero((ends < 0) | (ends >= node_features.shape[0]))
         if bad.size:
@@ -546,6 +550,8 @@ def ingest(
             feats.append([float(v) for v in row[4:]])
         except ValueError as exc:
             raise IngestionError(f"line {line}: {exc}") from None
+        if not all(-np.inf < v < np.inf for v in feats[-1]):
+            raise IngestionError(f"line {line}: edge features {row[4:]} are not all finite")
         if not label.is_integer():
             raise IngestionError(f"line {line}: state label {row[3]!r} is not a whole number")
         if label < -1:
@@ -578,16 +584,18 @@ def load_graph_csv(
     """
     import csv as _csv
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file, expected a header line") from None
-        if feature_dim is None:
-            feature_dim = max(len(header) - 4, 0)
-        return ingest(reader, feature_dim, node_feature_dim=node_feature_dim,
-                      time_divisor=time_divisor)
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file, expected a header line")
+            if feature_dim is None:
+                feature_dim = max(len(header) - 4, 0)
+            return ingest(reader, feature_dim, node_feature_dim=node_feature_dim,
+                          time_divisor=time_divisor)
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 GRAPH_FORMAT_VERSION = 1
@@ -615,12 +623,15 @@ def load_graph(path) -> TemporalGraph:
         raise ValidationError(f"{path}: not an npz graph archive")
     with data:
         try:
-            version = int(data["format_version"][0])
-            columns = {name: data[name] for name in _GRAPH_MEMBERS}
-        except (KeyError, IndexError, ValueError, zipfile.BadZipFile) as exc:
+            columns = {name: data[name] for name in ("format_version", *_GRAPH_MEMBERS)}
+        except (KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise ValidationError(f"{path}: malformed graph archive ({exc})") from None
-    if version != GRAPH_FORMAT_VERSION:
-        raise ValidationError(f"{path}: unsupported graph format version {version}")
+    for name, column in columns.items():
+        if column.dtype.kind not in "biuf":
+            raise ValidationError(f"{path}: member {name!r} is {column.dtype}, not numeric")
+    version = columns.pop("format_version")
+    if version.shape != (1,) or version[0] != GRAPH_FORMAT_VERSION:
+        raise ValidationError(f"{path}: unsupported graph format version {version.tolist()}")
     try:
         return TemporalGraph(**columns)
     except ValidationError as exc:

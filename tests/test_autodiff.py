@@ -82,17 +82,18 @@ OPS = [
 
 
 def attention_case(rng, mode: str, masked: bool):
-    """Two heads over B blocks; with ``masked`` some rows are masked out and
-    one block is masked entirely. ``z`` is a parameter too, so the gradient of
-    every row, padded ones included, is checked."""
+    """One to three heads over B blocks; with ``masked`` some rows are masked
+    out and one block is masked entirely. ``z`` is a parameter too, so the
+    gradient of every row, padded ones included, is checked."""
     b, n, d_in, d_h = int(rng.integers(2, 5)), int(rng.integers(1, 5)), 3, 2
+    heads = int(rng.integers(1, 4))
     mask = np.ones((b, n), dtype=bool)
     if masked:
         mask = rng.random((b, n)) < 0.6
         mask[rng.integers(0, b)] = False  # an empty neighborhood
     z = ad.parameter(_rand(rng, b * (n + 1), d_in))
-    w = [[ad.parameter(_rand(rng, d_in, d_h)) for _ in range(2)] for _ in range(3)]
-    weights = _rand(rng, b, 2 * d_h)
+    w = [[ad.parameter(_rand(rng, d_in, d_h)) for _ in range(heads)] for _ in range(3)]
+    weights = _rand(rng, b, heads * d_h)
     params = [z] + w[2] if mode == "constant" else [z] + w[0] + w[1] + w[2]
     return lambda: weighted_sum(attend_head(z, *w, mode, mask)[0], weights), params
 

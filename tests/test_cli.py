@@ -84,6 +84,25 @@ class TestIngest:
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_edge_feature_exit_1(self, tmp_path, capsys, raw):
+        data = tmp_path / "feats.csv"
+        data.write_text("user_id,item_id,timestamp,state_label,f_1\n"
+                        f"1,2,1.0,0,0.5\n1,3,2.0,0,{raw}\n")
+        out = tmp_path / "g.npz"
+        assert main(["ingest", str(data), str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "line 3" in err[0]
+        assert not out.exists()
+
+    def test_csv_not_utf8_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("user_id,item_id,timestamp,state_label\nJos\u00e9,2,1.0,0\n"
+                         .encode("latin-1"))
+        assert main(["ingest", str(data), str(tmp_path / "g.npz")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "latin1.csv" in err[0] and "UTF-8" in err[0]
+
     def test_label_below_minus_one_exit_1(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"
         data.write_text("user_id,item_id,timestamp,state_label\n1,2,1.0,0\n1,2,2.0,-5\n")
@@ -151,6 +170,25 @@ class TestTrain:
         assert main(["train", str(bad), str(config), str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "partial.npz" in err and "destinations" in err and err.count("\n") == 1
+
+    def test_graph_non_numeric_member_exit_1(self, workspace, capsys):
+        tmp_path, _, config, graph = workspace
+        with np.load(graph) as data:
+            members = dict(data)
+        members["sources"] = members["sources"].astype(str)
+        bad = tmp_path / "strings.npz"
+        np.savez(bad, **members)
+        assert main(["train", str(bad), str(config), str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "strings.npz" in err[0] and "'sources'" in err[0]
+
+    def test_config_not_utf8_exit_1(self, workspace, capsys):
+        tmp_path, _, config, graph = workspace
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes((config.read_text() + "# caf\u00e9\n").encode("latin-1"))
+        assert main(["train", str(graph), str(bad), str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "latin1.txt" in err[0] and "UTF-8" in err[0]
 
     def test_non_finite_loss_exit_1(self, workspace, capsys, monkeypatch):
         import tgat.training as training
@@ -325,6 +363,17 @@ class TestEvalAndEmbed:
             assert main(argv) == 1
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+
+    @pytest.mark.parametrize("content", [b"{not json", '"caf\u00e9"'.encode("latin-1"),
+                                         b"[1, 2]"])
+    def test_undecodable_checkpoint_exit_1(self, trained, capsys, content):
+        _, graph, ckpt = trained
+        ckpt.write_bytes(content)
+        for argv in (["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"],
+                     ["eval", str(ckpt), str(graph)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "checkpoint.json" in err[0]
 
     def test_node_task_label_other_than_zero_and_one_exit_1(self, trained, capsys):
         tmp_path, _, ckpt = trained

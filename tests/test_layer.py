@@ -237,6 +237,45 @@ class TestAttendHead:
                 np.testing.assert_allclose(alpha[i, : sizes[i]], alpha1[0][0],
                                            rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["learned", "constant"])
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_heads_equal_one_head_calls_bit_for_bit(self, mode, heads):
+        # N and d_h of 8 or more, where numpy's pairwise sums and the BLAS
+        # kernels split a reduction differently by its length; a one-ulp
+        # change shows in some draws only, hence ten of them
+        sizes, n, d_in, d_h = [9, 0, 1, 4, 9], 9, 5, 8  # block 1 is all masked
+        mask = np.arange(n) < np.array(sizes)[:, None]
+
+        def run(z_data, w_data, g_out, picked):
+            z = ad.parameter(z_data)
+            w = [[ad.parameter(m[i]) for i in picked] for m in w_data]
+            cols = np.concatenate([np.arange(i * d_h, (i + 1) * d_h) for i in picked])
+            with ad.Tape() as tape:
+                out, alpha = attend_head(z, *w, mode, mask)
+                loss = weighted_sum(out, g_out[:, cols])
+            ad.backward(tape, loss)
+            return out.data, alpha, z.grad, [[t.grad for t in ws] for ws in w]
+
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            args = (rng.standard_normal((len(sizes) * (n + 1), d_in)),
+                    rng.standard_normal((3, heads, d_in, d_h)),
+                    rng.standard_normal((len(sizes), heads * d_h)))
+            out, alpha, z_grad, w_grads = run(*args, range(heads))
+            alone = [run(*args, [i]) for i in range(heads)]
+            for i, (out_i, alpha_i, _, w_grads_i) in enumerate(alone):
+                assert np.array_equal(out[:, i * d_h:(i + 1) * d_h], out_i)
+                assert np.array_equal(alpha[i], alpha_i[0])
+                for k, (grads, grads_i) in enumerate(zip(w_grads, w_grads_i)):
+                    if mode == "constant" and k < 2:  # w_q and w_k take no part
+                        assert grads[i] is None and grads_i[0] is None
+                    else:
+                        assert np.array_equal(grads[i], grads_i[0])
+            expected = alone[-1][2]  # summed from the last head to the first
+            for _, _, z_grad_i, _ in reversed(alone[:-1]):
+                expected = expected + z_grad_i
+            assert np.array_equal(z_grad, expected)
+
     def _hop_gradients(self, mode):
         """Two heads over one hop whose blocks have 0, 2, 1 and 2 of N = 2
         neighbors, differentiated into a parameter ``hidden``."""
@@ -653,6 +692,15 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "tgat-checkpoint", "version": 1}')
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"{not json", '{"format": "caf\u00e9"}'.encode("latin-1"),
+                                         b"[1, 2]", b"42"])
+    def test_undecodable_checkpoint_rejected(self, tmp_path, content):
+        # each raised JSONDecodeError, UnicodeDecodeError or AttributeError
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError, match="bad.json"):
             load_checkpoint(path)
 
     def test_wrong_format_rejected(self, tmp_path):

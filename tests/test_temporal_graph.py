@@ -184,6 +184,13 @@ class TestIngest:
         with pytest.raises(IngestionError, match="line 3"):
             ingest(rows, feature_dim=2)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_edge_feature_cites_line(self, raw):
+        rows = three_row_rows()
+        rows[1][5] = raw
+        with pytest.raises(IngestionError, match=f"line 3.*'{raw}'"):
+            ingest(rows, feature_dim=2)
+
     def test_whole_float_label_kept(self):
         rows = three_row_rows()
         rows[2][3] = "1.0"
@@ -260,6 +267,19 @@ class TestGraphInvariants:
             build_graph([0, 1, 2, 0], [1, 2, 0, 2], [1.0, 2.0, 3.0, 4.0], labels=[0, -5, 2, -1])
         g = build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0], labels=[0, 2, -1])
         assert g.labels.tolist() == [0, 2, -1]  # 2 is left to binary_labels
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        # an L=1 model embedded a NaN neighbor feature as a finite vector:
+        # the FFN's ReLU turned the NaN into 0
+        edge = np.zeros((3, 2))
+        edge[1, 1] = bad
+        with pytest.raises(ValidationError, match=f"feature 1 of event 1 is {bad}"):
+            build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0], edge_features=edge)
+        nodes = np.zeros((3, 2))
+        nodes[2, 0] = bad
+        with pytest.raises(ValidationError, match=f"feature 0 of node 2 is {bad}"):
+            build_graph([0, 1], [1, 2], [1.0, 2.0], node_features=nodes)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_bad_timestamp_rejected(self, bad):
@@ -824,6 +844,33 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="destinations"):
             load_graph(path)
 
+    @pytest.mark.parametrize("member, column", [
+        ("sources", np.array(["a", "b"])),          # died with a ValueError traceback
+        ("timestamps", np.array([1.0 + 1j, 2.0])),  # lost its imaginary part
+        ("edge_features", np.array([[b"x"], [b"y"]])),
+        ("format_version", np.array(["1"])),
+    ])
+    def test_non_numeric_member_rejected(self, tmp_path, member, column):
+        path = tmp_path / "g.npz"
+        save_graph(build_graph([0, 1], [1, 0], [1.0, 2.0]), path)
+        with np.load(path) as data:
+            members = dict(data)
+        members[member] = column
+        np.savez(path, **members)
+        with pytest.raises(ValidationError, match=f"g.npz: member '{member}' is .*, not numeric"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("member", ["edge_features", "node_features"])
+    def test_non_finite_feature_in_archive_rejected(self, tmp_path, member):
+        path = tmp_path / "g.npz"
+        save_graph(build_graph([0, 1], [1, 0], [1.0, 2.0], edge_features=np.zeros((2, 1))), path)
+        with np.load(path) as data:
+            members = dict(data)
+        members[member] = np.full_like(members[member], np.nan)
+        np.savez(path, **members)
+        with pytest.raises(ValidationError, match="g.npz: feature 0 of .* is nan"):
+            load_graph(path)
+
     def test_non_finite_timestamp_in_archive_rejected(self, tmp_path):
         g = build_graph([0, 1], [1, 0], [1.0, 2.0])
         path = tmp_path / "g.npz"
@@ -834,6 +881,13 @@ class TestSerialization:
         np.savez(path, **members)
         with pytest.raises(ValidationError, match="g.npz"):
             load_graph(path)
+
+    def test_csv_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("user_id,item_id,timestamp,state_label\nJos\u00e9,2,1.0,0\n"
+                         .encode("latin-1"))
+        with pytest.raises(IngestionError, match="latin1.csv: not UTF-8"):
+            load_graph_csv(path)
 
     def test_csv_loader_infers_feature_dim(self, tmp_path):
         path = tmp_path / "d.csv"
