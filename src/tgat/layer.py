@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -267,10 +266,10 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
     neighbor rows. Returns the (B, H * d_h) head outputs and the (H, B, N)
     weights, zero on masked rows. Constant mode weighs real rows uniformly
     (mean pooling); the other modes scale query-key products by sqrt(d_h).
-    The head is the leading axis of every array, every product a batched
-    ``np.matmul`` of one-head slices, so each head gets its one-head bits;
-    the backward sums in the order of a chain of elementary operators (heads
-    last to first, query terms neighbor by neighbor).
+    The head is the leading axis of every array and every product is a
+    one-head product or a batched ``np.matmul`` of them, so each head gets
+    its one-head bits; the backward sums in the order of a chain of elementary
+    operators (heads last to first, query terms neighbor by neighbor).
     """
     n_rows, d_in = z.data.shape
     b, n = mask.shape
@@ -281,10 +280,10 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
     targets, neighbors = z.data[:b], z.data[b:]
     h, d_h = len(w_v), w_v[0].data.shape[1]
     scale = float(1.0 / np.sqrt(d_h))
-    wq, wk, wv = (np.stack([w.data for w in ws]) for ws in (w_q, w_k, w_v))  # (H, d_in, d_h)
+    wv = np.stack([w.data for w in w_v])  # (H, d_in, d_h), as are wq and wk
     values = np.matmul(neighbors, wv).reshape(h, b, n, d_h)
-    alpha = np.tile(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1), (h, 1, 1))
     if learned:
+        wq, wk = np.stack([w.data for w in w_q]), np.stack([w.data for w in w_k])
         query = np.matmul(targets, wq)
         keys = np.matmul(neighbors, wk).reshape(h, b, n, d_h)
         dots = np.matmul((keys * query[:, :, None]).reshape(h, b * n, d_h), np.ones((d_h, 1)))
@@ -292,6 +291,8 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
         top = np.where(mask.any(axis=1, keepdims=True), scores.max(axis=2, keepdims=True), 0.0)
         e = np.exp(scores - top)  # a live row sums to >= 1, an all-masked one to 0
         alpha = e / np.maximum(e.sum(axis=2, keepdims=True), 1.0)
+    else:
+        alpha = np.tile(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1), (h, 1, 1))
     heads = (alpha[..., None] * values).sum(axis=2)
 
     def pull(g: np.ndarray) -> None:
@@ -305,18 +306,19 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
             g_keys = (g_dots * query[:, :, None]).reshape(h, b * n, d_h)
             g_query = (g_dots * keys).sum(axis=2)
             grads += [(w_q, np.matmul(targets.T, g_query)), (w_k, np.matmul(neighbors.T, g_keys))]
-        for i in reversed(range(h)):
+        g_z = None
+        for i in reversed(range(h)):  # heads last to first
             for w, g_w in grads:
                 w[i]._accumulate(g_w[i])
-        if z.requires_grad:
-            g_z = np.empty((h, n_rows, d_in))
-            np.matmul(g_values, wv.transpose(0, 2, 1), out=g_z[:, b:])
-            if learned:
-                np.matmul(g_query, wq.transpose(0, 2, 1), out=g_z[:, :b])
-                g_z[:, b:] += np.matmul(g_keys, wk.transpose(0, 2, 1))
-            else:
-                g_z[:, :b] = 0.0  # the target rows feed no query
-            z._accumulate(reduce(np.add, g_z[::-1]))  # heads last to first
+            if z.requires_grad:
+                rows = np.empty((n_rows, d_in))  # in constant mode no query reads a target
+                rows[:b] = g_query[i] @ wq[i].T if learned else 0.0
+                np.matmul(g_values[i], wv[i].T, out=rows[b:])
+                if learned:
+                    rows[b:] += g_keys[i] @ wk[i].T
+                g_z = rows if g_z is None else np.add(g_z, rows, out=g_z)
+        if g_z is not None:
+            z._accumulate(g_z)
 
     return ad.apply_op(heads.transpose(1, 0, 2).reshape(b, h * d_h), inputs, pull), alpha
 
@@ -491,6 +493,9 @@ def load_checkpoint(path) -> tuple[TgatModel, dict]:
         if payload.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {payload.get('version')}")
+        extra = payload.get("extra", {})
+        if not isinstance(extra, dict):
+            raise CheckpointError(f"{path}: extra is not a key-value table")
         d = payload["dims"]
         dims = Dims(d0=d["d0"], d=d["d"], d_t=d["d_t"], d_h=d["d_h"], d_f=d["d_f"], d_e=d["d_e"])
         mode = payload["attention_mode"]
@@ -516,4 +521,4 @@ def load_checkpoint(path) -> tuple[TgatModel, dict]:
             tensor.data = stored
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from None
-    return model, payload.get("extra", {})
+    return model, extra

@@ -375,6 +375,17 @@ class TestEvalAndEmbed:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("error:") and "checkpoint.json" in err[0]
 
+    def test_checkpoint_extra_not_a_table_exit_1(self, trained, capsys):
+        _, graph, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        payload["extra"] = []
+        ckpt.write_text(json.dumps(payload))
+        for argv in (["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"],
+                     ["eval", str(ckpt), str(graph)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "extra" in err[0]
+
     def test_node_task_label_other_than_zero_and_one_exit_1(self, trained, capsys):
         tmp_path, _, ckpt = trained
         rows = [line.split(",") for line in CSV_TEXT.splitlines()]

@@ -703,6 +703,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad.json"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("extra", [[], "note", 3])
+    def test_extra_not_a_table_rejected(self, tmp_path, extra):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._model(), path)
+        payload = json.loads(path.read_text())
+        payload["extra"] = extra
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="ckpt.json: extra is not a key-value table"):
+            load_checkpoint(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
