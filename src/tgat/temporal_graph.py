@@ -87,6 +87,13 @@ def whole_numbers(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def check_integer(value, what: str) -> None:
+    """ValidationError unless ``value`` (named by ``what``) is an int; a bool
+    or a whole float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Chronological cut points plus the nodes withheld for inductive evaluation."""
@@ -101,6 +108,19 @@ class SplitSpec:
         if timestamp <= self.val_end:
             return "val"
         return "test"
+
+
+def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """A stable argsort of non-negative ints below ``bound``: one stable
+    argsort per 16-bit digit, lowest first. numpy radix-sorts ints of at
+    most 16 bits and timsorts wider ones, several times slower."""
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (bound - 1) >> shift > 0:
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 class TemporalGraph:
@@ -162,13 +182,15 @@ class TemporalGraph:
         self.edge_feature_dim = edge_features.shape[1]
         self.t_max = float(self.timestamps[-1]) if n else 0.0
 
+        # each kept event lists its source, then its destination, so the event
+        # index ascends and a stable sort by owner gives the (owner, event) order
         kept = np.flatnonzero(self.sources != self.destinations)
-        owners = np.concatenate([self.sources[kept], self.destinations[kept]])
-        event_idx = np.concatenate([kept, kept]).astype(np.int64)
-        rows = np.lexsort((event_idx, owners))
+        owners = np.stack([self.sources[kept], self.destinations[kept]], axis=1).ravel()
+        event_idx = np.repeat(kept, 2).astype(np.int64)
+        rows = _radix_order(owners, self.num_nodes)
         self.indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(owners, minlength=self.num_nodes), out=self.indptr[1:])
-        self.peers = np.concatenate([self.destinations[kept], self.sources[kept]])[rows]
+        self.peers = np.stack([self.destinations[kept], self.sources[kept]], axis=1).ravel()[rows]
         self.event_idx = event_idx[rows]
         self.times = self.timestamps[self.event_idx]
         self.row_key = owners[rows] * n + self.event_idx
@@ -259,12 +281,25 @@ _MONITORS: list[AccessMonitor] = []
 # ---------------------------------------------------------------------------
 
 
+def seed_sequence(rng_seed) -> np.random.SeedSequence:
+    """``SeedSequence(rng_seed)``, or ValidationError for a seed it rejects
+    (a negative or fractional one, say) and for None, from which it would
+    draw fresh entropy, so that no run repeats."""
+    if rng_seed is not None:
+        try:
+            return np.random.SeedSequence(rng_seed)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(
+        f"rng_seed must be a non-negative integer or a sequence of them, got {rng_seed!r}")
+
+
 def sampling_key(rng_seed) -> np.uint64:
     """The 64-bit key of one sampling call: an int or a list of ints goes
     through ``SeedSequence``, a ``Generator`` gives one draw."""
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed.integers(0, 2**64, dtype=np.uint64)
-    return np.random.SeedSequence(rng_seed).generate_state(1, np.uint64)[0]
+    return seed_sequence(rng_seed).generate_state(1, np.uint64)[0]
 
 
 def check_queries(g: TemporalGraph, nodes, times, max_size: int,
@@ -278,6 +313,7 @@ def check_queries(g: TemporalGraph, nodes, times, max_size: int,
     bad = np.flatnonzero((nodes < 0) | (nodes >= g.num_nodes))
     if bad.size:
         raise ValidationError(f"node {nodes[bad[0]]} not in graph with {g.num_nodes} nodes")
+    check_integer(max_size, "max_size")
     if max_size < 1:
         raise ValidationError(f"max_size must be >= 1, got {max_size}")
     bad = np.flatnonzero(~((times >= 0) & (times < np.inf)))
@@ -291,14 +327,15 @@ def check_queries(g: TemporalGraph, nodes, times, max_size: int,
 
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finaliser on a uint64 array: a bijection whose outputs
     for distinct inputs look independent (Steele et al., 2014)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _SHIFT_30)) * _MIX_1
+    z = (z ^ (z >> _SHIFT_27)) * _MIX_2
+    return z ^ (z >> _SHIFT_31)
 
 
 def sample_neighborhoods(
@@ -359,16 +396,20 @@ def hop_neighborhoods(
         counts = cut[drawn]
         starts = np.cumsum(counts) - counts
         seg = np.repeat(np.arange(drawn.size), counts)
-        cand = lo[drawn][seg] + np.arange(seg.size) - starts[seg]
+        rank = np.arange(seg.size) - starts[seg]  # of a candidate within its query
+        cand = lo[drawn][seg] + rank
         # node ids and event indices are non-negative: their bits are the uint64's
         query = _mix(_mix(key ^ nodes[drawn].view(np.uint64)) ^ times[drawn].view(np.uint64))
         bits = _mix(query[seg] ^ g.event_idx[cand].view(np.uint64))
         # 53 random bits as a uniform in (0, 1), then its exponential
-        keys = -np.log(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+        keys = -np.log(((bits >> _SHIFT_11).astype(np.float64) + 0.5) * 2.0**-53)
         if strategy == "inverse-timespan":
             keys *= times[drawn][seg] - g.times[cand] + INVERSE_TIMESPAN_JITTER
-        order = np.lexsort((keys, seg))
-        kept = np.sort(order[np.arange(seg.size) - starts[seg] < max_size])
+        # by query, then by key, ties in candidate order; seg is sorted, so the
+        # r-th smallest key of a query lands at position starts + r
+        order = np.argsort(keys, kind="stable")
+        order = order[_radix_order(seg[order], drawn.size)]
+        kept = np.sort(order[rank < max_size])
         rows[drawn, :max_size] = cand[kept].reshape(drawn.size, max_size)
 
     mask = col < sizes[:, None]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,9 @@ from .temporal_graph import (
     STRATEGIES,
     SplitSpec,
     TemporalGraph,
+    check_integer,
     evaluation_event_indices,
+    seed_sequence,
     training_event_indices,
 )
 
@@ -65,6 +67,9 @@ class TrainConfig:
     max_val_events: int = 0
 
     def validate(self) -> None:
+        for field in fields(self):
+            if field.type == "int":  # annotations are strings in this module
+                check_integer(getattr(self, field.name), field.name)
         if not 0 <= self.neighborhood_dropout < 1:
             raise ValidationError("neighborhood_dropout must lie in [0, 1)")
         if self.patience < 1:
@@ -196,7 +201,8 @@ def link_loss(
     idx = np.asarray(batch_events, dtype=np.int64)
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
-    rng = np.random.default_rng(rng_seed)  # a Generator passes through unchanged
+    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
+           else np.random.default_rng(seed_sequence(rng_seed)))
     scores = _link_scores(model, graph, idx, sampling, negatives_per_positive, rng, rng_seed)
     sign = np.concatenate([np.ones(idx.size), -np.ones(idx.size * negatives_per_positive)])
     return ad.logistic_loss(scores, sign[:, None])

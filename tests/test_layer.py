@@ -469,6 +469,17 @@ class TestEmbedProperties:
             assert samples_by_query(together) == samples_by_query(one_by_one)
             np.testing.assert_allclose(batched, alone, rtol=1e-12, atol=1e-12)
 
+    def test_bad_cap_or_seed_rejected(self):
+        g = simple_graph()
+        model = TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), layer_count=2,
+                                 head_count=1, rng_seed=5)
+        for cap in (2.5, True):
+            with pytest.raises(ValidationError, match="max_size must be an integer"):
+                embed(model, 3, 4.5, g, SamplingConfig(max_neighbors=cap, strategy="uniform"))
+        for seed in (-1, 1.5):
+            with pytest.raises(ValidationError, match="rng_seed"):
+                embed(model, 3, 4.5, g, MOST_RECENT, rng_seed=seed)
+
     def test_no_queries_give_an_empty_result(self):
         g = simple_graph()
         dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)

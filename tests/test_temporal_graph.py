@@ -15,17 +15,23 @@ from tgat.errors import (
 )
 from tgat.synthetic import recency_planted_graph
 from tgat.temporal_graph import (
+    INVERSE_TIMESPAN_JITTER,
     AccessMonitor,
     AccessRecord,
+    NeighborhoodBatch,
     SplitSpec,
+    _mix,
+    _radix_order,
     build_graph,
     chronological_split,
     evaluation_event_indices,
+    hop_neighborhoods,
     ingest,
     load_graph,
     load_graph_csv,
     mask_unseen,
     sample_neighborhoods,
+    sampling_key,
     save_graph,
     temporal_neighborhood,
     training_event_indices,
@@ -317,8 +323,13 @@ class TestGraphInvariants:
         np.testing.assert_array_equal(g.sources, src[order])
         np.testing.assert_array_equal(g.destinations, dst[order])
         np.testing.assert_array_equal(g.timestamps, ts[order])
-        for graph in (g, recency_planted_graph(200, 4000, seed=0)):
-            for v in range(graph.num_nodes):
+        # more than 2**16 nodes: the owner sort takes a second 16-bit digit
+        n_wide = 70_000
+        wide = build_graph(rng.integers(0, n_wide, n), rng.integers(0, n_wide, n),
+                           rng.uniform(0, 20, n), num_nodes=n_wide)
+        for graph in (g, recency_planted_graph(200, 4000, seed=0), wide):
+            scanned = 0
+            for v in np.unique(np.concatenate([graph.sources, graph.destinations])).tolist():
                 rows = [(int(d) if s == v else int(s), float(t), i)
                         for i, (s, d, t) in enumerate(zip(graph.sources, graph.destinations,
                                                           graph.timestamps))
@@ -327,6 +338,10 @@ class TestGraphInvariants:
                 got = list(zip(graph.peers[lo:hi].tolist(), graph.times[lo:hi].tolist(),
                                graph.event_idx[lo:hi].tolist()))
                 assert got == rows
+                scanned += len(rows)
+            # every row belongs to a scanned node, so nodes without events have none
+            assert graph.indptr[-1] == scanned
+        assert wide.peers.size > 0 and wide.indptr[65_536] < wide.indptr[-1]
 
 
 class TestTemporalNeighborhood:
@@ -644,11 +659,85 @@ class TestSampleNeighborhoods:
                  ([0, 1], [np.inf, 1.0], 5, "uniform", "inf"),
                  ([0, 1], [1.0, -2.0], 5, "uniform", "-2.0"),
                  ([0, 1], [1.0, 1.0], 0, "uniform", "max_size"),
+                 ([0, 1], [1.0, 1.0], 2.5, "uniform", "max_size must be an integer, got 2.5"),
+                 ([0, 1], [1.0, 1.0], 2.0, "uniform", "max_size must be an integer"),
+                 ([0, 1], [1.0, 1.0], True, "uniform", "max_size must be an integer, got True"),
                  ([0, 1], [1.0, 1.0], 5, "nope", "nope"),
                  ([0, 1], [1.0], 5, "uniform", "align")]
         for nodes, times, max_size, strategy, match in cases:
             with pytest.raises(ValidationError, match=match):
                 sample_neighborhoods(g, nodes, times, max_size, strategy)
+        assert sample_neighborhoods(g, [0], [45.0], np.int64(2), "uniform").sizes.tolist() == [2]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, [3, -2], "7", None])
+    def test_bad_seed_rejected(self, seed):
+        g = self.random_graph(3)
+        with pytest.raises(ValidationError, match="rng_seed"):
+            sample_neighborhoods(g, [0], [45.0], 2, "uniform", rng_seed=seed)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan"])
+    @pytest.mark.parametrize("drawn", [1, 255, 256, 65_536, 65_537])
+    def test_selection_matches_lexsort_oracle(self, strategy, drawn):
+        # every query has more candidates than the cap, so all are drawn; at
+        # 65,537 queries the query index takes a second 16-bit radix digit
+        rng = np.random.default_rng(drawn)
+        g = build_graph(rng.integers(0, 4, 40), rng.integers(4, 8, 40), np.arange(40.0),
+                        edge_features=rng.standard_normal((40, 2)))
+        nodes = rng.integers(0, 8, drawn)
+        times = rng.uniform(40.0, 1000.0, drawn)
+        for max_size in (1, 3):
+            key = sampling_key(drawn + max_size)
+            got = hop_neighborhoods(g, nodes, times, max_size, strategy, key)
+            want = lexsort_hop(g, nodes, times, max_size, strategy, key)
+            assert (got.sizes == max_size).all()
+            for field in ("peers", "times", "event_indices", "edge_features", "sizes", "mask",
+                          "query_times"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, field
+                np.testing.assert_array_equal(a, b, err_msg=field)
+
+
+def lexsort_hop(g, nodes, times, max_size, strategy, key):
+    """``hop_neighborhoods`` with its selection done by ``np.lexsort((keys, seg))``:
+    the reference order that the sampler's argsort and radix order must give."""
+    lo = g.indptr[nodes]
+    first = np.searchsorted(g.timestamps, times, side="left")
+    cut = np.searchsorted(g.row_key, nodes * g.num_events + first) - lo
+    sizes = np.minimum(cut, max_size)
+    n = max(int(sizes.max(initial=0)), 1)
+    col = np.arange(n)
+    rows = (lo + cut - sizes)[:, None] + col
+    drawn = np.flatnonzero((cut > max_size) & (strategy != "most-recent"))
+    if drawn.size:
+        counts = cut[drawn]
+        starts = np.cumsum(counts) - counts
+        seg = np.repeat(np.arange(drawn.size), counts)
+        cand = lo[drawn][seg] + np.arange(seg.size) - starts[seg]
+        query = _mix(_mix(key ^ nodes[drawn].view(np.uint64)) ^ times[drawn].view(np.uint64))
+        bits = _mix(query[seg] ^ g.event_idx[cand].view(np.uint64))
+        keys = -np.log(((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+        if strategy == "inverse-timespan":
+            keys *= times[drawn][seg] - g.times[cand] + INVERSE_TIMESPAN_JITTER
+        order = np.lexsort((keys, seg))
+        kept = np.sort(order[np.arange(seg.size) - starts[seg] < max_size])
+        rows[drawn, :max_size] = cand[kept].reshape(drawn.size, max_size)
+    mask = col < sizes[:, None]
+    rows = np.where(mask, rows, 0)
+    return NeighborhoodBatch(
+        peers=np.where(mask, g.peers[rows], -1),
+        times=np.where(mask, g.times[rows], times[:, None]),
+        event_indices=np.where(mask, g.event_idx[rows], -1),
+        edge_features=np.where(mask[..., None], g.edge_features[g.event_idx[rows]], 0.0),
+        sizes=sizes, mask=mask, query_times=times)
+
+
+@pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32 + 1])
+def test_radix_order_is_a_stable_argsort(bound):
+    rng = np.random.default_rng(bound)
+    # few distinct values, the largest allowed among them, so most keys tie
+    pool = np.append(rng.integers(0, bound, 40), bound - 1)
+    keys = rng.choice(pool, 5000)
+    np.testing.assert_array_equal(_radix_order(keys, bound), np.argsort(keys, kind="stable"))
 
 
 class TestGoldenSamples:

@@ -81,6 +81,12 @@ class TestLinkLoss:
         with pytest.raises(ContractError):
             link_loss(small_model(g), g, [], SAMPLING, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        g = tiny_fixture_graph()
+        with pytest.raises(ValidationError, match="rng_seed"):
+            link_loss(small_model(g), g, [4, 5], SAMPLING, 1, rng_seed=seed)
+
     def test_negative_never_equals_destination(self, monkeypatch):
         g = tiny_fixture_graph()
         model = small_model(g)
@@ -151,7 +157,9 @@ class TestTrainLoop:
         ("rng_seed", -1), ("learning_rate", 0.0), ("learning_rate", -0.01),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("max_train_events_per_epoch", -5), ("max_val_events", -5),
-        ("max_neighbors", 0), ("unseen_fraction", -0.5), ("unseen_fraction", 1.0)])
+        ("max_neighbors", 0), ("unseen_fraction", -0.5), ("unseen_fraction", 1.0),
+        ("max_neighbors", 2.5), ("batch_size", 2.5), ("layers", 1.5), ("heads", True),
+        ("rng_seed", 1.0), ("max_epochs", "3"), ("d", np.float64(8.0))])
     def test_config_value_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value}).validate()
