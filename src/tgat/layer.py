@@ -18,6 +18,7 @@ out targets first, then every target's padded neighbor rows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -279,11 +280,11 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
     inputs = (z, *w_q, *w_k, *w_v) if learned else (z, *w_v)
     targets, neighbors = z.data[:b], z.data[b:]
     h, d_h = len(w_v), w_v[0].data.shape[1]
-    scale = float(1.0 / np.sqrt(d_h))
-    wv = np.stack([w.data for w in w_v])  # (H, d_in, d_h), as are wq and wk
+    scale = 1.0 / math.sqrt(d_h)
+    wv = np.array([w.data for w in w_v])  # (H, d_in, d_h), as are wq and wk
     values = np.matmul(neighbors, wv).reshape(h, b, n, d_h)
     if learned:
-        wq, wk = np.stack([w.data for w in w_q]), np.stack([w.data for w in w_k])
+        wq, wk = np.array([w.data for w in w_q]), np.array([w.data for w in w_k])
         query = np.matmul(targets, wq)
         keys = np.matmul(neighbors, wk).reshape(h, b, n, d_h)
         dots = np.matmul((keys * query[:, :, None]).reshape(h, b * n, d_h), np.ones((d_h, 1)))

@@ -325,6 +325,18 @@ def check_queries(g: TemporalGraph, nodes, times, max_size: int,
     return nodes, times
 
 
+def check_event_indices(g: TemporalGraph, indices) -> np.ndarray:
+    """``indices`` as int64 event indices of ``g``, or ValidationError naming
+    the first that is not a whole number in [0, num_events): a negative one
+    would count from the end and pick another event."""
+    idx = whole_numbers(indices, "event index")
+    bad = np.flatnonzero((idx < 0) | (idx >= g.num_events))
+    if bad.size:
+        raise ValidationError(
+            f"event index {idx.flat[bad[0]]} not in graph with {g.num_events} events")
+    return idx
+
+
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(s) for s in (11, 27, 30, 31))
@@ -396,8 +408,7 @@ def hop_neighborhoods(
         counts = cut[drawn]
         starts = np.cumsum(counts) - counts
         seg = np.repeat(np.arange(drawn.size), counts)
-        rank = np.arange(seg.size) - starts[seg]  # of a candidate within its query
-        cand = lo[drawn][seg] + rank
+        cand = lo[drawn][seg] + np.arange(seg.size) - starts[seg]  # in (query, time) order
         # node ids and event indices are non-negative: their bits are the uint64's
         query = _mix(_mix(key ^ nodes[drawn].view(np.uint64)) ^ times[drawn].view(np.uint64))
         bits = _mix(query[seg] ^ g.event_idx[cand].view(np.uint64))
@@ -405,12 +416,21 @@ def hop_neighborhoods(
         keys = -np.log(((bits >> _SHIFT_11).astype(np.float64) + 0.5) * 2.0**-53)
         if strategy == "inverse-timespan":
             keys *= times[drawn][seg] - g.times[cand] + INVERSE_TIMESPAN_JITTER
-        # by query, then by key, ties in candidate order; seg is sorted, so the
-        # r-th smallest key of a query lands at position starts + r
-        order = np.argsort(keys, kind="stable")
+        # by query, then by key; seg is sorted, so a query's max_size-th
+        # smallest key, its cutoff, lands at position starts + max_size - 1
+        order = np.argsort(keys)
         order = order[_radix_order(seg[order], drawn.size)]
-        kept = np.sort(order[rank < max_size])
-        rows[drawn, :max_size] = cand[kept].reshape(drawn.size, max_size)
+        cutoff = np.repeat(keys[order[starts + (max_size - 1)]], counts)
+        # keep every key below the cutoff, then the first ties at it in
+        # candidate order until the query holds max_size: the set a stable
+        # sort keeps. Each query ties at least once, at its cutoff.
+        keep = keys < cutoff
+        tied = np.flatnonzero(keys == cutoff)
+        tied_seg = seg[tied]
+        room = max_size - np.add.reduceat(keep, starts, dtype=np.intp)
+        rank = np.arange(tied.size) - np.searchsorted(tied_seg, tied_seg)  # among its query's ties
+        keep[tied[rank < room[tied_seg]]] = True
+        rows[drawn, :max_size] = cand[keep].reshape(drawn.size, max_size)
 
     mask = col < sizes[:, None]
     real = rows[mask]

@@ -11,6 +11,7 @@ measures the sup-grid error against the closed-form Gaussian case.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,7 @@ class TimeEncoder:
 
     @property
     def scale(self) -> float:
-        return 1.0 / np.sqrt(self.num_frequencies)
+        return 1.0 / math.sqrt(self.num_frequencies)
 
     def parameters(self) -> list[Tensor]:
         return [self.frequencies]

@@ -33,6 +33,7 @@ from .temporal_graph import (
     STRATEGIES,
     SplitSpec,
     TemporalGraph,
+    check_event_indices,
     check_integer,
     evaluation_event_indices,
     seed_sequence,
@@ -198,9 +199,12 @@ def link_loss(
     neighborhood samples; a ``Generator`` draws the negatives first and
     then the one sampling key.
     """
-    idx = np.asarray(batch_events, dtype=np.int64)
+    idx = check_event_indices(graph, batch_events)
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
+    check_integer(negatives_per_positive, "negatives_per_positive")
+    if negatives_per_positive < 1:
+        raise ValidationError(f"negatives_per_positive must be >= 1, got {negatives_per_positive}")
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(seed_sequence(rng_seed)))
     scores = _link_scores(model, graph, idx, sampling, negatives_per_positive, rng, rng_seed)
@@ -372,6 +376,8 @@ def evaluate_links(
     """
     if node_filter not in ("observed", "unseen"):
         raise ValidationError(f"node filter must be 'observed' or 'unseen', got {node_filter!r}")
+    seed_sequence(rng_seed)  # ValidationError for a seed that numpy rejects
+    check_integer(max_events, "max_events")
     if max_events < 0:
         raise ValidationError(f"max_events must be >= 0 (0 = all), got {max_events}")
     mode = "transductive" if node_filter == "observed" else "inductive"
@@ -380,7 +386,7 @@ def evaluate_links(
         if max_events:
             event_indices = _chronological_subsample(
                 event_indices, max_events, np.random.default_rng([rng_seed, 555]))
-    event_indices = np.asarray(event_indices, dtype=np.int64)
+    event_indices = check_event_indices(graph, event_indices)
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
     config = config or TrainConfig()
@@ -539,7 +545,7 @@ def attention_report(
     config = config or TrainConfig()
     sampling = config.sampling(training=False)
     rows: list[AttentionRow] = []
-    for chunk in _chunks(np.asarray(event_indices, dtype=np.int64), config.batch_size):
+    for chunk in _chunks(check_event_indices(graph, event_indices), config.batch_size):
         nodes = np.column_stack([graph.sources[chunk], graph.destinations[chunk]]).ravel()
         for offset in target_time_offsets:
             hops = []

@@ -5,12 +5,15 @@ checkpointing."""
 
 import itertools
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from tgat import autodiff as ad
 from tgat import layer as layer_module
+from tgat import time_encoding
 from tgat.errors import (
     CheckpointError,
     ContractError,
@@ -310,6 +313,48 @@ class TestAttendHead:
         expected = np.zeros_like(hidden.data)
         np.add.at(expected, source, z.grad[:, : hidden.data.shape[1]])
         np.testing.assert_array_equal(hidden.grad, expected)
+
+    @pytest.mark.parametrize("mode", ["learned", "constant"])
+    def test_stack_and_sqrt_forms_give_the_same_bytes(self, mode, monkeypatch):
+        # attend_head stacks the head weights with np.array and both it and
+        # TimeEncoder.scale take math.sqrt of an int; the np.stack and np.sqrt
+        # forms give the same bytes in every output and gradient
+        g = simple_graph()
+        batch = sample_neighborhoods(g, [0, 3, 1, 2], [0.5, 4.5, 1.5, 4.5], 5)
+
+        def hop(d_h, k):
+            rng = np.random.default_rng([d_h, k])
+            hidden = ad.parameter(rng.standard_normal((4 + batch.sizes.sum(), 3)))
+            enc = TimeEncoder(rng.uniform(0.1, 2.0, size=k))
+            w = [[ad.parameter(rng.standard_normal((3 + 2 * k, d_h))) for _ in range(3)]
+                 for _ in range(3)]
+            with ad.Tape() as tape:
+                out, alpha = attend_head(build_entity_matrix(hidden, batch, enc), *w, mode,
+                                         batch.mask)
+                loss = weighted_sum(out, rng.standard_normal(out.data.shape))
+            ad.backward(tape, loss)
+            grads = [p.grad for p in [hidden, *enc.parameters(), *w[0], *w[1], *w[2]]]
+            return [out.data, alpha] + [x for x in grads if x is not None]
+
+        shapes = [(1, 1), (2, 3), (3, 5), (5, 6), (8, 12)]
+        now = [hop(d_h, k) for d_h, k in shapes]
+
+        class StackingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def array(self, arrays):
+                return np.stack(arrays)
+
+        monkeypatch.setattr(layer_module, "np", StackingNumpy())
+        monkeypatch.setattr(layer_module, "math", SimpleNamespace(sqrt=np.sqrt))
+        monkeypatch.setattr(time_encoding, "math", SimpleNamespace(sqrt=np.sqrt))
+        for arrays, (d_h, k) in zip(now, shapes):
+            before = hop(d_h, k)
+            assert len(arrays) == len(before) == (7 if mode == "constant" else 13)
+            for a, b in zip(arrays, before):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert all(1.0 / math.sqrt(k) == 1.0 / np.sqrt(k) for k in range(1, 5000))
 
     def test_needs_a_neighbor_row(self):
         rng = np.random.default_rng(4)

@@ -3,10 +3,12 @@ causality-respecting sampling, splits, masking, negative sampling,
 instrumentation, and serialization."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from tgat import temporal_graph
 from tgat.errors import (
     IngestionError,
     MaskingError,
@@ -23,6 +25,7 @@ from tgat.temporal_graph import (
     _mix,
     _radix_order,
     build_graph,
+    check_event_indices,
     chronological_split,
     evaluation_event_indices,
     hop_neighborhoods,
@@ -687,14 +690,38 @@ class TestSampleNeighborhoods:
         times = rng.uniform(40.0, 1000.0, drawn)
         for max_size in (1, 3):
             key = sampling_key(drawn + max_size)
-            got = hop_neighborhoods(g, nodes, times, max_size, strategy, key)
-            want = lexsort_hop(g, nodes, times, max_size, strategy, key)
+            got = assert_matches_oracle(g, nodes, times, max_size, strategy, key)
             assert (got.sizes == max_size).all()
-            for field in ("peers", "times", "event_indices", "edge_features", "sizes", "mask",
-                          "query_times"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert a.dtype == b.dtype and a.shape == b.shape, field
-                np.testing.assert_array_equal(a, b, err_msg=field)
+
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan"])
+    def test_selection_matches_lexsort_oracle_on_tied_keys(self, strategy, monkeypatch):
+        # a constant hash ties every uniform key of a query, and inverse-timespan
+        # keys then tie among a node's events at one timestamp; caps that are
+        # not multiples of the run lengths cut a tie run at the cutoff
+        def const(z):
+            return np.full_like(z, 0x9E3779B97F4A7C15)
+
+        monkeypatch.setattr(temporal_graph, "_mix", const)
+        monkeypatch.setattr(sys.modules[__name__], "_mix", const)
+        rng = np.random.default_rng(11)
+        g = build_graph(rng.integers(0, 3, 90), rng.integers(3, 5, 90),
+                        np.repeat(np.arange(30.0), 3), edge_features=rng.standard_normal((90, 2)))
+        nodes = rng.integers(0, 5, 300)
+        times = rng.integers(0, 35, 300).astype(float)
+        for max_size in (1, 2, 4, 5, 7, 11, 20):
+            assert_matches_oracle(g, nodes, times, max_size, strategy, sampling_key(max_size))
+
+
+def assert_matches_oracle(g, nodes, times, max_size, strategy, key):
+    """Every ``NeighborhoodBatch`` field of the sampler equals ``lexsort_hop``'s."""
+    got = hop_neighborhoods(g, nodes, times, max_size, strategy, key)
+    want = lexsort_hop(g, nodes, times, max_size, strategy, key)
+    for field in ("peers", "times", "event_indices", "edge_features", "sizes", "mask",
+                  "query_times"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        np.testing.assert_array_equal(a, b, err_msg=field)
+    return got
 
 
 def lexsort_hop(g, nodes, times, max_size, strategy, key):
@@ -729,6 +756,18 @@ def lexsort_hop(g, nodes, times, max_size, strategy, key):
         event_indices=np.where(mask, g.event_idx[rows], -1),
         edge_features=np.where(mask[..., None], g.edge_features[g.event_idx[rows]], 0.0),
         sizes=sizes, mask=mask, query_times=times)
+
+
+def test_check_event_indices():
+    g = build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
+    assert check_event_indices(g, [2, 0, 2.0]).tolist() == [2, 0, 2]
+    assert check_event_indices(g, np.arange(3, dtype=np.uint8)).dtype == np.int64
+    assert check_event_indices(g, []).size == 0
+    # a negative index would count from the end, a fraction would be truncated
+    for bad, shown in [([0, -1], "-1 not in graph with 3 events"), ([3], "3 not in graph"),
+                       ([1.5], "1.5 is not an integer"), ([np.nan], "nan")]:
+        with pytest.raises(ValidationError, match=f"event index {shown}"):
+            check_event_indices(g, bad)
 
 
 @pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32 + 1])

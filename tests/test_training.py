@@ -87,6 +87,23 @@ class TestLinkLoss:
         with pytest.raises(ValidationError, match="rng_seed"):
             link_loss(small_model(g), g, [4, 5], SAMPLING, 1, rng_seed=seed)
 
+    @pytest.mark.parametrize("index, shown", [(-1, "-1"), (3.7, "3.7"), (10**6, "1000000")])
+    def test_bad_event_index_rejected(self, index, shown):
+        # -1 used to train on the last event, 3.7 on event 3
+        g = tiny_fixture_graph()
+        with pytest.raises(ValidationError, match=f"event index {shown} "):
+            link_loss(small_model(g), g, [4, index], SAMPLING, 1)
+
+    @pytest.mark.parametrize("q, match", [(0, "negatives_per_positive must be >= 1, got 0"),
+                                          (-2, ">= 1"),
+                                          (2.5, "must be an integer, got 2.5"),
+                                          (True, "must be an integer, got True")])
+    def test_bad_negatives_per_positive_rejected(self, q, match):
+        # 0 used to return a positives-only loss
+        g = tiny_fixture_graph()
+        with pytest.raises(ValidationError, match=match):
+            link_loss(small_model(g), g, [4, 5], SAMPLING, q)
+
     def test_negative_never_equals_destination(self, monkeypatch):
         g = tiny_fixture_graph()
         model = small_model(g)
@@ -347,6 +364,28 @@ class TestEvaluateLinks:
         with pytest.raises(ValidationError, match="max_events"):
             evaluate_links(model, g, split, config=cfg, max_events=-5)
 
+    @pytest.mark.parametrize("max_events", [2.5, True, "10"])
+    def test_fractional_max_events_rejected(self, max_events):
+        g, split, cfg = training_fixture()
+        model = training.build_model(g, cfg)
+        with pytest.raises(ValidationError, match="max_events must be an integer"):
+            evaluate_links(model, g, split, config=cfg, max_events=max_events)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        g, split, cfg = training_fixture()
+        model = training.build_model(g, cfg)
+        with pytest.raises(ValidationError, match="rng_seed"):
+            evaluate_links(model, g, split, config=cfg, rng_seed=seed)
+
+    @pytest.mark.parametrize("index, shown", [(-1, "-1"), (3.7, "3.7"), (10**6, "1000000")])
+    def test_bad_event_index_rejected(self, index, shown):
+        # -1 used to evaluate the last event, 3.7 event 3
+        g, split, cfg = training_fixture()
+        model = training.build_model(g, cfg)
+        with pytest.raises(ValidationError, match=f"event index {shown} "):
+            evaluate_links(model, g, split, config=cfg, event_indices=[800, index])
+
     def test_inductive_tag(self, monkeypatch):
         g = build_graph([0, 1, 0, 2], [1, 2, 3, 3], [1.0, 2.0, 5.0, 6.0])
         from tgat.temporal_graph import SplitSpec
@@ -440,6 +479,12 @@ class TestAttentionReport:
         write_attention_csv(rows, path)
         header = path.read_text().splitlines()[0]
         assert header == "timespan,attention_weight,occurrence_count,target_time_offset"
+
+    @pytest.mark.parametrize("index, shown", [(-1, "-1"), (3.7, "3.7"), (10**6, "1000000")])
+    def test_bad_event_index_rejected(self, index, shown):
+        g = tiny_fixture_graph()
+        with pytest.raises(ValidationError, match=f"event index {shown} "):
+            attention_report(small_model(g), g, [5, index], config=TrainConfig(max_neighbors=4))
 
     def test_batches_give_the_same_rows(self):
         g = recency_planted_graph(n_nodes=40, n_events=600, seed=2)
