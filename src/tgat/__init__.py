@@ -25,7 +25,6 @@ from .metrics import accuracy, average_precision, roc_auc, spearman
 from .temporal_graph import (
     AccessMonitor,
     NeighborhoodBatch,
-    NeighborhoodSample,
     SplitSpec,
     TemporalEvent,
     TemporalGraph,

@@ -10,9 +10,11 @@ ReLU FFN. Stacking L layers extends aggregation to L hops; neighbor hidden
 states at layer l-1 are evaluated at their own interaction times, which keeps
 every read strictly in the consumer's past. The forward pass runs one hop at
 a time over arrays of (node, time) queries: one sampler call returns the
-padded neighborhoods of all targets of a hop, and three operators (entity
-matrix, attention, FFN) process all of its targets at once, their rows laid
-out targets first, then every target's padded neighbor rows.
+sampled interactions of all targets of a hop as one flat list, and three
+operators (entity matrix, attention, FFN) process all of its targets at
+once. The entity matrix lays its rows out targets first, then N neighbor
+slots per target, zero past the end of a sample; only the attention mask
+needs that (B, N) block.
 """
 
 from __future__ import annotations
@@ -207,16 +209,16 @@ def build_entity_matrix(
     B target rows, then N neighbor rows per target.
 
     ``hidden`` holds the B target states followed by the states of every
-    sampled interaction, row by row of the batch. Target row b is (hidden,
-    zero edge block, phi(0)); row B + b * N + i is target b's i-th neighbor
-    slot, (hidden, edge, phi(t - t_i)). The edge block is as wide as the
-    batch's edge features. A slot past the end of a sample copies its target
-    row and is left to the attention mask: the backward gives it no gradient.
-    phi is encoded for the sampled timespans only; the other rows take
-    ``encode_values([0.0])``, phi(0) bit for bit (cos 0 = 1, sin 0 = 0). In
-    positional mode the time block is a rank lookup instead (rank 0 = oldest
-    neighbor, target = rank n), made in (B, N + 1) block order so that a
-    learnable table sums its gradient rows in that order.
+    sampled interaction, in the order of the batch's rows. Target row b is
+    (hidden, zero edge block, phi(0)); row B + b * N + i is target b's i-th
+    neighbor slot, (hidden, edge, phi(t - t_i)). The edge block is as wide as
+    the batch's edge features. A slot past the end of a sample is all zeros
+    and is left to the attention mask. phi is encoded for the sampled
+    timespans only; the target rows take ``encode_values([0.0])``, phi(0) bit
+    for bit (cos 0 = 1, sin 0 = 0). In positional mode the time block is a
+    rank lookup instead (rank 0 = oldest neighbor, target = rank n), made in
+    (B, N + 1) block order so that a learnable table sums its gradient rows
+    in that order.
     """
     b, n = batch.mask.shape
     sizes = batch.sizes
@@ -226,29 +228,25 @@ def build_entity_matrix(
     targets = np.arange(b)
     sampled = b + np.flatnonzero(batch.mask)  # z rows of the sampled interactions
     own_rows = np.concatenate([targets, sampled])  # the z row of each hidden row
-    source = np.concatenate([targets, np.repeat(targets, n)])
-    source[sampled] = np.arange(b, hidden.data.shape[0])
     if positional is None:
-        time = enc.encode_many((batch.query_times[:, None] - batch.times)[batch.mask])
+        time = enc.encode_many(np.repeat(batch.query_times, sizes) - batch.times)
         time_rows = sampled
     else:
-        ranks = np.repeat(sizes[:, None], n + 1, axis=1)
-        ranks[:, 1:] = np.where(batch.mask, np.arange(n), sizes[:, None])
-        time = positional.lookup(ranks.ravel())
-        time_rows = np.column_stack([targets, b + np.arange(b * n).reshape(b, n)]).ravel()
-    width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[2]
+        # each target's row, then its sampled slots, in (B, N + 1) block order
+        real = np.column_stack([np.ones(b, dtype=bool), batch.mask])
+        ranks = np.column_stack([sizes, np.tile(np.arange(n), (b, 1))])[real]
+        time = positional.lookup(ranks)
+        time_rows = np.column_stack([targets, b + np.arange(b * n).reshape(b, n)])[real]
+    width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[1]
     t0 = width + edge_dim
-    z = np.empty((b * (n + 1), t0 + time.data.shape[1]))
-    z[:, :width] = hidden.data[source]
-    z[:b, width:t0] = 0.0
-    z[b:, width:t0] = batch.edge_features.reshape(b * n, edge_dim)
+    z = np.zeros((b * (n + 1), t0 + time.data.shape[1]))
+    z[own_rows, :width] = hidden.data
+    z[sampled, width:t0] = batch.edge_features
     if positional is None:
-        zero_span = np.concatenate([targets, b + np.flatnonzero(~batch.mask)])
-        z[zero_span, t0:] = enc.encode_values([0.0])
+        z[:b, t0:] = enc.encode_values([0.0])
     z[time_rows, t0:] = time.data
 
     def pull(g: np.ndarray) -> None:
-        # a padded row has weight 0 and is no query, so its gradient is 0
         if hidden.requires_grad:
             hidden._accumulate(g[own_rows, :width])
         if time.requires_grad:
@@ -373,8 +371,8 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
                               key)
     hidden = _hidden_states(
         model, level - 1,
-        np.concatenate([nodes, batch.peers[batch.mask]]),
-        np.concatenate([times, batch.times[batch.mask]]),
+        np.concatenate([nodes, batch.peers]),
+        np.concatenate([times, batch.times]),
         graph, sampling, key, attention)
     z = build_entity_matrix(hidden, batch, model.time_encoder, positional)
     heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, model.attention_mode,

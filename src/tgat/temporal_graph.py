@@ -40,38 +40,27 @@ class TemporalEvent:
 
 
 @dataclass(frozen=True, eq=False)
-class NeighborhoodSample:
-    """Interactions of one node strictly before ``query_time``, oldest first;
-    row i of every array describes the same interaction."""
-
-    peers: np.ndarray
-    times: np.ndarray
-    event_indices: np.ndarray
-    edge_features: np.ndarray
-    query_time: float
-
-    def __len__(self) -> int:
-        return self.peers.size
-
-
-@dataclass(frozen=True, eq=False)
 class NeighborhoodBatch:
-    """Padded neighborhoods of B queries, one row per query.
+    """Neighborhoods of B queries, listed flat.
 
-    Row b holds ``sizes[b]`` interactions of its node strictly before
-    ``query_times[b]``, oldest first, in the columns where ``mask`` is True;
-    the (B, N) arrays have N = max(largest size, 1). Padding entries hold
-    peer and event index -1, the query time (a zero timespan) and zero edge
-    features.
+    ``peers``, ``times``, ``event_indices`` and ``edge_features`` (rows x
+    d_e) hold one row per sampled interaction, ``sizes.sum()`` rows in all:
+    query 0's interactions first, oldest first, then query 1's, and so on;
+    every one is strictly before its query's ``query_times[b]``. The (B, N)
+    ``mask``, N = max(largest size, 1), marks where those rows sit in the
+    attention block: query b's fill the first ``sizes[b]`` columns of row b.
     """
 
     peers: np.ndarray
     times: np.ndarray
     event_indices: np.ndarray
-    edge_features: np.ndarray  # (B, N, d_e)
+    edge_features: np.ndarray
     sizes: np.ndarray
     mask: np.ndarray
     query_times: np.ndarray
+
+    def __len__(self) -> int:  # the number of sampled interactions, sizes.sum()
+        return self.peers.size
 
 
 def whole_numbers(values, what: str) -> np.ndarray:
@@ -362,9 +351,10 @@ def sample_neighborhoods(
 
     ``uniform`` subsamples without replacement, ``inverse-timespan`` weights
     candidates by 1/(t - t_i + INVERSE_TIMESPAN_JITTER), and ``most-recent``
-    keeps the latest interactions deterministically. Rows come back sorted by
-    timestamp (ties by event order); recurring interactions with the same
-    peer stay distinct. A node with no prior interactions yields an empty row.
+    keeps the latest interactions deterministically. Each query's rows come
+    back sorted by timestamp (ties by event order); recurring interactions
+    with the same peer stay distinct. A node with no prior interactions
+    yields no rows (size 0).
 
     A query's sample depends only on (``rng_seed``, node, time, ``max_size``,
     strategy), never on the other queries of the call: see
@@ -435,23 +425,16 @@ def hop_neighborhoods(
     mask = col < sizes[:, None]
     real = rows[mask]
     events = g.event_idx[real]
-    event_indices = np.full(mask.shape, -1, dtype=np.int64)
-    event_indices[mask] = events
-    peers = np.full(mask.shape, -1, dtype=np.int64)
-    peers[mask] = g.peers[real]
-    sampled_times = np.repeat(times[:, None], n, axis=1)
-    sampled_times[mask] = g.times[real]
-    edge_features = np.zeros(mask.shape + (g.edge_feature_dim,))
-    edge_features[mask] = g.edge_features[events]
+    sampled_times = g.times[real]
     if _MONITORS:
         records = [AccessRecord(node=v, query_time=t, event_timestamp=ts, event_index=e)
                    for v, t, ts, e in zip(np.repeat(nodes, sizes).tolist(),
                                           np.repeat(times, sizes).tolist(),
-                                          g.times[real].tolist(), events.tolist())]
+                                          sampled_times.tolist(), events.tolist())]
         for monitor in _MONITORS:
             monitor.records.extend(records)
-    return NeighborhoodBatch(peers=peers, times=sampled_times, event_indices=event_indices,
-                             edge_features=edge_features, sizes=sizes, mask=mask,
+    return NeighborhoodBatch(peers=g.peers[real], times=sampled_times, event_indices=events,
+                             edge_features=g.edge_features[events], sizes=sizes, mask=mask,
                              query_times=times)
 
 
@@ -462,14 +445,9 @@ def temporal_neighborhood(
     max_size: int,
     strategy: str = "most-recent",
     rng_seed=0,
-) -> NeighborhoodSample:
-    """The neighborhood of one (node, t) query: row 0 of ``sample_neighborhoods``."""
-    batch = sample_neighborhoods(g, [node], [t], max_size, strategy, rng_seed)
-    size = int(batch.sizes[0])
-    return NeighborhoodSample(peers=batch.peers[0, :size], times=batch.times[0, :size],
-                              event_indices=batch.event_indices[0, :size],
-                              edge_features=batch.edge_features[0, :size],
-                              query_time=float(t))
+) -> NeighborhoodBatch:
+    """The neighborhood of one (node, t) query, as a one-query batch."""
+    return sample_neighborhoods(g, [node], [t], max_size, strategy, rng_seed)
 
 
 def chronological_split(g: TemporalGraph, train_frac: float, val_frac: float) -> SplitSpec:
@@ -501,7 +479,7 @@ def mask_unseen(g: TemporalGraph, split: SplitSpec, fraction: float, rng_seed: i
     """
     if not 0 < fraction < 1:
         raise ValidationError(f"unseen fraction must lie in (0, 1), got {fraction}")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed_sequence(rng_seed))
     count = int(round(fraction * g.num_nodes))
     unseen = frozenset(int(v) for v in rng.choice(g.num_nodes, size=count, replace=False))
     masked = replace(split, unseen_nodes=unseen)

@@ -123,9 +123,7 @@ class PositionalEncoder:
         bad = ranks[(ranks < 0) | (ranks >= self.max_positions)]
         if bad.size:
             raise PositionLookupError(f"rank {bad[0]} outside [0, {self.max_positions})")
-        if self.learnable:
-            return ad.gather_rows(self.table, ranks)
-        return ad.constant(self.table.data[ranks])
+        return ad.gather_rows(self.table, ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,20 @@ from .temporal_graph import (
 )
 
 
+def _check_shared_fields(config) -> None:
+    """The checks TrainConfig and MlpConfig share: ValidationError unless
+    every int field holds an int, ``rng_seed`` is not negative and
+    ``learning_rate`` is positive and finite."""
+    for field in fields(config):
+        if field.type == "int":  # annotations are strings in this module
+            check_integer(getattr(config, field.name), field.name)
+    if config.rng_seed < 0:
+        raise ValidationError(f"rng_seed must be >= 0, got {config.rng_seed}")
+    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0):
+        raise ValidationError(
+            f"learning_rate must be positive and finite, got {config.learning_rate!r}")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.001
@@ -68,9 +82,7 @@ class TrainConfig:
     max_val_events: int = 0
 
     def validate(self) -> None:
-        for field in fields(self):
-            if field.type == "int":  # annotations are strings in this module
-                check_integer(getattr(self, field.name), field.name)
+        _check_shared_fields(self)
         if not 0 <= self.neighborhood_dropout < 1:
             raise ValidationError("neighborhood_dropout must lie in [0, 1)")
         if self.patience < 1:
@@ -88,11 +100,6 @@ class TrainConfig:
                 f"unseen_fraction must lie in [0, 1), got {self.unseen_fraction!r}")
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ValidationError("batch_size must be >= 1 and max_epochs >= 0")
-        if self.rng_seed < 0:
-            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValidationError(
-                f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         for name in ("max_train_events_per_epoch", "max_val_events"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0 (0 = no cap), "
@@ -377,6 +384,8 @@ def evaluate_links(
     if node_filter not in ("observed", "unseen"):
         raise ValidationError(f"node filter must be 'observed' or 'unseen', got {node_filter!r}")
     seed_sequence(rng_seed)  # ValidationError for a seed that numpy rejects
+    config = config or TrainConfig()
+    config.validate()
     check_integer(max_events, "max_events")
     if max_events < 0:
         raise ValidationError(f"max_events must be >= 0 (0 = all), got {max_events}")
@@ -389,7 +398,6 @@ def evaluate_links(
     event_indices = check_event_indices(graph, event_indices)
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
-    config = config or TrainConfig()
     sampling = config.sampling(training=False)
     # the negatives' stream runs through every chunk; the samples need only the seed
     seed = [rng_seed, 1001]
@@ -421,6 +429,13 @@ class MlpConfig:
     learning_rate: float = 1e-3
     l2: float = 0.001  # from the grid {0.001, 0.01, 0.05, 0.1, 0.2}
     rng_seed: int = 0
+
+    def validate(self) -> None:
+        _check_shared_fields(self)
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValidationError("epochs must be >= 0 and batch_size >= 1")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValidationError(f"l2 must be non-negative and finite, got {self.l2!r}")
 
 
 class _Mlp:
@@ -457,7 +472,9 @@ def node_classify(
     because state labels are heavily imbalanced.
     """
     mlp_config = mlp_config or MlpConfig()
+    mlp_config.validate()
     config = config or TrainConfig()
+    config.validate()
     sampling = config.sampling(training=False)
 
     labeled = np.flatnonzero(graph.labels >= 0)
@@ -543,6 +560,7 @@ def attention_report(
     neighbor, its weight averaged over heads, its count the number of times
     its peer occurs in the same neighborhood."""
     config = config or TrainConfig()
+    config.validate()
     sampling = config.sampling(training=False)
     rows: list[AttentionRow] = []
     for chunk in _chunks(check_event_indices(graph, event_indices), config.batch_size):
@@ -552,12 +570,12 @@ def attention_report(
             embed_tensor(model, nodes, np.repeat(graph.timestamps[chunk] + offset, 2), graph,
                          sampling, [rng_seed, 4004], hops)
             _, batch, weights = hops[-1]  # the top hop
-            mask = batch.mask
-            spans = (batch.query_times[:, None] - batch.times)[mask]
-            pairs = np.nonzero(mask)[0] * graph.num_nodes + batch.peers[mask]
+            spans = np.repeat(batch.query_times, batch.sizes) - batch.times
+            query = np.repeat(np.arange(batch.sizes.size), batch.sizes)
+            pairs = query * graph.num_nodes + batch.peers
             _, which, counts = np.unique(pairs, return_inverse=True, return_counts=True)
             rows.extend(AttentionRow(span, w, count, float(offset)) for span, w, count
-                        in zip(spans.tolist(), np.mean(weights, axis=0)[mask].tolist(),
+                        in zip(spans.tolist(), np.mean(weights, axis=0)[batch.mask].tolist(),
                                counts[which].tolist()))
     return rows
 

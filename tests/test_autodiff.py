@@ -101,8 +101,7 @@ def attention_case(rng, mode: str, masked: bool):
 def entity_matrix_case(rng, positional: bool):
     """A hop of tiny_fixture_graph queries (some with empty samples), its
     hidden rows a parameter, its time block phi or a learnable rank table.
-    Padded slots get weight 0: the operator leaves them to the attention
-    mask, which gives them no gradient."""
+    Padded slots are constant zeros, so their weights may be nonzero."""
     b = int(rng.integers(1, 5))
     batch = sample_neighborhoods(tiny_fixture_graph(), rng.integers(0, 6, size=b),
                                  rng.uniform(0.5, 9.0, size=b), 3)
@@ -110,7 +109,6 @@ def entity_matrix_case(rng, positional: bool):
     enc = TimeEncoder(rng.uniform(0.1, 1.5, size=2))
     table = PositionalEncoder.learnable_table(8, 4, rng) if positional else None
     weights = _rand(rng, b * (batch.mask.shape[1] + 1), 3 + 2 + 4)
-    weights[b:][~batch.mask.ravel()] = 0.0
     params = [hidden] + (table.parameters() if positional else enc.parameters())
     return lambda: weighted_sum(build_entity_matrix(hidden, batch, enc, table), weights), params
 

@@ -63,7 +63,7 @@ def simple_graph():
 
 def raw_hidden(g, batch, nodes):
     """Level-0 states of a batch's targets followed by its sampled neighbors."""
-    return ad.constant(g.node_features[np.concatenate([nodes, batch.peers[batch.mask]])])
+    return ad.constant(g.node_features[np.concatenate([nodes, batch.peers])])
 
 
 def entity_matrix(g, nodes, times, enc, **kwargs):
@@ -119,9 +119,7 @@ class TestBuildEntityMatrix:
             size = batch.sizes[i]
             _, alone = entity_matrix(g, [target], [t], enc)
             np.testing.assert_array_equal(rows[: size + 1], alone.data)
-            # rows past the sample copy the target row
-            for pad in rows[size + 1 :]:
-                np.testing.assert_array_equal(pad, rows[0])
+            assert (rows[size + 1 :] == 0.0).all()
 
     def test_positional_ranks_per_block(self):
         g = tiny_fixture_graph()
@@ -141,38 +139,38 @@ class TestBuildEntityMatrix:
             build_entity_matrix(ad.constant(np.zeros((0, 2))),
                                 sample_neighborhoods(g, [], [], 5), enc)
 
-    def test_empty_sample_block_copies_target_row(self):
+    @pytest.mark.parametrize("positional", [False, True])
+    def test_padded_slots_are_exactly_zero(self, positional):
         g = tiny_fixture_graph()
-        enc = TimeEncoder.create(4)
-        empty, alone = entity_matrix(g, [0], [0.5], enc)
-        assert empty.sizes.tolist() == [0]
-        alone = alone.data
-        # one neighbor slot: N is at least 1
-        assert alone.shape == (2, 3 + 2 + 4)
-        np.testing.assert_array_equal(alone[0], np.concatenate(
-            [g.node_features[0], [0.0, 0.0], enc.encode_values([0.0])[0]]))
-        np.testing.assert_array_equal(alone[1], alone[0])
-        batch, z = entity_matrix(g, [0, 2], [0.5, 8.0], enc)
-        assert batch.sizes.tolist() == [0, 3]
-        z = z.data
-        assert z.shape == (2 * 4, 3 + 2 + 4)
-        for row in block(z, batch, 0):
-            np.testing.assert_array_equal(row, alone[0])
+        pos = PositionalEncoder.fixed_sinusoidal(8, 4) if positional else None
+        batch, z = entity_matrix(g, [0, 2, 5, 3], [0.5, 8.0, 7.5, 6.0], TimeEncoder.create(4),
+                                 positional=pos)
+        assert batch.sizes.tolist() == [0, 3, 1, 2]
+        slots = z.data[4:].reshape(4, 3, -1)
+        assert (slots[~batch.mask] == 0.0).all() and not np.signbit(slots[~batch.mask]).any()
+        assert (slots[batch.mask] != 0.0).any(axis=1).all()
+        # an empty sample alone still gets one slot: N is at least 1
+        empty, alone = entity_matrix(g, [0], [0.5], TimeEncoder.create(4), positional=pos)
+        assert empty.sizes.tolist() == [0] and alone.data.shape == (2, 3 + 2 + 4)
+        np.testing.assert_array_equal(alone.data[0, :5], [*g.node_features[0], 0.0, 0.0])
+        assert (alone.data[1] == 0.0).all()
 
-    def test_zero_timespan_rows_hold_phi_zero(self):
-        # target rows and padded neighbor rows take phi(0) with the bits that
-        # encoding a zero timespan gives, whatever the frequencies' signs
+    def test_only_target_rows_hold_phi_zero(self):
+        # target rows take phi(0) with the bits that encoding a zero timespan
+        # gives, whatever the frequencies' signs; neighbor slots hold the
+        # encodings of their timespans, and padded slots hold zeros
         g = tiny_fixture_graph()
         enc = TimeEncoder(np.random.default_rng(0).normal(0.0, 2.0, size=3))
         batch, z = entity_matrix(g, [0, 2, 5, 3], [0.5, 8.0, 7.5, 6.0], enc)
         assert batch.sizes.tolist() == [0, 3, 1, 2]
         t0 = 3 + 2
-        zero_rows = np.concatenate([np.arange(4), 4 + np.flatnonzero(~batch.mask)])
-        phi_zero = enc.encode_many(np.zeros(zero_rows.size)).data
-        assert z.data[zero_rows, t0:].tobytes() == phi_zero.tobytes()
+        phi_zero = enc.encode_many(np.zeros(4)).data
+        assert z.data[:4, t0:].tobytes() == phi_zero.tobytes()
         real = 4 + np.flatnonzero(batch.mask)
-        spans = (batch.query_times[:, None] - batch.times)[batch.mask]
+        spans = np.repeat(batch.query_times, batch.sizes) - batch.times
         assert z.data[real, t0:].tobytes() == enc.encode_many(spans).data.tobytes()
+        padded = 4 + np.flatnonzero(~batch.mask)
+        assert (z.data[padded, t0:] == 0.0).all()
 
 
 class TestAttendHead:
@@ -305,7 +303,8 @@ class TestAttendHead:
     @pytest.mark.parametrize("mode", ["learned", "constant"])
     def test_hidden_gradient_equals_scatter_add(self, mode):
         # the entity matrix writes each z row's gradient to its source row;
-        # that equals scatter-adding every row, padded copies of row 0 included
+        # that equals scatter-adding every row, padded slots charged to their
+        # target, since a padded slot's gradient is zero
         batch, hidden, z = self._hop_gradients(mode)
         neighbor_source = np.repeat(np.arange(4)[:, None], 2, axis=1)
         neighbor_source[batch.mask] = 4 + np.arange(batch.sizes.sum())

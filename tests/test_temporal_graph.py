@@ -380,7 +380,7 @@ class TestTemporalNeighborhood:
     def test_uniform_without_replacement(self):
         g = self.fixture()
         s = temporal_neighborhood(g, 0, 20.0, max_size=3, strategy="uniform", rng_seed=1)
-        assert len(s) == 3
+        assert s.peers.size == 3
         assert len(set(s.event_indices.tolist())) == 3
 
     def test_determinism(self):
@@ -406,13 +406,13 @@ class TestTemporalNeighborhood:
     def test_empty_history_yields_empty_sample(self):
         g = self.fixture()
         s = temporal_neighborhood(g, 2, 1.5, 10)
-        assert len(s) == 0
+        assert s.peers.size == 0
         assert s.edge_features.shape == (0, 0)
 
     def test_recurring_peer_kept_distinct(self):
         g = build_graph([0, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0])
         s = temporal_neighborhood(g, 0, 5.0, 10)
-        assert len(s) == 3
+        assert len(s) == s.peers.size == 3
 
     def test_causality_property_random_queries(self):
         rng = np.random.default_rng(5)
@@ -426,7 +426,7 @@ class TestTemporalNeighborhood:
             strategy = ("uniform", "inverse-timespan", "most-recent")[trial % 3]
             s = temporal_neighborhood(g, node, t, 5, strategy, rng_seed=trial)
             assert all(s.times < t)
-            assert len(s) <= 5
+            assert s.peers.size <= 5
         # NaN compares false with everything, so an unchecked NaN query
         # would return the node's whole history
         for t in (np.nan, np.inf, -np.inf):
@@ -474,8 +474,8 @@ def reference_neighborhood(g, node, t, max_size, strategy, rng_seed=0, jitter=1.
 
 
 def batch_rows(batch):
-    """Event indices of every row of a batch, oldest first."""
-    return [row[:n].tolist() for row, n in zip(batch.event_indices, batch.sizes)]
+    """Event indices of each query of a batch, oldest first."""
+    return [row.tolist() for row in np.split(batch.event_indices, np.cumsum(batch.sizes)[:-1])]
 
 
 class TestSampleNeighborhoods:
@@ -508,18 +508,16 @@ class TestSampleNeighborhoods:
             expected = [reference_neighborhood(g, v, t, max_size, "most-recent").tolist()
                         for v, t in zip(nodes, times)]
             assert batch_rows(batch) == expected
-            mask = batch.mask
-            events = batch.event_indices[mask]
+            events = batch.event_indices
             owners = np.repeat(nodes, batch.sizes)
-            np.testing.assert_array_equal(batch.peers[mask], np.where(
+            np.testing.assert_array_equal(batch.peers, np.where(
                 g.sources[events] == owners, g.destinations[events], g.sources[events]))
-            np.testing.assert_array_equal(batch.times[mask], g.timestamps[batch.event_indices[mask]])
-            np.testing.assert_array_equal(batch.edge_features[mask],
-                                          g.edge_features[batch.event_indices[mask]])
-            # padding: no peer or event, a zero timespan and zero edge features
-            assert (batch.peers[~mask] == -1).all() and (batch.event_indices[~mask] == -1).all()
-            np.testing.assert_array_equal(batch.times, np.where(mask, batch.times, times[:, None]))
-            assert (batch.edge_features[~mask] == 0).all()
+            np.testing.assert_array_equal(batch.times, g.timestamps[events])
+            np.testing.assert_array_equal(batch.edge_features, g.edge_features[events])
+            # one row per sampled interaction, none for padding
+            rows = batch.sizes.sum()
+            assert batch.peers.shape == batch.times.shape == events.shape == (rows,)
+            assert batch.edge_features.shape == (rows, 2)
 
     # five prior events at t = 1, 2, 4, 7, 9.5, query at 10, keep two:
     # numpy's successive draws pick the pair {i, j} with probability
@@ -552,8 +550,9 @@ class TestSampleNeighborhoods:
         batch = sample_neighborhoods(g, np.arange(n), np.full(n, 10.0), 2,
                                      strategy, rng_seed=2024)
         assert (batch.sizes == 2).all()
-        assert (g.sources[batch.event_indices] == np.arange(n)[:, None]).all()
-        picked = np.searchsorted(self.FIVE_TIMES, g.timestamps[batch.event_indices])
+        events = batch.event_indices.reshape(n, 2)
+        assert (g.sources[events] == np.arange(n)[:, None]).all()
+        picked = np.searchsorted(self.FIVE_TIMES, g.timestamps[events])
         self.assert_pair_frequencies(picked, strategy)
 
     @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan"])
@@ -561,7 +560,7 @@ class TestSampleNeighborhoods:
         # one query, one call per seed
         g = build_graph(np.zeros(5, dtype=int), np.arange(1, 6), self.FIVE_TIMES)
         picked = np.array([sample_neighborhoods(g, [0], [10.0], 2, strategy, rng_seed=seed)
-                           .event_indices[0] for seed in range(10_000)])
+                           .event_indices for seed in range(10_000)])
         self.assert_pair_frequencies(picked, strategy)
 
     def test_picks_independent_across_queries(self):
@@ -573,7 +572,7 @@ class TestSampleNeighborhoods:
         times = 10.0 + np.arange(n) * 1e-3
         batch = sample_neighborhoods(g, np.repeat([0, 1], n), np.tile(times, 2), 1,
                                      "uniform", rng_seed=7)
-        a, b = batch.event_indices[:n, 0], batch.event_indices[n:, 0]
+        a, b = batch.event_indices[:n], batch.event_indices[n:]
         counts = np.bincount(a * 5 + b, minlength=25)
         z = (counts / n - 1 / 25) / np.sqrt((1 / 25) * (24 / 25) / n)
         assert np.abs(z).max() < 4.5, z.reshape(5, 5)
@@ -606,8 +605,8 @@ class TestSampleNeighborhoods:
         assert batch.sizes.tolist() == [0, 3, 2, 0, 2, 1, 3]
         assert batch.mask.shape == (7, 3)
         np.testing.assert_array_equal(batch.mask, np.arange(3) < batch.sizes[:, None])
-        for b, (v, t) in enumerate(zip(nodes, times)):
-            row = batch.event_indices[b, : batch.sizes[b]]
+        for v, t, row in zip(nodes, times, batch_rows(batch)):
+            row = np.array(row, dtype=np.int64)
             assert (g.timestamps[row] < t).all()
             assert len(set(row.tolist())) == row.size
             assert ((g.sources[row] == v) | (g.destinations[row] == v)).all()
@@ -629,13 +628,13 @@ class TestSampleNeighborhoods:
 
     @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan", "most-recent"])
     def test_self_loops_only_graph(self, strategy):
-        # no event enters the CSR, so every row is padding
+        # no event enters the CSR, so every query's sample is empty
         g = build_graph([0, 1, 1], [0, 1, 1], [1.0, 2.0, 3.0], edge_features=np.ones((3, 2)))
         assert g.peers.size == 0
         batch = sample_neighborhoods(g, [0, 1, 1], [5.0, 5.0, 0.0], 2, strategy)
         assert batch.sizes.tolist() == [0, 0, 0]
-        assert batch.peers.shape == batch.mask.shape == (3, 1)
-        assert batch.edge_features.shape == (3, 1, 2)
+        assert batch.mask.shape == (3, 1) and batch.peers.shape == (0,)
+        assert batch.edge_features.shape == (0, 2)
         assert not batch.mask.any()
 
     def test_empty_batch(self):
@@ -749,12 +748,10 @@ def lexsort_hop(g, nodes, times, max_size, strategy, key):
         kept = np.sort(order[np.arange(seg.size) - starts[seg] < max_size])
         rows[drawn, :max_size] = cand[kept].reshape(drawn.size, max_size)
     mask = col < sizes[:, None]
-    rows = np.where(mask, rows, 0)
+    real = rows[mask]
     return NeighborhoodBatch(
-        peers=np.where(mask, g.peers[rows], -1),
-        times=np.where(mask, g.times[rows], times[:, None]),
-        event_indices=np.where(mask, g.event_idx[rows], -1),
-        edge_features=np.where(mask[..., None], g.edge_features[g.event_idx[rows]], 0.0),
+        peers=g.peers[real], times=g.times[real], event_indices=g.event_idx[real],
+        edge_features=g.edge_features[g.event_idx[real]],
         sizes=sizes, mask=mask, query_times=times)
 
 
@@ -917,6 +914,13 @@ class TestMaskUnseen:
         for frac in (0.0, 1.0, -0.5):
             with pytest.raises(ValidationError):
                 mask_unseen(g, split, frac, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        # numpy's ValueError or TypeError used to escape
+        g = self.bigger()
+        with pytest.raises(ValidationError, match="rng_seed"):
+            mask_unseen(g, chronological_split(g, 0.7, 0.15), 0.1, rng_seed=seed)
 
 
 class TestSampleNegative:

@@ -168,6 +168,13 @@ class TestPositionalEncoder:
         np.testing.assert_allclose(row[0::2], 0.0, atol=1e-12)  # sin(0)
         np.testing.assert_allclose(row[1::2], 1.0, atol=1e-12)  # cos(0)
 
+    def test_fixed_lookup_records_no_tape_node(self):
+        enc = PositionalEncoder.fixed_sinusoidal(5, 4)
+        with ad.Tape() as tape:
+            out = enc.lookup([0, 3])
+        assert not out.requires_grad and len(tape) == 0
+        np.testing.assert_array_equal(out.data, enc.table.data[[0, 3]])
+
     def test_learnable_lookup_stable_before_update(self):
         enc = PositionalEncoder.learnable_table(6, 4, np.random.default_rng(0))
         a = enc.lookup(3).data.copy()

@@ -378,6 +378,13 @@ class TestEvaluateLinks:
         with pytest.raises(ValidationError, match="rng_seed"):
             evaluate_links(model, g, split, config=cfg, rng_seed=seed)
 
+    def test_bad_config_rejected(self):
+        # batch_size 0 used to reach the chunking and fail inside numpy
+        g, split, cfg = training_fixture()
+        model = training.build_model(g, cfg)
+        with pytest.raises(ValidationError, match="batch_size"):
+            evaluate_links(model, g, split, config=TrainConfig(batch_size=0))
+
     @pytest.mark.parametrize("index, shown", [(-1, "-1"), (3.7, "3.7"), (10**6, "1000000")])
     def test_bad_event_index_rejected(self, index, shown):
         # -1 used to evaluate the last event, 3.7 event 3
@@ -441,6 +448,28 @@ class TestNodeClassify:
         with pytest.raises(EvaluationError, match="0 or 1, got 2"):
             node_classify(small_model(g), g, split)
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("epochs", 2.5, "epochs must be an integer"),  # used to raise a TypeError
+        ("epochs", -3, "epochs must be >= 0"),  # used to train nothing
+        ("batch_size", 0, "batch_size >= 1"),  # used to train on 1 + 1 rows
+        ("learning_rate", -1.0, "learning_rate"),  # used to ascend the loss
+        ("learning_rate", np.inf, "learning_rate"),
+        ("l2", -0.1, "l2"),
+        ("l2", np.nan, "l2"),
+        ("rng_seed", -1, "rng_seed"),  # used to fail inside numpy
+    ])
+    def test_bad_mlp_config_rejected(self, field, value, shown):
+        g = self._labeled_graph()
+        split = chronological_split(g, 0.70, 0.15)
+        with pytest.raises(ValidationError, match=shown):
+            node_classify(small_model(g), g, split, MlpConfig(**{field: value}))
+
+    def test_bad_config_rejected(self):
+        g = self._labeled_graph()
+        split = chronological_split(g, 0.70, 0.15)
+        with pytest.raises(ValidationError, match="batch_size"):
+            node_classify(small_model(g), g, split, config=TrainConfig(batch_size=0))
+
     def test_single_class_split_rejected(self):
         g = build_graph([0, 1, 2, 0], [1, 2, 0, 2], [1.0, 2.0, 3.0, 4.0],
                         labels=[1, 1, 1, 1])
@@ -486,6 +515,11 @@ class TestAttentionReport:
         with pytest.raises(ValidationError, match=f"event index {shown} "):
             attention_report(small_model(g), g, [5, index], config=TrainConfig(max_neighbors=4))
 
+    def test_bad_config_rejected(self):
+        g = tiny_fixture_graph()
+        with pytest.raises(ValidationError, match="batch_size"):
+            attention_report(small_model(g), g, [5], config=TrainConfig(batch_size=0))
+
     def test_batches_give_the_same_rows(self):
         g = recency_planted_graph(n_nodes=40, n_events=600, seed=2)
         model = small_model(g, layers=2, heads=2, seed=5)
@@ -528,7 +562,7 @@ class TestAttentionReport:
         hops = []
         embed_tensor(model, 0, 101.0, probe, cfg.sampling(), 0, hops)
         (_, batch, head_weights), = hops
-        spans = (batch.query_times[:, None] - batch.times)[batch.mask]
+        spans = np.repeat(batch.query_times, batch.sizes) - batch.times
         weights = head_weights.mean(axis=0)[batch.mask]
         recent = int(np.argmin(spans))
         stale = int(np.argmax(spans))
