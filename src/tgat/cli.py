@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -64,7 +63,7 @@ class RunManifest:
         path.write_text("\n".join(lines) + "\n")
 
 
-_CONFIG_FIELDS = {f.name: get_type_hints(TrainConfig)[f.name] for f in fields(TrainConfig)}
+_CONFIG_FIELDS = {name: kind for name, kind, _ in TrainConfig.field_table}
 
 
 def _config_value(key: str, text: str, where: str, error: type[TgatError]):
@@ -146,8 +145,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    graph = load_graph(args.graph)
     config = parse_train_config(args.config)
+    graph = load_graph(args.graph)
     split = _resolve_split(graph, config)
     model, history = train(graph, split, config)
     outdir = Path(args.outdir)

@@ -30,39 +30,34 @@ from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, InferenceError, ValidationError
 from .temporal_graph import (
     NeighborhoodBatch,
+    Rule,
     TemporalGraph,
+    check_fields,
     check_queries,
+    check_value,
+    checked,
     hop_neighborhoods,
     sampling_key,
+    setting,
     whole_numbers,
 )
 # not called here: perfbench/spans.py times the sampler by wrapping this name
 from .temporal_graph import temporal_neighborhood  # noqa: F401
 from .time_encoding import PositionalEncoder, TimeEncoder
 
-ATTENTION_MODES = ("learned", "constant", "positional")
 
-
+@checked
 @dataclass(frozen=True)
 class Dims:
     """Dimension bundle: raw features d0, hidden d, time d_t, per-head d_h,
     FFN hidden d_f, edge features d_e."""
 
-    d0: int
-    d: int
-    d_t: int
-    d_h: int
-    d_f: int
-    d_e: int = 0
-
-    def validate(self) -> None:
-        if self.d_t % 2 != 0 or self.d_t < 2:
-            raise ValidationError(f"time encoding dim must be even and >= 2, got {self.d_t}")
-        for name in ("d0", "d", "d_h", "d_f"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"dimension {name} must be positive")
-        if self.d_e < 0:
-            raise ValidationError("edge feature dim cannot be negative")
+    d0: int = setting(Rule.AT_LEAST_1)
+    d: int = setting(Rule.AT_LEAST_1)
+    d_t: int = setting(Rule.EVEN_AT_LEAST_2)
+    d_h: int = setting(Rule.AT_LEAST_1)
+    d_f: int = setting(Rule.AT_LEAST_1)
+    d_e: int = setting(Rule.AT_LEAST_0, 0)
 
 
 @dataclass(frozen=True)
@@ -137,8 +132,7 @@ class TgatModel:
     def __init__(self, layers, time_encoder: TimeEncoder, dims: Dims,
                  attention_mode: str = "learned",
                  positional_encoder: PositionalEncoder | None = None):
-        if attention_mode not in ATTENTION_MODES:
-            raise ValidationError(f"unknown attention mode {attention_mode!r}")
+        check_value(attention_mode, str, "attention_mode", Rule.ATTENTION_MODE)
         if not layers:
             raise ValidationError("model needs at least one layer")
         if attention_mode == "positional" and positional_encoder is None:
@@ -161,9 +155,9 @@ class TgatModel:
         positional_learnable: bool = False,
         max_positions: int = 64,
     ) -> "TgatModel":
-        dims.validate()
-        if layer_count < 1:
-            raise ValidationError("layer_count must be >= 1")
+        check_fields(dims)
+        check_value(layer_count, int, "layer_count", Rule.AT_LEAST_1)
+        check_value(head_count, int, "head_count", Rule.AT_LEAST_1)
         rng = np.random.default_rng(rng_seed)
         enc = TimeEncoder.create(dims.d_t, t_max=t_max)
         layers = [
@@ -518,6 +512,6 @@ def load_checkpoint(path) -> tuple[TgatModel, dict]:
             if not np.isfinite(stored).all():
                 raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
             tensor.data = stored
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from None
     return model, extra

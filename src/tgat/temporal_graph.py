@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import zipfile
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import (
 INVERSE_TIMESPAN_JITTER = 1.0
 
 STRATEGIES = ("uniform", "inverse-timespan", "most-recent")
+ATTENTION_MODES = ("learned", "constant", "positional")
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,57 @@ def whole_numbers(values, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def check_integer(value, what: str) -> None:
-    """ValidationError unless ``value`` (named by ``what``) is an int; a bool
-    or a whole float is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+class Rule(Enum):
+    """What a setting accepts beyond its type: the text that ends the message
+    "<name> must be <text>, got <value>", and the test."""
+
+    AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+    AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+    EVEN_AT_LEAST_2 = ("even and >= 2", lambda v: v >= 2 and v % 2 == 0)  # cos/sin pairs of phi(t)
+    POSITIVE_FINITE = ("positive and finite", lambda v: 0 < v < np.inf)
+    NON_NEGATIVE_FINITE = ("non-negative and finite", lambda v: 0 <= v < np.inf)
+    FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)
+    FRACTION_OR_ZERO = ("in [0, 1)", lambda v: 0 <= v < 1)
+    STRATEGY = (f"one of {', '.join(STRATEGIES)}", lambda v: v in STRATEGIES)
+    ATTENTION_MODE = (f"one of {', '.join(ATTENTION_MODES)}", lambda v: v in ATTENTION_MODES)
+
+
+# what each annotated type accepts; a bool is only a bool, a whole float is not an int
+_KINDS = {int: ((int, np.integer), "an integer"),
+          float: ((int, float, np.integer, np.floating), "a real number"),
+          bool: (bool, "true or false"), str: (str, "a string")}
+
+
+def check_value(value, kind: type, what: str, rule: Rule | None = None) -> None:
+    """ValidationError unless ``value`` (named by ``what``) is of ``kind``,
+    one of int, float, bool and str, and meets ``rule``."""
+    accepted, noun = _KINDS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValidationError(f"{what} must be {noun}, got {value!r}")
+    if rule is not None and not rule.value[1](value):
+        raise ValidationError(f"{what} must be {rule.value[0]}, got {value!r}")
+
+
+def setting(rule: Rule, default=MISSING):
+    """A dataclass field whose values ``check_fields`` holds to ``rule``."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def checked(cls):
+    """Class decorator for a dataclass of settings: resolves each field's
+    annotation once, at import, into ``cls.field_table``, the (name, type,
+    rule) rows that ``check_fields`` reads."""
+    types = get_type_hints(cls)
+    cls.field_table = tuple((f.name, types[f.name], f.metadata.get("rule"))
+                            for f in fields(cls))
+    return cls
+
+
+def check_fields(obj) -> None:
+    """ValidationError naming the first field of ``obj``, an instance of a
+    ``checked`` class, that is not of its annotated type or breaks its rule."""
+    for name, kind, rule in obj.field_table:
+        check_value(getattr(obj, name), kind, name, rule)
 
 
 @dataclass(frozen=True)
@@ -302,15 +351,12 @@ def check_queries(g: TemporalGraph, nodes, times, max_size: int,
     bad = np.flatnonzero((nodes < 0) | (nodes >= g.num_nodes))
     if bad.size:
         raise ValidationError(f"node {nodes[bad[0]]} not in graph with {g.num_nodes} nodes")
-    check_integer(max_size, "max_size")
-    if max_size < 1:
-        raise ValidationError(f"max_size must be >= 1, got {max_size}")
+    check_value(max_size, int, "max_size", Rule.AT_LEAST_1)
     bad = np.flatnonzero(~((times >= 0) & (times < np.inf)))
     if bad.size:
         raise ValidationError(
             f"query time must be finite and non-negative, got {times[bad[0]]}")
-    if strategy not in STRATEGIES:
-        raise ValidationError(f"unknown sampling strategy {strategy!r}")
+    check_value(strategy, str, "strategy", Rule.STRATEGY)
     return nodes, times
 
 
@@ -477,8 +523,7 @@ def mask_unseen(g: TemporalGraph, split: SplitSpec, fraction: float, rng_seed: i
     training; validation/test events incident to one form the inductive
     evaluation set. Raises if masking empties the training period.
     """
-    if not 0 < fraction < 1:
-        raise ValidationError(f"unseen fraction must lie in (0, 1), got {fraction}")
+    check_value(fraction, float, "unseen fraction", Rule.FRACTION)
     rng = np.random.default_rng(seed_sequence(rng_seed))
     count = int(round(fraction * g.num_nodes))
     unseen = frozenset(int(v) for v in rng.choice(g.num_nodes, size=count, replace=False))
@@ -567,8 +612,7 @@ def ingest(
     poor cos/sin arguments). Line numbers in errors count the one header line
     that ``load_graph_csv`` reads before the rows.
     """
-    if not 0 < time_divisor < np.inf:
-        raise ValidationError(f"time divisor must be positive and finite, got {time_divisor}")
+    check_value(time_divisor, float, "time_divisor", Rule.POSITIVE_FINITE)
     for name, dim in (("feature_dim", feature_dim), ("node_feature_dim", node_feature_dim)):
         if dim is not None and dim < 0:
             raise ValidationError(f"{name} must be >= 0, got {dim}")

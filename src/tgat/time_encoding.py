@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import PositionLookupError, ValidationError
+from .temporal_graph import Rule, check_value
 
 
 class TimeEncoder:
@@ -35,8 +36,7 @@ class TimeEncoder:
         """Build an encoder with a geometric frequency ladder spanning
         periods from O(1) up to well past ``t_max``. ``output_dim`` must be
         even: each frequency contributes a cosine and a sine coordinate."""
-        if output_dim < 2 or output_dim % 2 != 0:
-            raise ValidationError(f"time encoding dimension must be even and >= 2, got {output_dim}")
+        check_value(output_dim, int, "output_dim", Rule.EVEN_AT_LEAST_2)
         k = output_dim // 2
         alpha = max(float(t_max), 0.1) * 10.0
         freq = alpha ** (-np.arange(k) / k)

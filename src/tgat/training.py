@@ -10,8 +10,7 @@ the configured seed.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,80 +29,52 @@ from .layer import (
     glorot,
 )
 from .temporal_graph import (
-    STRATEGIES,
+    Rule,
     SplitSpec,
     TemporalGraph,
     check_event_indices,
-    check_integer,
+    check_fields,
+    check_value,
+    checked,
     evaluation_event_indices,
     seed_sequence,
+    setting,
     training_event_indices,
 )
 
 
-def _check_shared_fields(config) -> None:
-    """The checks TrainConfig and MlpConfig share: ValidationError unless
-    every int field holds an int, ``rng_seed`` is not negative and
-    ``learning_rate`` is positive and finite."""
-    for field in fields(config):
-        if field.type == "int":  # annotations are strings in this module
-            check_integer(getattr(config, field.name), field.name)
-    if config.rng_seed < 0:
-        raise ValidationError(f"rng_seed must be >= 0, got {config.rng_seed}")
-    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0):
-        raise ValidationError(
-            f"learning_rate must be positive and finite, got {config.learning_rate!r}")
-
-
+@checked
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.001
-    layers: int = 2
-    heads: int = 2
-    neighborhood_dropout: float = 0.1
-    negatives_per_positive: int = 1
-    batch_size: int = 32
-    max_epochs: int = 10
-    patience: int = 10
-    attention_mode: str = "learned"
-    sampling_strategy: str = "uniform"
-    rng_seed: int = 0
-    d: int = 32
-    d_t: int = 16
-    d_h: int = 16
-    d_f: int = 32
-    max_neighbors: int = 20
+    learning_rate: float = setting(Rule.POSITIVE_FINITE, 0.001)
+    layers: int = setting(Rule.AT_LEAST_1, 2)
+    heads: int = setting(Rule.AT_LEAST_1, 2)
+    neighborhood_dropout: float = setting(Rule.FRACTION_OR_ZERO, 0.1)
+    negatives_per_positive: int = setting(Rule.AT_LEAST_1, 1)
+    batch_size: int = setting(Rule.AT_LEAST_1, 32)
+    max_epochs: int = setting(Rule.AT_LEAST_0, 10)
+    patience: int = setting(Rule.AT_LEAST_1, 10)
+    attention_mode: str = setting(Rule.ATTENTION_MODE, "learned")
+    sampling_strategy: str = setting(Rule.STRATEGY, "uniform")
+    rng_seed: int = setting(Rule.AT_LEAST_0, 0)
+    d: int = setting(Rule.AT_LEAST_1, 32)
+    d_t: int = setting(Rule.EVEN_AT_LEAST_2, 16)
+    d_h: int = setting(Rule.AT_LEAST_1, 16)
+    d_f: int = setting(Rule.AT_LEAST_1, 32)
+    max_neighbors: int = setting(Rule.AT_LEAST_1, 20)
     positional_learnable: bool = False
-    train_frac: float = 0.70
-    val_frac: float = 0.15
-    unseen_fraction: float = 0.10
+    train_frac: float = setting(Rule.FRACTION, 0.70)
+    val_frac: float = setting(Rule.FRACTION, 0.15)
+    unseen_fraction: float = setting(Rule.FRACTION_OR_ZERO, 0.10)
     # desk-scale budget caps: per-epoch training positives and validation events
-    max_train_events_per_epoch: int = 0  # 0 = no cap
-    max_val_events: int = 0
+    max_train_events_per_epoch: int = setting(Rule.AT_LEAST_0, 0)  # 0 = no cap
+    max_val_events: int = setting(Rule.AT_LEAST_0, 0)
 
     def validate(self) -> None:
-        _check_shared_fields(self)
-        if not 0 <= self.neighborhood_dropout < 1:
-            raise ValidationError("neighborhood_dropout must lie in [0, 1)")
-        if self.patience < 1:
-            raise ValidationError("patience must be >= 1")
-        if self.negatives_per_positive < 1:
-            raise ValidationError("negatives_per_positive must be >= 1")
-        if self.sampling_strategy not in STRATEGIES:
-            raise ValidationError(f"unknown sampling strategy {self.sampling_strategy!r}")
-        if self.layers < 1 or self.heads < 1:
-            raise ValidationError("layers and heads must be >= 1")
-        if self.max_neighbors < 1:
-            raise ValidationError(f"max_neighbors must be >= 1, got {self.max_neighbors}")
-        if not 0 <= self.unseen_fraction < 1:
-            raise ValidationError(
-                f"unseen_fraction must lie in [0, 1), got {self.unseen_fraction!r}")
-        if self.batch_size < 1 or self.max_epochs < 0:
-            raise ValidationError("batch_size must be >= 1 and max_epochs >= 0")
-        for name in ("max_train_events_per_epoch", "max_val_events"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0 (0 = no cap), "
-                                      f"got {getattr(self, name)}")
+        check_fields(self)
+        if not self.train_frac + self.val_frac < 1:
+            raise ValidationError(f"train_frac + val_frac must be < 1, "
+                                  f"got {self.train_frac} + {self.val_frac}")
 
     def sampling(self, training: bool = False) -> SamplingConfig:
         """Evaluation uses the full neighborhood cap; training shrinks it by
@@ -209,9 +180,7 @@ def link_loss(
     idx = check_event_indices(graph, batch_events)
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
-    check_integer(negatives_per_positive, "negatives_per_positive")
-    if negatives_per_positive < 1:
-        raise ValidationError(f"negatives_per_positive must be >= 1, got {negatives_per_positive}")
+    check_value(negatives_per_positive, int, "negatives_per_positive", Rule.AT_LEAST_1)
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(seed_sequence(rng_seed)))
     scores = _link_scores(model, graph, idx, sampling, negatives_per_positive, rng, rng_seed)
@@ -386,9 +355,7 @@ def evaluate_links(
     seed_sequence(rng_seed)  # ValidationError for a seed that numpy rejects
     config = config or TrainConfig()
     config.validate()
-    check_integer(max_events, "max_events")
-    if max_events < 0:
-        raise ValidationError(f"max_events must be >= 0 (0 = all), got {max_events}")
+    check_value(max_events, int, "max_events", Rule.AT_LEAST_0)
     mode = "transductive" if node_filter == "observed" else "inductive"
     if event_indices is None:
         event_indices = evaluation_event_indices(graph, split, period, mode)
@@ -422,20 +389,14 @@ def evaluate_links(
 # ---------------------------------------------------------------------------
 
 
+@checked
 @dataclass
 class MlpConfig:
-    epochs: int = 60
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    l2: float = 0.001  # from the grid {0.001, 0.01, 0.05, 0.1, 0.2}
-    rng_seed: int = 0
-
-    def validate(self) -> None:
-        _check_shared_fields(self)
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValidationError("epochs must be >= 0 and batch_size >= 1")
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise ValidationError(f"l2 must be non-negative and finite, got {self.l2!r}")
+    epochs: int = setting(Rule.AT_LEAST_0, 60)
+    batch_size: int = setting(Rule.AT_LEAST_1, 64)
+    learning_rate: float = setting(Rule.POSITIVE_FINITE, 1e-3)
+    l2: float = setting(Rule.NON_NEGATIVE_FINITE, 0.001)  # grid: {0.001, 0.01, 0.05, 0.1, 0.2}
+    rng_seed: int = setting(Rule.AT_LEAST_0, 0)
 
 
 class _Mlp:
@@ -472,7 +433,7 @@ def node_classify(
     because state labels are heavily imbalanced.
     """
     mlp_config = mlp_config or MlpConfig()
-    mlp_config.validate()
+    check_fields(mlp_config)
     config = config or TrainConfig()
     config.validate()
     sampling = config.sampling(training=False)

@@ -215,6 +215,15 @@ class TestTrain:
         assert len(err) == 1 and line.split()[0] in err[0]
         assert not outdir.exists()
 
+    def test_config_checked_before_the_graph_is_read(self, workspace, capsys):
+        # a bad config used to fail only after the graph was loaded and split
+        tmp_path, _, config, _ = workspace
+        bad = tmp_path / "bad.txt"
+        bad.write_text(config.read_text() + "attention_mode = bogus\n")
+        assert main(["train", str(tmp_path / "no.npz"), str(bad), str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "attention_mode" in err[0]
+
     def test_missing_graph_exit_2(self, workspace, capsys):
         tmp_path, _, config, _ = workspace
         code = main(["train", str(tmp_path / "no.npz"), str(config), str(tmp_path / "o")])
@@ -347,6 +356,21 @@ class TestEvalAndEmbed:
         assert main(["eval", str(ckpt), str(graph)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and field in err[0]
+
+    # each used to raise a ValidationError without the path; a bool head
+    # count loaded as a 1-head model
+    @pytest.mark.parametrize("key, value, shown", [
+        ("d_t", 3, "d_t must be even and >= 2"), ("d_e", -1, "d_e must be >= 0"),
+        ("attention_mode", "bogus", "attention_mode must be one of"),
+        ("head_count", True, "head_count must be an integer")])
+    def test_bad_stored_model_exit_1(self, trained, capsys, key, value, shown):
+        _, graph, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        (payload["dims"] if key in payload["dims"] else payload)[key] = value
+        ckpt.write_text(json.dumps(payload))
+        assert main(["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ") and shown in err[0]
 
     # a NaN in b1 printed NaN in every row; one in b0 is zeroed by the ReLU,
     # so the embeddings looked finite

@@ -404,6 +404,13 @@ class TestLayerForward:
         with pytest.raises(InferenceError):
             embed_tensor(model, [0, 17], [1.0, 1.0], g, MOST_RECENT)
 
+    @pytest.mark.parametrize("field, value", [("d", 16.5), ("d", True), ("d_h", 2.0)])
+    def test_bad_dims_rejected(self, field, value):
+        # each used to raise a raw TypeError while the weights were drawn
+        dims = dict(d0=2, d=3, d_t=4, d_h=2, d_f=3) | {field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            TgatModel.create(Dims(**dims), layer_count=1, head_count=1)
+
     def test_feature_widths_must_match_the_graph(self):
         g = tiny_fixture_graph()  # d0 = 3, d_e = 2
         for d0, d_e in ((2, 2), (3, 0), (3, 3)):

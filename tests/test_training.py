@@ -2,6 +2,9 @@
 (early stopping, determinism, split hygiene), evaluation, downstream
 classification, and the attention report."""
 
+from dataclasses import fields, replace
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
 from tgat.temporal_graph import (
     AccessMonitor,
     build_graph,
+    check_fields,
     chronological_split,
     evaluation_event_indices,
 )
@@ -169,6 +173,26 @@ def training_fixture():
     return g, split, cfg
 
 
+# per annotation, a value of another type and one that every rule for it
+# rejects; a bool field has no rule
+WRONG_TYPE = {int: 2.5, float: "0.5", bool: "yes", str: 1}
+OUT_OF_RANGE = {int: [-1], float: [float("nan")], str: ["bogus"], bool: []}
+
+
+@pytest.mark.parametrize("config", [TrainConfig(), MlpConfig(),
+                                    Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3)],
+                         ids=["TrainConfig", "MlpConfig", "Dims"])
+def test_every_config_field_is_checked(config):
+    # a field added with a type the checker does not know, or a number or
+    # string field added without a rule, fails here
+    types = get_type_hints(type(config))
+    for f in fields(config):
+        kind = types[f.name]
+        for value in [WRONG_TYPE[kind]] + OUT_OF_RANGE[kind]:
+            with pytest.raises(ValidationError, match=f"^{f.name} must be"):
+                check_fields(replace(config, **{f.name: value}))
+
+
 class TestTrainLoop:
     @pytest.mark.parametrize("field, value", [
         ("rng_seed", -1), ("learning_rate", 0.0), ("learning_rate", -0.01),
@@ -176,7 +200,11 @@ class TestTrainLoop:
         ("max_train_events_per_epoch", -5), ("max_val_events", -5),
         ("max_neighbors", 0), ("unseen_fraction", -0.5), ("unseen_fraction", 1.0),
         ("max_neighbors", 2.5), ("batch_size", 2.5), ("layers", 1.5), ("heads", True),
-        ("rng_seed", 1.0), ("max_epochs", "3"), ("d", np.float64(8.0))])
+        ("rng_seed", 1.0), ("max_epochs", "3"), ("d", np.float64(8.0)),
+        # each used to pass or to raise a raw TypeError
+        ("learning_rate", "0.1"), ("neighborhood_dropout", "x"), ("attention_mode", "bogus"),
+        ("d_t", 3), ("d", 0), ("positional_learnable", "yes"),
+        ("train_frac", 0.9)])  # with val_frac 0.15, no test period is left
     def test_config_value_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value}).validate()
@@ -451,11 +479,12 @@ class TestNodeClassify:
     @pytest.mark.parametrize("field, value, shown", [
         ("epochs", 2.5, "epochs must be an integer"),  # used to raise a TypeError
         ("epochs", -3, "epochs must be >= 0"),  # used to train nothing
-        ("batch_size", 0, "batch_size >= 1"),  # used to train on 1 + 1 rows
+        ("batch_size", 0, "batch_size must be >= 1"),  # used to train on 1 + 1 rows
         ("learning_rate", -1.0, "learning_rate"),  # used to ascend the loss
         ("learning_rate", np.inf, "learning_rate"),
         ("l2", -0.1, "l2"),
         ("l2", np.nan, "l2"),
+        ("l2", None, "l2 must be a real number"),  # used to raise a raw TypeError
         ("rng_seed", -1, "rng_seed"),  # used to fail inside numpy
     ])
     def test_bad_mlp_config_rejected(self, field, value, shown):
