@@ -127,15 +127,6 @@ def _require_2d(*tensors: Tensor) -> None:
             raise DimensionError(f"expected a matrix, got shape {t.data.shape}")
 
 
-def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The gradient of a ``shape`` operand broadcast into ``g``'s shape: ``g``
-    summed over the broadcast axes, or ``g`` itself when the shapes agree."""
-    if g.shape == shape:
-        return g
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True)
-
-
 def _row_index(a: Tensor, index) -> np.ndarray:
     index = np.asarray(index, dtype=np.intp)
     n_rows = a.data.shape[0]

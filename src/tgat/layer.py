@@ -38,6 +38,7 @@ from .temporal_graph import (
     checked,
     hop_neighborhoods,
     sampling_key,
+    seed_sequence,
     setting,
     whole_numbers,
 )
@@ -158,7 +159,9 @@ class TgatModel:
         check_fields(dims)
         check_value(layer_count, int, "layer_count", Rule.AT_LEAST_1)
         check_value(head_count, int, "head_count", Rule.AT_LEAST_1)
-        rng = np.random.default_rng(rng_seed)
+        check_value(t_max, float, "t_max", Rule.NON_NEGATIVE_FINITE)
+        check_value(max_positions, int, "max_positions", Rule.AT_LEAST_1)
+        rng = np.random.default_rng(seed_sequence(rng_seed))
         enc = TimeEncoder.create(dims.d_t, t_max=t_max)
         layers = [
             LayerParams.create(dims, head_count, dims.d0 if l == 0 else dims.d, rng)
@@ -330,7 +333,7 @@ def feed_forward(x: Tensor, x0: np.ndarray, weights: list[Tensor],
 
     def pull(g: np.ndarray) -> None:
         for k in reversed(range(len(weights))):
-            biases[k]._accumulate(ad.unbroadcast(g, biases[k].data.shape))
+            biases[k]._accumulate(g.sum(axis=0, keepdims=True))
             weights[k]._accumulate(inputs[k].T @ g)
             if k > 0:
                 g = (g @ weights[k].data.T) * (inputs[k] > 0)
@@ -410,12 +413,29 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
                           sampling_key(rng_seed), attention)
 
 
+EMBED_CHUNK = 128  # queries per inference pass, which holds their L-hop neighborhoods
+
+
+def embed_passes(count: int) -> list[slice]:
+    """``count`` queries cut into passes of ``EMBED_CHUNK``. A tail of fewer
+    than 4 joins the pass before it, because a product of 3 or fewer rows has
+    other bits than those rows of a larger product."""
+    bounds = [0, *range(EMBED_CHUNK, count - 3, EMBED_CHUNK), count]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def embed(model: TgatModel, node, t, graph: TemporalGraph,
           sampling: SamplingConfig, rng_seed=0) -> np.ndarray:
     """Inference-only embeddings, (d,) for a scalar node and time or (B, d) for
-    sequences; works for nodes absent from training events."""
-    out = embed_tensor(model, node, t, graph, sampling, rng_seed).data
-    return out[0].copy() if np.ndim(node) == 0 else out.copy()
+    sequences; works for nodes absent from training events. The queries run
+    through ``embed_tensor`` in the passes of ``embed_passes``, all sampled
+    with one key, so memory is that of one pass, and so are the rows."""
+    key = sampling_key(rng_seed)
+    nodes, times = np.atleast_1d(node), np.atleast_1d(t)
+    aligned = nodes.ndim == 1 and nodes.shape == times.shape  # else embed_tensor rejects
+    passes = embed_passes(nodes.size) if aligned else [slice(None)]
+    out = [embed_tensor(model, nodes[s], times[s], graph, sampling, key).data for s in passes]
+    return out[0][0].copy() if np.ndim(node) == 0 else np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,10 @@ def seed_sequence(rng_seed) -> np.random.SeedSequence:
 
 
 def sampling_key(rng_seed) -> np.uint64:
-    """The 64-bit key of one sampling call: an int or a list of ints goes
-    through ``SeedSequence``, a ``Generator`` gives one draw."""
+    """The 64-bit key of one sampling call: a key (an ``np.uint64``) as it is,
+    one draw of a ``Generator``, or an int or list of ints through ``SeedSequence``."""
+    if isinstance(rng_seed, np.uint64):
+        return rng_seed
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed.integers(0, 2**64, dtype=np.uint64)
     return seed_sequence(rng_seed).generate_state(1, np.uint64)[0]
@@ -499,7 +501,9 @@ def temporal_neighborhood(
 def chronological_split(g: TemporalGraph, train_frac: float, val_frac: float) -> SplitSpec:
     """Quantile cut points over event timestamps; boundary events fall into
     the earlier period."""
-    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
+    check_value(train_frac, float, "train_frac", Rule.FRACTION)
+    check_value(val_frac, float, "val_frac", Rule.FRACTION)
+    if not train_frac + val_frac < 1:
         raise ValidationError(
             f"invalid split fractions train={train_frac} val={val_frac}")
     if g.num_events < 3:

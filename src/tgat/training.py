@@ -24,6 +24,7 @@ from .layer import (
     SamplingConfig,
     TgatModel,
     embed,
+    embed_passes,
     embed_tensor,
     feed_forward,
     glorot,
@@ -129,28 +130,20 @@ def _draw_negative(rng: np.random.Generator, num_nodes: int, forbidden: int) -> 
     return v
 
 
-def _chunks(indices: np.ndarray, size: int):
-    for start in range(0, indices.size, size):
-        yield indices[start : start + size]
-
-
-def _link_scores(model: TgatModel, graph: TemporalGraph, events: np.ndarray,
-                 sampling: SamplingConfig, negatives_per_positive: int,
-                 rng: np.random.Generator, sampling_seed) -> Tensor:
+def _link_scores(graph: TemporalGraph, events: np.ndarray, negatives_per_positive: int,
+                 rng: np.random.Generator, embedding) -> Tensor:
     """Inner products h_i . h_j of each positive event (i, j, t), then
     h_i . h_q for each of its Q negatives q != j, as one (P + P*Q, 1) column.
 
-    Negatives are drawn from ``rng`` first, positive by positive; then one
-    forward pass, sampling with ``sampling_seed``, embeds sources,
+    Negatives are drawn from ``rng`` first, positive by positive; then
+    ``embedding(nodes, times)``, a (B, d) Tensor, embeds sources,
     destinations and negatives at the event times.
     """
     src, dst, ts = graph.sources[events], graph.destinations[events], graph.timestamps[events]
     q = negatives_per_positive
     neg = np.array([_draw_negative(rng, graph.num_nodes, d)
                     for d in dst.tolist() for _ in range(q)], dtype=np.int64)
-    h = embed_tensor(model, np.concatenate([src, dst, neg]),
-                     np.concatenate([ts, ts, np.repeat(ts, q)]), graph, sampling,
-                     sampling_seed)
+    h = embedding(np.concatenate([src, dst, neg]), np.concatenate([ts, ts, np.repeat(ts, q)]))
     # rows of h: sources [0, p), destinations [p, 2p), negatives of positive i
     # at 2p + i*q + k; pair each source with its destination and negatives
     p = events.size
@@ -183,7 +176,8 @@ def link_loss(
     check_value(negatives_per_positive, int, "negatives_per_positive", Rule.AT_LEAST_1)
     rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
            else np.random.default_rng(seed_sequence(rng_seed)))
-    scores = _link_scores(model, graph, idx, sampling, negatives_per_positive, rng, rng_seed)
+    scores = _link_scores(graph, idx, negatives_per_positive, rng, lambda nodes, times:
+                          embed_tensor(model, nodes, times, graph, sampling, rng_seed))
     sign = np.concatenate([np.ones(idx.size), -np.ones(idx.size * negatives_per_positive)])
     return ad.logistic_loss(scores, sign[:, None])
 
@@ -366,16 +360,11 @@ def evaluate_links(
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
     sampling = config.sampling(training=False)
-    # the negatives' stream runs through every chunk; the samples need only the seed
-    seed = [rng_seed, 1001]
-    rng = np.random.default_rng(seed)
-
-    scores = []
-    for chunk in _chunks(event_indices, config.batch_size):
-        s = _link_scores(model, graph, chunk, sampling, 1, rng, seed).data[:, 0]
-        scores.append(np.column_stack([s[: chunk.size], s[chunk.size :]]).ravel())
-    scores = ad.sigmoid_values(np.concatenate(scores))  # positive, negative per event
-    labels = np.tile([1, 0], event_indices.size)
+    seed, p = [rng_seed, 1001], event_indices.size  # seeds the negatives, then the samples
+    s = _link_scores(graph, event_indices, 1, np.random.default_rng(seed), lambda nodes, times:
+                     ad.constant(embed(model, nodes, times, graph, sampling, seed))).data[:, 0]
+    scores = ad.sigmoid_values(np.column_stack([s[:p], s[p:]]).ravel())  # positive, negative
+    labels = np.tile([1, 0], p)
     return EvalMetrics(
         accuracy=metrics.accuracy(labels, scores),
         average_precision=metrics.average_precision(labels, scores),
@@ -440,10 +429,8 @@ def node_classify(
 
     labeled = np.flatnonzero(graph.labels >= 0)
     labels = metrics.binary_labels(graph.labels[labeled])
-    feats = [embed(model, graph.sources[chunk], graph.timestamps[chunk], graph, sampling,
-                   [rng_seed, 2002])
-             for chunk in _chunks(labeled, config.batch_size)]
-    feats = np.concatenate(feats) if feats else np.zeros((0, model.dims.d))
+    feats = embed(model, graph.sources[labeled], graph.timestamps[labeled], graph, sampling,
+                  [rng_seed, 2002])
     periods = np.array([split.period_of(t) for t in graph.timestamps[labeled].tolist()],
                        dtype=str)
 
@@ -523,13 +510,15 @@ def attention_report(
     config = config or TrainConfig()
     config.validate()
     sampling = config.sampling(training=False)
+    idx = check_event_indices(graph, event_indices)
+    nodes = np.column_stack([graph.sources[idx], graph.destinations[idx]]).ravel()
+    times = np.repeat(graph.timestamps[idx], 2)
     rows: list[AttentionRow] = []
-    for chunk in _chunks(check_event_indices(graph, event_indices), config.batch_size):
-        nodes = np.column_stack([graph.sources[chunk], graph.destinations[chunk]]).ravel()
+    for s in embed_passes(nodes.size) if nodes.size else ():  # each pass at each offset
         for offset in target_time_offsets:
             hops = []
-            embed_tensor(model, nodes, np.repeat(graph.timestamps[chunk] + offset, 2), graph,
-                         sampling, [rng_seed, 4004], hops)
+            embed_tensor(model, nodes[s], times[s] + offset, graph, sampling, [rng_seed, 4004],
+                         hops)
             _, batch, weights = hops[-1]  # the top hop
             spans = np.repeat(batch.query_times, batch.sizes) - batch.times
             query = np.repeat(np.arange(batch.sizes.size), batch.sizes)

@@ -372,6 +372,18 @@ class TestEvalAndEmbed:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ") and shown in err[0]
 
+    def test_fractional_max_positions_exit_1(self, trained, capsys):
+        # used to build a 3-row positional table from 2.5
+        _, graph, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        payload["attention_mode"] = "positional"
+        payload["positional"] = {"learnable": True, "max_positions": 2.5, "table": None}
+        ckpt.write_text(json.dumps(payload))
+        assert main(["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
+        assert "max_positions must be an integer, got 2.5" in err[0]
+
     # a NaN in b1 printed NaN in every row; one in b0 is zeroed by the ReLU,
     # so the embeddings looked finite
     @pytest.mark.parametrize("name, value", [("layers.0.ffn.b1", float("nan")),

@@ -6,6 +6,8 @@ checkpointing."""
 import itertools
 import json
 import math
+import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +29,9 @@ from tgat.layer import (
     TgatModel,
     attend_head,
     build_entity_matrix,
+    EMBED_CHUNK,
     embed,
+    embed_passes,
     embed_tensor,
     head_parameter_formula,
     load_checkpoint,
@@ -411,6 +415,21 @@ class TestLayerForward:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             TgatModel.create(Dims(**dims), layer_count=1, head_count=1)
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("t_max", float("nan"), "t_max must be non-negative and finite"),  # NaN frequencies
+        ("t_max", float("inf"), "t_max must be non-negative and finite"),
+        ("t_max", -1.0, "t_max must be non-negative and finite"),
+        ("t_max", "10", "t_max must be a real number"),
+        ("max_positions", 2.5, "max_positions must be an integer"),  # a 3-row table
+        ("max_positions", 0, "max_positions must be >= 1"),
+        ("rng_seed", -1, "rng_seed must be a non-negative integer"),  # numpy's ValueError
+        ("rng_seed", None, "rng_seed must be a non-negative integer"),
+    ])
+    def test_bad_model_settings_rejected(self, field, value, shown):
+        with pytest.raises(ValidationError, match=shown):
+            TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), layer_count=1, head_count=1,
+                             attention_mode="positional", **{field: value})
+
     def test_feature_widths_must_match_the_graph(self):
         g = tiny_fixture_graph()  # d0 = 3, d_e = 2
         for d0, d_e in ((2, 2), (3, 0), (3, 3)):
@@ -672,6 +691,88 @@ class TestEmbedProperties:
             lambda: embed_tensor(model, 5, 7.5, g, cfg),
             model.parameters(), tolerance=1e-4, rng_seed=0, max_coords_per_param=4)
         assert report.passed, report
+
+
+class TestEmbedPasses:
+    COUNTS = (1, 3, 127, 128, 129, 131, 132, 259, 260)
+
+    def test_passes_cut_at_the_chunk_and_fold_a_short_tail(self):
+        assert EMBED_CHUNK == 128
+        bounds = {count: [(s.start, s.stop) for s in embed_passes(count)]
+                  for count in (0, 1, 3, 128, 129, 131, 132, 259, 260)}
+        assert bounds == {0: [(0, 0)], 1: [(0, 1)], 3: [(0, 3)], 128: [(0, 128)],
+                          129: [(0, 129)], 131: [(0, 131)], 132: [(0, 128), (128, 132)],
+                          259: [(0, 128), (128, 259)],
+                          260: [(0, 128), (128, 256), (256, 260)]}
+        for count in range(600):
+            sizes = [s.stop - s.start for s in embed_passes(count)]
+            assert sum(sizes) == count and max(sizes) < EMBED_CHUNK + 4
+            assert len(sizes) == 1 or min(sizes) >= 4
+
+    @pytest.mark.parametrize("strategy", ["most-recent", "uniform", "inverse-timespan"])
+    def test_passes_equal_per_pass_calls_and_one_pass(self, strategy):
+        g = recency_planted_graph(200, 4000, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=2, rng_seed=1, t_max=g.t_max)
+        sampling = SamplingConfig(max_neighbors=4, strategy=strategy)
+        rng = np.random.default_rng(2)
+        key = layer_module.sampling_key(5)
+        for count in self.COUNTS:
+            nodes = rng.integers(0, g.num_nodes, count)
+            times = rng.uniform(0.0, g.t_max, count)
+            out = embed(model, nodes, times, g, sampling, rng_seed=5)
+            per_pass = np.concatenate([
+                embed_tensor(model, nodes[s], times[s], g, sampling, key).data
+                for s in embed_passes(count)])
+            assert out.tobytes() == per_pass.tobytes(), count
+            one_pass = embed_tensor(model, nodes, times, g, sampling, rng_seed=5).data
+            np.testing.assert_allclose(out, one_pass, rtol=1e-12, atol=1e-12)
+
+    def test_misaligned_queries_rejected_whole(self):
+        g = simple_graph()
+        model = TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), layer_count=1,
+                                 head_count=1, rng_seed=5)
+        # the shapes of the call, not of a pass
+        for nodes, times, shown in (([3] * 300, [4.5], "(300,) and (1,)"),
+                                    (np.full((200, 2), 3), np.full((200, 2), 4.5),
+                                     "(200, 2) and (200, 2)")):
+            with pytest.raises(ValidationError, match=re.escape(shown)):
+                embed(model, nodes, times, g, MOST_RECENT)
+
+    def test_generator_seed_drawn_once_per_call(self):
+        g = recency_planted_graph(200, 4000, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
+        model = TgatModel.create(dims, layer_count=1, head_count=1, rng_seed=1, t_max=g.t_max)
+        sampling = SamplingConfig(max_neighbors=4, strategy="uniform")
+        nodes = np.arange(300) % g.num_nodes
+        times = np.linspace(1.0, g.t_max, 300)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        for count in (1, 300):  # one pass, then three
+            out = embed(model, nodes[:count], times[:count], g, sampling, rng_seed=rng)
+            key = twin.integers(0, 2**64, dtype=np.uint64)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            np.testing.assert_array_equal(
+                out, embed(model, nodes[:count], times[:count], g, sampling, rng_seed=key))
+
+    def test_memory_held_by_one_pass(self):
+        g = recency_planted_graph(200, 4000, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=16, d_t=8, d_h=8, d_f=16, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=2, rng_seed=1, t_max=g.t_max)
+        sampling = SamplingConfig(max_neighbors=10, strategy="inverse-timespan")
+        rng = np.random.default_rng(3)
+        nodes = rng.integers(0, g.num_nodes, 4 * EMBED_CHUNK)
+        times = rng.uniform(0.5 * g.t_max, g.t_max, nodes.size)  # full neighborhoods
+
+        def peak(count: int) -> int:
+            tracemalloc.start()
+            try:
+                embed(model, nodes[:count], times[:count], g, sampling)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(EMBED_CHUNK), peak(4 * EMBED_CHUNK)
+        assert four <= 1.5 * one, (one, four)
 
 
 class TestPositionalMode:

@@ -860,6 +860,18 @@ class TestChronologicalSplit:
             with pytest.raises(ValidationError):
                 chronological_split(g, *fr)
 
+    @pytest.mark.parametrize("fractions, shown", [
+        (("0.7", 0.15), "train_frac must be a real number"),  # used to raise a raw TypeError
+        ((0.7, None), "val_frac must be a real number"),
+        ((True, 0.15), "train_frac must be a real number"),
+        ((1.5, 0.15), "train_frac must be in \\(0, 1\\)"),
+        ((0.7, float("nan")), "val_frac must be in \\(0, 1\\)"),
+    ])
+    def test_fraction_named_when_not_a_fraction(self, fractions, shown):
+        g = recency_planted_graph(60, 900)
+        with pytest.raises(ValidationError, match=shown):
+            chronological_split(g, *fractions)
+
 
 class TestMaskUnseen:
     def bigger(self):

@@ -339,12 +339,16 @@ class TestEvaluateLinks:
         split = chronological_split(g, 0.4, 0.2)
         model = small_model(g)
 
-        def fake_embed(model, nodes, times, graph, sampling, rng, collector=None):
-            return ad.constant(np.where(np.isin(nodes, [0, 1]), 2.0, -2.0)[:, None])
+        calls = []
 
-        monkeypatch.setattr(training, "embed_tensor", fake_embed)
+        def fake_embed(model, nodes, times, graph, sampling, rng_seed=0):
+            calls.append(nodes)
+            return np.where(np.isin(nodes, [0, 1]), 2.0, -2.0)[:, None]
+
+        monkeypatch.setattr(training, "embed", fake_embed)
         res = evaluate_links(model, g, split, period="test", node_filter="observed",
                              rng_seed=0)
+        assert len(calls) == 1 and calls[0].size == 3 * 2  # 2 test events: src, dst, negative
         assert res.average_precision == 1.0
         assert res.accuracy == 1.0
         assert res.auc == 1.0

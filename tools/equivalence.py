@@ -1,0 +1,186 @@
+"""Fingerprint the numeric outputs of the model over a fixed grid of configurations.
+
+For every configuration of the grid this computes:
+
+- the ``link_loss`` value of a fixed batch and the gradient of every parameter;
+- ``embed`` at query counts that straddle the inference passes;
+- the scores of ``evaluate_links`` (through ``metrics``) and its AP;
+- the ``attention_report`` rows;
+
+and writes each array's SHA-256 and largest magnitude to JSON. Two runs of
+the same code on one host give the same file, so a change that claims to be
+bit for bit runs the script on both commits and compares::
+
+    PYTHONPATH=src python tools/equivalence.py --out new.json --compare old.json
+
+``--compare`` reports, per array, whether the bytes are equal, and exits 1
+when any array differs or is in one file only. The bytes depend on the
+host's BLAS, so compare two runs of one host only. The script runs BLAS on
+one thread: OpenBLAS splits a large product between its threads by size,
+and a row's bits depend on the split. ``--reduced`` runs a small grid.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import json
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads BLAS
+
+import numpy as np
+
+from tgat import autodiff as ad
+from tgat import layer, metrics, training
+from tgat.layer import Dims, SamplingConfig, TgatModel
+from tgat.synthetic import random_temporal_graph, recency_planted_graph, tiny_fixture_graph
+from tgat.temporal_graph import chronological_split
+
+GRAPHS = {
+    "tiny": tiny_fixture_graph,
+    "random-de2": lambda: random_temporal_graph(60, 600, edge_feature_dim=2, seed=1),
+    "recency": lambda: recency_planted_graph(200, 4000, seed=0),
+}
+LAYERS = (1, 2)
+# (attention mode, learnable positional table)
+MODES = (("learned", False), ("constant", False), ("positional", False), ("positional", True))
+STRATEGIES = ("most-recent", "uniform", "inverse-timespan")
+HEADS = (1, 2, 3)
+NEGATIVES = (1, 3)
+# query counts either side of the pass boundaries of ``embed``
+EMBED_COUNTS = (1, 3, 127, 128, 129, 131, 132, 259, 260, 1000)
+LOSS_EVENTS = 6
+EVAL_EVENTS = 67  # 201 queries, two passes; not a multiple of the batch size, 32
+REPORT_EVENTS = 70
+REPORT_OFFSETS = (0.0, 2.5)
+# neighborhood caps: a padded softmax row of 8 or more slots sums pairwise
+CAPS = (4, 10)
+
+REDUCED = {"graphs": ("tiny", "random-de2"), "layers": LAYERS, "modes": MODES[:3],
+           "strategies": STRATEGIES, "heads": (2,), "caps": (4,), "negatives": (1,),
+           "embed_counts": (1, 3, 131, 132)}
+FULL = {"graphs": tuple(GRAPHS), "layers": LAYERS, "modes": MODES, "strategies": STRATEGIES,
+        "heads": HEADS, "caps": CAPS, "negatives": NEGATIVES, "embed_counts": EMBED_COUNTS}
+
+
+def fingerprint(a) -> dict:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return {"sha256": hashlib.sha256(a.tobytes()).hexdigest(), "shape": list(a.shape),
+            "max_abs": float(np.abs(a).max()) if a.size else 0.0}
+
+
+def _queries(graph, count: int, rng: np.random.Generator):
+    """``count`` (node, time) queries at times inside the graph's span."""
+    nodes = rng.integers(0, graph.num_nodes, count)
+    times = rng.uniform(0.0, float(graph.timestamps.max()) * 1.05, count)
+    return nodes, times
+
+
+def _events(graph, count: int, rng: np.random.Generator) -> np.ndarray:
+    return np.sort(rng.choice(graph.num_events, size=min(count, graph.num_events),
+                              replace=False))
+
+
+def grid_arrays(grid: dict):
+    """Yield ``(name, array)`` for every output of every configuration."""
+    for graph_name in grid["graphs"]:
+        graph = GRAPHS[graph_name]()
+        split = chronological_split(graph, 0.7, 0.15)
+        dims = Dims(d0=graph.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5,
+                    d_e=graph.edge_feature_dim)
+        for layers, (mode, learnable), heads, strategy, cap in itertools.product(
+                grid["layers"], grid["modes"], grid["heads"], grid["strategies"], grid["caps"]):
+            config = f"{graph_name}/L{layers}/{mode}{'-learnable' if learnable else ''}" \
+                     f"/H{heads}/{strategy}-{cap}"
+            model = TgatModel.create(dims, layers, heads, attention_mode=mode, rng_seed=3,
+                                     t_max=float(graph.timestamps.max()),
+                                     positional_learnable=learnable, max_positions=cap + 1)
+            sampling = SamplingConfig(max_neighbors=cap, strategy=strategy)
+            rng = np.random.default_rng(11)
+
+            events = _events(graph, LOSS_EVENTS, rng)
+            named = layer._named_params(model)
+            for q in grid["negatives"]:
+                ad.zero_grads(list(named.values()))
+                with ad.Tape() as tape:
+                    loss = training.link_loss(model, graph, events, sampling, q, rng_seed=5)
+                ad.backward(tape, loss)
+                yield f"{config}/Q{q}/loss", loss.data
+                for name, p in named.items():
+                    yield f"{config}/Q{q}/grad/{name}", (np.zeros_like(p.data)
+                                                         if p.grad is None else p.grad)
+
+            for count in grid["embed_counts"]:
+                nodes, times = _queries(graph, count, rng)
+                yield f"{config}/embed/{count}", layer.embed(model, nodes, times, graph,
+                                                             sampling, rng_seed=7)
+
+            train_config = training.TrainConfig(
+                layers=layers, heads=heads, attention_mode=mode, sampling_strategy=strategy,
+                max_neighbors=cap, batch_size=32)
+            # the scores reach the metrics as they are, so record them there
+            seen = {}
+            original = metrics.average_precision
+
+            def capture(labels, scores):
+                seen["scores"] = np.asarray(scores)
+                return original(labels, scores)
+
+            metrics.average_precision = capture
+            try:
+                result = training.evaluate_links(
+                    model, graph, split, period="test", config=train_config, rng_seed=2,
+                    event_indices=_events(graph, EVAL_EVENTS, rng))
+            finally:
+                metrics.average_precision = original
+            yield f"{config}/evaluate_links/scores", seen["scores"]
+            yield f"{config}/evaluate_links/ap", np.array([result.average_precision])
+
+            rows = training.attention_report(model, graph, _events(graph, REPORT_EVENTS, rng),
+                                             REPORT_OFFSETS, train_config, rng_seed=4)
+            # one table per offset: how the offsets interleave is not compared
+            for offset in REPORT_OFFSETS:
+                yield f"{config}/attention_report/{offset}", np.array(
+                    [(r.timespan, r.attention_weight, r.occurrence_count)
+                     for r in rows if r.target_time_offset == offset]).reshape(-1, 3)
+
+
+def compare(ours: dict, theirs: dict) -> int:
+    """Print each array that differs or is in one file only; 1 if any is."""
+    shared = [name for name in theirs if name in ours]
+    differ = [name for name in shared if ours[name]["sha256"] != theirs[name]["sha256"]]
+    missing = sorted(set(theirs) ^ set(ours))
+    for name in differ:
+        print(f"differ  {name}  max_abs {theirs[name]['max_abs']!r} -> {ours[name]['max_abs']!r}")
+    for name in missing:
+        print(f"missing {name}")
+    print(f"{len(shared) - len(differ)} of {len(set(ours) | set(theirs))} arrays byte-equal, "
+          f"{len(differ)} differ, {len(missing)} in one file only")
+    return 1 if differ or missing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", help="write the fingerprints to this JSON file")
+    parser.add_argument("--compare", help="a fingerprint file to compare against")
+    parser.add_argument("--reduced", action="store_true", help="run the small grid")
+    args = parser.parse_args(argv)
+    arrays = {name: fingerprint(a)
+              for name, a in grid_arrays(REDUCED if args.reduced else FULL)}
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"numpy": np.__version__, "arrays": arrays}, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    if args.compare:
+        with open(args.compare) as fh:
+            return compare(arrays, json.load(fh)["arrays"])
+    print(f"{len(arrays)} arrays")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
