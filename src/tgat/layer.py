@@ -12,9 +12,10 @@ every read strictly in the consumer's past. The forward pass runs one hop at
 a time over arrays of (node, time) queries: one sampler call returns the
 sampled interactions of all targets of a hop as one flat list, and three
 operators (entity matrix, attention, FFN) process all of its targets at
-once. The entity matrix lays its rows out targets first, then N neighbor
-slots per target, zero past the end of a sample; only the attention mask
-needs that (B, N) block.
+once. The entity matrix holds only real rows, targets first, then the
+sampled interactions in the batch's order; attention projects those rows
+and scatters the projections into the (B, N) block of the mask only for
+the softmax and the weighted sum.
 """
 
 from __future__ import annotations
@@ -202,121 +203,114 @@ def build_entity_matrix(
     enc: TimeEncoder,
     positional: PositionalEncoder | None = None,
 ) -> Tensor:
-    """Entity-temporal matrices of the B targets of ``batch`` as one operator:
-    B target rows, then N neighbor rows per target.
+    """Entity-temporal rows of the B targets of ``batch`` and of their
+    sampled interactions as one operator, one row per row of ``hidden``.
 
     ``hidden`` holds the B target states followed by the states of every
-    sampled interaction, in the order of the batch's rows. Target row b is
-    (hidden, zero edge block, phi(0)); row B + b * N + i is target b's i-th
-    neighbor slot, (hidden, edge, phi(t - t_i)). The edge block is as wide as
-    the batch's edge features. A slot past the end of a sample is all zeros
-    and is left to the attention mask. phi is encoded for the sampled
-    timespans only; the target rows take ``encode_values([0.0])``, phi(0) bit
-    for bit (cos 0 = 1, sin 0 = 0). In positional mode the time block is a
-    rank lookup instead (rank 0 = oldest neighbor, target = rank n), made in
-    (B, N + 1) block order so that a learnable table sums its gradient rows
-    in that order.
+    sampled interaction, in the order of the batch's rows, and so does the
+    result. Target row b is (hidden, zero edge block, phi(0)); sampled row
+    B + j is (hidden, edge, phi(t - t_j)). The edge block is as wide as the
+    batch's edge features. phi is encoded for the sampled timespans only;
+    the target rows take ``encode_values([0.0])``, phi(0) bit for bit
+    (cos 0 = 1, sin 0 = 0). In positional mode the time block is a rank
+    lookup instead: a target takes rank n, its n sampled rows ranks 0 to
+    n - 1, oldest first.
     """
-    b, n = batch.mask.shape
-    sizes = batch.sizes
+    b, sizes = batch.mask.shape[0], batch.sizes
     if b == 0 or hidden.data.shape[0] != b + sizes.sum():
         raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
                             f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
-    targets = np.arange(b)
-    sampled = b + np.flatnonzero(batch.mask)  # z rows of the sampled interactions
-    own_rows = np.concatenate([targets, sampled])  # the z row of each hidden row
     if positional is None:
         time = enc.encode_many(np.repeat(batch.query_times, sizes) - batch.times)
-        time_rows = sampled
-    else:
-        # each target's row, then its sampled slots, in (B, N + 1) block order
-        real = np.column_stack([np.ones(b, dtype=bool), batch.mask])
-        ranks = np.column_stack([sizes, np.tile(np.arange(n), (b, 1))])[real]
-        time = positional.lookup(ranks)
-        time_rows = np.column_stack([targets, b + np.arange(b * n).reshape(b, n)])[real]
+    else:  # a sampled row's rank is its column in the mask
+        time = positional.lookup(np.concatenate([sizes, np.nonzero(batch.mask)[1]]))
+    first = hidden.data.shape[0] - time.data.shape[0]  # the first row of the time block
     width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[1]
     t0 = width + edge_dim
-    z = np.zeros((b * (n + 1), t0 + time.data.shape[1]))
-    z[own_rows, :width] = hidden.data
-    z[sampled, width:t0] = batch.edge_features
-    if positional is None:
-        z[:b, t0:] = enc.encode_values([0.0])
-    z[time_rows, t0:] = time.data
+    z = np.empty((hidden.data.shape[0], t0 + time.data.shape[1]))
+    z[:, :width] = hidden.data
+    z[:b, width:t0] = 0.0
+    z[b:, width:t0] = batch.edge_features
+    z[:first, t0:] = enc.encode_values([0.0])
+    z[first:, t0:] = time.data
 
     def pull(g: np.ndarray) -> None:
         if hidden.requires_grad:
-            hidden._accumulate(g[own_rows, :width])
+            hidden._accumulate(g[:, :width])
         if time.requires_grad:
-            time._accumulate(g[time_rows, t0:])
+            time._accumulate(g[first:, t0:])
 
     return ad.apply_op(z, (hidden, time), pull)
 
 
 def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tensor],
                 mode: str, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """All heads of one hop over the entity-temporal matrices of B targets,
-    as one operator; ``w_q``, ``w_k``, ``w_v`` hold one projection per head.
+    """All heads of one hop over the entity-temporal rows of B targets, as
+    one operator; ``w_q``, ``w_k``, ``w_v`` hold one projection per head.
 
-    ``z`` holds the B target rows followed by N neighbor rows per target,
-    the layout of ``build_entity_matrix``, and ``mask`` (B, N) marks the real
-    neighbor rows. Returns the (B, H * d_h) head outputs and the (H, B, N)
-    weights, zero on masked rows. Constant mode weighs real rows uniformly
-    (mean pooling); the other modes scale query-key products by sqrt(d_h).
-    The head is the leading axis of every array and every product is a
-    one-head product or a batched ``np.matmul`` of them, so each head gets
-    its one-head bits; the backward sums in the order of a chain of elementary
-    operators (heads last to first, query terms neighbor by neighbor).
+    ``z`` holds the B target rows followed by one row per sampled
+    interaction, the layout of ``build_entity_matrix``, and ``mask`` (B, N)
+    marks where the sampled rows sit in the attention block. Returns the
+    (B, H * d_h) head outputs and the (H, B, N) weights, zero on masked
+    slots. Constant mode weighs real rows uniformly (mean pooling); the
+    other modes scale query-key products by sqrt(d_h). The heads' weights
+    are stacked, keys beside values, so the sampled rows and the target rows
+    are each projected by one product; only the projected rows are
+    scattered into the (B, N) block, for the softmax and the weighted sum.
     """
     n_rows, d_in = z.data.shape
     b, n = mask.shape
-    if n < 1 or n_rows != b * (n + 1):
-        raise ContractError("attention needs the target row plus at least one neighbor slot")
+    slots = np.flatnonzero(mask)
+    if n < 1 or n_rows != b + slots.size:
+        raise ContractError(f"attention needs B target rows, one row per sampled slot and "
+                            f"at least one slot: {n_rows} rows for a {mask.shape} mask "
+                            f"of {slots.size} slots")
     learned = mode != "constant"
-    inputs = (z, *w_q, *w_k, *w_v) if learned else (z, *w_v)
-    targets, neighbors = z.data[:b], z.data[b:]
     h, d_h = len(w_v), w_v[0].data.shape[1]
     scale = 1.0 / math.sqrt(d_h)
-    wv = np.array([w.data for w in w_v])  # (H, d_in, d_h), as are wq and wk
-    values = np.matmul(neighbors, wv).reshape(h, b, n, d_h)
+    projected = [*w_k, *w_v] if learned else w_v
+    params = [*w_q, *projected] if learned else projected
+    w_kv = np.concatenate([w.data for w in projected], axis=1)  # (d_in, 2H or H * d_h)
+    targets, sampled = z.data[:b], z.data[b:]
+    kv = np.zeros((len(projected), b * n, d_h))  # one (B * N, d_h) block per projection
+    kv[:, slots] = (sampled @ w_kv).reshape(-1, len(projected), d_h).transpose(1, 0, 2)
+    kv = kv.reshape(-1, h, b, n, d_h)  # (K and V or V, H, B, N, d_h)
     if learned:
-        wq, wk = np.array([w.data for w in w_q]), np.array([w.data for w in w_k])
-        query = np.matmul(targets, wq)
-        keys = np.matmul(neighbors, wk).reshape(h, b, n, d_h)
-        dots = np.matmul((keys * query[:, :, None]).reshape(h, b * n, d_h), np.ones((d_h, 1)))
+        w_qs = np.concatenate([w.data for w in w_q], axis=1)
+        query = (targets @ w_qs).reshape(b, h, d_h).transpose(1, 0, 2)
+        dots = np.matmul((kv[0] * query[:, :, None]).reshape(h, b * n, d_h), np.ones((d_h, 1)))
         scores = np.where(mask, scale * dots.reshape(h, b, n), -np.inf)
         top = np.where(mask.any(axis=1, keepdims=True), scores.max(axis=2, keepdims=True), 0.0)
         e = np.exp(scores - top)  # a live row sums to >= 1, an all-masked one to 0
         alpha = e / np.maximum(e.sum(axis=2, keepdims=True), 1.0)
     else:
         alpha = np.tile(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1), (h, 1, 1))
-    heads = (alpha[..., None] * values).sum(axis=2)
+    heads = np.einsum("hbn,hbnd->bhd", alpha, kv[-1]).reshape(b, h * d_h)
 
     def pull(g: np.ndarray) -> None:
         g_out = np.ascontiguousarray(g.reshape(b, h, d_h).transpose(1, 0, 2))[:, :, None]
-        g_values = (g_out * alpha[..., None]).reshape(h, b * n, d_h)
-        grads = [(w_v, np.matmul(neighbors.T, g_values))]
+        g_slots = np.empty(kv.shape)
+        np.multiply(g_out, alpha[..., None], out=g_slots[-1])
         if learned:
-            g_alpha = (g_out * values).sum(axis=3)
+            g_alpha = (g_out * kv[-1]).sum(axis=3)
             inner = (g_alpha * alpha).sum(axis=2, keepdims=True)
-            g_dots = (scale * (alpha * (g_alpha - inner)))[..., None]
-            g_keys = (g_dots * query[:, :, None]).reshape(h, b * n, d_h)
-            g_query = (g_dots * keys).sum(axis=2)
-            grads += [(w_q, np.matmul(targets.T, g_query)), (w_k, np.matmul(neighbors.T, g_keys))]
-        g_z = None
-        for i in reversed(range(h)):  # heads last to first
-            for w, g_w in grads:
-                w[i]._accumulate(g_w[i])
-            if z.requires_grad:
-                rows = np.empty((n_rows, d_in))  # in constant mode no query reads a target
-                rows[:b] = g_query[i] @ wq[i].T if learned else 0.0
-                np.matmul(g_values[i], wv[i].T, out=rows[b:])
-                if learned:
-                    rows[b:] += g_keys[i] @ wk[i].T
-                g_z = rows if g_z is None else np.add(g_z, rows, out=g_z)
-        if g_z is not None:
+            g_dots = scale * (alpha * (g_alpha - inner))
+            np.multiply(g_dots[..., None], query[:, :, None], out=g_slots[0])
+            g_query = np.einsum("hbn,hbnd->bhd", g_dots, kv[0]).reshape(b, h * d_h)
+        g_kv = g_slots.reshape(-1, b * n, d_h)[:, slots]  # the sampled slots' gradients
+        g_kv = g_kv.transpose(1, 0, 2).reshape(slots.size, w_kv.shape[1])  # as w_kv's columns
+        g_w = sampled.T @ g_kv
+        if learned:
+            g_w = np.concatenate([targets.T @ g_query, g_w], axis=1)
+        for w, g_head in zip(params, np.hsplit(g_w, len(params))):
+            w._accumulate(g_head)
+        if z.requires_grad:
+            g_z = np.empty((n_rows, d_in))  # in constant mode no query reads a target
+            g_z[:b] = g_query @ w_qs.T if learned else 0.0
+            np.matmul(g_kv, w_kv.T, out=g_z[b:])
             z._accumulate(g_z)
 
-    return ad.apply_op(heads.transpose(1, 0, 2).reshape(b, h * d_h), inputs, pull), alpha
+    return ad.apply_op(heads, (z, *params), pull), alpha
 
 
 def feed_forward(x: Tensor, x0: np.ndarray, weights: list[Tensor],

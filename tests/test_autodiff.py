@@ -78,20 +78,23 @@ OPS = [
     "attend_head", "attend_head_masked", "attend_head_constant",
     "feed_forward", "feed_forward_mlp", "build_entity_matrix",
     "build_entity_matrix_positional", "TimeEncoder.encode_many",
+    "hop_every_target_empty", "hop_three_sampled_rows", "hop_edges_learned",
+    "hop_edges_positional_learnable", "hop_edges_constant",
 ]
 
 
 def attention_case(rng, mode: str, masked: bool):
-    """One to three heads over B blocks; with ``masked`` some rows are masked
-    out and one block is masked entirely. ``z`` is a parameter too, so the
-    gradient of every row, padded ones included, is checked."""
+    """One to three heads over B targets; with ``masked`` some slots are
+    masked out and one target's are all masked. ``z`` (the B target rows,
+    then one row per sampled slot) is a parameter too, so the gradient of
+    every row is checked."""
     b, n, d_in, d_h = int(rng.integers(2, 5)), int(rng.integers(1, 5)), 3, 2
     heads = int(rng.integers(1, 4))
     mask = np.ones((b, n), dtype=bool)
     if masked:
         mask = rng.random((b, n)) < 0.6
         mask[rng.integers(0, b)] = False  # an empty neighborhood
-    z = ad.parameter(_rand(rng, b * (n + 1), d_in))
+    z = ad.parameter(_rand(rng, b + mask.sum(), d_in))
     w = [[ad.parameter(_rand(rng, d_in, d_h)) for _ in range(heads)] for _ in range(3)]
     weights = _rand(rng, b, heads * d_h)
     params = [z] + w[2] if mode == "constant" else [z] + w[0] + w[1] + w[2]
@@ -100,17 +103,43 @@ def attention_case(rng, mode: str, masked: bool):
 
 def entity_matrix_case(rng, positional: bool):
     """A hop of tiny_fixture_graph queries (some with empty samples), its
-    hidden rows a parameter, its time block phi or a learnable rank table.
-    Padded slots are constant zeros, so their weights may be nonzero."""
+    hidden rows a parameter, its time block phi or a learnable rank table."""
     b = int(rng.integers(1, 5))
     batch = sample_neighborhoods(tiny_fixture_graph(), rng.integers(0, 6, size=b),
                                  rng.uniform(0.5, 9.0, size=b), 3)
     hidden = ad.parameter(_rand(rng, b + batch.sizes.sum(), 3))
     enc = TimeEncoder(rng.uniform(0.1, 1.5, size=2))
     table = PositionalEncoder.learnable_table(8, 4, rng) if positional else None
-    weights = _rand(rng, b * (batch.mask.shape[1] + 1), 3 + 2 + 4)
+    weights = _rand(rng, b + batch.sizes.sum(), 3 + 2 + 4)
     params = [hidden] + (table.parameters() if positional else enc.parameters())
     return lambda: weighted_sum(build_entity_matrix(hidden, batch, enc, table), weights), params
+
+
+def hop_case(rng, mode: str, positional: bool = False, kind: str = "any"):
+    """Entity matrix, then attention, over one hop of tiny_fixture_graph
+    queries (d_e = 2): the hidden rows, the time parameters and every head
+    weight the mode uses are parameters. ``kind`` "empty" samples every
+    target before the first event (no sampled row); "few" caps the samples
+    at one row, so two or three targets hold at most 3 sampled rows."""
+    b = int(rng.integers(2, 4 if kind == "few" else 5))
+    latest = 1.0 if kind == "empty" else 9.0
+    batch = sample_neighborhoods(tiny_fixture_graph(), rng.integers(0, 6, size=b),
+                                 rng.uniform(0.0, latest, size=b), 1 if kind == "few" else 3)
+    assert len(batch) <= {"empty": 0, "few": 3}.get(kind, 3 * b)
+    hidden = ad.parameter(_rand(rng, b + len(batch), 3))
+    enc = TimeEncoder(rng.uniform(0.1, 1.5, size=2))
+    table = PositionalEncoder.learnable_table(8, 4, rng) if positional else None
+    heads = int(rng.integers(1, 3))
+    w = [[ad.parameter(_rand(rng, 3 + 2 + 4, 2)) for _ in range(heads)] for _ in range(3)]
+    weights = _rand(rng, b, 2 * heads)
+    params = ([hidden] + (table.parameters() if positional else enc.parameters())
+              + (w[2] if mode == "constant" else w[0] + w[1] + w[2]))
+
+    def build():
+        z = build_entity_matrix(hidden, batch, enc, table)
+        return weighted_sum(attend_head(z, *w, mode, batch.mask)[0], weights)
+
+    return build, params
 
 
 def build_op_case(name: str, rng):
@@ -155,6 +184,13 @@ def build_op_case(name: str, rng):
         deltas = np.where(rng.random(m) < 0.3, 0.0, rng.exponential(3.0, size=m))
         weights = _rand(rng, m, 2 * n)
         return lambda: weighted_sum(enc.encode_many(deltas), weights), enc.parameters()
+    if name == "hop_every_target_empty":
+        return hop_case(rng, "learned", kind="empty")
+    if name == "hop_three_sampled_rows":
+        return hop_case(rng, "learned", kind="few")
+    if name.startswith("hop_edges"):
+        mode = name.removeprefix("hop_edges_").removesuffix("_learnable")
+        return hop_case(rng, mode, positional=mode == "positional")
     if name.startswith("attend_head"):
         return attention_case(rng, "constant" if name.endswith("constant") else "learned",
                               masked=name != "attend_head")
@@ -201,10 +237,10 @@ def attention_weights(scores: np.ndarray, mask: np.ndarray | None = None) -> np.
     """The masked row softmax inside the attention operator, applied to
     ``scores`` (B, N): with d_h = 1 and unit projections, each score is one
     query-key product."""
-    b, n = scores.shape
-    z = np.concatenate([np.ones(b), scores.ravel()])[:, None]  # B target rows, then B * N
+    mask = np.ones(scores.shape, dtype=bool) if mask is None else mask
+    # the B target rows, then one row per unmasked slot
+    z = np.concatenate([np.ones(scores.shape[0]), scores[mask]])[:, None]
     unit = [ad.constant(np.ones((1, 1)))]
-    mask = np.ones((b, n), dtype=bool) if mask is None else mask
     return attend_head(ad.constant(z), unit, unit, unit, "learned", mask)[1][0]
 
 

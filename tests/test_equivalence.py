@@ -1,11 +1,15 @@
 """Smoke test of ``tools/equivalence.py`` on its reduced grid: the script runs,
-repeats its own fingerprints, and ``--compare`` flags a changed array."""
+stores its arrays beside its fingerprints, repeats them, and ``--compare``
+flags and sizes a changed array."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,6 +21,10 @@ def _run(*args: str) -> subprocess.CompletedProcess:
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
 
 
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
 def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     first = tmp_path / "first.json"
     run = _run("--out", str(first))
@@ -25,15 +33,32 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     kinds = {name.split("/")[5] for name in arrays}
     assert {"Q1", "embed", "evaluate_links", "attention_report"} <= kinds
     assert all(len(a["sha256"]) == 64 for a in arrays.values())
+    with np.load(tmp_path / "first.npz") as stored:
+        values = dict(stored)
+    assert sorted(values) == sorted(arrays)
+    assert all(_sha256(a) == arrays[name]["sha256"] for name, a in values.items())
 
-    # a second run must repeat every array but the one changed here
-    changed = sorted(arrays)[0]
+    # a second run must repeat every array but the two changed here, the
+    # largest entry of each scaled by 1 + rel
     payload = json.loads(first.read_text())
-    payload["arrays"][changed]["sha256"] = "0" * 64
-    payload["arrays"]["extra/array"] = payload["arrays"][changed]
+    forward = next(name for name in sorted(arrays) if "/embed/" in name)
+    gradient = next(name for name in sorted(arrays)
+                    if "/grad/" in name and arrays[name]["max_abs"] > 0)
+    for name, rel in ((forward, 1e-9), (gradient, 1e-6)):
+        changed = values[name].copy()
+        changed.flat[np.abs(changed).argmax()] *= 1 + rel
+        values[name] = changed
+        payload["arrays"][name]["sha256"] = _sha256(changed)
+    payload["arrays"]["extra/array"] = payload["arrays"][forward]
     first.write_text(json.dumps(payload))
+    np.savez(tmp_path / "first.npz", **values)
     run = _run("--compare", str(first))
     assert run.returncode == 1, run.stderr[-2000:]
-    assert f"differ  {changed} " in run.stdout and "missing extra/array" in run.stdout
-    assert (f"{len(arrays) - 1} of {len(arrays) + 1} arrays byte-equal, 1 differ, "
+    assert f"differ  {forward} " in run.stdout and "missing extra/array" in run.stdout
+    lines = {line.split()[1]: line for line in run.stdout.splitlines()
+             if line.startswith("differ")}
+    assert lines[forward].endswith("rel 1e-09") and lines[gradient].endswith("rel 1e-06")
+    assert (f"{len(arrays) - 2} of {len(arrays) + 1} arrays byte-equal, 2 differ, "
             "1 in one file only") in run.stdout
+    assert (f"largest relative difference: forward 1e-09 ({forward}), "
+            f"gradients 1e-06 ({gradient})") in run.stdout

@@ -7,17 +7,21 @@ For every configuration of the grid this computes:
 - the scores of ``evaluate_links`` (through ``metrics``) and its AP;
 - the ``attention_report`` rows;
 
-and writes each array's SHA-256 and largest magnitude to JSON. Two runs of
-the same code on one host give the same file, so a change that claims to be
-bit for bit runs the script on both commits and compares::
+and writes each array's SHA-256 and largest magnitude to JSON, and the
+arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
+one host give the same files, so a change runs the script on both commits
+and compares::
 
     PYTHONPATH=src python tools/equivalence.py --out new.json --compare old.json
 
 ``--compare`` reports, per array, whether the bytes are equal, and exits 1
-when any array differs or is in one file only. The bytes depend on the
-host's BLAS, so compare two runs of one host only. The script runs BLAS on
-one thread: OpenBLAS splits a large product between its threads by size,
-and a row's bits depend on the split. ``--reduced`` runs a small grid.
+when any array differs or is in one file only. When the other run's ``.npz``
+is there, it sizes each difference as ``max|a - b| / max|b|`` (``b`` the
+other run's array) and prints the largest over the forward arrays and over
+the gradients. The bytes depend on the host's BLAS, so compare two runs of
+one host only. The script runs BLAS on one thread: OpenBLAS splits a large
+product between its threads by size, and a row's bits depend on the split.
+``--reduced`` runs a small grid.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import itertools
 import json
 import os
 import sys
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads BLAS
@@ -149,17 +154,39 @@ def grid_arrays(grid: dict):
                      for r in rows if r.target_time_offset == offset]).reshape(-1, 3)
 
 
-def compare(ours: dict, theirs: dict) -> int:
-    """Print each array that differs or is in one file only; 1 if any is."""
+def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """``max|a - b| / max|b|``: 0 for equal arrays, inf for other shapes or
+    a nonzero ``a - b`` against an all-zero ``b``."""
+    if a.shape != b.shape:
+        return float("inf")
+    diff = float(np.abs(a - b).max(initial=0.0))
+    scale = float(np.abs(b).max(initial=0.0))
+    return diff / scale if scale else (0.0 if diff == 0.0 else float("inf"))
+
+
+def compare(ours: dict, theirs: dict, values: dict, their_values=None) -> int:
+    """Print each array that differs or is in one file only, sized against
+    ``their_values`` when given; 1 if any array differs or is missing."""
     shared = [name for name in theirs if name in ours]
     differ = [name for name in shared if ours[name]["sha256"] != theirs[name]["sha256"]]
     missing = sorted(set(theirs) ^ set(ours))
+    largest = {"forward": (0.0, None), "gradients": (0.0, None)}
     for name in differ:
-        print(f"differ  {name}  max_abs {theirs[name]['max_abs']!r} -> {ours[name]['max_abs']!r}")
+        size = ""
+        if their_values is not None and name in their_values:
+            rel = relative_difference(values[name], their_values[name])
+            kind = "gradients" if "/grad/" in name else "forward"
+            largest[kind] = max(largest[kind], (rel, name), key=lambda pair: pair[0])
+            size = f"  rel {rel:.3g}"
+        print(f"differ  {name}  max_abs {theirs[name]['max_abs']!r} -> "
+              f"{ours[name]['max_abs']!r}{size}")
     for name in missing:
         print(f"missing {name}")
     print(f"{len(shared) - len(differ)} of {len(set(ours) | set(theirs))} arrays byte-equal, "
           f"{len(differ)} differ, {len(missing)} in one file only")
+    if their_values is not None:
+        print("largest relative difference: " + ", ".join(
+            f"{kind} {rel:.3g} ({name or 'none differ'})" for kind, (rel, name) in largest.items()))
     return 1 if differ or missing else 0
 
 
@@ -169,15 +196,22 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", help="a fingerprint file to compare against")
     parser.add_argument("--reduced", action="store_true", help="run the small grid")
     args = parser.parse_args(argv)
-    arrays = {name: fingerprint(a)
+    values = {name: np.array(a, dtype=np.float64)
               for name, a in grid_arrays(REDUCED if args.reduced else FULL)}
+    arrays = {name: fingerprint(a) for name, a in values.items()}
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"numpy": np.__version__, "arrays": arrays}, fh, indent=1, sort_keys=True)
             fh.write("\n")
+        np.savez(Path(args.out).with_suffix(".npz"), **values)
     if args.compare:
         with open(args.compare) as fh:
-            return compare(arrays, json.load(fh)["arrays"])
+            theirs = json.load(fh)["arrays"]
+        stored = Path(args.compare).with_suffix(".npz")
+        if not stored.exists():
+            return compare(arrays, theirs, values)
+        with np.load(stored) as their_values:
+            return compare(arrays, theirs, values, dict(their_values))
     print(f"{len(arrays)} arrays")
     return 0
 
