@@ -41,12 +41,31 @@ ACCURACY_THRESHOLD = 0.5
 
 
 def accuracy(labels, scores) -> float:
-    labels, scores = _check_inputs(labels, scores)
-    return float(np.mean((scores > ACCURACY_THRESHOLD).astype(np.int64) == labels))
+    return _accuracy(*_check_inputs(labels, scores))
 
 
 def average_precision(labels, scores) -> float:
+    return _average_precision(*_check_inputs(labels, scores))
+
+
+def roc_auc(labels, scores) -> float:
+    return _roc_auc(*_check_inputs(labels, scores))
+
+
+def _accuracy_ap_auc(labels, scores) -> tuple[float, float, float]:
+    """``accuracy``, ``average_precision`` and ``roc_auc`` of one set of
+    labels and scores, which are checked once."""
     labels, scores = _check_inputs(labels, scores)
+    return (_accuracy(labels, scores), _average_precision(labels, scores),
+            _roc_auc(labels, scores))
+
+
+# the three metrics of checked inputs
+def _accuracy(labels: np.ndarray, scores: np.ndarray) -> float:
+    return float(np.mean((scores > ACCURACY_THRESHOLD).astype(np.int64) == labels))
+
+
+def _average_precision(labels: np.ndarray, scores: np.ndarray) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise EvaluationError("average precision undefined without positives")
@@ -63,8 +82,7 @@ def _midranks(scores: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
-def roc_auc(labels, scores) -> float:
-    labels, scores = _check_inputs(labels, scores)
+def _roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -147,6 +147,12 @@ class SplitSpec:
             return "val"
         return "test"
 
+    def periods_of(self, timestamps: np.ndarray) -> np.ndarray:
+        """``period_of`` of each timestamp, as a string array."""
+        timestamps = np.asarray(timestamps)
+        return np.where(timestamps <= self.train_end, "train",
+                        np.where(timestamps <= self.val_end, "val", "test"))
+
 
 def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
     """A stable argsort of non-negative ints below ``bound``: one stable

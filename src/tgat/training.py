@@ -122,12 +122,26 @@ def build_model(graph: TemporalGraph, config: TrainConfig) -> TgatModel:
 # ---------------------------------------------------------------------------
 
 
-def _draw_negative(rng: np.random.Generator, num_nodes: int, forbidden: int) -> int:
-    """Uniform node id, resampling on collision with the positive destination."""
-    v = int(rng.integers(0, num_nodes))
-    while v == forbidden and num_nodes > 1:
-        v = int(rng.integers(0, num_nodes))
-    return v
+def _draw_negatives(rng: np.random.Generator, num_nodes: int, forbidden: np.ndarray) -> np.ndarray:
+    """One uniform node id per entry of ``forbidden``, never equal to it (unless
+    there is only one node). ``rng`` is read as by one scalar draw per value,
+    row by row: a value that equals its row's forbidden id is skipped and the
+    next value goes to that row, and only the shortfall is drawn again, so
+    the values and the generator's final state are those of that scalar loop."""
+    out = rng.integers(0, num_nodes, size=forbidden.size)
+    row, end = 0, out.size  # out[row:end] holds drawn values not yet checked
+    while num_nodes > 1:
+        hits = np.flatnonzero(out[row:end] == forbidden[row:end])
+        if hits.size:  # skip the colliding value
+            row += int(hits[0])
+            out[row:end - 1] = out[row + 1:end]
+            end -= 1
+        elif end < out.size:
+            out[end:] = rng.integers(0, num_nodes, size=out.size - end)
+            row, end = end, out.size
+        else:
+            break
+    return out
 
 
 def _link_scores(graph: TemporalGraph, events: np.ndarray, negatives_per_positive: int,
@@ -135,14 +149,13 @@ def _link_scores(graph: TemporalGraph, events: np.ndarray, negatives_per_positiv
     """Inner products h_i . h_j of each positive event (i, j, t), then
     h_i . h_q for each of its Q negatives q != j, as one (P + P*Q, 1) column.
 
-    Negatives are drawn from ``rng`` first, positive by positive; then
-    ``embedding(nodes, times)``, a (B, d) Tensor, embeds sources,
-    destinations and negatives at the event times.
+    Negatives are drawn from ``rng`` first, in one ``_draw_negatives`` call,
+    positive by positive; then ``embedding(nodes, times)``, a (B, d) Tensor,
+    embeds sources, destinations and negatives at the event times.
     """
     src, dst, ts = graph.sources[events], graph.destinations[events], graph.timestamps[events]
     q = negatives_per_positive
-    neg = np.array([_draw_negative(rng, graph.num_nodes, d)
-                    for d in dst.tolist() for _ in range(q)], dtype=np.int64)
+    neg = _draw_negatives(rng, graph.num_nodes, np.repeat(dst, q))
     h = embedding(np.concatenate([src, dst, neg]), np.concatenate([ts, ts, np.repeat(ts, q)]))
     # rows of h: sources [0, p), destinations [p, 2p), negatives of positive i
     # at 2p + i*q + k; pair each source with its destination and negatives
@@ -189,18 +202,25 @@ def link_loss(
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam's first and second moments as flat float64 vectors, one entry per
+    parameter entry in ``params`` order, and the number of steps taken."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def create(cls, params: Sequence[Tensor]) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+        size = sum(p.data.size for p in params)
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+
+
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
 
 
 def adam_step(
@@ -209,23 +229,36 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """Standard Adam update with bias correction."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ContractError("params, grads and optimizer state must align")
+    """Standard Adam update with bias correction, one update over all
+    parameters: the gradients (``None`` read as zeros) and the current
+    ``p.data`` are concatenated in ``params`` order, updated elementwise, and
+    sliced back into each ``p.data``. Elementwise arithmetic does not depend
+    on shape, so no entry's bits depend on how the parameters are split into
+    arrays."""
+    if len(params) != len(grads):
+        raise ContractError("params and grads must align")
+    for p, g in zip(params, grads):
+        if g is not None and g.shape != p.data.shape:
+            raise ContractError(
+                f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
+    sizes = [p.data.size for p in params]
+    if state.m.size != sum(sizes):
+        raise ContractError(f"optimizer state holds {state.m.size} entries, "
+                            f"the parameters {sum(sizes)}")
+    g = _flat([np.zeros(p.data.size) if g is None else g for p, g in zip(params, grads)])
+    data = _flat([p.data for p in params])
     b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ContractError(
-                f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1 ** t)
-        v_hat = state.v[i] / (1 - b2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.m = b1 * state.m + (1 - b1) * g
+    state.v = b2 * state.v + (1 - b2) * g * g
+    m_hat = state.m / (1 - b1 ** t)
+    v_hat = state.v / (1 - b2 ** t)
+    data = data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    offset = 0
+    for p, size in zip(params, sizes):
+        p.data = data[offset:offset + size].reshape(p.data.shape)
+        offset += size
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +313,8 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
             ad.backward(tape, loss)
             adam_step(params, [p.grad for p in params], state, config.learning_rate)
             total_loss += float(loss.data[0, 0])
-            if not (np.isfinite(total_loss) and all(np.isfinite(p.data).all() for p in params)):
+            if not (np.isfinite(total_loss)
+                    and np.isfinite(_flat([p.data for p in params])).all()):
                 raise TrainingError(f"non-finite loss or parameters at epoch {epoch}, "
                                     f"batch starting at {b_start}")
             n_pos += batch.size
@@ -364,13 +398,7 @@ def evaluate_links(
     s = _link_scores(graph, event_indices, 1, np.random.default_rng(seed), lambda nodes, times:
                      ad.constant(embed(model, nodes, times, graph, sampling, seed))).data[:, 0]
     scores = ad.sigmoid_values(np.column_stack([s[:p], s[p:]]).ravel())  # positive, negative
-    labels = np.tile([1, 0], p)
-    return EvalMetrics(
-        accuracy=metrics.accuracy(labels, scores),
-        average_precision=metrics.average_precision(labels, scores),
-        auc=metrics.roc_auc(labels, scores),
-        split_tag=mode,
-    )
+    return EvalMetrics(*metrics._accuracy_ap_auc(np.tile([1, 0], p), scores), split_tag=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +459,7 @@ def node_classify(
     labels = metrics.binary_labels(graph.labels[labeled])
     feats = embed(model, graph.sources[labeled], graph.timestamps[labeled], graph, sampling,
                   [rng_seed, 2002])
-    periods = np.array([split.period_of(t) for t in graph.timestamps[labeled].tolist()],
-                       dtype=str)
+    periods = split.periods_of(graph.timestamps[labeled])
 
     def as_arrays(period: str) -> tuple[np.ndarray, np.ndarray]:
         return feats[periods == period], labels[periods == period]
@@ -473,13 +500,8 @@ def node_classify(
             ]
         adam_step(params, grads, state, mlp_config.learning_rate)
 
-    scores = mlp.scores(x_test)
-    return EvalMetrics(
-        accuracy=metrics.accuracy(y_test, scores),
-        average_precision=metrics.average_precision(y_test, scores),
-        auc=metrics.roc_auc(y_test, scores),
-        split_tag="transductive",
-    )
+    return EvalMetrics(*metrics._accuracy_ap_auc(y_test, mlp.scores(x_test)),
+                       split_tag="transductive")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Smoke test of ``tools/equivalence.py`` on its reduced grid: the script runs,
-stores its arrays beside its fingerprints, repeats them, and ``--compare``
-flags and sizes a changed array."""
+fingerprints a short training run per configuration, stores its arrays beside
+its fingerprints, repeats them, and ``--compare`` flags and sizes a changed
+array."""
 
 import hashlib
 import json
@@ -30,8 +31,15 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     run = _run("--out", str(first))
     assert run.returncode == 0, run.stderr[-2000:]
     arrays = json.loads(first.read_text())["arrays"]
-    kinds = {name.split("/")[5] for name in arrays}
+    kinds = {name.split("/")[5] for name in arrays if "/train/" not in name}
     assert {"Q1", "embed", "evaluate_links", "attention_report"} <= kinds
+    # one short train() run per graph, layer count and attention mode
+    trained = {name.split("/train/")[0] for name in arrays if "/train/" in name}
+    assert trained == {f"{graph}/L{layers}/{mode}" for graph in ("tiny", "random-de2")
+                       for layers in (1, 2) for mode in ("learned", "constant", "positional")}
+    assert all(arrays[f"{config}/train/history"]["shape"] == [2, 4] for config in trained)
+    assert all(any(name.startswith(f"{config}/train/param/") for name in arrays)
+               for config in trained)
     assert all(len(a["sha256"]) == 64 for a in arrays.values())
     with np.load(tmp_path / "first.npz") as stored:
         values = dict(stored)

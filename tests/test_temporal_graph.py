@@ -39,7 +39,7 @@ from tgat.temporal_graph import (
     temporal_neighborhood,
     training_event_indices,
 )
-from tgat.training import _draw_negative
+from tgat.training import _draw_negatives
 
 
 def pairs(sample):
@@ -849,6 +849,17 @@ class TestChronologicalSplit:
         frac_train = np.mean([ev.timestamp <= split.train_end for ev in g.events])
         assert abs(frac_train - 0.70) < 0.01
 
+    def test_periods_of_matches_period_of(self):
+        # at each cut point, one ulp either side of it, and at time 0
+        split = SplitSpec(train_end=7.0, val_end=8.5)
+        times = [0.0, 3.0, 10.0]
+        for cut in (split.train_end, split.val_end):
+            times += [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
+        periods = split.periods_of(np.array(times))
+        assert periods.tolist() == [split.period_of(t) for t in times]
+        assert periods.tolist() == ["train", "train", "test", "train", "train", "val",
+                                    "val", "val", "test"]
+
     def test_too_few_events(self):
         g = build_graph([0, 1], [1, 0], [1.0, 2.0])
         with pytest.raises(SplitError):
@@ -935,21 +946,52 @@ class TestMaskUnseen:
             mask_unseen(g, chronological_split(g, 0.7, 0.15), 0.1, rng_seed=seed)
 
 
+def scalar_negatives(rng, num_nodes, forbidden):
+    """The reference: one scalar draw per value, redrawn on a collision with
+    the row's forbidden destination, row by row."""
+    out = []
+    for f in forbidden.tolist():
+        v = int(rng.integers(0, num_nodes))
+        while v == f and num_nodes > 1:
+            v = int(rng.integers(0, num_nodes))
+        out.append(v)
+    return np.array(out, dtype=np.int64)
+
+
 class TestSampleNegative:
-    """The one negative sampler, ``training._draw_negative``."""
+    """The one negative sampler, ``training._draw_negatives``."""
 
     def test_single_node_forced(self):
         # a lone node is returned even though it is the forbidden one
         rng = np.random.default_rng(0)
-        assert [_draw_negative(rng, 1, 0) for _ in range(3)] == [0, 0, 0]
+        assert _draw_negatives(rng, 1, np.zeros(3, dtype=np.int64)).tolist() == [0, 0, 0]
 
     def test_uniform_frequencies(self):
         # uniform over the nodes other than the forbidden destination
         rng = np.random.default_rng(7)
-        draws = [_draw_negative(rng, 4, 3) for _ in range(10_000)]
+        draws = _draw_negatives(rng, 4, np.full(10_000, 3))
         freqs = np.bincount(draws, minlength=4) / 10_000
         np.testing.assert_allclose(freqs[:3], 1 / 3, atol=0.03)
         assert freqs[3] == 0.0
+
+    def test_matches_scalar_loop_bit_for_bit(self):
+        # same values and same generator state as the per-negative loop, so
+        # what link_loss draws next from the generator does not move
+        cases = 0
+        for seed in range(30):
+            for num_nodes in (1, 2, 3, 4, 5, 6, 7, 8, 500):
+                case = np.random.default_rng([seed, num_nodes])
+                p, q = int(case.integers(1, 61)), int(case.integers(1, 4))
+                forbidden = np.repeat(case.integers(0, num_nodes, p), q)
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = _draw_negatives(ours, num_nodes, forbidden)
+                np.testing.assert_array_equal(drawn, scalar_negatives(theirs, num_nodes,
+                                                                       forbidden))
+                assert drawn.dtype == np.int64
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                assert ours.random() == theirs.random()
+                cases += 1
+        assert cases == 270
 
 
 class TestSerialization:

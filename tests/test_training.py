@@ -69,10 +69,17 @@ class TestLinkLoss:
             training, "embed_tensor",
             lambda m, nodes, times, graph, sampling, rng, collector=None:
                 ad.constant(np.array([vectors[v] for v in nodes])))
-        monkeypatch.setattr(training, "_draw_negative", lambda rng, n, forbidden: 2)
+        drawn = []
+
+        def node_two(rng, n, forbidden):
+            drawn.append(forbidden.tolist())
+            return np.full(forbidden.size, 2)
+
+        monkeypatch.setattr(training, "_draw_negatives", node_two)
         loss = link_loss(model, g, [0], SAMPLING, 1, rng_seed=0)
         expected = 2 * np.log(1 + np.exp(-3.0))
         np.testing.assert_allclose(loss.data[0, 0], expected, atol=1e-12)
+        assert drawn == [[1]]  # the patch applied: one negative, against destination 1
 
     def test_loss_nonnegative(self):
         g = tiny_fixture_graph()
@@ -112,14 +119,14 @@ class TestLinkLoss:
         g = tiny_fixture_graph()
         model = small_model(g)
         drawn = []
-        original = training._draw_negative
+        original = training._draw_negatives
 
         def spy(rng, n, forbidden):
             v = original(rng, n, forbidden)
-            drawn.append((v, forbidden))
+            drawn.extend(zip(v.tolist(), forbidden.tolist()))
             return v
 
-        monkeypatch.setattr(training, "_draw_negative", spy)
+        monkeypatch.setattr(training, "_draw_negatives", spy)
         link_loss(model, g, list(range(g.num_events)), SAMPLING, 3, rng_seed=5)
         assert drawn and all(v != forbidden for v, forbidden in drawn)
 
@@ -157,6 +164,47 @@ class TestAdam:
         state = AdamState.create([p])
         with pytest.raises(ContractError):
             adam_step([p], [np.ones((3, 1))], state, lr=0.1)
+
+    def test_state_for_other_parameters_rejected(self):
+        p, q = ad.parameter(np.ones((2, 2))), ad.parameter(np.ones((1, 3)))
+        with pytest.raises(ContractError, match="optimizer state holds 4 entries, "
+                                                "the parameters 7"):
+            adam_step([p, q], [None, None], AdamState.create([p]), lr=0.1)
+        with pytest.raises(ContractError, match="params and grads must align"):
+            adam_step([p, q], [None], AdamState.create([p, q]), lr=0.1)
+
+    def test_matches_per_parameter_loop_bit_for_bit(self):
+        def reference_step(params, grads, m, v, t, lr):
+            """The per-parameter update: list moments, one parameter at a time."""
+            b1, b2 = training.ADAM_BETAS
+            for i, (p, g) in enumerate(zip(params, grads)):
+                if g is None:
+                    g = np.zeros_like(p.data)
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                m_hat = m[i] / (1 - b1 ** t)
+                v_hat = v[i] / (1 - b2 ** t)
+                p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+
+        rng = np.random.default_rng(12)
+        shapes = [(3, 4), (1, 5), (7, 1), (2, 2), (1, 1), (4, 6)]
+        ours = [ad.parameter(rng.standard_normal(s)) for s in shapes]
+        theirs = [ad.parameter(p.data.copy()) for p in ours]
+        state = AdamState.create(ours)
+        m = [np.zeros_like(p.data) for p in theirs]
+        v = [np.zeros_like(p.data) for p in theirs]
+        for t in range(1, 61):
+            # gradients over many magnitudes; the fourth parameter gets None
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 4) for s in shapes]
+            grads[3] = None
+            adam_step(ours, grads, state, lr=0.003)
+            reference_step(theirs, grads, m, v, t, lr=0.003)
+            for a, b in zip(ours, theirs):
+                assert a.data.shape == b.data.shape
+                assert a.data.tobytes() == b.data.tobytes()
+        assert state.step == 60
+        assert state.m.tobytes() == np.concatenate([a.ravel() for a in m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([a.ravel() for a in v]).tobytes()
 
 
 def training_fixture():

@@ -6,6 +6,8 @@ For every configuration of the grid this computes:
 - ``embed`` at query counts that straddle the inference passes;
 - the scores of ``evaluate_links`` (through ``metrics``) and its AP;
 - the ``attention_report`` rows;
+- the final parameters and the ``history`` of a short ``train`` run per
+  graph, layer count and attention mode;
 
 and writes each array's SHA-256 and largest magnitude to JSON, and the
 arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
@@ -64,6 +66,8 @@ REPORT_EVENTS = 70
 REPORT_OFFSETS = (0.0, 2.5)
 # neighborhood caps: a padded softmax row of 8 or more slots sums pairwise
 CAPS = (4, 10)
+# the short train() run: its epochs, positives per epoch and validation events
+TRAIN_EPOCHS, TRAIN_EVENTS, TRAIN_VAL_EVENTS = 2, 50, 10
 
 REDUCED = {"graphs": ("tiny", "random-de2"), "layers": LAYERS, "modes": MODES[:3],
            "strategies": STRATEGIES, "heads": (2,), "caps": (4,), "negatives": (1,),
@@ -90,11 +94,31 @@ def _events(graph, count: int, rng: np.random.Generator) -> np.ndarray:
                               replace=False))
 
 
+def train_arrays(graph, split, layers: int, mode: str, learnable: bool):
+    """Yield ``(name, array)`` for the final parameters and the history of a
+    short ``train`` run: Adam and the negative draws show here."""
+    config = training.TrainConfig(
+        learning_rate=0.01, layers=layers, heads=2, neighborhood_dropout=0.2,
+        negatives_per_positive=2, batch_size=16, max_epochs=TRAIN_EPOCHS, patience=5,
+        attention_mode=mode, sampling_strategy="uniform", rng_seed=9, d=6, d_t=4, d_h=3,
+        d_f=5, max_neighbors=5, positional_learnable=learnable,
+        max_train_events_per_epoch=TRAIN_EVENTS, max_val_events=TRAIN_VAL_EVENTS)
+    model, history = training.train(graph, split, config)
+    for name, p in layer._named_params(model).items():
+        yield f"train/param/{name}", p.data
+    yield "train/history", np.array([(h.epoch, h.train_loss, h.val_ap, h.val_acc)
+                                     for h in history]).reshape(-1, 4)
+
+
 def grid_arrays(grid: dict):
     """Yield ``(name, array)`` for every output of every configuration."""
     for graph_name in grid["graphs"]:
         graph = GRAPHS[graph_name]()
         split = chronological_split(graph, 0.7, 0.15)
+        for layers, (mode, learnable) in itertools.product(grid["layers"], grid["modes"]):
+            config = f"{graph_name}/L{layers}/{mode}{'-learnable' if learnable else ''}"
+            for name, a in train_arrays(graph, split, layers, mode, learnable):
+                yield f"{config}/{name}", a
         dims = Dims(d0=graph.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5,
                     d_e=graph.edge_feature_dim)
         for layers, (mode, learnable), heads, strategy, cap in itertools.product(
@@ -127,21 +151,21 @@ def grid_arrays(grid: dict):
             train_config = training.TrainConfig(
                 layers=layers, heads=heads, attention_mode=mode, sampling_strategy=strategy,
                 max_neighbors=cap, batch_size=32)
-            # the scores reach the metrics as they are, so record them there
+            # the scores reach the metrics' input check as they are, so record them there
             seen = {}
-            original = metrics.average_precision
+            original = metrics._check_inputs
 
             def capture(labels, scores):
                 seen["scores"] = np.asarray(scores)
                 return original(labels, scores)
 
-            metrics.average_precision = capture
+            metrics._check_inputs = capture
             try:
                 result = training.evaluate_links(
                     model, graph, split, period="test", config=train_config, rng_seed=2,
                     event_indices=_events(graph, EVAL_EVENTS, rng))
             finally:
-                metrics.average_precision = original
+                metrics._check_inputs = original
             yield f"{config}/evaluate_links/scores", seen["scores"]
             yield f"{config}/evaluate_links/ap", np.array([result.average_precision])
 
