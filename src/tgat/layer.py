@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -83,49 +83,44 @@ def head_parameter_formula(dims: Dims) -> int:
 
 
 class LayerParams:
-    """One TGAT layer: per-head Q/K/V projections plus the shared output FFN."""
+    """One TGAT layer: Q, K and V each as one (d_in, H * d_h) parameter, head h
+    in columns [h * d_h, (h + 1) * d_h), plus the shared output FFN."""
 
-    def __init__(self, w_q, w_k, w_v, w0, b0, w1, b1):
-        self.w_q = list(w_q)
-        self.w_k = list(w_k)
-        self.w_v = list(w_v)
-        if not (len(self.w_q) == len(self.w_k) == len(self.w_v) >= 1):
-            raise ValidationError("each head needs exactly one Q, K and V projection")
-        self.w0 = w0
-        self.b0 = b0
-        self.w1 = w1
-        self.b1 = b1
+    def __init__(self, w_q, w_k, w_v, head_count: int, w0, b0, w1, b1):
+        if not (w_q.data.shape == w_k.data.shape == w_v.data.shape
+                and head_count >= 1 and w_q.data.shape[1] % head_count == 0):
+            raise ValidationError("Q, K and V need one equal column block per head")
+        self.w_q, self.w_k, self.w_v = w_q, w_k, w_v
+        self.head_count = head_count
+        self.w0, self.b0, self.w1, self.b1 = w0, b0, w1, b1
 
     @classmethod
     def create(cls, dims: Dims, head_count: int, input_dim: int,
                rng: np.random.Generator) -> "LayerParams":
         proj_in = input_dim + dims.d_e + dims.d_t
-        w_q, w_k, w_v = ([ad.parameter(glorot(rng, proj_in, dims.d_h)) for _ in range(head_count)]
-                         for _ in range(3))
+        # every Q head, then every K head, then every V head, each drawn alone
+        w_q, w_k, w_v = (ad.parameter(np.hstack([glorot(rng, proj_in, dims.d_h)
+                                                 for _ in range(head_count)])) for _ in range(3))
         ffn_in = head_count * dims.d_h + dims.d0
         w0 = ad.parameter(glorot(rng, ffn_in, dims.d_f))
         b0 = ad.parameter(np.zeros((1, dims.d_f)))
         w1 = ad.parameter(glorot(rng, dims.d_f, dims.d))
         b1 = ad.parameter(np.zeros((1, dims.d)))
-        return cls(w_q, w_k, w_v, w0, b0, w1, b1)
-
-    @property
-    def head_count(self) -> int:
-        return len(self.w_q)
+        return cls(w_q, w_k, w_v, head_count, w0, b0, w1, b1)
 
     def parameters(self) -> list[Tensor]:
-        heads = [w for qkv in zip(self.w_q, self.w_k, self.w_v) for w in qkv]
-        return heads + [self.w0, self.b0, self.w1, self.b1]
+        return [self.w_q, self.w_k, self.w_v, self.w0, self.b0, self.w1, self.b1]
 
     def head_param_count(self) -> int:
         """Parameter budget of one attention head in the sense of the scaling
-        formula: the shape of one projection (Q, K and V share it), this
-        head's FFN input block plus the raw-feature block, and the FFN output
-        matrix; biases excluded. Computed from the constructed array shapes."""
-        d_h = self.w_q[0].data.shape[1]
+        formula: one head's projection block (Q, K and V share its shape), its
+        FFN input block plus the raw-feature block, and the FFN output matrix;
+        biases excluded. Computed from the constructed array shapes."""
+        d_in, width = self.w_q.data.shape
+        d_h = width // self.head_count
         d_f = self.w1.data.shape[0]
-        x0_rows = self.w0.data.shape[0] - self.head_count * d_h
-        return self.w_q[0].data.size + (d_h + x0_rows) * d_f + self.w1.data.size
+        x0_rows = self.w0.data.shape[0] - width
+        return d_in * d_h + (d_h + x0_rows) * d_f + self.w1.data.size
 
 
 class TgatModel:
@@ -243,20 +238,20 @@ def build_entity_matrix(
     return ad.apply_op(z, (hidden, time), pull)
 
 
-def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tensor],
+def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, h: int,
                 mode: str, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """All heads of one hop over the entity-temporal rows of B targets, as
-    one operator; ``w_q``, ``w_k``, ``w_v`` hold one projection per head.
+    """All ``h`` heads of one hop over the entity-temporal rows of B targets,
+    as one operator; head i's Q, K and V are columns [i * d_h, (i + 1) * d_h).
 
     ``z`` holds the B target rows followed by one row per sampled
     interaction, the layout of ``build_entity_matrix``, and ``mask`` (B, N)
     marks where the sampled rows sit in the attention block. Returns the
-    (B, H * d_h) head outputs and the (H, B, N) weights, zero on masked
-    slots. Constant mode weighs real rows uniformly (mean pooling); the
-    other modes scale query-key products by sqrt(d_h). The heads' weights
-    are stacked, keys beside values, so the sampled rows and the target rows
-    are each projected by one product; only the projected rows are
-    scattered into the (B, N) block, for the softmax and the weighted sum.
+    (B, h * d_h) head outputs and the (h, B, N) weights, zero on masked
+    slots. Constant mode weighs real rows uniformly (mean pooling) and reads
+    only ``w_v``; the other modes scale query-key products by sqrt(d_h).
+    Keys stand beside values, so the sampled rows and the target rows are
+    each projected by one product; only the projected rows are scattered
+    into the (B, N) block, for the softmax and the weighted sum.
     """
     n_rows, d_in = z.data.shape
     b, n = mask.shape
@@ -266,18 +261,18 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
                             f"at least one slot: {n_rows} rows for a {mask.shape} mask "
                             f"of {slots.size} slots")
     learned = mode != "constant"
-    h, d_h = len(w_v), w_v[0].data.shape[1]
+    width = w_v.data.shape[1]
+    d_h = width // h
     scale = 1.0 / math.sqrt(d_h)
-    projected = [*w_k, *w_v] if learned else w_v
-    params = [*w_q, *projected] if learned else projected
-    w_kv = np.concatenate([w.data for w in projected], axis=1)  # (d_in, 2H or H * d_h)
+    params = [w_q, w_k, w_v] if learned else [w_v]
+    w_kv = np.concatenate([w_k.data, w_v.data], axis=1) if learned else w_v.data
     targets, sampled = z.data[:b], z.data[b:]
-    kv = np.zeros((len(projected), b * n, d_h))  # one (B * N, d_h) block per projection
-    kv[:, slots] = (sampled @ w_kv).reshape(-1, len(projected), d_h).transpose(1, 0, 2)
+    blocks = w_kv.shape[1] // d_h  # 2H or H
+    kv = np.zeros((blocks, b * n, d_h))  # one (B * N, d_h) block per projected head
+    kv[:, slots] = (sampled @ w_kv).reshape(-1, blocks, d_h).transpose(1, 0, 2)
     kv = kv.reshape(-1, h, b, n, d_h)  # (K and V or V, H, B, N, d_h)
     if learned:
-        w_qs = np.concatenate([w.data for w in w_q], axis=1)
-        query = (targets @ w_qs).reshape(b, h, d_h).transpose(1, 0, 2)
+        query = (targets @ w_q.data).reshape(b, h, d_h).transpose(1, 0, 2)
         dots = np.matmul((kv[0] * query[:, :, None]).reshape(h, b * n, d_h), np.ones((d_h, 1)))
         scores = np.where(mask, scale * dots.reshape(h, b, n), -np.inf)
         top = np.where(mask.any(axis=1, keepdims=True), scores.max(axis=2, keepdims=True), 0.0)
@@ -285,7 +280,7 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
         alpha = e / np.maximum(e.sum(axis=2, keepdims=True), 1.0)
     else:
         alpha = np.tile(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1), (h, 1, 1))
-    heads = np.einsum("hbn,hbnd->bhd", alpha, kv[-1]).reshape(b, h * d_h)
+    heads = np.einsum("hbn,hbnd->bhd", alpha, kv[-1]).reshape(b, width)
 
     def pull(g: np.ndarray) -> None:
         g_out = np.ascontiguousarray(g.reshape(b, h, d_h).transpose(1, 0, 2))[:, :, None]
@@ -296,17 +291,17 @@ def attend_head(z: Tensor, w_q: list[Tensor], w_k: list[Tensor], w_v: list[Tenso
             inner = (g_alpha * alpha).sum(axis=2, keepdims=True)
             g_dots = scale * (alpha * (g_alpha - inner))
             np.multiply(g_dots[..., None], query[:, :, None], out=g_slots[0])
-            g_query = np.einsum("hbn,hbnd->bhd", g_dots, kv[0]).reshape(b, h * d_h)
+            g_query = np.einsum("hbn,hbnd->bhd", g_dots, kv[0]).reshape(b, width)
+            w_q._accumulate(targets.T @ g_query)
         g_kv = g_slots.reshape(-1, b * n, d_h)[:, slots]  # the sampled slots' gradients
         g_kv = g_kv.transpose(1, 0, 2).reshape(slots.size, w_kv.shape[1])  # as w_kv's columns
-        g_w = sampled.T @ g_kv
+        g_w = sampled.T @ g_kv  # K's columns, when learned, then V's
         if learned:
-            g_w = np.concatenate([targets.T @ g_query, g_w], axis=1)
-        for w, g_head in zip(params, np.hsplit(g_w, len(params))):
-            w._accumulate(g_head)
+            w_k._accumulate(g_w[:, :width])
+        w_v._accumulate(g_w[:, -width:])
         if z.requires_grad:
             g_z = np.empty((n_rows, d_in))  # in constant mode no query reads a target
-            g_z[:b] = g_query @ w_qs.T if learned else 0.0
+            g_z[:b] = g_query @ w_q.data.T if learned else 0.0
             np.matmul(g_kv, w_kv.T, out=g_z[b:])
             z._accumulate(g_z)
 
@@ -366,8 +361,8 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
         np.concatenate([times, batch.times]),
         graph, sampling, key, attention)
     z = build_entity_matrix(hidden, batch, model.time_encoder, positional)
-    heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, model.attention_mode,
-                                 batch.mask)
+    heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, layer.head_count,
+                                 model.attention_mode, batch.mask)
     if attention is not None:
         attention.append((level, batch, weights))
 
@@ -440,31 +435,31 @@ CHECKPOINT_FORMAT = "tgat-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def _named_params(model: TgatModel) -> dict[str, Tensor]:
-    names: dict[str, Tensor] = {"time_encoder.frequencies": model.time_encoder.frequencies}
+def _named_params(model: TgatModel) -> dict[str, tuple[Tensor, slice]]:
+    """Each checkpoint array by name, as the tensor that holds it and the
+    columns it takes there: head h of a layer's Q, K or V is its columns
+    [h * d_h, (h + 1) * d_h), every other array a whole tensor."""
+    whole = slice(None)
+    names = {"time_encoder.frequencies": (model.time_encoder.frequencies, whole)}
     if model.positional_encoder is not None and model.positional_encoder.learnable:
-        names["positional.table"] = model.positional_encoder.table
+        names["positional.table"] = (model.positional_encoder.table, whole)
     for li, layer in enumerate(model.layers):
+        d_h = layer.w_q.data.shape[1] // layer.head_count
         for hi in range(layer.head_count):
-            names[f"layers.{li}.heads.{hi}.w_q"] = layer.w_q[hi]
-            names[f"layers.{li}.heads.{hi}.w_k"] = layer.w_k[hi]
-            names[f"layers.{li}.heads.{hi}.w_v"] = layer.w_v[hi]
-        names[f"layers.{li}.ffn.w0"] = layer.w0
-        names[f"layers.{li}.ffn.b0"] = layer.b0
-        names[f"layers.{li}.ffn.w1"] = layer.w1
-        names[f"layers.{li}.ffn.b1"] = layer.b1
+            for kind in ("w_q", "w_k", "w_v"):
+                names[f"layers.{li}.heads.{hi}.{kind}"] = (getattr(layer, kind),
+                                                           slice(hi * d_h, (hi + 1) * d_h))
+        for kind in ("w0", "b0", "w1", "b1"):
+            names[f"layers.{li}.ffn.{kind}"] = (getattr(layer, kind), whole)
     return names
 
 
 def checkpoint_payload(model: TgatModel, extra: dict | None = None) -> dict:
     pos = model.positional_encoder
-    payload = {
+    return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "dims": {
-            "d0": model.dims.d0, "d": model.dims.d, "d_t": model.dims.d_t,
-            "d_h": model.dims.d_h, "d_f": model.dims.d_f, "d_e": model.dims.d_e,
-        },
+        "dims": asdict(model.dims),
         "layer_count": model.layer_count,
         "head_count": model.head_count,
         "attention_mode": model.attention_mode,
@@ -474,9 +469,9 @@ def checkpoint_payload(model: TgatModel, extra: dict | None = None) -> dict:
             "table": None if pos.learnable else pos.table.data.tolist(),
         },
         "extra": extra or {},
-        "params": {name: t.data.tolist() for name, t in _named_params(model).items()},
+        "params": {name: t.data[..., cols].tolist()
+                   for name, (t, cols) in _named_params(model).items()},
     }
-    return payload
 
 
 def save_checkpoint(model: TgatModel, path, extra: dict | None = None) -> None:
@@ -507,7 +502,7 @@ def load_checkpoint(path) -> tuple[TgatModel, dict]:
         dims = Dims(d0=d["d0"], d=d["d"], d_t=d["d_t"], d_h=d["d_h"], d_f=d["d_f"], d_e=d["d_e"])
         mode = payload["attention_mode"]
         pos_info = payload["positional"]
-        params = payload["params"]
+        params = dict(payload["params"])  # a list or a string raises here
         model = TgatModel.create(
             dims,
             layer_count=payload["layer_count"],
@@ -521,11 +516,16 @@ def load_checkpoint(path) -> tuple[TgatModel, dict]:
             if not np.isfinite(table).all():
                 raise CheckpointError(f"{path}: positional table holds a non-finite value")
             model.positional_encoder = PositionalEncoder(table, learnable=False)
-        for name, tensor in _named_params(model).items():
-            stored = np.asarray(params[name], dtype=np.float64).reshape(tensor.data.shape)
+        named = _named_params(model)
+        unknown = sorted(set(params) - set(named))
+        if unknown:
+            raise CheckpointError(f"{path}: unknown parameters {', '.join(unknown)}")
+        for name, (tensor, cols) in named.items():
+            block = tensor.data[..., cols]
+            stored = np.asarray(params[name], dtype=np.float64).reshape(block.shape)
             if not np.isfinite(stored).all():
                 raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
-            tensor.data = stored
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            block[...] = stored  # a view: writes the tensor's columns
+    except (KeyError, TypeError, ValueError, ValidationError, MemoryError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from None
     return model, extra

@@ -153,15 +153,15 @@ def test_criterion_4_attention_normalization():
         n = int(rng.integers(1, 12))
         d_in, d_h = int(rng.integers(2, 10)), int(rng.integers(1, 8))
         z = ad.constant(rng.standard_normal((n + 1, d_in)) * rng.uniform(0.5, 5))
-        w_q = [ad.parameter(rng.standard_normal((d_in, d_h)))]
-        w_k = [ad.parameter(rng.standard_normal((d_in, d_h)))]
-        w_v = [ad.parameter(rng.standard_normal((d_in, d_h)))]
+        w_q = ad.parameter(rng.standard_normal((d_in, d_h)))
+        w_k = ad.parameter(rng.standard_normal((d_in, d_h)))
+        w_v = ad.parameter(rng.standard_normal((d_in, d_h)))
         for mode in ("learned", "constant"):
-            h, alpha = attend_head(z, w_q, w_k, w_v, mode, np.ones((1, n), bool))
+            h, alpha = attend_head(z, w_q, w_k, w_v, 1, mode, np.ones((1, n), bool))
             assert (alpha >= 0).all()
             worst_sum = max(worst_sum, abs(alpha.sum() - 1.0))
             if mode == "constant":
-                mean_v = (z.data[1:] @ w_v[0].data).mean(axis=0)
+                mean_v = (z.data[1:] @ w_v.data).mean(axis=0)
                 worst_mean = max(worst_mean, np.abs(h.data[0] - mean_v).max())
     ok = worst_sum <= 1e-9 and worst_mean <= 1e-12
     report(f"criterion 4 (attention normalization): {'PASS' if ok else 'FAIL'} - "

@@ -95,10 +95,11 @@ def attention_case(rng, mode: str, masked: bool):
         mask = rng.random((b, n)) < 0.6
         mask[rng.integers(0, b)] = False  # an empty neighborhood
     z = ad.parameter(_rand(rng, b + mask.sum(), d_in))
-    w = [[ad.parameter(_rand(rng, d_in, d_h)) for _ in range(heads)] for _ in range(3)]
+    w = [ad.parameter(np.hstack([_rand(rng, d_in, d_h) for _ in range(heads)]))
+         for _ in range(3)]  # Q, K and V, head by head
     weights = _rand(rng, b, heads * d_h)
-    params = [z] + w[2] if mode == "constant" else [z] + w[0] + w[1] + w[2]
-    return lambda: weighted_sum(attend_head(z, *w, mode, mask)[0], weights), params
+    params = [z, w[2]] if mode == "constant" else [z, *w]
+    return lambda: weighted_sum(attend_head(z, *w, heads, mode, mask)[0], weights), params
 
 
 def entity_matrix_case(rng, positional: bool):
@@ -130,14 +131,15 @@ def hop_case(rng, mode: str, positional: bool = False, kind: str = "any"):
     enc = TimeEncoder(rng.uniform(0.1, 1.5, size=2))
     table = PositionalEncoder.learnable_table(8, 4, rng) if positional else None
     heads = int(rng.integers(1, 3))
-    w = [[ad.parameter(_rand(rng, 3 + 2 + 4, 2)) for _ in range(heads)] for _ in range(3)]
+    w = [ad.parameter(np.hstack([_rand(rng, 3 + 2 + 4, 2) for _ in range(heads)]))
+         for _ in range(3)]  # Q, K and V, head by head
     weights = _rand(rng, b, 2 * heads)
     params = ([hidden] + (table.parameters() if positional else enc.parameters())
-              + (w[2] if mode == "constant" else w[0] + w[1] + w[2]))
+              + ([w[2]] if mode == "constant" else w))
 
     def build():
         z = build_entity_matrix(hidden, batch, enc, table)
-        return weighted_sum(attend_head(z, *w, mode, batch.mask)[0], weights)
+        return weighted_sum(attend_head(z, *w, heads, mode, batch.mask)[0], weights)
 
     return build, params
 
@@ -240,8 +242,8 @@ def attention_weights(scores: np.ndarray, mask: np.ndarray | None = None) -> np.
     mask = np.ones(scores.shape, dtype=bool) if mask is None else mask
     # the B target rows, then one row per unmasked slot
     z = np.concatenate([np.ones(scores.shape[0]), scores[mask]])[:, None]
-    unit = [ad.constant(np.ones((1, 1)))]
-    return attend_head(ad.constant(z), unit, unit, unit, "learned", mask)[1][0]
+    unit = ad.constant(np.ones((1, 1)))
+    return attend_head(ad.constant(z), unit, unit, unit, 1, "learned", mask)[1][0]
 
 
 class TestForwardValues:

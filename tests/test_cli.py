@@ -372,6 +372,22 @@ class TestEvalAndEmbed:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ") and shown in err[0]
 
+    # a 10**13-wide layer escaped as a MemoryError traceback: its (8, 10**13)
+    # weight matrix is past the 47-bit address space, so the request fails at
+    # once; a parameter the model does not have was ignored
+    @pytest.mark.parametrize("tamper, shown", [
+        (lambda p: p["dims"].update(d=10**13), "malformed checkpoint"),
+        (lambda p: p["params"].update({"layers.0.heads.7.w_q": [[0.0]]}),
+         "unknown parameters layers.0.heads.7.w_q")], ids=["huge_width", "stray_head"])
+    def test_unrepresentable_model_exit_1(self, trained, capsys, tamper, shown):
+        _, graph, ckpt = trained
+        payload = json.loads(ckpt.read_text())
+        tamper(payload)
+        ckpt.write_text(json.dumps(payload))
+        assert main(["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ") and shown in err[0]
+
     def test_fractional_max_positions_exit_1(self, trained, capsys):
         # used to build a 3-row positional table from 2.5
         _, graph, ckpt = trained

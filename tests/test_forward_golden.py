@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tgat import autodiff as ad
-from tgat.layer import Dims, SamplingConfig, TgatModel, embed
+from tgat.layer import Dims, SamplingConfig, TgatModel, _named_params, embed
 from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
 from tgat.training import link_loss
 
@@ -36,7 +36,8 @@ EMBED_QUERIES = [
 
 
 def loss_case(heads: int) -> tuple[float, list[np.ndarray]]:
-    """Link loss and parameter gradients at L=2, d_e=2, Q=2, every event."""
+    """Link loss and parameter gradients at L=2, d_e=2, Q=2, every event: one
+    gradient per checkpoint array, so each head's Q, K and V apart."""
     graph = tiny_fixture_graph()
     dims = Dims(d0=3, d=4, d_t=4, d_h=3, d_f=5, d_e=2)
     model = TgatModel.create(dims, layer_count=2, head_count=heads, rng_seed=7,
@@ -47,7 +48,8 @@ def loss_case(heads: int) -> tuple[float, list[np.ndarray]]:
         loss = link_loss(model, graph, list(range(graph.num_events)), LOSS_SAMPLING,
                          negatives_per_positive=2, rng_seed=3)
     ad.backward(tape, loss)
-    return float(loss.data[0, 0]), [p.grad for p in params]
+    return float(loss.data[0, 0]), [t.grad[..., cols]
+                                    for t, cols in _named_params(model).values()]
 
 
 def embed_case(mode: str) -> np.ndarray:

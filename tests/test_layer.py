@@ -8,6 +8,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,6 +48,8 @@ from tgat.temporal_graph import (
 from tgat.time_encoding import PositionalEncoder, TimeEncoder
 
 MOST_RECENT = SamplingConfig(max_neighbors=16, strategy="most-recent")
+# written by an earlier commit's save_checkpoint; never rewritten, so it pins the format
+GOLDEN_CHECKPOINT = Path(__file__).with_name("golden_checkpoint.json")
 
 
 def weighted_sum(a: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
@@ -168,16 +171,17 @@ class TestBuildEntityMatrix:
 
 class TestAttendHead:
     def _params(self, rng, d_in, d_h):
-        return ([ad.parameter(rng.standard_normal((d_in, d_h)))],
-                [ad.parameter(rng.standard_normal((d_in, d_h)))],
-                [ad.parameter(rng.standard_normal((d_in, d_h)))])
+        """One head's Q, K and V."""
+        return (ad.parameter(rng.standard_normal((d_in, d_h))),
+                ad.parameter(rng.standard_normal((d_in, d_h))),
+                ad.parameter(rng.standard_normal((d_in, d_h))))
 
     def test_constant_mode_is_exact_mean(self):
         rng = np.random.default_rng(0)
         w_q, w_k, w_v = self._params(rng, 4, 3)
         z = ad.constant(rng.standard_normal((6, 4)))
-        h, alpha = attend_head(z, w_q, w_k, w_v, "constant", np.ones((1, 5), bool))
-        values = z.data[1:] @ w_v[0].data
+        h, alpha = attend_head(z, w_q, w_k, w_v, 1, "constant", np.ones((1, 5), bool))
+        values = z.data[1:] @ w_v.data
         np.testing.assert_allclose(h.data[0], values.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(alpha[0], 0.2)
 
@@ -185,7 +189,7 @@ class TestAttendHead:
         rng = np.random.default_rng(1)
         w_q, w_k, w_v = self._params(rng, 4, 3)
         z = ad.constant(rng.standard_normal((2, 4)))
-        _, alpha = attend_head(z, w_q, w_k, w_v, "learned", np.ones((1, 1), bool))
+        _, alpha = attend_head(z, w_q, w_k, w_v, 1, "learned", np.ones((1, 1), bool))
         np.testing.assert_array_equal(alpha[0], [[1.0]])
 
     def test_identical_neighbors_split_evenly(self):
@@ -193,7 +197,7 @@ class TestAttendHead:
         w_q, w_k, w_v = self._params(rng, 4, 3)
         row = rng.standard_normal(4)
         z = ad.constant(np.vstack([rng.standard_normal(4), row, row]))
-        _, alpha = attend_head(z, w_q, w_k, w_v, "learned", np.ones((1, 2), bool))
+        _, alpha = attend_head(z, w_q, w_k, w_v, 1, "learned", np.ones((1, 2), bool))
         np.testing.assert_allclose(alpha[0], 0.5, atol=1e-12)
 
     def test_weights_normalized(self):
@@ -202,7 +206,7 @@ class TestAttendHead:
         for _ in range(25):
             z = ad.constant(rng.standard_normal((int(rng.integers(2, 9)), 5)) * 3)
             mask = np.ones((1, z.data.shape[0] - 1), bool)
-            _, alpha = attend_head(z, w_q, w_k, w_v, "learned", mask)
+            _, alpha = attend_head(z, w_q, w_k, w_v, 1, "learned", mask)
             assert (alpha[0] >= 0).all()
             np.testing.assert_allclose(alpha[0].sum(), 1.0, atol=1e-9)
 
@@ -215,7 +219,7 @@ class TestAttendHead:
         z = np.vstack([b[:1] for b in blocks] + [b[1:] for b in blocks])
         mask = np.arange(3) < np.array(sizes)[:, None]
         for mode in ("learned", "constant"):
-            h, alpha = attend_head(ad.constant(z), w_q, w_k, w_v, mode, mask)
+            h, alpha = attend_head(ad.constant(z), w_q, w_k, w_v, 1, mode, mask)
             alpha = alpha[0]
             assert h.data.shape == (4, 3) and alpha.shape == (4, 3)
             assert np.isfinite(h.data).all() and np.isfinite(alpha).all()
@@ -224,7 +228,7 @@ class TestAttendHead:
             for i, block in enumerate(blocks):
                 if sizes[i] == 0:
                     continue
-                h1, alpha1 = attend_head(ad.constant(block), w_q, w_k, w_v, mode,
+                h1, alpha1 = attend_head(ad.constant(block), w_q, w_k, w_v, 1, mode,
                                          np.ones((1, sizes[i]), bool))
                 np.testing.assert_allclose(h.data[i], h1.data[0], rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(alpha[i, : sizes[i]], alpha1[0][0],
@@ -241,13 +245,13 @@ class TestAttendHead:
 
         def run(z_data, w_data, g_out, picked):
             z = ad.parameter(z_data)
-            w = [[ad.parameter(m[i]) for i in picked] for m in w_data]
+            w = [ad.parameter(np.hstack([m[i] for i in picked])) for m in w_data]
             cols = np.concatenate([np.arange(i * d_h, (i + 1) * d_h) for i in picked])
             with ad.Tape() as tape:
-                out, alpha = attend_head(z, *w, mode, mask)
+                out, alpha = attend_head(z, *w, len(picked), mode, mask)
                 loss = weighted_sum(out, g_out[:, cols])
             ad.backward(tape, loss)
-            return out.data, alpha, z.grad, [[t.grad for t in ws] for ws in w]
+            return out.data, alpha, z.grad, [t.grad for t in w]
 
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -257,13 +261,14 @@ class TestAttendHead:
             out, alpha, z_grad, w_grads = run(*args, range(heads))
             alone = [run(*args, [i]) for i in range(heads)]
             for i, (out_i, alpha_i, _, w_grads_i) in enumerate(alone):
-                assert_close(out[:, i * d_h:(i + 1) * d_h], out_i)
+                head = slice(i * d_h, (i + 1) * d_h)
+                assert_close(out[:, head], out_i)
                 assert_close(alpha[i], alpha_i[0])
                 for k, (grads, grads_i) in enumerate(zip(w_grads, w_grads_i)):
                     if mode == "constant" and k < 2:  # w_q and w_k take no part
-                        assert grads[i] is None and grads_i[0] is None
+                        assert grads is None and grads_i is None
                     else:
-                        assert_close(grads[i], grads_i[0])
+                        assert_close(grads[:, head], grads_i)
             assert_close(z_grad, sum(z_grad_i for _, _, z_grad_i, _ in alone))
 
     def _hop_gradients(self, mode):
@@ -273,11 +278,12 @@ class TestAttendHead:
         batch = sample_neighborhoods(g, [0, 3, 1, 2], [0.5, 4.5, 1.5, 4.5], 5)
         rng = np.random.default_rng(6)
         hidden = ad.parameter(rng.standard_normal((4 + batch.sizes.sum(), 3)))
-        w = [[ad.parameter(rng.standard_normal((3 + 4, 2))) for _ in range(2)] for _ in range(3)]
+        w = [ad.parameter(np.hstack([rng.standard_normal((3 + 4, 2)) for _ in range(2)]))
+             for _ in range(3)]  # Q, K and V, head by head
         g_out = rng.standard_normal((4, 2 * 2))
         with ad.Tape() as tape:
             z = build_entity_matrix(hidden, batch, TimeEncoder.create(4))
-            out, _ = attend_head(z, *w, mode, batch.mask)
+            out, _ = attend_head(z, *w, 2, mode, batch.mask)
             loss = weighted_sum(out, g_out)
         ad.backward(tape, loss)
         return batch, hidden, z, w, g_out
@@ -289,28 +295,28 @@ class TestAttendHead:
         assert batch.sizes.tolist() == [0, 2, 1, 2] and z.data.shape[0] == 4 + 5
         padded = ad.constant(np.zeros((4 * (2 + 1), z.data.shape[1])))
         with pytest.raises(ContractError):
-            attend_head(padded, *w, mode, batch.mask)
+            attend_head(padded, *w, 2, mode, batch.mask)
 
     @pytest.mark.parametrize("mode", ["learned", "constant"])
     def test_gradients_equal_real_rows_reference(self, mode):
         # each target attended alone over its real rows only: its z rows and
         # the head weights take the same gradients, up to float order
         batch, _, z, w, g_out = self._hop_gradients(mode)
-        weight_grads = [[np.zeros_like(p.data) for p in ws] for ws in w]
+        weight_grads = [np.zeros_like(p.data) for p in w]
         for i, size in enumerate(batch.sizes):
             rows = ad.parameter(block(z.data, batch, i))
-            alone = [[ad.parameter(p.data) for p in ws] for ws in w]
+            alone = [ad.parameter(p.data) for p in w]
             with ad.Tape() as tape:
-                out, _ = attend_head(rows, *alone, mode, np.arange(max(size, 1)) < [[size]])
+                out, _ = attend_head(rows, *alone, 2, mode, np.arange(max(size, 1)) < [[size]])
                 loss = weighted_sum(out, g_out[i : i + 1])
             ad.backward(tape, loss)
             assert_close(block(z.grad, batch, i), rows.grad)
-            for sums, ws in zip(weight_grads, alone):
-                for total, p in zip(sums, ws):
-                    total += 0.0 if p.grad is None else p.grad
-        for sums, ws in zip(weight_grads, w):
-            for total, p in zip(sums, ws):
-                assert_close(np.zeros_like(total) if p.grad is None else p.grad, total)
+            for total, p in zip(weight_grads, alone):
+                total += 0.0 if p.grad is None else p.grad
+        for total, p in zip(weight_grads, w):
+            for head in (slice(0, 2), slice(2, 4)):  # each head's columns alone
+                assert_close((np.zeros_like(total) if p.grad is None else p.grad)[:, head],
+                             total[:, head])
         assert (z.grad[4:] != 0.0).all()  # every sampled row takes part
 
     @pytest.mark.parametrize("mode", ["learned", "constant"])
@@ -334,14 +340,16 @@ class TestAttendHead:
             rng = np.random.default_rng([d_h, k])
             hidden = ad.parameter(rng.standard_normal((4 + batch.sizes.sum(), 3)))
             enc = TimeEncoder(rng.uniform(0.1, 2.0, size=k))
-            w = [[ad.parameter(rng.standard_normal((3 + 2 * k, d_h))) for _ in range(3)]
-                 for _ in range(3)]
+            w = [ad.parameter(np.hstack([rng.standard_normal((3 + 2 * k, d_h))
+                                         for _ in range(3)])) for _ in range(3)]
             with ad.Tape() as tape:
-                out, alpha = attend_head(build_entity_matrix(hidden, batch, enc), *w, mode,
+                out, alpha = attend_head(build_entity_matrix(hidden, batch, enc), *w, 3, mode,
                                          batch.mask)
                 loss = weighted_sum(out, rng.standard_normal(out.data.shape))
             ad.backward(tape, loss)
-            grads = [p.grad for p in [hidden, *enc.parameters(), *w[0], *w[1], *w[2]]]
+            # each of the three heads' Q, K and V gradients apart
+            grads = [p.grad for p in [hidden, *enc.parameters()]] + [
+                head for p in w if p.grad is not None for head in np.hsplit(p.grad, 3)]
             return [out.data, alpha] + [x for x in grads if x is not None]
 
         shapes = [(1, 1), (2, 3), (3, 5), (5, 6), (8, 12)]
@@ -360,7 +368,7 @@ class TestAttendHead:
         rng = np.random.default_rng(4)
         w_q, w_k, w_v = self._params(rng, 4, 3)
         with pytest.raises(ContractError):
-            attend_head(ad.constant(rng.standard_normal((1, 4))), w_q, w_k, w_v, "learned",
+            attend_head(ad.constant(rng.standard_normal((1, 4))), w_q, w_k, w_v, 1, "learned",
                         np.ones((1, 0), bool))
 
 
@@ -479,9 +487,10 @@ class TestLayerForward:
                 z0 = np.concatenate([target, phi(0.0)])
                 heads = []
                 for hi in range(2):
-                    q = z0 @ lp.w_q[hi].data
-                    keys = np.stack(rows) @ lp.w_k[hi].data
-                    vals = np.stack(rows) @ lp.w_v[hi].data
+                    cols = slice(hi * dims.d_h, (hi + 1) * dims.d_h)  # head hi's columns
+                    q = z0 @ lp.w_q.data[:, cols]
+                    keys = np.stack(rows) @ lp.w_k.data[:, cols]
+                    vals = np.stack(rows) @ lp.w_v.data[:, cols]
                     scores = (keys @ q) / np.sqrt(dims.d_h)
                     e = np.exp(scores - scores.max())
                     alpha = e / e.sum()
@@ -595,9 +604,9 @@ class TestEmbedProperties:
         model = TgatModel.create(dims, layer_count=2, head_count=2, rng_seed=1, t_max=g.t_max)
         head_counts = []
 
-        def counting(z, w_q, *args):
-            head_counts.append(len(w_q))
-            return attend_head(z, w_q, *args)
+        def counting(z, w_q, w_k, w_v, h, *args):
+            head_counts.append(h)
+            return attend_head(z, w_q, w_k, w_v, h, *args)
 
         monkeypatch.setattr(layer_module, "attend_head", counting)
         embed_tensor(model, [3, 7, 42], [2.3, 3.6, 8.8], g, SamplingConfig(4, "uniform"))
@@ -877,4 +886,46 @@ class TestCheckpoint:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _golden_model():
+        """The model of ``golden_checkpoint.json``: L=2, H=2, d_e=2 and a
+        learnable positional table."""
+        dims = Dims(d0=3, d=4, d_t=4, d_h=3, d_f=5, d_e=2)
+        return TgatModel.create(dims, layer_count=2, head_count=2, attention_mode="positional",
+                                rng_seed=7, positional_learnable=True, max_positions=6)
+
+    def test_golden_checkpoint_bytes(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._golden_model(), path, extra={"note": 1})
+        assert path.read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+
+    def test_golden_checkpoint_load_then_save(self, tmp_path):
+        model, extra = load_checkpoint(GOLDEN_CHECKPOINT)
+        for a, b in zip(model.parameters(), self._golden_model().parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        save_checkpoint(model, tmp_path / "again.json", extra)
+        assert (tmp_path / "again.json").read_bytes() == GOLDEN_CHECKPOINT.read_bytes()
+
+    def test_unallocatable_dims_rejected(self, tmp_path):
+        # a (5, 10**13) weight matrix is 364 TiB, past the 47-bit address
+        # space: the request fails at once, and used to escape as a MemoryError
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._model(), path)
+        payload = json.loads(path.read_text())
+        payload["dims"]["d"] = 10**13
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="ckpt.json: malformed checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("stray", ["layers.0.heads.7.w_q", "layers.3.ffn.w0"])
+    def test_unknown_parameter_rejected(self, tmp_path, stray):
+        # a head or a layer the model does not have used to load, ignored
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._model(), path)
+        payload = json.loads(path.read_text())
+        payload["params"][stray] = [[0.0]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=re.escape(f"unknown parameters {stray}")):
             load_checkpoint(path)

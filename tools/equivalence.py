@@ -2,12 +2,13 @@
 
 For every configuration of the grid this computes:
 
-- the ``link_loss`` value of a fixed batch and the gradient of every parameter;
+- the ``link_loss`` value of a fixed batch and the gradient of every parameter,
+  a head's Q, K and V apart, under their checkpoint names;
 - ``embed`` at query counts that straddle the inference passes;
 - the scores of ``evaluate_links`` (through ``metrics``) and its AP;
 - the ``attention_report`` rows;
-- the final parameters and the ``history`` of a short ``train`` run per
-  graph, layer count and attention mode;
+- the final parameters, named as in a checkpoint, and the ``history`` of a
+  short ``train`` run per graph, layer count and attention mode;
 
 and writes each array's SHA-256 and largest magnitude to JSON, and the
 arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
@@ -104,8 +105,8 @@ def train_arrays(graph, split, layers: int, mode: str, learnable: bool):
         d_f=5, max_neighbors=5, positional_learnable=learnable,
         max_train_events_per_epoch=TRAIN_EVENTS, max_val_events=TRAIN_VAL_EVENTS)
     model, history = training.train(graph, split, config)
-    for name, p in layer._named_params(model).items():
-        yield f"train/param/{name}", p.data
+    for name, (p, cols) in layer._named_params(model).items():
+        yield f"train/param/{name}", p.data[..., cols]
     yield "train/history", np.array([(h.epoch, h.train_loss, h.val_ap, h.val_acc)
                                      for h in history]).reshape(-1, 4)
 
@@ -134,14 +135,14 @@ def grid_arrays(grid: dict):
             events = _events(graph, LOSS_EVENTS, rng)
             named = layer._named_params(model)
             for q in grid["negatives"]:
-                ad.zero_grads(list(named.values()))
+                ad.zero_grads(model.parameters())
                 with ad.Tape() as tape:
                     loss = training.link_loss(model, graph, events, sampling, q, rng_seed=5)
                 ad.backward(tape, loss)
                 yield f"{config}/Q{q}/loss", loss.data
-                for name, p in named.items():
+                for name, (p, cols) in named.items():  # a head's Q, K or V as its columns
                     yield f"{config}/Q{q}/grad/{name}", (np.zeros_like(p.data)
-                                                         if p.grad is None else p.grad)
+                                                         if p.grad is None else p.grad)[..., cols]
 
             for count in grid["embed_counts"]:
                 nodes, times = _queries(graph, count, rng)
