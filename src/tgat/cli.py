@@ -176,9 +176,8 @@ def cmd_eval(args) -> int:
     else:
         result = node_classify(model, graph, split, config=config,
                                rng_seed=config.rng_seed)
-    auc = "nan" if result.auc is None else repr(result.auc)
     print(f"split={args.split} task={args.task} acc={result.accuracy!r} "
-          f"ap={result.average_precision!r} auc={auc}")
+          f"ap={result.average_precision!r} auc={result.auc!r}")
     return 0
 
 

@@ -454,9 +454,15 @@ def _named_params(model: TgatModel) -> dict[str, tuple[Tensor, slice]]:
     return names
 
 
-def checkpoint_payload(model: TgatModel, extra: dict | None = None) -> dict:
+def save_checkpoint(model: TgatModel, path, extra: dict | None = None) -> None:
+    """Write a self-describing JSON checkpoint (dims, mode, named buffers).
+
+    Floats are serialized with shortest round-trip representation, so loading
+    restores parameters bit-exactly and identical models produce identical
+    bytes.
+    """
     pos = model.positional_encoder
-    return {
+    payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "dims": asdict(model.dims),
@@ -472,18 +478,19 @@ def checkpoint_payload(model: TgatModel, extra: dict | None = None) -> dict:
         "params": {name: t.data[..., cols].tolist()
                    for name, (t, cols) in _named_params(model).items()},
     }
-
-
-def save_checkpoint(model: TgatModel, path, extra: dict | None = None) -> None:
-    """Write a self-describing JSON checkpoint (dims, mode, named buffers).
-
-    Floats are serialized with shortest round-trip representation, so loading
-    restores parameters bit-exactly and identical models produce identical
-    bytes.
-    """
     with open(path, "w") as fh:
-        json.dump(checkpoint_payload(model, extra), fh, sort_keys=True)
+        json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
+
+
+def _stored_array(path, what: str, value, shape: tuple) -> np.ndarray:
+    """A stored array as float64, or CheckpointError unless finite and of exactly ``shape``."""
+    array = np.asarray(value, dtype=np.float64)
+    if array.shape != shape:
+        raise CheckpointError(f"{path}: {what} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise CheckpointError(f"{path}: {what} holds a non-finite value")
+    return array
 
 
 def load_checkpoint(path) -> tuple[TgatModel, dict]:
@@ -512,20 +519,16 @@ def load_checkpoint(path) -> tuple[TgatModel, dict]:
             max_positions=pos_info["max_positions"] if pos_info else 64,
         )
         if pos_info and not pos_info["learnable"]:
-            table = np.asarray(pos_info["table"], dtype=np.float64)
-            if not np.isfinite(table).all():
-                raise CheckpointError(f"{path}: positional table holds a non-finite value")
+            table = _stored_array(path, "positional table", pos_info["table"],
+                                  model.positional_encoder.table.data.shape)
             model.positional_encoder = PositionalEncoder(table, learnable=False)
         named = _named_params(model)
         unknown = sorted(set(params) - set(named))
         if unknown:
             raise CheckpointError(f"{path}: unknown parameters {', '.join(unknown)}")
         for name, (tensor, cols) in named.items():
-            block = tensor.data[..., cols]
-            stored = np.asarray(params[name], dtype=np.float64).reshape(block.shape)
-            if not np.isfinite(stored).all():
-                raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
-            block[...] = stored  # a view: writes the tensor's columns
+            block = tensor.data[..., cols]  # a view: the assignment writes the tensor's columns
+            block[...] = _stored_array(path, f"parameter {name}", params[name], block.shape)
     except (KeyError, TypeError, ValueError, ValidationError, MemoryError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from None
     return model, extra

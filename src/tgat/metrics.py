@@ -17,7 +17,7 @@ def binary_labels(labels) -> np.ndarray:
     """``labels`` as int64 classes; a label other than 0 and 1 raises
     EvaluationError instead of being scored as another class."""
     labels = np.asarray(labels)
-    other = labels[~np.isin(labels, (0, 1))]
+    other = labels[(labels != 0) & (labels != 1)]
     if other.size:
         raise EvaluationError(f"labels must be 0 or 1, got {other[0].item()!r}")
     return labels.astype(np.int64)
@@ -41,36 +41,16 @@ ACCURACY_THRESHOLD = 0.5
 
 
 def accuracy(labels, scores) -> float:
-    return _accuracy(*_check_inputs(labels, scores))
-
-
-def average_precision(labels, scores) -> float:
-    return _average_precision(*_check_inputs(labels, scores))
-
-
-def roc_auc(labels, scores) -> float:
-    return _roc_auc(*_check_inputs(labels, scores))
-
-
-def _accuracy_ap_auc(labels, scores) -> tuple[float, float, float]:
-    """``accuracy``, ``average_precision`` and ``roc_auc`` of one set of
-    labels and scores, which are checked once."""
     labels, scores = _check_inputs(labels, scores)
-    return (_accuracy(labels, scores), _average_precision(labels, scores),
-            _roc_auc(labels, scores))
-
-
-# the three metrics of checked inputs
-def _accuracy(labels: np.ndarray, scores: np.ndarray) -> float:
     return float(np.mean((scores > ACCURACY_THRESHOLD).astype(np.int64) == labels))
 
 
-def _average_precision(labels: np.ndarray, scores: np.ndarray) -> float:
+def average_precision(labels, scores) -> float:
+    labels, scores = _check_inputs(labels, scores)
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise EvaluationError("average precision undefined without positives")
-    order = np.lexsort((np.arange(labels.size), -scores))
-    hits = labels[order]
+    hits = labels[np.argsort(-scores, kind="stable")]  # ties in index order
     cum_pos = np.cumsum(hits)
     ranks = np.arange(1, labels.size + 1)
     return float((cum_pos[hits == 1] / ranks[hits == 1]).sum() / n_pos)
@@ -82,7 +62,8 @@ def _midranks(scores: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
-def _roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
+def roc_auc(labels, scores) -> float:
+    labels, scores = _check_inputs(labels, scores)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -68,14 +68,20 @@ class NeighborhoodBatch:
 
 def whole_numbers(values, what: str) -> np.ndarray:
     """``values`` (node ids or labels, named by ``what``) as int64; a value
-    that is not a whole number raises ValidationError instead of being
-    truncated to another id or class."""
+    that is not a whole number, or one outside int64, raises ValidationError
+    instead of being truncated or wrapped to another id or class."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        whole = arr.astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(whole) | (whole != np.trunc(whole)))
-        if bad.size:
-            raise ValidationError(f"{what} {arr.flat[bad[0]]} is not an integer")
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    whole = arr.astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(whole) | (whole != np.trunc(whole)))
+    if bad.size:
+        raise ValidationError(f"{what} {arr.flat[bad[0]]} is not an integer")
+    # uint64 compares as itself: float64 rounds 2**63 - 1 up to 2**63
+    bad = np.flatnonzero(arr > np.iinfo(np.int64).max if arr.dtype.kind == "u"
+                         else (whole < -2.0**63) | (whole >= 2.0**63))
+    if bad.size:
+        raise ValidationError(f"{what} {arr.flat[bad[0]]} is outside the int64 range")
     return arr.astype(np.int64, copy=False)
 
 

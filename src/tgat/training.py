@@ -38,6 +38,7 @@ from .temporal_graph import (
     check_value,
     checked,
     evaluation_event_indices,
+    sampling_key,
     seed_sequence,
     setting,
     training_event_indices,
@@ -90,8 +91,14 @@ class TrainConfig:
 class EvalMetrics:
     accuracy: float
     average_precision: float
-    auc: float | None
+    auc: float
     split_tag: str
+
+    @classmethod
+    def score(cls, labels, scores, split_tag: str) -> "EvalMetrics":
+        """Accuracy, AP and AUC, each called through the ``metrics`` module."""
+        return cls(metrics.accuracy(labels, scores), metrics.average_precision(labels, scores),
+                   metrics.roc_auc(labels, scores), split_tag)
 
 
 @dataclass
@@ -187,10 +194,14 @@ def link_loss(
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
     check_value(negatives_per_positive, int, "negatives_per_positive", Rule.AT_LEAST_1)
-    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
-           else np.random.default_rng(seed_sequence(rng_seed)))
+    if isinstance(rng_seed, np.random.Generator):
+        rng = key = rng_seed
+    else:  # one SeedSequence for the negatives and the key; a key passes as it is
+        seq = seed_sequence(rng_seed)
+        rng = np.random.default_rng(seq)
+        key = rng_seed if isinstance(rng_seed, np.uint64) else seq.generate_state(1, np.uint64)[0]
     scores = _link_scores(graph, idx, negatives_per_positive, rng, lambda nodes, times:
-                          embed_tensor(model, nodes, times, graph, sampling, rng_seed))
+                          embed_tensor(model, nodes, times, graph, sampling, key))
     sign = np.concatenate([np.ones(idx.size), -np.ones(idx.size * negatives_per_positive)])
     return ad.logistic_loss(scores, sign[:, None])
 
@@ -380,7 +391,7 @@ def evaluate_links(
     """
     if node_filter not in ("observed", "unseen"):
         raise ValidationError(f"node filter must be 'observed' or 'unseen', got {node_filter!r}")
-    seed_sequence(rng_seed)  # ValidationError for a seed that numpy rejects
+    seq = seed_sequence([rng_seed, 1001])  # seeds the negatives, then the samples
     config = config or TrainConfig()
     config.validate()
     check_value(max_events, int, "max_events", Rule.AT_LEAST_0)
@@ -394,11 +405,11 @@ def evaluate_links(
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
     sampling = config.sampling(training=False)
-    seed, p = [rng_seed, 1001], event_indices.size  # seeds the negatives, then the samples
-    s = _link_scores(graph, event_indices, 1, np.random.default_rng(seed), lambda nodes, times:
-                     ad.constant(embed(model, nodes, times, graph, sampling, seed))).data[:, 0]
+    key, p = seq.generate_state(1, np.uint64)[0], event_indices.size
+    s = _link_scores(graph, event_indices, 1, np.random.default_rng(seq), lambda nodes, times:
+                     ad.constant(embed(model, nodes, times, graph, sampling, key))).data[:, 0]
     scores = ad.sigmoid_values(np.column_stack([s[:p], s[p:]]).ravel())  # positive, negative
-    return EvalMetrics(*metrics._accuracy_ap_auc(np.tile([1, 0], p), scores), split_tag=mode)
+    return EvalMetrics.score(np.tile([1, 0], p), scores, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +511,7 @@ def node_classify(
             ]
         adam_step(params, grads, state, mlp_config.learning_rate)
 
-    return EvalMetrics(*metrics._accuracy_ap_auc(y_test, mlp.scores(x_test)),
-                       split_tag="transductive")
+    return EvalMetrics.score(y_test, mlp.scores(x_test), "transductive")
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +545,12 @@ def attention_report(
     idx = check_event_indices(graph, event_indices)
     nodes = np.column_stack([graph.sources[idx], graph.destinations[idx]]).ravel()
     times = np.repeat(graph.timestamps[idx], 2)
+    key = sampling_key([rng_seed, 4004])
     rows: list[AttentionRow] = []
     for s in embed_passes(nodes.size) if nodes.size else ():  # each pass at each offset
         for offset in target_time_offsets:
             hops = []
-            embed_tensor(model, nodes[s], times[s] + offset, graph, sampling, [rng_seed, 4004],
-                         hops)
+            embed_tensor(model, nodes[s], times[s] + offset, graph, sampling, key, hops)
             _, batch, weights = hops[-1]  # the top hop
             spans = np.repeat(batch.query_times, batch.sizes) - batch.times
             query = np.repeat(np.arange(batch.sizes.size), batch.sizes)

@@ -3,9 +3,10 @@
 The harness reads the package through names such as ``graph.events``,
 ``layer.temporal_neighborhood``, ``link_loss`` with a ``Generator`` seed and
 ``SamplingConfig``; a change that removes one of them fails here instead of
-in the next benchmark run. The hop spans and the set-up span must also keep
-firing: a refactor that stops calling a wrapped name leaves its per-layer
-metrics at zero without failing any check.
+in the next benchmark run. The hop spans, the set-up span and, where an
+evaluation runs, the metric span must also keep firing: a refactor that
+stops calling a wrapped name leaves its per-layer metrics at zero without
+failing any check.
 """
 
 import json
@@ -22,6 +23,8 @@ HOP_SPAN_CALLS = ("layer.build_entity_matrix.calls", "layer.attend_head.calls",
                   "time_encoding.encode_many.calls")
 # the set-up span of each workload: the store build, or its load from a file
 SETUP_SPAN = {"embed-l2": "temporal_graph.load_graph.s"}
+# the workloads whose evaluation scores through the wrapped metric functions
+SCORING = ("train-l1", "train-l2")
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -34,5 +37,6 @@ def test_traced_run_passes_every_check(workload):
     assert run.returncode == 0 and not failed, (failed, run.stderr[-2000:])
     metrics = json.loads(run.stdout.splitlines()[-1])["metrics"]
     spans = HOP_SPAN_CALLS + (SETUP_SPAN.get(workload, "temporal_graph.build.s"),)
+    spans += ("metrics.self_s",) if workload in SCORING else ()
     silent = [name for name in spans if not metrics[name]["value"] > 0]
     assert silent == [], silent

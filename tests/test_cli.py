@@ -374,11 +374,15 @@ class TestEvalAndEmbed:
 
     # a 10**13-wide layer escaped as a MemoryError traceback: its (8, 10**13)
     # weight matrix is past the 47-bit address space, so the request fails at
-    # once; a parameter the model does not have was ignored
+    # once; a parameter the model does not have was ignored, and a flattened
+    # one was reshaped
     @pytest.mark.parametrize("tamper, shown", [
         (lambda p: p["dims"].update(d=10**13), "malformed checkpoint"),
         (lambda p: p["params"].update({"layers.0.heads.7.w_q": [[0.0]]}),
-         "unknown parameters layers.0.heads.7.w_q")], ids=["huge_width", "stray_head"])
+         "unknown parameters layers.0.heads.7.w_q"),
+        (lambda p: p["params"].update({"layers.0.ffn.w0": sum(p["params"]["layers.0.ffn.w0"], [])}),
+         "parameter layers.0.ffn.w0 has shape")],
+        ids=["huge_width", "stray_head", "flat_weight"])
     def test_unrepresentable_model_exit_1(self, trained, capsys, tamper, shown):
         _, graph, ckpt = trained
         payload = json.loads(ckpt.read_text())

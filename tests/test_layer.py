@@ -919,6 +919,31 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="ckpt.json: malformed checkpoint"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name, reshape, shown", [
+        ("layers.0.ffn.w0", np.transpose, "(5, 9), expected (9, 5)"),
+        ("time_encoder.frequencies", np.ravel, "(2,), expected (1, 2)"),
+        ("layers.1.heads.0.w_k", lambda a: a[:, :2], "(10, 2), expected (10, 3)")],
+        ids=["transposed", "flattened", "narrowed"])
+    def test_misshapen_parameter_rejected(self, tmp_path, name, reshape, shown):
+        # a transposed or flattened array used to reshape into scrambled weights
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._model(), path)
+        payload = json.loads(path.read_text())
+        payload["params"][name] = reshape(np.array(payload["params"][name])).tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"ckpt.json: parameter {name} has shape {shown}")):
+            load_checkpoint(path)
+
+    def test_misshapen_fixed_positional_table_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        save_checkpoint(self._model("positional"), path)
+        payload = json.loads(path.read_text())
+        payload["positional"]["table"] = payload["positional"]["table"][:-1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=re.escape("positional table has shape (63, 4)")):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("stray", ["layers.0.heads.7.w_q", "layers.3.ffn.w0"])
     def test_unknown_parameter_rejected(self, tmp_path, stray):
         # a head or a layer the model does not have used to load, ignored

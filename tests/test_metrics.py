@@ -8,7 +8,6 @@ import pytest
 
 from tgat.errors import EvaluationError
 from tgat.metrics import (
-    _accuracy_ap_auc,
     _midranks,
     accuracy,
     average_precision,
@@ -146,31 +145,6 @@ class TestExhaustiveSmallCases:
             if 0 < sum(labels) < n:
                 np.testing.assert_allclose(roc_auc(labels, scores),
                                            auc_oracle(labels, scores), atol=1e-12)
-
-
-class TestCheckedOnce:
-    """``_accuracy_ap_auc`` checks its inputs once and returns the three
-    public metrics, bit for bit, and their errors."""
-
-    def test_same_values_as_the_public_metrics(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 7, 100):
-            labels = np.tile([1, 0], n)
-            scores = rng.choice([0.25, 0.5, 0.75, rng.random()], size=2 * n)
-            assert _accuracy_ap_auc(labels.tolist(), scores.tolist()) == (
-                accuracy(labels, scores), average_precision(labels, scores),
-                roc_auc(labels, scores))
-
-    @pytest.mark.parametrize("labels, scores, match", [
-        ([1, 0], [0.5, float("nan")], "scores contain NaN"),
-        ([1, 2], [0.5, 0.4], "labels must be 0 or 1, got 2"),
-        ([], [], "cannot score an empty set"),
-        ([0, 0], [0.5, 0.4], "average precision undefined without positives"),
-        ([1, 1], [0.5, 0.4], "AUC undefined for a single-class set"),
-    ])
-    def test_same_errors(self, labels, scores, match):
-        with pytest.raises(EvaluationError, match=match):
-            _accuracy_ap_auc(labels, scores)
 
 
 class TestNullModels:

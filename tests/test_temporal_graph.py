@@ -271,6 +271,19 @@ class TestGraphInvariants:
         g = build_graph([0, 1], [1, 2], [1.0, 2.0], labels=[1.0, -1.0])
         assert g.labels.tolist() == [1, -1] and g.labels.dtype == np.int64
 
+    def test_label_outside_int64_rejected(self):
+        # 2**64 - 1 used to wrap to -1 and be stored as "no label"
+        with pytest.raises(ValidationError, match="label 18446744073709551615 is outside"):
+            build_graph([0, 1], [1, 0], [1.0, 2.0], labels=np.array([0, 2**64 - 1], np.uint64))
+        g = build_graph([0, 1], [1, 0], [1.0, 2.0], labels=np.array([1, 0], np.uint64))
+        assert g.labels.tolist() == [1, 0] and g.labels.dtype == np.int64
+
+    def test_node_id_at_int64_max_not_rounded(self):
+        # through float64, 2**63 - 1 would round to 2**63 and be rejected
+        big = np.iinfo(np.int64).max
+        with pytest.raises(ValidationError, match=f"references node {big} without features"):
+            build_graph([0], np.array([big], np.uint64), [1.0], num_nodes=2)
+
     def test_label_below_minus_one_rejected(self):
         with pytest.raises(ValidationError, match="label -5 in event 1"):
             build_graph([0, 1, 2, 0], [1, 2, 0, 2], [1.0, 2.0, 3.0, 4.0], labels=[0, -5, 2, -1])
@@ -486,6 +499,12 @@ class TestSampleNeighborhoods:
             sample_neighborhoods(g, [1.7], [5.0], 3)
         whole = sample_neighborhoods(g, [1.0], [5.0], 3)
         assert whole.sizes.tolist() == [2]
+
+    def test_query_node_outside_int64_rejected(self):
+        # 1e20 used to become -9223372036854775808, with a RuntimeWarning
+        g = build_graph([0, 1], [1, 2], [1.0, 2.0])
+        with pytest.raises(ValidationError, match=r"node id 1e\+20 is outside the int64 range"):
+            sample_neighborhoods(g, [1e20], [5.0], 3)
 
     def random_graph(self, seed, tied=False):
         rng = np.random.default_rng(seed)
@@ -1055,6 +1074,17 @@ class TestSerialization:
         members[member] = np.full_like(members[member], np.nan)
         np.savez(path, **members)
         with pytest.raises(ValidationError, match="g.npz: feature 0 of .* is nan"):
+            load_graph(path)
+
+    def test_uint64_label_outside_int64_in_archive_rejected(self, tmp_path):
+        # 2**64 - 1 used to load as -1, which reads "no label"
+        path = tmp_path / "g.npz"
+        save_graph(build_graph([0, 1], [1, 0], [1.0, 2.0], labels=[0, 1]), path)
+        with np.load(path) as data:
+            members = dict(data)
+        members["labels"] = np.array([0, 2**64 - 1], np.uint64)
+        np.savez(path, **members)
+        with pytest.raises(ValidationError, match="g.npz: label 18446744073709551615 is outside"):
             load_graph(path)
 
     def test_non_finite_timestamp_in_archive_rejected(self, tmp_path):
