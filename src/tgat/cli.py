@@ -164,6 +164,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.task == "node" and (args.split, args.period, args.max_events) != (
+            "transductive", "test", 0):
+        raise ConfigError("--task node scores the transductive test period in full; "
+                          "it takes no --split inductive, --period val or --max-events")
     model, extra = load_checkpoint(args.checkpoint)
     config = _checkpoint_config(args.checkpoint, extra)
     graph = load_graph(args.graph)
@@ -176,7 +180,7 @@ def cmd_eval(args) -> int:
     else:
         result = node_classify(model, graph, split, config=config,
                                rng_seed=config.rng_seed)
-    print(f"split={args.split} task={args.task} acc={result.accuracy!r} "
+    print(f"split={result.split_tag} task={args.task} acc={result.accuracy!r} "
           f"ap={result.average_precision!r} auc={result.auc!r}")
     return 0
 

@@ -132,8 +132,9 @@ class TgatModel:
         check_value(attention_mode, str, "attention_mode", Rule.ATTENTION_MODE)
         if not layers:
             raise ValidationError("model needs at least one layer")
-        if attention_mode == "positional" and positional_encoder is None:
-            raise ValidationError("positional mode needs a positional encoder")
+        if (attention_mode == "positional") != (positional_encoder is not None):
+            raise ValidationError("positional mode needs a positional encoder, "
+                                  "and no other mode takes one")
         self.layers = list(layers)
         self.time_encoder = time_encoder
         self.dims = dims
@@ -352,7 +353,6 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
         return ad.constant(x0)
 
     layer = model.layers[level - 1]
-    positional = model.positional_encoder if model.attention_mode == "positional" else None
     batch = hop_neighborhoods(graph, nodes, times, sampling.max_neighbors, sampling.strategy,
                               key)
     hidden = _hidden_states(
@@ -360,7 +360,7 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
         np.concatenate([nodes, batch.peers]),
         np.concatenate([times, batch.times]),
         graph, sampling, key, attention)
-    z = build_entity_matrix(hidden, batch, model.time_encoder, positional)
+    z = build_entity_matrix(hidden, batch, model.time_encoder, model.positional_encoder)
     heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, layer.head_count,
                                  model.attention_mode, batch.mask)
     if attention is not None:
@@ -509,6 +509,9 @@ def load_checkpoint(path) -> tuple[TgatModel, dict]:
         dims = Dims(d0=d["d0"], d=d["d"], d_t=d["d_t"], d_h=d["d_h"], d_f=d["d_f"], d_e=d["d_e"])
         mode = payload["attention_mode"]
         pos_info = payload["positional"]
+        if bool(pos_info) != (mode == "positional"):
+            raise CheckpointError(f"{path}: attention_mode {mode!r} "
+                                  f"{'takes no' if pos_info else 'needs a'} positional block")
         params = dict(payload["params"])  # a list or a string raises here
         model = TgatModel.create(
             dims,

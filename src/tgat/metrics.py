@@ -19,7 +19,7 @@ def binary_labels(labels) -> np.ndarray:
     labels = np.asarray(labels)
     other = labels[(labels != 0) & (labels != 1)]
     if other.size:
-        raise EvaluationError(f"labels must be 0 or 1, got {other[0].item()!r}")
+        raise EvaluationError(f"labels must be 0 or 1, got {other.tolist()[0]!r}")
     return labels.astype(np.int64)
 
 

@@ -146,18 +146,17 @@ class SplitSpec:
     val_end: float
     unseen_nodes: frozenset[int] = frozenset()
 
-    def period_of(self, timestamp: float) -> str:
-        if timestamp <= self.train_end:
-            return "train"
-        if timestamp <= self.val_end:
-            return "val"
-        return "test"
-
-    def periods_of(self, timestamps: np.ndarray) -> np.ndarray:
-        """``period_of`` of each timestamp, as a string array."""
+    def in_period(self, timestamps, period: str) -> np.ndarray:
+        """Which of ``timestamps`` fall in ``period``, "train", "val" or "test".
+        A period runs from after the cut point before it through its own, so a
+        timestamp on a cut point belongs to the earlier period, and NaN to none."""
+        bounds = {"train": (-np.inf, self.train_end), "val": (self.train_end, self.val_end),
+                  "test": (self.val_end, np.inf)}
+        if period not in bounds:
+            raise ValidationError(f"period must be 'train', 'val' or 'test', got {period!r}")
+        after, through = bounds[period]
         timestamps = np.asarray(timestamps)
-        return np.where(timestamps <= self.train_end, "train",
-                        np.where(timestamps <= self.val_end, "val", "test"))
+        return (timestamps > after) & (timestamps <= through)
 
 
 def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -557,7 +556,7 @@ def _touches_unseen(g: TemporalGraph, split: SplitSpec) -> np.ndarray:
 
 def training_event_indices(g: TemporalGraph, split: SplitSpec) -> np.ndarray:
     """Indices of training-period events untouched by unseen nodes (chronological)."""
-    return np.flatnonzero((g.timestamps <= split.train_end) & ~_touches_unseen(g, split))
+    return np.flatnonzero(split.in_period(g.timestamps, "train") & ~_touches_unseen(g, split))
 
 
 def evaluation_event_indices(
@@ -572,10 +571,8 @@ def evaluation_event_indices(
         raise ValidationError(f"evaluation period must be 'val' or 'test', got {period!r}")
     if mode not in ("transductive", "inductive"):
         raise ValidationError(f"evaluation mode must be transductive or inductive, got {mode!r}")
-    ts = g.timestamps  # periods as in SplitSpec.period_of
-    in_period = ((ts > split.train_end) & (ts <= split.val_end) if period == "val"
-                 else ts > split.val_end)
-    return np.flatnonzero(in_period & (_touches_unseen(g, split) == (mode == "inductive")))
+    return np.flatnonzero(split.in_period(g.timestamps, period)
+                          & (_touches_unseen(g, split) == (mode == "inductive")))
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +703,11 @@ _GRAPH_MEMBERS = ("sources", "destinations", "timestamps", "labels", "edge_featu
 
 
 def save_graph(g: TemporalGraph, path) -> None:
-    """Serialize to an .npz archive (schema documented in the README)."""
-    np.savez(path, format_version=np.array([GRAPH_FORMAT_VERSION]),
-             **{name: getattr(g, name) for name in _GRAPH_MEMBERS})
+    """Serialize to an .npz archive (schema documented in the README) at
+    exactly ``path``: given a file object, ``np.savez`` adds no ``.npz`` suffix."""
+    with open(path, "wb") as fh:
+        np.savez(fh, format_version=np.array([GRAPH_FORMAT_VERSION]),
+                 **{name: getattr(g, name) for name in _GRAPH_MEMBERS})
 
 
 def load_graph(path) -> TemporalGraph:

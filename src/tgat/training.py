@@ -313,7 +313,6 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
         epoch_rng = np.random.default_rng([config.rng_seed, epoch])
         epoch_idx = _chronological_subsample(train_idx, config.max_train_events_per_epoch, epoch_rng)
         total_loss = 0.0
-        n_pos = 0
         for b_start in range(0, epoch_idx.size, config.batch_size):
             batch = epoch_idx[b_start : b_start + config.batch_size]
             ad.zero_grads(params)
@@ -328,9 +327,8 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
                     and np.isfinite(_flat([p.data for p in params])).all()):
                 raise TrainingError(f"non-finite loss or parameters at epoch {epoch}, "
                                     f"batch starting at {b_start}")
-            n_pos += batch.size
 
-        train_loss = total_loss / max(n_pos, 1)
+        train_loss = total_loss / epoch_idx.size
         if val_subsample.size > 0:
             val = evaluate_links(model, graph, split, period="val", node_filter="observed",
                                  config=config, rng_seed=config.rng_seed,
@@ -341,10 +339,7 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
         history.append(EpochStats(epoch=epoch, train_loss=train_loss,
                                   val_ap=val_ap, val_acc=val_acc))
 
-        if np.isnan(val_ap):
-            best_params = [p.data.copy() for p in params]
-            continue
-        if val_ap > best_ap:
+        if val_subsample.size == 0 or val_ap > best_ap:
             best_ap = val_ap
             best_params = [p.data.copy() for p in params]
             epochs_without_improvement = 0
@@ -397,10 +392,9 @@ def evaluate_links(
     check_value(max_events, int, "max_events", Rule.AT_LEAST_0)
     mode = "transductive" if node_filter == "observed" else "inductive"
     if event_indices is None:
-        event_indices = evaluation_event_indices(graph, split, period, mode)
-        if max_events:
-            event_indices = _chronological_subsample(
-                event_indices, max_events, np.random.default_rng([rng_seed, 555]))
+        event_indices = _chronological_subsample(
+            evaluation_event_indices(graph, split, period, mode), max_events,
+            np.random.default_rng([rng_seed, 555]))
     event_indices = check_event_indices(graph, event_indices)
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
@@ -470,13 +464,10 @@ def node_classify(
     labels = metrics.binary_labels(graph.labels[labeled])
     feats = embed(model, graph.sources[labeled], graph.timestamps[labeled], graph, sampling,
                   [rng_seed, 2002])
-    periods = split.periods_of(graph.timestamps[labeled])
-
-    def as_arrays(period: str) -> tuple[np.ndarray, np.ndarray]:
-        return feats[periods == period], labels[periods == period]
-
-    x_train, y_train = as_arrays("train")
-    x_test, y_test = as_arrays("test")
+    times = graph.timestamps[labeled]
+    in_train, in_test = split.in_period(times, "train"), split.in_period(times, "test")
+    x_train, y_train = feats[in_train], labels[in_train]
+    x_test, y_test = feats[in_test], labels[in_test]
     for name, y in (("training", y_train), ("test", y_test)):
         if y.size == 0 or len(np.unique(y)) < 2:
             raise EvaluationError(f"{name} period needs at least one label of each class")
@@ -501,15 +492,9 @@ def node_classify(
             # -log sigmoid(s) for positives, -log sigmoid(-s) for negatives
             loss = ad.logistic_loss(mlp.logits(ad.constant(x)), y_sign)
         ad.backward(tape, loss)
-        grads = [p.grad for p in params]
-        if mlp_config.l2 > 0:
-            weights = set(id(w) for w in mlp.weights)
-            grads = [
-                (np.zeros_like(p.data) if g is None else g)
-                + (2.0 * mlp_config.l2 * p.data if id(p) in weights else 0.0)
-                for p, g in zip(params, grads)
-            ]
-        adam_step(params, grads, state, mlp_config.learning_rate)
+        for w in mlp.weights:
+            w.grad = w.grad + 2.0 * mlp_config.l2 * w.data
+        adam_step(params, [p.grad for p in params], state, mlp_config.learning_rate)
 
     return EvalMetrics.score(y_test, mlp.scores(x_test), "transductive")
 

@@ -9,7 +9,8 @@ import pytest
 from tgat.cli import main, parse_train_config
 from tgat.errors import ConfigError
 from tgat.layer import load_checkpoint
-from tgat.temporal_graph import load_graph
+from tgat.synthetic import random_temporal_graph
+from tgat.temporal_graph import build_graph, load_graph, save_graph
 from tgat.training import TrainConfig
 
 CSV_TEXT = (
@@ -128,6 +129,15 @@ class TestIngest:
 
 
 class TestTrain:
+    def test_graph_path_without_npz_suffix(self, workspace, capsys):
+        # ingest used to write out.graph.npz, and train on out.graph exited 2
+        tmp_path, data, config, _ = workspace
+        graph = tmp_path / "out.graph"
+        assert main(["ingest", str(data), str(graph)]) == 0
+        assert graph.is_file()
+        assert main(["train", str(graph), str(config), str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("trained 2 epochs")
+
     def test_artifacts_written(self, workspace):
         tmp_path, _, config, graph = workspace
         outdir = tmp_path / "run"
@@ -246,6 +256,32 @@ class TestEvalAndEmbed:
         line = capsys.readouterr().out.strip()
         assert line.startswith("split=transductive task=link acc=")
         assert " ap=" in line and " auc=" in line
+
+    @pytest.fixture
+    def labelled(self, trained):
+        """A graph whose training and test periods hold labels of both
+        classes, with the trained model's two node and two edge features."""
+        tmp_path, _, ckpt = trained
+        g = random_temporal_graph(20, 200, node_feature_dim=2, edge_feature_dim=2, seed=0)
+        path = tmp_path / "labelled.npz"
+        save_graph(build_graph(g.sources, g.destinations, g.timestamps, g.edge_features,
+                               np.arange(200) % 2, g.node_features), path)
+        return path, ckpt
+
+    def test_node_task_prints_its_split(self, labelled, capsys):
+        graph, ckpt = labelled
+        assert main(["eval", str(ckpt), str(graph), "--task", "node"]) == 0
+        assert capsys.readouterr().out.startswith("split=transductive task=node acc=")
+
+    # node_classify uses none of these flags: they were ignored, and
+    # "split=inductive" was printed beside transductive numbers
+    @pytest.mark.parametrize("flag", [["--split", "inductive"], ["--period", "val"],
+                                      ["--max-events", "5"]])
+    def test_node_task_rejects_link_flags_exit_1(self, labelled, capsys, flag):
+        graph, ckpt = labelled
+        assert main(["eval", str(ckpt), str(graph), "--task", "node", *flag]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --task node") and flag[0] in err[0]
 
     def test_eval_negative_max_events_exit_1(self, trained, capsys):
         _, graph, ckpt = trained
@@ -374,15 +410,19 @@ class TestEvalAndEmbed:
 
     # a 10**13-wide layer escaped as a MemoryError traceback: its (8, 10**13)
     # weight matrix is past the 47-bit address space, so the request fails at
-    # once; a parameter the model does not have was ignored, and a flattened
-    # one was reshaped
+    # once; a parameter the model does not have was ignored, a flattened
+    # one was reshaped, and a positional block in learned mode raised a raw
+    # AttributeError
     @pytest.mark.parametrize("tamper, shown", [
         (lambda p: p["dims"].update(d=10**13), "malformed checkpoint"),
         (lambda p: p["params"].update({"layers.0.heads.7.w_q": [[0.0]]}),
          "unknown parameters layers.0.heads.7.w_q"),
         (lambda p: p["params"].update({"layers.0.ffn.w0": sum(p["params"]["layers.0.ffn.w0"], [])}),
-         "parameter layers.0.ffn.w0 has shape")],
-        ids=["huge_width", "stray_head", "flat_weight"])
+         "parameter layers.0.ffn.w0 has shape"),
+        (lambda p: p.update(positional={"learnable": False, "max_positions": 2,
+                                        "table": [[0.0] * 4] * 2}),
+         "attention_mode 'learned' takes no positional block")],
+        ids=["huge_width", "stray_head", "flat_weight", "positional_block"])
     def test_unrepresentable_model_exit_1(self, trained, capsys, tamper, shown):
         _, graph, ckpt = trained
         payload = json.loads(ckpt.read_text())

@@ -801,6 +801,16 @@ class TestPositionalMode:
         np.testing.assert_array_equal(embed(model, 0, 5.0, g1, MOST_RECENT),
                                       embed(model, 0, 50.0, g2, MOST_RECENT))
 
+    @pytest.mark.parametrize("mode", ["learned", "constant"])
+    def test_positional_encoder_outside_positional_mode_rejected(self, mode):
+        # such a model used to build, and its checkpoint failed to load with a
+        # raw AttributeError
+        model = TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0), layer_count=1,
+                                 head_count=1, attention_mode=mode, rng_seed=0)
+        with pytest.raises(ValidationError, match="no other mode takes one"):
+            TgatModel(model.layers, model.time_encoder, model.dims, mode,
+                      time_encoding.PositionalEncoder.fixed_sinusoidal(8, 4))
+
     def test_learnable_positional_mode(self):
         g = simple_graph()
         dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
@@ -855,6 +865,21 @@ class TestCheckpoint:
         payload["positional"]["table"][0][0] = float("nan")
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="positional table holds a non-finite value"):
+            load_checkpoint(path)
+
+    # a positional block in another mode raised a raw AttributeError; positional
+    # mode without one loaded a default 64-row table
+    @pytest.mark.parametrize("saved, mode, shown", [
+        ("positional", "learned", "attention_mode 'learned' takes no positional block"),
+        ("learned", "positional", "attention_mode 'positional' needs a positional block")],
+        ids=["block_outside_positional", "positional_without_block"])
+    def test_positional_block_disagreeing_with_mode_rejected(self, tmp_path, saved, mode, shown):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._model(saved), path)
+        payload = json.loads(path.read_text())
+        payload["attention_mode"] = mode
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=re.escape(f"ckpt.json: {shown}")):
             load_checkpoint(path)
 
     def test_malformed_checkpoint_rejected(self, tmp_path):

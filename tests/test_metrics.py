@@ -81,6 +81,12 @@ class TestHandCases:
         with pytest.raises(EvaluationError):
             average_precision([], [])
 
+    def test_object_label_named_in_the_error(self):
+        # the message called .item() on the label, which a None lacks, and
+        # raised a raw AttributeError
+        with pytest.raises(EvaluationError, match="labels must be 0 or 1, got None"):
+            accuracy([None, 1], [0.2, 0.8])
+
     # a sort places NaN above every finite score, so an unchecked NaN would
     # score as a perfect positive: this example used to give an AUC of 1.0
     NAN_LABELS, NAN_SCORES = [1, 0, 1, 0], [np.nan, 0.5, np.nan, 0.2]

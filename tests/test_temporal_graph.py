@@ -848,16 +848,16 @@ class TestChronologicalSplit:
         g = build_graph(rng.integers(0, 10, 60), rng.integers(10, 20, 60),
                         np.sort(rng.uniform(0, 10, 60)), num_nodes=20)
         split = chronological_split(g, 0.6, 0.2)
-        counts = {"train": 0, "val": 0, "test": 0}
-        for ev in g.events:
-            counts[split.period_of(ev.timestamp)] += 1
+        masks = {p: split.in_period(g.timestamps, p) for p in ("train", "val", "test")}
+        assert (sum(masks.values()) == 1).all()  # each event in exactly one period
+        counts = {p: int(mask.sum()) for p, mask in masks.items()}
         assert sum(counts.values()) == 60
         assert counts["train"] >= 36  # boundary ties go earlier
 
     def test_all_same_timestamp_goes_to_train(self):
         g = build_graph(np.zeros(10, dtype=int), np.arange(1, 11), np.full(10, 5.0))
         split = chronological_split(g, 0.70, 0.15)
-        assert all(split.period_of(ev.timestamp) == "train" for ev in g.events)
+        assert split.in_period(g.timestamps, "train").all()
 
     def test_approximate_fractions_on_stationary_stream(self):
         rng = np.random.default_rng(1)
@@ -868,16 +868,25 @@ class TestChronologicalSplit:
         frac_train = np.mean([ev.timestamp <= split.train_end for ev in g.events])
         assert abs(frac_train - 0.70) < 0.01
 
-    def test_periods_of_matches_period_of(self):
+    def test_in_period_at_the_cut_points(self):
         # at each cut point, one ulp either side of it, and at time 0
         split = SplitSpec(train_end=7.0, val_end=8.5)
         times = [0.0, 3.0, 10.0]
         for cut in (split.train_end, split.val_end):
             times += [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
-        periods = split.periods_of(np.array(times))
-        assert periods.tolist() == [split.period_of(t) for t in times]
+        masks = [split.in_period(np.array(times), p) for p in ("train", "val", "test")]
+        assert (sum(masks) == 1).all()  # each time in exactly one period
+        periods = np.select(masks, ["train", "val", "test"], "none")
         assert periods.tolist() == ["train", "train", "test", "train", "train", "val",
                                     "val", "val", "test"]
+
+    def test_in_period_unknown_name_and_nan(self):
+        split = SplitSpec(train_end=7.0, val_end=8.5)
+        with pytest.raises(ValidationError, match="period must be 'train', 'val' or 'test', "
+                                                  "got 'validation'"):
+            split.in_period(np.array([1.0]), "validation")
+        assert not any(split.in_period(np.array([np.nan]), p)[0]
+                       for p in ("train", "val", "test"))
 
     def test_too_few_events(self):
         g = build_graph([0, 1], [1, 0], [1.0, 2.0])
@@ -1028,6 +1037,14 @@ class TestSerialization:
         np.testing.assert_array_equal(g.node_features, g2.node_features)
         for name in ("labels", "indptr", "peers", "times", "event_idx", "row_key"):
             np.testing.assert_array_equal(getattr(g2, name), getattr(g, name))
+
+    def test_roundtrip_at_a_path_without_npz_suffix(self, tmp_path):
+        # np.savez added ".npz" to the name, so load_graph found no "g.graph"
+        g = ingest(three_row_rows(), feature_dim=2)
+        path = tmp_path / "g.graph"
+        save_graph(g, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["g.graph"]
+        np.testing.assert_array_equal(load_graph(path).timestamps, g.timestamps)
 
     def test_bytes_deterministic(self, tmp_path):
         g = ingest(three_row_rows(), feature_dim=2)

@@ -5,10 +5,14 @@ For every configuration of the grid this computes:
 - the ``link_loss`` value of a fixed batch and the gradient of every parameter,
   a head's Q, K and V apart, under their checkpoint names;
 - ``embed`` at query counts that straddle the inference passes;
-- the scores of ``evaluate_links`` (through ``metrics``) and its AP;
+- the scores of ``evaluate_links`` (through ``metrics``) and its AP, on the
+  transductive test events and on the inductive ones of a split that
+  withholds a fifth of the nodes;
 - the ``attention_report`` rows;
 - the final parameters, named as in a checkpoint, and the ``history`` of a
-  short ``train`` run per graph, layer count and attention mode;
+  short ``train`` run per graph, layer count and attention mode, and the
+  test scores and AUC of ``node_classify`` on that trained model at two L2
+  weights, 0 among them;
 
 and writes each array's SHA-256 and largest magnitude to JSON, and the
 arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
@@ -46,7 +50,7 @@ from tgat import autodiff as ad
 from tgat import layer, metrics, training
 from tgat.layer import Dims, SamplingConfig, TgatModel
 from tgat.synthetic import random_temporal_graph, recency_planted_graph, tiny_fixture_graph
-from tgat.temporal_graph import chronological_split
+from tgat.temporal_graph import build_graph, chronological_split, mask_unseen
 
 GRAPHS = {
     "tiny": tiny_fixture_graph,
@@ -63,12 +67,18 @@ NEGATIVES = (1, 3)
 EMBED_COUNTS = (1, 3, 127, 128, 129, 131, 132, 259, 260, 1000)
 LOSS_EVENTS = 6
 EVAL_EVENTS = 67  # 201 queries, two passes; not a multiple of the batch size, 32
+# cap on inductive test events: tiny's one event passes whole, the other graphs' are subsampled
+INDUCTIVE_EVENTS = 30
 REPORT_EVENTS = 70
 REPORT_OFFSETS = (0.0, 2.5)
 # neighborhood caps: a padded softmax row of 8 or more slots sums pairwise
 CAPS = (4, 10)
 # the short train() run: its epochs, positives per epoch and validation events
 TRAIN_EPOCHS, TRAIN_EVENTS, TRAIN_VAL_EVENTS = 2, 50, 10
+# node_classify runs on graphs whose test period holds labels of both classes;
+# tiny's holds one event
+LABELLED_GRAPHS = ("random-de2", "recency")
+NODE_L2 = (0.0, 0.001)
 
 REDUCED = {"graphs": ("tiny", "random-de2"), "layers": LAYERS, "modes": MODES[:3],
            "strategies": STRATEGIES, "heads": (2,), "caps": (4,), "negatives": (1,),
@@ -95,9 +105,38 @@ def _events(graph, count: int, rng: np.random.Generator) -> np.ndarray:
                               replace=False))
 
 
-def train_arrays(graph, split, layers: int, mode: str, learnable: bool):
+def with_labels(graph):
+    """``graph`` with a seeded label of 0 or 1 on about 30% of its events."""
+    labels = np.random.default_rng(13).choice([-1, 0, 1], size=graph.num_events,
+                                              p=[0.7, 0.15, 0.15])
+    return build_graph(graph.sources, graph.destinations, graph.timestamps,
+                       graph.edge_features, labels, graph.node_features)
+
+
+def scored(evaluate):
+    """``evaluate()``'s result and the scores it handed the metrics. The
+    scores reach the metrics' input check as they are, so they are recorded
+    there."""
+    seen = {}
+    original = metrics._check_inputs
+
+    def capture(labels, scores):
+        seen["scores"] = np.asarray(scores)
+        return original(labels, scores)
+
+    metrics._check_inputs = capture
+    try:
+        result = evaluate()
+    finally:
+        metrics._check_inputs = original
+    return result, seen["scores"]
+
+
+def train_arrays(graph, split, layers: int, mode: str, learnable: bool, labelled=None):
     """Yield ``(name, array)`` for the final parameters and the history of a
-    short ``train`` run: Adam and the negative draws show here."""
+    short ``train`` run: Adam and the negative draws show here. Given
+    ``graph`` with labels, ``labelled``, also yield ``node_classify``'s test
+    scores and AUC on the trained model, one MLP per weight of ``NODE_L2``."""
     config = training.TrainConfig(
         learning_rate=0.01, layers=layers, heads=2, neighborhood_dropout=0.2,
         negatives_per_positive=2, batch_size=16, max_epochs=TRAIN_EPOCHS, patience=5,
@@ -109,6 +148,11 @@ def train_arrays(graph, split, layers: int, mode: str, learnable: bool):
         yield f"train/param/{name}", p.data[..., cols]
     yield "train/history", np.array([(h.epoch, h.train_loss, h.val_ap, h.val_acc)
                                      for h in history]).reshape(-1, 4)
+    for l2 in NODE_L2 if labelled is not None else ():
+        result, scores = scored(lambda: training.node_classify(
+            model, labelled, split, training.MlpConfig(l2=l2), config, rng_seed=6))
+        yield f"train/node_classify/l2-{l2}/scores", scores
+        yield f"train/node_classify/l2-{l2}/auc", np.array([result.auc])
 
 
 def grid_arrays(grid: dict):
@@ -116,9 +160,11 @@ def grid_arrays(grid: dict):
     for graph_name in grid["graphs"]:
         graph = GRAPHS[graph_name]()
         split = chronological_split(graph, 0.7, 0.15)
+        unseen_split = mask_unseen(graph, split, 0.2, rng_seed=0)
+        labelled = with_labels(graph) if graph_name in LABELLED_GRAPHS else None
         for layers, (mode, learnable) in itertools.product(grid["layers"], grid["modes"]):
             config = f"{graph_name}/L{layers}/{mode}{'-learnable' if learnable else ''}"
-            for name, a in train_arrays(graph, split, layers, mode, learnable):
+            for name, a in train_arrays(graph, split, layers, mode, learnable, labelled):
                 yield f"{config}/{name}", a
         dims = Dims(d0=graph.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5,
                     d_e=graph.edge_feature_dim)
@@ -152,23 +198,16 @@ def grid_arrays(grid: dict):
             train_config = training.TrainConfig(
                 layers=layers, heads=heads, attention_mode=mode, sampling_strategy=strategy,
                 max_neighbors=cap, batch_size=32)
-            # the scores reach the metrics' input check as they are, so record them there
-            seen = {}
-            original = metrics._check_inputs
-
-            def capture(labels, scores):
-                seen["scores"] = np.asarray(scores)
-                return original(labels, scores)
-
-            metrics._check_inputs = capture
-            try:
-                result = training.evaluate_links(
-                    model, graph, split, period="test", config=train_config, rng_seed=2,
-                    event_indices=_events(graph, EVAL_EVENTS, rng))
-            finally:
-                metrics._check_inputs = original
-            yield f"{config}/evaluate_links/scores", seen["scores"]
+            result, scores = scored(lambda: training.evaluate_links(
+                model, graph, split, period="test", config=train_config, rng_seed=2,
+                event_indices=_events(graph, EVAL_EVENTS, rng)))
+            yield f"{config}/evaluate_links/scores", scores
             yield f"{config}/evaluate_links/ap", np.array([result.average_precision])
+            result, scores = scored(lambda: training.evaluate_links(
+                model, graph, unseen_split, period="test", node_filter="unseen",
+                config=train_config, rng_seed=2, max_events=INDUCTIVE_EVENTS))
+            yield f"{config}/evaluate_links/inductive/scores", scores
+            yield f"{config}/evaluate_links/inductive/ap", np.array([result.average_precision])
 
             rows = training.attention_report(model, graph, _events(graph, REPORT_EVENTS, rng),
                                              REPORT_OFFSETS, train_config, rng_seed=4)
