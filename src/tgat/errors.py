@@ -33,8 +33,8 @@ class ContractError(TgatError):
     """An operation was invoked outside its contract (non-scalar loss, empty batch, ...)."""
 
 
-class InferenceError(TgatError):
-    """A forward pass was requested for a node the graph knows nothing about."""
+class InferenceError(ValidationError):
+    """A query names a node the graph does not hold, or a model does not fit the graph."""
 
 
 class PositionLookupError(TgatError):

@@ -41,7 +41,6 @@ from .temporal_graph import (
     sampling_key,
     seed_sequence,
     setting,
-    whole_numbers,
 )
 # not called here: perfbench/spans.py times the sampler by wrapping this name
 from .temporal_graph import temporal_neighborhood  # noqa: F401
@@ -197,6 +196,7 @@ def build_entity_matrix(
     hidden: Tensor,
     batch: NeighborhoodBatch,
     enc: TimeEncoder,
+    phi0: np.ndarray,
     positional: PositionalEncoder | None = None,
 ) -> Tensor:
     """Entity-temporal rows of the B targets of ``batch`` and of their
@@ -207,19 +207,19 @@ def build_entity_matrix(
     result. Target row b is (hidden, zero edge block, phi(0)); sampled row
     B + j is (hidden, edge, phi(t - t_j)). The edge block is as wide as the
     batch's edge features. phi is encoded for the sampled timespans only;
-    the target rows take ``encode_values([0.0])``, phi(0) bit for bit
-    (cos 0 = 1, sin 0 = 0). In positional mode the time block is a rank
-    lookup instead: a target takes rank n, its n sampled rows ranks 0 to
-    n - 1, oldest first.
+    the target rows take ``phi0``, the ``enc.encode_values([0.0])`` that
+    ``embed_tensor`` computes once per call, signed zeros and all. In
+    positional mode the time block is a rank lookup instead, ``phi0`` unread:
+    a target takes rank n, its n sampled rows ranks 0 to n - 1, oldest first.
     """
     b, sizes = batch.mask.shape[0], batch.sizes
-    if b == 0 or hidden.data.shape[0] != b + sizes.sum():
+    if b == 0 or hidden.data.shape[0] != b + batch.times.size:
         raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
                             f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
     if positional is None:
-        time = enc.encode_many(np.repeat(batch.query_times, sizes) - batch.times)
+        time = enc.encode_many(batch.query_times.repeat(sizes) - batch.times)
     else:  # a sampled row's rank is its column in the mask
-        time = positional.lookup(np.concatenate([sizes, np.nonzero(batch.mask)[1]]))
+        time = positional.lookup(np.concatenate([sizes, batch.mask.nonzero()[1]]))
     first = hidden.data.shape[0] - time.data.shape[0]  # the first row of the time block
     width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[1]
     t0 = width + edge_dim
@@ -227,7 +227,7 @@ def build_entity_matrix(
     z[:, :width] = hidden.data
     z[:b, width:t0] = 0.0
     z[b:, width:t0] = batch.edge_features
-    z[:first, t0:] = enc.encode_values([0.0])
+    z[:first, t0:] = phi0
     z[first:, t0:] = time.data
 
     def pull(g: np.ndarray) -> None:
@@ -256,7 +256,7 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, h: int,
     """
     n_rows, d_in = z.data.shape
     b, n = mask.shape
-    slots = np.flatnonzero(mask)
+    slots = mask.ravel().nonzero()[0]
     if n < 1 or n_rows != b + slots.size:
         raise ContractError(f"attention needs B target rows, one row per sampled slot and "
                             f"at least one slot: {n_rows} rows for a {mask.shape} mask "
@@ -276,9 +276,10 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, h: int,
         query = (targets @ w_q.data).reshape(b, h, d_h).transpose(1, 0, 2)
         dots = np.matmul((kv[0] * query[:, :, None]).reshape(h, b * n, d_h), np.ones((d_h, 1)))
         scores = np.where(mask, scale * dots.reshape(h, b, n), -np.inf)
-        top = np.where(mask.any(axis=1, keepdims=True), scores.max(axis=2, keepdims=True), 0.0)
+        top = np.where(np.logical_or.reduce(mask, axis=1, keepdims=True),
+                       np.maximum.reduce(scores, axis=2, keepdims=True), 0.0)
         e = np.exp(scores - top)  # a live row sums to >= 1, an all-masked one to 0
-        alpha = e / np.maximum(e.sum(axis=2, keepdims=True), 1.0)
+        alpha = e / np.maximum(np.add.reduce(e, axis=2, keepdims=True), 1.0)
     else:
         alpha = np.tile(mask / np.maximum(mask.sum(axis=1, keepdims=True), 1), (h, 1, 1))
     heads = np.einsum("hbn,hbnd->bhd", alpha, kv[-1]).reshape(b, width)
@@ -335,7 +336,7 @@ def feed_forward(x: Tensor, x0: np.ndarray, weights: list[Tensor],
 
 def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
                    graph: TemporalGraph, sampling: SamplingConfig, key: np.uint64,
-                   attention: list | None) -> Tensor:
+                   phi0: np.ndarray, attention: list | None) -> Tensor:
     """(B, d) states of ``nodes`` at ``times`` after ``level`` layers.
 
     One hop at a time: one sampler call draws every target's neighborhood
@@ -359,8 +360,8 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
         model, level - 1,
         np.concatenate([nodes, batch.peers]),
         np.concatenate([times, batch.times]),
-        graph, sampling, key, attention)
-    z = build_entity_matrix(hidden, batch, model.time_encoder, model.positional_encoder)
+        graph, sampling, key, phi0, attention)
+    z = build_entity_matrix(hidden, batch, model.time_encoder, phi0, model.positional_encoder)
     heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, layer.head_count,
                                  model.attention_mode, batch.mask)
     if attention is not None:
@@ -386,20 +387,17 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
         raise InferenceError(
             f"model expects {dims.d0} node and {dims.d_e} edge features, graph has "
             f"{graph.node_feature_dim} node and {graph.edge_feature_dim} edge features")
-    nodes = np.atleast_1d(whole_numbers(node, "node id"))
-    unknown = nodes[(nodes < 0) | (nodes >= graph.num_nodes)]
-    if unknown.size:
-        raise InferenceError(f"node {unknown[0]} has no features in this graph")
     if model.attention_mode == "positional":
         # target row occupies rank N, so the sample must fit under the table
         sampling = replace(sampling, max_neighbors=min(
             sampling.max_neighbors, model.positional_encoder.max_positions - 1))
-    nodes, times = check_queries(graph, nodes, np.atleast_1d(t), sampling.max_neighbors,
-                                 sampling.strategy)
+    nodes, times = check_queries(graph, np.atleast_1d(node), np.atleast_1d(t),
+                                 sampling.max_neighbors, sampling.strategy)
     if nodes.size == 0:
         return ad.constant(np.zeros((0, dims.d)))
     return _hidden_states(model, model.layer_count, nodes, times, graph, sampling,
-                          sampling_key(rng_seed), attention)
+                          sampling_key(rng_seed), model.time_encoder.encode_values([0.0]),
+                          attention)
 
 
 EMBED_CHUNK = 128  # queries per inference pass, which holds their L-hop neighborhoods
@@ -420,11 +418,11 @@ def embed(model: TgatModel, node, t, graph: TemporalGraph,
     through ``embed_tensor`` in the passes of ``embed_passes``, all sampled
     with one key, so memory is that of one pass, and so are the rows."""
     key = sampling_key(rng_seed)
-    nodes, times = np.atleast_1d(node), np.atleast_1d(t)
-    aligned = nodes.ndim == 1 and nodes.shape == times.shape  # else embed_tensor rejects
-    passes = embed_passes(nodes.size) if aligned else [slice(None)]
+    nodes, times = np.asarray(node), np.asarray(t)
+    aligned = nodes.ndim == 1 and nodes.shape == times.shape  # else one call; [...] takes 0-d
+    passes = embed_passes(nodes.size) if aligned else [...]
     out = [embed_tensor(model, nodes[s], times[s], graph, sampling, key).data for s in passes]
-    return out[0][0].copy() if np.ndim(node) == 0 else np.concatenate(out)
+    return out[0][0].copy() if nodes.ndim == 0 else np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import (
+    InferenceError,
     IngestionError,
     MaskingError,
     SplitError,
@@ -146,6 +147,11 @@ class SplitSpec:
     val_end: float
     unseen_nodes: frozenset[int] = frozenset()
 
+    def __post_init__(self):
+        if not self.train_end <= self.val_end:  # so a NaN cut point fails too
+            raise ValidationError(f"train_end {self.train_end} must not exceed "
+                                  f"val_end {self.val_end}: the periods would overlap")
+
     def in_period(self, timestamps, period: str) -> np.ndarray:
         """Which of ``timestamps`` fall in ``period``, "train", "val" or "test".
         A period runs from after the cut point before it through its own, so a
@@ -163,11 +169,11 @@ def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
     """A stable argsort of non-negative ints below ``bound``: one stable
     argsort per 16-bit digit, lowest first. numpy radix-sorts ints of at
     most 16 bits and timsorts wider ones, several times slower."""
-    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    order = (keys & 0xFFFF).astype(np.uint16).argsort(kind="stable")
     shift = 16
     while (bound - 1) >> shift > 0:
         digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
+        order = order[digit.argsort(kind="stable")]
         shift += 16
     return order
 
@@ -355,17 +361,17 @@ def sampling_key(rng_seed) -> np.uint64:
 
 def check_queries(g: TemporalGraph, nodes, times, max_size: int,
                   strategy: str) -> tuple[np.ndarray, np.ndarray]:
-    """The node and time arrays of B neighborhood queries, or ValidationError."""
+    """The node and time arrays of B queries, or ValidationError (InferenceError: unknown node)."""
     nodes = whole_numbers(nodes, "node id")
     times = np.asarray(times, dtype=np.float64)
     if nodes.ndim != 1 or nodes.shape != times.shape:
         raise ValidationError(
             f"nodes and times must align, got shapes {nodes.shape} and {times.shape}")
-    bad = np.flatnonzero((nodes < 0) | (nodes >= g.num_nodes))
+    bad = (nodes.view(np.uint64) >= g.num_nodes).nonzero()[0]  # a negative id views as 2**63 up
     if bad.size:
-        raise ValidationError(f"node {nodes[bad[0]]} not in graph with {g.num_nodes} nodes")
+        raise InferenceError(f"node {nodes[bad[0]]} not in graph with {g.num_nodes} nodes")
     check_value(max_size, int, "max_size", Rule.AT_LEAST_1)
-    bad = np.flatnonzero(~((times >= 0) & (times < np.inf)))
+    bad = (~((times >= 0) & (times < np.inf))).nonzero()[0]
     if bad.size:
         raise ValidationError(
             f"query time must be finite and non-negative, got {times[bad[0]]}")
@@ -385,9 +391,9 @@ def check_event_indices(g: TemporalGraph, indices) -> np.ndarray:
     return idx
 
 
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(s) for s in (11, 27, 30, 31))
+# 0-d arrays rather than numpy scalars: a ufunc takes them up faster
+_MIX_1, _MIX_2, _SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (
+    np.array(c, dtype=np.uint64) for c in (0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 11, 27, 30, 31))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -446,38 +452,38 @@ def hop_neighborhoods(
     """
     # rows of v before t are those whose event index precedes the first event at t
     lo = g.indptr[nodes]
-    first = np.searchsorted(g.timestamps, times, side="left")
-    cut = np.searchsorted(g.row_key, nodes * g.num_events + first) - lo
+    end = g.row_key.searchsorted(nodes * g.num_events + g.timestamps.searchsorted(times))
+    cut = end - lo
     sizes = np.minimum(cut, max_size)
-    n = max(int(sizes.max(initial=0)), 1)
+    n = max(int(np.maximum.reduce(sizes, initial=0)), 1)
     col = np.arange(n)
-    rows = (lo + cut - sizes)[:, None] + col
-    drawn = np.flatnonzero((cut > max_size) & (strategy != "most-recent"))
+    rows = (end - sizes)[:, None] + col
+    drawn = ((cut > max_size) & (strategy != "most-recent")).nonzero()[0]
     if drawn.size:
         counts = cut[drawn]
-        starts = np.cumsum(counts) - counts
-        seg = np.repeat(np.arange(drawn.size), counts)
-        cand = lo[drawn][seg] + np.arange(seg.size) - starts[seg]  # in (query, time) order
+        starts = counts.cumsum() - counts
+        seg = np.arange(drawn.size).repeat(counts)
+        cand = (lo[drawn] - starts).repeat(counts) + np.arange(seg.size)  # in (query, time) order
         # node ids and event indices are non-negative: their bits are the uint64's
         query = _mix(_mix(key ^ nodes[drawn].view(np.uint64)) ^ times[drawn].view(np.uint64))
-        bits = _mix(query[seg] ^ g.event_idx[cand].view(np.uint64))
+        bits = _mix(query.repeat(counts) ^ g.event_idx[cand].view(np.uint64))
         # 53 random bits as a uniform in (0, 1), then its exponential
         keys = -np.log(((bits >> _SHIFT_11).astype(np.float64) + 0.5) * 2.0**-53)
         if strategy == "inverse-timespan":
-            keys *= times[drawn][seg] - g.times[cand] + INVERSE_TIMESPAN_JITTER
+            keys *= times[drawn].repeat(counts) - g.times[cand] + INVERSE_TIMESPAN_JITTER
         # by query, then by key; seg is sorted, so a query's max_size-th
         # smallest key, its cutoff, lands at position starts + max_size - 1
-        order = np.argsort(keys)
+        order = keys.argsort()
         order = order[_radix_order(seg[order], drawn.size)]
-        cutoff = np.repeat(keys[order[starts + (max_size - 1)]], counts)
+        cutoff = keys[order[starts + (max_size - 1)]].repeat(counts)
         # keep every key below the cutoff, then the first ties at it in
         # candidate order until the query holds max_size: the set a stable
         # sort keeps. Each query ties at least once, at its cutoff.
         keep = keys < cutoff
-        tied = np.flatnonzero(keys == cutoff)
+        tied = (keys == cutoff).nonzero()[0]
         tied_seg = seg[tied]
         room = max_size - np.add.reduceat(keep, starts, dtype=np.intp)
-        rank = np.arange(tied.size) - np.searchsorted(tied_seg, tied_seg)  # among its query's ties
+        rank = np.arange(tied.size) - tied_seg.searchsorted(tied_seg)  # among its query's ties
         keep[tied[rank < room[tied_seg]]] = True
         rows[drawn, :max_size] = cand[keep].reshape(drawn.size, max_size)
 

@@ -75,7 +75,8 @@ def raw_hidden(g, batch, nodes):
 
 def entity_matrix(g, nodes, times, enc, **kwargs):
     batch = sample_neighborhoods(g, nodes, times, 5)
-    return batch, build_entity_matrix(raw_hidden(g, batch, nodes), batch, enc, **kwargs)
+    return batch, build_entity_matrix(raw_hidden(g, batch, nodes), batch, enc,
+                                      enc.encode_values([0.0]), **kwargs)
 
 
 def block(z, batch, i):
@@ -98,11 +99,29 @@ class TestBuildEntityMatrix:
         _, z = entity_matrix(g, [0], [2.0], enc)  # one event before t=2
         assert z.data.shape == (2, 2 + 6)
 
-    def test_target_time_block_is_phi_zero(self):
-        g = simple_graph()
-        enc = TimeEncoder.create(4)
-        _, z = entity_matrix(g, [0], [2.0], enc)
-        np.testing.assert_array_equal(z.data[0, 2:], enc.encode_values([0.0])[0])
+    def test_target_time_block_is_phi_zero(self, monkeypatch):
+        # embed_tensor encodes phi(0) once for every hop; a negative frequency
+        # makes its sine a -0.0, which the bytes keep and == would not see
+        g = recency_planted_graph(60, 600, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
+        model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=0, t_max=g.t_max)
+        model.time_encoder = TimeEncoder([0.7, -1.3])
+        phi_zero = model.time_encoder.encode_values([0.0])
+        assert np.signbit(phi_zero).tolist() == [[False, False, False, True]]
+        blocks = []
+
+        def recording(hidden, batch, *args):
+            z = build_entity_matrix(hidden, batch, *args)
+            b, width = batch.sizes.size, hidden.data.shape[1]
+            blocks.append(z.data[:b, width:])  # d_e = 0: the time block
+            return z
+
+        monkeypatch.setattr(layer_module, "build_entity_matrix", recording)
+        embed_tensor(model, [3, 7], [20.5, 0.0], g, SamplingConfig(4, "uniform"))
+        # the inner hop's targets, the 2 queries and their samples, then the top hop's
+        assert blocks[0].shape[0] > 2 and blocks[1].shape == (2, 4)
+        for block in blocks:
+            assert block.tobytes() == np.repeat(phi_zero, block.shape[0], axis=0).tobytes()
 
     def test_neighbor_time_blocks_cross_checked(self):
         # neighbors at t in {1, 2, 4}, query at 5 -> offsets 4, 3, 1
@@ -148,10 +167,11 @@ class TestBuildEntityMatrix:
         enc = TimeEncoder.create(4)
         batch = sample_neighborhoods(g, [0], [2.0], 5)
         with pytest.raises(ContractError):
-            build_entity_matrix(ad.constant(np.zeros((3, 2))), batch, enc)
+            build_entity_matrix(ad.constant(np.zeros((3, 2))), batch, enc,
+                                enc.encode_values([0.0]))
         with pytest.raises(ContractError):
             build_entity_matrix(ad.constant(np.zeros((0, 2))),
-                                sample_neighborhoods(g, [], [], 5), enc)
+                                sample_neighborhoods(g, [], [], 5), enc, enc.encode_values([0.0]))
 
     def test_only_target_rows_hold_phi_zero(self):
         # target rows take phi(0) with the bits that encoding a zero timespan
@@ -282,7 +302,8 @@ class TestAttendHead:
              for _ in range(3)]  # Q, K and V, head by head
         g_out = rng.standard_normal((4, 2 * 2))
         with ad.Tape() as tape:
-            z = build_entity_matrix(hidden, batch, TimeEncoder.create(4))
+            enc = TimeEncoder.create(4)
+            z = build_entity_matrix(hidden, batch, enc, enc.encode_values([0.0]))
             out, _ = attend_head(z, *w, 2, mode, batch.mask)
             loss = weighted_sum(out, g_out)
         ad.backward(tape, loss)
@@ -343,8 +364,8 @@ class TestAttendHead:
             w = [ad.parameter(np.hstack([rng.standard_normal((3 + 2 * k, d_h))
                                          for _ in range(3)])) for _ in range(3)]
             with ad.Tape() as tape:
-                out, alpha = attend_head(build_entity_matrix(hidden, batch, enc), *w, 3, mode,
-                                         batch.mask)
+                z = build_entity_matrix(hidden, batch, enc, enc.encode_values([0.0]))
+                out, alpha = attend_head(z, *w, 3, mode, batch.mask)
                 loss = weighted_sum(out, rng.standard_normal(out.data.shape))
             ad.backward(tape, loss)
             # each of the three heads' Q, K and V gradients apart

@@ -10,6 +10,7 @@ import pytest
 
 from tgat import temporal_graph
 from tgat.errors import (
+    InferenceError,
     IngestionError,
     MaskingError,
     SplitError,
@@ -500,6 +501,12 @@ class TestSampleNeighborhoods:
         whole = sample_neighborhoods(g, [1.0], [5.0], 3)
         assert whole.sizes.tolist() == [2]
 
+    def test_unknown_query_node_rejected(self):
+        g = build_graph([0, 1], [1, 2], [1.0, 2.0])
+        for node in (3, -1):
+            with pytest.raises(InferenceError, match=f"node {node} not in graph with 3 nodes"):
+                sample_neighborhoods(g, [0, node], [5.0, 5.0], 3)
+
     def test_query_node_outside_int64_rejected(self):
         # 1e20 used to become -9223372036854775808, with a RuntimeWarning
         g = build_graph([0, 1], [1, 2], [1.0, 2.0])
@@ -887,6 +894,16 @@ class TestChronologicalSplit:
             split.in_period(np.array([1.0]), "validation")
         assert not any(split.in_period(np.array([np.nan]), p)[0]
                        for p in ("train", "val", "test"))
+
+    @pytest.mark.parametrize("train_end, val_end", [(5.0, 3.0), (np.nan, 3.0), (5.0, np.nan)])
+    def test_overlapping_or_nan_cut_points_rejected(self, train_end, val_end):
+        # with train_end 5 and val_end 3, a timestamp of 4 was both "train" and "test"
+        with pytest.raises(ValidationError, match="periods would overlap"):
+            SplitSpec(train_end=train_end, val_end=val_end)
+        split = SplitSpec(train_end=3.0, val_end=3.0)  # equal cut points: an empty val period
+        assert [split.in_period(np.array([3.0, 4.0]), p).tolist()
+                for p in ("train", "val", "test")] == [[True, False], [False, False],
+                                                       [False, True]]
 
     def test_too_few_events(self):
         g = build_graph([0, 1], [1, 0], [1.0, 2.0])

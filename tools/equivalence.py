@@ -5,6 +5,9 @@ For every configuration of the grid this computes:
 - the ``link_loss`` value of a fixed batch and the gradient of every parameter,
   a head's Q, K and V apart, under their checkpoint names;
 - ``embed`` at query counts that straddle the inference passes;
+- a stream of one-query ``embed`` calls, each with its own seed, at two
+  layers and inverse-timespan sampling: the call pattern of one embedding
+  served at a time;
 - the scores of ``evaluate_links`` (through ``metrics``) and its AP, on the
   transductive test events and on the inductive ones of a split that
   withholds a fifth of the nodes;
@@ -50,7 +53,8 @@ from tgat import autodiff as ad
 from tgat import layer, metrics, training
 from tgat.layer import Dims, SamplingConfig, TgatModel
 from tgat.synthetic import random_temporal_graph, recency_planted_graph, tiny_fixture_graph
-from tgat.temporal_graph import build_graph, chronological_split, mask_unseen
+from tgat.temporal_graph import (build_graph, chronological_split,
+                                 evaluation_event_indices, mask_unseen)
 
 GRAPHS = {
     "tiny": tiny_fixture_graph,
@@ -80,11 +84,17 @@ TRAIN_EPOCHS, TRAIN_EVENTS, TRAIN_VAL_EVENTS = 2, 50, 10
 LABELLED_GRAPHS = ("random-de2", "recency")
 NODE_L2 = (0.0, 0.001)
 
+# the embed stream's model: the dims of the acceptance suite's directional experiment
+STREAM_DIMS = {"d": 16, "d_t": 24, "d_h": 8, "d_f": 16}
+STREAM_LAYERS, STREAM_HEADS, STREAM_STRATEGY = 2, 2, "inverse-timespan"
+
 REDUCED = {"graphs": ("tiny", "random-de2"), "layers": LAYERS, "modes": MODES[:3],
            "strategies": STRATEGIES, "heads": (2,), "caps": (4,), "negatives": (1,),
-           "embed_counts": (1, 3, 131, 132)}
+           "embed_counts": (1, 3, 131, 132),
+           "stream": {"graphs": ("tiny", "random-de2"), "calls": 6, "cap": 4}}
 FULL = {"graphs": tuple(GRAPHS), "layers": LAYERS, "modes": MODES, "strategies": STRATEGIES,
-        "heads": HEADS, "caps": CAPS, "negatives": NEGATIVES, "embed_counts": EMBED_COUNTS}
+        "heads": HEADS, "caps": CAPS, "negatives": NEGATIVES, "embed_counts": EMBED_COUNTS,
+        "stream": {"graphs": ("recency",), "calls": 60, "cap": 20}}
 
 
 def fingerprint(a) -> dict:
@@ -155,11 +165,34 @@ def train_arrays(graph, split, layers: int, mode: str, learnable: bool, labelled
         yield f"train/node_classify/l2-{l2}/auc", np.array([result.auc])
 
 
+def stream_arrays(graph, split, calls: int, cap: int):
+    """Yield ``(name, array)`` for ``calls`` one-query ``embed`` calls, each
+    with its own seed: a test event's source, its destination and a seeded
+    other node, at the event's time, events in seeded order."""
+    dims = Dims(d0=graph.node_feature_dim, d_e=graph.edge_feature_dim, **STREAM_DIMS)
+    model = TgatModel.create(dims, STREAM_LAYERS, STREAM_HEADS, rng_seed=3,
+                             t_max=float(graph.timestamps.max()))
+    sampling = SamplingConfig(max_neighbors=cap, strategy=STREAM_STRATEGY)
+    rng = np.random.default_rng(17)
+    events = rng.permutation(evaluation_event_indices(graph, split, "test"))
+    queries = [(node, graph.timestamps[e]) for e in events[:(calls + 2) // 3]
+               for node in (graph.sources[e], graph.destinations[e],
+                            rng.integers(graph.num_nodes))][:calls]
+    config = f"L{STREAM_LAYERS}/learned/H{STREAM_HEADS}/{STREAM_STRATEGY}-{cap}/embed_stream"
+    for k, (node, t) in enumerate(queries):
+        yield f"{config}/{k}", layer.embed(model, node, t, graph, sampling,
+                                           rng_seed=int(rng.integers(2**31)))
+
+
 def grid_arrays(grid: dict):
     """Yield ``(name, array)`` for every output of every configuration."""
     for graph_name in grid["graphs"]:
         graph = GRAPHS[graph_name]()
         split = chronological_split(graph, 0.7, 0.15)
+        if graph_name in grid["stream"]["graphs"]:
+            for name, a in stream_arrays(graph, split, grid["stream"]["calls"],
+                                         grid["stream"]["cap"]):
+                yield f"{graph_name}/{name}", a
         unseen_split = mask_unseen(graph, split, 0.2, rng_seed=0)
         labelled = with_labels(graph) if graph_name in LABELLED_GRAPHS else None
         for layers, (mode, learnable) in itertools.product(grid["layers"], grid["modes"]):
