@@ -100,9 +100,7 @@ def parse_train_config(path) -> TrainConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         values[key] = _config_value(key, value.strip(), f"{path}:{lineno}", ConfigError)
-    config = TrainConfig(**values)
-    config.validate()
-    return config
+    return TrainConfig(**values)
 
 
 def _checkpoint_config(path, extra: dict) -> TrainConfig:
@@ -112,13 +110,11 @@ def _checkpoint_config(path, extra: dict) -> TrainConfig:
     where = f"{path}: train_config"
     if not isinstance(stored, dict):
         raise CheckpointError(f"{where} is not a key-value table")
-    config = TrainConfig(**{key: _config_value(key, str(value), where, CheckpointError)
-                            for key, value in stored.items()})
     try:
-        config.validate()
+        return TrainConfig(**{key: _config_value(key, str(value), where, CheckpointError)
+                              for key, value in stored.items()})
     except ValidationError as exc:
         raise CheckpointError(f"{where}: {exc}") from None
-    return config
 
 
 def _resolve_split(graph, config: TrainConfig):

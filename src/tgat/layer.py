@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class Dims:
     d_h: int = setting(Rule.AT_LEAST_1)
     d_f: int = setting(Rule.AT_LEAST_1)
     d_e: int = setting(Rule.AT_LEAST_0, 0)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,6 @@ class TgatModel:
         positional_learnable: bool = False,
         max_positions: int = 64,
     ) -> "TgatModel":
-        check_fields(dims)
         check_value(layer_count, int, "layer_count", Rule.AT_LEAST_1)
         check_value(head_count, int, "head_count", Rule.AT_LEAST_1)
         check_value(t_max, float, "t_max", Rule.NON_NEGATIVE_FINITE)
@@ -379,7 +381,8 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
     queries in one call equal each query embedded alone, up to float
     summation order. The model's raw node and edge feature widths must be
     the graph's, and the queries are validated here, once for all hops; no
-    queries give a (0, d) result. A list passed as ``attention`` receives
+    queries give a (0, d) result. In positional mode the cap must be below
+    the table's ``max_positions``. A list passed as ``attention`` receives
     each hop's ``(level, NeighborhoodBatch, (H, B, N) weights)``.
     """
     dims = model.dims
@@ -387,12 +390,12 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
         raise InferenceError(
             f"model expects {dims.d0} node and {dims.d_e} edge features, graph has "
             f"{graph.node_feature_dim} node and {graph.edge_feature_dim} edge features")
-    if model.attention_mode == "positional":
-        # target row occupies rank N, so the sample must fit under the table
-        sampling = replace(sampling, max_neighbors=min(
-            sampling.max_neighbors, model.positional_encoder.max_positions - 1))
     nodes, times = check_queries(graph, np.atleast_1d(node), np.atleast_1d(t),
                                  sampling.max_neighbors, sampling.strategy)
+    cap, pos = sampling.max_neighbors, model.positional_encoder
+    if pos is not None and cap >= pos.max_positions:  # the target row takes rank N
+        raise ValidationError(f"max_neighbors {cap} needs a positional table of at least "
+                              f"{cap + 1} rows, the model's has {pos.max_positions}")
     if nodes.size == 0:
         return ad.constant(np.zeros((0, dims.d)))
     return _hidden_states(model, model.layer_count, nodes, times, graph, sampling,

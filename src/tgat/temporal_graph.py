@@ -148,6 +148,8 @@ class SplitSpec:
     unseen_nodes: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        check_value(self.train_end, float, "train_end")
+        check_value(self.val_end, float, "val_end")
         if not self.train_end <= self.val_end:  # so a NaN cut point fails too
             raise ValidationError(f"train_end {self.train_end} must not exceed "
                                   f"val_end {self.val_end}: the periods would overlap")
@@ -602,6 +604,9 @@ def build_graph(
     missing node features are zero vectors for ``num_nodes`` nodes (default:
     one past the largest node id).
     """
+    if num_nodes is not None:
+        check_value(num_nodes, int, "num_nodes", Rule.AT_LEAST_0)
+    check_value(node_feature_dim, int, "node_feature_dim", Rule.AT_LEAST_0)
     n_events = np.size(timestamps)
     if edge_features is None:
         edge_features = np.zeros((n_events, 0))
@@ -632,9 +637,9 @@ def ingest(
     that ``load_graph_csv`` reads before the rows.
     """
     check_value(time_divisor, float, "time_divisor", Rule.POSITIVE_FINITE)
-    for name, dim in (("feature_dim", feature_dim), ("node_feature_dim", node_feature_dim)):
-        if dim is not None and dim < 0:
-            raise ValidationError(f"{name} must be >= 0, got {dim}")
+    check_value(feature_dim, int, "feature_dim", Rule.AT_LEAST_0)
+    if node_feature_dim is not None:
+        check_value(node_feature_dim, int, "node_feature_dim", Rule.AT_LEAST_0)
     expected_cols = 4 + feature_dim
     node_of_key: dict[tuple[str, str], int] = {}
 

@@ -46,8 +46,10 @@ from .temporal_graph import (
 
 
 @checked
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Settings of a run, checked when built; change one with ``dataclasses.replace``."""
+
     learning_rate: float = setting(Rule.POSITIVE_FINITE, 0.001)
     layers: int = setting(Rule.AT_LEAST_1, 2)
     heads: int = setting(Rule.AT_LEAST_1, 2)
@@ -72,7 +74,7 @@ class TrainConfig:
     max_train_events_per_epoch: int = setting(Rule.AT_LEAST_0, 0)  # 0 = no cap
     max_val_events: int = setting(Rule.AT_LEAST_0, 0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_fields(self)
         if not self.train_frac + self.val_frac < 1:
             raise ValidationError(f"train_frac + val_frac must be < 1, "
@@ -291,7 +293,6 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
     final epoch's parameters are kept. A non-finite batch loss or parameter
     raises TrainingError rather than returning a diverged model.
     """
-    config.validate()
     train_idx = training_event_indices(graph, split)
     if train_idx.size == 0:
         raise ContractError("training period contains no usable events")
@@ -388,7 +389,6 @@ def evaluate_links(
         raise ValidationError(f"node filter must be 'observed' or 'unseen', got {node_filter!r}")
     seq = seed_sequence([rng_seed, 1001])  # seeds the negatives, then the samples
     config = config or TrainConfig()
-    config.validate()
     check_value(max_events, int, "max_events", Rule.AT_LEAST_0)
     mode = "transductive" if node_filter == "observed" else "inductive"
     if event_indices is None:
@@ -412,13 +412,16 @@ def evaluate_links(
 
 
 @checked
-@dataclass
+@dataclass(frozen=True)
 class MlpConfig:
     epochs: int = setting(Rule.AT_LEAST_0, 60)
     batch_size: int = setting(Rule.AT_LEAST_1, 64)
     learning_rate: float = setting(Rule.POSITIVE_FINITE, 1e-3)
     l2: float = setting(Rule.NON_NEGATIVE_FINITE, 0.001)  # grid: {0.001, 0.01, 0.05, 0.1, 0.2}
     rng_seed: int = setting(Rule.AT_LEAST_0, 0)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 class _Mlp:
@@ -455,9 +458,7 @@ def node_classify(
     because state labels are heavily imbalanced.
     """
     mlp_config = mlp_config or MlpConfig()
-    check_fields(mlp_config)
     config = config or TrainConfig()
-    config.validate()
     sampling = config.sampling(training=False)
 
     labeled = np.flatnonzero(graph.labels >= 0)
@@ -525,7 +526,6 @@ def attention_report(
     neighbor, its weight averaged over heads, its count the number of times
     its peer occurs in the same neighborhood."""
     config = config or TrainConfig()
-    config.validate()
     sampling = config.sampling(training=False)
     idx = check_event_indices(graph, event_indices)
     nodes = np.column_stack([graph.sources[idx], graph.destinations[idx]]).ravel()

@@ -832,6 +832,20 @@ class TestPositionalMode:
             TgatModel(model.layers, model.time_encoder, model.dims, mode,
                       time_encoding.PositionalEncoder.fixed_sinusoidal(8, 4))
 
+    def test_cap_must_fit_the_table(self):
+        # a 3-row table used to cut a cap of 5 to 2 without a word: node 2 of
+        # the tiny graph at t = 9 was embedded from 2 of its 4 neighbours
+        g = tiny_fixture_graph()
+        dims = Dims(d0=g.node_feature_dim, d=3, d_t=4, d_h=2, d_f=3, d_e=g.edge_feature_dim)
+        model = TgatModel.create(dims, layer_count=1, head_count=1,
+                                 attention_mode="positional", max_positions=3)
+        with pytest.raises(ValidationError, match="^max_neighbors 5 needs a positional table "
+                                                  "of at least 6 rows, the model's has 3$"):
+            embed_tensor(model, 2, 9.0, g, SamplingConfig(5, "most-recent"))
+        hops = []
+        embed_tensor(model, 2, 9.0, g, SamplingConfig(2, "most-recent"), attention=hops)
+        assert hops[0][1].sizes.tolist() == [2]
+
     def test_learnable_positional_mode(self):
         g = simple_graph()
         dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)

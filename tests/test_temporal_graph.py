@@ -222,6 +222,14 @@ class TestIngest:
         g = ingest(rows, feature_dim=0)
         assert g.num_nodes == 2
 
+    # 2.5 used to ask for 6.5 columns, and 1.5 to raise a raw TypeError
+    @pytest.mark.parametrize("dims, shown", [
+        ((2.5, None), "feature_dim must be an integer, got 2.5"),
+        ((2, 1.5), "node_feature_dim must be an integer, got 1.5")])
+    def test_bad_size_arguments_rejected(self, dims, shown):
+        with pytest.raises(ValidationError, match=f"^{shown}$"):
+            ingest(three_row_rows(), *dims)
+
     def test_time_divisor(self):
         g = ingest(three_row_rows(), feature_dim=2, time_divisor=2.0)
         assert g.t_max == 1.5
@@ -249,6 +257,16 @@ class TestGraphInvariants:
         # the edge feature block needs exactly one row per event
         with pytest.raises(ValidationError):
             build_graph(events_src, events_dst, [1.0, 2.0], edge_features=np.zeros((3, 2)))
+
+    # each used to raise a raw TypeError or ValueError from numpy
+    @pytest.mark.parametrize("sizes, shown", [
+        ({"num_nodes": 2.5}, "num_nodes must be an integer, got 2.5"),
+        ({"num_nodes": -1}, "num_nodes must be >= 0, got -1"),
+        ({"node_feature_dim": -1}, "node_feature_dim must be >= 0, got -1"),
+        ({"node_feature_dim": 1.0}, "node_feature_dim must be an integer, got 1.0")])
+    def test_bad_size_arguments_rejected(self, sizes, shown):
+        with pytest.raises(ValidationError, match=f"^{shown}$"):
+            build_graph([0], [1], [1.0], **sizes)
 
     def test_event_node_needs_features(self):
         with pytest.raises(ValidationError):
@@ -904,6 +922,14 @@ class TestChronologicalSplit:
         assert [split.in_period(np.array([3.0, 4.0]), p).tolist()
                 for p in ("train", "val", "test")] == [[True, False], [False, False],
                                                        [False, True]]
+
+    @pytest.mark.parametrize("train_end, val_end, shown", [
+        (None, 3.0, "train_end must be a real number, got None"),  # used to raise a raw TypeError
+        ("1", "3", "train_end must be a real number, got '1'"),  # used to fail later in numpy
+        (1.0, True, "val_end must be a real number, got True")])
+    def test_cut_points_must_be_real_numbers(self, train_end, val_end, shown):
+        with pytest.raises(ValidationError, match=f"^{shown}$"):
+            SplitSpec(train_end=train_end, val_end=val_end)
 
     def test_too_few_events(self):
         g = build_graph([0, 1], [1, 0], [1.0, 2.0])

@@ -2,7 +2,7 @@
 (early stopping, determinism, split hygiene), evaluation, downstream
 classification, and the attention report."""
 
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -16,7 +16,6 @@ from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
 from tgat.temporal_graph import (
     AccessMonitor,
     build_graph,
-    check_fields,
     chronological_split,
     evaluation_event_indices,
 )
@@ -231,14 +230,18 @@ OUT_OF_RANGE = {int: [-1], float: [float("nan")], str: ["bogus"], bool: []}
                                     Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3)],
                          ids=["TrainConfig", "MlpConfig", "Dims"])
 def test_every_config_field_is_checked(config):
-    # a field added with a type the checker does not know, or a number or
-    # string field added without a rule, fails here
+    # a field added with a type the checker does not know, a number or string
+    # field added without a rule, or a settings class that is not frozen or
+    # not checked when built, fails here
+    first = fields(config)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, first, getattr(config, first))
     types = get_type_hints(type(config))
     for f in fields(config):
         kind = types[f.name]
         for value in [WRONG_TYPE[kind]] + OUT_OF_RANGE[kind]:
             with pytest.raises(ValidationError, match=f"^{f.name} must be"):
-                check_fields(replace(config, **{f.name: value}))
+                replace(config, **{f.name: value})
 
 
 class TestTrainLoop:
@@ -255,11 +258,11 @@ class TestTrainLoop:
         ("train_frac", 0.9)])  # with val_frac 0.15, no test period is left
     def test_config_value_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
     def test_zero_epochs_returns_initial_model(self):
         g, split, cfg = training_fixture()
-        cfg.max_epochs = 0
+        cfg = replace(cfg, max_epochs=0)
         model, history = train(g, split, cfg)
         reference = training.build_model(g, cfg)
         assert history == []
@@ -268,7 +271,7 @@ class TestTrainLoop:
 
     def test_patience_one_with_decreasing_val_stops_after_two_epochs(self, monkeypatch):
         g, split, cfg = training_fixture()
-        cfg.max_epochs, cfg.patience = 10, 1
+        cfg = replace(cfg, max_epochs=10, patience=1)
         scripted = iter([0.9, 0.8, 0.7, 0.6, 0.5])
 
         def fake_eval(model, graph, split, **kwargs):
@@ -281,7 +284,7 @@ class TestTrainLoop:
 
     def test_early_stop_restores_best_epoch_parameters(self, monkeypatch):
         g, split, cfg = training_fixture()
-        cfg.max_epochs, cfg.patience = 6, 2
+        cfg = replace(cfg, max_epochs=6, patience=2)
         scripted = [0.5, 0.9, 0.4, 0.3, 0.2, 0.1]
         snapshots = []
         calls = {"n": 0}
@@ -417,12 +420,12 @@ class TestEvaluateLinks:
         model = training.build_model(g, cfg)
         idx = evaluation_event_indices(g, split, "test", "transductive")[:30]
         for strategy in ("most-recent", "uniform"):
-            cfg.sampling_strategy = strategy
-            cfg.max_neighbors = 5 if strategy == "most-recent" else 2
+            cfg = replace(cfg, sampling_strategy=strategy,
+                          max_neighbors=5 if strategy == "most-recent" else 2)
             results = []
             for batch_size in (1, 7, 64):
-                cfg.batch_size = batch_size
-                results.append(evaluate_links(model, g, split, config=cfg, event_indices=idx))
+                results.append(evaluate_links(model, g, split, config=replace(
+                    cfg, batch_size=batch_size), event_indices=idx))
             for r in results[1:]:
                 assert r.average_precision == pytest.approx(results[0].average_precision,
                                                             abs=1e-12)
