@@ -8,9 +8,10 @@ accumulates gradients additively, so a tensor used twice receives the sum
 of both path gradients.
 
 Design choices: double precision everywhere (finite-difference checks need
-the headroom). The engine holds only the operators the losses and the
-learnable positional table need; the model's fused operators record their
-own rules through ``apply_op``.
+the headroom). The engine holds only the two operators the losses need,
+``pair_scores`` and ``logistic_loss``; the model's fused operators record
+their own rules through ``apply_op``, the learnable positional table's
+gradient among them.
 """
 
 from __future__ import annotations
@@ -40,19 +41,12 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def _accumulate(self, delta: np.ndarray) -> None:
         # never in place: a rule may hand one array to several inputs
         self.grad = delta if self.grad is None else self.grad + delta
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def parameter(data) -> Tensor:
@@ -121,12 +115,6 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require_2d(*tensors: Tensor) -> None:
-    for t in tensors:
-        if t.data.ndim != 2:
-            raise DimensionError(f"expected a matrix, got shape {t.data.shape}")
-
-
 def _row_index(a: Tensor, index) -> np.ndarray:
     index = np.asarray(index, dtype=np.intp)
     n_rows = a.data.shape[0]
@@ -135,29 +123,15 @@ def _row_index(a: Tensor, index) -> np.ndarray:
     return index
 
 
-def gather_rows(a: Tensor, index) -> Tensor:
-    """Rows of ``a`` picked by an integer index array (repeats allowed); the
-    backward pass scatter-adds each output row's gradient into its source row."""
-    _require_2d(a)
-    index = _row_index(a, index)
-
-    def pull(g: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        np.add.at(full, index, g)
-        a._accumulate(full)
-
-    return apply_op(a.data[index], (a,), pull)
-
-
 def pair_scores(h: Tensor, left, right) -> Tensor:
     """Inner products ``h[left[i]] . h[right[i]]`` as one (n, 1) column.
 
     The forward is ``(h[left] * h[right]) @ ones``; the backward scatter-adds
     into one gradient array, the ``right`` rows first, then the ``left``
-    rows, which for disjoint row sets gives the bits of two ``gather_rows``
-    pulls summed.
+    rows.
     """
-    _require_2d(h)
+    if h.data.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {h.data.shape}")
     left, right = _row_index(h, left), _row_index(h, right)
     if left.size != right.size:
         raise DimensionError(f"{left.size} left rows against {right.size} right rows")
@@ -198,18 +172,18 @@ def logistic_loss(scores: Tensor, sign) -> Tensor:
     return apply_op(np.array([[np.logaddexp(0.0, -signed).sum()]]), (scores,), pull)
 
 
-def sum_all(a: Tensor) -> Tensor:
+# ---------------------------------------------------------------------------
+# gradient checking
+# ---------------------------------------------------------------------------
+
+
+def _sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
 
     def pull(g: np.ndarray) -> None:
         a._accumulate(np.full(shape, g.flat[0]))
 
     return apply_op(np.array([[a.data.sum()]]), (a,), pull)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -231,7 +205,8 @@ def grad_check(
     """Compare analytic gradients of ``f`` against central finite differences.
 
     ``f`` must be deterministic given ``params`` and return a tensor; a
-    non-scalar output is reduced with ``sum_all`` before differentiation.
+    non-scalar output is reduced to the sum of its entries before
+    differentiation.
     Coordinates are subsampled per parameter when ``max_coords_per_param``
     is set; relative error uses ``|a - n| / max(|a| + |n|, 1e-6)``.
     """
@@ -239,7 +214,7 @@ def grad_check(
     zero_grads(params)
     with Tape() as tape:
         out = f()
-        loss = out if out.data.size == 1 else sum_all(out)
+        loss = out if out.data.size == 1 else _sum_all(out)
     backward(tape, loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 

@@ -220,23 +220,29 @@ def build_entity_matrix(
                             f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
     if positional is None:
         time = enc.encode_many(batch.query_times.repeat(sizes) - batch.times)
+        block = time.data
     else:  # a sampled row's rank is its column in the mask
-        time = positional.lookup(np.concatenate([sizes, batch.mask.nonzero()[1]]))
-    first = hidden.data.shape[0] - time.data.shape[0]  # the first row of the time block
+        ranks = np.concatenate([sizes, batch.mask.nonzero()[1]])
+        time, block = positional.table, positional.lookup(ranks)
+    first = hidden.data.shape[0] - block.shape[0]  # the first row of the time block
     width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[1]
     t0 = width + edge_dim
-    z = np.empty((hidden.data.shape[0], t0 + time.data.shape[1]))
+    z = np.empty((hidden.data.shape[0], t0 + block.shape[1]))
     z[:, :width] = hidden.data
     z[:b, width:t0] = 0.0
     z[b:, width:t0] = batch.edge_features
     z[:first, t0:] = phi0
-    z[first:, t0:] = time.data
+    z[first:, t0:] = block
 
     def pull(g: np.ndarray) -> None:
         if hidden.requires_grad:
             hidden._accumulate(g[:, :width])
-        if time.requires_grad:
+        if time.requires_grad and positional is None:
             time._accumulate(g[first:, t0:])
+        elif time.requires_grad:  # each row's gradient summed into its rank's table row
+            table_grad = np.zeros_like(time.data)
+            np.add.at(table_grad, ranks, g[first:, t0:])
+            time._accumulate(table_grad)
 
     return ad.apply_op(z, (hidden, time), pull)
 

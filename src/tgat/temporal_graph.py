@@ -68,13 +68,18 @@ class NeighborhoodBatch:
 
 
 def whole_numbers(values, what: str) -> np.ndarray:
-    """``values`` (node ids or labels, named by ``what``) as int64; a value
-    that is not a whole number, or one outside int64, raises ValidationError
-    instead of being truncated or wrapped to another id or class."""
+    """``values`` (node ids or labels, named by ``what``) as int64; text, a
+    value that is not a whole number, or one outside int64 raises
+    ValidationError instead of becoming another id or class."""
     arr = np.asarray(values)
     if arr.dtype.kind == "i":
         return arr.astype(np.int64, copy=False)
-    whole = arr.astype(np.float64)
+    try:  # text is no number, not even "1"
+        whole = None if arr.dtype.kind in "USV" else arr.astype(np.float64)
+    except (TypeError, ValueError):  # nor is an object that fails the cast
+        whole = None
+    if whole is None:
+        raise ValidationError(f"{what} values must be numbers, got {values!r:.60}")
     bad = np.flatnonzero(~np.isfinite(whole) | (whole != np.trunc(whole)))
     if bad.size:
         raise ValidationError(f"{what} {arr.flat[bad[0]]} is not an integer")
@@ -153,6 +158,8 @@ class SplitSpec:
         if not self.train_end <= self.val_end:  # so a NaN cut point fails too
             raise ValidationError(f"train_end {self.train_end} must not exceed "
                                   f"val_end {self.val_end}: the periods would overlap")
+        if (whole_numbers(list(self.unseen_nodes), "unseen node") < 0).any():
+            raise ValidationError(f"unseen node {min(self.unseen_nodes)} is negative")
 
     def in_period(self, timestamps, period: str) -> np.ndarray:
         """Which of ``timestamps`` fall in ``period``, "train", "val" or "test".
@@ -558,7 +565,9 @@ def mask_unseen(g: TemporalGraph, split: SplitSpec, fraction: float, rng_seed: i
 
 
 def _touches_unseen(g: TemporalGraph, split: SplitSpec) -> np.ndarray:
-    unseen = np.fromiter(split.unseen_nodes, dtype=np.int64, count=len(split.unseen_nodes))
+    unseen = whole_numbers(list(split.unseen_nodes), "unseen node")
+    if unseen.size and unseen.max() >= g.num_nodes:
+        raise ValidationError(f"unseen node {unseen.max()} not in graph with {g.num_nodes} nodes")
     return np.isin(g.sources, unseen) | np.isin(g.destinations, unseen)
 
 
@@ -596,17 +605,19 @@ def build_graph(
     labels=None,
     node_features=None,
     num_nodes: int | None = None,
-    node_feature_dim: int = 1,
+    node_feature_dim: int | None = None,
 ) -> TemporalGraph:
     """Assemble a graph from parallel arrays.
 
     Missing edge features give d_e = 0, missing labels read -1 (none), and
-    missing node features are zero vectors for ``num_nodes`` nodes (default:
-    one past the largest node id).
+    missing node features are zero vectors of width ``node_feature_dim``
+    (default 1) for ``num_nodes`` nodes (default: one past the largest node
+    id). A size passed with ``node_features`` must match their shape.
     """
-    if num_nodes is not None:
-        check_value(num_nodes, int, "num_nodes", Rule.AT_LEAST_0)
-    check_value(node_feature_dim, int, "node_feature_dim", Rule.AT_LEAST_0)
+    sizes = {"num_nodes": num_nodes, "node_feature_dim": node_feature_dim}
+    for name, size in sizes.items():
+        if size is not None:
+            check_value(size, int, name, Rule.AT_LEAST_0)
     n_events = np.size(timestamps)
     if edge_features is None:
         edge_features = np.zeros((n_events, 0))
@@ -615,7 +626,11 @@ def build_graph(
     if node_features is None:
         if num_nodes is None:
             num_nodes = int(max(np.max(sources, initial=-1), np.max(destinations, initial=-1))) + 1
-        node_features = np.zeros((num_nodes, node_feature_dim))
+        node_features = np.zeros((num_nodes, 1 if node_feature_dim is None else node_feature_dim))
+    shape = np.shape(node_features)
+    for (name, size), actual in zip(sizes.items(), shape):
+        if size not in (None, actual):
+            raise ValidationError(f"{name} {size} does not match node features of shape {shape}")
     return TemporalGraph(sources, destinations, timestamps, edge_features, labels,
                          node_features)
 

@@ -117,13 +117,13 @@ class PositionalEncoder:
     def parameters(self) -> list[Tensor]:
         return [self.table] if self.learnable else []
 
-    def lookup(self, ranks) -> Tensor:
-        """Position vectors of a rank or an array of ranks, one row each."""
+    def lookup(self, ranks) -> np.ndarray:
+        """Plain-numpy position vectors (no tape) of a rank or ranks, one row each."""
         ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
         bad = ranks[(ranks < 0) | (ranks >= self.max_positions)]
         if bad.size:
             raise PositionLookupError(f"rank {bad[0]} outside [0, {self.max_positions})")
-        return ad.gather_rows(self.table, ranks)
+        return self.table.data[ranks]
 
 
 # ---------------------------------------------------------------------------

@@ -241,13 +241,14 @@ def adam_step(
     grads: Sequence[np.ndarray | None],
     state: AdamState,
     lr: float,
-) -> None:
+) -> np.ndarray:
     """Standard Adam update with bias correction, one update over all
     parameters: the gradients (``None`` read as zeros) and the current
     ``p.data`` are concatenated in ``params`` order, updated elementwise, and
     sliced back into each ``p.data``. Elementwise arithmetic does not depend
     on shape, so no entry's bits depend on how the parameters are split into
-    arrays."""
+    arrays. Returns the updated flat vector, of which each ``p.data`` is a
+    view."""
     if len(params) != len(grads):
         raise ContractError("params and grads must align")
     for p, g in zip(params, grads):
@@ -272,6 +273,7 @@ def adam_step(
     for p, size in zip(params, sizes):
         p.data = data[offset:offset + size].reshape(p.data.shape)
         offset += size
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +324,9 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
                                  config.negatives_per_positive,
                                  [config.rng_seed, epoch, int(b_start)])
             ad.backward(tape, loss)
-            adam_step(params, [p.grad for p in params], state, config.learning_rate)
+            flat = adam_step(params, [p.grad for p in params], state, config.learning_rate)
             total_loss += float(loss.data[0, 0])
-            if not (np.isfinite(total_loss)
-                    and np.isfinite(_flat([p.data for p in params])).all()):
+            if not (np.isfinite(total_loss) and np.isfinite(flat).all()):
                 raise TrainingError(f"non-finite loss or parameters at epoch {epoch}, "
                                     f"batch starting at {b_start}")
 

@@ -39,7 +39,7 @@ def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def analytic_grad(build, param: ad.Tensor) -> np.ndarray:
     param.zero_grad()
     with ad.Tape() as tape:
-        loss = ad.sum_all(build())
+        loss = weighted_sum(build(), 1.0)
     ad.backward(tape, loss)
     return np.zeros_like(param.data) if param.grad is None else param.grad
 
@@ -56,8 +56,8 @@ def _rand(rng, *shape):
 
 
 def weighted_sum(a: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
-    """sum(a * weights) as one test-local operator, bit-equal to the
-    elementwise product with a constant followed by ``sum_all``."""
+    """sum(a * weights) as one test-local operator; a weight of 1.0 gives
+    the plain sum of every entry, bit for bit."""
     def pull(g):
         a._accumulate(np.full(a.data.shape, g.flat[0]) * weights)
 
@@ -74,7 +74,7 @@ def plus(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
 
 
 OPS = [
-    "gather_rows", "pair_scores", "logistic_loss", "sum_all",
+    "pair_scores", "logistic_loss",
     "attend_head", "attend_head_masked", "attend_head_constant",
     "feed_forward", "feed_forward_mlp", "build_entity_matrix",
     "build_entity_matrix_positional", "TimeEncoder.encode_many",
@@ -148,11 +148,6 @@ def hop_case(rng, mode: str, positional: bool = False, kind: str = "any"):
 def build_op_case(name: str, rng):
     """Random small-shaped invocation of one operator, returning (fn, params)."""
     m, n, k = (int(v) for v in rng.integers(1, 9, size=3))
-    if name == "gather_rows":
-        a = ad.parameter(_rand(rng, m, n))
-        index = rng.integers(0, m, size=k + m)  # repeats exercise the scatter-add
-        weights = _rand(rng, k + m, n)
-        return lambda: weighted_sum(ad.gather_rows(a, index), weights), [a]
     if name == "pair_scores":
         # m positives, each left row repeated for its Q = 3 negatives, as in the link loss
         h = ad.parameter(_rand(rng, 5 * m, n))
@@ -163,9 +158,6 @@ def build_op_case(name: str, rng):
         scores = ad.parameter(3.0 * _rand(rng, m, 1))
         sign = rng.choice([-1.0, 1.0], size=(m, 1))
         return lambda: ad.logistic_loss(scores, sign), [scores]
-    if name == "sum_all":
-        a = ad.parameter(_rand(rng, m, n))
-        return lambda: ad.sum_all(a), [a]
     if name == "feed_forward":
         # m targets, n head columns, k raw features; one-row b0 and b1 broadcast
         heads, x0 = ad.parameter(_rand(rng, m, n)), _rand(rng, m, k)
@@ -232,7 +224,8 @@ def test_every_operator_is_grad_checked():
     # a public function or method that records a backward rule needs a case in OPS
     recorded = {name for name, fn in _public_functions()
                 if name != "apply_op" and "apply_op(" in inspect.getsource(fn)}
-    assert {"gather_rows", "feed_forward", "TimeEncoder.encode_many"} <= recorded
+    assert {"pair_scores", "build_entity_matrix", "feed_forward",
+            "TimeEncoder.encode_many"} <= recorded
     assert recorded <= set(OPS), sorted(recorded - set(OPS))
 
 
@@ -265,13 +258,6 @@ class TestForwardValues:
         np.testing.assert_allclose(out[0, [0, 2]], attention_weights(scores[:1, [0, 2]])[0])
         np.testing.assert_allclose(out[1, :2], 0.5)
 
-    def test_gather_rows_scatter_adds_repeats(self):
-        a = ad.parameter(np.arange(6.0).reshape(3, 2))
-        with ad.Tape() as tape:
-            loss = ad.sum_all(ad.gather_rows(a, [2, 0, 2, 2]))
-        ad.backward(tape, loss)
-        np.testing.assert_array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
-
     @staticmethod
     def _relu_gradient(pre: np.ndarray) -> np.ndarray:
         """Gradient of sum(relu(pre)) through a two-layer feed_forward whose
@@ -281,7 +267,7 @@ class TestForwardValues:
         weights = [ad.constant(np.eye(width)), ad.constant(np.ones((width, 1)))]
         biases = [ad.constant(np.zeros((1, width))), ad.constant(np.zeros((1, 1)))]
         with ad.Tape() as tape:
-            loss = ad.sum_all(feed_forward(x, np.zeros((1, 0)), weights, biases))
+            loss = weighted_sum(feed_forward(x, np.zeros((1, 0)), weights, biases), 1.0)
         ad.backward(tape, loss)
         return x.grad
 
@@ -310,7 +296,7 @@ class TestBackwardSemantics:
     def test_sum_loss_gives_all_ones(self):
         x = ad.parameter(np.ones((3, 2)))
         with ad.Tape() as tape:
-            loss = ad.sum_all(x)
+            loss = weighted_sum(x, 1.0)
         ad.backward(tape, loss)
         np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
 
@@ -342,7 +328,7 @@ class TestBackwardSemantics:
         a = ad.parameter(np.ones((2, 3)))
         b = ad.parameter(np.ones((2, 3)))
         with ad.Tape() as tape:
-            loss = ad.sum_all(plus(plus(a, b), a))
+            loss = weighted_sum(plus(plus(a, b), a), 1.0)
         ad.backward(tape, loss)
         np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
         np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
@@ -363,13 +349,13 @@ class TestBackwardSemantics:
     def test_backward_requires_scalar(self):
         x = ad.parameter(np.ones((2, 2)))
         with ad.Tape() as tape:
-            y = ad.gather_rows(x, [0, 1])
+            y = plus(x, x)
         with pytest.raises(ContractError):
             ad.backward(tape, y)
 
     def test_no_recording_without_tape(self):
         x = ad.parameter(np.ones((2, 2)))
-        y = ad.gather_rows(x, [0, 1])
+        y = plus(x, x)
         assert y.requires_grad
         tape = ad.Tape()
         assert len(tape) == 0
@@ -387,16 +373,17 @@ class TestShapeErrors:
         with pytest.raises(DimensionError):
             ad.logistic_loss(ad.constant(np.ones((3, 1))), np.ones(3))  # would give (3, 3)
 
-    def test_gather_rows_bounds(self):
+    def test_pair_scores_row_bounds(self):
         for index in ([0, 2], [-1], [[0]]):
             with pytest.raises(DimensionError):
-                ad.gather_rows(ad.constant(np.ones((2, 2))), index)
+                ad.pair_scores(ad.constant(np.ones((2, 2))), index, index)
 
 
 class TestGradCheck:
     def test_identity_sum_passes(self):
+        # a non-scalar output: grad_check differentiates the sum of its entries
         x = ad.parameter(np.arange(6.0).reshape(2, 3))
-        report = ad.grad_check(lambda: ad.sum_all(x), [x])
+        report = ad.grad_check(lambda: x, [x])
         assert report.passed
         assert report.max_rel_error < 1e-8
 
@@ -413,7 +400,7 @@ class TestGradCheck:
 
     def test_coordinate_subsampling(self):
         x = ad.parameter(np.ones((8, 8)))
-        report = ad.grad_check(lambda: ad.sum_all(x), [x],
+        report = ad.grad_check(lambda: x, [x],
                                max_coords_per_param=10, rng_seed=3)
         assert report.checked_coords == 10
         assert report.passed

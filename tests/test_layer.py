@@ -53,8 +53,8 @@ GOLDEN_CHECKPOINT = Path(__file__).with_name("golden_checkpoint.json")
 
 
 def weighted_sum(a: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
-    """sum(a * weights) as one test-local operator, bit-equal to the
-    elementwise product with a constant followed by ``sum_all``."""
+    """sum(a * weights) as one test-local operator; a weight of 1.0 gives
+    the plain sum of every entry, bit for bit."""
     def pull(g):
         a._accumulate(np.full(a.data.shape, g.flat[0]) * weights)
 
@@ -161,6 +161,26 @@ class TestBuildEntityMatrix:
         # target rank n, then each target's neighbor ranks 0..n-1, oldest first
         np.testing.assert_array_equal(z.data[:, 5:], pos.table.data[[1, 3, 0, 0, 1, 2]])
         np.testing.assert_array_equal(block(z.data, batch, 1)[:, 5:], pos.table.data[[3, 0, 1, 2]])
+
+    def test_learnable_table_gradient_scatter_adds_repeated_ranks(self):
+        # each time-block row's gradient lands in the table row of its rank,
+        # repeats summed; a row that no rank reads takes exactly 0
+        g = tiny_fixture_graph()
+        pos = PositionalEncoder.learnable_table(8, 4, np.random.default_rng(1))
+        batch = sample_neighborhoods(g, [0, 2, 3, 2], [2.0, 8.0, 6.0, 9.0], 3)
+        ranks = np.concatenate([batch.sizes, batch.mask.nonzero()[1]])
+        assert np.bincount(ranks).max() > 1 and ranks.max() < 4
+        enc = TimeEncoder.create(4)
+        weights = np.random.default_rng(2).standard_normal((ranks.size, 3 + 2 + 4))
+        with ad.Tape() as tape:
+            z = build_entity_matrix(raw_hidden(g, batch, [0, 2, 3, 2]), batch, enc,
+                                    enc.encode_values([0.0]), pos)
+            loss = weighted_sum(z, weights)
+        ad.backward(tape, loss)
+        expected = np.zeros_like(pos.table.data)
+        np.add.at(expected, ranks, weights[:, 5:])
+        np.testing.assert_array_equal(pos.table.grad, expected)
+        assert (pos.table.grad[4:] == 0.0).all()
 
     def test_hidden_row_count_checked(self):
         g = simple_graph()

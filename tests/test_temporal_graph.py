@@ -3,6 +3,7 @@ causality-respecting sampling, splits, masking, negative sampling,
 instrumentation, and serialization."""
 
 import os
+import re
 import sys
 
 import numpy as np
@@ -268,6 +269,17 @@ class TestGraphInvariants:
         with pytest.raises(ValidationError, match=f"^{shown}$"):
             build_graph([0], [1], [1.0], **sizes)
 
+    @pytest.mark.parametrize("sizes, shown", [
+        ({"num_nodes": 5}, "num_nodes 5"),  # used to build a 3-node graph
+        ({"node_feature_dim": 7}, "node_feature_dim 7")])
+    def test_size_arguments_must_match_node_features(self, sizes, shown):
+        with pytest.raises(ValidationError,
+                           match=f"^{shown} does not match node features of shape \\(3, 1\\)$"):
+            build_graph([0], [1], [1.0], node_features=np.zeros((3, 1)), **sizes)
+        g = build_graph([0], [1], [1.0], node_features=np.zeros((3, 1)),
+                        num_nodes=3, node_feature_dim=1)
+        assert (g.num_nodes, g.node_feature_dim) == (3, 1)
+
     def test_event_node_needs_features(self):
         with pytest.raises(ValidationError):
             build_graph([0], [5], [1.0], node_features=np.zeros((2, 1)))
@@ -524,6 +536,16 @@ class TestSampleNeighborhoods:
         for node in (3, -1):
             with pytest.raises(InferenceError, match=f"node {node} not in graph with 3 nodes"):
                 sample_neighborhoods(g, [0, node], [5.0, 5.0], 3)
+
+    @pytest.mark.parametrize("nodes", [["a"], ["1"]])
+    def test_query_node_that_is_not_a_number_rejected(self, nodes):
+        # "a" used to raise numpy's raw ValueError; text is no node id, not even "1"
+        g = build_graph([0, 1], [1, 2], [1.0, 2.0])
+        shown = "^" + re.escape(f"node id values must be numbers, got {nodes!r}") + "$"
+        with pytest.raises(ValidationError, match=shown):
+            sample_neighborhoods(g, nodes, [5.0], 3)
+        with pytest.raises(ValidationError, match=shown):
+            temporal_graph.whole_numbers(nodes, "node id")
 
     def test_query_node_outside_int64_rejected(self):
         # 1e20 used to become -9223372036854775808, with a RuntimeWarning
@@ -930,6 +952,25 @@ class TestChronologicalSplit:
     def test_cut_points_must_be_real_numbers(self, train_end, val_end, shown):
         with pytest.raises(ValidationError, match=f"^{shown}$"):
             SplitSpec(train_end=train_end, val_end=val_end)
+
+    @pytest.mark.parametrize("unseen, shown", [
+        ({1.5}, "unseen node 1.5 is not an integer"),  # used to withhold node 1
+        ({-7}, "unseen node -7 is negative"),  # used to be accepted
+        ({"a"}, "unseen node values must be numbers, got \\['a'\\]")])  # a raw ValueError
+    def test_unseen_nodes_must_be_node_ids(self, unseen, shown):
+        with pytest.raises(ValidationError, match=f"^{shown}$"):
+            SplitSpec(train_end=2.0, val_end=3.0, unseen_nodes=frozenset(unseen))
+
+    def test_unseen_node_must_be_in_the_graph(self):
+        # node 99 of a 4-node graph used to be accepted without a word
+        g = build_graph([0, 1, 2, 3], [1, 2, 3, 0], [1.0, 2.0, 3.0, 4.0])
+        split = SplitSpec(train_end=2.0, val_end=3.0, unseen_nodes=frozenset({1, 99}))
+        with pytest.raises(ValidationError, match="^unseen node 99 not in graph with 4 nodes$"):
+            training_event_indices(g, split)
+        with pytest.raises(ValidationError, match="^unseen node 99 not in graph with 4 nodes$"):
+            evaluation_event_indices(g, split, "test", "inductive")
+        fine = SplitSpec(train_end=2.0, val_end=3.0, unseen_nodes=frozenset({3}))
+        assert training_event_indices(g, fine).tolist() == [0, 1]
 
     def test_too_few_events(self):
         g = build_graph([0, 1], [1, 0], [1.0, 2.0])

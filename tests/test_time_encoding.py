@@ -7,6 +7,9 @@ import pytest
 
 from tgat import autodiff as ad
 from tgat.errors import PositionLookupError, ValidationError
+from tgat.layer import build_entity_matrix
+from tgat.synthetic import tiny_fixture_graph
+from tgat.temporal_graph import sample_neighborhoods
 from tgat.time_encoding import (
     PositionalEncoder,
     TimeEncoder,
@@ -16,8 +19,8 @@ from tgat.time_encoding import (
 
 
 def weighted_sum(a: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
-    """sum(a * weights) as one test-local operator, bit-equal to the
-    elementwise product with a constant followed by ``sum_all``."""
+    """sum(a * weights) as one test-local operator; a weight of 1.0 gives
+    the plain sum of every entry, bit for bit."""
     def pull(g):
         a._accumulate(np.full(a.data.shape, g.flat[0]) * weights)
 
@@ -164,7 +167,7 @@ class TestConvergenceCheck:
 class TestPositionalEncoder:
     def test_fixed_sinusoidal_rank_zero(self):
         enc = PositionalEncoder.fixed_sinusoidal(10, 8)
-        row = enc.lookup(0).data[0]
+        row = enc.lookup(0)[0]
         np.testing.assert_allclose(row[0::2], 0.0, atol=1e-12)  # sin(0)
         np.testing.assert_allclose(row[1::2], 1.0, atol=1e-12)  # cos(0)
 
@@ -172,13 +175,13 @@ class TestPositionalEncoder:
         enc = PositionalEncoder.fixed_sinusoidal(5, 4)
         with ad.Tape() as tape:
             out = enc.lookup([0, 3])
-        assert not out.requires_grad and len(tape) == 0
-        np.testing.assert_array_equal(out.data, enc.table.data[[0, 3]])
+        assert isinstance(out, np.ndarray) and len(tape) == 0
+        np.testing.assert_array_equal(out, enc.table.data[[0, 3]])
 
     def test_learnable_lookup_stable_before_update(self):
         enc = PositionalEncoder.learnable_table(6, 4, np.random.default_rng(0))
-        a = enc.lookup(3).data.copy()
-        b = enc.lookup(3).data.copy()
+        a = enc.lookup(3).copy()
+        b = enc.lookup(3).copy()
         np.testing.assert_array_equal(a, b)
 
     def test_rank_out_of_range(self):
@@ -189,9 +192,19 @@ class TestPositionalEncoder:
             enc.lookup(-1)
 
     def test_learnable_rows_receive_gradient(self):
+        # node 0 of the tiny graph has two interactions before t = 5, so its
+        # target row reads rank 2 and its sampled rows ranks 0 and 1; the
+        # loss reads the target row's time block only
         enc = PositionalEncoder.learnable_table(4, 6, np.random.default_rng(2))
+        batch = sample_neighborhoods(tiny_fixture_graph(), [0], [5.0], 3)
+        assert batch.sizes.tolist() == [2]
+        hidden = ad.constant(np.zeros((3, 1)))
+        weights = np.zeros((3, 1 + 2 + 6))
+        weights[0, 3:] = 1.0
+        phi = TimeEncoder.create(6)  # unread in positional mode
         with ad.Tape() as tape:
-            loss = ad.sum_all(enc.lookup(2))
+            z = build_entity_matrix(hidden, batch, phi, phi.encode_values([0.0]), enc)
+            loss = weighted_sum(z, weights)
         ad.backward(tape, loss)
         grad = enc.table.grad
         np.testing.assert_array_equal(grad[2], np.ones(6))

@@ -114,6 +114,22 @@ class TestLinkLoss:
         with pytest.raises(ValidationError, match=match):
             link_loss(small_model(g), g, [4, 5], SAMPLING, q)
 
+    @pytest.mark.parametrize("mode, learnable, nodes", [
+        ("learned", False, 10), ("constant", False, 10),
+        ("positional", False, 7), ("positional", True, 8)])
+    def test_tape_nodes_per_mode(self, mode, learnable, nodes):
+        # two layers: per hop the time block (learned modes), the entity
+        # matrix, attention and the FFN, then the pair scores and the loss;
+        # a positional table records nothing of its own, and the inner
+        # entity matrix of a fixed table reads no parameter
+        g = tiny_fixture_graph()
+        dims = Dims(d0=g.node_feature_dim, d=4, d_t=4, d_h=3, d_f=5, d_e=g.edge_feature_dim)
+        model = TgatModel.create(dims, layer_count=2, head_count=1, attention_mode=mode,
+                                 positional_learnable=learnable, max_positions=8)
+        with ad.Tape() as tape:
+            link_loss(model, g, [4, 5], SAMPLING)
+        assert len(tape) == nodes
+
     def test_negative_never_equals_destination(self, monkeypatch):
         g = tiny_fixture_graph()
         model = small_model(g)
@@ -151,6 +167,13 @@ class TestAdam:
             grad = 2.0 * (w.data - 3.0)
             adam_step([w], [grad], state, lr=0.1)
         assert abs(w.data[0, 0] - 3.0) < 0.1
+
+    def test_returns_the_flat_vector_behind_every_parameter(self):
+        p, q = ad.parameter(np.ones((2, 3))), ad.parameter(np.zeros((1, 2)))
+        flat = adam_step([p, q], [np.ones((2, 3)), None], AdamState.create([p, q]), lr=0.1)
+        assert flat.shape == (8,)
+        assert np.shares_memory(flat, p.data) and np.shares_memory(flat, q.data)
+        np.testing.assert_array_equal(flat, np.concatenate([p.data.ravel(), q.data.ravel()]))
 
     def test_none_gradient_treated_as_zero(self):
         p = ad.parameter(np.array([[4.0]]))
@@ -362,9 +385,12 @@ class TestTrainLoop:
 
     def test_non_finite_parameter_stops_training(self, monkeypatch):
         g, split, cfg = training_fixture()
+        original = training.adam_step
 
         def poisoned_step(params, grads, state, lr):
-            params[0].data = np.full_like(params[0].data, np.inf)
+            flat = original(params, grads, state, lr)
+            flat[0] = np.inf  # the first parameter's first entry: p.data is a view
+            return flat
 
         monkeypatch.setattr(training, "adam_step", poisoned_step)
         with pytest.raises(TrainingError, match="epoch 1, batch starting at 0"):
