@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .errors import CheckpointError, ContractError, InferenceError, ValidationEr
 from .temporal_graph import (
     NeighborhoodBatch,
     Rule,
+    SamplingConfig,
     TemporalGraph,
-    check_fields,
     check_queries,
     check_value,
     checked,
@@ -48,7 +48,6 @@ from .time_encoding import PositionalEncoder, TimeEncoder
 
 
 @checked
-@dataclass(frozen=True)
 class Dims:
     """Dimension bundle: raw features d0, hidden d, time d_t, per-head d_h,
     FFN hidden d_f, edge features d_e."""
@@ -59,17 +58,6 @@ class Dims:
     d_h: int = setting(Rule.AT_LEAST_1)
     d_f: int = setting(Rule.AT_LEAST_1)
     d_e: int = setting(Rule.AT_LEAST_0, 0)
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Per-hop neighborhood cap and subsampling strategy, shared across layers."""
-
-    max_neighbors: int = 20
-    strategy: str = "most-recent"
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -396,8 +384,7 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
         raise InferenceError(
             f"model expects {dims.d0} node and {dims.d_e} edge features, graph has "
             f"{graph.node_feature_dim} node and {graph.edge_feature_dim} edge features")
-    nodes, times = check_queries(graph, np.atleast_1d(node), np.atleast_1d(t),
-                                 sampling.max_neighbors, sampling.strategy)
+    nodes, times = check_queries(graph, np.atleast_1d(node), np.atleast_1d(t))
     cap, pos = sampling.max_neighbors, model.positional_encoder
     if pos is not None and cap >= pos.max_positions:  # the target row takes rank N
         raise ValidationError(f"max_neighbors {cap} needs a positional table of at least "

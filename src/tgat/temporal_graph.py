@@ -67,28 +67,36 @@ class NeighborhoodBatch:
         return self.peers.size
 
 
-def whole_numbers(values, what: str) -> np.ndarray:
-    """``values`` (node ids or labels, named by ``what``) as int64; text, a
-    value that is not a whole number, or one outside int64 raises
-    ValidationError instead of becoming another id or class."""
+def whole_numbers(values, what: str, below: int | None = None,
+                  error: type[Exception] = ValidationError) -> np.ndarray:
+    """``values`` (node ids, labels or indices, named by ``what``) as int64.
+    Text, a boolean, a value that is not a whole number, or one outside
+    int64 raises ValidationError instead of becoming another id or class.
+    Given ``below``, a value outside [0, below) raises ``error``: one compare
+    on the uint64 view, where a negative value reads as 2**63 or more."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "i":
-        return arr.astype(np.int64, copy=False)
-    try:  # text is no number, not even "1"
-        whole = None if arr.dtype.kind in "USV" else arr.astype(np.float64)
-    except (TypeError, ValueError):  # nor is an object that fails the cast
-        whole = None
-    if whole is None:
-        raise ValidationError(f"{what} values must be numbers, got {values!r:.60}")
-    bad = np.flatnonzero(~np.isfinite(whole) | (whole != np.trunc(whole)))
-    if bad.size:
-        raise ValidationError(f"{what} {arr.flat[bad[0]]} is not an integer")
-    # uint64 compares as itself: float64 rounds 2**63 - 1 up to 2**63
-    bad = np.flatnonzero(arr > np.iinfo(np.int64).max if arr.dtype.kind == "u"
-                         else (whole < -2.0**63) | (whole >= 2.0**63))
-    if bad.size:
-        raise ValidationError(f"{what} {arr.flat[bad[0]]} is outside the int64 range")
-    return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind != "i":
+        try:  # text and booleans are no numbers, not even "1" or True
+            whole = None if arr.dtype.kind in "bUSV" else arr.astype(np.float64)
+        except (TypeError, ValueError):  # nor is an object that fails the cast
+            whole = None
+        if whole is None:
+            raise ValidationError(f"{what} values must be numbers, got {values!r:.60}")
+        bad = np.flatnonzero(~np.isfinite(whole) | (whole != np.trunc(whole)))
+        if bad.size:
+            raise ValidationError(f"{what} {arr.flat[bad[0]]} is not an integer")
+        # uint64 compares as itself: float64 rounds 2**63 - 1 up to 2**63
+        bad = np.flatnonzero(arr > np.iinfo(np.int64).max if arr.dtype.kind == "u"
+                             else (whole < -2.0**63) | (whole >= 2.0**63))
+        if bad.size:
+            raise ValidationError(f"{what} {arr.flat[bad[0]]} is outside the int64 range")
+    ids = arr.astype(np.int64, copy=False)
+    if below is not None:
+        bad = np.flatnonzero(ids.view(np.uint64) >= below)
+        if bad.size:
+            v = ids.flat[bad[0]]
+            raise error(f"{what} {v} is negative" if v < 0 else f"{what} {v} not in [0, {below})")
+    return ids
 
 
 class Rule(Enum):
@@ -128,9 +136,13 @@ def setting(rule: Rule, default=MISSING):
 
 
 def checked(cls):
-    """Class decorator for a dataclass of settings: resolves each field's
-    annotation once, at import, into ``cls.field_table``, the (name, type,
-    rule) rows that ``check_fields`` reads."""
+    """Class decorator for settings: makes ``cls`` a frozen dataclass whose
+    ``__post_init__`` is ``check_fields`` unless it defines its own, and
+    resolves each field's annotation once, at import, into
+    ``cls.field_table``, the (name, type, rule) rows that ``check_fields`` reads."""
+    if not hasattr(cls, "__post_init__"):
+        cls.__post_init__ = check_fields
+    cls = dataclass(frozen=True)(cls)
     types = get_type_hints(cls)
     cls.field_table = tuple((f.name, types[f.name], f.metadata.get("rule"))
                             for f in fields(cls))
@@ -158,8 +170,8 @@ class SplitSpec:
         if not self.train_end <= self.val_end:  # so a NaN cut point fails too
             raise ValidationError(f"train_end {self.train_end} must not exceed "
                                   f"val_end {self.val_end}: the periods would overlap")
-        if (whole_numbers(list(self.unseen_nodes), "unseen node") < 0).any():
-            raise ValidationError(f"unseen node {min(self.unseen_nodes)} is negative")
+        # any node id >= 0: the graph is not known here
+        whole_numbers(list(self.unseen_nodes), "unseen node", below=2**63)
 
     def in_period(self, timestamps, period: str) -> np.ndarray:
         """Which of ``timestamps`` fall in ``period``, "train", "val" or "test".
@@ -231,10 +243,8 @@ class TemporalGraph:
             if not np.isfinite(values).all():
                 row, col = np.argwhere(~np.isfinite(values))[0]
                 raise ValidationError(f"feature {col} of {owner} {row} is {values[row, col]}")
-        ends = np.concatenate([sources, destinations])
-        bad = np.flatnonzero((ends < 0) | (ends >= node_features.shape[0]))
-        if bad.size:
-            raise ValidationError(f"event references node {ends[bad[0]]} without features")
+        whole_numbers(np.concatenate([sources, destinations]), "node id",
+                      below=node_features.shape[0])  # a node with features
 
         order = np.argsort(timestamps, kind="stable")
         self.sources = sources[order]
@@ -368,36 +378,29 @@ def sampling_key(rng_seed) -> np.uint64:
     return seed_sequence(rng_seed).generate_state(1, np.uint64)[0]
 
 
-def check_queries(g: TemporalGraph, nodes, times, max_size: int,
-                  strategy: str) -> tuple[np.ndarray, np.ndarray]:
-    """The node and time arrays of B queries, or ValidationError (InferenceError: unknown node)."""
-    nodes = whole_numbers(nodes, "node id")
+@checked
+class SamplingConfig:
+    """Per-hop neighborhood cap and subsampling strategy, shared across layers."""
+
+    max_neighbors: int = setting(Rule.AT_LEAST_1, 20)
+    strategy: str = setting(Rule.STRATEGY, "most-recent")
+
+
+def check_queries(g: TemporalGraph, nodes, times) -> tuple[np.ndarray, np.ndarray]:
+    """The node and time arrays of B queries: ``nodes`` node ids of ``g``
+    (InferenceError for one outside it), ``times`` finite, non-negative and
+    aligned with them, else ValidationError. The cap and the strategy are
+    a ``SamplingConfig``'s, checked when it was built."""
+    nodes = whole_numbers(nodes, "node id", g.num_nodes, InferenceError)
     times = np.asarray(times, dtype=np.float64)
     if nodes.ndim != 1 or nodes.shape != times.shape:
         raise ValidationError(
             f"nodes and times must align, got shapes {nodes.shape} and {times.shape}")
-    bad = (nodes.view(np.uint64) >= g.num_nodes).nonzero()[0]  # a negative id views as 2**63 up
-    if bad.size:
-        raise InferenceError(f"node {nodes[bad[0]]} not in graph with {g.num_nodes} nodes")
-    check_value(max_size, int, "max_size", Rule.AT_LEAST_1)
     bad = (~((times >= 0) & (times < np.inf))).nonzero()[0]
     if bad.size:
         raise ValidationError(
             f"query time must be finite and non-negative, got {times[bad[0]]}")
-    check_value(strategy, str, "strategy", Rule.STRATEGY)
     return nodes, times
-
-
-def check_event_indices(g: TemporalGraph, indices) -> np.ndarray:
-    """``indices`` as int64 event indices of ``g``, or ValidationError naming
-    the first that is not a whole number in [0, num_events): a negative one
-    would count from the end and pick another event."""
-    idx = whole_numbers(indices, "event index")
-    bad = np.flatnonzero((idx < 0) | (idx >= g.num_events))
-    if bad.size:
-        raise ValidationError(
-            f"event index {idx.flat[bad[0]]} not in graph with {g.num_events} events")
-    return idx
 
 
 # 0-d arrays rather than numpy scalars: a ufunc takes them up faster
@@ -435,7 +438,8 @@ def sample_neighborhoods(
     ``hop_neighborhoods``. ``rng_seed`` becomes one key through
     ``sampling_key``, so a ``Generator`` gives one draw per call.
     """
-    nodes, times = check_queries(g, nodes, times, max_size, strategy)
+    SamplingConfig(max_size, strategy)  # checks the cap and the strategy
+    nodes, times = check_queries(g, nodes, times)
     return hop_neighborhoods(g, nodes, times, max_size, strategy, sampling_key(rng_seed))
 
 
@@ -565,9 +569,7 @@ def mask_unseen(g: TemporalGraph, split: SplitSpec, fraction: float, rng_seed: i
 
 
 def _touches_unseen(g: TemporalGraph, split: SplitSpec) -> np.ndarray:
-    unseen = whole_numbers(list(split.unseen_nodes), "unseen node")
-    if unseen.size and unseen.max() >= g.num_nodes:
-        raise ValidationError(f"unseen node {unseen.max()} not in graph with {g.num_nodes} nodes")
+    unseen = whole_numbers(list(split.unseen_nodes), "unseen node", below=g.num_nodes)
     return np.isin(g.sources, unseen) | np.isin(g.destinations, unseen)
 
 
@@ -680,12 +682,12 @@ def ingest(
             raise IngestionError(
                 f"line {line}: state label {row[3]!r} is below -1, the no-label marker")
         labels.append(int(label))
-        if not 0 <= timestamp < np.inf:
-            raise ValidationError(
-                f"line {line}: timestamp must be finite and non-negative, got {timestamp}")
+        timestamps.append(timestamp / time_divisor)
+        if not 0 <= timestamps[-1] < np.inf:  # a finite one may overflow the division
+            raise IngestionError(f"line {line}: timestamp {row[2]!r} / time_divisor {time_divisor}"
+                                 f" = {timestamps[-1]} is not finite and non-negative")
         sources.append(node_of("u", row[0]))
         destinations.append(node_of("i", row[1]))
-        timestamps.append(timestamp / time_divisor)
     if node_feature_dim is None:
         node_feature_dim = feature_dim if feature_dim > 0 else 1
     return build_graph(sources, destinations, timestamps,
@@ -718,6 +720,8 @@ def load_graph_csv(
                           time_divisor=time_divisor)
         except UnicodeDecodeError as exc:
             raise IngestionError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except _csv.Error as exc:  # a field over the csv module's size limit, say
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 GRAPH_FORMAT_VERSION = 1
@@ -751,7 +755,7 @@ def load_graph(path) -> TemporalGraph:
         except (KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise ValidationError(f"{path}: malformed graph archive ({exc})") from None
     for name, column in columns.items():
-        if column.dtype.kind not in "biuf":
+        if column.dtype.kind not in "iuf":
             raise ValidationError(f"{path}: member {name!r} is {column.dtype}, not numeric")
     version = columns.pop("format_version")
     if version.shape != (1,) or version[0] != GRAPH_FORMAT_VERSION:

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import PositionLookupError, ValidationError
-from .temporal_graph import Rule, check_value
+from .temporal_graph import Rule, check_value, whole_numbers
 
 
 class TimeEncoder:
@@ -118,12 +118,10 @@ class PositionalEncoder:
         return [self.table] if self.learnable else []
 
     def lookup(self, ranks) -> np.ndarray:
-        """Plain-numpy position vectors (no tape) of a rank or ranks, one row each."""
-        ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
-        bad = ranks[(ranks < 0) | (ranks >= self.max_positions)]
-        if bad.size:
-            raise PositionLookupError(f"rank {bad[0]} outside [0, {self.max_positions})")
-        return self.table.data[ranks]
+        """Plain-numpy position vectors (no tape) of a rank or ranks, one row
+        each; a rank outside [0, max_positions) raises PositionLookupError."""
+        ranks = whole_numbers(ranks, "rank", self.max_positions, PositionLookupError)
+        return self.table.data[ranks.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------

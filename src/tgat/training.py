@@ -33,7 +33,6 @@ from .temporal_graph import (
     Rule,
     SplitSpec,
     TemporalGraph,
-    check_event_indices,
     check_fields,
     check_value,
     checked,
@@ -42,11 +41,11 @@ from .temporal_graph import (
     seed_sequence,
     setting,
     training_event_indices,
+    whole_numbers,
 )
 
 
 @checked
-@dataclass(frozen=True)
 class TrainConfig:
     """Settings of a run, checked when built; change one with ``dataclasses.replace``."""
 
@@ -192,7 +191,7 @@ def link_loss(
     neighborhood samples; a ``Generator`` draws the negatives first and
     then the one sampling key.
     """
-    idx = check_event_indices(graph, batch_events)
+    idx = whole_numbers(batch_events, "event index", graph.num_events)
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
     check_value(negatives_per_positive, int, "negatives_per_positive", Rule.AT_LEAST_1)
@@ -396,7 +395,7 @@ def evaluate_links(
         event_indices = _chronological_subsample(
             evaluation_event_indices(graph, split, period, mode), max_events,
             np.random.default_rng([rng_seed, 555]))
-    event_indices = check_event_indices(graph, event_indices)
+    event_indices = whole_numbers(event_indices, "event index", graph.num_events)
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
     sampling = config.sampling(training=False)
@@ -413,16 +412,12 @@ def evaluate_links(
 
 
 @checked
-@dataclass(frozen=True)
 class MlpConfig:
     epochs: int = setting(Rule.AT_LEAST_0, 60)
     batch_size: int = setting(Rule.AT_LEAST_1, 64)
     learning_rate: float = setting(Rule.POSITIVE_FINITE, 1e-3)
     l2: float = setting(Rule.NON_NEGATIVE_FINITE, 0.001)  # grid: {0.001, 0.01, 0.05, 0.1, 0.2}
     rng_seed: int = setting(Rule.AT_LEAST_0, 0)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 class _Mlp:
@@ -528,7 +523,7 @@ def attention_report(
     its peer occurs in the same neighborhood."""
     config = config or TrainConfig()
     sampling = config.sampling(training=False)
-    idx = check_event_indices(graph, event_indices)
+    idx = whole_numbers(event_indices, "event index", graph.num_events)
     nodes = np.column_stack([graph.sources[idx], graph.destinations[idx]]).ravel()
     times = np.repeat(graph.timestamps[idx], 2)
     key = sampling_key([rng_seed, 4004])

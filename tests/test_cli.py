@@ -104,6 +104,16 @@ class TestIngest:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "latin1.csv" in err[0] and "UTF-8" in err[0]
 
+    def test_csv_field_over_the_size_limit_exit_1(self, tmp_path, capsys):
+        # the csv module's "field larger than field limit" used to print a traceback
+        data = tmp_path / "long.csv"
+        data.write_text("user_id,item_id,timestamp,state_label\n" + "x" * 200_000 + ",2,1.0,0\n")
+        out = tmp_path / "g.npz"
+        assert main(["ingest", str(data), str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "long.csv: line 2: field larger than" in err[0]
+        assert not out.exists()
+
     def test_label_below_minus_one_exit_1(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"
         data.write_text("user_id,item_id,timestamp,state_label\n1,2,1.0,0\n1,2,2.0,-5\n")

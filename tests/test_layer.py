@@ -590,9 +590,10 @@ class TestEmbedProperties:
         g = simple_graph()
         model = TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), layer_count=2,
                                  head_count=1, rng_seed=5)
-        for cap in (2.5, True):
-            with pytest.raises(ValidationError, match="max_size must be an integer"):
-                embed(model, 3, 4.5, g, SamplingConfig(max_neighbors=cap, strategy="uniform"))
+        for cap in (2.5, True):  # rejected where the settings are built, before any embed
+            shown = f"^max_neighbors must be an integer, got {cap}$"
+            with pytest.raises(ValidationError, match=shown):
+                SamplingConfig(max_neighbors=cap, strategy="uniform")
         for seed in (-1, 1.5):
             with pytest.raises(ValidationError, match="rng_seed"):
                 embed(model, 3, 4.5, g, MOST_RECENT, rng_seed=seed)

@@ -14,9 +14,11 @@ from tgat.errors import (
     InferenceError,
     IngestionError,
     MaskingError,
+    PositionLookupError,
     SplitError,
     ValidationError,
 )
+from tgat.layer import Dims, SamplingConfig, TgatModel, embed
 from tgat.synthetic import recency_planted_graph
 from tgat.temporal_graph import (
     INVERSE_TIMESPAN_JITTER,
@@ -27,7 +29,6 @@ from tgat.temporal_graph import (
     _mix,
     _radix_order,
     build_graph,
-    check_event_indices,
     chronological_split,
     evaluation_event_indices,
     hop_neighborhoods,
@@ -40,8 +41,10 @@ from tgat.temporal_graph import (
     save_graph,
     temporal_neighborhood,
     training_event_indices,
+    whole_numbers,
 )
-from tgat.training import _draw_negatives
+from tgat.time_encoding import PositionalEncoder
+from tgat.training import _draw_negatives, attention_report, evaluate_links, link_loss
 
 
 def pairs(sample):
@@ -177,15 +180,22 @@ class TestIngest:
     def test_negative_timestamp_rejected(self):
         rows = three_row_rows()
         rows[0][2] = "-1.0"
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(IngestionError, match="line 2"):
             ingest(rows, feature_dim=2)
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_non_finite_timestamp_rejected(self, raw):
         rows = three_row_rows()
         rows[1][2] = raw
-        with pytest.raises(ValidationError, match="line 3"):
+        with pytest.raises(IngestionError, match="line 3"):
             ingest(rows, feature_dim=2)
+
+    def test_timestamp_that_overflows_the_divisor_cites_line(self):
+        # 1e308 / 1e-10 used to become inf and be reported as "event 0", with no line
+        with pytest.raises(IngestionError,
+                           match=r"^line 2: timestamp '1e308' / time_divisor 1e-10 = inf "):
+            ingest([["a", "b", "1e308", "0"]], 0, time_divisor=1e-10)
+        assert ingest([["a", "b", "1e308", "0"]], 0, time_divisor=10.0).t_max == 1e307
 
     @pytest.mark.parametrize("raw", ["0.6", "1.9", "nan", "inf"])
     def test_fractional_label_cites_line(self, raw):
@@ -312,7 +322,7 @@ class TestGraphInvariants:
     def test_node_id_at_int64_max_not_rounded(self):
         # through float64, 2**63 - 1 would round to 2**63 and be rejected
         big = np.iinfo(np.int64).max
-        with pytest.raises(ValidationError, match=f"references node {big} without features"):
+        with pytest.raises(ValidationError, match=rf"node id {big} not in \[0, 2\)"):
             build_graph([0], np.array([big], np.uint64), [1.0], num_nodes=2)
 
     def test_label_below_minus_one_rejected(self):
@@ -533,8 +543,8 @@ class TestSampleNeighborhoods:
 
     def test_unknown_query_node_rejected(self):
         g = build_graph([0, 1], [1, 2], [1.0, 2.0])
-        for node in (3, -1):
-            with pytest.raises(InferenceError, match=f"node {node} not in graph with 3 nodes"):
+        for node, shown in ((3, r"node id 3 not in \[0, 3\)"), (-1, "node id -1 is negative")):
+            with pytest.raises(InferenceError, match=f"^{shown}$"):
                 sample_neighborhoods(g, [0, node], [5.0, 5.0], 3)
 
     @pytest.mark.parametrize("nodes", [["a"], ["1"]])
@@ -721,15 +731,15 @@ class TestSampleNeighborhoods:
 
     def test_bad_arguments(self):
         g = self.random_graph(3)
-        cases = [([0, 99], [1.0, 1.0], 5, "uniform", "node 99"),
-                 ([0, -1], [1.0, 1.0], 5, "uniform", "node -1"),
+        cases = [([0, 99], [1.0, 1.0], 5, "uniform", "node id 99 not in"),
+                 ([0, -1], [1.0, 1.0], 5, "uniform", "node id -1 is negative"),
                  ([0, 1], [1.0, np.nan], 5, "uniform", "nan"),
                  ([0, 1], [np.inf, 1.0], 5, "uniform", "inf"),
                  ([0, 1], [1.0, -2.0], 5, "uniform", "-2.0"),
-                 ([0, 1], [1.0, 1.0], 0, "uniform", "max_size"),
-                 ([0, 1], [1.0, 1.0], 2.5, "uniform", "max_size must be an integer, got 2.5"),
-                 ([0, 1], [1.0, 1.0], 2.0, "uniform", "max_size must be an integer"),
-                 ([0, 1], [1.0, 1.0], True, "uniform", "max_size must be an integer, got True"),
+                 ([0, 1], [1.0, 1.0], 0, "uniform", "max_neighbors must be >= 1, got 0"),
+                 ([0, 1], [1.0, 1.0], 2.5, "uniform", "max_neighbors must be an integer, got 2.5"),
+                 ([0, 1], [1.0, 1.0], 2.0, "uniform", "max_neighbors must be an integer"),
+                 ([0, 1], [1.0, 1.0], True, "uniform", "max_neighbors must be an integer, got True"),
                  ([0, 1], [1.0, 1.0], 5, "nope", "nope"),
                  ([0, 1], [1.0], 5, "uniform", "align")]
         for nodes, times, max_size, strategy, match in cases:
@@ -822,15 +832,78 @@ def lexsort_hop(g, nodes, times, max_size, strategy, key):
 
 
 def test_check_event_indices():
+    # the rule link_loss, evaluate_links and attention_report hold event indices to
     g = build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
-    assert check_event_indices(g, [2, 0, 2.0]).tolist() == [2, 0, 2]
-    assert check_event_indices(g, np.arange(3, dtype=np.uint8)).dtype == np.int64
-    assert check_event_indices(g, []).size == 0
+
+    def check(indices):
+        return whole_numbers(indices, "event index", g.num_events)
+
+    assert check([2, 0, 2.0]).tolist() == [2, 0, 2]
+    assert check(np.arange(3, dtype=np.uint8)).dtype == np.int64
+    assert check([]).size == 0
     # a negative index would count from the end, a fraction would be truncated
-    for bad, shown in [([0, -1], "-1 not in graph with 3 events"), ([3], "3 not in graph"),
+    for bad, shown in [([0, -1], "-1 is negative"), ([3], r"3 not in \[0, 3\)"),
                        ([1.5], "1.5 is not an integer"), ([np.nan], "nan")]:
         with pytest.raises(ValidationError, match=f"event index {shown}"):
-            check_event_indices(g, bad)
+            check(bad)
+
+
+def tiny_graph_and_model():
+    """A 3-node, 3-event graph and a one-layer model that fits it."""
+    g = build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
+    return g, TgatModel.create(Dims(d0=1, d=2, d_t=2, d_h=1, d_f=2), layer_count=1,
+                               head_count=1)
+
+
+# each caller of the bounded id rule: what it names, its bound on the 3-node,
+# 3-event graph (None: negative ids only) and the error it raises
+BOUNDED = {
+    "build_graph": ("node id", 3, ValidationError,
+                    lambda g, m, v: build_graph([0, v], [1, 2], [1.0, 2.0], num_nodes=3)),
+    "sample_neighborhoods": ("node id", 3, InferenceError,
+                             lambda g, m, v: sample_neighborhoods(g, [0, v], [5.0, 5.0], 3)),
+    "link_loss": ("event index", 3, ValidationError,
+                  lambda g, m, v: link_loss(m, g, [0, v], SamplingConfig())),
+    "evaluate_links": ("event index", 3, ValidationError,
+                       lambda g, m, v: evaluate_links(m, g, SplitSpec(1.0, 2.0),
+                                                      event_indices=[0, v])),
+    "attention_report": ("event index", 3, ValidationError,
+                         lambda g, m, v: attention_report(m, g, [0, v])),
+    "SplitSpec": ("unseen node", None, ValidationError,
+                  lambda g, m, v: SplitSpec(1.0, 2.0, unseen_nodes={0, v})),
+    "training_event_indices": ("unseen node", 3, ValidationError, lambda g, m, v:
+                               training_event_indices(g, SplitSpec(1.0, 2.0, unseen_nodes={v}))),
+    "PositionalEncoder.lookup": ("rank", 3, PositionLookupError, lambda g, m, v:
+                                 PositionalEncoder.fixed_sinusoidal(3, 2).lookup([0, v])),
+}
+
+
+@pytest.mark.parametrize("caller, at_bound", [(c, b) for c, (_, bound, _, _) in BOUNDED.items()
+                                              for b in ([False, True] if bound else [False])])
+def test_bounded_id_rule(caller, at_bound):
+    # one rule and one message for every id, index and rank outside [0, bound)
+    what, bound, error, call = BOUNDED[caller]
+    g, model = tiny_graph_and_model()
+    value, shown = ((bound, f"{what} {bound} not in [0, {bound})") if at_bound
+                    else (-1, f"{what} -1 is negative"))
+    with pytest.raises(error, match="^" + re.escape(shown) + "$"):
+        call(g, model, value)
+
+
+@pytest.mark.parametrize("what, call", [
+    ("node id", lambda g, m: sample_neighborhoods(g, [True], [5.0], 3)),
+    ("event index", lambda g, m: link_loss(m, g, [True], SamplingConfig())),
+    ("unseen node", lambda g, m: SplitSpec(1.0, 2.0, unseen_nodes={True})),
+    ("node id", lambda g, m: build_graph([True], [0], [1.0])),
+    ("label", lambda g, m: build_graph([0], [1], [1.0], labels=[True])),
+    ("node id", lambda g, m: embed(m, True, 1.0, g, SamplingConfig()))],
+    ids=["sample_neighborhoods", "event_index", "SplitSpec", "build_graph_ids",
+         "build_graph_labels", "embed"])
+def test_booleans_are_no_ids(what, call):
+    # each used to take True as id, index or label 1
+    g, model = tiny_graph_and_model()
+    with pytest.raises(ValidationError, match=f"^{what} values must be numbers, got "):
+        call(g, model)
 
 
 @pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32 + 1])
@@ -965,9 +1038,9 @@ class TestChronologicalSplit:
         # node 99 of a 4-node graph used to be accepted without a word
         g = build_graph([0, 1, 2, 3], [1, 2, 3, 0], [1.0, 2.0, 3.0, 4.0])
         split = SplitSpec(train_end=2.0, val_end=3.0, unseen_nodes=frozenset({1, 99}))
-        with pytest.raises(ValidationError, match="^unseen node 99 not in graph with 4 nodes$"):
+        with pytest.raises(ValidationError, match=r"^unseen node 99 not in \[0, 4\)$"):
             training_event_indices(g, split)
-        with pytest.raises(ValidationError, match="^unseen node 99 not in graph with 4 nodes$"):
+        with pytest.raises(ValidationError, match=r"^unseen node 99 not in \[0, 4\)$"):
             evaluation_event_indices(g, split, "test", "inductive")
         fine = SplitSpec(train_end=2.0, val_end=3.0, unseen_nodes=frozenset({3}))
         assert training_event_indices(g, fine).tolist() == [0, 1]
@@ -1155,6 +1228,7 @@ class TestSerialization:
         ("timestamps", np.array([1.0 + 1j, 2.0])),  # lost its imaginary part
         ("edge_features", np.array([[b"x"], [b"y"]])),
         ("format_version", np.array(["1"])),
+        ("labels", np.array([True, False])),  # used to load as labels 1 and 0
     ])
     def test_non_numeric_member_rejected(self, tmp_path, member, column):
         path = tmp_path / "g.npz"

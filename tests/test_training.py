@@ -250,8 +250,8 @@ OUT_OF_RANGE = {int: [-1], float: [float("nan")], str: ["bogus"], bool: []}
 
 
 @pytest.mark.parametrize("config", [TrainConfig(), MlpConfig(),
-                                    Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3)],
-                         ids=["TrainConfig", "MlpConfig", "Dims"])
+                                    Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), SamplingConfig()],
+                         ids=["TrainConfig", "MlpConfig", "Dims", "SamplingConfig"])
 def test_every_config_field_is_checked(config):
     # a field added with a type the checker does not know, a number or string
     # field added without a rule, or a settings class that is not frozen or
