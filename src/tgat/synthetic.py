@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .temporal_graph import TemporalGraph, build_graph
+from .temporal_graph import TemporalGraph, build_graph, seed_sequence
 
 
 def tiny_fixture_graph() -> TemporalGraph:
@@ -42,7 +42,7 @@ def random_temporal_graph(
     seed: int = 0,
 ) -> TemporalGraph:
     """Uniform random interactions; handy for causality and property tests."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     sources = rng.integers(0, n_nodes, size=n_events)
     destinations = (sources + 1 + rng.integers(0, n_nodes - 1, size=n_events)) % n_nodes
     timestamps = np.sort(rng.uniform(0.0, t_max, size=n_events))
@@ -76,7 +76,7 @@ def recency_planted_graph(
     at ingestion) so the decision-relevant timespans are O(1) rather than
     O(hundreds); frequencies of that magnitude survive optimizer updates.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     types = rng.integers(0, n_types, size=n_nodes)
     nodes_by_type = [np.flatnonzero(types == k) for k in range(n_types)]
     node_features = np.zeros((n_nodes, n_types))

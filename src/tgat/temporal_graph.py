@@ -71,13 +71,16 @@ def whole_numbers(values, what: str, below: int | None = None,
                   error: type[Exception] = ValidationError) -> np.ndarray:
     """``values`` (node ids, labels or indices, named by ``what``) as int64.
     Text, a boolean, a value that is not a whole number, or one outside
-    int64 raises ValidationError instead of becoming another id or class.
+    int64 raises ValidationError instead of becoming another id or class;
+    a list or tuple is searched for booleans, as numpy reads [True, 2] as ints.
     Given ``below``, a value outside [0, below) raises ``error``: one compare
     on the uint64 view, where a negative value reads as 2**63 or more."""
     arr = np.asarray(values)
-    if arr.dtype.kind != "i":
+    listed = isinstance(values, (list, tuple)) and any(
+        isinstance(v, (bool, np.bool_)) for v in values)
+    if arr.dtype.kind != "i" or listed:
         try:  # text and booleans are no numbers, not even "1" or True
-            whole = None if arr.dtype.kind in "bUSV" else arr.astype(np.float64)
+            whole = None if listed or arr.dtype.kind in "bUSV" else arr.astype(np.float64)
         except (TypeError, ValueError):  # nor is an object that fails the cast
             whole = None
         if whole is None:
@@ -358,7 +361,8 @@ _MONITORS: list[AccessMonitor] = []
 def seed_sequence(rng_seed) -> np.random.SeedSequence:
     """``SeedSequence(rng_seed)``, or ValidationError for a seed it rejects
     (a negative or fractional one, say) and for None, from which it would
-    draw fresh entropy, so that no run repeats."""
+    draw fresh entropy, so that no run repeats. Every seed of the package
+    passes here but ``autodiff.grad_check``'s, as the engine imports no store."""
     if rng_seed is not None:
         try:
             return np.random.SeedSequence(rng_seed)

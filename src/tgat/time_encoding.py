@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import PositionLookupError, ValidationError
-from .temporal_graph import Rule, check_value, whole_numbers
+from .temporal_graph import Rule, check_value, seed_sequence, whole_numbers
 
 
 class TimeEncoder:
@@ -172,7 +172,7 @@ def kernel_convergence_check(
         sups = np.empty(trials)
         means = np.empty(trials)
         for trial in range(trials):
-            rng = np.random.default_rng([rng_seed, k, trial])
+            rng = np.random.default_rng(seed_sequence([rng_seed, k, trial]))
             enc = TimeEncoder(rng.standard_normal(k))
             feats = enc.encode_values(axis)
             err = np.abs(feats @ feats.T - oracle)

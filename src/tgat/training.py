@@ -153,18 +153,25 @@ def _draw_negatives(rng: np.random.Generator, num_nodes: int, forbidden: np.ndar
 
 
 def _link_scores(graph: TemporalGraph, events: np.ndarray, negatives_per_positive: int,
-                 rng: np.random.Generator, embedding) -> Tensor:
+                 rng_seed, embedding) -> Tensor:
     """Inner products h_i . h_j of each positive event (i, j, t), then
     h_i . h_q for each of its Q negatives q != j, as one (P + P*Q, 1) column.
 
-    Negatives are drawn from ``rng`` first, in one ``_draw_negatives`` call,
-    positive by positive; then ``embedding(nodes, times)``, a (B, d) Tensor,
-    embeds sources, destinations and negatives at the event times.
+    The seed rule of a scoring call: a ``Generator`` ``rng_seed`` draws the
+    negatives (one ``_draw_negatives`` call, positive by positive), then the
+    sampling key, one uint64; any other seed becomes one ``SeedSequence``
+    that seeds the negatives' ``Generator`` and gives the key,
+    ``generate_state(1, np.uint64)[0]``. ``embedding(nodes, times, key)``, a
+    (B, d) Tensor, embeds sources, destinations and negatives at the event times.
     """
     src, dst, ts = graph.sources[events], graph.destinations[events], graph.timestamps[events]
     q = negatives_per_positive
+    seq = None if isinstance(rng_seed, np.random.Generator) else seed_sequence(rng_seed)
+    rng = rng_seed if seq is None else np.random.default_rng(seq)
     neg = _draw_negatives(rng, graph.num_nodes, np.repeat(dst, q))
-    h = embedding(np.concatenate([src, dst, neg]), np.concatenate([ts, ts, np.repeat(ts, q)]))
+    key = sampling_key(rng) if seq is None else seq.generate_state(1, np.uint64)[0]
+    times = np.concatenate([ts, ts, np.repeat(ts, q)])
+    h = embedding(np.concatenate([src, dst, neg]), times, key)
     # rows of h: sources [0, p), destinations [p, 2p), negatives of positive i
     # at 2p + i*q + k; pair each source with its destination and negatives
     p = events.size
@@ -187,21 +194,13 @@ def link_loss(
     embeddings are evaluated at the interaction time and the loss is
     differentiable through both sides of every inner product.
 
-    ``rng_seed`` seeds the negatives and, as in ``embed_tensor``, the
-    neighborhood samples; a ``Generator`` draws the negatives first and
-    then the one sampling key.
+    ``rng_seed`` seeds the negatives and the neighborhood samples (``_link_scores``).
     """
     idx = whole_numbers(batch_events, "event index", graph.num_events)
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
     check_value(negatives_per_positive, int, "negatives_per_positive", Rule.AT_LEAST_1)
-    if isinstance(rng_seed, np.random.Generator):
-        rng = key = rng_seed
-    else:  # one SeedSequence for the negatives and the key; a key passes as it is
-        seq = seed_sequence(rng_seed)
-        rng = np.random.default_rng(seq)
-        key = rng_seed if isinstance(rng_seed, np.uint64) else seq.generate_state(1, np.uint64)[0]
-    scores = _link_scores(graph, idx, negatives_per_positive, rng, lambda nodes, times:
+    scores = _link_scores(graph, idx, negatives_per_positive, rng_seed, lambda nodes, times, key:
                           embed_tensor(model, nodes, times, graph, sampling, key))
     sign = np.concatenate([np.ones(idx.size), -np.ones(idx.size * negatives_per_positive)])
     return ad.logistic_loss(scores, sign[:, None])
@@ -303,8 +302,8 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
     train_sampling = config.sampling(training=True)
 
     val_idx = evaluation_event_indices(graph, split, "val", "transductive")
-    val_subsample = _chronological_subsample(
-        val_idx, config.max_val_events, np.random.default_rng([config.rng_seed, 777]))
+    val_rng = np.random.default_rng(seed_sequence([config.rng_seed, 777]))
+    val_subsample = _chronological_subsample(val_idx, config.max_val_events, val_rng)
 
     history: list[EpochStats] = []
     best_ap = -np.inf
@@ -312,7 +311,7 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
     epochs_without_improvement = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        epoch_rng = np.random.default_rng([config.rng_seed, epoch])
+        epoch_rng = np.random.default_rng(seed_sequence([config.rng_seed, epoch]))
         epoch_idx = _chronological_subsample(train_idx, config.max_train_events_per_epoch, epoch_rng)
         total_loss = 0.0
         for b_start in range(0, epoch_idx.size, config.batch_size):
@@ -384,23 +383,22 @@ def evaluate_links(
     chronological subsample of ``max_events`` of them when that is positive.
     ``node_filter`` "observed" evaluates transductively (no unseen endpoint);
     "unseen" evaluates the inductive set (at least one unseen endpoint).
+    ``[rng_seed, 1001]`` seeds the negatives and the samples (``_link_scores``).
     """
     if node_filter not in ("observed", "unseen"):
         raise ValidationError(f"node filter must be 'observed' or 'unseen', got {node_filter!r}")
-    seq = seed_sequence([rng_seed, 1001])  # seeds the negatives, then the samples
     config = config or TrainConfig()
     check_value(max_events, int, "max_events", Rule.AT_LEAST_0)
     mode = "transductive" if node_filter == "observed" else "inductive"
     if event_indices is None:
         event_indices = _chronological_subsample(
             evaluation_event_indices(graph, split, period, mode), max_events,
-            np.random.default_rng([rng_seed, 555]))
+            np.random.default_rng(seed_sequence([rng_seed, 555])))
     event_indices = whole_numbers(event_indices, "event index", graph.num_events)
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
-    sampling = config.sampling(training=False)
-    key, p = seq.generate_state(1, np.uint64)[0], event_indices.size
-    s = _link_scores(graph, event_indices, 1, np.random.default_rng(seq), lambda nodes, times:
+    sampling, p = config.sampling(training=False), event_indices.size
+    s = _link_scores(graph, event_indices, 1, [rng_seed, 1001], lambda nodes, times, key:
                      ad.constant(embed(model, nodes, times, graph, sampling, key))).data[:, 0]
     scores = ad.sigmoid_values(np.column_stack([s[:p], s[p:]]).ravel())  # positive, negative
     return EvalMetrics.score(np.tile([1, 0], p), scores, mode)
@@ -469,7 +467,7 @@ def node_classify(
         if y.size == 0 or len(np.unique(y)) < 2:
             raise EvaluationError(f"{name} period needs at least one label of each class")
 
-    mlp_rng = np.random.default_rng([mlp_config.rng_seed, 3003])
+    mlp_rng = np.random.default_rng(seed_sequence([mlp_config.rng_seed, 3003]))
     mlp = _Mlp(x_train.shape[1], mlp_rng)
     params = mlp.parameters()
     state = AdamState.create(params)

@@ -32,7 +32,8 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     assert run.returncode == 0, run.stderr[-2000:]
     arrays = json.loads(first.read_text())["arrays"]
     kinds = {name.split("/")[5] for name in arrays if "/train/" not in name}
-    assert {"Q1", "embed", "embed_stream", "evaluate_links", "attention_report"} <= kinds
+    assert {"Q1", "Q1-generator", "embed", "embed_stream", "evaluate_links",
+            "attention_report"} <= kinds
     # one short train() run per graph, layer count and attention mode
     trained = {name.split("/train/")[0] for name in arrays if "/train/" in name}
     assert trained == {f"{graph}/L{layers}/{mode}" for graph in ("tiny", "random-de2")

@@ -19,7 +19,7 @@ from tgat.errors import (
     ValidationError,
 )
 from tgat.layer import Dims, SamplingConfig, TgatModel, embed
-from tgat.synthetic import recency_planted_graph
+from tgat.synthetic import random_temporal_graph, recency_planted_graph
 from tgat.temporal_graph import (
     INVERSE_TIMESPAN_JITTER,
     AccessMonitor,
@@ -896,11 +896,17 @@ def test_bounded_id_rule(caller, at_bound):
     ("unseen node", lambda g, m: SplitSpec(1.0, 2.0, unseen_nodes={True})),
     ("node id", lambda g, m: build_graph([True], [0], [1.0])),
     ("label", lambda g, m: build_graph([0], [1], [1.0], labels=[True])),
-    ("node id", lambda g, m: embed(m, True, 1.0, g, SamplingConfig()))],
+    ("node id", lambda g, m: embed(m, True, 1.0, g, SamplingConfig())),
+    # numpy reads a boolean listed with numbers as an int
+    ("node id", lambda g, m: sample_neighborhoods(g, [True, 2], [5.0, 5.0], 3)),
+    ("node id", lambda g, m: build_graph([True, 0], [1, 2], [1.0, 2.0])),
+    ("id", lambda g, m: whole_numbers((1, False), "id")),
+    ("id", lambda g, m: whole_numbers([np.True_, 3], "id"))],
     ids=["sample_neighborhoods", "event_index", "SplitSpec", "build_graph_ids",
-         "build_graph_labels", "embed"])
+         "build_graph_labels", "embed", "sample_neighborhoods_mixed", "build_graph_mixed",
+         "tuple_mixed", "numpy_bool_mixed"])
 def test_booleans_are_no_ids(what, call):
-    # each used to take True as id, index or label 1
+    # each used to take True as id, index or label 1, and False as 0
     g, model = tiny_graph_and_model()
     with pytest.raises(ValidationError, match=f"^{what} values must be numbers, got "):
         call(g, model)
@@ -1129,6 +1135,15 @@ class TestMaskUnseen:
         g = self.bigger()
         with pytest.raises(ValidationError, match="rng_seed"):
             mask_unseen(g, chronological_split(g, 0.7, 0.15), 0.1, rng_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+@pytest.mark.parametrize("generate", [random_temporal_graph, recency_planted_graph])
+def test_synthetic_graphs_reject_bad_seeds(generate, seed):
+    # None used to draw fresh entropy, -1 and 1.5 raised numpy's errors
+    with pytest.raises(ValidationError, match="^rng_seed must be a non-negative integer or a "
+                                              "sequence of them, got "):
+        generate(n_nodes=10, n_events=20, seed=seed)
 
 
 def scalar_negatives(rng, num_nodes, forbidden):

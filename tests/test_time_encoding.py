@@ -159,6 +159,13 @@ class TestConvergenceCheck:
         with pytest.raises(ValidationError):
             kernel_convergence_check(k_values=[64, 8])
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        # -1 and 1.5 used to raise numpy's errors, None to draw fresh entropy
+        with pytest.raises(ValidationError, match="^rng_seed must be a non-negative integer or "
+                                                  "a sequence of them, got "):
+            kernel_convergence_check(k_values=[8], grid_size=5, trials=1, rng_seed=seed)
+
     def test_oracle_formula(self):
         np.testing.assert_allclose(gaussian_kernel_oracle(3.0, 1.0), np.exp(-2.0))
         np.testing.assert_allclose(gaussian_kernel_oracle(1.0, 1.0), 1.0)

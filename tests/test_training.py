@@ -130,6 +130,39 @@ class TestLinkLoss:
             link_loss(model, g, [4, 5], SAMPLING)
         assert len(tape) == nodes
 
+    def test_generator_draws_the_negatives_then_the_key(self):
+        # the order the benchmark's Generator-seeded call relies on, rebuilt
+        # from a twin Generator: loss and gradients byte for byte, one end state
+        g = tiny_fixture_graph()
+        model = small_model(g, layers=2, heads=2, seed=3)
+        sampling = SamplingConfig(max_neighbors=2, strategy="uniform")
+        events, q = np.array([3, 4, 5, 6]), 2
+        src, dst, ts = g.sources[events], g.destinations[events], g.timestamps[events]
+
+        def by_hand(twin):
+            neg = training._draw_negatives(twin, g.num_nodes, np.repeat(dst, q))
+            key = twin.integers(0, 2**64, dtype=np.uint64)
+            h = embed_tensor(model, np.concatenate([src, dst, neg]),
+                             np.concatenate([ts, ts, np.repeat(ts, q)]), g, sampling, key)
+            p = events.size
+            scores = ad.pair_scores(h, np.concatenate([np.arange(p), np.repeat(np.arange(p), q)]),
+                                    np.arange(p, h.data.shape[0]))
+            return ad.logistic_loss(scores, np.repeat([1.0, -1.0], [p, p * q])[:, None])
+
+        def loss_and_grads(build, rng):
+            ad.zero_grads(model.parameters())
+            with ad.Tape() as tape:
+                loss = build(rng)
+            ad.backward(tape, loss)
+            return [loss.data.tobytes()] + [None if p.grad is None else p.grad.tobytes()
+                                            for p in model.parameters()]
+
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        ours = loss_and_grads(lambda r: link_loss(model, g, events, sampling, q, r), rng)
+        assert ours == loss_and_grads(by_hand, twin)
+        assert sum(grad is not None for grad in ours[1:]) > 1
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_negative_never_equals_destination(self, monkeypatch):
         g = tiny_fixture_graph()
         model = small_model(g)
@@ -484,8 +517,9 @@ class TestEvaluateLinks:
     def test_bad_seed_rejected(self, seed):
         g, split, cfg = training_fixture()
         model = training.build_model(g, cfg)
-        with pytest.raises(ValidationError, match="rng_seed"):
-            evaluate_links(model, g, split, config=cfg, rng_seed=seed)
+        for events in (None, [0, 1]):  # given events leave the seed to the scoring call
+            with pytest.raises(ValidationError, match="rng_seed"):
+                evaluate_links(model, g, split, config=cfg, rng_seed=seed, event_indices=events)
 
     def test_bad_config_rejected(self):
         # batch_size 0 used to reach the chunking and fail inside numpy

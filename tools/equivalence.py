@@ -3,7 +3,8 @@
 For every configuration of the grid this computes:
 
 - the ``link_loss`` value of a fixed batch and the gradient of every parameter,
-  a head's Q, K and V apart, under their checkpoint names;
+  a head's Q, K and V apart, under their checkpoint names, seeded by an int
+  and, as the benchmark's gate seeds it, by a ``Generator``;
 - ``embed`` at query counts that straddle the inference passes;
 - a stream of one-query ``embed`` calls, each with its own seed, at two
   layers and inverse-timespan sampling: the call pattern of one embedding
@@ -213,15 +214,17 @@ def grid_arrays(grid: dict):
 
             events = _events(graph, LOSS_EVENTS, rng)
             named = layer._named_params(model)
-            for q in grid["negatives"]:
+            q_last = grid["negatives"][-1]
+            for case, q, seed in [(f"Q{q}", q, 5) for q in grid["negatives"]] + [
+                    (f"Q{q_last}-generator", q_last, np.random.default_rng(5))]:
                 ad.zero_grads(model.parameters())
                 with ad.Tape() as tape:
-                    loss = training.link_loss(model, graph, events, sampling, q, rng_seed=5)
+                    loss = training.link_loss(model, graph, events, sampling, q, rng_seed=seed)
                 ad.backward(tape, loss)
-                yield f"{config}/Q{q}/loss", loss.data
+                yield f"{config}/{case}/loss", loss.data
                 for name, (p, cols) in named.items():  # a head's Q, K or V as its columns
-                    yield f"{config}/Q{q}/grad/{name}", (np.zeros_like(p.data)
-                                                         if p.grad is None else p.grad)[..., cols]
+                    yield f"{config}/{case}/grad/{name}", (np.zeros_like(p.data)
+                                                           if p.grad is None else p.grad)[..., cols]
 
             for count in grid["embed_counts"]:
                 nodes, times = _queries(graph, count, rng)
