@@ -98,9 +98,6 @@ class LayerParams:
         b1 = ad.parameter(np.zeros((1, dims.d)))
         return cls(w_q, w_k, w_v, head_count, w0, b0, w1, b1)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.w_q, self.w_k, self.w_v, self.w0, self.b0, self.w1, self.b1]
-
     def head_param_count(self) -> int:
         """Parameter budget of one attention head in the sense of the scaling
         formula: one head's projection block (Q, K and V share its shape), its
@@ -155,7 +152,7 @@ class TgatModel:
         ]
         pos = None
         if attention_mode == "positional":
-            pos = (PositionalEncoder.learnable_table(max_positions, dims.d_t, rng)
+            pos = (PositionalEncoder(glorot(rng, max_positions, dims.d_t), learnable=True)
                    if positional_learnable
                    else PositionalEncoder.fixed_sinusoidal(max_positions, dims.d_t))
         return cls(layers, enc, dims, attention_mode, pos)
@@ -169,12 +166,9 @@ class TgatModel:
         return self.layers[0].head_count
 
     def parameters(self) -> list[Tensor]:
-        out = list(self.time_encoder.parameters())
-        if self.positional_encoder is not None:
-            out.extend(self.positional_encoder.parameters())
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
+        """Each tensor of the checkpoint table, ``_named_params``, once, in the
+        order it first appears there."""
+        return list(dict.fromkeys(t for t, _ in _named_params(self).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +447,8 @@ def save_checkpoint(model: TgatModel, path, extra: dict | None = None) -> None:
 
     Floats are serialized with shortest round-trip representation, so loading
     restores parameters bit-exactly and identical models produce identical
-    bytes.
+    bytes. The text is built before the file is opened, so an ``extra`` that
+    JSON cannot encode raises ValidationError and leaves the file as it was.
     """
     pos = model.positional_encoder
     payload = {
@@ -472,9 +467,12 @@ def save_checkpoint(model: TgatModel, path, extra: dict | None = None) -> None:
         "params": {name: t.data[..., cols].tolist()
                    for name, (t, cols) in _named_params(model).items()},
     }
+    try:
+        text = json.dumps(payload, sort_keys=True)
+    except (TypeError, ValueError) as exc:  # a numpy scalar, say, or a cycle
+        raise ValidationError(f"extra must hold only values JSON can encode ({exc})") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _stored_array(path, what: str, value, shape: tuple) -> np.ndarray:

@@ -358,12 +358,19 @@ _MONITORS: list[AccessMonitor] = []
 # ---------------------------------------------------------------------------
 
 
+def _holds_bool(seed) -> bool:
+    """Whether ``seed`` is a boolean, or a list or tuple with one at any depth."""
+    return (any(map(_holds_bool, seed)) if isinstance(seed, (list, tuple))
+            else isinstance(seed, (bool, np.bool_)))
+
+
 def seed_sequence(rng_seed) -> np.random.SeedSequence:
     """``SeedSequence(rng_seed)``, or ValidationError for a seed it rejects
-    (a negative or fractional one, say) and for None, from which it would
-    draw fresh entropy, so that no run repeats. Every seed of the package
-    passes here but ``autodiff.grad_check``'s, as the engine imports no store."""
-    if rng_seed is not None:
+    (a negative or fractional one, say), for a boolean seed or member, which
+    it would take as 0 or 1, and for None, from which it would draw fresh
+    entropy, so that no run repeats. Every seed of the package passes here
+    but ``autodiff.grad_check``'s, as the engine imports no store."""
+    if rng_seed is not None and not _holds_bool(rng_seed):
         try:
             return np.random.SeedSequence(rng_seed)
         except (TypeError, ValueError):

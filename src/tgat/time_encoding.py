@@ -54,9 +54,6 @@ class TimeEncoder:
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.num_frequencies)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.frequencies]
-
     def encode_many(self, deltas) -> Tensor:
         """Differentiable encodings for a batch of timespans, one per row: the
         values of ``encode_values``, with a gradient for the frequencies."""
@@ -93,7 +90,6 @@ class PositionalEncoder:
     """Per-rank position vectors, fixed sinusoidal or learnable."""
 
     def __init__(self, table: np.ndarray, learnable: bool):
-        table = np.asarray(table, dtype=np.float64)
         self.learnable = learnable
         self.table = ad.parameter(table) if learnable else ad.constant(table)
 
@@ -105,17 +101,9 @@ class PositionalEncoder:
         table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
         return cls(table, learnable=False)
 
-    @classmethod
-    def learnable_table(cls, max_positions: int, dim: int, rng: np.random.Generator) -> "PositionalEncoder":
-        limit = np.sqrt(6.0 / (max_positions + dim))
-        return cls(rng.uniform(-limit, limit, size=(max_positions, dim)), learnable=True)
-
     @property
     def max_positions(self) -> int:
         return self.table.data.shape[0]
-
-    def parameters(self) -> list[Tensor]:
-        return [self.table] if self.learnable else []
 
     def lookup(self, ranks) -> np.ndarray:
         """Plain-numpy position vectors (no tape) of a rank or ranks, one row
@@ -161,8 +149,13 @@ def kernel_convergence_check(
     same index are comparable across k values.
     """
     k_values = list(k_values)
+    for k in k_values:
+        check_value(k, int, "each of k_values", Rule.AT_LEAST_1)
     if not k_values or sorted(k_values) != k_values:
         raise ValidationError("k_values must be non-empty and ascending")
+    check_value(t_max, float, "t_max", Rule.POSITIVE_FINITE)
+    check_value(grid_size, int, "grid_size", Rule.AT_LEAST_1)
+    check_value(trials, int, "trials", Rule.AT_LEAST_1)
 
     axis = np.linspace(0.0, t_max, grid_size)
     oracle = gaussian_kernel_oracle(axis[:, None], axis[None, :])

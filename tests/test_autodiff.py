@@ -14,7 +14,7 @@ import pytest
 import tgat
 from tgat import autodiff as ad
 from tgat.errors import ContractError, DimensionError
-from tgat.layer import attend_head, build_entity_matrix, feed_forward
+from tgat.layer import attend_head, build_entity_matrix, feed_forward, glorot
 from tgat.synthetic import tiny_fixture_graph
 from tgat.temporal_graph import sample_neighborhoods
 from tgat.time_encoding import PositionalEncoder, TimeEncoder
@@ -110,9 +110,9 @@ def entity_matrix_case(rng, positional: bool):
                                  rng.uniform(0.5, 9.0, size=b), 3)
     hidden = ad.parameter(_rand(rng, b + batch.sizes.sum(), 3))
     enc = TimeEncoder(rng.uniform(0.1, 1.5, size=2))
-    table = PositionalEncoder.learnable_table(8, 4, rng) if positional else None
+    table = PositionalEncoder(glorot(rng, 8, 4), learnable=True) if positional else None
     weights = _rand(rng, b + batch.sizes.sum(), 3 + 2 + 4)
-    params = [hidden] + (table.parameters() if positional else enc.parameters())
+    params = [hidden] + ([table.table] if positional else [enc.frequencies])
     return (lambda: weighted_sum(build_entity_matrix(hidden, batch, enc, enc.encode_values([0.0]),
                                                      table), weights), params)
 
@@ -130,12 +130,12 @@ def hop_case(rng, mode: str, positional: bool = False, kind: str = "any"):
     assert len(batch) <= {"empty": 0, "few": 3}.get(kind, 3 * b)
     hidden = ad.parameter(_rand(rng, b + len(batch), 3))
     enc = TimeEncoder(rng.uniform(0.1, 1.5, size=2))
-    table = PositionalEncoder.learnable_table(8, 4, rng) if positional else None
+    table = PositionalEncoder(glorot(rng, 8, 4), learnable=True) if positional else None
     heads = int(rng.integers(1, 3))
     w = [ad.parameter(np.hstack([_rand(rng, 3 + 2 + 4, 2) for _ in range(heads)]))
          for _ in range(3)]  # Q, K and V, head by head
     weights = _rand(rng, b, 2 * heads)
-    params = ([hidden] + (table.parameters() if positional else enc.parameters())
+    params = ([hidden] + ([table.table] if positional else [enc.frequencies])
               + ([w[2]] if mode == "constant" else w))
 
     def build():
@@ -178,7 +178,7 @@ def build_op_case(name: str, rng):
         enc = TimeEncoder(rng.uniform(0.1, 1.5, size=n))
         deltas = np.where(rng.random(m) < 0.3, 0.0, rng.exponential(3.0, size=m))
         weights = _rand(rng, m, 2 * n)
-        return lambda: weighted_sum(enc.encode_many(deltas), weights), enc.parameters()
+        return lambda: weighted_sum(enc.encode_many(deltas), weights), [enc.frequencies]
     if name == "hop_every_target_empty":
         return hop_case(rng, "learned", kind="empty")
     if name == "hop_three_sampled_rows":

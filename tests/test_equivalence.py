@@ -33,12 +33,13 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     arrays = json.loads(first.read_text())["arrays"]
     kinds = {name.split("/")[5] for name in arrays if "/train/" not in name}
     assert {"Q1", "Q1-generator", "embed", "embed_stream", "evaluate_links",
-            "attention_report"} <= kinds
+            "attention_report", "checkpoint"} <= kinds
     # one short train() run per graph, layer count and attention mode
     trained = {name.split("/train/")[0] for name in arrays if "/train/" in name}
     assert trained == {f"{graph}/L{layers}/{mode}" for graph in ("tiny", "random-de2")
                        for layers in (1, 2) for mode in ("learned", "constant", "positional")}
     assert all(arrays[f"{config}/train/history"]["shape"] == [2, 4] for config in trained)
+    assert all(f"{config}/train/checkpoint" in arrays for config in trained)
     assert all(any(name.startswith(f"{config}/train/param/") for name in arrays)
                for config in trained)
     assert all(len(a["sha256"]) == 64 for a in arrays.values())

@@ -34,9 +34,11 @@ from tgat.layer import (
     embed,
     embed_passes,
     embed_tensor,
+    glorot,
     head_parameter_formula,
     load_checkpoint,
     save_checkpoint,
+    _named_params,
 )
 from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
 from tgat.temporal_graph import (
@@ -166,7 +168,7 @@ class TestBuildEntityMatrix:
         # each time-block row's gradient lands in the table row of its rank,
         # repeats summed; a row that no rank reads takes exactly 0
         g = tiny_fixture_graph()
-        pos = PositionalEncoder.learnable_table(8, 4, np.random.default_rng(1))
+        pos = PositionalEncoder(glorot(np.random.default_rng(1), 8, 4), learnable=True)
         batch = sample_neighborhoods(g, [0, 2, 3, 2], [2.0, 8.0, 6.0, 9.0], 3)
         ranks = np.concatenate([batch.sizes, batch.mask.nonzero()[1]])
         assert np.bincount(ranks).max() > 1 and ranks.max() < 4
@@ -389,7 +391,7 @@ class TestAttendHead:
                 loss = weighted_sum(out, rng.standard_normal(out.data.shape))
             ad.backward(tape, loss)
             # each of the three heads' Q, K and V gradients apart
-            grads = [p.grad for p in [hidden, *enc.parameters()]] + [
+            grads = [p.grad for p in [hidden, enc.frequencies]] + [
                 head for p in w if p.grad is not None for head in np.hsplit(p.grad, 3)]
             return [out.data, alpha] + [x for x in grads if x is not None]
 
@@ -429,7 +431,8 @@ class TestLayerForward:
         g = build_graph([0, 1], [1, 2], [1.0, 2.0], node_features=np.zeros((3, 2)))
         dims = Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
         model = TgatModel.create(dims, layer_count=1, head_count=1, rng_seed=0)
-        for p in model.layers[0].parameters():
+        layer = model.layers[0]
+        for p in (layer.w_q, layer.w_k, layer.w_v, layer.w0, layer.b0, layer.w1, layer.b1):
             p.data = np.zeros_like(p.data)
         out = embed_tensor(model, 0, 3.0, g, MOST_RECENT)
         np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
@@ -594,7 +597,7 @@ class TestEmbedProperties:
             shown = f"^max_neighbors must be an integer, got {cap}$"
             with pytest.raises(ValidationError, match=shown):
                 SamplingConfig(max_neighbors=cap, strategy="uniform")
-        for seed in (-1, 1.5):
+        for seed in (-1, 1.5, True, [True, 2]):  # True used to sample as 1
             with pytest.raises(ValidationError, match="rng_seed"):
                 embed(model, 3, 4.5, g, MOST_RECENT, rng_seed=seed)
 
@@ -876,6 +879,11 @@ class TestPositionalMode:
         assert model.positional_encoder.table in model.parameters()
 
 
+# (attention mode, learnable positional table)
+MODES = [("learned", False), ("constant", False), ("positional", False), ("positional", True)]
+MODE_IDS = ["learned", "constant", "positional", "positional_learnable"]
+
+
 class TestCheckpoint:
     def _model(self, mode="learned", learnable_pos=False):
         dims = Dims(d0=3, d=4, d_t=4, d_h=3, d_f=5, d_e=2)
@@ -895,6 +903,41 @@ class TestCheckpoint:
         np.testing.assert_array_equal(
             embed(model, 0, 5.0, g, MOST_RECENT),
             embed(loaded, 0, 5.0, g, MOST_RECENT))
+
+    @pytest.mark.parametrize("mode, learnable_pos", MODES, ids=MODE_IDS)
+    def test_parameters_follow_the_checkpoint_table(self, mode, learnable_pos):
+        # Adam's flat layout and grad_check's coordinate draws follow this order
+        model = self._model(mode, learnable_pos)
+        first_name = {}
+        for name, (tensor, _) in _named_params(model).items():
+            first_name.setdefault(id(tensor), name)
+        expected = ["time_encoder.frequencies"] + ["positional.table"] * learnable_pos + [
+            f"layers.{l}.{part}" for l in range(2)
+            for part in ("heads.0.w_q", "heads.0.w_k", "heads.0.w_v",
+                         "ffn.w0", "ffn.b0", "ffn.w1", "ffn.b1")]
+        assert [first_name[id(p)] for p in model.parameters()] == expected
+
+    @pytest.mark.parametrize("mode, learnable_pos", MODES, ids=MODE_IDS)
+    def test_every_mode_roundtrips_bit_exact(self, tmp_path, mode, learnable_pos):
+        model = self._model(mode, learnable_pos)
+        save_checkpoint(model, tmp_path / "ckpt.json")
+        loaded, _ = load_checkpoint(tmp_path / "ckpt.json")
+        params, again = model.parameters(), loaded.parameters()
+        assert len(params) == len(again)
+        for a, b in zip(params, again):
+            assert a.data.shape == b.data.shape and a.data.tobytes() == b.data.tobytes()
+
+    def test_failed_save_keeps_the_file(self, tmp_path):
+        # the file used to be opened before the payload was encoded, so an
+        # np.int64 in extra cut a good checkpoint short with a raw TypeError
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(self._model(), path, extra={"epoch": 3})
+        before = path.read_bytes()
+        with pytest.raises(ValidationError, match="^extra must hold only values JSON can "
+                                                  "encode \\(Object of type int64 is not "):
+            save_checkpoint(self._model(), path, extra={"epoch": np.int64(3)})
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[1] == {"epoch": 3}
 
     def test_resave_identical_bytes(self, tmp_path):
         model = self._model()

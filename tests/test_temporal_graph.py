@@ -747,8 +747,9 @@ class TestSampleNeighborhoods:
                 sample_neighborhoods(g, nodes, times, max_size, strategy)
         assert sample_neighborhoods(g, [0], [45.0], np.int64(2), "uniform").sizes.tolist() == [2]
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, [3, -2], "7", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, [3, -2], "7", None, True, [True, 2]])
     def test_bad_seed_rejected(self, seed):
+        # True used to sample as 1
         g = self.random_graph(3)
         with pytest.raises(ValidationError, match="rng_seed"):
             sample_neighborhoods(g, [0], [45.0], 2, "uniform", rng_seed=seed)
@@ -1129,9 +1130,9 @@ class TestMaskUnseen:
             with pytest.raises(ValidationError):
                 mask_unseen(g, split, frac, 0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, [True, 2]])
     def test_bad_seed_rejected(self, seed):
-        # numpy's ValueError or TypeError used to escape
+        # numpy's ValueError or TypeError used to escape, and True drew as 1
         g = self.bigger()
         with pytest.raises(ValidationError, match="rng_seed"):
             mask_unseen(g, chronological_split(g, 0.7, 0.15), 0.1, rng_seed=seed)

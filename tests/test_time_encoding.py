@@ -2,12 +2,14 @@
 Gaussian-transform oracle, convergence in the sample count, and the
 positional-encoding baseline."""
 
+import re
+
 import numpy as np
 import pytest
 
 from tgat import autodiff as ad
 from tgat.errors import PositionLookupError, ValidationError
-from tgat.layer import build_entity_matrix
+from tgat.layer import build_entity_matrix, glorot
 from tgat.synthetic import tiny_fixture_graph
 from tgat.temporal_graph import sample_neighborhoods
 from tgat.time_encoding import (
@@ -69,7 +71,7 @@ class TestEncode:
         mix = rng.standard_normal((len(deltas), 8))
         report = ad.grad_check(
             lambda: weighted_sum(enc.encode_many(deltas), mix),
-            enc.parameters(), tolerance=1e-5, rng_seed=0)
+            [enc.frequencies], tolerance=1e-5, rng_seed=0)
         # relative error < 1e-5 at random (w, dt)
         assert report.passed, report
 
@@ -159,6 +161,24 @@ class TestConvergenceCheck:
         with pytest.raises(ValidationError):
             kernel_convergence_check(k_values=[64, 8])
 
+    # 2.5 was taken for a bad rng_seed, True raised numpy's TypeError, a grid
+    # size of -1 numpy's ValueError, and 0 trials or a NaN t_max gave NaN reports
+    @pytest.mark.parametrize("argument, shown", [
+        ({"k_values": [2.5]}, "each of k_values must be an integer, got 2.5"),
+        ({"k_values": [True]}, "each of k_values must be an integer, got True"),
+        ({"k_values": [0, 8]}, "each of k_values must be >= 1, got 0"),
+        ({"t_max": float("nan")}, "t_max must be positive and finite, got nan"),
+        ({"t_max": 0.0}, "t_max must be positive and finite, got 0.0"),
+        ({"grid_size": -1}, "grid_size must be >= 1, got -1"),
+        ({"grid_size": 5.0}, "grid_size must be an integer, got 5.0"),
+        ({"trials": 0}, "trials must be >= 1, got 0")],
+        ids=["fractional_k", "boolean_k", "zero_k", "nan_t_max", "zero_t_max",
+             "negative_grid_size", "float_grid_size", "zero_trials"])
+    def test_bad_argument_rejected(self, argument, shown):
+        kwargs = {"k_values": [8], "grid_size": 5, "trials": 1, **argument}
+        with pytest.raises(ValidationError, match=f"^{re.escape(shown)}$"):
+            kernel_convergence_check(**kwargs)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, None])
     def test_bad_seed_rejected(self, seed):
         # -1 and 1.5 used to raise numpy's errors, None to draw fresh entropy
@@ -186,7 +206,7 @@ class TestPositionalEncoder:
         np.testing.assert_array_equal(out, enc.table.data[[0, 3]])
 
     def test_learnable_lookup_stable_before_update(self):
-        enc = PositionalEncoder.learnable_table(6, 4, np.random.default_rng(0))
+        enc = PositionalEncoder(glorot(np.random.default_rng(0), 6, 4), learnable=True)
         a = enc.lookup(3).copy()
         b = enc.lookup(3).copy()
         np.testing.assert_array_equal(a, b)
@@ -202,7 +222,7 @@ class TestPositionalEncoder:
         # node 0 of the tiny graph has two interactions before t = 5, so its
         # target row reads rank 2 and its sampled rows ranks 0 and 1; the
         # loss reads the target row's time block only
-        enc = PositionalEncoder.learnable_table(4, 6, np.random.default_rng(2))
+        enc = PositionalEncoder(glorot(np.random.default_rng(2), 4, 6), learnable=True)
         batch = sample_neighborhoods(tiny_fixture_graph(), [0], [5.0], 3)
         assert batch.sizes.tolist() == [2]
         hidden = ad.constant(np.zeros((3, 1)))

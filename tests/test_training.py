@@ -48,7 +48,8 @@ class TestLinkLoss:
     def test_zero_model_gives_one_plus_q_log_two(self):
         g = tiny_fixture_graph()
         model = small_model(g)
-        for p in model.layers[0].parameters():
+        layer = model.layers[0]
+        for p in (layer.w_q, layer.w_k, layer.w_v, layer.w0, layer.b0, layer.w1, layer.b1):
             p.data = np.zeros_like(p.data)
         for q in (1, 3):
             loss = link_loss(model, g, [4, 5], SAMPLING, negatives_per_positive=q,
@@ -91,7 +92,7 @@ class TestLinkLoss:
         with pytest.raises(ContractError):
             link_loss(small_model(g), g, [], SAMPLING, 1)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True, [True, 2]])
     def test_bad_seed_rejected(self, seed):
         g = tiny_fixture_graph()
         with pytest.raises(ValidationError, match="rng_seed"):
@@ -513,7 +514,7 @@ class TestEvaluateLinks:
         with pytest.raises(ValidationError, match="max_events must be an integer"):
             evaluate_links(model, g, split, config=cfg, max_events=max_events)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True, [True, 2]])
     def test_bad_seed_rejected(self, seed):
         g, split, cfg = training_fixture()
         model = training.build_model(g, cfg)

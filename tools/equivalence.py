@@ -13,10 +13,11 @@ For every configuration of the grid this computes:
   transductive test events and on the inductive ones of a split that
   withholds a fifth of the nodes;
 - the ``attention_report`` rows;
-- the final parameters, named as in a checkpoint, and the ``history`` of a
-  short ``train`` run per graph, layer count and attention mode, and the
-  test scores and AUC of ``node_classify`` on that trained model at two L2
-  weights, 0 among them;
+- the bytes ``save_checkpoint`` writes for the configuration's model;
+- the final parameters, named as in a checkpoint, the checkpoint bytes and
+  the ``history`` of a short ``train`` run per graph, layer count and
+  attention mode, and the test scores and AUC of ``node_classify`` on that
+  trained model at two L2 weights, 0 among them;
 
 and writes each array's SHA-256 and largest magnitude to JSON, and the
 arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
@@ -43,6 +44,8 @@ import itertools
 import json
 import os
 import sys
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -124,6 +127,14 @@ def with_labels(graph):
                        graph.edge_features, labels, graph.node_features)
 
 
+def checkpoint_bytes(model, extra=None) -> np.ndarray:
+    """The bytes ``save_checkpoint`` writes for ``model``, one entry per byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        layer.save_checkpoint(model, path, extra)
+        return np.frombuffer(path.read_bytes(), dtype=np.uint8)
+
+
 def scored(evaluate):
     """``evaluate()``'s result and the scores it handed the metrics. The
     scores reach the metrics' input check as they are, so they are recorded
@@ -144,8 +155,10 @@ def scored(evaluate):
 
 
 def train_arrays(graph, split, layers: int, mode: str, learnable: bool, labelled=None):
-    """Yield ``(name, array)`` for the final parameters and the history of a
-    short ``train`` run: Adam and the negative draws show here. Given
+    """Yield ``(name, array)`` for the final parameters, the checkpoint bytes
+    and the history of a short ``train`` run: Adam and the negative draws
+    show here. The checkpoint's extra is the run's config, as the CLI
+    writes it. Given
     ``graph`` with labels, ``labelled``, also yield ``node_classify``'s test
     scores and AUC on the trained model, one MLP per weight of ``NODE_L2``."""
     config = training.TrainConfig(
@@ -157,6 +170,7 @@ def train_arrays(graph, split, layers: int, mode: str, learnable: bool, labelled
     model, history = training.train(graph, split, config)
     for name, (p, cols) in layer._named_params(model).items():
         yield f"train/param/{name}", p.data[..., cols]
+    yield "train/checkpoint", checkpoint_bytes(model, {"train_config": asdict(config)})
     yield "train/history", np.array([(h.epoch, h.train_loss, h.val_ap, h.val_acc)
                                      for h in history]).reshape(-1, 4)
     for l2 in NODE_L2 if labelled is not None else ():
@@ -211,6 +225,7 @@ def grid_arrays(grid: dict):
                                      positional_learnable=learnable, max_positions=cap + 1)
             sampling = SamplingConfig(max_neighbors=cap, strategy=strategy)
             rng = np.random.default_rng(11)
+            yield f"{config}/checkpoint", checkpoint_bytes(model)
 
             events = _events(graph, LOSS_EVENTS, rng)
             named = layer._named_params(model)
