@@ -180,7 +180,6 @@ def build_entity_matrix(
     hidden: Tensor,
     batch: NeighborhoodBatch,
     enc: TimeEncoder,
-    phi0: np.ndarray,
     positional: PositionalEncoder | None = None,
 ) -> Tensor:
     """Entity-temporal rows of the B targets of ``batch`` and of their
@@ -190,40 +189,39 @@ def build_entity_matrix(
     sampled interaction, in the order of the batch's rows, and so does the
     result. Target row b is (hidden, zero edge block, phi(0)); sampled row
     B + j is (hidden, edge, phi(t - t_j)). The edge block is as wide as the
-    batch's edge features. phi is encoded for the sampled timespans only;
-    the target rows take ``phi0``, the ``enc.encode_values([0.0])`` that
-    ``embed_tensor`` computes once per call, signed zeros and all. In
-    positional mode the time block is a rank lookup instead, ``phi0`` unread:
-    a target takes rank n, its n sampled rows ranks 0 to n - 1, oldest first.
+    batch's edge features. One ``encode_many`` call encodes every row's
+    timespan, the targets' zeros first, so a target's phi(0) is the
+    operator's own, signed zeros and all. In positional mode the time block
+    is a rank lookup instead: a target takes rank n, its n sampled rows
+    ranks 0 to n - 1, oldest first.
     """
     b, sizes = batch.mask.shape[0], batch.sizes
     if b == 0 or hidden.data.shape[0] != b + batch.times.size:
         raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
                             f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
     if positional is None:
-        time = enc.encode_many(batch.query_times.repeat(sizes) - batch.times)
+        time = enc.encode_many(np.concatenate([np.zeros(b),
+                                               batch.query_times.repeat(sizes) - batch.times]))
         block = time.data
     else:  # a sampled row's rank is its column in the mask
         ranks = np.concatenate([sizes, batch.mask.nonzero()[1]])
         time, block = positional.table, positional.lookup(ranks)
-    first = hidden.data.shape[0] - block.shape[0]  # the first row of the time block
     width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[1]
     t0 = width + edge_dim
     z = np.empty((hidden.data.shape[0], t0 + block.shape[1]))
     z[:, :width] = hidden.data
     z[:b, width:t0] = 0.0
     z[b:, width:t0] = batch.edge_features
-    z[:first, t0:] = phi0
-    z[first:, t0:] = block
+    z[:, t0:] = block
 
     def pull(g: np.ndarray) -> None:
         if hidden.requires_grad:
             hidden._accumulate(g[:, :width])
         if time.requires_grad and positional is None:
-            time._accumulate(g[first:, t0:])
+            time._accumulate(g[:, t0:])
         elif time.requires_grad:  # each row's gradient summed into its rank's table row
             table_grad = np.zeros_like(time.data)
-            np.add.at(table_grad, ranks, g[first:, t0:])
+            np.add.at(table_grad, ranks, g[:, t0:])
             time._accumulate(table_grad)
 
     return ad.apply_op(z, (hidden, time), pull)
@@ -326,7 +324,7 @@ def feed_forward(x: Tensor, x0: np.ndarray, weights: list[Tensor],
 
 def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
                    graph: TemporalGraph, sampling: SamplingConfig, key: np.uint64,
-                   phi0: np.ndarray, attention: list | None) -> Tensor:
+                   attention: list | None) -> Tensor:
     """(B, d) states of ``nodes`` at ``times`` after ``level`` layers.
 
     One hop at a time: one sampler call draws every target's neighborhood
@@ -350,8 +348,8 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
         model, level - 1,
         np.concatenate([nodes, batch.peers]),
         np.concatenate([times, batch.times]),
-        graph, sampling, key, phi0, attention)
-    z = build_entity_matrix(hidden, batch, model.time_encoder, phi0, model.positional_encoder)
+        graph, sampling, key, attention)
+    z = build_entity_matrix(hidden, batch, model.time_encoder, model.positional_encoder)
     heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, layer.head_count,
                                  model.attention_mode, batch.mask)
     if attention is not None:
@@ -386,8 +384,7 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
     if nodes.size == 0:
         return ad.constant(np.zeros((0, dims.d)))
     return _hidden_states(model, model.layer_count, nodes, times, graph, sampling,
-                          sampling_key(rng_seed), model.time_encoder.encode_values([0.0]),
-                          attention)
+                          sampling_key(rng_seed), attention)
 
 
 EMBED_CHUNK = 128  # queries per inference pass, which holds their L-hop neighborhoods

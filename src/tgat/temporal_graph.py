@@ -381,7 +381,10 @@ def seed_sequence(rng_seed) -> np.random.SeedSequence:
 
 def sampling_key(rng_seed) -> np.uint64:
     """The 64-bit key of one sampling call: a key (an ``np.uint64``) as it is,
-    one draw of a ``Generator``, or an int or list of ints through ``SeedSequence``."""
+    one draw of a ``Generator``, or an int or list of ints through ``SeedSequence``.
+    So ``sample_neighborhoods``, ``embed_tensor`` and ``embed`` take an
+    ``np.uint64`` as a ready key, while ``link_loss`` and ``evaluate_links``
+    read it as a seed like any int (``training._link_scores``)."""
     if isinstance(rng_seed, np.uint64):
         return rng_seed
     if isinstance(rng_seed, np.random.Generator):
@@ -406,7 +409,8 @@ def check_queries(g: TemporalGraph, nodes, times) -> tuple[np.ndarray, np.ndarra
     times = np.asarray(times, dtype=np.float64)
     if nodes.ndim != 1 or nodes.shape != times.shape:
         raise ValidationError(
-            f"nodes and times must align, got shapes {nodes.shape} and {times.shape}")
+            f"nodes and times must be 1-D and of equal length, got shapes {nodes.shape} "
+            f"and {times.shape}")
     bad = (~((times >= 0) & (times < np.inf))).nonzero()[0]
     if bad.size:
         raise ValidationError(

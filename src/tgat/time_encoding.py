@@ -55,10 +55,15 @@ class TimeEncoder:
         return 1.0 / math.sqrt(self.num_frequencies)
 
     def encode_many(self, deltas) -> Tensor:
-        """Differentiable encodings for a batch of timespans, one per row: the
-        values of ``encode_values``, with a gradient for the frequencies."""
+        """Differentiable encodings for a batch of timespans, one per row:
+        cos and sin of each phase w_i * t, interleaved and scaled, with a
+        gradient for the frequencies. The one forward implementation of the
+        map: the model, ``kernel_estimate`` and the kernel check read it."""
         dt = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
-        trig = self._cos_sin(dt)
+        phase = dt * self.frequencies.data
+        trig = np.empty((dt.shape[0], self.output_dim))
+        trig[:, 0::2] = np.cos(phase)
+        trig[:, 1::2] = np.sin(phase)
 
         def pull(g: np.ndarray) -> None:
             d_phase = g[:, 1::2] * trig[:, 0::2] - g[:, 0::2] * trig[:, 1::2]
@@ -66,23 +71,10 @@ class TimeEncoder:
 
         return ad.apply_op(trig * self.scale, (self.frequencies,), pull)
 
-    def encode_values(self, deltas) -> np.ndarray:
-        """Plain-numpy encodings (no tape), one row per timespan."""
-        return self._cos_sin(np.asarray(deltas, dtype=np.float64).reshape(-1, 1)) * self.scale
-
-    def _cos_sin(self, dt: np.ndarray) -> np.ndarray:
-        """The unscaled encodings: cos and sin of each phase, interleaved."""
-        phase = dt * self.frequencies.data
-        out = np.empty((dt.shape[0], self.output_dim))
-        out[:, 0::2] = np.cos(phase)
-        out[:, 1::2] = np.sin(phase)
-        return out
-
     def kernel_estimate(self, t1: float, t2: float) -> float:
         """Inner product of the two encodings; algebraically equal to
         ``mean_i cos(w_i (t1 - t2))``."""
-        e1 = self.encode_values([t1])[0]
-        e2 = self.encode_values([t2])[0]
+        e1, e2 = self.encode_many([t1, t2]).data
         return float(e1 @ e2)
 
 
@@ -167,7 +159,7 @@ def kernel_convergence_check(
         for trial in range(trials):
             rng = np.random.default_rng(seed_sequence([rng_seed, k, trial]))
             enc = TimeEncoder(rng.standard_normal(k))
-            feats = enc.encode_values(axis)
+            feats = enc.encode_many(axis).data
             err = np.abs(feats @ feats.T - oracle)
             sups[trial] = err.max()
             means[trial] = err.mean()

@@ -152,6 +152,15 @@ def _draw_negatives(rng: np.random.Generator, num_nodes: int, forbidden: np.ndar
     return out
 
 
+def _event_indices(graph: TemporalGraph, values) -> np.ndarray:
+    """``values`` as a 1-D array of event indices of ``graph``: the id rule
+    of ``whole_numbers``, and a ValidationError naming any other shape."""
+    idx = whole_numbers(values, "event index", graph.num_events)
+    if idx.ndim != 1:
+        raise ValidationError(f"event indices must be 1-D, got shape {idx.shape}")
+    return idx
+
+
 def _link_scores(graph: TemporalGraph, events: np.ndarray, negatives_per_positive: int,
                  rng_seed, embedding) -> Tensor:
     """Inner products h_i . h_j of each positive event (i, j, t), then
@@ -161,7 +170,8 @@ def _link_scores(graph: TemporalGraph, events: np.ndarray, negatives_per_positiv
     negatives (one ``_draw_negatives`` call, positive by positive), then the
     sampling key, one uint64; any other seed becomes one ``SeedSequence``
     that seeds the negatives' ``Generator`` and gives the key,
-    ``generate_state(1, np.uint64)[0]``. ``embedding(nodes, times, key)``, a
+    ``generate_state(1, np.uint64)[0]``; an ``np.uint64`` is such a seed
+    here, not the ready key it is to ``sampling_key``. ``embedding(nodes, times, key)``, a
     (B, d) Tensor, embeds sources, destinations and negatives at the event times.
     """
     src, dst, ts = graph.sources[events], graph.destinations[events], graph.timestamps[events]
@@ -196,7 +206,7 @@ def link_loss(
 
     ``rng_seed`` seeds the negatives and the neighborhood samples (``_link_scores``).
     """
-    idx = whole_numbers(batch_events, "event index", graph.num_events)
+    idx = _event_indices(graph, batch_events)
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
     check_value(negatives_per_positive, int, "negatives_per_positive", Rule.AT_LEAST_1)
@@ -288,7 +298,8 @@ def _chronological_subsample(indices: np.ndarray, cap: int, rng: np.random.Gener
 def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[TgatModel, list[EpochStats]]:
     """Optimize a model on the training period, early-stopping on validation AP.
 
-    Returns the best-validation model and the per-epoch metric history.
+    Returns the best-validation model, its parameters holding no gradient,
+    and the per-epoch metric history.
     Fully deterministic given the config seed; with no validation events the
     final epoch's parameters are kept. A non-finite batch loss or parameter
     raises TrainingError rather than returning a diverged model.
@@ -350,6 +361,7 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
 
     for p, best in zip(params, best_params):
         p.data = best
+    ad.zero_grads(params)
     return model, history
 
 
@@ -394,7 +406,7 @@ def evaluate_links(
         event_indices = _chronological_subsample(
             evaluation_event_indices(graph, split, period, mode), max_events,
             np.random.default_rng(seed_sequence([rng_seed, 555])))
-    event_indices = whole_numbers(event_indices, "event index", graph.num_events)
+    event_indices = _event_indices(graph, event_indices)
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
     sampling, p = config.sampling(training=False), event_indices.size
@@ -521,7 +533,7 @@ def attention_report(
     its peer occurs in the same neighborhood."""
     config = config or TrainConfig()
     sampling = config.sampling(training=False)
-    idx = whole_numbers(event_indices, "event index", graph.num_events)
+    idx = _event_indices(graph, event_indices)
     nodes = np.column_stack([graph.sources[idx], graph.destinations[idx]]).ravel()
     times = np.repeat(graph.timestamps[idx], 2)
     key = sampling_key([rng_seed, 4004])

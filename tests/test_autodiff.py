@@ -113,8 +113,8 @@ def entity_matrix_case(rng, positional: bool):
     table = PositionalEncoder(glorot(rng, 8, 4), learnable=True) if positional else None
     weights = _rand(rng, b + batch.sizes.sum(), 3 + 2 + 4)
     params = [hidden] + ([table.table] if positional else [enc.frequencies])
-    return (lambda: weighted_sum(build_entity_matrix(hidden, batch, enc, enc.encode_values([0.0]),
-                                                     table), weights), params)
+    return (lambda: weighted_sum(build_entity_matrix(hidden, batch, enc, table), weights),
+            params)
 
 
 def hop_case(rng, mode: str, positional: bool = False, kind: str = "any"):
@@ -139,7 +139,7 @@ def hop_case(rng, mode: str, positional: bool = False, kind: str = "any"):
               + ([w[2]] if mode == "constant" else w))
 
     def build():
-        z = build_entity_matrix(hidden, batch, enc, enc.encode_values([0.0]), table)
+        z = build_entity_matrix(hidden, batch, enc, table)
         return weighted_sum(attend_head(z, *w, heads, mode, batch.mask)[0], weights)
 
     return build, params

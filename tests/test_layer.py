@@ -77,8 +77,7 @@ def raw_hidden(g, batch, nodes):
 
 def entity_matrix(g, nodes, times, enc, **kwargs):
     batch = sample_neighborhoods(g, nodes, times, 5)
-    return batch, build_entity_matrix(raw_hidden(g, batch, nodes), batch, enc,
-                                      enc.encode_values([0.0]), **kwargs)
+    return batch, build_entity_matrix(raw_hidden(g, batch, nodes), batch, enc, **kwargs)
 
 
 def block(z, batch, i):
@@ -102,13 +101,14 @@ class TestBuildEntityMatrix:
         assert z.data.shape == (2, 2 + 6)
 
     def test_target_time_block_is_phi_zero(self, monkeypatch):
-        # embed_tensor encodes phi(0) once for every hop; a negative frequency
-        # makes its sine a -0.0, which the bytes keep and == would not see
+        # each hop encodes its targets' zero timespans with its sampled ones; a
+        # negative frequency makes phi(0)'s sine a -0.0, which the bytes keep
+        # and == would not see
         g = recency_planted_graph(60, 600, seed=0)
         dims = Dims(d0=g.node_feature_dim, d=3, d_t=4, d_h=2, d_f=3, d_e=0)
         model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=0, t_max=g.t_max)
         model.time_encoder = TimeEncoder([0.7, -1.3])
-        phi_zero = model.time_encoder.encode_values([0.0])
+        phi_zero = model.time_encoder.encode_many([0.0]).data
         assert np.signbit(phi_zero).tolist() == [[False, False, False, True]]
         blocks = []
 
@@ -132,7 +132,7 @@ class TestBuildEntityMatrix:
         enc = TimeEncoder.create(8, t_max=5.0)
         _, z = entity_matrix(g, [0], [5.0], enc)
         for row, offset in zip(range(1, 4), [4.0, 3.0, 1.0]):
-            np.testing.assert_array_equal(z.data[row, 4:], enc.encode_values([offset])[0])
+            np.testing.assert_array_equal(z.data[row, 4:], enc.encode_many([offset]).data[0])
 
     def test_edge_block_zero_padded_on_target(self):
         g = tiny_fixture_graph()  # d_e = 2
@@ -175,8 +175,7 @@ class TestBuildEntityMatrix:
         enc = TimeEncoder.create(4)
         weights = np.random.default_rng(2).standard_normal((ranks.size, 3 + 2 + 4))
         with ad.Tape() as tape:
-            z = build_entity_matrix(raw_hidden(g, batch, [0, 2, 3, 2]), batch, enc,
-                                    enc.encode_values([0.0]), pos)
+            z = build_entity_matrix(raw_hidden(g, batch, [0, 2, 3, 2]), batch, enc, pos)
             loss = weighted_sum(z, weights)
         ad.backward(tape, loss)
         expected = np.zeros_like(pos.table.data)
@@ -189,11 +188,10 @@ class TestBuildEntityMatrix:
         enc = TimeEncoder.create(4)
         batch = sample_neighborhoods(g, [0], [2.0], 5)
         with pytest.raises(ContractError):
-            build_entity_matrix(ad.constant(np.zeros((3, 2))), batch, enc,
-                                enc.encode_values([0.0]))
+            build_entity_matrix(ad.constant(np.zeros((3, 2))), batch, enc)
         with pytest.raises(ContractError):
             build_entity_matrix(ad.constant(np.zeros((0, 2))),
-                                sample_neighborhoods(g, [], [], 5), enc, enc.encode_values([0.0]))
+                                sample_neighborhoods(g, [], [], 5), enc)
 
     def test_only_target_rows_hold_phi_zero(self):
         # target rows take phi(0) with the bits that encoding a zero timespan
@@ -325,7 +323,7 @@ class TestAttendHead:
         g_out = rng.standard_normal((4, 2 * 2))
         with ad.Tape() as tape:
             enc = TimeEncoder.create(4)
-            z = build_entity_matrix(hidden, batch, enc, enc.encode_values([0.0]))
+            z = build_entity_matrix(hidden, batch, enc)
             out, _ = attend_head(z, *w, 2, mode, batch.mask)
             loss = weighted_sum(out, g_out)
         ad.backward(tape, loss)
@@ -386,7 +384,7 @@ class TestAttendHead:
             w = [ad.parameter(np.hstack([rng.standard_normal((3 + 2 * k, d_h))
                                          for _ in range(3)])) for _ in range(3)]
             with ad.Tape() as tape:
-                z = build_entity_matrix(hidden, batch, enc, enc.encode_values([0.0]))
+                z = build_entity_matrix(hidden, batch, enc)
                 out, alpha = attend_head(z, *w, 3, mode, batch.mask)
                 loss = weighted_sum(out, rng.standard_normal(out.data.shape))
             ad.backward(tape, loss)
@@ -658,7 +656,7 @@ class TestEmbedProperties:
         # one call per hop attends with every head of that hop's layer
         assert head_counts == [2, 2]
 
-    def test_time_encoding_only_for_sampled_interactions(self, monkeypatch):
+    def test_time_encoding_one_call_per_hop_over_every_row(self, monkeypatch):
         g = recency_planted_graph(200, 4000, seed=0)
         dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
         model = TgatModel.create(dims, layer_count=2, head_count=1, rng_seed=1, t_max=g.t_max)
@@ -674,8 +672,9 @@ class TestEmbedProperties:
         # node 0 at t=1.0 has no earlier event
         embed_tensor(model, [0, 3, 7, 42], [1.0, 2.3, 3.6, 8.8], g, SamplingConfig(4, "uniform"),
                      attention=hops)
-        # one call per hop, bottom hop first, with one row per sampled interaction
-        assert encoded == [int(batch.sizes.sum()) for _, batch, _ in hops]
+        # one call per hop, bottom hop first: a zero timespan per target, then
+        # one row per sampled interaction
+        assert encoded == [batch.sizes.size + int(batch.sizes.sum()) for _, batch, _ in hops]
 
     def test_scalar_and_sequence_shapes(self):
         g = simple_graph()
@@ -783,11 +782,12 @@ class TestEmbedPasses:
         g = simple_graph()
         model = TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), layer_count=1,
                                  head_count=1, rng_seed=5)
-        # the shapes of the call, not of a pass
+        # the shapes of the call, not of a pass; aligned 2-D queries are not 1-D
         for nodes, times, shown in (([3] * 300, [4.5], "(300,) and (1,)"),
                                     (np.full((200, 2), 3), np.full((200, 2), 4.5),
                                      "(200, 2) and (200, 2)")):
-            with pytest.raises(ValidationError, match=re.escape(shown)):
+            with pytest.raises(ValidationError, match="must be 1-D and of equal length, "
+                                                      "got shapes " + re.escape(shown)):
                 embed(model, nodes, times, g, MOST_RECENT)
 
     def test_generator_seed_drawn_once_per_call(self):

@@ -741,7 +741,7 @@ class TestSampleNeighborhoods:
                  ([0, 1], [1.0, 1.0], 2.0, "uniform", "max_neighbors must be an integer"),
                  ([0, 1], [1.0, 1.0], True, "uniform", "max_neighbors must be an integer, got True"),
                  ([0, 1], [1.0, 1.0], 5, "nope", "nope"),
-                 ([0, 1], [1.0], 5, "uniform", "align")]
+                 ([0, 1], [1.0], 5, "uniform", "1-D and of equal length")]
         for nodes, times, max_size, strategy, match in cases:
             with pytest.raises(ValidationError, match=match):
                 sample_neighborhoods(g, nodes, times, max_size, strategy)
@@ -889,6 +889,21 @@ def test_bounded_id_rule(caller, at_bound):
                     else (-1, f"{what} -1 is negative"))
     with pytest.raises(error, match="^" + re.escape(shown) + "$"):
         call(g, model, value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, m, idx: link_loss(m, g, idx, SamplingConfig()),
+    lambda g, m, idx: evaluate_links(m, g, SplitSpec(1.0, 2.0), event_indices=idx),
+    lambda g, m, idx: attention_report(m, g, idx)],
+    ids=["link_loss", "evaluate_links", "attention_report"])
+def test_event_indices_must_be_1d(call):
+    # one event-index rule: indices in range but not in a 1-D array raise a
+    # one-line message naming the shape, neither numpy's concatenate error
+    # nor a silent flattening
+    g, model = tiny_graph_and_model()
+    with pytest.raises(ValidationError,
+                       match="^" + re.escape("event indices must be 1-D, got shape (1, 2)") + "$"):
+        call(g, model, np.array([[0, 1]]))
 
 
 @pytest.mark.parametrize("what, call", [

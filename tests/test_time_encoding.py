@@ -34,25 +34,24 @@ class TestEncode:
         rng = np.random.default_rng(0)
         enc = TimeEncoder(rng.standard_normal(7))
         for dt in [0.0, 1e-6, 0.5, 3.14159, 42.0, 1e4, -2.5]:
-            assert abs(np.linalg.norm(enc.encode_values([dt])[0]) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(enc.encode_many([dt]).data[0]) - 1.0) < 1e-12
 
     def test_phi_zero_layout(self):
         enc = TimeEncoder.create(8)
-        row = enc.encode_values([0.0])[0]
+        row = enc.encode_many([0.0]).data[0]
         np.testing.assert_allclose(row[0::2], 0.5)  # cos coordinates, 1/sqrt(4)
         np.testing.assert_allclose(row[1::2], 0.0)  # sin coordinates
 
     def test_single_frequency_antipodal(self):
         enc = TimeEncoder([1.0])
-        v0 = enc.encode_values([0.0])[0]
-        vpi = enc.encode_values([np.pi])[0]
+        v0, vpi = enc.encode_many([0.0, np.pi]).data
         np.testing.assert_allclose(float(v0 @ vpi), -1.0, atol=1e-12)
 
     def test_two_frequency_closed_form(self):
         # independent closed form: <phi(t1), phi(t2)> = mean_i cos(w_i (t1 - t2))
         enc = TimeEncoder([1.0, 2.0])
         t1, t2 = 0.3, 0.7
-        got = float(enc.encode_values([t1])[0] @ enc.encode_values([t2])[0])
+        got = float(enc.encode_many([t1]).data[0] @ enc.encode_many([t2]).data[0])
         expected = (np.cos(1.0 * (t1 - t2)) + np.cos(2.0 * (t1 - t2))) / 2.0
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -60,8 +59,13 @@ class TestEncode:
         rng = np.random.default_rng(3)
         enc = TimeEncoder(rng.uniform(0.01, 2.0, size=5))
         deltas = rng.uniform(0, 10, size=6)
-        np.testing.assert_array_equal(enc.encode_many(deltas).data,
-                                      enc.encode_values(deltas))
+        # the one operator's values: cos and sin of each phase, interleaved
+        # and scaled, whether a timespan is encoded alone or in a batch
+        phase = deltas[:, None] * enc.frequencies.data
+        values = np.stack([np.cos(phase), np.sin(phase)], axis=2).reshape(6, -1) * enc.scale
+        np.testing.assert_array_equal(enc.encode_many(deltas).data, values)
+        np.testing.assert_array_equal(np.vstack([enc.encode_many([d]).data for d in deltas]),
+                                      values)
 
     def test_encode_gradient_wrt_frequencies(self):
         rng = np.random.default_rng(9)
@@ -230,7 +234,7 @@ class TestPositionalEncoder:
         weights[0, 3:] = 1.0
         phi = TimeEncoder.create(6)  # unread in positional mode
         with ad.Tape() as tape:
-            z = build_entity_matrix(hidden, batch, phi, phi.encode_values([0.0]), enc)
+            z = build_entity_matrix(hidden, batch, phi, enc)
             loss = weighted_sum(z, weights)
         ad.backward(tape, loss)
         grad = enc.table.grad

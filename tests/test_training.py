@@ -369,6 +369,28 @@ class TestTrainLoop:
         for a, b in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_returned_parameters_hold_no_gradient(self, monkeypatch):
+        # the last batch's gradients are cleared on return, and nothing else
+        # changes: a run that keeps them has the same history and bytes
+        g, split, cfg = training_fixture()
+        model, history = train(g, split, cfg)
+        assert all(p.grad is None for p in model.parameters())
+        # one clear per batch of two 150-event epochs, then the one on return
+        batches, calls, original = 2 * -(-150 // cfg.batch_size), [], ad.zero_grads
+
+        def keep_last(params):
+            calls.append(len(params))
+            if len(calls) <= batches:
+                original(params)
+
+        monkeypatch.setattr(ad, "zero_grads", keep_last)
+        kept, kept_history = train(g, split, cfg)
+        assert len(calls) == batches + 1
+        assert all(p.grad is not None for p in kept.parameters())
+        assert kept_history == history
+        for a, b in zip(model.parameters(), kept.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+
     def test_loss_decreases_over_first_five_epochs(self):
         # full training set each epoch keeps the epoch-mean comparable
         g = recency_planted_graph(n_nodes=60, n_events=600, n_types=3,

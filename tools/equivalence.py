@@ -18,6 +18,9 @@ For every configuration of the grid this computes:
   the ``history`` of a short ``train`` run per graph, layer count and
   attention mode, and the test scores and AUC of ``node_classify`` on that
   trained model at two L2 weights, 0 among them;
+- once per run, the reports of ``kernel_convergence_check`` and
+  ``kernel_estimate`` over a few timespan pairs, which read the time
+  encoding outside the model;
 
 and writes each array's SHA-256 and largest magnitude to JSON, and the
 arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
@@ -54,7 +57,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from tgat import autodiff as ad
-from tgat import layer, metrics, training
+from tgat import layer, metrics, time_encoding, training
 from tgat.layer import Dims, SamplingConfig, TgatModel
 from tgat.synthetic import random_temporal_graph, recency_planted_graph, tiny_fixture_graph
 from tgat.temporal_graph import (build_graph, chronological_split,
@@ -87,6 +90,10 @@ TRAIN_EPOCHS, TRAIN_EVENTS, TRAIN_VAL_EVENTS = 2, 50, 10
 # tiny's holds one event
 LABELLED_GRAPHS = ("random-de2", "recency")
 NODE_L2 = (0.0, 0.001)
+
+# kernel_convergence_check's sample counts and grid; kernel_estimate's timespan pairs
+KERNEL_CHECK = {"k_values": (1, 16, 4096), "t_max": 10.0, "grid_size": 100, "trials": 5}
+KERNEL_PAIRS = ((0.0, 0.0), (0.0, 1.0), (2.5, -2.5), (1e-9, 0.0), (123.4, 5.6), (1e4, 1e4 + 3.0))
 
 # the embed stream's model: the dims of the acceptance suite's directional experiment
 STREAM_DIMS = {"d": 16, "d_t": 24, "d_h": 8, "d_f": 16}
@@ -199,8 +206,23 @@ def stream_arrays(graph, split, calls: int, cap: int):
                                            rng_seed=int(rng.integers(2**31)))
 
 
+def kernel_arrays():
+    """Yield ``(name, array)`` for each ``kernel_convergence_check`` report,
+    its errors and per-trial sup errors, and for ``kernel_estimate`` at each
+    pair of ``KERNEL_PAIRS``, for a frequency ladder and for frequencies of
+    both signs."""
+    for r in time_encoding.kernel_convergence_check(**KERNEL_CHECK):
+        yield f"kernel/check/k{r.sample_count}/errors", np.array([r.sup_error, r.mean_error])
+        yield f"kernel/check/k{r.sample_count}/trial_sup_errors", r.trial_sup_errors
+    for name, enc in (("ladder", time_encoding.TimeEncoder.create(24, t_max=300.0)),
+                      ("signed", time_encoding.TimeEncoder([0.7, -1.3, 2.9, -0.01]))):
+        yield f"kernel/estimate/{name}", np.array([enc.kernel_estimate(t1, t2)
+                                                   for t1, t2 in KERNEL_PAIRS])
+
+
 def grid_arrays(grid: dict):
     """Yield ``(name, array)`` for every output of every configuration."""
+    yield from kernel_arrays()
     for graph_name in grid["graphs"]:
         graph = GRAPHS[graph_name]()
         split = chronological_split(graph, 0.7, 0.15)
