@@ -3,7 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 user/config error, 2 I/O
 error. All randomness flows from the single ``rng_seed`` config key, so
 reruns with identical inputs produce byte-identical outputs (manifests
-excepted for their invocation timestamp).
+excepted for their invocation timestamp) at one BLAS thread count: OpenBLAS
+splits a large product between its threads by size, which can move the
+last bits of a row.
 """
 
 from __future__ import annotations
@@ -84,13 +86,15 @@ def _config_value(key: str, text: str, where: str, error: type[TgatError]):
 def parse_train_config(path) -> TrainConfig:
     """Parse line-oriented ``key = value`` text into a TrainConfig.
 
-    Blank lines and ``#`` comments are skipped; unknown keys are hard errors.
+    Blank lines and ``#`` comments are skipped; unknown and repeated keys are
+    hard errors.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -99,6 +103,9 @@ def parse_train_config(path) -> TrainConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = _config_value(key, value.strip(), f"{path}:{lineno}", ConfigError)
     return TrainConfig(**values)
 

@@ -52,7 +52,7 @@ class Dims:
     """Dimension bundle: raw features d0, hidden d, time d_t, per-head d_h,
     FFN hidden d_f, edge features d_e."""
 
-    d0: int = setting(Rule.AT_LEAST_1)
+    d0: int = setting(Rule.AT_LEAST_0)
     d: int = setting(Rule.AT_LEAST_1)
     d_t: int = setting(Rule.EVEN_AT_LEAST_2)
     d_h: int = setting(Rule.AT_LEAST_1)

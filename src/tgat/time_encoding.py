@@ -26,10 +26,14 @@ class TimeEncoder:
     """Learnable cos/sin map from a timespan to a unit-norm feature vector."""
 
     def __init__(self, frequencies):
-        freq = np.asarray(frequencies, dtype=np.float64).reshape(1, -1)
+        freq = np.asarray(frequencies, dtype=np.float64)
+        if freq.shape not in ((freq.size,), (1, freq.size)):
+            raise ValidationError(f"frequencies must be shaped (k,) or (1, k), got {freq.shape}")
         if freq.size == 0:
             raise ValidationError("time encoder needs at least one frequency")
-        self.frequencies = ad.parameter(freq)
+        if not np.isfinite(freq).all():
+            raise ValidationError("frequencies hold a non-finite value")
+        self.frequencies = ad.parameter(freq.reshape(1, -1))
 
     @classmethod
     def create(cls, output_dim: int, t_max: float = 1.0) -> "TimeEncoder":
@@ -82,6 +86,11 @@ class PositionalEncoder:
     """Per-rank position vectors, fixed sinusoidal or learnable."""
 
     def __init__(self, table: np.ndarray, learnable: bool):
+        table = np.asarray(table, dtype=np.float64)
+        if table.ndim != 2:
+            raise ValidationError(f"positional table must be 2-D, got shape {table.shape}")
+        if not np.isfinite(table).all():
+            raise ValidationError("positional table holds a non-finite value")
         self.learnable = learnable
         self.table = ad.parameter(table) if learnable else ad.constant(table)
 

@@ -132,23 +132,16 @@ def build_model(graph: TemporalGraph, config: TrainConfig) -> TgatModel:
 
 def _draw_negatives(rng: np.random.Generator, num_nodes: int, forbidden: np.ndarray) -> np.ndarray:
     """One uniform node id per entry of ``forbidden``, never equal to it (unless
-    there is only one node). ``rng`` is read as by one scalar draw per value,
-    row by row: a value that equals its row's forbidden id is skipped and the
-    next value goes to that row, and only the shortfall is drawn again, so
-    the values and the generator's final state are those of that scalar loop."""
+    there is only one node). One value is drawn per row; then, while a row holds
+    its forbidden id, the first such value is dropped, the later values move up
+    one row and one value is drawn into the last. So values and generator state
+    are those of a scalar draw per row, repeated until it misses the row's id."""
     out = rng.integers(0, num_nodes, size=forbidden.size)
-    row, end = 0, out.size  # out[row:end] holds drawn values not yet checked
-    while num_nodes > 1:
-        hits = np.flatnonzero(out[row:end] == forbidden[row:end])
-        if hits.size:  # skip the colliding value
-            row += int(hits[0])
-            out[row:end - 1] = out[row + 1:end]
-            end -= 1
-        elif end < out.size:
-            out[end:] = rng.integers(0, num_nodes, size=out.size - end)
-            row, end = end, out.size
-        else:
-            break
+    row = 0
+    while num_nodes > 1 and (hits := np.flatnonzero(out[row:] == forbidden[row:])).size:
+        row += int(hits[0])
+        out[row:-1] = out[row + 1:]
+        out[-1] = rng.integers(0, num_nodes)
     return out
 
 
@@ -167,12 +160,14 @@ def _link_scores(graph: TemporalGraph, events: np.ndarray, negatives_per_positiv
     h_i . h_q for each of its Q negatives q != j, as one (P + P*Q, 1) column.
 
     The seed rule of a scoring call: a ``Generator`` ``rng_seed`` draws the
-    negatives (one ``_draw_negatives`` call, positive by positive), then the
-    sampling key, one uint64; any other seed becomes one ``SeedSequence``
-    that seeds the negatives' ``Generator`` and gives the key,
-    ``generate_state(1, np.uint64)[0]``; an ``np.uint64`` is such a seed
-    here, not the ready key it is to ``sampling_key``. ``embedding(nodes, times, key)``, a
-    (B, d) Tensor, embeds sources, destinations and negatives at the event times.
+    negatives (one ``_draw_negatives`` call, positive by positive: one
+    vector draw, then a scalar redraw for each value dropped as its row's
+    destination), then the sampling key, one uint64; any other seed becomes
+    one ``SeedSequence`` that seeds the negatives' ``Generator`` and gives
+    the key, ``generate_state(1, np.uint64)[0]``; an ``np.uint64`` is such
+    a seed here, not the ready key it is to ``sampling_key``.
+    ``embedding(nodes, times, key)``, a (B, d) Tensor, embeds sources,
+    destinations and negatives at the event times.
     """
     src, dst, ts = graph.sources[events], graph.destinations[events], graph.timestamps[events]
     q = negatives_per_positive

@@ -168,12 +168,38 @@ class TestTrain:
         assert (out1 / "checkpoint.json").read_bytes() == \
                (out2 / "checkpoint.json").read_bytes()
 
+    def test_zero_width_node_features_chain(self, workspace, capsys):
+        # ingest stored zero-width node features, and train on them exited 1
+        # with "d0 must be >= 1, got 0"
+        tmp_path, data, config, _ = workspace
+        graph, run = tmp_path / "bare.npz", tmp_path / "bare"
+        assert main(["ingest", str(data), str(graph), "--node-feature-dim", "0"]) == 0
+        assert load_graph(graph).node_feature_dim == 0
+        config.write_text(CONFIG_TEXT.replace("layers = 1", "layers = 2"))
+        assert main(["train", str(graph), str(config), str(run)]) == 0
+        assert load_checkpoint(run / "checkpoint.json")[0].dims.d0 == 0
+        capsys.readouterr()
+        assert main(["embed", str(run / "checkpoint.json"), str(graph),
+                     "--nodes", "0,3", "--times", "11.0,0.5"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[:2] for row in rows] == [["0", "11.0"], ["3", "0.5"]]
+
     def test_unknown_config_key_exit_1(self, workspace, capsys):
         tmp_path, _, _, graph = workspace
         bad = tmp_path / "bad.txt"
         bad.write_text("rng_seed = 1\nwibble = 4\n")
         assert main(["train", str(graph), str(bad), str(tmp_path / "out")]) == 1
         assert "wibble" in capsys.readouterr().err
+
+    def test_repeated_config_key_exit_1(self, workspace, capsys):
+        # the last of a repeated key used to win silently
+        tmp_path, _, _, graph = workspace
+        bad = tmp_path / "bad.txt"
+        bad.write_text("layers = 1\n# deeper\nlayers = 3\n")
+        assert main(["train", str(graph), str(bad), str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: {bad}:3: 'layers' is already set on line 1")
+        assert not (tmp_path / "out").exists()
 
     def test_non_npz_graph_exit_1(self, workspace, capsys):
         tmp_path, _, config, _ = workspace

@@ -742,6 +742,21 @@ class TestEmbedProperties:
             model.parameters(), tolerance=1e-4, rng_seed=0, max_coords_per_param=4)
         assert report.passed, report
 
+    def test_full_model_gradients_without_node_features(self):
+        # both layer-0 targets, node 5 at 7.5 and its neighbour 4 at 6, have
+        # earlier events: a featureless target with none feeds the layer-0 FFN
+        # a zero row, whose pre-activation then sits on the ReLU kink at b0 = 0
+        g = tiny_fixture_graph()
+        g = build_graph(g.sources, g.destinations, g.timestamps, g.edge_features,
+                        node_features=np.zeros((g.num_nodes, 0)))
+        dims = Dims(d0=0, d=4, d_t=4, d_h=3, d_f=5, d_e=2)
+        model = TgatModel.create(dims, layer_count=2, head_count=2, rng_seed=2,
+                                 t_max=g.t_max)
+        cfg = SamplingConfig(max_neighbors=3, strategy="most-recent")
+        report = ad.grad_check(lambda: embed_tensor(model, 5, 7.5, g, cfg),
+                               model.parameters(), tolerance=1e-4, rng_seed=0)
+        assert report.passed, report
+
 
 class TestEmbedPasses:
     COUNTS = (1, 3, 127, 128, 129, 131, 132, 259, 260)

@@ -1193,21 +1193,23 @@ class TestSampleNegative:
     def test_matches_scalar_loop_bit_for_bit(self):
         # same values and same generator state as the per-negative loop, so
         # what link_loss draws next from the generator does not move
-        cases = 0
+        inputs = []
         for seed in range(30):
             for num_nodes in (1, 2, 3, 4, 5, 6, 7, 8, 500):
                 case = np.random.default_rng([seed, num_nodes])
                 p, q = int(case.integers(1, 61)), int(case.integers(1, 4))
-                forbidden = np.repeat(case.integers(0, num_nodes, p), q)
-                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                drawn = _draw_negatives(ours, num_nodes, forbidden)
-                np.testing.assert_array_equal(drawn, scalar_negatives(theirs, num_nodes,
-                                                                       forbidden))
-                assert drawn.dtype == np.int64
-                assert ours.bit_generator.state == theirs.bit_generator.state
-                assert ours.random() == theirs.random()
-                cases += 1
-        assert cases == 270
+                inputs.append((seed, num_nodes, np.repeat(case.integers(0, num_nodes, p), q)))
+        # no rows, and 2,000 rows of two nodes, where half the draws collide
+        inputs += [(30, 3, np.zeros(0, dtype=np.int64)),
+                   (31, 2, np.random.default_rng(31).integers(0, 2, 2000))]
+        for seed, num_nodes, forbidden in inputs:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = _draw_negatives(ours, num_nodes, forbidden)
+            np.testing.assert_array_equal(drawn, scalar_negatives(theirs, num_nodes, forbidden))
+            assert drawn.dtype == np.int64
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert ours.random() == theirs.random()
+        assert len(inputs) == 272
 
 
 class TestSerialization:

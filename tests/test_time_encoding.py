@@ -195,6 +195,27 @@ class TestConvergenceCheck:
         np.testing.assert_allclose(gaussian_kernel_oracle(1.0, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("build, shown", [
+    (lambda: TimeEncoder([np.nan, 1.0]), "frequencies hold a non-finite value"),
+    (lambda: TimeEncoder([1.0, np.inf]), "frequencies hold a non-finite value"),
+    (lambda: TimeEncoder(np.zeros((2, 2))),
+     "frequencies must be shaped (k,) or (1, k), got (2, 2)"),
+    (lambda: TimeEncoder(1.0), "frequencies must be shaped (k,) or (1, k), got ()"),
+    (lambda: PositionalEncoder(np.array([1.0, np.nan]), learnable=False),
+     "positional table must be 2-D, got shape (2,)"),
+    (lambda: PositionalEncoder(np.zeros((2, 2, 2)), learnable=True),
+     "positional table must be 2-D, got shape (2, 2, 2)"),
+    (lambda: PositionalEncoder(np.array([[0.0, -np.inf]]), learnable=False),
+     "positional table holds a non-finite value"),
+], ids=["nan-frequency", "inf-frequency", "2x2-frequencies", "0-d-frequency", "1-d-table",
+        "3-d-table", "inf-table"])
+def test_encoder_arrays_checked(build, shown):
+    # each used to be kept: NaN frequencies, a 2 x 2 array as four
+    # frequencies, a 1-D or non-finite table
+    with pytest.raises(ValidationError, match=f"^{re.escape(shown)}$"):
+        build()
+
+
 class TestPositionalEncoder:
     def test_fixed_sinusoidal_rank_zero(self):
         enc = PositionalEncoder.fixed_sinusoidal(10, 8)

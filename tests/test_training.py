@@ -11,7 +11,15 @@ import pytest
 import tgat.training as training
 from tgat import autodiff as ad
 from tgat.errors import ContractError, EvaluationError, TrainingError, ValidationError
-from tgat.layer import Dims, SamplingConfig, TgatModel, embed_tensor
+from tgat.layer import (
+    Dims,
+    SamplingConfig,
+    TgatModel,
+    embed,
+    embed_tensor,
+    load_checkpoint,
+    save_checkpoint,
+)
 from tgat.synthetic import recency_planted_graph, tiny_fixture_graph
 from tgat.temporal_graph import (
     AccessMonitor,
@@ -390,6 +398,25 @@ class TestTrainLoop:
         assert kept_history == history
         for a, b in zip(model.parameters(), kept.parameters()):
             assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("mode", ["learned", "constant", "positional"])
+    def test_zero_width_node_features(self, tmp_path, mode):
+        # a graph stored with no node features: Dims used to need d0 >= 1
+        g, split, cfg = training_fixture()
+        g = build_graph(g.sources, g.destinations, g.timestamps, g.edge_features,
+                        node_features=np.zeros((g.num_nodes, 0)))
+        cfg = replace(cfg, layers=2, attention_mode=mode)
+        model, history = train(g, split, cfg)
+        assert model.dims.d0 == 0 and len(history) == cfg.max_epochs
+        assert 0.0 <= evaluate_links(model, g, split, config=cfg,
+                                     max_events=40).average_precision <= 1.0
+        save_checkpoint(model, tmp_path / "ckpt.json")
+        loaded, _ = load_checkpoint(tmp_path / "ckpt.json")
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        nodes, times = [0, 5, 59], [g.t_max, 300.0, 0.0]
+        np.testing.assert_array_equal(embed(model, nodes, times, g, cfg.sampling(), rng_seed=2),
+                                      embed(loaded, nodes, times, g, cfg.sampling(), rng_seed=2))
 
     def test_loss_decreases_over_first_five_epochs(self):
         # full training set each epoch keeps the epoch-mean comparable

@@ -21,6 +21,9 @@ For every configuration of the grid this computes:
 - once per run, the reports of ``kernel_convergence_check`` and
   ``kernel_estimate`` over a few timespan pairs, which read the time
   encoding outside the model;
+- once per run, the values of ``training._draw_negatives`` and the
+  generator's next draw on inputs of one to three nodes, where most draws
+  collide with the forbidden id; the grid's graphs rarely collide;
 
 and writes each array's SHA-256 and largest magnitude to JSON, and the
 arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
@@ -94,6 +97,9 @@ NODE_L2 = (0.0, 0.001)
 # kernel_convergence_check's sample counts and grid; kernel_estimate's timespan pairs
 KERNEL_CHECK = {"k_values": (1, 16, 4096), "t_max": 10.0, "grid_size": 100, "trials": 5}
 KERNEL_PAIRS = ((0.0, 0.0), (0.0, 1.0), (2.5, -2.5), (1e-9, 0.0), (123.4, 5.6), (1e4, 1e4 + 3.0))
+
+# _draw_negatives' node and row counts: few nodes, so most draws collide
+NEGATIVE_NODES, NEGATIVE_ROWS = (1, 2, 3), (0, 1, 2000)
 
 # the embed stream's model: the dims of the acceptance suite's directional experiment
 STREAM_DIMS = {"d": 16, "d_t": 24, "d_h": 8, "d_f": 16}
@@ -220,9 +226,22 @@ def kernel_arrays():
                                                    for t1, t2 in KERNEL_PAIRS])
 
 
+def negative_arrays():
+    """Yield ``(name, array)`` for ``training._draw_negatives``' values and the
+    generator's next draw, which shows the state the call leaves, per node
+    and row count; each row forbids a seeded node id."""
+    for num_nodes, rows in itertools.product(NEGATIVE_NODES, NEGATIVE_ROWS):
+        forbidden = np.random.default_rng(rows).integers(0, num_nodes, rows)
+        rng = np.random.default_rng([num_nodes, rows])
+        name = f"negatives/N{num_nodes}-R{rows}"
+        yield f"{name}/values", training._draw_negatives(rng, num_nodes, forbidden)
+        yield f"{name}/next", np.array([rng.random()])
+
+
 def grid_arrays(grid: dict):
     """Yield ``(name, array)`` for every output of every configuration."""
     yield from kernel_arrays()
+    yield from negative_arrays()
     for graph_name in grid["graphs"]:
         graph = GRAPHS[graph_name]()
         split = chronological_split(graph, 0.7, 0.15)
