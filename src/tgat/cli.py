@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,25 +44,12 @@ from .training import (
 )
 
 
-@dataclass
-class RunManifest:
-    command: str
-    dataset_path: str = ""
-    config_path: str = ""
-    output_dir: str = ""
-    seed: int = 0
-
-    def write(self, path: Path) -> None:
-        created = datetime.now(timezone.utc).isoformat()
-        lines = [
-            f"command = {self.command}",
-            f"dataset = {self.dataset_path}",
-            f"config = {self.config_path}",
-            f"outdir = {self.output_dir}",
-            f"seed = {self.seed}",
-            f"created = {created}",
-        ]
-        path.write_text("\n".join(lines) + "\n")
+def _write_manifest(path: Path, command: str, dataset="", config="", outdir="",
+                    seed=0) -> None:
+    """Record a command's inputs, outputs and seed as ``key = value`` lines."""
+    created = datetime.now(timezone.utc).isoformat()
+    path.write_text(f"command = {command}\ndataset = {dataset}\nconfig = {config}\n"
+                    f"outdir = {outdir}\nseed = {seed}\ncreated = {created}\n")
 
 
 _CONFIG_FIELDS = {name: kind for name, kind, _ in TrainConfig.field_table}
@@ -142,8 +129,8 @@ def cmd_ingest(args) -> int:
                            time_divisor=args.time_divisor)
     save_graph(graph, args.out)
     print(f"{graph.num_nodes} nodes, {graph.num_events} events, t_max={graph.t_max!r}")
-    RunManifest(command="ingest", dataset_path=str(args.dataset),
-                output_dir=str(args.out)).write(Path(str(args.out) + ".manifest.txt"))
+    _write_manifest(Path(str(args.out) + ".manifest.txt"), "ingest", dataset=args.dataset,
+                    outdir=args.out)
     return 0
 
 
@@ -157,9 +144,8 @@ def cmd_train(args) -> int:
     save_checkpoint(model, outdir / "checkpoint.json",
                     extra={"train_config": asdict(config)})
     write_history_csv(history, outdir / "history.csv")
-    RunManifest(command="train", dataset_path=str(args.graph),
-                config_path=str(args.config), output_dir=str(outdir),
-                seed=config.rng_seed).write(outdir / "manifest.txt")
+    _write_manifest(outdir / "manifest.txt", "train", dataset=args.graph, config=args.config,
+                    outdir=outdir, seed=config.rng_seed)
     final = history[-1].val_ap if history else float("nan")
     print(f"trained {len(history)} epochs, best checkpoint written to {outdir} "
           f"(last val_ap={final!r})")
@@ -215,9 +201,8 @@ def cmd_embed(args) -> int:
     output = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(output)
-        RunManifest(command="embed", dataset_path=str(args.graph),
-                    output_dir=str(args.out), seed=config.rng_seed,
-                    ).write(Path(str(args.out) + ".manifest.txt"))
+        _write_manifest(Path(str(args.out) + ".manifest.txt"), "embed", dataset=args.graph,
+                        outdir=args.out, seed=config.rng_seed)
     else:
         sys.stdout.write(output)
     return 0
@@ -275,6 +260,8 @@ def _grad_check_suite() -> bool:
 
 
 def cmd_check(args) -> int:
+    if not (args.kernel or args.grad):
+        raise ConfigError("check needs --kernel and/or --grad")
     passed = True
     if args.kernel:
         passed = _kernel_check(args.csv) and passed
@@ -355,9 +342,6 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "check" and not (args.kernel or args.grad):
-        print("error: check needs --kernel and/or --grad", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except TgatError as exc:

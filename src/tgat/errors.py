@@ -37,10 +37,6 @@ class InferenceError(ValidationError):
     """A query names a node the graph does not hold, or a model does not fit the graph."""
 
 
-class PositionLookupError(TgatError):
-    """A positional-encoding rank is outside [0, max_positions)."""
-
-
 class TrainingError(TgatError):
     """Training diverged: a batch loss or a parameter became non-finite."""
 

@@ -192,8 +192,9 @@ def build_entity_matrix(
     batch's edge features. One ``encode_many`` call encodes every row's
     timespan, the targets' zeros first, so a target's phi(0) is the
     operator's own, signed zeros and all. In positional mode the time block
-    is a rank lookup instead: a target takes rank n, its n sampled rows
-    ranks 0 to n - 1, oldest first.
+    is table row r for rank r: a target takes rank n, its n sampled rows
+    ranks 0 to n - 1, oldest first. Ranks must be below the table's row
+    count (``embed_tensor`` checks the cap), or numpy raises IndexError.
     """
     b, sizes = batch.mask.shape[0], batch.sizes
     if b == 0 or hidden.data.shape[0] != b + batch.times.size:
@@ -205,7 +206,7 @@ def build_entity_matrix(
         block = time.data
     else:  # a sampled row's rank is its column in the mask
         ranks = np.concatenate([sizes, batch.mask.nonzero()[1]])
-        time, block = positional.table, positional.lookup(ranks)
+        time, block = positional.table, positional.table.data[ranks]
     width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[1]
     t0 = width + edge_dim
     z = np.empty((hidden.data.shape[0], t0 + block.shape[1]))

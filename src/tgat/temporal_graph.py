@@ -10,6 +10,7 @@ other queries of a call and concurrent reads stay deterministic.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -689,7 +690,7 @@ def ingest(
             feats.append([float(v) for v in row[4:]])
         except ValueError as exc:
             raise IngestionError(f"line {line}: {exc}") from None
-        if not all(-np.inf < v < np.inf for v in feats[-1]):
+        if not all(map(math.isfinite, feats[-1])):
             raise IngestionError(f"line {line}: edge features {row[4:]} are not all finite")
         if not label.is_integer():
             raise IngestionError(f"line {line}: state label {row[3]!r} is not a whole number")

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import PositionLookupError, ValidationError
-from .temporal_graph import Rule, check_value, seed_sequence, whole_numbers
+from .errors import ValidationError
+from .temporal_graph import Rule, check_value, seed_sequence
 
 
 class TimeEncoder:
@@ -105,12 +105,6 @@ class PositionalEncoder:
     @property
     def max_positions(self) -> int:
         return self.table.data.shape[0]
-
-    def lookup(self, ranks) -> np.ndarray:
-        """Plain-numpy position vectors (no tape) of a rank or ranks, one row
-        each; a rank outside [0, max_positions) raises PositionLookupError."""
-        ranks = whole_numbers(ranks, "rank", self.max_positions, PositionLookupError)
-        return self.table.data[ranks.reshape(-1)]
 
 
 # ---------------------------------------------------------------------------

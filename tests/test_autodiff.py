@@ -6,6 +6,7 @@ checker itself."""
 import importlib
 import inspect
 import pkgutil
+import re
 import zlib
 
 import numpy as np
@@ -372,6 +373,14 @@ class TestShapeErrors:
             ad.pair_scores(h, [0, 1], [2])  # one right row would broadcast
         with pytest.raises(DimensionError):
             ad.logistic_loss(ad.constant(np.ones((3, 1))), np.ones(3))  # would give (3, 3)
+
+    @pytest.mark.parametrize("h, left, right, shown", [
+        (np.ones(3), [0], [1], "expected a matrix, got shape (3,)"),
+        (np.ones((4, 2)), [0, 1], [2], "2 left rows against 1 right rows")],
+        ids=["1-d", "unequal-sides"])
+    def test_pair_scores_shape_messages(self, h, left, right, shown):
+        with pytest.raises(DimensionError, match=f"^{re.escape(shown)}$"):
+            ad.pair_scores(ad.constant(h), left, right)
 
     def test_pair_scores_row_bounds(self):
         for index in ([0, 2], [-1], [[0]]):

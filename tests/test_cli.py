@@ -8,10 +8,16 @@ import pytest
 
 from tgat.cli import main, parse_train_config
 from tgat.errors import ConfigError
-from tgat.layer import load_checkpoint
+from tgat.layer import Dims, TgatModel, load_checkpoint, save_checkpoint
 from tgat.synthetic import random_temporal_graph
-from tgat.temporal_graph import build_graph, load_graph, save_graph
-from tgat.training import TrainConfig
+from tgat.temporal_graph import (
+    build_graph,
+    chronological_split,
+    load_graph,
+    mask_unseen,
+    save_graph,
+)
+from tgat.training import TrainConfig, evaluate_links
 
 CSV_TEXT = (
     "user_id,item_id,timestamp,state_label,f1,f2\n"
@@ -274,6 +280,100 @@ class TestTrain:
         tmp_path, _, config, _ = workspace
         code = main(["train", str(tmp_path / "no.npz"), str(config), str(tmp_path / "o")])
         assert code == 2
+
+
+def test_default_inductive_split_matches_the_library(tmp_path, capsys):
+    # every other config here sets unseen_fraction = 0, so only this run
+    # withholds nodes: train at the default 0.10, then score the inductive
+    # test and val periods
+    g = random_temporal_graph(60, 600, seed=1)
+    graph, config = tmp_path / "g.npz", tmp_path / "c.txt"
+    ckpt = tmp_path / "run" / "checkpoint.json"
+    save_graph(g, graph)
+    config.write_text(CONFIG_TEXT.replace("unseen_fraction = 0.0\n", ""))
+    assert main(["train", str(graph), str(config), str(ckpt.parent)]) == 0
+    cfg = parse_train_config(config)
+    model, _ = load_checkpoint(ckpt)
+    split = mask_unseen(g, chronological_split(g, 0.7, 0.15), 0.1, cfg.rng_seed)
+    assert split.unseen_nodes
+    for period in ("test", "val"):
+        capsys.readouterr()
+        assert main(["eval", str(ckpt), str(graph), "--split", "inductive",
+                     "--period", period]) == 0
+        line = capsys.readouterr().out.strip()
+        expected = evaluate_links(model, g, split, period=period, node_filter="unseen",
+                                  config=cfg, rng_seed=cfg.rng_seed)
+        assert line.startswith("split=inductive task=link ")
+        assert f" ap={expected.average_precision!r} " in line
+
+
+def _npz_with(path, graph, **members):
+    """The archive of ``graph`` with ``members`` replaced, written to ``path``."""
+    with np.load(graph) as data:
+        np.savez(path, **{**data, **members})
+    return path
+
+
+def _checkpoint_with(path, **fields):
+    """A one-layer model that fits the workspace graph, saved to ``path``
+    with ``fields`` of its JSON payload replaced."""
+    model = TgatModel.create(Dims(d0=2, d=4, d_t=2, d_h=2, d_f=4, d_e=2), layer_count=1,
+                             head_count=1)
+    save_checkpoint(model, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    return path
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+def _npy(path):
+    np.save(path, np.arange(3))
+    return path
+
+
+# error branches that only a malformed file or flag reaches: (argv, the one
+# stderr line after "error: ") for the workspace's tmp_path, config and graph
+BAD_INPUT = {
+    "empty_csv": lambda t, c, g: (
+        ["ingest", str(_written(t / "e.csv", "")), str(t / "o.npz")],
+        f"{t / 'e.csv'}: empty file, expected a header line"),
+    "npy_graph": lambda t, c, g: (
+        ["train", str(_npy(t / "g.npy")), str(c), str(t / "o")],
+        f"{t / 'g.npy'}: not an npz graph archive"),
+    "graph_version_2": lambda t, c, g: (
+        ["train", str(_npz_with(t / "v2.npz", g, format_version=np.array([2]))), str(c),
+         str(t / "o")],
+        f"{t / 'v2.npz'}: unsupported graph format version [2]"),
+    "checkpoint_version_2": lambda t, c, g: (
+        ["embed", str(_checkpoint_with(t / "m.json", version=2)), str(g), "--nodes", "0",
+         "--times", "5.0"],
+        f"{t / 'm.json'}: unsupported checkpoint version 2"),
+    "train_config_not_a_table": lambda t, c, g: (
+        ["eval", str(_checkpoint_with(t / "m.json", extra={"train_config": [1]})), str(g)],
+        f"{t / 'm.json'}: train_config is not a key-value table"),
+    "config_line_without_equals": lambda t, c, g: (
+        ["train", str(g), str(_written(t / "c.txt", "rng_seed = 1\nlayers 2\n")), str(t / "o")],
+        f"{t / 'c.txt'}:2: expected 'key = value', got 'layers 2'"),
+    "bool_neither_true_nor_false": lambda t, c, g: (
+        ["train", str(g), str(_written(t / "c.txt", "positional_learnable = yes\n")),
+         str(t / "o")],
+        f"{t / 'c.txt'}:1: bad value for 'positional_learnable': expected true/false, "
+        f"got 'yes'"),
+    "check_without_a_suite": lambda t, c, g: (
+        ["check"], "check needs --kernel and/or --grad"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_exits_1_with_one_line(workspace, capsys, case):
+    tmp_path, _, config, graph = workspace
+    argv, shown = BAD_INPUT[case](tmp_path, config, graph)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
 
 
 class TestEvalAndEmbed:

@@ -424,6 +424,27 @@ class TestParameterAccounting:
         assert layer.head_param_count() == head_parameter_formula(dims)
 
 
+def _with_k(layer, w_k, head_count=None):
+    """``layer`` rebuilt with ``w_k`` as its K and, if given, another head count."""
+    return LayerParams(layer.w_q, w_k, layer.w_v, head_count or layer.head_count,
+                       layer.w0, layer.b0, layer.w1, layer.b1)
+
+
+# the model's own structure checks, which neither create nor load_checkpoint reaches
+@pytest.mark.parametrize("build, shown", [
+    (lambda m: TgatModel([], m.time_encoder, m.dims), "model needs at least one layer"),
+    (lambda m: _with_k(m.layers[0], ad.parameter(m.layers[0].w_k.data[:, :-1])),
+     "Q, K and V need one equal column block per head"),
+    (lambda m: _with_k(m.layers[0], m.layers[0].w_k, head_count=3),
+     "Q, K and V need one equal column block per head")],
+    ids=["no-layers", "narrow-k", "heads-do-not-divide"])
+def test_model_structure_checked(build, shown):
+    model = TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), layer_count=1,
+                             head_count=2)
+    with pytest.raises(ValidationError, match=f"^{re.escape(shown)}$"):
+        build(model)
+
+
 class TestLayerForward:
     def test_zero_weights_give_zero_output(self):
         g = build_graph([0, 1], [1, 2], [1.0, 2.0], node_features=np.zeros((3, 2)))

@@ -2,6 +2,7 @@
 equivalence against brute-force oracles, and null-model calibration."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,19 @@ class TestHandCases:
             roc_auc([1, 1], [0.1, 0.2])
         with pytest.raises(EvaluationError):
             average_precision([], [])
+
+    @pytest.mark.parametrize("call, shown", [
+        (lambda: accuracy([1, 0], [0.5]),
+         "labels and scores must be matching 1-D arrays, got (2,) and (1,)"),
+        (lambda: roc_auc([[1, 0]], [[0.5, 0.2]]),
+         "labels and scores must be matching 1-D arrays, got (1, 2) and (1, 2)"),
+        (lambda: spearman([1.0, 2.0], [1.0, 2.0, 3.0]),
+         "need two matching 1-D samples, got (2,) and (3,)"),
+        (lambda: spearman([1.0], [2.0]), "need two matching 1-D samples, got (1,) and (1,)")],
+        ids=["unequal-lengths", "2-d", "spearman-unequal", "spearman-one-sample"])
+    def test_input_shapes_checked(self, call, shown):
+        with pytest.raises(EvaluationError, match=f"^{re.escape(shown)}$"):
+            call()
 
     def test_object_label_named_in_the_error(self):
         # the message called .item() on the label, which a None lacks, and

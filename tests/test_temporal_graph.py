@@ -14,7 +14,6 @@ from tgat.errors import (
     InferenceError,
     IngestionError,
     MaskingError,
-    PositionLookupError,
     SplitError,
     ValidationError,
 )
@@ -43,7 +42,6 @@ from tgat.temporal_graph import (
     training_event_indices,
     whole_numbers,
 )
-from tgat.time_encoding import PositionalEncoder
 from tgat.training import _draw_negatives, attention_report, evaluate_links, link_loss
 
 
@@ -874,21 +872,38 @@ BOUNDED = {
                   lambda g, m, v: SplitSpec(1.0, 2.0, unseen_nodes={0, v})),
     "training_event_indices": ("unseen node", 3, ValidationError, lambda g, m, v:
                                training_event_indices(g, SplitSpec(1.0, 2.0, unseen_nodes={v}))),
-    "PositionalEncoder.lookup": ("rank", 3, PositionLookupError, lambda g, m, v:
-                                 PositionalEncoder.fixed_sinusoidal(3, 2).lookup([0, v])),
 }
 
 
 @pytest.mark.parametrize("caller, at_bound", [(c, b) for c, (_, bound, _, _) in BOUNDED.items()
                                               for b in ([False, True] if bound else [False])])
 def test_bounded_id_rule(caller, at_bound):
-    # one rule and one message for every id, index and rank outside [0, bound)
+    # one rule and one message for every id and index outside [0, bound)
     what, bound, error, call = BOUNDED[caller]
     g, model = tiny_graph_and_model()
     value, shown = ((bound, f"{what} {bound} not in [0, {bound})") if at_bound
                     else (-1, f"{what} -1 is negative"))
     with pytest.raises(error, match="^" + re.escape(shown) + "$"):
         call(g, model, value)
+
+
+# the store's and the evaluation filter's own checks, which no other call reaches
+@pytest.mark.parametrize("call, shown", [
+    (lambda g: temporal_graph.TemporalGraph([0], [1], [1.0], np.zeros((1, 0)), [-1],
+                                            np.zeros(2)),
+     "node features must be 2-D, got shape (2,)"),
+    (lambda g: temporal_graph.TemporalGraph([0, 1], [1], [1.0, 2.0], np.zeros((2, 0)),
+                                            [-1, -1], np.zeros((2, 1))),
+     "sources, destinations, timestamps and labels must be 1-D and of equal length"),
+    (lambda g: evaluation_event_indices(g, SplitSpec(1.0, 2.0), "train"),
+     "evaluation period must be 'val' or 'test', got 'train'"),
+    (lambda g: evaluation_event_indices(g, SplitSpec(1.0, 2.0), "test", "unseen"),
+     "evaluation mode must be transductive or inductive, got 'unseen'")],
+    ids=["1-d-node-features", "unequal-columns", "bad-period", "bad-mode"])
+def test_store_and_filter_checks(call, shown):
+    g = build_graph([0, 1, 2], [1, 2, 0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match=f"^{re.escape(shown)}$"):
+        call(g)
 
 
 @pytest.mark.parametrize("call", [

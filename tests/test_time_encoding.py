@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tgat import autodiff as ad
-from tgat.errors import PositionLookupError, ValidationError
+from tgat.errors import ValidationError
 from tgat.layer import build_entity_matrix, glorot
 from tgat.synthetic import tiny_fixture_graph
 from tgat.temporal_graph import sample_neighborhoods
@@ -201,17 +201,18 @@ class TestConvergenceCheck:
     (lambda: TimeEncoder(np.zeros((2, 2))),
      "frequencies must be shaped (k,) or (1, k), got (2, 2)"),
     (lambda: TimeEncoder(1.0), "frequencies must be shaped (k,) or (1, k), got ()"),
+    (lambda: TimeEncoder([]), "time encoder needs at least one frequency"),
     (lambda: PositionalEncoder(np.array([1.0, np.nan]), learnable=False),
      "positional table must be 2-D, got shape (2,)"),
     (lambda: PositionalEncoder(np.zeros((2, 2, 2)), learnable=True),
      "positional table must be 2-D, got shape (2, 2, 2)"),
     (lambda: PositionalEncoder(np.array([[0.0, -np.inf]]), learnable=False),
      "positional table holds a non-finite value"),
-], ids=["nan-frequency", "inf-frequency", "2x2-frequencies", "0-d-frequency", "1-d-table",
-        "3-d-table", "inf-table"])
+], ids=["nan-frequency", "inf-frequency", "2x2-frequencies", "0-d-frequency",
+        "no-frequencies", "1-d-table", "3-d-table", "inf-table"])
 def test_encoder_arrays_checked(build, shown):
-    # each used to be kept: NaN frequencies, a 2 x 2 array as four
-    # frequencies, a 1-D or non-finite table
+    # NaN frequencies, a 2 x 2 array as four frequencies and a 1-D or
+    # non-finite table each used to be kept
     with pytest.raises(ValidationError, match=f"^{re.escape(shown)}$"):
         build()
 
@@ -219,29 +220,9 @@ def test_encoder_arrays_checked(build, shown):
 class TestPositionalEncoder:
     def test_fixed_sinusoidal_rank_zero(self):
         enc = PositionalEncoder.fixed_sinusoidal(10, 8)
-        row = enc.lookup(0)[0]
+        row = enc.table.data[0]
         np.testing.assert_allclose(row[0::2], 0.0, atol=1e-12)  # sin(0)
         np.testing.assert_allclose(row[1::2], 1.0, atol=1e-12)  # cos(0)
-
-    def test_fixed_lookup_records_no_tape_node(self):
-        enc = PositionalEncoder.fixed_sinusoidal(5, 4)
-        with ad.Tape() as tape:
-            out = enc.lookup([0, 3])
-        assert isinstance(out, np.ndarray) and len(tape) == 0
-        np.testing.assert_array_equal(out, enc.table.data[[0, 3]])
-
-    def test_learnable_lookup_stable_before_update(self):
-        enc = PositionalEncoder(glorot(np.random.default_rng(0), 6, 4), learnable=True)
-        a = enc.lookup(3).copy()
-        b = enc.lookup(3).copy()
-        np.testing.assert_array_equal(a, b)
-
-    def test_rank_out_of_range(self):
-        enc = PositionalEncoder.fixed_sinusoidal(5, 4)
-        with pytest.raises(PositionLookupError):
-            enc.lookup(5)
-        with pytest.raises(PositionLookupError):
-            enc.lookup(-1)
 
     def test_learnable_rows_receive_gradient(self):
         # node 0 of the tiny graph has two interactions before t = 5, so its

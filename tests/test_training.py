@@ -2,6 +2,7 @@
 (early stopping, determinism, split hygiene), evaluation, downstream
 classification, and the attention report."""
 
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 from typing import get_type_hints
 
@@ -309,6 +310,22 @@ def test_every_config_field_is_checked(config):
                 replace(config, **{f.name: value})
 
 
+# the training module's own checks, which no other call reaches
+@pytest.mark.parametrize("call, error, shown", [
+    (lambda g, split, cfg: evaluate_links(training.build_model(g, cfg), g, split,
+                                          node_filter="all"),
+     ValidationError, "node filter must be 'observed' or 'unseen', got 'all'"),
+    # every training event touches a withheld node
+    (lambda g, split, cfg: train(g, replace(split, unseen_nodes=frozenset(range(g.num_nodes))),
+                                 cfg),
+     ContractError, "training period contains no usable events")],
+    ids=["evaluate_links-node_filter", "train-no-usable-events"])
+def test_training_checks(call, error, shown):
+    g, split, cfg = training_fixture()
+    with pytest.raises(error, match=f"^{re.escape(shown)}$"):
+        call(g, split, cfg)
+
+
 class TestTrainLoop:
     @pytest.mark.parametrize("field, value", [
         ("rng_seed", -1), ("learning_rate", 0.0), ("learning_rate", -0.01),
@@ -333,6 +350,23 @@ class TestTrainLoop:
         assert history == []
         for a, b in zip(model.parameters(), reference.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_empty_validation_keeps_the_final_epoch(self, monkeypatch):
+        # train's documented fallback: with no validation event every epoch
+        # records NaN metrics, and the last Adam step's parameters come back
+        g, split, cfg = training_fixture()
+        steps, adam_step = [], training.adam_step
+
+        def recorded_step(*args):
+            steps.append(adam_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(training, "adam_step", recorded_step)
+        model, history = train(g, replace(split, val_end=split.train_end), cfg)
+        assert [r.epoch for r in history] == [1, 2]
+        assert all(np.isnan([r.val_ap, r.val_acc]).all() for r in history)
+        flat = np.concatenate([p.data.ravel() for p in model.parameters()])
+        assert len(steps) == 16 and flat.tobytes() == steps[-1].tobytes()
 
     def test_patience_one_with_decreasing_val_stops_after_two_epochs(self, monkeypatch):
         g, split, cfg = training_fixture()
