@@ -33,16 +33,11 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
         if arr.ndim > 2:
             raise DimensionError(f"rank-{arr.ndim} tensor not supported (shape {arr.shape})")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, delta: np.ndarray) -> None:
         # never in place: a rule may hand one array to several inputs
@@ -107,7 +102,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 def zero_grads(params: Sequence[Tensor]) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -68,17 +68,23 @@ class NeighborhoodBatch:
         return self.peers.size
 
 
+def _holds_bool(values) -> bool:
+    """Whether ``values`` is a boolean, or a list or tuple with one at any depth."""
+    return (any(map(_holds_bool, values)) if isinstance(values, (list, tuple))
+            else isinstance(values, (bool, np.bool_)))
+
+
 def whole_numbers(values, what: str, below: int | None = None,
                   error: type[Exception] = ValidationError) -> np.ndarray:
     """``values`` (node ids, labels or indices, named by ``what``) as int64.
     Text, a boolean, a value that is not a whole number, or one outside
     int64 raises ValidationError instead of becoming another id or class;
-    a list or tuple is searched for booleans, as numpy reads [True, 2] as ints.
-    Given ``below``, a value outside [0, below) raises ``error``: one compare
-    on the uint64 view, where a negative value reads as 2**63 or more."""
+    a list or tuple is searched for booleans at any depth, as numpy reads
+    [True, 2] and [[True, 2]] as ints. Given ``below``, a value outside
+    [0, below) raises ``error``: one compare on the uint64 view, where a
+    negative value reads as 2**63 or more."""
     arr = np.asarray(values)
-    listed = isinstance(values, (list, tuple)) and any(
-        isinstance(v, (bool, np.bool_)) for v in values)
+    listed = _holds_bool(values)
     if arr.dtype.kind != "i" or listed:
         try:  # text and booleans are no numbers, not even "1" or True
             whole = None if listed or arr.dtype.kind in "bUSV" else arr.astype(np.float64)
@@ -347,9 +353,6 @@ class AccessMonitor:
         # written so that a NaN on either side counts as a violation
         return [r for r in self.records if not r.event_timestamp < r.query_time]
 
-    def max_event_timestamp(self) -> float:
-        return max((r.event_timestamp for r in self.records), default=float("-inf"))
-
 
 _MONITORS: list[AccessMonitor] = []
 
@@ -357,12 +360,6 @@ _MONITORS: list[AccessMonitor] = []
 # ---------------------------------------------------------------------------
 # queries
 # ---------------------------------------------------------------------------
-
-
-def _holds_bool(seed) -> bool:
-    """Whether ``seed`` is a boolean, or a list or tuple with one at any depth."""
-    return (any(map(_holds_bool, seed)) if isinstance(seed, (list, tuple))
-            else isinstance(seed, (bool, np.bool_)))
 
 
 def seed_sequence(rng_seed) -> np.random.SeedSequence:

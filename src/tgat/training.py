@@ -239,30 +239,23 @@ def _flat(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
 
 
-def adam_step(
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray | None],
-    state: AdamState,
-    lr: float,
-) -> np.ndarray:
+def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> np.ndarray:
     """Standard Adam update with bias correction, one update over all
-    parameters: the gradients (``None`` read as zeros) and the current
-    ``p.data`` are concatenated in ``params`` order, updated elementwise, and
-    sliced back into each ``p.data``. Elementwise arithmetic does not depend
-    on shape, so no entry's bits depend on how the parameters are split into
+    parameters: each ``p.grad`` (``None`` read as zeros) and each ``p.data``
+    are concatenated in ``params`` order, updated elementwise, and sliced
+    back into each ``p.data``. Elementwise arithmetic does not depend on
+    shape, so no entry's bits depend on how the parameters are split into
     arrays. Returns the updated flat vector, of which each ``p.data`` is a
     view."""
-    if len(params) != len(grads):
-        raise ContractError("params and grads must align")
-    for p, g in zip(params, grads):
-        if g is not None and g.shape != p.data.shape:
+    for p in params:
+        if p.grad is not None and p.grad.shape != p.data.shape:
             raise ContractError(
-                f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
+                f"gradient shape {p.grad.shape} does not match parameter shape {p.data.shape}")
     sizes = [p.data.size for p in params]
     if state.m.size != sum(sizes):
         raise ContractError(f"optimizer state holds {state.m.size} entries, "
                             f"the parameters {sum(sizes)}")
-    g = _flat([np.zeros(p.data.size) if g is None else g for p, g in zip(params, grads)])
+    g = _flat([np.zeros(p.data.size) if p.grad is None else p.grad for p in params])
     data = _flat([p.data for p in params])
     b1, b2 = ADAM_BETAS
     state.step += 1
@@ -328,7 +321,7 @@ def train(graph: TemporalGraph, split: SplitSpec, config: TrainConfig) -> tuple[
                                  config.negatives_per_positive,
                                  [config.rng_seed, epoch, int(b_start)])
             ad.backward(tape, loss)
-            flat = adam_step(params, [p.grad for p in params], state, config.learning_rate)
+            flat = adam_step(params, state, config.learning_rate)
             total_loss += float(loss.data[0, 0])
             if not (np.isfinite(total_loss) and np.isfinite(flat).all()):
                 raise TrainingError(f"non-finite loss or parameters at epoch {epoch}, "
@@ -496,7 +489,7 @@ def node_classify(
         ad.backward(tape, loss)
         for w in mlp.weights:
             w.grad = w.grad + 2.0 * mlp_config.l2 * w.data
-        adam_step(params, [p.grad for p in params], state, mlp_config.learning_rate)
+        adam_step(params, state, mlp_config.learning_rate)
 
     return EvalMetrics.score(y_test, mlp.scores(x_test), "transductive")
 

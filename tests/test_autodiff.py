@@ -38,7 +38,7 @@ def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def analytic_grad(build, param: ad.Tensor) -> np.ndarray:
-    param.zero_grad()
+    ad.zero_grads([param])
     with ad.Tape() as tape:
         loss = weighted_sum(build(), 1.0)
     ad.backward(tape, loss)

@@ -145,7 +145,7 @@ class TestIngest:
     def test_three_rows_hand_enumerated(self):
         g = ingest(three_row_rows(), feature_dim=2)
         assert g.num_nodes == 3
-        assert g.num_events == 3
+        assert g.num_events == len(g.events) == 3
         assert g.t_max == 3.0
         # ids in first-appearance order: u7 -> 0, i100 -> 1, u8 -> 2
         assert (g.events[0].source, g.events[0].destination) == (0, 1)
@@ -545,9 +545,10 @@ class TestSampleNeighborhoods:
             with pytest.raises(InferenceError, match=f"^{shown}$"):
                 sample_neighborhoods(g, [0, node], [5.0, 5.0], 3)
 
-    @pytest.mark.parametrize("nodes", [["a"], ["1"]])
+    @pytest.mark.parametrize("nodes", [["a"], ["1"], [object()]])
     def test_query_node_that_is_not_a_number_rejected(self, nodes):
-        # "a" used to raise numpy's raw ValueError; text is no node id, not even "1"
+        # "a" used to raise numpy's raw ValueError; text is no node id, not even
+        # "1"; an object that float() refuses is none either
         g = build_graph([0, 1], [1, 2], [1.0, 2.0])
         shown = "^" + re.escape(f"node id values must be numbers, got {nodes!r}") + "$"
         with pytest.raises(ValidationError, match=shown):
@@ -932,10 +933,11 @@ def test_event_indices_must_be_1d(call):
     ("node id", lambda g, m: sample_neighborhoods(g, [True, 2], [5.0, 5.0], 3)),
     ("node id", lambda g, m: build_graph([True, 0], [1, 2], [1.0, 2.0])),
     ("id", lambda g, m: whole_numbers((1, False), "id")),
-    ("id", lambda g, m: whole_numbers([np.True_, 3], "id"))],
+    ("id", lambda g, m: whole_numbers([np.True_, 3], "id")),
+    ("node id", lambda g, m: whole_numbers([[True, 2]], "node id"))],
     ids=["sample_neighborhoods", "event_index", "SplitSpec", "build_graph_ids",
          "build_graph_labels", "embed", "sample_neighborhoods_mixed", "build_graph_mixed",
-         "tuple_mixed", "numpy_bool_mixed"])
+         "tuple_mixed", "numpy_bool_mixed", "nested_list"])
 def test_booleans_are_no_ids(what, call):
     # each used to take True as id, index or label 1, and False as 0
     g, model = tiny_graph_and_model()
@@ -972,7 +974,7 @@ class TestMonitor:
             temporal_neighborhood(g, 0, 5.0, 10)
         assert len(mon.records) == 2
         assert mon.violations() == []
-        assert mon.max_event_timestamp() == 2.0
+        assert max(r.event_timestamp for r in mon.records) == 2.0
 
     def test_nan_query_time_is_a_violation(self):
         mon = AccessMonitor()

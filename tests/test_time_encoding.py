@@ -94,7 +94,7 @@ class TestEncode:
             real = deltas != 0.0
             grads = []
             for keep in (np.ones(rows, bool), real):
-                enc.frequencies.zero_grad()
+                ad.zero_grads([enc.frequencies])
                 with ad.Tape() as tape:
                     loss = weighted_sum(enc.encode_many(deltas[keep]), g[keep])
                 ad.backward(tape, loss)
