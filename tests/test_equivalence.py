@@ -32,7 +32,7 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     assert run.returncode == 0, run.stderr[-2000:]
     arrays = json.loads(first.read_text())["arrays"]
     kinds = {name.split("/")[5] for name in arrays
-             if "/train/" not in name and not name.startswith(("kernel/", "negatives/"))}
+             if "/train/" not in name and not name.startswith(("kernel/", "negatives/", "phi/"))}
     assert {"Q1", "Q1-generator", "embed", "embed_stream", "evaluate_links",
             "attention_report", "checkpoint"} <= kinds
     # the time encoding read outside the model: the kernel check and estimates
@@ -42,6 +42,9 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     assert {f"negatives/N{n}-R{rows}/{part}" for n in (1, 2, 3) for rows in (0, 1, 2000)
             for part in ("values", "next")} <= set(arrays)
     assert arrays["negatives/N2-R2000/values"]["shape"] == [2000]
+    # one encode_many call of many row blocks
+    assert arrays["phi/multi_block/forward"]["shape"] == [40_000, 24]
+    assert arrays["phi/multi_block/frequency_grad"]["shape"] == [1, 12]
     # one short train() run per graph, layer count and attention mode
     trained = {name.split("/train/")[0] for name in arrays if "/train/" in name}
     assert trained == {f"{graph}/L{layers}/{mode}" for graph in ("tiny", "random-de2")

@@ -2,12 +2,18 @@
 Gaussian-transform oracle, convergence in the sample count, and the
 positional-encoding baseline."""
 
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from tgat import autodiff as ad
+from tgat import time_encoding
 from tgat.errors import ValidationError
 from tgat.layer import build_entity_matrix, glorot
 from tgat.synthetic import tiny_fixture_graph
@@ -101,11 +107,120 @@ class TestEncode:
                 grads.append(enc.frequencies.grad)
             np.testing.assert_array_equal(grads[0], grads[1])
 
+    def test_zero_timespans(self):
+        enc = TimeEncoder.create(8)
+        ad.zero_grads([enc.frequencies])
+        with ad.Tape() as tape:
+            phi = enc.encode_many([])
+            loss = weighted_sum(phi, np.ones((0, 8)))
+        assert phi.data.shape == (0, 8)
+        ad.backward(tape, loss)
+        np.testing.assert_array_equal(enc.frequencies.grad, np.zeros((1, 4)))
+
     def test_even_dimension_required(self):
         with pytest.raises(ValidationError):
             TimeEncoder.create(7)
         with pytest.raises(ValidationError):
             TimeEncoder.create(0)
+
+
+def phi_oracle(frequencies, deltas, upstream):
+    """encode_many's forward in one block, and the frequency gradient under
+    ``upstream`` by the formula of its backward rule."""
+    dt = deltas[:, None]
+    cos, sin = np.cos(dt * frequencies), np.sin(dt * frequencies)
+    scale = 1.0 / np.sqrt(frequencies.size)
+    trig = np.empty((deltas.size, 2 * frequencies.size))
+    trig[:, 0::2], trig[:, 1::2] = cos, sin
+    d_phase = upstream[:, 1::2] * cos - upstream[:, 0::2] * sin
+    return trig * scale, scale * (dt * d_phase).sum(axis=0, keepdims=True)
+
+
+class TestBlocks:
+    """encode_many splits its rows into blocks that idle cores share; no bit
+    may depend on the blocks or on the threads."""
+
+    ROWS, K = 40_000, 12
+
+    def cases(self, callers: int):
+        rng = np.random.default_rng(callers)
+        for _ in range(callers):
+            deltas = rng.exponential(50.0, self.ROWS) * (rng.random(self.ROWS) > 0.1)
+            yield (TimeEncoder(rng.normal(0.0, 1.0, self.K)), deltas,
+                   rng.standard_normal((self.ROWS, 2 * self.K)))
+
+    def check(self, callers: int):
+        """``callers`` threads encode at once, each its own timespans, under
+        one tape; each forward and frequency gradient must equal the oracle's
+        bytes."""
+        cases = list(self.cases(callers))
+        phis = [None] * callers
+
+        def encode(i):
+            phis[i] = cases[i][0].encode_many(cases[i][1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter lock often
+        try:
+            with ad.Tape() as tape:
+                threads = [threading.Thread(target=encode, args=(i,)) for i in range(callers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+
+                def pull(g):
+                    for phi, (_, _, upstream) in zip(phis, cases):
+                        phi._accumulate(upstream)
+
+                loss = ad.apply_op(np.zeros((1, 1)), phis, pull)
+        finally:
+            sys.setswitchinterval(interval)
+        ad.backward(tape, loss)
+        for phi, (enc, deltas, upstream) in zip(phis, cases):
+            forward, grad = phi_oracle(enc.frequencies.data, deltas, upstream)
+            assert phi.data.tobytes() == forward.tobytes()
+            assert enc.frequencies.grad.tobytes() == grad.tobytes()
+
+    def test_as_is(self):
+        assert self.ROWS * self.K // time_encoding.PHASES_PER_BLOCK >= 2
+        self.check(1)
+
+    def test_many_blocks(self, monkeypatch):
+        # 476 blocks of 84 rows and one of 16
+        monkeypatch.setattr(time_encoding, "PHASES_PER_BLOCK", 999)
+        self.check(1)
+
+    def test_four_callers_at_once(self):
+        self.check(4)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_encodes(self):
+        (enc, deltas, _), = self.cases(1)
+        expected = enc.encode_many(deltas).data.tobytes()  # the parent's pool is running
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(60)  # a hang ends the child with SIGALRM
+                code = int(enc.encode_many(deltas).data.tobytes() != expected)
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_a_process_whose_calls_never_split_makes_no_pool(self):
+        # a fresh process: this one may have imported concurrent.futures
+        code = ("import sys; from tgat.time_encoding import PHASES_PER_BLOCK, TimeEncoder; "
+                "TimeEncoder.create(24).encode_many(range(2 * PHASES_PER_BLOCK // 12 - 1)); "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr[-2000:]
 
 
 class TestKernelEstimate:

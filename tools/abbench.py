@@ -18,7 +18,8 @@ workload and metric: each side's median and quartiles, in how many pairs the
 change was better, the ``BENCHMARK.json`` bound and whether the change's
 median is within it, judged in the metric's ``better`` direction; and whether
 ``test_ap`` was equal in every pair. The exit code is 1 when any run failed a
-check, exited non-zero or printed no metrics.
+check, exited non-zero or printed no metrics, or when a metric's change
+median is outside its bound; each reason is printed to stderr.
 """
 
 from __future__ import annotations
@@ -105,6 +106,20 @@ def summarize(pairs: list[dict], spec: dict) -> dict | None:
     }
 
 
+def failures(record: dict) -> list[str]:
+    """Why the change fails, one line per reason: a run that failed a check,
+    exited non-zero or printed no metrics, and each metric whose change
+    median is outside its bound. Empty when the change passes."""
+    lines = [] if record["all_runs_ok"] else ["a run failed a check or exited non-zero"]
+    for workload, w in record["workloads"].items():
+        for name, m in w["metrics"].items():
+            if m is not None and not m["within_bound"]:
+                lines.append(f"{workload} {name}: {m['base']['median']:.6g} -> "
+                             f"{m['change']['median']:.6g} {m['unit']} is worse by more "
+                             f"than its bound, {m['bound']:.0%}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("base_ref", help="the commit to compare the working tree against")
@@ -168,10 +183,10 @@ def main(argv=None) -> int:
                       f"{m['change_wins']} of {m['pairs']}; "
                       f"{'within' if m['within_bound'] else 'OUTSIDE'} its bound)")
         print(f"{workload} test_ap equal in every pair: {w['test_ap_equal']}")
-    if not record["all_runs_ok"]:
-        print("a run failed a check or exited non-zero", file=sys.stderr)
-        return 1
-    return 0
+    reasons = failures(record)
+    for line in reasons:
+        print(line, file=sys.stderr)
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":

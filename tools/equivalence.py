@@ -24,6 +24,9 @@ For every configuration of the grid this computes:
 - once per run, the values of ``training._draw_negatives`` and the
   generator's next draw on inputs of one to three nodes, where most draws
   collide with the forbidden id; the grid's graphs rarely collide;
+- once per run, one ``encode_many`` call large enough to be computed in many
+  row blocks, its forward and its frequency gradient under a fixed upstream
+  gradient; the grid's own calls are too small to split;
 
 and writes each array's SHA-256 and largest magnitude to JSON, and the
 arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
@@ -100,6 +103,9 @@ KERNEL_PAIRS = ((0.0, 0.0), (0.0, 1.0), (2.5, -2.5), (1e-9, 0.0), (123.4, 5.6), 
 
 # _draw_negatives' node and row counts: few nodes, so most draws collide
 NEGATIVE_NODES, NEGATIVE_ROWS = (1, 2, 3), (0, 1, 2000)
+
+# rows of the multi-block encode_many call, at the stream model's d_t
+PHI_ROWS = 40_000
 
 # the embed stream's model: the dims of the acceptance suite's directional experiment
 STREAM_DIMS = {"d": 16, "d_t": 24, "d_h": 8, "d_f": 16}
@@ -238,10 +244,27 @@ def negative_arrays():
         yield f"{name}/next", np.array([rng.random()])
 
 
+def phi_arrays():
+    """Yield ``(name, array)`` for one ``encode_many`` call of ``PHI_ROWS``
+    seeded timespans, zeros among them: its forward and the frequency
+    gradient under a seeded upstream gradient."""
+    enc = time_encoding.TimeEncoder.create(STREAM_DIMS["d_t"], t_max=300.0)
+    rng = np.random.default_rng(21)
+    spans = rng.uniform(0.0, 500.0, PHI_ROWS) * (rng.random(PHI_ROWS) > 0.1)
+    upstream = rng.standard_normal((PHI_ROWS, enc.output_dim))
+    with ad.Tape() as tape:
+        phi = enc.encode_many(spans)
+        loss = ad.apply_op(np.zeros((1, 1)), (phi,), lambda g: phi._accumulate(upstream))
+    ad.backward(tape, loss)
+    yield "phi/multi_block/forward", phi.data
+    yield "phi/multi_block/frequency_grad", enc.frequencies.grad
+
+
 def grid_arrays(grid: dict):
     """Yield ``(name, array)`` for every output of every configuration."""
     yield from kernel_arrays()
     yield from negative_arrays()
+    yield from phi_arrays()
     for graph_name in grid["graphs"]:
         graph = GRAPHS[graph_name]()
         split = chronological_split(graph, 0.7, 0.15)
