@@ -23,10 +23,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
+from . import cores
 from .autodiff import Tensor
 from .errors import CheckpointError, ContractError, InferenceError, ValidationError
 from .temporal_graph import (
@@ -45,6 +47,12 @@ from .temporal_graph import (
 # not called here: perfbench/spans.py times the sampler by wrapping this name
 from .temporal_graph import temporal_neighborhood  # noqa: F401
 from .time_encoding import PositionalEncoder, TimeEncoder
+
+# sampled slots times d_h from which a hop's backward runs one head per task
+# on the free cores: train-l2's training and test inner hops (7,450 to 9,360
+# slots at d_h 8) reach it; its validation and top hops, where handing work
+# to a pool thread saves nothing, stay below
+SPLIT_WORK = 1 << 15
 
 
 @checked
@@ -242,6 +250,13 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, h: int,
     Keys stand beside values, so the sampled rows and the target rows are
     each projected by one product; only the projected rows are scattered
     into the (B, N) block, for the softmax and the weighted sum.
+
+    The backward's per-head work is written once, over a range of heads. A
+    hop of fewer than ``SPLIT_WORK`` sampled slots times d_h runs it once
+    over all heads; a larger one runs one head per task on ``cores.run``,
+    then its two products with the sampled rows side by side. A head's
+    multiplies, reductions and einsum give that head's slice of the bits of
+    the calls over all heads, so no bit depends on the split.
     """
     n_rows, d_in = z.data.shape
     b, n = mask.shape
@@ -276,24 +291,42 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, h: int,
     def pull(g: np.ndarray) -> None:
         g_out = np.ascontiguousarray(g.reshape(b, h, d_h).transpose(1, 0, 2))[:, :, None]
         g_slots = np.empty(kv.shape)
-        np.multiply(g_out, alpha[..., None], out=g_slots[-1])
+        g_query = np.empty((b, h, d_h))
+
+        def pull_heads(r: slice) -> None:
+            np.multiply(g_out[r], alpha[r, ..., None], out=g_slots[-1, r])
+            if learned:
+                g_alpha = (g_out[r] * kv[-1, r]).sum(axis=3)
+                inner = (g_alpha * alpha[r]).sum(axis=2, keepdims=True)
+                g_dots = scale * (alpha[r] * (g_alpha - inner))
+                np.multiply(g_dots[..., None], query[r, :, None], out=g_slots[0, r])
+                g_query[:, r] = np.einsum("hbn,hbnd->bhd", g_dots, kv[0, r])
+
+        split = slots.size * d_h >= SPLIT_WORK
+        if split:
+            cores.run([partial(pull_heads, slice(i, i + 1)) for i in range(h)])
+        else:
+            pull_heads(slice(0, h))
+        g_query = g_query.reshape(b, width)
         if learned:
-            g_alpha = (g_out * kv[-1]).sum(axis=3)
-            inner = (g_alpha * alpha).sum(axis=2, keepdims=True)
-            g_dots = scale * (alpha * (g_alpha - inner))
-            np.multiply(g_dots[..., None], query[:, :, None], out=g_slots[0])
-            g_query = np.einsum("hbn,hbnd->bhd", g_dots, kv[0]).reshape(b, width)
             w_q._accumulate(targets.T @ g_query)
         g_kv = g_slots.reshape(-1, b * n, d_h)[:, slots]  # the sampled slots' gradients
         g_kv = g_kv.transpose(1, 0, 2).reshape(slots.size, w_kv.shape[1])  # as w_kv's columns
-        g_w = sampled.T @ g_kv  # K's columns, when learned, then V's
+        if z.requires_grad:
+            g_z = np.empty((n_rows, d_in))  # in constant mode no query reads a target
+            g_z[:b] = g_query @ w_q.data.T if learned else 0.0
+        if split and z.requires_grad:  # the two products side by side
+            g_w = np.empty((d_in, w_kv.shape[1]))
+            cores.run([partial(np.matmul, sampled.T, g_kv, out=g_w),
+                       partial(np.matmul, g_kv, w_kv.T, out=g_z[b:])])
+        else:
+            g_w = sampled.T @ g_kv  # K's columns, when learned, then V's
+            if z.requires_grad:
+                np.matmul(g_kv, w_kv.T, out=g_z[b:])
         if learned:
             w_k._accumulate(g_w[:, :width])
         w_v._accumulate(g_w[:, -width:])
         if z.requires_grad:
-            g_z = np.empty((n_rows, d_in))  # in constant mode no query reads a target
-            g_z[:b] = g_query @ w_q.data.T if learned else 0.0
-            np.matmul(g_kv, w_kv.T, out=g_z[b:])
             z._accumulate(g_z)
 
     return ad.apply_op(heads, (z, *params), pull), alpha

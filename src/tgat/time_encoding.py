@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import autodiff as ad
+from . import cores
 from .autodiff import Tensor
 from .errors import ValidationError
 from .temporal_graph import Rule, check_value, seed_sequence
@@ -25,32 +26,6 @@ from .temporal_graph import Rule, check_value, seed_sequence
 # cos/sin phases per row block of ``encode_many``: about half a millisecond
 # of libm calls, against some 25 us to hand a block to a pool thread
 PHASES_PER_BLOCK = 1 << 14
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL = None
-
-
-def _pool():
-    """The pool for the other usable cores, made on the first call that
-    splits, so a process whose calls never split neither imports
-    ``concurrent.futures`` nor holds the pool. Two first calls at once may
-    make two pools; the one dropped ends its threads once they are idle."""
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _POOL = ThreadPoolExecutor(_CORES - 1, thread_name_prefix="tgat-phi")
-    return _POOL
-
-
-def _forget_pool() -> None:
-    """A forked child makes its own pool: the parent's threads do not
-    survive a fork."""
-    global _POOL
-    _POOL = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _phi_rows(phase, trig, out, scale: float) -> None:
@@ -62,32 +37,16 @@ def _phi_rows(phase, trig, out, scale: float) -> None:
 
 
 def _phi_blocks(phase, trig, out, scale: float) -> None:
-    """``_phi_rows`` in row blocks of about ``PHASES_PER_BLOCK`` phases.
-    With two or more blocks, up to one pool thread per other usable core
-    takes blocks from the same iterator as this thread; one that a busy
-    core never starts is cancelled, so a busy core delays the call by at
-    most the block it holds. A range iterator's ``next`` is atomic under the
-    interpreter lock."""
+    """``_phi_rows`` in row blocks of about ``PHASES_PER_BLOCK`` phases; two
+    or more blocks run on ``cores.run``."""
     rows, width = phase.shape
     blocks = max(1, rows * width // PHASES_PER_BLOCK)
     if blocks == 1:
         _phi_rows(phase, trig, out, scale)
         return
     step = -(-rows // blocks)
-    starts = iter(range(0, rows, step))
-
-    def work() -> None:
-        for start in starts:
-            r = slice(start, start + step)
-            _phi_rows(phase[r], trig[r], out[r], scale)
-
-    jobs = [_pool().submit(work) for _ in range(min(_CORES, blocks) - 1)]
-    try:
-        work()
-    finally:
-        for job in jobs:
-            if not job.cancel():
-                job.result()
+    row_blocks = [slice(start, start + step) for start in range(0, rows, step)]
+    cores.run([partial(_phi_rows, phase[r], trig[r], out[r], scale) for r in row_blocks])
 
 
 class TimeEncoder:

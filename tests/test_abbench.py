@@ -66,6 +66,36 @@ def test_one_pair_against_head(tmp_path):
         assert pair[side]["failed"] == 0 and pair[side]["attempted"] > 0
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_the_change_side_is_a_snapshot_of_the_working_tree(tmp_path):
+    # a repository with a committed, a modified, a deleted, an untracked and
+    # an ignored file, and a compiled module
+    repo, dest = tmp_path / "repo", tmp_path / "snapshot"
+    (repo / "src" / "__pycache__").mkdir(parents=True)
+    files = {".gitignore": "__pycache__/\n*.log\n", "kept.py": "a = 1\n",
+             "src/changed.py": "b = 1\n", "gone.py": "c = 1\n"}
+    for name, text in files.items():
+        (repo / name).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "src" / "changed.py").write_text("b = 2\n")
+    (repo / "gone.py").unlink()
+    (repo / "src" / "new.py").write_text("d = 1\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "src" / "__pycache__" / "changed.cpython.pyc").write_bytes(b"\0")
+    tool.snapshot(repo, dest)
+    taken = sorted(str(f.relative_to(dest)) for f in dest.rglob("*") if f.is_file())
+    assert taken == [".gitignore", "kept.py", "src/changed.py", "src/new.py"]
+    assert (dest / "src" / "changed.py").read_text() == "b = 2\n"
+    assert (dest / "src" / "new.py").read_text() == "d = 1\n"
+
+
 @needs_git
 def test_a_failed_run_exits_1(tmp_path):
     # run.py rejects an unknown workload before printing metrics

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from tgat.layer import SPLIT_WORK
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -32,7 +34,8 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     assert run.returncode == 0, run.stderr[-2000:]
     arrays = json.loads(first.read_text())["arrays"]
     kinds = {name.split("/")[5] for name in arrays
-             if "/train/" not in name and not name.startswith(("kernel/", "negatives/", "phi/"))}
+             if "/train/" not in name
+             and not name.startswith(("kernel/", "negatives/", "phi/", "hop/"))}
     assert {"Q1", "Q1-generator", "embed", "embed_stream", "evaluate_links",
             "attention_report", "checkpoint"} <= kinds
     # the time encoding read outside the model: the kernel check and estimates
@@ -45,6 +48,11 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
     # one encode_many call of many row blocks
     assert arrays["phi/multi_block/forward"]["shape"] == [40_000, 24]
     assert arrays["phi/multi_block/frequency_grad"]["shape"] == [1, 12]
+    # one attention hop per mode, large enough to run one head per task
+    for mode, grads in (("learned", 11), ("positional", 12), ("constant", 11)):
+        assert arrays[f"hop/{mode}/embeddings"]["shape"] == [400, 16]
+        assert arrays[f"hop/{mode}/weights"]["shape"] == [2, 400, 20]
+        assert sum(name.startswith(f"hop/{mode}/grad/") for name in arrays) == grads
     # one short train() run per graph, layer count and attention mode
     trained = {name.split("/train/")[0] for name in arrays if "/train/" in name}
     assert trained == {f"{graph}/L{layers}/{mode}" for graph in ("tiny", "random-de2")
@@ -58,6 +66,9 @@ def test_reduced_grid_repeats_and_compare_flags_a_change(tmp_path):
         values = dict(stored)
     assert sorted(values) == sorted(arrays)
     assert all(_sha256(a) == arrays[name]["sha256"] for name, a in values.items())
+    for mode in ("learned", "positional", "constant"):
+        assert values[f"hop/{mode}/slots"][0] * 8 >= SPLIT_WORK
+        assert (values[f"hop/{mode}/weights"][:, 0] == 0.0).all()  # the all-masked row
 
     # a second run must repeat every array but the two changed here, the
     # largest entry of each scaled by 1 + rel

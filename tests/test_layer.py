@@ -6,7 +6,11 @@ checkpointing."""
 import itertools
 import json
 import math
+import os
 import re
+import signal
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 
 from tgat import autodiff as ad
+from tgat import cores
 from tgat import layer as layer_module
 from tgat import time_encoding
 from tgat.errors import (
@@ -411,6 +416,126 @@ class TestAttendHead:
         with pytest.raises(ContractError):
             attend_head(ad.constant(rng.standard_normal((1, 4))), w_q, w_k, w_v, 1, "learned",
                         np.ones((1, 0), bool))
+
+
+class TestSplitHop:
+    """The backward of a hop of ``SPLIT_WORK`` or more sampled slots times d_h
+    runs one head per task on ``cores.run``, then its two products with the
+    sampled rows side by side; every output and gradient keeps the bytes of
+    the same hop run as one block."""
+
+    B, N, D_IN = 700, 16, 12
+
+    def inputs(self, seed: int, h: int, d_h: int):
+        """z, Q/K/V and an upstream gradient of a hop of B targets; about a
+        quarter of the slots are masked, and every 50th row is all masked."""
+        rng = np.random.default_rng([seed, h, d_h])
+        sizes = rng.integers(self.N // 2, self.N + 1, self.B)
+        sizes[::50] = 0
+        mask = np.arange(self.N) < sizes[:, None]
+        assert sizes.sum() * d_h >= layer_module.SPLIT_WORK
+        return (rng.standard_normal((self.B + sizes.sum(), self.D_IN)),
+                rng.standard_normal((3, self.D_IN, h * d_h)),
+                rng.standard_normal((self.B, h * d_h)), mask)
+
+    @staticmethod
+    def forward(z_data, w_data, g_out, mask, h, mode):
+        """The hop's output and weights, recorded on the active tape, and the
+        loss that weighs its output by ``g_out``."""
+        z = ad.parameter(z_data)
+        w = [ad.parameter(m) for m in w_data]
+        out, alpha = attend_head(z, *w, h, mode, mask)
+        return weighted_sum(out, g_out), [out, alpha, z, *w]
+
+    @staticmethod
+    def arrays(parts):
+        out, alpha, z, *w = parts
+        return [out.data, alpha, z.grad] + [p.grad for p in w if p.grad is not None]
+
+    def run(self, args, h, mode):
+        with ad.Tape() as tape:
+            loss, parts = self.forward(*args, h, mode)
+        ad.backward(tape, loss)
+        return self.arrays(parts)
+
+    def one_block(self, monkeypatch, args, h, mode):
+        with monkeypatch.context() as m:
+            m.setattr(layer_module, "SPLIT_WORK", 1 << 62)
+            return self.run(args, h, mode)
+
+    @pytest.mark.parametrize("mode", ["learned", "positional", "constant"])
+    @pytest.mark.parametrize("h, d_h", [(1, 8), (3, 8), (3, 5)])
+    def test_split_equals_one_block(self, mode, h, d_h, monkeypatch):
+        monkeypatch.setattr(cores, "_CORES", 2)
+        args = self.inputs(0, h, d_h)
+        tasks = []
+        original = cores.run
+
+        def counting(jobs):
+            tasks.append(len(jobs))
+            original(jobs)
+
+        monkeypatch.setattr(cores, "run", counting)
+        expected = self.one_block(monkeypatch, args, h, mode)
+        assert tasks == []  # all heads at once, on this thread
+        tasks.clear()
+        got = self.run(args, h, mode)
+        assert tasks == [h, 2]  # a head per task, then the two products
+        assert len(got) == (4 if mode == "constant" else 6)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (got[1][:, ::50] == 0.0).all() and (got[0][::50] == 0.0).all()
+
+    def test_callers_at_once_under_one_tape(self, monkeypatch):
+        cases = [(self.inputs(seed, 2, 8), mode)
+                 for seed, mode in enumerate(["learned", "constant", "learned", "positional"])]
+        expected = [self.one_block(monkeypatch, args, 2, mode) for args, mode in cases]
+        parts = [None] * len(cases)
+
+        def attend(i):
+            args, mode = cases[i]
+            parts[i] = self.forward(*args, 2, mode)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter lock often
+        try:
+            with ad.Tape() as tape:
+                threads = [threading.Thread(target=attend, args=(i,)) for i in range(len(cases))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                losses = [loss for loss, _ in parts]
+
+                def pull(g):
+                    for loss in losses:
+                        loss._accumulate(g)
+
+                total = ad.apply_op(np.zeros((1, 1)), losses, pull)
+        finally:
+            sys.setswitchinterval(interval)
+        ad.backward(tape, total)
+        for (_, hop), want in zip(parts, expected):
+            for a, b in zip(self.arrays(hop), want, strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_attends(self, monkeypatch):
+        monkeypatch.setattr(cores, "_CORES", 2)
+        args = self.inputs(1, 3, 8)
+        expected = b"".join(a.tobytes() for a in self.run(args, 3, "learned"))  # pool running
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(60)  # a hang ends the child with SIGALRM
+                code = int(b"".join(a.tobytes() for a in self.run(args, 3, "learned"))
+                           != expected)
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestParameterAccounting:

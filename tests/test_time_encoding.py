@@ -8,12 +8,13 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tgat import autodiff as ad
-from tgat import time_encoding
+from tgat import cores, time_encoding
 from tgat.errors import ValidationError
 from tgat.layer import build_entity_matrix, glorot
 from tgat.synthetic import tiny_fixture_graph
@@ -210,11 +211,58 @@ class TestBlocks:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
 
+    @pytest.mark.skipif(cores._CORES < 2, reason="needs a second usable core")
+    def test_cancelled_jobs_hold_no_arrays(self):
+        # every pool thread is parked, so each job of the call is cancelled
+        # and stays queued; the call's arrays must not stay with it
+        (enc, deltas, _), = self.cases(1)
+        parked, release = threading.Semaphore(0), threading.Event()
+
+        def park():
+            parked.release()
+            release.wait(120)
+
+        pool = cores._pool()
+        holders = [pool.submit(park) for _ in range(cores._CORES - 1)]
+        try:
+            for _ in holders:
+                assert parked.acquire(timeout=60)
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                enc.encode_many(deltas)  # phase, trig and out: 19 MB
+                left = tracemalloc.get_traced_memory()[0] - baseline
+            finally:
+                tracemalloc.stop()
+        finally:
+            release.set()
+        assert left < 100_000
+
     def test_a_process_whose_calls_never_split_makes_no_pool(self):
-        # a fresh process: this one may have imported concurrent.futures
-        code = ("import sys; from tgat.time_encoding import PHASES_PER_BLOCK, TimeEncoder; "
-                "TimeEncoder.create(24).encode_many(range(2 * PHASES_PER_BLOCK // 12 - 1)); "
-                "sys.exit('concurrent.futures' in sys.modules)")
+        # a fresh process: this one may have imported concurrent.futures.
+        # The largest one-block encode_many, a training step of the
+        # benchmark's train-l1 size (L=1, 25 positives, 40 validation events,
+        # cap 12, d_h 8) and a one-query L=2 embed
+        code = """if True:
+            import sys
+            from tgat import layer, training
+            from tgat.synthetic import recency_planted_graph
+            from tgat.temporal_graph import chronological_split
+            from tgat.time_encoding import PHASES_PER_BLOCK, TimeEncoder
+            TimeEncoder.create(24).encode_many(range(2 * PHASES_PER_BLOCK // 12 - 1))
+            graph = recency_planted_graph(500, 20000, seed=0)
+            split = chronological_split(graph, 0.70, 0.15)
+            config = training.TrainConfig(
+                layers=1, heads=2, batch_size=25, max_epochs=1, sampling_strategy="most-recent",
+                d=16, d_t=24, d_h=8, d_f=16, max_neighbors=12, max_train_events_per_epoch=25,
+                max_val_events=40, unseen_fraction=0.0)
+            training.train(graph, split, config)
+            model = training.build_model(graph, training.TrainConfig(
+                layers=2, d=16, d_t=24, d_h=8, d_f=16))
+            layer.embed(model, 7, float(graph.timestamps[-1]), graph,
+                        layer.SamplingConfig(max_neighbors=20, strategy="inverse-timespan"))
+            sys.exit("concurrent.futures" in sys.modules)
+        """
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))

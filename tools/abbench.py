@@ -5,7 +5,10 @@
 Run from the repository root; a change's evidence goes to ``BENCH_<n>.json``
 there. ``<base-ref>`` is exported with ``git archive`` into a temporary
 directory, so no worktree is made and ``.git`` is left as it is. The change is
-the working tree, uncommitted edits included. For each workload of
+the working tree, uncommitted edits included: its tracked files and its
+untracked files that are not ignored are copied into a temporary directory of
+their own, so the two sides differ in code only, not in path or ``.pyc``
+state. For each workload of
 ``BENCHMARK.json`` the script runs ``--pairs`` pairs of the declared command
 (``perfbench/run.py``) with ``--trace 0``, one run on each side, each side
 with its own ``perfbench/`` and ``src/``. Pair k uses seed 301 + k; the base
@@ -27,6 +30,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -51,6 +56,20 @@ def export(commit: str, dest: Path) -> None:
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def snapshot(root: Path, dest: Path) -> None:
+    """Copy the files of the working tree at ``root`` that git tracks, as they
+    are on disk, and the untracked ones it does not ignore, into ``dest``. A
+    tracked file deleted from the tree is left out."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=root, capture_output=True, check=True).stdout.split(b"\0")
+    for name in filter(None, names):
+        src = root / os.fsdecode(name)
+        if src.is_file():
+            target = dest / os.fsdecode(name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, target)
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int,
@@ -146,8 +165,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="abbench-") as tmp:
-        roots = {"base": Path(tmp), "change": ROOT}
+        roots = {side: Path(tmp) / side for side in ("base", "change")}
         export(base_commit, roots["base"])
+        snapshot(ROOT, roots["change"])
         for workload in workloads:
             pairs = []
             for k, seed in enumerate(record["seeds"]):

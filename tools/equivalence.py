@@ -27,6 +27,9 @@ For every configuration of the grid this computes:
 - once per run, one ``encode_many`` call large enough to be computed in many
   row blocks, its forward and its frequency gradient under a fixed upstream
   gradient; the grid's own calls are too small to split;
+- once per run, one attention hop large enough to run one head per task, in
+  learned, positional and constant mode, with one all-masked row: its output,
+  its weights and every parameter's gradient;
 
 and writes each array's SHA-256 and largest magnitude to JSON, and the
 arrays themselves to an ``.npz`` file beside it. Two runs of the same code on
@@ -106,6 +109,11 @@ NEGATIVE_NODES, NEGATIVE_ROWS = (1, 2, 3), (0, 1, 2000)
 
 # rows of the multi-block encode_many call, at the stream model's d_t
 PHI_ROWS = 40_000
+
+# the split attention hop: L=1 queries late in the recency graph's span at a
+# cap of 20, some 8,000 sampled slots at d_h 8
+HOP_QUERIES, HOP_CAP = 400, 20
+HOP_MODES = (("learned", False), ("positional", True), ("constant", False))
 
 # the embed stream's model: the dims of the acceptance suite's directional experiment
 STREAM_DIMS = {"d": 16, "d_t": 24, "d_h": 8, "d_f": 16}
@@ -260,11 +268,45 @@ def phi_arrays():
     yield "phi/multi_block/frequency_grad", enc.frequencies.grad
 
 
+def hop_arrays():
+    """Yield ``(name, array)`` for one attention hop per mode of ``HOP_MODES``:
+    an L=1 ``embed_tensor`` of ``HOP_QUERIES`` seeded queries on the recency
+    graph, the first at the graph's first time, so that its row of the hop is
+    all masked. Its sampled slot count, its embeddings and weights, and every
+    parameter's gradient under a seeded upstream gradient."""
+    graph = GRAPHS["recency"]()
+    rng = np.random.default_rng(23)
+    nodes = rng.integers(0, graph.num_nodes, HOP_QUERIES)
+    times = rng.uniform(0.9, 1.0, HOP_QUERIES) * float(graph.timestamps.max())
+    times[0] = graph.timestamps.min()
+    dims = Dims(d0=graph.node_feature_dim, d_e=graph.edge_feature_dim, **STREAM_DIMS)
+    sampling = SamplingConfig(max_neighbors=HOP_CAP, strategy="most-recent")
+    upstream = rng.standard_normal((HOP_QUERIES, dims.d))
+    for mode, learnable in HOP_MODES:
+        model = TgatModel.create(dims, 1, STREAM_HEADS, attention_mode=mode, rng_seed=3,
+                                 t_max=float(graph.timestamps.max()),
+                                 positional_learnable=learnable, max_positions=HOP_CAP + 1)
+        attention = []
+        with ad.Tape() as tape:
+            out = layer.embed_tensor(model, nodes, times, graph, sampling, rng_seed=5,
+                                     attention=attention)
+            loss = ad.apply_op(np.zeros((1, 1)), (out,), lambda g: out._accumulate(upstream))
+        ad.backward(tape, loss)
+        (_, batch, weights), = attention
+        yield f"hop/{mode}/slots", np.array([batch.sizes.sum()])
+        yield f"hop/{mode}/embeddings", out.data
+        yield f"hop/{mode}/weights", weights
+        for name, (p, cols) in layer._named_params(model).items():
+            yield f"hop/{mode}/grad/{name}", (np.zeros_like(p.data)
+                                              if p.grad is None else p.grad)[..., cols]
+
+
 def grid_arrays(grid: dict):
     """Yield ``(name, array)`` for every output of every configuration."""
     yield from kernel_arrays()
     yield from negative_arrays()
     yield from phi_arrays()
+    yield from hop_arrays()
     for graph_name in grid["graphs"]:
         graph = GRAPHS[graph_name]()
         split = chronological_split(graph, 0.7, 0.15)
