@@ -36,7 +36,6 @@ from .temporal_graph import (
     mask_unseen,
     sample_neighborhoods,
     save_graph,
-    temporal_neighborhood,
 )
 from .time_encoding import (
     KernelCheckReport,

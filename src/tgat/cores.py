@@ -49,13 +49,11 @@ def _drain(tasks) -> None:
 
 
 def run(tasks) -> None:
-    """Call each of ``tasks`` once, on this thread and on idle cores; a single
-    task runs here alone. A list iterator drops its list once exhausted, so a
-    cancelled job, which stays queued until a pool thread is free, holds none
-    of the tasks' arrays after the call."""
-    if len(tasks) == 1:
-        tasks[0]()
-        return
+    """Call each of ``tasks`` once, on this thread and on idle cores: one job
+    per other core up to one per task beyond the first, so a single task
+    runs here alone and makes no pool. A list iterator drops its list once
+    exhausted, so a cancelled job, which stays queued until a pool thread is
+    free, holds none of the tasks' arrays after the call."""
     shared = iter(tasks)
     jobs = [_pool().submit(_drain, shared) for _ in range(min(_CORES, len(tasks)) - 1)]
     try:

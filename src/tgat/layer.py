@@ -43,9 +43,11 @@ from .temporal_graph import (
     sampling_key,
     seed_sequence,
     setting,
+    whole_numbers,
 )
-# not called here: perfbench/spans.py times the sampler by wrapping this name
-from .temporal_graph import temporal_neighborhood  # noqa: F401
+# only the name perfbench/spans.py wraps to time the sampler; nothing calls
+# it, as each hop of the forward pass calls hop_neighborhoods
+from .temporal_graph import sample_neighborhoods as temporal_neighborhood  # noqa: F401
 from .time_encoding import PositionalEncoder, TimeEncoder
 
 # sampled slots times d_h from which a hop's backward runs one head per task
@@ -394,8 +396,8 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.nd
 
 def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
                  sampling: SamplingConfig, rng_seed=0, attention: list | None = None) -> Tensor:
-    """Differentiable time-aware embeddings (full L-layer forward pass): (1, d)
-    for a scalar node and time, (B, d) for equal-length sequences of them.
+    """Differentiable time-aware embeddings (full L-layer forward pass): (B, d)
+    for B queries, which ``check_queries`` reads, so a node and a time give (1, d).
 
     Each query's embedding depends only on (``rng_seed``, node, time), so B
     queries in one call equal each query embedded alone, up to float
@@ -410,7 +412,7 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
         raise InferenceError(
             f"model expects {dims.d0} node and {dims.d_e} edge features, graph has "
             f"{graph.node_feature_dim} node and {graph.edge_feature_dim} edge features")
-    nodes, times = check_queries(graph, np.atleast_1d(node), np.atleast_1d(t))
+    nodes, times = check_queries(graph, node, t)
     cap, pos = sampling.max_neighbors, model.positional_encoder
     if pos is not None and cap >= pos.max_positions:  # the target row takes rank N
         raise ValidationError(f"max_neighbors {cap} needs a positional table of at least "
@@ -434,12 +436,13 @@ def embed_passes(count: int) -> list[slice]:
 
 def embed(model: TgatModel, node, t, graph: TemporalGraph,
           sampling: SamplingConfig, rng_seed=0) -> np.ndarray:
-    """Inference-only embeddings, (d,) for a scalar node and time or (B, d) for
+    """Inference-only embeddings, (d,) for a node and a time or (B, d) for
     sequences; works for nodes absent from training events. The queries run
     through ``embed_tensor`` in the passes of ``embed_passes``, all sampled
-    with one key, so memory is that of one pass, and so are the rows."""
+    with one key, so memory is that of one pass, and so are the rows. The id
+    rule reads ``node`` as given, so [True, 2] is rejected, not read as [1, 2]."""
     key = sampling_key(rng_seed)
-    nodes, times = np.asarray(node), np.asarray(t)
+    nodes, times = whole_numbers(node, "node id"), np.asarray(t)
     aligned = nodes.ndim == 1 and nodes.shape == times.shape  # else one call; [...] takes 0-d
     passes = embed_passes(nodes.size) if aligned else [...]
     out = [embed_tensor(model, nodes[s], times[s], graph, sampling, key).data for s in passes]

@@ -64,9 +64,6 @@ class NeighborhoodBatch:
     mask: np.ndarray
     query_times: np.ndarray
 
-    def __len__(self) -> int:  # the number of sampled interactions, sizes.sum()
-        return self.peers.size
-
 
 def _holds_bool(values) -> bool:
     """Whether ``values`` is a boolean, or a list or tuple with one at any depth."""
@@ -224,16 +221,17 @@ class TemporalGraph:
 
     def __init__(self, sources, destinations, timestamps, edge_features, labels,
                  node_features):
-        sources = whole_numbers(sources, "node id")
-        destinations = whole_numbers(destinations, "node id")
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        edge_features = np.asarray(edge_features, dtype=np.float64)
-        labels = whole_numbers(labels, "label")
         # a copy, so freezing the store never makes a caller's array read-only;
         # the event columns are copied by the sort below
         node_features = np.array(node_features, dtype=np.float64)
         if node_features.ndim != 2:
             raise ValidationError(f"node features must be 2-D, got shape {node_features.shape}")
+        # an endpoint is a node with features
+        sources = whole_numbers(sources, "node id", below=node_features.shape[0])
+        destinations = whole_numbers(destinations, "node id", below=node_features.shape[0])
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        edge_features = np.asarray(edge_features, dtype=np.float64)
+        labels = whole_numbers(labels, "label")
         n = timestamps.size
         if not (sources.shape == destinations.shape == timestamps.shape == labels.shape == (n,)):
             raise ValidationError(
@@ -253,8 +251,6 @@ class TemporalGraph:
             if not np.isfinite(values).all():
                 row, col = np.argwhere(~np.isfinite(values))[0]
                 raise ValidationError(f"feature {col} of {owner} {row} is {values[row, col]}")
-        whole_numbers(np.concatenate([sources, destinations]), "node id",
-                      below=node_features.shape[0])  # a node with features
 
         order = np.argsort(timestamps, kind="stable")
         self.sources = sources[order]
@@ -399,12 +395,15 @@ class SamplingConfig:
 
 
 def check_queries(g: TemporalGraph, nodes, times) -> tuple[np.ndarray, np.ndarray]:
-    """The node and time arrays of B queries: ``nodes`` node ids of ``g``
-    (InferenceError for one outside it), ``times`` finite, non-negative and
-    aligned with them, else ValidationError. The cap and the strategy are
-    a ``SamplingConfig``'s, checked when it was built."""
-    nodes = whole_numbers(nodes, "node id", g.num_nodes, InferenceError)
-    times = np.asarray(times, dtype=np.float64)
+    """The node and time arrays of B queries, the one place where a query
+    becomes arrays: ``nodes`` node ids of ``g`` (InferenceError for one
+    outside it), ``times`` finite, non-negative and aligned with them, else
+    ValidationError. The id rule reads the caller's nodes before numpy does,
+    so [True, 2] is no pair of ids; a node and a time then form a one-query
+    batch. The cap and the strategy are a ``SamplingConfig``'s, checked
+    when it was built."""
+    nodes = np.atleast_1d(whole_numbers(nodes, "node id", g.num_nodes, InferenceError))
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if nodes.ndim != 1 or nodes.shape != times.shape:
         raise ValidationError(
             f"nodes and times must be 1-D and of equal length, got shapes {nodes.shape} "
@@ -437,7 +436,8 @@ def sample_neighborhoods(
     strategy: str = "most-recent",
     rng_seed=0,
 ) -> NeighborhoodBatch:
-    """Up to ``max_size`` interactions of each ``nodes[b]`` strictly before ``times[b]``.
+    """Up to ``max_size`` interactions of each ``nodes[b]`` strictly before
+    ``times[b]``; a node and a time are one query N(v; t), a one-query batch.
 
     ``uniform`` subsamples without replacement, ``inverse-timespan`` weights
     candidates by 1/(t - t_i + INVERSE_TIMESPAN_JITTER), and ``most-recent``
@@ -527,18 +527,6 @@ def hop_neighborhoods(
     return NeighborhoodBatch(peers=g.peers[real], times=sampled_times, event_indices=events,
                              edge_features=g.edge_features[events], sizes=sizes, mask=mask,
                              query_times=times)
-
-
-def temporal_neighborhood(
-    g: TemporalGraph,
-    node: int,
-    t: float,
-    max_size: int,
-    strategy: str = "most-recent",
-    rng_seed=0,
-) -> NeighborhoodBatch:
-    """The neighborhood of one (node, t) query, as a one-query batch."""
-    return sample_neighborhoods(g, [node], [t], max_size, strategy, rng_seed)
 
 
 def chronological_split(g: TemporalGraph, train_frac: float, val_frac: float) -> SplitSpec:

@@ -47,6 +47,7 @@ def test_one_pair_against_head(tmp_path):
                           text=True, check=True).stdout.strip()
     assert bench["base"] == {"ref": "HEAD", "commit": head}
     assert bench["change"]["commit"] == head
+    assert bench["src_lines"]["base"] > 0 and bench["src_lines"]["change"] > 0
     assert bench["env"]["nproc"] >= 1 and bench["env"]["numpy"] and bench["env"]["blas"]
     assert set(bench["env"]["blas_threads"].values()) == {"1"}
     assert (bench["pairs"], bench["seconds"], bench["seeds"]) == (1, 1.0, [301])
@@ -94,6 +95,21 @@ def test_the_change_side_is_a_snapshot_of_the_working_tree(tmp_path):
     assert taken == [".gitignore", "kept.py", "src/changed.py", "src/new.py"]
     assert (dest / "src" / "changed.py").read_text() == "b = 2\n"
     assert (dest / "src" / "new.py").read_text() == "d = 1\n"
+
+
+def test_src_lines_counts_as_wc(tmp_path):
+    # what `cat src/tgat/*.py | wc -l` prints in each of two trees: newlines
+    # only in the package's own modules, so a last line without one, a
+    # subpackage and a file that is no module count nothing
+    trees = {"base": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"},
+             "change": {"a.py": "x = 1\n", "b.py": "\n\n\nz = 3\n", "notes.txt": "n\n",
+                        "sub/c.py": "w = 4\n"}}
+    for side, files in trees.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "tgat" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    assert {side: tool.src_lines(tmp_path / side) for side in trees} == {"base": 2, "change": 5}
 
 
 @needs_git

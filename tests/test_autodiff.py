@@ -128,8 +128,8 @@ def hop_case(rng, mode: str, positional: bool = False, kind: str = "any"):
     latest = 1.0 if kind == "empty" else 9.0
     batch = sample_neighborhoods(tiny_fixture_graph(), rng.integers(0, 6, size=b),
                                  rng.uniform(0.0, latest, size=b), 1 if kind == "few" else 3)
-    assert len(batch) <= {"empty": 0, "few": 3}.get(kind, 3 * b)
-    hidden = ad.parameter(_rand(rng, b + len(batch), 3))
+    assert batch.peers.size <= {"empty": 0, "few": 3}.get(kind, 3 * b)
+    hidden = ad.parameter(_rand(rng, b + batch.peers.size, 3))
     enc = TimeEncoder(rng.uniform(0.1, 1.5, size=2))
     table = PositionalEncoder(glorot(rng, 8, 4), learnable=True) if positional else None
     heads = int(rng.integers(1, 3))

@@ -2,6 +2,7 @@
 causality-respecting sampling, splits, masking, negative sampling,
 instrumentation, and serialization."""
 
+import dataclasses
 import os
 import re
 import sys
@@ -17,7 +18,7 @@ from tgat.errors import (
     SplitError,
     ValidationError,
 )
-from tgat.layer import Dims, SamplingConfig, TgatModel, embed
+from tgat.layer import Dims, SamplingConfig, TgatModel, embed, embed_tensor
 from tgat.synthetic import random_temporal_graph, recency_planted_graph
 from tgat.temporal_graph import (
     INVERSE_TIMESPAN_JITTER,
@@ -38,7 +39,6 @@ from tgat.temporal_graph import (
     sample_neighborhoods,
     sampling_key,
     save_graph,
-    temporal_neighborhood,
     training_event_indices,
     whole_numbers,
 )
@@ -152,10 +152,10 @@ class TestIngest:
         assert (g.events[1].source, g.events[1].destination) == (2, 1)
         assert (g.events[2].source, g.events[2].destination) == (0, 1)
         # adjacency by hand: node 0 sees the item at t=1 and t=3
-        s = temporal_neighborhood(g, 0, 10.0, max_size=10)
+        s = sample_neighborhoods(g, 0, 10.0, max_size=10)
         assert pairs(s) == [(1, 1.0), (1, 3.0)]
         # the item sees all three events
-        s = temporal_neighborhood(g, 1, 10.0, max_size=10)
+        s = sample_neighborhoods(g, 1, 10.0, max_size=10)
         assert pairs(s) == [(0, 1.0), (2, 2.0), (0, 3.0)]
 
     def test_empty_stream(self):
@@ -355,14 +355,14 @@ class TestGraphInvariants:
 
     def test_adjacency_symmetry(self):
         g = build_graph([0, 2], [1, 0], [1.0, 4.0], num_nodes=3)
-        a = temporal_neighborhood(g, 0, 10.0, 10)
-        b = temporal_neighborhood(g, 1, 10.0, 10)
+        a = sample_neighborhoods(g, 0, 10.0, 10)
+        b = sample_neighborhoods(g, 1, 10.0, 10)
         assert (1, 1.0) in pairs(a)
         assert (0, 1.0) in pairs(b)
 
     def test_self_loops_do_not_enter_neighborhoods(self):
         g = build_graph([0, 0], [0, 1], [1.0, 2.0], num_nodes=2)
-        s = temporal_neighborhood(g, 0, 5.0, 10)
+        s = sample_neighborhoods(g, 0, 5.0, 10)
         assert pairs(s) == [(1, 2.0)]
 
     def test_csr_matches_brute_force_scan(self):
@@ -406,18 +406,18 @@ class TestTemporalNeighborhood:
 
     def test_most_recent_returns_all_when_small(self):
         g = self.fixture()
-        s = temporal_neighborhood(g, 0, 20.0, max_size=20, strategy="most-recent")
+        s = sample_neighborhoods(g, 0, 20.0, max_size=20, strategy="most-recent")
         assert s.times.tolist() == [1.0, 2.0, 3.0, 9.0]
 
     def test_strict_causality_cut(self):
         g = self.fixture()
-        s = temporal_neighborhood(g, 0, 5.0, max_size=20)
+        s = sample_neighborhoods(g, 0, 5.0, max_size=20)
         assert all(s.times < 5.0)
         assert set(s.times.tolist()) == {1.0, 2.0, 3.0}
 
     def test_event_at_query_time_excluded(self):
         g = self.fixture()
-        s = temporal_neighborhood(g, 0, 9.0, max_size=20)
+        s = sample_neighborhoods(g, 0, 9.0, max_size=20)
         assert all(s.times < 9.0)
 
     def test_most_recent_is_true_top_k(self):
@@ -425,21 +425,21 @@ class TestTemporalNeighborhood:
         rng = np.random.default_rng(0)
         times = np.sort(rng.uniform(0, 100, size=30))
         g = build_graph(np.zeros(30, dtype=int), np.arange(1, 31), times)
-        s = temporal_neighborhood(g, 0, 80.0, max_size=5, strategy="most-recent")
+        s = sample_neighborhoods(g, 0, 80.0, max_size=5, strategy="most-recent")
         prior = sorted(t for t in times if t < 80.0)
         assert s.times.tolist() == prior[-5:]
 
     def test_uniform_without_replacement(self):
         g = self.fixture()
-        s = temporal_neighborhood(g, 0, 20.0, max_size=3, strategy="uniform", rng_seed=1)
+        s = sample_neighborhoods(g, 0, 20.0, max_size=3, strategy="uniform", rng_seed=1)
         assert s.peers.size == 3
         assert len(set(s.event_indices.tolist())) == 3
 
     def test_determinism(self):
         g = self.fixture()
         for strategy in ("uniform", "inverse-timespan", "most-recent"):
-            a = temporal_neighborhood(g, 0, 20.0, 2, strategy, rng_seed=7)
-            b = temporal_neighborhood(g, 0, 20.0, 2, strategy, rng_seed=7)
+            a = sample_neighborhoods(g, 0, 20.0, 2, strategy, rng_seed=7)
+            b = sample_neighborhoods(g, 0, 20.0, 2, strategy, rng_seed=7)
             assert pairs(a) == pairs(b)
             np.testing.assert_array_equal(a.event_indices, b.event_indices)
 
@@ -451,20 +451,20 @@ class TestTemporalNeighborhood:
         picks = 0
         n = 10_000
         for _ in range(n):
-            s = temporal_neighborhood(g, 0, 10.0, 1, "inverse-timespan", rng)
+            s = sample_neighborhoods(g, 0, 10.0, 1, "inverse-timespan", rng)
             picks += s.times[0] == 9.0
         np.testing.assert_allclose(picks / n, 5.0 / 6.0, atol=0.02)
 
     def test_empty_history_yields_empty_sample(self):
         g = self.fixture()
-        s = temporal_neighborhood(g, 2, 1.5, 10)
+        s = sample_neighborhoods(g, 2, 1.5, 10)
         assert s.peers.size == 0
         assert s.edge_features.shape == (0, 0)
 
     def test_recurring_peer_kept_distinct(self):
         g = build_graph([0, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0])
-        s = temporal_neighborhood(g, 0, 5.0, 10)
-        assert len(s) == s.peers.size == 3
+        s = sample_neighborhoods(g, 0, 5.0, 10)
+        assert s.peers.size == 3
 
     def test_causality_property_random_queries(self):
         rng = np.random.default_rng(5)
@@ -476,7 +476,7 @@ class TestTemporalNeighborhood:
         for trial, t in enumerate(times.tolist()):
             node = int(rng.integers(0, 20))
             strategy = ("uniform", "inverse-timespan", "most-recent")[trial % 3]
-            s = temporal_neighborhood(g, node, t, 5, strategy, rng_seed=trial)
+            s = sample_neighborhoods(g, node, t, 5, strategy, rng_seed=trial)
             assert all(s.times < t)
             assert s.peers.size <= 5
         # NaN compares false with everything, so an unchecked NaN query
@@ -484,25 +484,25 @@ class TestTemporalNeighborhood:
         for t in (np.nan, np.inf, -np.inf):
             for strategy in ("uniform", "inverse-timespan", "most-recent"):
                 with pytest.raises(ValidationError):
-                    temporal_neighborhood(g, 0, t, 5, strategy)
+                    sample_neighborhoods(g, 0, t, 5, strategy)
 
     def test_edge_features_follow_event_indices(self):
         g = build_graph([0, 0, 1], [1, 2, 0], [3.0, 1.0, 2.0],
                         edge_features=[[3.0, 0.3], [1.0, 0.1], [2.0, 0.2]])
-        s = temporal_neighborhood(g, 0, 5.0, 10)
+        s = sample_neighborhoods(g, 0, 5.0, 10)
         np.testing.assert_array_equal(s.edge_features, [[1.0, 0.1], [2.0, 0.2], [3.0, 0.3]])
         np.testing.assert_array_equal(s.edge_features, g.edge_features[s.event_indices])
 
     def test_bad_arguments(self):
         g = self.fixture()
         with pytest.raises(ValidationError):
-            temporal_neighborhood(g, 99, 1.0, 5)
+            sample_neighborhoods(g, 99, 1.0, 5)
         with pytest.raises(ValidationError):
-            temporal_neighborhood(g, 0, -1.0, 5)
+            sample_neighborhoods(g, 0, -1.0, 5)
         with pytest.raises(ValidationError):
-            temporal_neighborhood(g, 0, 1.0, 0)
+            sample_neighborhoods(g, 0, 1.0, 0)
         with pytest.raises(ValidationError):
-            temporal_neighborhood(g, 0, 1.0, 5, strategy="nope")
+            sample_neighborhoods(g, 0, 1.0, 5, strategy="nope")
 
 
 def reference_neighborhood(g, node, t, max_size, strategy, rng_seed=0, jitter=1.0):
@@ -746,6 +746,26 @@ class TestSampleNeighborhoods:
                 sample_neighborhoods(g, nodes, times, max_size, strategy)
         assert sample_neighborhoods(g, [0], [45.0], np.int64(2), "uniform").sizes.tolist() == [2]
 
+    @pytest.mark.parametrize("strategy", ["uniform", "inverse-timespan", "most-recent"])
+    def test_a_node_and_a_time_are_a_one_query_batch(self, strategy):
+        # the scalar form is the one-element form, field by field; node 0 at
+        # t = 45 holds more candidates than the cap, so the random strategies draw
+        g = self.random_graph(3)
+        for node, t in ((0, 45.0), (np.int64(4), np.float64(20.0)), (2, 0.0)):
+            one = sample_neighborhoods(g, node, t, 3, strategy, rng_seed=9)
+            listed = sample_neighborhoods(g, [node], [t], 3, strategy, rng_seed=9)
+            for f in dataclasses.fields(NeighborhoodBatch):
+                got, expected = getattr(one, f.name), getattr(listed, f.name)
+                assert (got.shape, got.dtype) == (expected.shape, expected.dtype), f.name
+                assert got.tobytes() == expected.tobytes(), f.name
+        assert sample_neighborhoods(g, 0, 45.0, 3, strategy).sizes.tolist() == [3]
+        # 2-D and misaligned queries still name the call's shapes
+        for nodes, times, shown in (([[0, 1]], [[1.0, 1.0]], "(1, 2) and (1, 2)"),
+                                    ([0, 1], [1.0], "(2,) and (1,)")):
+            with pytest.raises(ValidationError, match="^" + re.escape(
+                    f"nodes and times must be 1-D and of equal length, got shapes {shown}")):
+                sample_neighborhoods(g, nodes, times, 3, strategy)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, [3, -2], "7", None, True, [True, 2]])
     def test_bad_seed_rejected(self, seed):
         # True used to sample as 1
@@ -873,6 +893,10 @@ BOUNDED = {
                   lambda g, m, v: SplitSpec(1.0, 2.0, unseen_nodes={0, v})),
     "training_event_indices": ("unseen node", 3, ValidationError, lambda g, m, v:
                                training_event_indices(g, SplitSpec(1.0, 2.0, unseen_nodes={v}))),
+    "embed": ("node id", 3, InferenceError,
+              lambda g, m, v: embed(m, [0, v], [1.0, 1.0], g, SamplingConfig())),
+    "embed_tensor": ("node id", 3, InferenceError,
+                     lambda g, m, v: embed_tensor(m, [0, v], [1.0, 1.0], g, SamplingConfig())),
 }
 
 
@@ -934,10 +958,13 @@ def test_event_indices_must_be_1d(call):
     ("node id", lambda g, m: build_graph([True, 0], [1, 2], [1.0, 2.0])),
     ("id", lambda g, m: whole_numbers((1, False), "id")),
     ("id", lambda g, m: whole_numbers([np.True_, 3], "id")),
-    ("node id", lambda g, m: whole_numbers([[True, 2]], "node id"))],
+    ("node id", lambda g, m: whole_numbers([[True, 2]], "node id")),
+    # the embeddings read the same listed boolean as node 1
+    ("node id", lambda g, m: embed(m, [True, 2], [1.0, 1.0], g, SamplingConfig())),
+    ("node id", lambda g, m: embed_tensor(m, [True, 2], [1.0, 1.0], g, SamplingConfig()))],
     ids=["sample_neighborhoods", "event_index", "SplitSpec", "build_graph_ids",
          "build_graph_labels", "embed", "sample_neighborhoods_mixed", "build_graph_mixed",
-         "tuple_mixed", "numpy_bool_mixed", "nested_list"])
+         "tuple_mixed", "numpy_bool_mixed", "nested_list", "embed_mixed", "embed_tensor_mixed"])
 def test_booleans_are_no_ids(what, call):
     # each used to take True as id, index or label 1, and False as 0
     g, model = tiny_graph_and_model()
@@ -960,7 +987,7 @@ class TestGoldenSamples:
     def test_samples_and_split(self):
         g = recency_planted_graph(200, 4000, seed=0)
         for strategy, expected in GOLDEN_SAMPLES.items():
-            got = [temporal_neighborhood(g, v, t, 8, strategy, rng_seed=seed)
+            got = [sample_neighborhoods(g, v, t, 8, strategy, rng_seed=seed)
                    .event_indices.tolist() for v, t, seed in GOLDEN_QUERIES]
             assert got == expected, strategy
         split = chronological_split(g, 0.7, 0.15)
@@ -971,7 +998,7 @@ class TestMonitor:
     def test_records_and_violations(self):
         g = build_graph([0, 0], [1, 2], [1.0, 2.0])
         with AccessMonitor() as mon:
-            temporal_neighborhood(g, 0, 5.0, 10)
+            sample_neighborhoods(g, 0, 5.0, 10)
         assert len(mon.records) == 2
         assert mon.violations() == []
         assert max(r.event_timestamp for r in mon.records) == 2.0
@@ -990,7 +1017,7 @@ class TestMonitor:
         g = build_graph([0], [1], [1.0])
         with AccessMonitor() as mon:
             pass
-        temporal_neighborhood(g, 0, 5.0, 10)
+        sample_neighborhoods(g, 0, 5.0, 10)
         assert mon.records == []
 
 

@@ -270,6 +270,17 @@ class TestBlocks:
                              text=True, timeout=120)
         assert run.returncode == 0, run.stderr[-2000:]
 
+    @pytest.mark.parametrize("pool", [None, "made"], ids=["no-pool", "pool"])
+    def test_one_task_runs_here(self, pool, monkeypatch):
+        # with cores to spare, a single task submits no job: it runs on the
+        # calling thread, and the pool stays as it was, unmade or made
+        monkeypatch.setattr(cores, "_CORES", 2)
+        monkeypatch.setattr(cores, "_POOL", None if pool is None else object())
+        before, ran_on = cores._POOL, []
+        cores.run([lambda: ran_on.append(threading.get_ident())])
+        assert ran_on == [threading.get_ident()]
+        assert cores._POOL is before
+
 
 class TestKernelEstimate:
     def test_self_inner_product_is_one(self):

@@ -15,14 +15,15 @@ with its own ``perfbench/`` and ``src/``. Pair k uses seed 301 + k; the base
 runs first in even pairs and the change in odd ones. Each run's ``env`` line,
 ``check`` lines, final JSON line and exit code are read.
 
-The output file holds both commits, the environment of the runs (core count,
-numpy, BLAS and its thread variables), every run's end-to-end metrics, and per
-workload and metric: each side's median and quartiles, in how many pairs the
-change was better, the ``BENCHMARK.json`` bound and whether the change's
-median is within it, judged in the metric's ``better`` direction; and whether
-``test_ap`` was equal in every pair. The exit code is 1 when any run failed a
-check, exited non-zero or printed no metrics, or when a metric's change
-median is outside its bound; each reason is printed to stderr.
+The output file holds both commits, each side's ``src/tgat`` line count, the
+environment of the runs (core count, numpy, BLAS and its thread variables),
+every run's end-to-end metrics, and per workload and metric: each side's
+median and quartiles, in how many pairs the change was better, the
+``BENCHMARK.json`` bound and whether the change's median is within it, judged
+in the metric's ``better`` direction; and whether ``test_ap`` was equal in
+every pair. The exit code is 1 when any run failed a check, exited non-zero
+or printed no metrics, or when a metric's change median is outside its bound;
+each reason is printed to stderr.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def snapshot(root: Path, dest: Path) -> None:
             target = dest / os.fsdecode(name)
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, target)
+
+
+def src_lines(root: Path) -> int:
+    """The lines of the package's modules in the tree at ``root``: what
+    ``cat src/tgat/*.py | wc -l`` prints there."""
+    return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "tgat").glob("*.py"))
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int,
@@ -158,6 +165,7 @@ def main(argv=None) -> int:
         "base": {"ref": args.base_ref, "commit": base_commit},
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_edits": bool(git("status", "--porcelain"))},
+        "src_lines": {},
         "env": {},
         "pairs": args.pairs,
         "seconds": seconds,
@@ -168,6 +176,7 @@ def main(argv=None) -> int:
         roots = {side: Path(tmp) / side for side in ("base", "change")}
         export(base_commit, roots["base"])
         snapshot(ROOT, roots["change"])
+        record["src_lines"].update((side, src_lines(root)) for side, root in roots.items())
         for workload in workloads:
             pairs = []
             for k, seed in enumerate(record["seeds"]):
@@ -195,6 +204,7 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=1)
         fh.write("\n")
 
+    print(f"src/tgat lines: {record['src_lines']['base']} -> {record['src_lines']['change']}")
     for workload, w in record["workloads"].items():
         for name, m in w["metrics"].items():
             if m is not None:
