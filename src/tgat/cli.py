@@ -55,10 +55,10 @@ def _write_manifest(path: Path, command: str, dataset="", config="", outdir="",
 _CONFIG_FIELDS = {name: kind for name, kind, _ in TrainConfig.field_table}
 
 
-def _config_value(key: str, text: str, where: str, error: type[TgatError]):
+def _config_value(key: str, text: str, where: str):
     """Parse the text of config key ``key`` as that field's type."""
     if key not in _CONFIG_FIELDS:
-        raise error(f"{where}: unknown config key {key!r}")
+        raise ConfigError(f"{where}: unknown config key {key!r}")
     target = _CONFIG_FIELDS[key]
     try:
         if target is bool:
@@ -67,7 +67,7 @@ def _config_value(key: str, text: str, where: str, error: type[TgatError]):
             return text.lower() == "true"
         return target(text)
     except ValueError as exc:
-        raise error(f"{where}: bad value for {key!r}: {exc}") from None
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
 
 
 def parse_train_config(path) -> TrainConfig:
@@ -93,21 +93,20 @@ def parse_train_config(path) -> TrainConfig:
         if key in first_line:
             raise ConfigError(f"{path}:{lineno}: {key!r} is already set on line {first_line[key]}")
         first_line[key] = lineno
-        values[key] = _config_value(key, value.strip(), f"{path}:{lineno}", ConfigError)
+        values[key] = _config_value(key, value.strip(), f"{path}:{lineno}")
     return TrainConfig(**values)
 
 
 def _checkpoint_config(path, extra: dict) -> TrainConfig:
-    """The TrainConfig stored with a checkpoint, each value checked as the
-    same value written in a config file would be."""
+    """The TrainConfig stored with a checkpoint, built as ``TrainConfig(**stored)``:
+    each value must already have its field's type."""
     stored = extra.get("train_config", {})
     where = f"{path}: train_config"
     if not isinstance(stored, dict):
         raise CheckpointError(f"{where} is not a key-value table")
     try:
-        return TrainConfig(**{key: _config_value(key, str(value), where, CheckpointError)
-                              for key, value in stored.items()})
-    except ValidationError as exc:
+        return TrainConfig(**stored)
+    except (TypeError, ValidationError) as exc:  # an unknown key, a bad value
         raise CheckpointError(f"{where}: {exc}") from None
 
 

@@ -399,20 +399,20 @@ def check_queries(g: TemporalGraph, nodes, times) -> tuple[np.ndarray, np.ndarra
     becomes arrays: ``nodes`` node ids of ``g`` (InferenceError for one
     outside it), ``times`` finite, non-negative and aligned with them, else
     ValidationError. The id rule reads the caller's nodes before numpy does,
-    so [True, 2] is no pair of ids; a node and a time then form a one-query
-    batch. The cap and the strategy are a ``SamplingConfig``'s, checked
-    when it was built."""
-    nodes = np.atleast_1d(whole_numbers(nodes, "node id", g.num_nodes, InferenceError))
-    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    if nodes.ndim != 1 or nodes.shape != times.shape:
+    so [True, 2] is no pair of ids; the shape rule reads the call's shapes, so
+    0 with [5.0] is no query. Then a node and a time form a one-query batch.
+    The cap and strategy are a ``SamplingConfig``'s, checked when it was built."""
+    nodes = whole_numbers(nodes, "node id", g.num_nodes, InferenceError)
+    times = np.asarray(times, dtype=np.float64)
+    if nodes.ndim > 1 or nodes.shape != times.shape:
         raise ValidationError(
             f"nodes and times must be 1-D and of equal length, got shapes {nodes.shape} "
             f"and {times.shape}")
-    bad = (~((times >= 0) & (times < np.inf))).nonzero()[0]
+    bad = np.flatnonzero(~((times >= 0) & (times < np.inf)))  # numpy 2 takes no nonzero of 0-d
     if bad.size:
         raise ValidationError(
-            f"query time must be finite and non-negative, got {times[bad[0]]}")
-    return nodes, times
+            f"query time must be finite and non-negative, got {times.flat[bad[0]]}")
+    return np.atleast_1d(nodes), np.atleast_1d(times)
 
 
 # 0-d arrays rather than numpy scalars: a ufunc takes them up faster

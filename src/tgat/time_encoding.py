@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -150,7 +150,7 @@ class KernelCheckReport:
     sup_error: float  # mean over trials of the per-trial sup error
     mean_error: float  # mean over trials of the per-trial mean error
     sample_count: int  # number of frequencies
-    trial_sup_errors: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    trial_sup_errors: np.ndarray
 
 
 def gaussian_kernel_oracle(t1, t2) -> np.ndarray:

@@ -418,24 +418,6 @@ class MlpConfig:
     rng_seed: int = setting(Rule.AT_LEAST_0, 0)
 
 
-class _Mlp:
-    """Three-layer ReLU MLP with widths (d, d, d/2, 1)."""
-
-    def __init__(self, d: int, rng: np.random.Generator):
-        widths = (d, d, max(1, d // 2), 1)
-        self.weights = [ad.parameter(glorot(rng, a, b)) for a, b in zip(widths, widths[1:])]
-        self.biases = [ad.parameter(np.zeros((1, b))) for b in widths[1:]]
-
-    def parameters(self) -> list[Tensor]:
-        return [t for pair in zip(self.weights, self.biases) for t in pair]
-
-    def logits(self, x: Tensor) -> Tensor:
-        return feed_forward(x, np.zeros((x.data.shape[0], 0)), self.weights, self.biases)
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return ad.sigmoid_values(self.logits(ad.constant(x)).data[:, 0])
-
-
 def node_classify(
     model: TgatModel,
     graph: TemporalGraph,
@@ -468,8 +450,15 @@ def node_classify(
             raise EvaluationError(f"{name} period needs at least one label of each class")
 
     mlp_rng = np.random.default_rng(seed_sequence([mlp_config.rng_seed, 3003]))
-    mlp = _Mlp(x_train.shape[1], mlp_rng)
-    params = mlp.parameters()
+    d = x_train.shape[1]
+    widths = (d, d, max(1, d // 2), 1)  # a three-layer ReLU MLP
+    weights = [ad.parameter(glorot(mlp_rng, a, b)) for a, b in zip(widths, widths[1:])]
+    biases = [ad.parameter(np.zeros((1, b))) for b in widths[1:]]
+    params = [t for pair in zip(weights, biases) for t in pair]
+
+    def logits(x: np.ndarray) -> Tensor:
+        return feed_forward(ad.constant(x), np.zeros((len(x), 0)), weights, biases)
+
     state = AdamState.create(params)
     pos_idx = np.flatnonzero(y_train == 1)
     neg_idx = np.flatnonzero(y_train == 0)
@@ -485,13 +474,14 @@ def node_classify(
         ad.zero_grads(params)
         with ad.Tape() as tape:
             # -log sigmoid(s) for positives, -log sigmoid(-s) for negatives
-            loss = ad.logistic_loss(mlp.logits(ad.constant(x)), y_sign)
+            loss = ad.logistic_loss(logits(x), y_sign)
         ad.backward(tape, loss)
-        for w in mlp.weights:
+        for w in weights:
             w.grad = w.grad + 2.0 * mlp_config.l2 * w.data
         adam_step(params, state, mlp_config.learning_rate)
 
-    return EvalMetrics.score(y_test, mlp.scores(x_test), "transductive")
+    return EvalMetrics.score(y_test, ad.sigmoid_values(logits(x_test).data[:, 0]),
+                             "transductive")
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +530,3 @@ def attention_report(
                                counts[which].tolist()))
     return rows
 
-
-def write_attention_csv(rows: Sequence[AttentionRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timespan", "attention_weight", "occurrence_count", "target_time_offset"])
-        for r in rows:
-            writer.writerow([repr(r.timespan), repr(r.attention_weight),
-                             r.occurrence_count, repr(r.target_time_offset)])

@@ -48,6 +48,8 @@ def test_one_pair_against_head(tmp_path):
     assert bench["base"] == {"ref": "HEAD", "commit": head}
     assert bench["change"]["commit"] == head
     assert bench["src_lines"]["base"] > 0 and bench["src_lines"]["change"] > 0
+    # the fingerprints are compared only when the package was edited
+    assert "skipped" in bench["equivalence"] or bench["equivalence"]["arrays"] > 0
     assert bench["env"]["nproc"] >= 1 and bench["env"]["numpy"] and bench["env"]["blas"]
     assert set(bench["env"]["blas_threads"].values()) == {"1"}
     assert (bench["pairs"], bench["seconds"], bench["seeds"]) == (1, 1.0, [301])
@@ -110,6 +112,77 @@ def test_src_lines_counts_as_wc(tmp_path):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
     assert {side: tool.src_lines(tmp_path / side) for side in trees} == {"base": 2, "change": 5}
+
+
+def test_same_package_reads_the_modules_only(tmp_path):
+    # a changed module, an added one or a deleted one is another package; a
+    # file that is no module, or a subpackage, is not read
+    def tree(name, files):
+        for path, text in files.items():
+            (tmp_path / name / "src" / "tgat" / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name / "src" / "tgat" / path).write_text(text)
+        return tmp_path / name
+    modules = {"a.py": "x = 1\n", "b.py": "y = 2\n"}
+    base = tree("base", modules)
+    assert tool.same_package(base, tree("notes", {**modules, "notes.txt": "n\n",
+                                                  "sub/c.py": "z\n"}))
+    for name, files in (("edited", {**modules, "b.py": "y = 3\n"}),
+                        ("added", {**modules, "c.py": ""}), ("deleted", {"a.py": "x = 1\n"})):
+        assert not tool.same_package(base, tree(name, files)), name
+
+
+def prints(**sha):
+    return {name: {"sha256": digest, "max_abs": 1.0} for name, digest in sha.items()}
+
+
+def test_equivalence_summary():
+    base = prints(a="0", b="1", c="2")
+    assert tool.equivalence_summary(base, prints(a="0", b="1", c="2")) == {
+        "arrays": 3, "byte_equal": 3, "differ": 0, "one_side": 0,
+        "differ_names": [], "one_side_names": []}
+    assert tool.equivalence_summary(base, prints(a="0", b="9", c="2")) == {
+        "arrays": 3, "byte_equal": 2, "differ": 1, "one_side": 0,
+        "differ_names": ["b"], "one_side_names": []}
+    # a name on either side only counts once, neither equal nor differing
+    assert tool.equivalence_summary(base, prints(a="0", b="1", d="3")) == {
+        "arrays": 4, "byte_equal": 2, "differ": 0, "one_side": 2,
+        "differ_names": [], "one_side_names": ["c", "d"]}
+    many = tool.equivalence_summary(prints(**{f"n{k:02}": "0" for k in range(25)}),
+                                    prints(**{f"n{k:02}": "1" for k in range(25)}))
+    assert many["differ"] == 25 and many["differ_names"] == [f"n{k:02}" for k in range(20)]
+    assert tool.equivalence_line(many) == (
+        "equivalence: 0 of 25 arrays byte-equal, 25 differ, 0 on one side only")
+
+
+def test_equivalence_runs_the_change_script_on_each_package(tmp_path):
+    # a stand-in for the grid: the change side's script, run in each tree,
+    # fingerprints what that tree's own package holds
+    script = ("import argparse, json, tgat\n"
+              "parser = argparse.ArgumentParser()\n"
+              "parser.add_argument('--out')\n"
+              "with open(parser.parse_args().out, 'w') as fh:\n"
+              "    json.dump({'arrays': {k: {'sha256': v} for k, v in tgat.ARRAYS.items()}}, fh)\n")
+    roots = {side: tmp_path / side for side in ("base", "change")}
+    for side, arrays in (("base", {"a": "0", "b": "1"}), ("change", {"a": "0", "b": "2"})):
+        (roots[side] / "src" / "tgat").mkdir(parents=True)
+        (roots[side] / "src" / "tgat" / "__init__.py").write_text(f"ARRAYS = {arrays!r}\n")
+    (roots["change"] / "tools").mkdir()
+    (roots["change"] / "tools" / "equivalence.py").write_text(script)
+    assert tool.equivalence(roots, tmp_path) == {
+        "arrays": 2, "byte_equal": 1, "differ": 1, "one_side": 0,
+        "differ_names": ["b"], "one_side_names": []}
+    # a script the base package cannot run is recorded, not raised
+    (roots["base"] / "src" / "tgat" / "__init__.py").write_text("")
+    record = tool.equivalence(roots, tmp_path)
+    assert (record["failed"], record["exit"]) == ("base", 1) and "ARRAYS" in record["stderr"]
+    assert tool.equivalence_line(record) == "equivalence: FAILED on the base side, exit 1"
+    # byte-identical packages are not run at all
+    shutil.rmtree(roots["change"] / "tools")
+    (roots["change"] / "src" / "tgat" / "__init__.py").write_text("")
+    record = tool.equivalence(roots, tmp_path)
+    assert record == {"skipped": "src/tgat/*.py is byte-identical on both sides"}
+    assert tool.equivalence_line(record) == (
+        "equivalence: skipped, src/tgat/*.py is byte-identical on both sides")
 
 
 @needs_git

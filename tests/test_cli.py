@@ -509,10 +509,26 @@ class TestEvalAndEmbed:
         self._tamper(ckpt, layers="two")
         assert main(["embed", str(ckpt), str(graph), "--nodes", "0", "--times", "5.0"]) == 1
         err = capsys.readouterr().err
-        assert "'layers'" in err and len(err.strip().splitlines()) == 1
+        assert "layers must be an integer" in err and len(err.strip().splitlines()) == 1
         self._tamper(ckpt, layers=2, neighborhood_dropout=1.5)
         assert main(["eval", str(ckpt), str(graph)]) == 1
         assert "neighborhood_dropout" in capsys.readouterr().err
+
+    # each read as a number or a bool when the stored text was parsed again
+    # as a config-file line, so embed and eval exited 0
+    @pytest.mark.parametrize("key, value, shown", [
+        ("learning_rate", "1e-3", "learning_rate must be a real number, got '1e-3'"),
+        ("positional_learnable", "TRUE", "positional_learnable must be true or false, got 'TRUE'"),
+        ("max_neighbors", "3", "max_neighbors must be an integer, got '3'")])
+    @pytest.mark.parametrize("command", ["embed", "eval"])
+    def test_checkpoint_config_text_value_exit_1(self, trained, capsys, command, key, value,
+                                                 shown):
+        _, graph, ckpt = trained
+        self._tamper(ckpt, **{key: value})
+        args = ["--nodes", "0", "--times", "5.0"] if command == "embed" else []
+        assert main([command, str(ckpt), str(graph), *args]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.splitlines() == [f"error: {ckpt}: train_config: {shown}"]
 
     def test_checkpoint_config_negative_seed_exit_1(self, trained, capsys):
         _, graph, ckpt = trained

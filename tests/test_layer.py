@@ -951,6 +951,17 @@ class TestEmbedPasses:
                                                       "got shapes " + re.escape(shown)):
                 embed(model, nodes, times, g, MOST_RECENT)
 
+    @pytest.mark.parametrize("nodes, times, shown", [
+        (0, [4.5], "() and (1,)"), ([3], 4.5, "(1,) and ()")])
+    def test_a_node_with_a_list_of_times_is_no_query(self, nodes, times, shown):
+        # node 0 with [4.5] returned a (d,) row and node [3] with 4.5 a (1, d) one
+        g = simple_graph()
+        model = TgatModel.create(Dims(d0=2, d=3, d_t=4, d_h=2, d_f=3), layer_count=1,
+                                 head_count=1, rng_seed=5)
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"nodes and times must be 1-D and of equal length, got shapes {shown}")):
+            embed(model, nodes, times, g, MOST_RECENT)
+
     def test_generator_seed_drawn_once_per_call(self):
         g = recency_planted_graph(200, 4000, seed=0)
         dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)

@@ -766,6 +766,16 @@ class TestSampleNeighborhoods:
                     f"nodes and times must be 1-D and of equal length, got shapes {shown}")):
                 sample_neighborhoods(g, nodes, times, 3, strategy)
 
+    @pytest.mark.parametrize("nodes, times, shown", [
+        (0, [5.0], "() and (1,)"), (0, [1.0, 2.0], "() and (2,)"), ([0], 5.0, "(1,) and ()")])
+    def test_the_calls_own_shapes_are_compared(self, nodes, times, shown):
+        # a node with a list of times used to become a batch first: 0 with
+        # [5.0] sampled node 0, and 0 with [1.0, 2.0] named (1,), not ()
+        g = self.random_graph(3)
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"nodes and times must be 1-D and of equal length, got shapes {shown}")):
+            sample_neighborhoods(g, nodes, times, 3)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, [3, -2], "7", None, True, [True, 2]])
     def test_bad_seed_rejected(self, seed):
         # True used to sample as 1

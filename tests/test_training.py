@@ -39,7 +39,6 @@ from tgat.training import (
     link_loss,
     node_classify,
     train,
-    write_attention_csv,
     write_history_csv,
 )
 
@@ -724,7 +723,7 @@ class TestAttentionReport:
         uniform = batch.mask / np.maximum(batch.sizes, 1)[:, None]
         np.testing.assert_allclose(weights, np.broadcast_to(uniform, weights.shape), atol=1e-12)
 
-    def test_report_schema_and_csv(self, tmp_path):
+    def test_report_schema(self):
         g = tiny_fixture_graph()
         model = small_model(g, layers=1, heads=2, seed=8)
         cfg = TrainConfig(max_neighbors=4, sampling_strategy="most-recent")
@@ -736,10 +735,6 @@ class TestAttentionReport:
             assert 0.0 <= r.attention_weight <= 1.0
             assert r.occurrence_count >= 1
             assert r.target_time_offset in (0.0, 1.0)
-        path = tmp_path / "attn.csv"
-        write_attention_csv(rows, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "timespan,attention_weight,occurrence_count,target_time_offset"
 
     @pytest.mark.parametrize("index, shown", [(-1, "-1"), (3.7, "3.7"), (10**6, "1000000")])
     def test_bad_event_index_rejected(self, index, shown):

@@ -15,13 +15,21 @@ with its own ``perfbench/`` and ``src/``. Pair k uses seed 301 + k; the base
 runs first in even pairs and the change in odd ones. Each run's ``env`` line,
 ``check`` lines, final JSON line and exit code are read.
 
+Before the runs, the change side's ``tools/equivalence.py`` (full grid) runs
+in each tree with that tree's ``src/`` on ``PYTHONPATH``, and its fingerprints
+are compared: the record holds the array count, how many are byte-equal, and
+the first 20 names that differ or are on one side only. It is skipped, with
+the reason recorded, when both trees' ``src/tgat/*.py`` are byte-identical.
+It does not change the exit code: a change that moves numeric outputs is read
+from the record, not failed on it.
+
 The output file holds both commits, each side's ``src/tgat`` line count, the
-environment of the runs (core count, numpy, BLAS and its thread variables),
-every run's end-to-end metrics, and per workload and metric: each side's
-median and quartiles, in how many pairs the change was better, the
-``BENCHMARK.json`` bound and whether the change's median is within it, judged
-in the metric's ``better`` direction; and whether ``test_ap`` was equal in
-every pair. The exit code is 1 when any run failed a check, exited non-zero
+equivalence record, the environment of the runs (core count, numpy, BLAS and
+its thread variables), every run's end-to-end metrics, and per workload and
+metric: each side's median and quartiles, in how many pairs the change was
+better, the ``BENCHMARK.json`` bound and whether the change's median is within
+it, judged in the metric's ``better`` direction; and whether ``test_ap`` was
+equal in every pair. The exit code is 1 when any run failed a check, exited non-zero
 or printed no metrics, or when a metric's change median is outside its bound;
 each reason is printed to stderr.
 """
@@ -77,6 +85,54 @@ def src_lines(root: Path) -> int:
     """The lines of the package's modules in the tree at ``root``: what
     ``cat src/tgat/*.py | wc -l`` prints there."""
     return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "tgat").glob("*.py"))
+
+
+def same_package(base: Path, change: Path) -> bool:
+    """Whether the two trees' ``src/tgat/*.py`` are byte-identical, so that
+    their numeric outputs cannot differ."""
+    def modules(root: Path) -> dict[str, bytes]:
+        return {f.name: f.read_bytes() for f in (root / "src" / "tgat").glob("*.py")}
+    return modules(base) == modules(change)
+
+
+def equivalence_summary(base: dict, change: dict, shown: int = 20) -> dict:
+    """Two runs' fingerprints (array name -> its ``sha256`` and more) compared:
+    the array count, how many are byte-equal, and the first ``shown`` names
+    that differ or are in one run only."""
+    differ = sorted(name for name in base.keys() & change.keys()
+                    if base[name]["sha256"] != change[name]["sha256"])
+    one_side = sorted(base.keys() ^ change.keys())
+    arrays = len(base.keys() | change.keys())
+    return {"arrays": arrays, "byte_equal": arrays - len(differ) - len(one_side),
+            "differ": len(differ), "one_side": len(one_side),
+            "differ_names": differ[:shown], "one_side_names": one_side[:shown]}
+
+
+def equivalence(roots: dict[str, Path], tmp: Path) -> dict:
+    """The change side's ``tools/equivalence.py`` run in each tree, compared;
+    skipped when the two packages are byte-identical."""
+    if same_package(roots["base"], roots["change"]):
+        return {"skipped": "src/tgat/*.py is byte-identical on both sides"}
+    script = roots["change"] / "tools" / "equivalence.py"
+    prints = {}
+    for side, root in roots.items():
+        out = tmp / f"equivalence-{side}.json"
+        proc = subprocess.run([sys.executable, str(script), "--out", str(out)], cwd=root,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")},
+                              capture_output=True, text=True, timeout=3600)
+        if proc.returncode != 0:
+            return {"failed": side, "exit": proc.returncode, "stderr": proc.stderr[-2000:]}
+        prints[side] = json.loads(out.read_text())["arrays"]
+    return equivalence_summary(prints["base"], prints["change"])
+
+
+def equivalence_line(record: dict) -> str:
+    if "skipped" in record:
+        return f"equivalence: skipped, {record['skipped']}"
+    if "failed" in record:
+        return f"equivalence: FAILED on the {record['failed']} side, exit {record['exit']}"
+    return (f"equivalence: {record['byte_equal']} of {record['arrays']} arrays byte-equal, "
+            f"{record['differ']} differ, {record['one_side']} on one side only")
 
 
 def run_once(root: Path, command: list[str], workload: str, seed: int,
@@ -166,6 +222,7 @@ def main(argv=None) -> int:
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_edits": bool(git("status", "--porcelain"))},
         "src_lines": {},
+        "equivalence": {},
         "env": {},
         "pairs": args.pairs,
         "seconds": seconds,
@@ -177,6 +234,7 @@ def main(argv=None) -> int:
         export(base_commit, roots["base"])
         snapshot(ROOT, roots["change"])
         record["src_lines"].update((side, src_lines(root)) for side, root in roots.items())
+        record["equivalence"] = equivalence(roots, Path(tmp))
         for workload in workloads:
             pairs = []
             for k, seed in enumerate(record["seeds"]):
@@ -205,6 +263,7 @@ def main(argv=None) -> int:
         fh.write("\n")
 
     print(f"src/tgat lines: {record['src_lines']['base']} -> {record['src_lines']['change']}")
+    print(equivalence_line(record["equivalence"]))
     for workload, w in record["workloads"].items():
         for name, m in w["metrics"].items():
             if m is not None:
