@@ -3,8 +3,8 @@
 ``run(tasks)`` calls each task once: the calling thread and up to one pool
 thread per other usable core (``os.sched_getaffinity``) take tasks from one
 shared iterator, and a pool job that a busy core never starts is cancelled,
-so a busy core delays the call by at most the task it holds. φ's row blocks
-and the backward of a large attention hop run on it. Each task writes its own
+so a busy core delays the call by at most the task it holds. φ's row blocks,
+forward and backward, and the backward of a large attention hop run on it. Each task writes its own
 part of arrays the caller allocated, with the numpy calls of the one-block
 run, so no bit depends on the split or the threads.
 """
@@ -53,12 +53,14 @@ def run(tasks) -> None:
     per other core up to one per task beyond the first, so a single task
     runs here alone and makes no pool. A list iterator drops its list once
     exhausted, so a cancelled job, which stays queued until a pool thread is
-    free, holds none of the tasks' arrays after the call."""
+    free, holds none of the tasks' arrays after the call. Every job is
+    cancelled or waited for before a task's exception propagates, so no
+    task still writes into the caller's arrays once the call ends."""
     shared = iter(tasks)
     jobs = [_pool().submit(_drain, shared) for _ in range(min(_CORES, len(tasks)) - 1)]
     try:
         _drain(shared)
     finally:
-        for job in jobs:
-            if not job.cancel():
-                job.result()
+        raised = [job.exception() for job in jobs if not job.cancel()]
+    for error in filter(None, raised):
+        raise error

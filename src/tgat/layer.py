@@ -199,8 +199,9 @@ def build_entity_matrix(
     sampled interaction, in the order of the batch's rows, and so does the
     result. Target row b is (hidden, zero edge block, phi(0)); sampled row
     B + j is (hidden, edge, phi(t - t_j)). The edge block is as wide as the
-    batch's edge features. One ``encode_many`` call encodes every row's
-    timespan, the targets' zeros first, so a target's phi(0) is the
+    batch's edge features. The matrix is allocated first, and one
+    ``encode_many`` call writes every row's phi straight into its time
+    block, the targets' zero timespans first, so a target's phi(0) is the
     operator's own, signed zeros and all. In positional mode the time block
     is table row r for rank r: a target takes rank n, its n sampled rows
     ranks 0 to n - 1, oldest first. Ranks must be below the table's row
@@ -210,20 +211,21 @@ def build_entity_matrix(
     if b == 0 or hidden.data.shape[0] != b + batch.times.size:
         raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
                             f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
-    if positional is None:
-        time = enc.encode_many(np.concatenate([np.zeros(b),
-                                               batch.query_times.repeat(sizes) - batch.times]))
-        block = time.data
-    else:  # a sampled row's rank is its column in the mask
-        ranks = np.concatenate([sizes, batch.mask.nonzero()[1]])
-        time, block = positional.table, positional.table.data[ranks]
     width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[1]
     t0 = width + edge_dim
-    z = np.empty((hidden.data.shape[0], t0 + block.shape[1]))
+    time_dim = enc.output_dim if positional is None else positional.table.data.shape[1]
+    z = np.empty((hidden.data.shape[0], t0 + time_dim))
     z[:, :width] = hidden.data
     z[:b, width:t0] = 0.0
     z[b:, width:t0] = batch.edge_features
-    z[:, t0:] = block
+    if positional is None:
+        time = enc.encode_many(np.concatenate([np.zeros(b),
+                                               batch.query_times.repeat(sizes) - batch.times]),
+                               out=z[:, t0:])
+    else:  # a sampled row's rank is its column in the mask
+        ranks = np.concatenate([sizes, batch.mask.nonzero()[1]])
+        time = positional.table
+        z[:, t0:] = time.data[ranks]
 
     def pull(g: np.ndarray) -> None:
         if hidden.requires_grad:

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import cores
 from .autodiff import Tensor
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 from .temporal_graph import Rule, check_value, seed_sequence
 
 # cos/sin phases per row block of ``encode_many``: about half a millisecond
@@ -28,25 +28,36 @@ from .temporal_graph import Rule, check_value, seed_sequence
 PHASES_PER_BLOCK = 1 << 14
 
 
-def _phi_rows(phase, trig, out, scale: float) -> None:
-    """cos and sin of ``phase`` into the even and odd columns of ``trig``,
-    and ``trig`` times ``scale`` into ``out``."""
+def _in_row_blocks(kernel, k: int, arrays, *args) -> None:
+    """``kernel(*arrays, *args)`` on arrays of one row per timespan, ``k``
+    phases a row, in row blocks of about ``PHASES_PER_BLOCK`` phases. Two or
+    more blocks run on ``cores.run``; one block is one call on the whole
+    arrays."""
+    rows = arrays[0].shape[0]
+    blocks = max(1, rows * k // PHASES_PER_BLOCK)
+    if blocks == 1:
+        kernel(*arrays, *args)
+        return
+    step = -(-rows // blocks)
+    cores.run([partial(kernel, *(a[start:start + step] for a in arrays), *args)
+               for start in range(0, rows, step)])
+
+
+def _phi_rows(dt, trig, out, freq, scale: float) -> None:
+    """cos and sin of the phases ``dt * freq`` into the even and odd columns
+    of ``trig``, and ``trig`` times ``scale`` into ``out``."""
+    phase = dt * freq
     np.cos(phase, out=trig[:, 0::2])
     np.sin(phase, out=trig[:, 1::2])
     np.multiply(trig, scale, out=out)
 
 
-def _phi_blocks(phase, trig, out, scale: float) -> None:
-    """``_phi_rows`` in row blocks of about ``PHASES_PER_BLOCK`` phases; two
-    or more blocks run on ``cores.run``."""
-    rows, width = phase.shape
-    blocks = max(1, rows * width // PHASES_PER_BLOCK)
-    if blocks == 1:
-        _phi_rows(phase, trig, out, scale)
-        return
-    step = -(-rows // blocks)
-    row_blocks = [slice(start, start + step) for start in range(0, rows, step)]
-    cores.run([partial(_phi_rows, phase[r], trig[r], out[r], scale) for r in row_blocks])
+def _phase_grad_rows(dt, g, trig, terms) -> None:
+    """Each phase's term of the frequency gradient under the upstream ``g``,
+    ``dt * (g_sin * cos - g_cos * sin)``, into ``terms``."""
+    np.multiply(g[:, 1::2], trig[:, 0::2], out=terms)
+    terms -= g[:, 0::2] * trig[:, 1::2]
+    terms *= dt
 
 
 class TimeEncoder:
@@ -85,24 +96,35 @@ class TimeEncoder:
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.num_frequencies)
 
-    def encode_many(self, deltas) -> Tensor:
+    def encode_many(self, deltas, out=None) -> Tensor:
         """Differentiable encodings for a batch of timespans, one per row:
         cos and sin of each phase w_i * t, interleaved and scaled, with a
         gradient for the frequencies. The one forward implementation of the
         map: the model, ``kernel_estimate`` and the kernel check read it.
+        The rows go into ``out`` when given (float64, one row per timespan,
+        ``output_dim`` columns: the entity matrix's time block), else into a
+        new array; the result's data is that array.
 
-        Rows are computed in blocks of about ``PHASES_PER_BLOCK`` phases, and
-        idle cores take blocks too. Every value is one libm call on one phase
-        written in place, so no bit depends on the blocks or the threads."""
+        Both directions run in row blocks of about ``PHASES_PER_BLOCK``
+        phases, and idle cores take blocks too. Each forward value and each
+        phase's gradient term is written in place, and the calling thread
+        sums the terms over all rows, so no bit depends on the blocks or
+        the threads."""
         dt = np.asarray(deltas, dtype=np.float64).reshape(-1, 1)
-        phase = dt * self.frequencies.data
-        trig = np.empty((phase.shape[0], self.output_dim))
-        out = np.empty_like(trig)
-        _phi_blocks(phase, trig, out, self.scale)
+        shape = (dt.shape[0], self.output_dim)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise ContractError(f"encode_many writes {shape} float64 rows, "
+                                f"got out of shape {out.shape} and dtype {out.dtype}")
+        trig = np.empty(shape)
+        k = self.num_frequencies
+        _in_row_blocks(_phi_rows, k, (dt, trig, out), self.frequencies.data, self.scale)
 
         def pull(g: np.ndarray) -> None:
-            d_phase = g[:, 1::2] * trig[:, 0::2] - g[:, 0::2] * trig[:, 1::2]
-            self.frequencies._accumulate(self.scale * (dt * d_phase).sum(axis=0, keepdims=True))
+            terms = np.empty((dt.shape[0], k))
+            _in_row_blocks(_phase_grad_rows, k, (dt, g, trig, terms))
+            self.frequencies._accumulate(self.scale * terms.sum(axis=0, keepdims=True))
 
         return ad.apply_op(out, (self.frequencies,), pull)
 

@@ -61,6 +61,7 @@ def test_one_pair_against_head(tmp_path):
         assert m["pairs"] == 1 and m["change_wins"] in (0, 1)
         assert m["base"]["q1"] <= m["base"]["median"] <= m["base"]["q3"]
         assert isinstance(m["within_bound"], bool) and m["bound"] > 0
+        assert isinstance(m["gain_resolved"], bool)
     assert w["metrics"]["test_ap"]["within_bound"] is True
     (pair,) = w["runs"]
     assert pair["seed"] == 301 and pair["first"] == "base"
@@ -239,3 +240,43 @@ def test_a_failed_run_fails_and_a_missing_metric_is_skipped():
     assert reasons[0] == "a run failed a check or exited non-zero"
     assert reasons[1:] == ["train-l2 op_ms: 15.15 -> 19.695 ms is worse by more than "
                            "its bound, 24%"]
+
+
+def spec_of(name):
+    return next(spec for spec in SPECS if spec["name"] == name)
+
+
+def paired(name, base, change):
+    return [{"base": {"metrics": {name: b}}, "change": {"metrics": {name: c}}}
+            for b, c in zip(base, change)]
+
+
+@pytest.mark.parametrize("wins, resolved", [(8, False), (9, True), (10, True)])
+def test_a_gain_is_resolved_in_9_of_10_pairs(wins, resolved):
+    # the change is 1 ms faster in ``wins`` pairs; of the rest, one pair is
+    # a tie, which counts for neither side, and any other is slower. The gap
+    # between the medians, 1 ms, is far beyond the base's spread, 0.045 ms
+    base = [14.0 + 0.01 * k for k in range(10)]
+    change = [b - 1.0 if k < wins else b if k == wins else b + 0.5
+              for k, b in enumerate(base)]
+    m = tool.summarize(paired("op_ms", base, change), spec_of("op_ms"))
+    assert m["change_wins"] == wins and m["pairs"] == 10
+    assert m["gain_resolved"] is resolved
+
+
+def test_a_gap_within_the_base_spread_is_not_resolved():
+    # better in 10 of 10 pairs, by 0.5 ms, where the base's quartiles are
+    # 4.5 ms apart
+    base = [10.0 + k for k in range(10)]
+    m = tool.summarize(paired("op_ms", base, [b - 0.5 for b in base]), spec_of("op_ms"))
+    assert m["change_wins"] == 10 and m["base"]["q3"] - m["base"]["q1"] == 4.5
+    assert m["gain_resolved"] is False
+
+
+@pytest.mark.parametrize("factor, resolved", [(1.5, True), (0.5, False)])
+def test_a_gain_is_judged_in_the_better_direction(factor, resolved):
+    # more inferences a second is the gain; fewer, in every pair, is none
+    base = [3000.0 + k for k in range(10)]
+    m = tool.summarize(paired("infer_per_s", base, [b * factor for b in base]),
+                       spec_of("infer_per_s"))
+    assert m["gain_resolved"] is resolved

@@ -809,9 +809,9 @@ class TestEmbedProperties:
         encoded = []
         original = TimeEncoder.encode_many
 
-        def counting(self, deltas):
+        def counting(self, deltas, out=None):
             encoded.append(len(deltas))
-            return original(self, deltas)
+            return original(self, deltas, out)
 
         monkeypatch.setattr(TimeEncoder, "encode_many", counting)
         hops = []

@@ -8,14 +8,16 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from tgat import autodiff as ad
 from tgat import cores, time_encoding
-from tgat.errors import ValidationError
+from tgat.errors import ContractError, ValidationError
 from tgat.layer import build_entity_matrix, glorot
 from tgat.synthetic import tiny_fixture_graph
 from tgat.temporal_graph import sample_neighborhoods
@@ -138,8 +140,9 @@ def phi_oracle(frequencies, deltas, upstream):
 
 
 class TestBlocks:
-    """encode_many splits its rows into blocks that idle cores share; no bit
-    may depend on the blocks or on the threads."""
+    """encode_many splits its rows into blocks that idle cores share, in the
+    forward and in the frequency gradient; no bit may depend on the blocks
+    or on the threads."""
 
     ROWS, K = 40_000, 12
 
@@ -196,6 +199,47 @@ class TestBlocks:
     def test_four_callers_at_once(self):
         self.check(4)
 
+    @pytest.mark.parametrize("rows, runs", [
+        (ROWS, 2), (2 * time_encoding.PHASES_PER_BLOCK // K - 1, 0)], ids=["blocks", "one-block"])
+    def test_both_directions_split_alike(self, rows, runs, monkeypatch):
+        # a call of two or more blocks runs each direction on cores.run; a
+        # one-block call runs both on this thread, on the whole arrays
+        calls = []
+        monkeypatch.setattr(cores, "run", lambda tasks: calls.append(len(tasks)) or
+                            [task() for task in tasks])
+        enc = TimeEncoder.create(2 * self.K)
+        deltas = np.random.default_rng(0).exponential(50.0, rows)
+        with ad.Tape() as tape:
+            loss = weighted_sum(enc.encode_many(deltas), np.ones((rows, 2 * self.K)))
+        ad.backward(tape, loss)
+        blocks = rows * self.K // time_encoding.PHASES_PER_BLOCK
+        assert calls == [blocks] * runs
+
+    @pytest.mark.parametrize("phases", [time_encoding.PHASES_PER_BLOCK, 999, 10 ** 9],
+                             ids=["as-is", "many-blocks", "one-block"])
+    def test_out_is_written_and_returned(self, phases, monkeypatch):
+        # φ's rows written into a view of a wider matrix are the bytes of a
+        # call without ``out``, the columns around the view keep theirs, and
+        # the result's data is the view itself
+        monkeypatch.setattr(time_encoding, "PHASES_PER_BLOCK", phases)
+        (enc, deltas, _), = self.cases(1)
+        z = np.full((self.ROWS, 3 + 2 * self.K + 2), 7.0)
+        view = z[:, 3:3 + 2 * self.K]
+        phi = enc.encode_many(deltas, out=view)
+        assert phi.data is view
+        assert view.tobytes() == enc.encode_many(deltas).data.tobytes()
+        assert (z[:, :3] == 7.0).all() and (z[:, -2:] == 7.0).all()
+
+    @pytest.mark.parametrize("out", [np.empty((5, 2 * K)), np.empty((6, 2 * K + 2)),
+                                     np.empty(6 * 2 * K), np.empty((6, 2 * K), np.float32)],
+                             ids=["rows", "columns", "1-d", "float32"])
+    def test_a_wrong_out_raises_before_any_work(self, out, monkeypatch):
+        worked = []
+        monkeypatch.setattr(time_encoding, "_in_row_blocks", lambda *a: worked.append(a))
+        with pytest.raises(ContractError, match=r"writes \(6, 24\) float64 rows"):
+            TimeEncoder.create(2 * self.K).encode_many(np.arange(6.0), out=out)
+        assert worked == []
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_encodes(self):
         (enc, deltas, _), = self.cases(1)
@@ -230,7 +274,7 @@ class TestBlocks:
             tracemalloc.start()
             try:
                 baseline = tracemalloc.get_traced_memory()[0]
-                enc.encode_many(deltas)  # phase, trig and out: 19 MB
+                enc.encode_many(deltas)  # trig and out: 15 MB
                 left = tracemalloc.get_traced_memory()[0] - baseline
             finally:
                 tracemalloc.stop()
@@ -280,6 +324,36 @@ class TestBlocks:
         cores.run([lambda: ran_on.append(threading.get_ident())])
         assert ran_on == [threading.get_ident()]
         assert cores._POOL is before
+
+    def test_a_failed_job_raises_after_every_job_ends(self, monkeypatch):
+        # a stand-in pool of two jobs: the first already holds an exception,
+        # the second takes tasks on a thread of its own once 0.2 s have
+        # passed. run must wait for the second before it raises the first's
+        # exception, or a task could still write into the caller's arrays
+        jobs, ended, ran = [], [], []
+
+        class Pool:
+            def submit(self, fn, *args):
+                job = Future()
+                job.set_running_or_notify_cancel()  # started: no cancel
+                if not jobs:
+                    job.set_exception(RuntimeError("the first job failed"))
+                else:
+                    def later():
+                        time.sleep(0.2)
+                        fn(*args)
+                        ended.append(job)
+                        job.set_result(None)
+                    threading.Thread(target=later).start()
+                jobs.append(job)
+                return job
+
+        monkeypatch.setattr(cores, "_CORES", 3)
+        monkeypatch.setattr(cores, "_POOL", Pool())
+        with pytest.raises(RuntimeError, match="the first job failed"):
+            cores.run([lambda: ran.append(1)] * 3)
+        assert len(jobs) == 2 and ended == jobs[1:]
+        assert ran == [1, 1, 1]
 
 
 class TestKernelEstimate:

@@ -28,7 +28,10 @@ equivalence record, the environment of the runs (core count, numpy, BLAS and
 its thread variables), every run's end-to-end metrics, and per workload and
 metric: each side's median and quartiles, in how many pairs the change was
 better, the ``BENCHMARK.json`` bound and whether the change's median is within
-it, judged in the metric's ``better`` direction; and whether ``test_ap`` was
+it, judged in the metric's ``better`` direction; whether the change's gain is
+resolved, that is, the change is better in at least 9 of 10 pairs (a tie
+counts for neither side) and its median is better than the base's by more
+than the base's quartile spread; and whether ``test_ap`` was
 equal in every pair. The exit code is 1 when any run failed a check, exited non-zero
 or printed no metrics, or when a metric's change median is outside its bound;
 each reason is printed to stderr.
@@ -175,16 +178,18 @@ def summarize(pairs: list[dict], spec: dict) -> dict | None:
     sign = 1.0 if spec["better"] == "higher" else -1.0
     base, change = spread([b for b, _ in both]), spread([c for _, c in both])
     gap = sign * (change["median"] - base["median"])
+    wins = sum(sign * (c - b) > 0 for b, c in both)  # a tie is no side's win
     return {
         "unit": spec["unit"],
         "better": spec["better"],
         "base": base,
         "change": change,
         "ratio": change["median"] / base["median"] if base["median"] else None,
-        "change_wins": sum(sign * (c - b) > 0 for b, c in both),
+        "change_wins": wins,
         "pairs": len(both),
         "bound": spec["bound"],
         "within_bound": bool(gap >= -spec["bound"] * abs(base["median"])),
+        "gain_resolved": bool(10 * wins >= 9 * len(both) and gap > base["q3"] - base["q1"]),
     }
 
 
@@ -270,7 +275,8 @@ def main(argv=None) -> int:
                 print(f"{workload} {name}: {m['base']['median']:.6g} -> "
                       f"{m['change']['median']:.6g} {m['unit']} (change better in "
                       f"{m['change_wins']} of {m['pairs']}; "
-                      f"{'within' if m['within_bound'] else 'OUTSIDE'} its bound)")
+                      f"{'within' if m['within_bound'] else 'OUTSIDE'} its bound; gain "
+                      f"{'resolved' if m['gain_resolved'] else 'not resolved'})")
         print(f"{workload} test_ap equal in every pair: {w['test_ap_equal']}")
     reasons = failures(record)
     for line in reasons:
