@@ -16,6 +16,7 @@ from .layer import (
     build_entity_matrix,
     embed,
     embed_tensor,
+    entity_blocks,
     feed_forward,
     head_parameter_formula,
     load_checkpoint,

@@ -3,10 +3,13 @@
 ``run(tasks)`` calls each task once: the calling thread and up to one pool
 thread per other usable core (``os.sched_getaffinity``) take tasks from one
 shared iterator, and a pool job that a busy core never starts is cancelled,
-so a busy core delays the call by at most the task it holds. φ's row blocks,
-forward and backward, and the backward of a large attention hop run on it. Each task writes its own
-part of arrays the caller allocated, with the numpy calls of the one-block
-run, so no bit depends on the split or the threads.
+so a busy core delays the call by at most the task it holds. Three users
+run on it: φ's row blocks, forward and backward; the backward of a large
+attention hop; and ``embed``'s passes, each computed beside the preparation
+of the next pass's top hop. Each task writes its own part of arrays the
+caller allocated, or arrays of its own, with the numpy calls of the
+one-thread run, so no bit depends on the split or the threads. A task may
+call ``run`` again: a job it submits that no idle core takes is cancelled.
 """
 
 from __future__ import annotations

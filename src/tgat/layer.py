@@ -16,13 +16,20 @@ once. The entity matrix holds only real rows, targets first, then the
 sampled interactions in the batch's order; attention projects those rows
 and scatters the projections into the (B, N) block of the mask only for
 the softmax and the weighted sum.
+
+Each hop runs in two stages. Its prepare stage samples it and writes the
+edge and time blocks of its entity matrix, which read no hidden state; its
+compute stage writes the hidden block and attends. A hop is prepared before
+the hops below it, and computed after them, so hops are sampled and encoded
+top down and computed bottom up. ``embed`` prepares the next pass's top hop
+beside the pass it computes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -43,7 +50,6 @@ from .temporal_graph import (
     sampling_key,
     seed_sequence,
     setting,
-    whole_numbers,
 )
 # only the name perfbench/spans.py wraps to time the sampler; nothing calls
 # it, as each hop of the forward pass calls hop_neighborhoods
@@ -186,39 +192,46 @@ class TgatModel:
 # ---------------------------------------------------------------------------
 
 
-def build_entity_matrix(
-    hidden: Tensor,
-    batch: NeighborhoodBatch,
-    enc: TimeEncoder,
-    positional: PositionalEncoder | None = None,
-) -> Tensor:
-    """Entity-temporal rows of the B targets of ``batch`` and of their
-    sampled interactions as one operator, one row per row of ``hidden``.
+@dataclass(eq=False)
+class EntityBlocks:
+    """A hop's entity matrix ``z`` as its prepare stage leaves it: the edge
+    and time blocks of every row written, and the first ``width`` columns,
+    the hidden block, still to be written by ``build_entity_matrix``.
+    ``time`` is the tensor the time block reads: phi's rows, or the
+    positional table through the ranks ``ranks``."""
 
-    ``hidden`` holds the B target states followed by the states of every
-    sampled interaction, in the order of the batch's rows, and so does the
-    result. Target row b is (hidden, zero edge block, phi(0)); sampled row
-    B + j is (hidden, edge, phi(t - t_j)). The edge block is as wide as the
-    batch's edge features. The matrix is allocated first, and one
-    ``encode_many`` call writes every row's phi straight into its time
-    block, the targets' zero timespans first, so a target's phi(0) is the
-    operator's own, signed zeros and all. In positional mode the time block
-    is table row r for rank r: a target takes rank n, its n sampled rows
-    ranks 0 to n - 1, oldest first. Ranks must be below the table's row
-    count (``embed_tensor`` checks the cap), or numpy raises IndexError.
+    batch: NeighborhoodBatch
+    z: np.ndarray
+    width: int
+    time: Tensor
+    ranks: np.ndarray | None
+
+
+def entity_blocks(batch: NeighborhoodBatch, width: int, enc: TimeEncoder,
+                  positional: PositionalEncoder | None = None) -> EntityBlocks:
+    """The prepare stage of the entity matrix of ``batch``'s B targets and of
+    their sampled interactions: z holds B + sum(sizes) rows, targets first,
+    then the sampled rows in the batch's order, and ``width`` hidden columns.
+
+    Target row b gets a zero edge block and phi(0); sampled row B + j gets
+    its edge features and phi(t - t_j). The edge block is as wide as the
+    batch's edge features. One ``encode_many`` call writes every row's phi
+    straight into its time block, the targets' zero timespans first, so a
+    target's phi(0) is the operator's own, signed zeros and all. In
+    positional mode the time block is table row r for rank r: a target takes
+    rank n, its n sampled rows ranks 0 to n - 1, oldest first. Ranks must be
+    below the table's row count (``embed_tensor`` checks the cap), or numpy
+    raises IndexError. Nothing here reads a hidden state, so a hop is
+    prepared before the hops below it are computed.
     """
     b, sizes = batch.mask.shape[0], batch.sizes
-    if b == 0 or hidden.data.shape[0] != b + batch.times.size:
-        raise ContractError(f"{hidden.data.shape[0]} hidden rows for samples of sizes "
-                            f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows")
-    width, edge_dim = hidden.data.shape[1], batch.edge_features.shape[1]
-    t0 = width + edge_dim
+    t0 = width + batch.edge_features.shape[1]
     time_dim = enc.output_dim if positional is None else positional.table.data.shape[1]
-    z = np.empty((hidden.data.shape[0], t0 + time_dim))
-    z[:, :width] = hidden.data
+    z = np.empty((b + batch.times.size, t0 + time_dim))
     z[:b, width:t0] = 0.0
     z[b:, width:t0] = batch.edge_features
     if positional is None:
+        ranks = None
         time = enc.encode_many(np.concatenate([np.zeros(b),
                                                batch.query_times.repeat(sizes) - batch.times]),
                                out=z[:, t0:])
@@ -226,11 +239,33 @@ def build_entity_matrix(
         ranks = np.concatenate([sizes, batch.mask.nonzero()[1]])
         time = positional.table
         z[:, t0:] = time.data[ranks]
+    return EntityBlocks(batch, z, width, time, ranks)
+
+
+def build_entity_matrix(hidden: Tensor, blocks: EntityBlocks) -> Tensor:
+    """Entity-temporal rows of a hop as one operator: writes ``hidden`` into
+    the hidden block of the prepared ``blocks`` (``entity_blocks``), whose z
+    becomes the result, one row per row of ``hidden``.
+
+    ``hidden`` holds the B target states followed by the states of every
+    sampled interaction, in the order of the batch's rows. The hidden block
+    takes its rows' gradient, and the time block's gradient goes to phi's
+    rows, or is summed into the table row of each rank. The blocks are
+    consumed: z is written in place, so each prepared hop builds once.
+    """
+    z, width, time, ranks = blocks.z, blocks.width, blocks.time, blocks.ranks
+    b, sizes = blocks.batch.mask.shape[0], blocks.batch.sizes
+    if b == 0 or hidden.data.shape != (z.shape[0], width):
+        raise ContractError(f"{hidden.data.shape} hidden rows for samples of sizes "
+                            f"{sizes.tolist()}: need B > 0 and B + sum(sizes) rows of "
+                            f"{width} columns")
+    t0 = width + blocks.batch.edge_features.shape[1]
+    z[:, :width] = hidden.data
 
     def pull(g: np.ndarray) -> None:
         if hidden.requires_grad:
             hidden._accumulate(g[:, :width])
-        if time.requires_grad and positional is None:
+        if time.requires_grad and ranks is None:
             time._accumulate(g[:, t0:])
         elif time.requires_grad:  # each row's gradient summed into its rank's table row
             table_grad = np.zeros_like(time.data)
@@ -360,40 +395,70 @@ def feed_forward(x: Tensor, x0: np.ndarray, weights: list[Tensor],
     return ad.apply_op(out, (x, *weights, *biases), pull)
 
 
-def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
-                   graph: TemporalGraph, sampling: SamplingConfig, key: np.uint64,
-                   attention: list | None) -> Tensor:
-    """(B, d) states of ``nodes`` at ``times`` after ``level`` layers.
-
-    One hop at a time: one sampler call draws every target's neighborhood
-    from the call's ``key`` (a target's sample depends on no other target),
-    then one recursive call evaluates all targets and all of their sampled
-    (peer, time) rows at the level below, each neighbor at its own
-    interaction time, and the hop attends every target at once. A target with
-    no prior interaction attends an all-masked block: its neighborhood
-    representation is zero and its FFN still runs, which keeps inductive
-    inference total. Each hop appends ``(level, batch, head weights)`` to
-    ``attention`` after the hops below it, so the top hop comes last.
-    """
-    x0 = graph.node_features[nodes]
-    if level == 0:
-        return ad.constant(x0)
-
-    layer = model.layers[level - 1]
+def _prepare_hop(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
+                 graph: TemporalGraph, sampling: SamplingConfig, key: np.uint64) -> EntityBlocks:
+    """The prepare stage of the hop at ``level`` for B (node, time) queries:
+    one sampler call draws every target's neighborhood from the call's
+    ``key`` (a target's sample depends on no other target), then
+    ``entity_blocks`` writes the hop's edge and time blocks."""
     batch = hop_neighborhoods(graph, nodes, times, sampling.max_neighbors, sampling.strategy,
                               key)
-    hidden = _hidden_states(
-        model, level - 1,
-        np.concatenate([nodes, batch.peers]),
-        np.concatenate([times, batch.times]),
-        graph, sampling, key, attention)
-    z = build_entity_matrix(hidden, batch, model.time_encoder, model.positional_encoder)
+    width = model.dims.d0 if level == 1 else model.dims.d
+    return entity_blocks(batch, width, model.time_encoder, model.positional_encoder)
+
+
+def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, blocks: EntityBlocks,
+                   graph: TemporalGraph, sampling: SamplingConfig, key: np.uint64,
+                   attention: list | None) -> Tensor:
+    """(B, d) states of ``nodes`` after ``level`` layers: the compute stage
+    of their hop, whose ``blocks`` ``_prepare_hop`` made.
+
+    The hop below holds all targets and all of their sampled (peer, time)
+    rows, each neighbor at its own interaction time. It is prepared here and
+    computed by one recursive call, so every hop is sampled and encoded top
+    down, and computed bottom up. Then this hop writes its hidden block and
+    attends every target at once. A target with no prior interaction attends
+    an all-masked block: its neighborhood representation is zero and its FFN
+    still runs, which keeps inductive inference total. Each hop appends
+    ``(level, batch, head weights)`` to ``attention`` after the hops below
+    it, so the top hop comes last.
+    """
+    layer, batch = model.layers[level - 1], blocks.batch
+    below = np.concatenate([nodes, batch.peers])
+    if level == 1:
+        hidden = ad.constant(graph.node_features[below])
+    else:
+        times = np.concatenate([batch.query_times, batch.times])
+        hidden = _hidden_states(
+            model, level - 1, below,
+            _prepare_hop(model, level - 1, below, times, graph, sampling, key),
+            graph, sampling, key, attention)
+    z = build_entity_matrix(hidden, blocks)
     heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, layer.head_count,
                                  model.attention_mode, batch.mask)
     if attention is not None:
         attention.append((level, batch, weights))
 
-    return feed_forward(heads, x0, [layer.w0, layer.w1], [layer.b0, layer.b1])
+    return feed_forward(heads, graph.node_features[nodes], [layer.w0, layer.w1],
+                        [layer.b0, layer.b1])
+
+
+def _checked_queries(model: TgatModel, node, t, graph: TemporalGraph,
+                     sampling: SamplingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The query arrays of one ``embed_tensor`` or ``embed`` call, after the
+    model's feature widths, the queries and, in positional mode, the cap are
+    checked against the graph and the model."""
+    dims = model.dims
+    if (dims.d0, dims.d_e) != (graph.node_feature_dim, graph.edge_feature_dim):
+        raise InferenceError(
+            f"model expects {dims.d0} node and {dims.d_e} edge features, graph has "
+            f"{graph.node_feature_dim} node and {graph.edge_feature_dim} edge features")
+    nodes, times = check_queries(graph, node, t)
+    cap, pos = sampling.max_neighbors, model.positional_encoder
+    if pos is not None and cap >= pos.max_positions:  # the target row takes rank N
+        raise ValidationError(f"max_neighbors {cap} needs a positional table of at least "
+                              f"{cap + 1} rows, the model's has {pos.max_positions}")
+    return nodes, times
 
 
 def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
@@ -408,21 +473,19 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
     queries give a (0, d) result. In positional mode the cap must be below
     the table's ``max_positions``. A list passed as ``attention`` receives
     each hop's ``(level, NeighborhoodBatch, (H, B, N) weights)``.
+
+    The call is one pass of ``embed``'s two stages, on this thread: the top
+    hop is prepared, then computed. Each hop records phi on the tape when it
+    is prepared, top hop first and ahead of the operators that read it, so
+    ``backward`` adds the hops' frequency-gradient terms bottom hop first.
     """
-    dims = model.dims
-    if (dims.d0, dims.d_e) != (graph.node_feature_dim, graph.edge_feature_dim):
-        raise InferenceError(
-            f"model expects {dims.d0} node and {dims.d_e} edge features, graph has "
-            f"{graph.node_feature_dim} node and {graph.edge_feature_dim} edge features")
-    nodes, times = check_queries(graph, node, t)
-    cap, pos = sampling.max_neighbors, model.positional_encoder
-    if pos is not None and cap >= pos.max_positions:  # the target row takes rank N
-        raise ValidationError(f"max_neighbors {cap} needs a positional table of at least "
-                              f"{cap + 1} rows, the model's has {pos.max_positions}")
+    nodes, times = _checked_queries(model, node, t, graph, sampling)
     if nodes.size == 0:
-        return ad.constant(np.zeros((0, dims.d)))
-    return _hidden_states(model, model.layer_count, nodes, times, graph, sampling,
-                          sampling_key(rng_seed), attention)
+        return ad.constant(np.zeros((0, model.dims.d)))
+    key, top = sampling_key(rng_seed), model.layer_count
+    return _hidden_states(model, top, nodes,
+                          _prepare_hop(model, top, nodes, times, graph, sampling, key),
+                          graph, sampling, key, attention)
 
 
 EMBED_CHUNK = 128  # queries per inference pass, which holds their L-hop neighborhoods
@@ -439,16 +502,35 @@ def embed_passes(count: int) -> list[slice]:
 def embed(model: TgatModel, node, t, graph: TemporalGraph,
           sampling: SamplingConfig, rng_seed=0) -> np.ndarray:
     """Inference-only embeddings, (d,) for a node and a time or (B, d) for
-    sequences; works for nodes absent from training events. The queries run
-    through ``embed_tensor`` in the passes of ``embed_passes``, all sampled
-    with one key, so memory is that of one pass, and so are the rows. The id
-    rule reads ``node`` as given, so [True, 2] is rejected, not read as [1, 2]."""
+    sequences; works for nodes absent from training events. The queries are
+    checked once, as ``embed_tensor`` checks them, and run in the passes of
+    ``embed_passes``, all sampled with one key, so a pass's rows are those
+    of ``embed_tensor`` on that pass alone.
+
+    Passes overlap: while one pass is computed, the next pass's top hop is
+    sampled and encoded (``_prepare_hop``), on ``cores.run`` beside it. A
+    pass's samples and phi rows depend on no other pass, so no bit depends
+    on the overlap, and memory is that of one pass and one more top hop. A
+    single pass runs alone on this thread. The id rule reads ``node`` as
+    given, so [True, 2] is rejected, not read as [1, 2]."""
     key = sampling_key(rng_seed)
-    nodes, times = whole_numbers(node, "node id"), np.asarray(t)
-    aligned = nodes.ndim == 1 and nodes.shape == times.shape  # else one call; [...] takes 0-d
-    passes = embed_passes(nodes.size) if aligned else [...]
-    out = [embed_tensor(model, nodes[s], times[s], graph, sampling, key).data for s in passes]
-    return out[0][0].copy() if nodes.ndim == 0 else np.concatenate(out)
+    nodes, times = _checked_queries(model, node, t, graph, sampling)
+    out = np.empty((nodes.size, model.dims.d))
+    top, prepared = model.layer_count, []
+
+    def prepare(s: slice) -> None:
+        prepared.append(_prepare_hop(model, top, nodes[s], times[s], graph, sampling, key))
+
+    def compute(s: slice, blocks: EntityBlocks) -> None:
+        out[s] = _hidden_states(model, top, nodes[s], blocks, graph, sampling, key, None).data
+
+    passes = embed_passes(nodes.size) if nodes.size else []
+    if passes:
+        prepare(passes[0])
+    for s, after in zip(passes, passes[1:] + [None]):
+        cores.run([partial(compute, s, prepared.pop())]
+                  + ([partial(prepare, after)] if after else []))
+    return out[0] if np.asarray(t).ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

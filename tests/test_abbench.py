@@ -61,7 +61,8 @@ def test_one_pair_against_head(tmp_path):
         assert m["pairs"] == 1 and m["change_wins"] in (0, 1)
         assert m["base"]["q1"] <= m["base"]["median"] <= m["base"]["q3"]
         assert isinstance(m["within_bound"], bool) and m["bound"] > 0
-        assert isinstance(m["gain_resolved"], bool)
+        assert isinstance(m["gain_resolved"], bool) and isinstance(m["worse_resolved"], bool)
+        assert not (m["gain_resolved"] and m["worse_resolved"])
     assert w["metrics"]["test_ap"]["within_bound"] is True
     (pair,) = w["runs"]
     assert pair["seed"] == 301 and pair["first"] == "base"
@@ -280,3 +281,34 @@ def test_a_gain_is_judged_in_the_better_direction(factor, resolved):
     m = tool.summarize(paired("infer_per_s", base, [b * factor for b in base]),
                        spec_of("infer_per_s"))
     assert m["gain_resolved"] is resolved
+
+
+@pytest.mark.parametrize("losses, resolved", [(8, False), (9, True), (10, True)])
+def test_a_worse_change_is_resolved_in_9_of_10_pairs(losses, resolved):
+    # the mirror of a resolved gain: 0.5 MB more in ``losses`` pairs, one
+    # tie, any other pair lower; the gap between the medians, 0.5 MB, is far
+    # beyond the base's spread, 0.045 MB, and within the 15% bound
+    base = [54.0 + 0.01 * k for k in range(10)]
+    change = [b + 0.5 if k < losses else b if k == losses else b - 1.0
+              for k, b in enumerate(base)]
+    m = tool.summarize(paired("peak_rss_mb", base, change), spec_of("peak_rss_mb"))
+    assert m["change_wins"] == 10 - losses - (losses < 10)
+    assert m["within_bound"] is True and m["gain_resolved"] is False
+    assert m["worse_resolved"] is resolved
+
+
+def test_a_loss_within_the_base_spread_is_not_resolved():
+    # worse in 10 of 10 pairs, by 0.5 ms, where the base's quartiles are
+    # 4.5 ms apart
+    base = [10.0 + k for k in range(10)]
+    m = tool.summarize(paired("op_ms", base, [b + 0.5 for b in base]), spec_of("op_ms"))
+    assert m["change_wins"] == 0 and m["worse_resolved"] is False
+
+
+@pytest.mark.parametrize("factor, resolved", [(0.9, True), (1.1, False)])
+def test_a_loss_is_judged_in_the_better_direction(factor, resolved):
+    # fewer inferences a second, in every pair, is worse; more is not
+    base = [3000.0 + k for k in range(10)]
+    m = tool.summarize(paired("infer_per_s", base, [b * factor for b in base]),
+                       spec_of("infer_per_s"))
+    assert m["worse_resolved"] is resolved and m["within_bound"] is True

@@ -15,10 +15,12 @@ import pytest
 import tgat
 from tgat import autodiff as ad
 from tgat.errors import ContractError, DimensionError
-from tgat.layer import attend_head, build_entity_matrix, feed_forward, glorot
+from tgat.layer import attend_head, feed_forward, glorot
 from tgat.synthetic import tiny_fixture_graph
 from tgat.temporal_graph import sample_neighborhoods
 from tgat.time_encoding import PositionalEncoder, TimeEncoder
+
+from test_layer import entity_rows
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -114,7 +116,7 @@ def entity_matrix_case(rng, positional: bool):
     table = PositionalEncoder(glorot(rng, 8, 4), learnable=True) if positional else None
     weights = _rand(rng, b + batch.sizes.sum(), 3 + 2 + 4)
     params = [hidden] + ([table.table] if positional else [enc.frequencies])
-    return (lambda: weighted_sum(build_entity_matrix(hidden, batch, enc, table), weights),
+    return (lambda: weighted_sum(entity_rows(hidden, batch, enc, table), weights),
             params)
 
 
@@ -140,7 +142,7 @@ def hop_case(rng, mode: str, positional: bool = False, kind: str = "any"):
               + ([w[2]] if mode == "constant" else w))
 
     def build():
-        z = build_entity_matrix(hidden, batch, enc, table)
+        z = entity_rows(hidden, batch, enc, table)
         return weighted_sum(attend_head(z, *w, heads, mode, batch.mask)[0], weights)
 
     return build, params

@@ -8,7 +8,8 @@ import pytest
 
 from tgat.cli import main, parse_train_config
 from tgat.errors import ConfigError
-from tgat.layer import Dims, TgatModel, load_checkpoint, save_checkpoint
+from tgat.layer import (Dims, TgatModel, embed, embed_passes, load_checkpoint,
+                        save_checkpoint)
 from tgat.synthetic import random_temporal_graph
 from tgat.temporal_graph import (
     build_graph,
@@ -439,7 +440,6 @@ class TestEvalAndEmbed:
         assert fields[0] == "3"
         cli_vec = np.array([float(v) for v in fields[2:]])
 
-        from tgat.layer import embed
         model, extra = load_checkpoint(ckpt)
         graph = load_graph(graph_path)
         config = TrainConfig(**extra["train_config"])
@@ -447,7 +447,10 @@ class TestEvalAndEmbed:
                         rng_seed=config.rng_seed)
         np.testing.assert_array_equal(cli_vec, lib_vec)
 
-    def test_embed_rows_equal_batched_library_call(self, workspace, capsys):
+    @staticmethod
+    def cli_and_library_rows(workspace, capsys, nodes, times):
+        """``tgat embed``'s rows for the queries, by a two-layer uniform model
+        trained here, and the library's ``embed`` of them in one call."""
         tmp_path, _, _, graph_path = workspace
         config = tmp_path / "uniform.txt"
         config.write_text(CONFIG_TEXT.replace("layers = 1", "layers = 2")
@@ -455,27 +458,41 @@ class TestEvalAndEmbed:
                           .replace("most-recent", "uniform"))
         assert main(["train", str(graph_path), str(config), str(tmp_path / "run")]) == 0
         ckpt = tmp_path / "run" / "checkpoint.json"
-        # node 1 (item 0) has five events before t = 11, so its sample is drawn
-        nodes, times = [1, 0, 3, 1, 4, 2], [11.0, 9.5, 11.0, 11.0, 6.0, 0.5]
         capsys.readouterr()
         assert main(["embed", str(ckpt), str(graph_path),
                      "--nodes", ",".join(map(str, nodes)),
-                     "--times", ",".join(map(str, times))]) == 0
+                     "--times", ",".join(map(repr, times))]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
         assert [(int(r[0]), float(r[1])) for r in rows] == list(zip(nodes, times))
         cli = np.array([[float(v) for v in r[2:]] for r in rows])
 
-        from tgat.layer import embed
         model, extra = load_checkpoint(ckpt)
         graph = load_graph(graph_path)
         config = TrainConfig(**extra["train_config"])
         assert config.sampling().strategy == "uniform"
         batched = embed(model, nodes, times, graph, config.sampling(),
                         rng_seed=config.rng_seed)
+        return cli, batched, (model, graph, config)
+
+    def test_embed_rows_equal_batched_library_call(self, workspace, capsys):
+        # node 1 (item 0) has five events before t = 11, so its sample is drawn
+        nodes, times = [1, 0, 3, 1, 4, 2], [11.0, 9.5, 11.0, 11.0, 6.0, 0.5]
+        cli, batched, (model, graph, config) = self.cli_and_library_rows(
+            workspace, capsys, nodes, times)
         np.testing.assert_array_equal(cli, batched)
         per_row = np.stack([embed(model, v, t, graph, config.sampling(),
                                   rng_seed=config.rng_seed) for v, t in zip(nodes, times)])
         np.testing.assert_allclose(cli, per_row, rtol=1e-12, atol=1e-12)
+
+    def test_embed_rows_of_many_passes_equal_the_library_call(self, workspace, capsys):
+        # 300 queries: three inference passes, each but the first prepared
+        # beside the pass before it
+        rng = np.random.default_rng(4)
+        nodes = rng.integers(0, 5, 300).tolist()
+        times = rng.uniform(0.0, 12.0, 300).round(3).tolist()
+        cli, batched, _ = self.cli_and_library_rows(workspace, capsys, nodes, times)
+        assert len(embed_passes(len(nodes))) == 3
+        assert cli.shape == batched.shape and cli.tobytes() == batched.tobytes()
 
     def test_embed_writes_file(self, trained):
         tmp_path, graph, ckpt = trained

@@ -11,6 +11,7 @@ import re
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,6 +40,7 @@ from tgat.layer import (
     embed,
     embed_passes,
     embed_tensor,
+    entity_blocks,
     glorot,
     head_parameter_formula,
     load_checkpoint,
@@ -80,9 +82,16 @@ def raw_hidden(g, batch, nodes):
     return ad.constant(g.node_features[np.concatenate([nodes, batch.peers])])
 
 
+def entity_rows(hidden, batch, enc, positional=None):
+    """The entity operator over ``hidden`` and ``batch``'s hop, its two
+    stages as one call: the edge and time blocks prepared, then built."""
+    return build_entity_matrix(hidden, entity_blocks(batch, hidden.data.shape[1], enc,
+                                                     positional))
+
+
 def entity_matrix(g, nodes, times, enc, **kwargs):
     batch = sample_neighborhoods(g, nodes, times, 5)
-    return batch, build_entity_matrix(raw_hidden(g, batch, nodes), batch, enc, **kwargs)
+    return batch, entity_rows(raw_hidden(g, batch, nodes), batch, enc, **kwargs)
 
 
 def block(z, batch, i):
@@ -117,9 +126,9 @@ class TestBuildEntityMatrix:
         assert np.signbit(phi_zero).tolist() == [[False, False, False, True]]
         blocks = []
 
-        def recording(hidden, batch, *args):
-            z = build_entity_matrix(hidden, batch, *args)
-            b, width = batch.sizes.size, hidden.data.shape[1]
+        def recording(hidden, prepared):
+            z = build_entity_matrix(hidden, prepared)
+            b, width = prepared.batch.sizes.size, hidden.data.shape[1]
             blocks.append(z.data[:b, width:])  # d_e = 0: the time block
             return z
 
@@ -180,7 +189,7 @@ class TestBuildEntityMatrix:
         enc = TimeEncoder.create(4)
         weights = np.random.default_rng(2).standard_normal((ranks.size, 3 + 2 + 4))
         with ad.Tape() as tape:
-            z = build_entity_matrix(raw_hidden(g, batch, [0, 2, 3, 2]), batch, enc, pos)
+            z = entity_rows(raw_hidden(g, batch, [0, 2, 3, 2]), batch, enc, pos)
             loss = weighted_sum(z, weights)
         ad.backward(tape, loss)
         expected = np.zeros_like(pos.table.data)
@@ -193,10 +202,10 @@ class TestBuildEntityMatrix:
         enc = TimeEncoder.create(4)
         batch = sample_neighborhoods(g, [0], [2.0], 5)
         with pytest.raises(ContractError):
-            build_entity_matrix(ad.constant(np.zeros((3, 2))), batch, enc)
+            entity_rows(ad.constant(np.zeros((3, 2))), batch, enc)
         with pytest.raises(ContractError):
-            build_entity_matrix(ad.constant(np.zeros((0, 2))),
-                                sample_neighborhoods(g, [], [], 5), enc)
+            entity_rows(ad.constant(np.zeros((0, 2))),
+                        sample_neighborhoods(g, [], [], 5), enc)
 
     def test_only_target_rows_hold_phi_zero(self):
         # target rows take phi(0) with the bits that encoding a zero timespan
@@ -328,7 +337,7 @@ class TestAttendHead:
         g_out = rng.standard_normal((4, 2 * 2))
         with ad.Tape() as tape:
             enc = TimeEncoder.create(4)
-            z = build_entity_matrix(hidden, batch, enc)
+            z = entity_rows(hidden, batch, enc)
             out, _ = attend_head(z, *w, 2, mode, batch.mask)
             loss = weighted_sum(out, g_out)
         ad.backward(tape, loss)
@@ -389,7 +398,7 @@ class TestAttendHead:
             w = [ad.parameter(np.hstack([rng.standard_normal((3 + 2 * k, d_h))
                                          for _ in range(3)])) for _ in range(3)]
             with ad.Tape() as tape:
-                z = build_entity_matrix(hidden, batch, enc)
+                z = entity_rows(hidden, batch, enc)
                 out, alpha = attend_head(z, *w, 3, mode, batch.mask)
                 loss = weighted_sum(out, rng.standard_normal(out.data.shape))
             ad.backward(tape, loss)
@@ -818,9 +827,11 @@ class TestEmbedProperties:
         # node 0 at t=1.0 has no earlier event
         embed_tensor(model, [0, 3, 7, 42], [1.0, 2.3, 3.6, 8.8], g, SamplingConfig(4, "uniform"),
                      attention=hops)
-        # one call per hop, bottom hop first: a zero timespan per target, then
-        # one row per sampled interaction
-        assert encoded == [batch.sizes.size + int(batch.sizes.sum()) for _, batch, _ in hops]
+        # one call per hop, top hop first, as each hop is prepared before the
+        # hop below it: a zero timespan per target, then one row per sampled
+        # interaction
+        assert encoded == [batch.sizes.size + int(batch.sizes.sum())
+                           for _, batch, _ in reversed(hops)]
 
     def test_scalar_and_sequence_shapes(self):
         g = simple_graph()
@@ -905,7 +916,7 @@ class TestEmbedProperties:
 
 
 class TestEmbedPasses:
-    COUNTS = (1, 3, 127, 128, 129, 131, 132, 259, 260)
+    COUNTS = (1, 3, 127, 128, 129, 131, 132, 259, 260, 750, 1280)  # 750: 6 passes, 1280: 10
 
     def test_passes_cut_at_the_chunk_and_fold_a_short_tail(self):
         assert EMBED_CHUNK == 128
@@ -920,24 +931,105 @@ class TestEmbedPasses:
             assert sum(sizes) == count and max(sizes) < EMBED_CHUNK + 4
             assert len(sizes) == 1 or min(sizes) >= 4
 
+    @staticmethod
+    def model(layer_count: int, graph=None):
+        g = graph or recency_planted_graph(200, 4000, seed=0)
+        dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
+        return g, TgatModel.create(dims, layer_count=layer_count, head_count=2, rng_seed=1,
+                                   t_max=g.t_max)
+
+    @staticmethod
+    def queries(g, count: int, seed: int = 2):
+        rng = np.random.default_rng([seed, count])
+        return rng.integers(0, g.num_nodes, count), rng.uniform(0.0, g.t_max, count)
+
     @pytest.mark.parametrize("strategy", ["most-recent", "uniform", "inverse-timespan"])
     def test_passes_equal_per_pass_calls_and_one_pass(self, strategy):
-        g = recency_planted_graph(200, 4000, seed=0)
-        dims = Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5, d_e=0)
-        model = TgatModel.create(dims, layer_count=2, head_count=2, rng_seed=1, t_max=g.t_max)
+        # at L=1 the prefetched top hop is the next pass's only hop
         sampling = SamplingConfig(max_neighbors=4, strategy=strategy)
-        rng = np.random.default_rng(2)
         key = layer_module.sampling_key(5)
-        for count in self.COUNTS:
-            nodes = rng.integers(0, g.num_nodes, count)
-            times = rng.uniform(0.0, g.t_max, count)
+        g = recency_planted_graph(200, 4000, seed=0)
+        for layer_count, count in itertools.product((1, 2), self.COUNTS):
+            _, model = self.model(layer_count, g)
+            nodes, times = self.queries(g, count)
             out = embed(model, nodes, times, g, sampling, rng_seed=5)
             per_pass = np.concatenate([
                 embed_tensor(model, nodes[s], times[s], g, sampling, key).data
                 for s in embed_passes(count)])
-            assert out.tobytes() == per_pass.tobytes(), count
+            assert out.tobytes() == per_pass.tobytes(), (layer_count, count)
             one_pass = embed_tensor(model, nodes, times, g, sampling, rng_seed=5).data
             np.testing.assert_allclose(out, one_pass, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("layer_count", [1, 2])
+    def test_next_top_hop_prepared_inline_on_one_core(self, layer_count, monkeypatch):
+        # one core: no pool, and each pass is computed, then the next pass's
+        # top hop prepared, on this thread; two: the two run side by side
+        g, model = self.model(layer_count)
+        sampling = SamplingConfig(max_neighbors=4, strategy="inverse-timespan")
+        runs = {}
+        for cores_count in (1, 2):
+            monkeypatch.setattr(cores, "_CORES", cores_count)
+            runs[cores_count] = [embed(model, *self.queries(g, count), g, sampling, rng_seed=5)
+                                 for count in (750, 1280)]
+        for one, two in zip(runs[1], runs[2]):
+            assert one.shape == two.shape and one.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("layer_count", [1, 2])
+    def test_monitor_sees_every_prefetched_read(self, layer_count, monkeypatch):
+        # the causality proof covers the pool thread: one record per sampled
+        # row of every hop of every pass, none at or after its query time
+        monkeypatch.setattr(cores, "_CORES", 2)
+        g, model = self.model(layer_count)
+        sampling = SamplingConfig(max_neighbors=4, strategy="uniform")
+        nodes, times = self.queries(g, 750)
+        key = layer_module.sampling_key(5)
+        sampled = 0
+        for s in embed_passes(nodes.size):
+            hops = []
+            embed_tensor(model, nodes[s], times[s], g, sampling, key, hops)
+            sampled += sum(int(batch.sizes.sum()) for _, batch, _ in hops)
+        with AccessMonitor() as mon:
+            embed(model, nodes, times, g, sampling, rng_seed=5)
+        assert len(mon.records) == sampled > 0
+        assert mon.violations() == []
+
+    def test_a_failed_pass_raises_after_the_prefetch_ends(self, monkeypatch):
+        # pass 2's attention fails once the prefetch of pass 3's top hop has
+        # started; embed raises that failure, and only once the prefetch,
+        # which takes 0.2 s longer, has ended
+        monkeypatch.setattr(cores, "_CORES", 2)
+        g, model = self.model(1)
+        nodes, times = self.queries(g, 3 * EMBED_CHUNK)
+        prepare, attend = layer_module._prepare_hop, layer_module.attend_head
+        third, ended, attended = threading.Event(), [], []
+
+        def slow_prepare(*args):
+            if len(ended) == 2:  # pass 3's top hop; prepares never overlap
+                third.set()
+                time.sleep(0.2)
+            ended.append(prepare(*args))
+            return ended[-1]
+
+        def failing_attend(*args):
+            attended.append(1)
+            if len(attended) == 2:
+                assert third.wait(60)
+                raise RuntimeError("pass 2 failed")
+            return attend(*args)
+
+        monkeypatch.setattr(layer_module, "_prepare_hop", slow_prepare)
+        monkeypatch.setattr(layer_module, "attend_head", failing_attend)
+        with pytest.raises(RuntimeError, match="pass 2 failed"):
+            embed(model, nodes, times, g, SamplingConfig(4, "uniform"))
+        # the first pass's top hop, prepared before the loop, then pass 2's
+        # and pass 3's, each beside the pass before it
+        assert len(attended) == 2 and len(ended) == 3
+
+    @pytest.mark.parametrize("layer_count", [1, 2])
+    def test_no_queries_prepare_nothing(self, layer_count, monkeypatch):
+        g, model = self.model(layer_count)
+        monkeypatch.setattr(layer_module, "_prepare_hop", None)  # a call would raise
+        assert embed(model, [], [], g, MOST_RECENT).shape == (0, 6)
 
     def test_misaligned_queries_rejected_whole(self):
         g = simple_graph()

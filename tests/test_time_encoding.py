@@ -18,7 +18,7 @@ import pytest
 from tgat import autodiff as ad
 from tgat import cores, time_encoding
 from tgat.errors import ContractError, ValidationError
-from tgat.layer import build_entity_matrix, glorot
+from tgat.layer import glorot
 from tgat.synthetic import tiny_fixture_graph
 from tgat.temporal_graph import sample_neighborhoods
 from tgat.time_encoding import (
@@ -27,6 +27,8 @@ from tgat.time_encoding import (
     gaussian_kernel_oracle,
     kernel_convergence_check,
 )
+
+from test_layer import entity_rows
 
 
 def weighted_sum(a: ad.Tensor, weights: np.ndarray) -> ad.Tensor:
@@ -484,7 +486,7 @@ class TestPositionalEncoder:
         weights[0, 3:] = 1.0
         phi = TimeEncoder.create(6)  # unread in positional mode
         with ad.Tape() as tape:
-            z = build_entity_matrix(hidden, batch, phi, enc)
+            z = entity_rows(hidden, batch, phi, enc)
             loss = weighted_sum(z, weights)
         ad.backward(tape, loss)
         grad = enc.table.grad

@@ -31,8 +31,10 @@ better, the ``BENCHMARK.json`` bound and whether the change's median is within
 it, judged in the metric's ``better`` direction; whether the change's gain is
 resolved, that is, the change is better in at least 9 of 10 pairs (a tie
 counts for neither side) and its median is better than the base's by more
-than the base's quartile spread; and whether ``test_ap`` was
-equal in every pair. The exit code is 1 when any run failed a check, exited non-zero
+than the base's quartile spread; whether the change is resolved to be
+worse, the mirror of a resolved gain (worse in at least 9 of 10 pairs, and
+a median worse by more than the base's quartile spread), which a metric can
+be while within its bound; and whether ``test_ap`` was equal in every pair. The exit code is 1 when any run failed a check, exited non-zero
 or printed no metrics, or when a metric's change median is outside its bound;
 each reason is printed to stderr.
 """
@@ -179,6 +181,8 @@ def summarize(pairs: list[dict], spec: dict) -> dict | None:
     base, change = spread([b for b, _ in both]), spread([c for _, c in both])
     gap = sign * (change["median"] - base["median"])
     wins = sum(sign * (c - b) > 0 for b, c in both)  # a tie is no side's win
+    losses = sum(sign * (c - b) < 0 for b, c in both)
+    base_spread = base["q3"] - base["q1"]
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -189,7 +193,8 @@ def summarize(pairs: list[dict], spec: dict) -> dict | None:
         "pairs": len(both),
         "bound": spec["bound"],
         "within_bound": bool(gap >= -spec["bound"] * abs(base["median"])),
-        "gain_resolved": bool(10 * wins >= 9 * len(both) and gap > base["q3"] - base["q1"]),
+        "gain_resolved": bool(10 * wins >= 9 * len(both) and gap > base_spread),
+        "worse_resolved": bool(10 * losses >= 9 * len(both) and -gap > base_spread),
     }
 
 
@@ -276,7 +281,8 @@ def main(argv=None) -> int:
                       f"{m['change']['median']:.6g} {m['unit']} (change better in "
                       f"{m['change_wins']} of {m['pairs']}; "
                       f"{'within' if m['within_bound'] else 'OUTSIDE'} its bound; gain "
-                      f"{'resolved' if m['gain_resolved'] else 'not resolved'})")
+                      f"{'resolved' if m['gain_resolved'] else 'not resolved'}; worse "
+                      f"{'resolved' if m['worse_resolved'] else 'not resolved'})")
         print(f"{workload} test_ap equal in every pair: {w['test_ap_equal']}")
     reasons = failures(record)
     for line in reasons:
