@@ -19,10 +19,11 @@ the softmax and the weighted sum.
 
 Each hop runs in two stages. Its prepare stage samples it and writes the
 edge and time blocks of its entity matrix, which read no hidden state; its
-compute stage writes the hidden block and attends. A hop is prepared before
-the hops below it, and computed after them, so hops are sampled and encoded
-top down and computed bottom up. ``embed`` prepares the next pass's top hop
-beside the pass it computes.
+compute stage prepares the hop, unless it was prepared already, then writes
+the hidden block and attends. A hop is prepared before the hops below it,
+and computed after them, so hops are sampled and encoded top down and
+computed bottom up. ``embed`` prepares the next pass's top hop beside the
+pass it computes.
 """
 
 from __future__ import annotations
@@ -293,9 +294,10 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, h: int,
     The backward's per-head work is written once, over a range of heads. A
     hop of fewer than ``SPLIT_WORK`` sampled slots times d_h runs it once
     over all heads; a larger one runs one head per task on ``cores.run``,
-    then its two products with the sampled rows side by side. A head's
-    multiplies, reductions and einsum give that head's slice of the bits of
-    the calls over all heads, so no bit depends on the split.
+    then its products with the sampled rows side by side: the weights'
+    gradient and, when z takes one, z's. A head's multiplies, reductions and
+    einsum give that head's slice of the bits of the calls over all heads, so
+    no bit depends on the split.
     """
     n_rows, d_in = z.data.shape
     b, n = mask.shape
@@ -351,17 +353,17 @@ def attend_head(z: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, h: int,
             w_q._accumulate(targets.T @ g_query)
         g_kv = g_slots.reshape(-1, b * n, d_h)[:, slots]  # the sampled slots' gradients
         g_kv = g_kv.transpose(1, 0, 2).reshape(slots.size, w_kv.shape[1])  # as w_kv's columns
+        g_w = np.empty((d_in, w_kv.shape[1]))  # K's columns, when learned, then V's
+        products = [partial(np.matmul, sampled.T, g_kv, out=g_w)]
         if z.requires_grad:
             g_z = np.empty((n_rows, d_in))  # in constant mode no query reads a target
             g_z[:b] = g_query @ w_q.data.T if learned else 0.0
-        if split and z.requires_grad:  # the two products side by side
-            g_w = np.empty((d_in, w_kv.shape[1]))
-            cores.run([partial(np.matmul, sampled.T, g_kv, out=g_w),
-                       partial(np.matmul, g_kv, w_kv.T, out=g_z[b:])])
+            products.append(partial(np.matmul, g_kv, w_kv.T, out=g_z[b:]))
+        if split:  # the products side by side
+            cores.run(products)
         else:
-            g_w = sampled.T @ g_kv  # K's columns, when learned, then V's
-            if z.requires_grad:
-                np.matmul(g_kv, w_kv.T, out=g_z[b:])
+            for product in products:
+                product()
         if learned:
             w_k._accumulate(g_w[:, :width])
         w_v._accumulate(g_w[:, -width:])
@@ -407,32 +409,33 @@ def _prepare_hop(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndar
     return entity_blocks(batch, width, model.time_encoder, model.positional_encoder)
 
 
-def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, blocks: EntityBlocks,
-                   graph: TemporalGraph, sampling: SamplingConfig, key: np.uint64,
-                   attention: list | None) -> Tensor:
-    """(B, d) states of ``nodes`` after ``level`` layers: the compute stage
-    of their hop, whose ``blocks`` ``_prepare_hop`` made.
+def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, times: np.ndarray,
+                   blocks: EntityBlocks | None, graph: TemporalGraph, sampling: SamplingConfig,
+                   key: np.uint64, attention: list | None) -> Tensor:
+    """(B, d) states of ``nodes`` at ``times`` after ``level`` layers: the
+    compute stage of their hop, which first prepares the hop itself
+    (``_prepare_hop``) unless ``blocks`` holds it prepared already.
 
     The hop below holds all targets and all of their sampled (peer, time)
-    rows, each neighbor at its own interaction time. It is prepared here and
-    computed by one recursive call, so every hop is sampled and encoded top
-    down, and computed bottom up. Then this hop writes its hidden block and
+    rows, each neighbor at its own interaction time. One recursive call
+    prepares and computes it, so every hop is sampled and encoded top down,
+    and computed bottom up. Then this hop writes its hidden block and
     attends every target at once. A target with no prior interaction attends
     an all-masked block: its neighborhood representation is zero and its FFN
     still runs, which keeps inductive inference total. Each hop appends
     ``(level, batch, head weights)`` to ``attention`` after the hops below
     it, so the top hop comes last.
     """
+    if blocks is None:
+        blocks = _prepare_hop(model, level, nodes, times, graph, sampling, key)
     layer, batch = model.layers[level - 1], blocks.batch
     below = np.concatenate([nodes, batch.peers])
     if level == 1:
         hidden = ad.constant(graph.node_features[below])
     else:
-        times = np.concatenate([batch.query_times, batch.times])
-        hidden = _hidden_states(
-            model, level - 1, below,
-            _prepare_hop(model, level - 1, below, times, graph, sampling, key),
-            graph, sampling, key, attention)
+        hidden = _hidden_states(model, level - 1, below,
+                                np.concatenate([batch.query_times, batch.times]), None,
+                                graph, sampling, key, attention)
     z = build_entity_matrix(hidden, blocks)
     heads, weights = attend_head(z, layer.w_q, layer.w_k, layer.w_v, layer.head_count,
                                  model.attention_mode, batch.mask)
@@ -443,11 +446,14 @@ def _hidden_states(model: TgatModel, level: int, nodes: np.ndarray, blocks: Enti
                         [layer.b0, layer.b1])
 
 
-def _checked_queries(model: TgatModel, node, t, graph: TemporalGraph,
-                     sampling: SamplingConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The query arrays of one ``embed_tensor`` or ``embed`` call, after the
-    model's feature widths, the queries and, in positional mode, the cap are
-    checked against the graph and the model."""
+def _checked_queries(model: TgatModel, node, t, graph: TemporalGraph, sampling: SamplingConfig,
+                     rng_seed) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """The query arrays and the sampling key of one ``embed_tensor`` or
+    ``embed`` call. The model's feature widths, the queries and, in
+    positional mode, the cap are checked against the graph and the model
+    first, and only then is the key drawn from ``rng_seed``: a call that
+    fails a check takes no draw of a ``Generator``, and every other call,
+    one without queries included, takes one."""
     dims = model.dims
     if (dims.d0, dims.d_e) != (graph.node_feature_dim, graph.edge_feature_dim):
         raise InferenceError(
@@ -458,7 +464,7 @@ def _checked_queries(model: TgatModel, node, t, graph: TemporalGraph,
     if pos is not None and cap >= pos.max_positions:  # the target row takes rank N
         raise ValidationError(f"max_neighbors {cap} needs a positional table of at least "
                               f"{cap + 1} rows, the model's has {pos.max_positions}")
-    return nodes, times
+    return nodes, times, sampling_key(rng_seed)
 
 
 def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
@@ -469,23 +475,22 @@ def embed_tensor(model: TgatModel, node, t, graph: TemporalGraph,
     Each query's embedding depends only on (``rng_seed``, node, time), so B
     queries in one call equal each query embedded alone, up to float
     summation order. The model's raw node and edge feature widths must be
-    the graph's, and the queries are validated here, once for all hops; no
-    queries give a (0, d) result. In positional mode the cap must be below
-    the table's ``max_positions``. A list passed as ``attention`` receives
-    each hop's ``(level, NeighborhoodBatch, (H, B, N) weights)``.
+    the graph's, and the queries are validated here, once for all hops,
+    before the key is drawn (``_checked_queries``); no queries give a
+    (0, d) result. In positional mode the cap must be below the table's
+    ``max_positions``. A list passed as ``attention`` receives each hop's
+    ``(level, NeighborhoodBatch, (H, B, N) weights)``.
 
-    The call is one pass of ``embed``'s two stages, on this thread: the top
-    hop is prepared, then computed. Each hop records phi on the tape when it
-    is prepared, top hop first and ahead of the operators that read it, so
+    The call is one pass of ``embed``, on this thread: the top hop is
+    prepared, then computed. Each hop records phi on the tape when it is
+    prepared, top hop first and ahead of the operators that read it, so
     ``backward`` adds the hops' frequency-gradient terms bottom hop first.
     """
-    nodes, times = _checked_queries(model, node, t, graph, sampling)
+    nodes, times, key = _checked_queries(model, node, t, graph, sampling, rng_seed)
     if nodes.size == 0:
         return ad.constant(np.zeros((0, model.dims.d)))
-    key, top = sampling_key(rng_seed), model.layer_count
-    return _hidden_states(model, top, nodes,
-                          _prepare_hop(model, top, nodes, times, graph, sampling, key),
-                          graph, sampling, key, attention)
+    return _hidden_states(model, model.layer_count, nodes, times, None, graph, sampling, key,
+                          attention)
 
 
 EMBED_CHUNK = 128  # queries per inference pass, which holds their L-hop neighborhoods
@@ -494,43 +499,44 @@ EMBED_CHUNK = 128  # queries per inference pass, which holds their L-hop neighbo
 def embed_passes(count: int) -> list[slice]:
     """``count`` queries cut into passes of ``EMBED_CHUNK``. A tail of fewer
     than 4 joins the pass before it, because a product of 3 or fewer rows has
-    other bits than those rows of a larger product."""
+    other bits than those rows of a larger product. No queries are no
+    passes."""
     bounds = [0, *range(EMBED_CHUNK, count - 3, EMBED_CHUNK), count]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def embed(model: TgatModel, node, t, graph: TemporalGraph,
           sampling: SamplingConfig, rng_seed=0) -> np.ndarray:
     """Inference-only embeddings, (d,) for a node and a time or (B, d) for
     sequences; works for nodes absent from training events. The queries are
-    checked once, as ``embed_tensor`` checks them, and run in the passes of
-    ``embed_passes``, all sampled with one key, so a pass's rows are those
-    of ``embed_tensor`` on that pass alone.
+    checked, and the key drawn, once, as ``embed_tensor`` does it, and run
+    in the passes of ``embed_passes``, all sampled with that key, so a
+    pass's rows are those of ``embed_tensor`` on that pass alone.
 
     Passes overlap: while one pass is computed, the next pass's top hop is
-    sampled and encoded (``_prepare_hop``), on ``cores.run`` beside it. A
-    pass's samples and phi rows depend on no other pass, so no bit depends
-    on the overlap, and memory is that of one pass and one more top hop. A
-    single pass runs alone on this thread. The id rule reads ``node`` as
-    given, so [True, 2] is rejected, not read as [1, 2]."""
-    key = sampling_key(rng_seed)
-    nodes, times = _checked_queries(model, node, t, graph, sampling)
+    sampled and encoded (``_prepare_hop``), on ``cores.run`` beside it; the
+    first pass prepares its own. A pass's samples and phi rows depend on no
+    other pass, so no bit depends on the overlap, and memory is that of one
+    pass and one more top hop. A single pass runs alone on this thread. A
+    node and a time give a (d,) array of its own, not a view of the pass's
+    rows. The id rule reads ``node`` as given, so [True, 2] is rejected, not
+    read as [1, 2]."""
+    nodes, times, key = _checked_queries(model, node, t, graph, sampling, rng_seed)
     out = np.empty((nodes.size, model.dims.d))
-    top, prepared = model.layer_count, []
+    top, prepared = model.layer_count, [None]  # the first pass prepares its top hop
 
     def prepare(s: slice) -> None:
         prepared.append(_prepare_hop(model, top, nodes[s], times[s], graph, sampling, key))
 
-    def compute(s: slice, blocks: EntityBlocks) -> None:
-        out[s] = _hidden_states(model, top, nodes[s], blocks, graph, sampling, key, None).data
+    def compute(s: slice, blocks: EntityBlocks | None) -> None:
+        out[s] = _hidden_states(model, top, nodes[s], times[s], blocks, graph, sampling, key,
+                                None).data
 
-    passes = embed_passes(nodes.size) if nodes.size else []
-    if passes:
-        prepare(passes[0])
+    passes = embed_passes(nodes.size)
     for s, after in zip(passes, passes[1:] + [None]):
         cores.run([partial(compute, s, prepared.pop())]
                   + ([partial(prepare, after)] if after else []))
-    return out[0] if np.asarray(t).ndim == 0 else out
+    return out[0].copy() if np.asarray(t).ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

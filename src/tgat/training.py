@@ -516,7 +516,7 @@ def attention_report(
     times = np.repeat(graph.timestamps[idx], 2)
     key = sampling_key([rng_seed, 4004])
     rows: list[AttentionRow] = []
-    for s in embed_passes(nodes.size) if nodes.size else ():  # each pass at each offset
+    for s in embed_passes(nodes.size):  # each pass at each offset
         for offset in target_time_offsets:
             hops = []
             embed_tensor(model, nodes[s], times[s] + offset, graph, sampling, key, hops)

@@ -116,6 +116,43 @@ def test_src_lines_counts_as_wc(tmp_path):
     assert {side: tool.src_lines(tmp_path / side) for side in trees} == {"base": 2, "change": 5}
 
 
+def test_src_code_lines_skip_docstrings_comments_and_blanks(tmp_path):
+    # the module's, a class's, a method's and an async function's docstrings,
+    # blank and comment-only lines and a subpackage's module are no code; a
+    # string that is no docstring, even a line of it that starts with #, and
+    # a line with a trailing comment are
+    module = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment: code
+# a comment-only line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Method docstring,
+
+        with a blank line inside."""
+        # indented comment
+        text = """not a docstring,
+# nor is this a comment"""
+        return text
+
+
+async def g():
+    r"""Raw docstring."""
+    "a second string is no docstring"
+'''
+    package = tmp_path / "src" / "tgat"
+    (package / "sub").mkdir(parents=True)
+    (package / "m.py").write_text(module)
+    (package / "sub" / "c.py").write_text("w = 4\n")
+    assert tool.src_code_lines(tmp_path) == 8
+    assert tool.src_lines(tmp_path) == module.count("\n")
+
+
 def test_same_package_reads_the_modules_only(tmp_path):
     # a changed module, an added one or a deleted one is another package; a
     # file that is no module, or a subpackage, is not read

@@ -922,11 +922,11 @@ class TestEmbedPasses:
         assert EMBED_CHUNK == 128
         bounds = {count: [(s.start, s.stop) for s in embed_passes(count)]
                   for count in (0, 1, 3, 128, 129, 131, 132, 259, 260)}
-        assert bounds == {0: [(0, 0)], 1: [(0, 1)], 3: [(0, 3)], 128: [(0, 128)],
+        assert bounds == {0: [], 1: [(0, 1)], 3: [(0, 3)], 128: [(0, 128)],
                           129: [(0, 129)], 131: [(0, 131)], 132: [(0, 128), (128, 132)],
                           259: [(0, 128), (128, 259)],
                           260: [(0, 128), (128, 256), (256, 260)]}
-        for count in range(600):
+        for count in range(1, 600):  # 0 is no pass, above
             sizes = [s.stop - s.start for s in embed_passes(count)]
             assert sum(sizes) == count and max(sizes) < EMBED_CHUNK + 4
             assert len(sizes) == 1 or min(sizes) >= 4
@@ -1068,6 +1068,28 @@ class TestEmbedPasses:
             assert rng.bit_generator.state == twin.bit_generator.state
             np.testing.assert_array_equal(
                 out, embed(model, nodes[:count], times[:count], g, sampling, rng_seed=key))
+
+    @pytest.mark.parametrize("entry", [embed, embed_tensor])
+    def test_generator_drawn_only_after_the_checks(self, entry):
+        # a call its checks reject takes no draw; one that passes them takes
+        # one, whether it holds no query or one
+        g, model = self.model(1)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        with pytest.raises(ValidationError):
+            entry(model, [g.num_nodes], [1.0], g, MOST_RECENT, rng_seed=rng)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        for nodes, times in (([], []), ([3], [2.5])):
+            entry(model, nodes, times, g, MOST_RECENT, rng_seed=rng)
+            twin.integers(0, 2**64, dtype=np.uint64)
+            assert rng.bit_generator.state == twin.bit_generator.state, len(nodes)
+
+    def test_one_query_returns_an_array_of_its_own(self):
+        # not a view that keeps the pass's (1, d) array alive
+        g, model = self.model(2)
+        sampling = SamplingConfig(max_neighbors=4, strategy="inverse-timespan")
+        row = embed(model, 42, 8.8, g, sampling, rng_seed=5)
+        assert row.base is None and row.shape == (6,)
+        assert row.tobytes() == embed(model, [42], [8.8], g, sampling, rng_seed=5)[0].tobytes()
 
     def test_memory_held_by_one_pass(self):
         g = recency_planted_graph(200, 4000, seed=0)

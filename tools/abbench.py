@@ -23,25 +23,28 @@ the reason recorded, when both trees' ``src/tgat/*.py`` are byte-identical.
 It does not change the exit code: a change that moves numeric outputs is read
 from the record, not failed on it.
 
-The output file holds both commits, each side's ``src/tgat`` line count, the
-equivalence record, the environment of the runs (core count, numpy, BLAS and
-its thread variables), every run's end-to-end metrics, and per workload and
-metric: each side's median and quartiles, in how many pairs the change was
-better, the ``BENCHMARK.json`` bound and whether the change's median is within
-it, judged in the metric's ``better`` direction; whether the change's gain is
-resolved, that is, the change is better in at least 9 of 10 pairs (a tie
-counts for neither side) and its median is better than the base's by more
-than the base's quartile spread; whether the change is resolved to be
-worse, the mirror of a resolved gain (worse in at least 9 of 10 pairs, and
-a median worse by more than the base's quartile spread), which a metric can
-be while within its bound; and whether ``test_ap`` was equal in every pair. The exit code is 1 when any run failed a check, exited non-zero
-or printed no metrics, or when a metric's change median is outside its bound;
-each reason is printed to stderr.
+The output file holds both commits, each side's ``src/tgat`` line count and
+code-line count (``src_code_lines``: no blank, comment-only or docstring
+line), the equivalence record, the environment of the runs (core count, numpy,
+BLAS and its thread variables), every run's end-to-end metrics, and per
+workload and metric: each side's median and quartiles, in how many pairs the
+change was better, the ``BENCHMARK.json`` bound and whether the change's
+median is within it, judged in the metric's ``better`` direction; whether the
+change's gain is resolved, that is, the change is better in at least 9 of 10
+pairs (a tie counts for neither side) and its median is better than the base's
+by more than the base's quartile spread; whether the change is resolved to be
+worse, the mirror of a resolved gain (worse in at least 9 of 10 pairs, and a
+median worse by more than the base's quartile spread), which a metric can be
+while within its bound; and whether ``test_ap`` was equal in every pair. The
+exit code is 1 when any run failed a check, exited non-zero or printed no
+metrics, or when a metric's change median is outside its bound; each reason is
+printed to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -50,6 +53,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +62,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 301
 # the fields of run.py's env line that describe the host, not the run
 ENV = ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads")
+# the tokens that make no line a code line
+NO_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER)
 
 
 def git(*args: str) -> str:
@@ -90,6 +97,27 @@ def src_lines(root: Path) -> int:
     """The lines of the package's modules in the tree at ``root``: what
     ``cat src/tgat/*.py | wc -l`` prints there."""
     return sum(f.read_bytes().count(b"\n") for f in (root / "src" / "tgat").glob("*.py"))
+
+
+def src_code_lines(root: Path) -> int:
+    """The code lines of the package's modules in the tree at ``root``: the
+    lines that are neither blank nor comment-only and that ``ast`` does not
+    place in a module, class or function docstring, so that deleting a
+    docstring or a comment does not count as deleting code."""
+    total = 0
+    for f in (root / "src" / "tgat").glob("*.py"):
+        text = f.read_text(encoding="utf-8")
+        code = set()  # the lines a token other than a comment reaches
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in NO_CODE:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                code.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = text.splitlines()
+        total += sum(1 for n in code if lines[n - 1].strip())
+    return total
 
 
 def same_package(base: Path, change: Path) -> bool:
@@ -232,6 +260,7 @@ def main(argv=None) -> int:
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_edits": bool(git("status", "--porcelain"))},
         "src_lines": {},
+        "src_code_lines": {},
         "equivalence": {},
         "env": {},
         "pairs": args.pairs,
@@ -244,6 +273,8 @@ def main(argv=None) -> int:
         export(base_commit, roots["base"])
         snapshot(ROOT, roots["change"])
         record["src_lines"].update((side, src_lines(root)) for side, root in roots.items())
+        record["src_code_lines"].update((side, src_code_lines(root))
+                                        for side, root in roots.items())
         record["equivalence"] = equivalence(roots, Path(tmp))
         for workload in workloads:
             pairs = []
@@ -273,6 +304,8 @@ def main(argv=None) -> int:
         fh.write("\n")
 
     print(f"src/tgat lines: {record['src_lines']['base']} -> {record['src_lines']['change']}")
+    print(f"src/tgat code lines: {record['src_code_lines']['base']} -> "
+          f"{record['src_code_lines']['change']}")
     print(equivalence_line(record["equivalence"]))
     for workload, w in record["workloads"].items():
         for name, m in w["metrics"].items():
