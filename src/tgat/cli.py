@@ -237,7 +237,7 @@ def _grad_check_suite() -> bool:
         params = model.parameters()
         report = ad.grad_check(
             lambda: link_loss(model, graph, batch, sampling, 1, rng_seed=3),
-            params, tolerance=1e-4, rng_seed=1, max_coords_per_param=6)
+            params, tolerance=1e-4, max_coords_per_param=6)
         label = "learnable positional" if learnable else mode
         print(f"gradient check ({label}, {heads} head(s), 2 layers): "
               f"max rel error {report.max_rel_error:.2e} "

@@ -65,30 +65,42 @@ class NeighborhoodBatch:
     query_times: np.ndarray
 
 
-def _holds_bool(values) -> bool:
-    """Whether ``values`` is a boolean, or a list or tuple with one at any depth."""
-    return (any(map(_holds_bool, values)) if isinstance(values, (list, tuple))
-            else isinstance(values, (bool, np.bool_)))
+def _holds_text_or_bool(values) -> bool:
+    """Whether ``values`` is text or a boolean, or a list, tuple or array of
+    objects with one at any depth."""
+    values = np.asarray(values).tolist() if getattr(values, "dtype", None) == object else values
+    return (any(map(_holds_text_or_bool, values)) if isinstance(values, (list, tuple))
+            else isinstance(values, (str, bytes, bool, np.bool_)))
+
+
+def numbers(values, what: str) -> np.ndarray:
+    """``values`` (times, or ids for ``whole_numbers``, named by ``what``) as
+    float64. Text and booleans are no numbers, not even "1.5" or True, nor is
+    an object that fails the cast: each raises ValidationError instead of
+    becoming another time. A list, tuple or object array is searched at any
+    depth, as numpy reads [True, 2.0] as numbers and casts an object array's
+    "1.5" to 1.5."""
+    arr = np.asarray(values)
+    if not _holds_text_or_bool(values) and arr.dtype.kind not in "bUSV":
+        try:
+            return arr.astype(np.float64, copy=False)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{what} values must be numbers, got {values!r:.60}")
 
 
 def whole_numbers(values, what: str, below: int | None = None,
                   error: type[Exception] = ValidationError) -> np.ndarray:
     """``values`` (node ids, labels or indices, named by ``what``) as int64.
-    Text, a boolean, a value that is not a whole number, or one outside
-    int64 raises ValidationError instead of becoming another id or class;
-    a list or tuple is searched for booleans at any depth, as numpy reads
-    [True, 2] and [[True, 2]] as ints. Given ``below``, a value outside
-    [0, below) raises ``error``: one compare on the uint64 view, where a
-    negative value reads as 2**63 or more."""
+    What ``numbers`` rejects, a value that is not a whole number, or one
+    outside int64 raises ValidationError instead of becoming another id or
+    class; numpy reads [True, 2] and [[True, 2]] as ints, so a list is
+    searched for booleans even when it reads as ints. Given ``below``, a
+    value outside [0, below) raises ``error``: one compare on the uint64
+    view, where a negative value reads as 2**63 or more."""
     arr = np.asarray(values)
-    listed = _holds_bool(values)
-    if arr.dtype.kind != "i" or listed:
-        try:  # text and booleans are no numbers, not even "1" or True
-            whole = None if listed or arr.dtype.kind in "bUSV" else arr.astype(np.float64)
-        except (TypeError, ValueError):  # nor is an object that fails the cast
-            whole = None
-        if whole is None:
-            raise ValidationError(f"{what} values must be numbers, got {values!r:.60}")
+    if arr.dtype.kind != "i" or _holds_text_or_bool(values):
+        whole = numbers(values, what)
         bad = np.flatnonzero(~np.isfinite(whole) | (whole != np.trunc(whole)))
         if bad.size:
             raise ValidationError(f"{what} {arr.flat[bad[0]]} is not an integer")
@@ -229,7 +241,7 @@ class TemporalGraph:
         # an endpoint is a node with features
         sources = whole_numbers(sources, "node id", below=node_features.shape[0])
         destinations = whole_numbers(destinations, "node id", below=node_features.shape[0])
-        timestamps = np.asarray(timestamps, dtype=np.float64)
+        timestamps = numbers(timestamps, "timestamp")
         edge_features = np.asarray(edge_features, dtype=np.float64)
         labels = whole_numbers(labels, "label")
         n = timestamps.size
@@ -362,9 +374,8 @@ def seed_sequence(rng_seed) -> np.random.SeedSequence:
     """``SeedSequence(rng_seed)``, or ValidationError for a seed it rejects
     (a negative or fractional one, say), for a boolean seed or member, which
     it would take as 0 or 1, and for None, from which it would draw fresh
-    entropy, so that no run repeats. Every seed of the package passes here
-    but ``autodiff.grad_check``'s, as the engine imports no store."""
-    if rng_seed is not None and not _holds_bool(rng_seed):
+    entropy, so that no run repeats. Every package seed but a ``Generator`` passes here."""
+    if rng_seed is not None and not _holds_text_or_bool(rng_seed):
         try:
             return np.random.SeedSequence(rng_seed)
         except (TypeError, ValueError):
@@ -374,13 +385,10 @@ def seed_sequence(rng_seed) -> np.random.SeedSequence:
 
 
 def sampling_key(rng_seed) -> np.uint64:
-    """The 64-bit key of one sampling call: a key (an ``np.uint64``) as it is,
-    one draw of a ``Generator``, or an int or list of ints through ``SeedSequence``.
-    So ``sample_neighborhoods``, ``embed_tensor`` and ``embed`` take an
-    ``np.uint64`` as a ready key, while ``link_loss`` and ``evaluate_links``
-    read it as a seed like any int (``training._link_scores``)."""
-    if isinstance(rng_seed, np.uint64):
-        return rng_seed
+    """The 64-bit key of one sampling call: one draw of a ``Generator``, or
+    ``generate_state(1, np.uint64)[0]`` of ``seed_sequence(rng_seed)`` for any
+    other seed, an ``np.uint64`` among them. ``sample_neighborhoods`` and the
+    embeddings call it once per call, and every entry point reads a seed so."""
     if isinstance(rng_seed, np.random.Generator):
         return rng_seed.integers(0, 2**64, dtype=np.uint64)
     return seed_sequence(rng_seed).generate_state(1, np.uint64)[0]
@@ -398,12 +406,13 @@ def check_queries(g: TemporalGraph, nodes, times) -> tuple[np.ndarray, np.ndarra
     """The node and time arrays of B queries, the one place where a query
     becomes arrays: ``nodes`` node ids of ``g`` (InferenceError for one
     outside it), ``times`` finite, non-negative and aligned with them, else
-    ValidationError. The id rule reads the caller's nodes before numpy does,
-    so [True, 2] is no pair of ids; the shape rule reads the call's shapes, so
-    0 with [5.0] is no query. Then a node and a time form a one-query batch.
-    The cap and strategy are a ``SamplingConfig``'s, checked when it was built."""
+    ValidationError. The id and time rules read the caller's values before
+    numpy does, so [True, 2] is no pair of ids and "7.5" no time; the shape
+    rule reads the call's shapes, so 0 with [5.0] is no query. Then a node
+    and a time form a one-query batch. The cap and strategy are a
+    ``SamplingConfig``'s, checked when it was built."""
     nodes = whole_numbers(nodes, "node id", g.num_nodes, InferenceError)
-    times = np.asarray(times, dtype=np.float64)
+    times = numbers(times, "query time")
     if nodes.ndim > 1 or nodes.shape != times.shape:
         raise ValidationError(
             f"nodes and times must be 1-D and of equal length, got shapes {nodes.shape} "

@@ -37,7 +37,6 @@ from .temporal_graph import (
     check_value,
     checked,
     evaluation_event_indices,
-    sampling_key,
     seed_sequence,
     setting,
     training_event_indices,
@@ -159,24 +158,21 @@ def _link_scores(graph: TemporalGraph, events: np.ndarray, negatives_per_positiv
     """Inner products h_i . h_j of each positive event (i, j, t), then
     h_i . h_q for each of its Q negatives q != j, as one (P + P*Q, 1) column.
 
-    The seed rule of a scoring call: a ``Generator`` ``rng_seed`` draws the
-    negatives (one ``_draw_negatives`` call, positive by positive: one
-    vector draw, then a scalar redraw for each value dropped as its row's
-    destination), then the sampling key, one uint64; any other seed becomes
-    one ``SeedSequence`` that seeds the negatives' ``Generator`` and gives
-    the key, ``generate_state(1, np.uint64)[0]``; an ``np.uint64`` is such
-    a seed here, not the ready key it is to ``sampling_key``.
-    ``embedding(nodes, times, key)``, a (B, d) Tensor, embeds sources,
-    destinations and negatives at the event times.
+    ``rng_seed`` draws the negatives (one ``_draw_negatives`` call, positive
+    by positive: one vector draw, then a scalar redraw for each value dropped
+    as its row's destination), a ``Generator`` itself and any other seed
+    through ``seed_sequence``, and is then handed on as it is:
+    ``embedding(nodes, times, rng_seed)``, a (B, d) Tensor, embeds sources,
+    destinations and negatives at the event times, so a ``Generator`` gives
+    the sampling key its next draw.
     """
     src, dst, ts = graph.sources[events], graph.destinations[events], graph.timestamps[events]
     q = negatives_per_positive
-    seq = None if isinstance(rng_seed, np.random.Generator) else seed_sequence(rng_seed)
-    rng = rng_seed if seq is None else np.random.default_rng(seq)
+    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
+           else np.random.default_rng(seed_sequence(rng_seed)))
     neg = _draw_negatives(rng, graph.num_nodes, np.repeat(dst, q))
-    key = sampling_key(rng) if seq is None else seq.generate_state(1, np.uint64)[0]
     times = np.concatenate([ts, ts, np.repeat(ts, q)])
-    h = embedding(np.concatenate([src, dst, neg]), times, key)
+    h = embedding(np.concatenate([src, dst, neg]), times, rng_seed)
     # rows of h: sources [0, p), destinations [p, 2p), negatives of positive i
     # at 2p + i*q + k; pair each source with its destination and negatives
     p = events.size
@@ -205,8 +201,8 @@ def link_loss(
     if idx.size == 0:
         raise ContractError("link loss needs a non-empty batch")
     check_value(negatives_per_positive, int, "negatives_per_positive", Rule.AT_LEAST_1)
-    scores = _link_scores(graph, idx, negatives_per_positive, rng_seed, lambda nodes, times, key:
-                          embed_tensor(model, nodes, times, graph, sampling, key))
+    scores = _link_scores(graph, idx, negatives_per_positive, rng_seed, lambda nodes, times, seed:
+                          embed_tensor(model, nodes, times, graph, sampling, seed))
     sign = np.concatenate([np.ones(idx.size), -np.ones(idx.size * negatives_per_positive)])
     return ad.logistic_loss(scores, sign[:, None])
 
@@ -398,8 +394,8 @@ def evaluate_links(
     if event_indices.size == 0:
         raise EvaluationError(f"no {mode} events to evaluate in period {period!r}")
     sampling, p = config.sampling(training=False), event_indices.size
-    s = _link_scores(graph, event_indices, 1, [rng_seed, 1001], lambda nodes, times, key:
-                     ad.constant(embed(model, nodes, times, graph, sampling, key))).data[:, 0]
+    s = _link_scores(graph, event_indices, 1, [rng_seed, 1001], lambda nodes, times, seed:
+                     ad.constant(embed(model, nodes, times, graph, sampling, seed))).data[:, 0]
     scores = ad.sigmoid_values(np.column_stack([s[:p], s[p:]]).ravel())  # positive, negative
     return EvalMetrics.score(np.tile([1, 0], p), scores, mode)
 
@@ -514,12 +510,13 @@ def attention_report(
     idx = _event_indices(graph, event_indices)
     nodes = np.column_stack([graph.sources[idx], graph.destinations[idx]]).ravel()
     times = np.repeat(graph.timestamps[idx], 2)
-    key = sampling_key([rng_seed, 4004])
+    seed = [rng_seed, 4004]
+    seed_sequence(seed)  # a bad seed is an error, with no events to report too
     rows: list[AttentionRow] = []
     for s in embed_passes(nodes.size):  # each pass at each offset
         for offset in target_time_offsets:
             hops = []
-            embed_tensor(model, nodes[s], times[s] + offset, graph, sampling, key, hops)
+            embed_tensor(model, nodes[s], times[s] + offset, graph, sampling, seed, hops)
             _, batch, weights = hops[-1]  # the top hop
             spans = np.repeat(batch.query_times, batch.sizes) - batch.times
             query = np.repeat(np.arange(batch.sizes.size), batch.sizes)

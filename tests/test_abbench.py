@@ -8,11 +8,15 @@ passes and ``test_ap`` is equal; the file must hold the fields a change's
 
 import importlib.util
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,6 +237,37 @@ def test_a_failed_run_exits_1(tmp_path):
     w = bench["workloads"]["no-such-workload"]
     assert all(m is None for m in w["metrics"].values()) and w["test_ap_equal"] is False
     assert [w["runs"][0][side]["exit"] for side in ("base", "change")] == [2, 2]
+
+
+def test_a_run_reads_its_own_peak_rss(tmp_path):
+    # a child started straight from this process, which holds 160 MB it has
+    # written, would read that as the floor of its own ru_maxrss
+    held = np.ones(160 * 2**20 // 8)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 >= 150
+    report = ("import json, resource; print(json.dumps({'correct': True, 'attempted': 1, "
+              "'failed': 0, 'metrics': {'peak_rss_mb': {'value': "
+              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}}}))")
+    run = tool.run_once(tmp_path, [sys.executable, "-c", report], "w", 301, 1.0)
+    assert run["ok"] and run["exit"] == 0
+    assert run["metrics"]["peak_rss_mb"] < 100 < held.nbytes / 2**20
+    # the launcher passes the run's exit code on
+    run = tool.run_once(tmp_path, [sys.executable, "-c", "import sys; sys.exit(3)"], "w", 301, 1.0)
+    assert run["exit"] == 3 and not run["ok"]
+
+
+def test_a_run_past_its_limit_is_killed_by_the_launcher(tmp_path):
+    # the run, not only the launcher: a run left behind would hold a core
+    # through every run after it
+    pid_file = tmp_path / "pid"
+    sleeper = (f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); "
+               "time.sleep(60)")
+    start = time.monotonic()
+    proc = subprocess.run([*tool.LAUNCHER, "5", sys.executable, "-c", sleeper],
+                          capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 20
+    assert proc.returncode == 1 and "TimeoutExpired" in proc.stderr
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 # one base run's metrics; pair k reads them times 1 + k / 100 on both sides

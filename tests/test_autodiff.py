@@ -411,7 +411,57 @@ class TestGradCheck:
 
     def test_coordinate_subsampling(self):
         x = ad.parameter(np.ones((8, 8)))
-        report = ad.grad_check(lambda: x, [x],
-                               max_coords_per_param=10, rng_seed=3)
+        report = ad.grad_check(lambda: x, [x], max_coords_per_param=10)
         assert report.checked_coords == 10
         assert report.passed
+
+    @pytest.mark.parametrize("wrong, caught", [(7, True), (63, True), (6, False), (57, False)])
+    def test_subsampled_coordinates_are_evenly_strided(self, wrong, caught):
+        # 10 of 64 entries: 64 // 10 = 6 shares a factor with 64, so the
+        # stride is 7 and the flat coordinates arange(10) * 7 % 64, that is
+        # 0, 7, 14, 21, 28, 35, 42, 49, 56 and 63, the same on every call
+        x = ad.parameter(np.ones((8, 8)))
+
+        def broken():
+            def pull(g):
+                delta = g.copy()
+                delta.flat[wrong] *= 3.0  # wrong at one entry only
+                x._accumulate(delta)
+            return ad.apply_op(x.data.copy(), (x,), pull)
+
+        report = ad.grad_check(broken, [x], max_coords_per_param=10)
+        assert report.checked_coords == 10
+        assert isinstance(report.passed, bool)  # np.bool_ is never True or False
+        assert report.passed is not caught
+
+    @pytest.mark.parametrize("column", range(6))
+    def test_subsampled_coordinates_meet_every_column(self, column):
+        # 6 of a (9, 6) weight's 54 entries, as `tgat check --grad` checks a
+        # layer's w_q: the stride 54 // 6 = 9 would meet columns 0 and 3 only,
+        # so a rule wrong in any other whole column would pass; stride 11
+        # meets all six
+        x = ad.parameter(np.ones((9, 6)))
+
+        def broken():
+            def pull(g):
+                delta = g.copy()
+                delta[:, column] *= 3.0  # wrong in one column only
+                x._accumulate(delta)
+            return ad.apply_op(x.data.copy(), (x,), pull)
+
+        report = ad.grad_check(broken, [x], max_coords_per_param=6)
+        assert report.checked_coords == 6
+        assert not report.passed
+
+    def test_a_check_of_no_coordinate_does_not_pass(self):
+        # both used to pass, having compared nothing, for a rule wrong by 3x
+        w = ad.parameter(np.array([[0.3, -0.7]]))
+
+        def broken():
+            def pull(g):
+                w._accumulate(3.0 * g)
+            return ad.apply_op(w.data.copy(), (w,), pull)
+
+        for report in (ad.grad_check(broken, [w], max_coords_per_param=0),
+                       ad.grad_check(broken, [])):
+            assert report.checked_coords == 0 and not report.passed

@@ -982,6 +982,50 @@ def test_booleans_are_no_ids(what, call):
         call(g, model)
 
 
+@pytest.mark.parametrize("what, call", [
+    ("timestamp", lambda g, m: build_graph([0, 1], [1, 0], ["1.5", "2"])),
+    ("timestamp", lambda g, m: build_graph([0, 1], [1, 0], [True, 2.0])),
+    ("query time", lambda g, m: sample_neighborhoods(g, [2], ["7.5"], 4)),
+    ("query time", lambda g, m: sample_neighborhoods(g, [2, 1], [5.0, False], 4)),
+    ("query time", lambda g, m: embed(m, 2, True, g, SamplingConfig())),
+    ("query time", lambda g, m: embed(m, [2], ["7.5"], g, SamplingConfig())),
+    ("query time", lambda g, m: embed_tensor(m, 2, True, g, SamplingConfig())),
+    ("query time", lambda g, m: embed_tensor(m, [2, 1], [5.0, True], g, SamplingConfig())),
+    ("query time", lambda g, m: embed_tensor(m, [2], np.array([True]), g, SamplingConfig())),
+    ("timestamp", lambda g, m: build_graph([0, 1], [1, 0], np.array(["1.5", 2.0], dtype=object))),
+    ("query time", lambda g, m: embed(m, [2, 1], np.array([5.0, True], dtype=object), g,
+                                      SamplingConfig()))],
+    ids=["build_graph_text", "build_graph_bool", "sample_neighborhoods_text",
+         "sample_neighborhoods_bool", "embed_bool", "embed_text", "embed_tensor_scalar",
+         "embed_tensor_list", "embed_tensor_numpy", "build_graph_object_text",
+         "embed_object_bool"])
+def test_text_and_booleans_are_no_times(what, call):
+    # times follow the id rule: each used to read "7.5" as 7.5 and True as
+    # 1.0; an array of objects casts them so, and is searched as a list is
+    g, model = tiny_graph_and_model()
+    with pytest.raises(ValidationError, match=f"^{what} values must be numbers, got "):
+        call(g, model)
+
+
+def test_a_numpy_uint64_seed_is_its_int():
+    # it used to be read as a ready key at these three entry points, and as a
+    # seed at link_loss and evaluate_links; uniform at cap 4 draws here, so
+    # another seed samples other rows
+    g = recency_planted_graph(200, 4000, seed=0)
+    model = TgatModel.create(Dims(d0=g.node_feature_dim, d=6, d_t=4, d_h=3, d_f=5),
+                             layer_count=2, head_count=2, rng_seed=1, t_max=g.t_max)
+    sampling = SamplingConfig(max_neighbors=4, strategy="uniform")
+    nodes, times = np.arange(0, 200, 7), np.linspace(0.6, 1.0, 29) * g.t_max
+    calls = {
+        "sample_neighborhoods": lambda seed: sample_neighborhoods(
+            g, nodes, times, 4, "uniform", seed).event_indices,
+        "embed_tensor": lambda seed: embed_tensor(model, nodes, times, g, sampling, seed).data,
+        "embed": lambda seed: embed(model, nodes, times, g, sampling, seed)}
+    for name, call in calls.items():
+        assert call(np.uint64(5)).tobytes() == call(5).tobytes(), name
+        assert call(6).tobytes() != call(5).tobytes(), name
+
+
 @pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32 + 1])
 def test_radix_order_is_a_stable_argsort(bound):
     rng = np.random.default_rng(bound)

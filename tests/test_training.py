@@ -27,6 +27,7 @@ from tgat.temporal_graph import (
     build_graph,
     chronological_split,
     evaluation_event_indices,
+    sample_neighborhoods,
 )
 from tgat.training import (
     AdamState,
@@ -144,15 +145,19 @@ class TestLinkLoss:
         # from a twin Generator: loss and gradients byte for byte, one end state
         g = tiny_fixture_graph()
         model = small_model(g, layers=2, heads=2, seed=3)
-        sampling = SamplingConfig(max_neighbors=2, strategy="uniform")
+        sampling = SamplingConfig(max_neighbors=1, strategy="uniform")
         events, q = np.array([3, 4, 5, 6]), 2
         src, dst, ts = g.sources[events], g.destinations[events], g.timestamps[events]
+        # some query draws its sample, so the loss depends on the key
+        candidates = sample_neighborhoods(g, np.concatenate([src, dst]),
+                                          np.concatenate([ts, ts]), g.num_events).sizes
+        assert candidates.max() > sampling.max_neighbors
 
         def by_hand(twin):
             neg = training._draw_negatives(twin, g.num_nodes, np.repeat(dst, q))
-            key = twin.integers(0, 2**64, dtype=np.uint64)
+            # embed_tensor takes the key, the twin's next draw
             h = embed_tensor(model, np.concatenate([src, dst, neg]),
-                             np.concatenate([ts, ts, np.repeat(ts, q)]), g, sampling, key)
+                             np.concatenate([ts, ts, np.repeat(ts, q)]), g, sampling, twin)
             p = events.size
             scores = ad.pair_scores(h, np.concatenate([np.arange(p), np.repeat(np.arange(p), q)]),
                                     np.arange(p, h.data.shape[0]))
@@ -171,6 +176,16 @@ class TestLinkLoss:
         assert ours == loss_and_grads(by_hand, twin)
         assert sum(grad is not None for grad in ours[1:]) > 1
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_a_numpy_uint64_seed_is_its_int(self):
+        # uniform at cap 1 draws the samples, so the seed keys them as well as
+        # drawing the negatives
+        g = tiny_fixture_graph()
+        model = small_model(g, layers=2, heads=2, seed=3)
+        sampling = SamplingConfig(max_neighbors=1, strategy="uniform")
+        loss = [link_loss(model, g, [3, 4, 5, 6], sampling, 2, rng_seed=seed).data.tobytes()
+                for seed in (np.uint64(9), 9)]
+        assert loss[0] == loss[1]
 
     def test_negative_never_equals_destination(self, monkeypatch):
         g = tiny_fixture_graph()
@@ -608,6 +623,14 @@ class TestEvaluateLinks:
             with pytest.raises(ValidationError, match="rng_seed"):
                 evaluate_links(model, g, split, config=cfg, rng_seed=seed, event_indices=events)
 
+    def test_a_numpy_uint64_seed_is_its_int(self):
+        g, split, cfg = training_fixture()
+        cfg = replace(cfg, sampling_strategy="uniform", max_neighbors=2)
+        model = training.build_model(g, cfg)
+        got = [evaluate_links(model, g, split, config=cfg, rng_seed=seed, max_events=40)
+               for seed in (np.uint64(2), 2)]
+        assert got[0] == got[1]
+
     def test_bad_config_rejected(self):
         # batch_size 0 used to reach the chunking and fail inside numpy
         g, split, cfg = training_fixture()
@@ -746,6 +769,12 @@ class TestAttentionReport:
         g = tiny_fixture_graph()
         with pytest.raises(ValidationError, match="batch_size"):
             attention_report(small_model(g), g, [5], config=TrainConfig(batch_size=0))
+
+    @pytest.mark.parametrize("events", [[2], []])
+    def test_bad_seed_rejected(self, events):
+        g = tiny_fixture_graph()
+        with pytest.raises(ValidationError, match="rng_seed"):
+            attention_report(small_model(g), g, events, rng_seed=-1)
 
     def test_batches_give_the_same_rows(self):
         g = recency_planted_graph(n_nodes=40, n_events=600, seed=2)

@@ -11,8 +11,10 @@ their own, so the two sides differ in code only, not in path or ``.pyc``
 state. For each workload of
 ``BENCHMARK.json`` the script runs ``--pairs`` pairs of the declared command
 (``perfbench/run.py``) with ``--trace 0``, one run on each side, each side
-with its own ``perfbench/`` and ``src/``. Pair k uses seed 301 + k; the base
-runs first in even pairs and the change in odd ones. Each run's ``env`` line,
+with its own ``perfbench/`` and ``src/``, and each run started through a
+small launcher (``LAUNCHER``), so that its ``peak_rss_mb`` is its own. Pair
+k uses seed 301 + k; the base runs first in even pairs and the change in
+odd ones. Each run's ``env`` line,
 ``check`` lines, final JSON line and exit code are read.
 
 Before the runs, the change side's ``tools/equivalence.py`` (full grid) runs
@@ -62,6 +64,14 @@ ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 301
 # the fields of run.py's env line that describe the host, not the run
 ENV = ("nproc", "cpus_usable", "python", "numpy", "blas", "blas_threads")
+# given a time limit in seconds and a command, starts the command and exits
+# with its exit code, or kills it at the limit and exits 1: on Linux a
+# process started straight from this one would inherit this one's peak RSS
+# as the floor of its own ``ru_maxrss``, so a run forks from this small
+# launcher and reads its own peak, and the launcher, not this process, is
+# the one that can kill it
+LAUNCHER = [sys.executable, "-c", "import subprocess, sys; "
+            "sys.exit(subprocess.call(sys.argv[2:], timeout=float(sys.argv[1])))"]
 # the tokens that make no line a code line
 NO_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENDMARKER)
@@ -170,10 +180,13 @@ def equivalence_line(record: dict) -> str:
 
 def run_once(root: Path, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
-    """One benchmark run in ``root``: its metrics, failed checks and environment."""
-    proc = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True, timeout=600 + 30 * seconds)
+    """One benchmark run in ``root``, started through ``LAUNCHER``: its
+    metrics, failed checks and environment. A run still going after
+    600 + 30 * ``seconds`` s is killed and fails."""
+    limit = 600 + 30 * seconds
+    proc = subprocess.run([*LAUNCHER, str(limit), *command, "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=root, capture_output=True, text=True, timeout=limit + 60)
     lines = proc.stdout.splitlines()
     try:
         last = json.loads(lines[-1])
